@@ -3,12 +3,12 @@
 // how many candidates per second the pre-evaluation can filter.
 
 // `--simd` / `--simd-smoke` bypass google-benchmark and emit one JSON
-// line per (scheme, rows, tier) for the weighted-MinHash signature
-// kernel, timed through the public WeightedMinHashSelect at a forced
-// dispatch tier (simd::SetActiveLevel). The smoke variant exits nonzero
-// unless the AVX2 tier returns bit-identical signatures and beats the
-// scalar tier at rows >= 10k; tools/check.sh runs it in the release
-// suite, and BENCH_simd.json snapshots the grid rows.
+// line per (scheme, rows, tier, kernel) for the weighted-MinHash argmin:
+// a 48-slot signature through each kernel variant, timed against the
+// scalar full scan (the oracle). The smoke variant exits nonzero unless
+// every variant returns the oracle's signature and the AVX2 variants
+// clear their speed floors at rows >= 10k; tools/check.sh runs it in
+// the release suite, and BENCH_simd.json snapshots the grid rows.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +23,8 @@
 #include "hashing/minhash.h"
 #include "hashing/sample_compressor.h"
 #include "hashing/weighted_minhash.h"
+#include "simd/minhash_kernels.h"
+#include "simd/portable_math.h"
 #include "simd/simd.h"
 
 namespace eafe::hashing {
@@ -87,14 +89,39 @@ std::vector<double> SimdWeights(size_t rows) {
   return weights;
 }
 
-/// Best-of-3 signature computation at the currently forced tier.
-double TimeSelect(MinHashScheme scheme, const std::vector<double>& weights,
-                  size_t dimension, std::vector<size_t>* signature) {
+/// One argmin kernel variant as the grid names it.
+struct KernelVariant {
+  const char* level;   ///< Dispatch tier the variant belongs to.
+  const char* kernel;  ///< "full_scan" or "pruned".
+  size_t (*argmin)(simd::CwsKernelScheme, const double*, const double*,
+                   size_t, uint64_t, uint64_t);
+};
+
+size_t PrunedScalar(simd::CwsKernelScheme, const double* weights,
+                    const double*, size_t n, uint64_t seed, uint64_t slot) {
+  return simd::internal::CcwsArgminPrunedScalar(weights, n, seed, slot);
+}
+
+size_t PrunedAvx2(simd::CwsKernelScheme, const double* weights,
+                  const double*, size_t n, uint64_t seed, uint64_t slot) {
+  return simd::internal::CcwsArgminPrunedAvx2(weights, n, seed, slot);
+}
+
+/// Best-of-5 time of one signature (`dimension` slots) through one
+/// kernel variant; the first pass's selections land in `signature`.
+double TimeSignature(const KernelVariant& variant,
+                     simd::CwsKernelScheme scheme,
+                     const std::vector<double>& weights,
+                     const std::vector<double>& logs, size_t dimension,
+                     std::vector<size_t>* signature) {
   double best = 0.0;
-  for (int r = 0; r < 3; ++r) {
+  for (int r = 0; r < 5; ++r) {
+    std::vector<size_t> selected(dimension);
     eafe::Stopwatch timer;
-    std::vector<size_t> selected =
-        WeightedMinHashSelect(scheme, weights, dimension, 77);
+    for (size_t j = 0; j < dimension; ++j) {
+      selected[j] = variant.argmin(scheme, weights.data(), logs.data(),
+                                   weights.size(), 77, j);
+    }
     const double seconds = timer.ElapsedSeconds();
     if (r == 0 || seconds < best) best = seconds;
     if (r == 0) *signature = std::move(selected);
@@ -103,56 +130,88 @@ double TimeSelect(MinHashScheme scheme, const std::vector<double>& weights,
 }
 
 void PrintSimdRow(MinHashScheme scheme, size_t rows, size_t dimension,
-                  const char* level, double seconds, double speedup) {
+                  const KernelVariant& variant, double seconds,
+                  double speedup) {
   std::printf(
       "{\"bench\": \"simd_minhash\", \"scheme\": \"%s\", \"rows\": %zu, "
-      "\"dimension\": %zu, \"level\": \"%s\", \"seconds\": %.6f, "
-      "\"speedup_vs_scalar\": %.2f}\n",
-      MinHashSchemeToString(scheme).c_str(), rows, dimension, level,
-      seconds, speedup);
+      "\"dimension\": %zu, \"level\": \"%s\", \"kernel\": \"%s\", "
+      "\"seconds\": %.6f, \"speedup_vs_oracle\": %.2f}\n",
+      MinHashSchemeToString(scheme).c_str(), rows, dimension, variant.level,
+      variant.kernel, seconds, speedup);
 }
 
+/// Emits the grid: per scheme and size, the scalar full scan (the
+/// oracle) first, then every other variant with its speedup over it.
+/// The smoke variant exits nonzero unless every variant returns the
+/// oracle's signature, pruned AVX2 CCWS runs >= 2x the oracle and AVX2
+/// ICWS >= 1.2x at rows >= 10k.
 int RunSimdRows(bool smoke) {
   const size_t dimension = 48;
   const bool have_avx2 = simd::LevelSupported(simd::Level::kAvx2);
   if (!have_avx2) {
     std::fprintf(stderr,
                  "note: AVX2 unsupported on this CPU — scalar rows only, "
-                 "smoke gate vacuous\n");
+                 "smoke speed gates vacuous\n");
   }
+  const KernelVariant oracle = {"scalar", "full_scan",
+                                simd::internal::CwsArgminScalar};
+  const KernelVariant full_avx2 = {"avx2", "full_scan",
+                                   simd::internal::CwsArgminAvx2};
+  const KernelVariant pruned_scalar = {"scalar", "pruned", PrunedScalar};
+  const KernelVariant pruned_avx2 = {"avx2", "pruned", PrunedAvx2};
+  struct Grid {
+    MinHashScheme scheme;
+    simd::CwsKernelScheme kernel_scheme;
+    std::vector<KernelVariant> variants;
+    double gate;  ///< Required avx2 speedup over the oracle at >= 10k.
+  };
+  const Grid grids[] = {
+      {MinHashScheme::kIcws, simd::CwsKernelScheme::kIcws, {full_avx2},
+       1.2},
+      {MinHashScheme::kCcws, simd::CwsKernelScheme::kCcws,
+       {pruned_scalar, pruned_avx2}, 2.0},
+  };
   bool ok = true;
-  for (const MinHashScheme scheme :
-       {MinHashScheme::kIcws, MinHashScheme::kCcws}) {
+  for (const Grid& grid : grids) {
     for (const size_t rows : {size_t{4096}, size_t{16384}}) {
       const std::vector<double> weights = SimdWeights(rows);
-      simd::SetActiveLevel(simd::Level::kScalar);
-      std::vector<size_t> scalar_sig;
-      const double scalar_seconds =
-          TimeSelect(scheme, weights, dimension, &scalar_sig);
-      PrintSimdRow(scheme, rows, dimension, "scalar", scalar_seconds, 1.0);
-      if (!have_avx2) continue;
-      simd::SetActiveLevel(simd::Level::kAvx2);
-      std::vector<size_t> avx2_sig;
-      const double avx2_seconds =
-          TimeSelect(scheme, weights, dimension, &avx2_sig);
-      const double speedup =
-          avx2_seconds > 0.0 ? scalar_seconds / avx2_seconds : 0.0;
-      PrintSimdRow(scheme, rows, dimension, "avx2", avx2_seconds, speedup);
-      if (avx2_sig != scalar_sig) {
-        std::fprintf(stderr,
-                     "simd smoke FAILED: %s signatures differ between "
-                     "tiers at rows=%zu\n",
-                     MinHashSchemeToString(scheme).c_str(), rows);
-        ok = false;
+      std::vector<double> logs(rows, 0.0);
+      for (size_t k = 0; k < rows; ++k) {
+        if (weights[k] > 0.0) logs[k] = simd::PortableLog(weights[k]);
       }
-      // Acceptance target is >= 1.5x at rows >= 10k; the gate asserts a
-      // conservative 1.2x so shared CI hardware doesn't flake.
-      if (smoke && rows >= 10000 && speedup < 1.2) {
-        std::fprintf(stderr,
-                     "simd smoke FAILED: %s avx2 speedup %.2fx < 1.2x at "
-                     "rows=%zu\n",
-                     MinHashSchemeToString(scheme).c_str(), speedup, rows);
-        ok = false;
+      std::vector<size_t> oracle_sig;
+      const double oracle_seconds =
+          TimeSignature(oracle, grid.kernel_scheme, weights, logs,
+                        dimension, &oracle_sig);
+      PrintSimdRow(grid.scheme, rows, dimension, oracle, oracle_seconds,
+                   1.0);
+      for (const KernelVariant& variant : grid.variants) {
+        const bool avx2 = std::strcmp(variant.level, "avx2") == 0;
+        if (avx2 && !have_avx2) continue;
+        std::vector<size_t> sig;
+        const double seconds = TimeSignature(
+            variant, grid.kernel_scheme, weights, logs, dimension, &sig);
+        const double speedup = seconds > 0.0 ? oracle_seconds / seconds
+                                             : 0.0;
+        PrintSimdRow(grid.scheme, rows, dimension, variant, seconds,
+                     speedup);
+        if (sig != oracle_sig) {
+          std::fprintf(stderr,
+                       "simd smoke FAILED: %s %s/%s signature differs from "
+                       "the full-scan oracle at rows=%zu\n",
+                       MinHashSchemeToString(grid.scheme).c_str(),
+                       variant.level, variant.kernel, rows);
+          ok = false;
+        }
+        if (smoke && avx2 && rows >= 10000 && speedup < grid.gate) {
+          std::fprintf(stderr,
+                       "simd smoke FAILED: %s %s/%s speedup %.2fx < %.1fx "
+                       "at rows=%zu\n",
+                       MinHashSchemeToString(grid.scheme).c_str(),
+                       variant.level, variant.kernel, speedup, grid.gate,
+                       rows);
+          ok = false;
+        }
       }
     }
   }

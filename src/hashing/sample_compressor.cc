@@ -5,6 +5,7 @@
 
 #include "core/check.h"
 #include "hashing/minhash.h"
+#include "simd/minhash_kernels.h"
 
 namespace eafe::hashing {
 
@@ -33,8 +34,11 @@ std::vector<double> SampleCompressor::NormalizeWeights(
   return weights;
 }
 
-Result<std::vector<size_t>> SampleCompressor::SelectIndices(
-    const std::vector<double>& values) const {
+namespace {
+
+/// The input check and min-max normalization every entry point shares.
+Result<std::vector<double>> ValidatedWeights(
+    const std::vector<double>& values) {
   if (values.empty()) {
     return Status::InvalidArgument("cannot compress an empty feature");
   }
@@ -44,15 +48,25 @@ Result<std::vector<size_t>> SampleCompressor::SelectIndices(
           "feature contains non-finite values; clean before compressing");
     }
   }
-  const std::vector<double> weights = NormalizeWeights(values);
+  return SampleCompressor::NormalizeWeights(values);
+}
+
+}  // namespace
+
+Result<std::vector<size_t>> SampleCompressor::SelectIndices(
+    const std::vector<double>& values) const {
+  EAFE_ASSIGN_OR_RETURN(std::vector<double> weights,
+                        ValidatedWeights(values));
   return WeightedMinHashSelect(options_.scheme, weights, options_.dimension,
                                options_.seed);
 }
 
 Result<std::vector<double>> SampleCompressor::Compress(
     const std::vector<double>& values) const {
-  EAFE_ASSIGN_OR_RETURN(std::vector<size_t> indices, SelectIndices(values));
-  const std::vector<double> weights = NormalizeWeights(values);
+  EAFE_ASSIGN_OR_RETURN(std::vector<double> weights,
+                        ValidatedWeights(values));
+  const std::vector<size_t> indices = WeightedMinHashSelect(
+      options_.scheme, weights, options_.dimension, options_.seed);
   std::vector<double> signature(indices.size());
   for (size_t j = 0; j < indices.size(); ++j) {
     signature[j] = weights[indices[j]];
@@ -66,16 +80,8 @@ Result<std::vector<double>> SampleCompressor::Compress(
     // without the weight-proportional bias of consistent sampling.
     std::vector<double> uniform(options_.extra_uniform_slots);
     for (size_t j = 0; j < uniform.size(); ++j) {
-      size_t best = 0;
-      uint64_t best_hash = MixHash(options_.seed ^ 0xA5A5A5A5ULL, j, 0);
-      for (size_t i = 1; i < weights.size(); ++i) {
-        const uint64_t h = MixHash(options_.seed ^ 0xA5A5A5A5ULL, j, i);
-        if (h < best_hash) {
-          best_hash = h;
-          best = i;
-        }
-      }
-      uniform[j] = weights[best];
+      uniform[j] = weights[simd::PlainHashArgmin(
+          nullptr, weights.size(), options_.seed ^ 0xA5A5A5A5ULL, j)];
     }
     if (options_.sort_signature) {
       std::sort(uniform.begin(), uniform.end());

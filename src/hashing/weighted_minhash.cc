@@ -121,12 +121,12 @@ std::vector<double> LogWeights(const std::vector<double>& weights) {
 /// One consistent sample with the per-element constants precomputed.
 /// `log_weights` may be empty for schemes that do not use it (CCWS).
 /// The min-reduction runs in the dispatched kernel; the winning
-/// element's quantization index is recomputed once here.
+/// element's quantization index is recomputed once here. Callers have
+/// checked that every weight is nonnegative.
 CwsSample ConsistentSampleImpl(MinHashScheme scheme,
                                const std::vector<double>& weights,
                                const std::vector<double>& log_weights,
                                size_t slot, uint64_t seed) {
-  for (double w : weights) EAFE_CHECK_GE(w, 0.0);
   const double* logs = log_weights.empty() ? nullptr : log_weights.data();
   const size_t k = simd::CwsArgmin(KernelScheme(scheme), weights.data(),
                                    logs, weights.size(), seed, slot);
@@ -164,6 +164,7 @@ CwsSample ConsistentSample(MinHashScheme scheme,
   EAFE_CHECK(!weights.empty());
   EAFE_CHECK(scheme != MinHashScheme::kPlain);
   EAFE_CHECK(scheme != MinHashScheme::kExactQuantile);
+  for (double w : weights) EAFE_CHECK_GE(w, 0.0);
   const std::vector<double> log_weights =
       UsesLogWeights(scheme) ? LogWeights(weights) : std::vector<double>();
   return ConsistentSampleImpl(scheme, weights, log_weights, slot, seed);
@@ -179,12 +180,11 @@ std::vector<size_t> WeightedMinHashSelect(MinHashScheme scheme,
   if (scheme == MinHashScheme::kExactQuantile) {
     return ExactQuantileSelect(weights, num_slots);
   }
+  // Validated once per feature, not once per slot.
   bool any_positive = false;
   for (double w : weights) {
-    if (w > 0.0) {
-      any_positive = true;
-      break;
-    }
+    EAFE_CHECK_GE(w, 0.0);
+    any_positive = any_positive || w > 0.0;
   }
   std::vector<size_t> selected(num_slots);
   if (!any_positive) {

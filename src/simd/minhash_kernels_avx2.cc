@@ -1,3 +1,4 @@
+#include <bit>
 #include <limits>
 
 #include "simd/minhash_kernels.h"
@@ -63,22 +64,7 @@ inline __m256d PcwsValueVec(const CwsKeys& keys, __m256i ek, __m256d lw) {
   return _mm256_sub_pd(_mm256_sub_pd(num, ln_y), r);
 }
 
-/// CcwsValueAt lanes: weight itself from memory, not its log.
-inline __m256d CcwsValueVec(const CwsKeys& keys, __m256i ek, __m256d w) {
-  const __m256d u = UnitFromHashVec(Mix64Vec(keys.r1, ek));
-  const __m256d b =
-      _mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_sqrt_pd(u));
-  const __m256d r = _mm256_max_pd(b, _mm256_set1_pd(1e-12));
-  const __m256d c = Gamma21Vec(keys.c1, keys.c2, ek);
-  const __m256d beta = UnitFromHashVec(Mix64Vec(keys.beta, ek));
-  const __m256d r2 = _mm256_mul_pd(_mm256_set1_pd(2.0), r);
-  const __m256d t =
-      _mm256_floor_pd(_mm256_add_pd(_mm256_div_pd(w, r2), beta));
-  const __m256d y = _mm256_mul_pd(r2, _mm256_sub_pd(t, beta));
-  const __m256d a = _mm256_div_pd(c, _mm256_add_pd(y, r2));
-  return PortableLogVec(a);
-}
-
+/// Full vector scan for the log-quantizing schemes (kIcws, kPcws).
 template <CwsKernelScheme S>
 size_t CwsArgminLoop(const double* weights, const double* log_weights,
                      size_t n, uint64_t seed, uint64_t slot) {
@@ -98,13 +84,12 @@ size_t CwsArgminLoop(const double* weights, const double* log_weights,
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d w = _mm256_loadu_pd(weights + i);
+    const __m256d lw = _mm256_loadu_pd(log_weights + i);
     __m256d value;
     if constexpr (S == CwsKernelScheme::kIcws) {
-      value = IcwsValueVec(keys, ek, _mm256_loadu_pd(log_weights + i));
-    } else if constexpr (S == CwsKernelScheme::kPcws) {
-      value = PcwsValueVec(keys, ek, _mm256_loadu_pd(log_weights + i));
+      value = IcwsValueVec(keys, ek, lw);
     } else {
-      value = CcwsValueVec(keys, ek, w);
+      value = PcwsValueVec(keys, ek, lw);
     }
     // Non-positive weights never compete: their lanes carry +inf, which
     // a strict < can't adopt (sampling values are always finite).
@@ -139,10 +124,8 @@ size_t CwsArgminLoop(const double* weights, const double* log_weights,
     double value;
     if constexpr (S == CwsKernelScheme::kIcws) {
       value = IcwsValueAt(log_weights[k], seed, slot, k).value;
-    } else if constexpr (S == CwsKernelScheme::kPcws) {
-      value = PcwsValueAt(log_weights[k], seed, slot, k).value;
     } else {
-      value = CcwsValueAt(weights[k], seed, slot, k).value;
+      value = PcwsValueAt(log_weights[k], seed, slot, k).value;
     }
     if (value < best_value) {
       best_value = value;
@@ -152,25 +135,94 @@ size_t CwsArgminLoop(const double* weights, const double* log_weights,
   return best;
 }
 
+/// CcwsMaxWeight 16 rows per step. max is exact in any order; the
+/// unordered compares catch the NaNs that max_pd drops.
+double MaxWeightVec(const double* weights, size_t n) {
+  __m256d m0 = _mm256_setzero_pd();
+  __m256d m1 = m0, m2 = m0, m3 = m0, nan = m0;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256d w0 = _mm256_loadu_pd(weights + i);
+    const __m256d w1 = _mm256_loadu_pd(weights + i + 4);
+    const __m256d w2 = _mm256_loadu_pd(weights + i + 8);
+    const __m256d w3 = _mm256_loadu_pd(weights + i + 12);
+    m0 = _mm256_max_pd(m0, w0);
+    m1 = _mm256_max_pd(m1, w1);
+    m2 = _mm256_max_pd(m2, w2);
+    m3 = _mm256_max_pd(m3, w3);
+    nan = _mm256_or_pd(nan,
+                       _mm256_or_pd(_mm256_cmp_pd(w0, w1, _CMP_UNORD_Q),
+                                    _mm256_cmp_pd(w2, w3, _CMP_UNORD_Q)));
+  }
+  if (_mm256_movemask_pd(nan) != 0) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, _mm256_max_pd(_mm256_max_pd(m0, m1),
+                                       _mm256_max_pd(m2, m3)));
+  double max_weight = CcwsMaxWeight(weights + i, n - i);
+  for (const double lane : lanes) {
+    if (lane > max_weight) max_weight = lane;
+  }
+  return max_weight;
+}
+
 }  // namespace
+
+size_t CcwsArgminPrunedAvx2(const double* weights, size_t n, uint64_t seed,
+                            uint64_t slot) {
+  if (n < 8) return CcwsArgminPrunedScalar(weights, n, seed, slot);
+  CcwsScan scan(MaxWeightVec(weights, n), n);
+  const __m256i key_c1 =
+      _mm256_set1_epi64x(AsLL(StreamKey(seed, slot, kStreamC1)));
+  const __m256i key_c2 =
+      _mm256_set1_epi64x(AsLL(StreamKey(seed, slot, kStreamC2)));
+  const __m256d zero = _mm256_setzero_pd();
+  __m256i ek = _mm256_setr_epi64x(AsLL(0 * kMixElementMul),
+                                  AsLL(1 * kMixElementMul),
+                                  AsLL(2 * kMixElementMul),
+                                  AsLL(3 * kMixElementMul));
+  const __m256i ek_step = _mm256_set1_epi64x(AsLL(4 * kMixElementMul));
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    // The lane-wise form of CcwsScanRows' two tests, with NaN-true
+    // predicates so a lane survives exactly when the scalar would not
+    // `continue`: it competes (!(w <= 0)) and u1 * u2 is not below the
+    // threshold.
+    const __m256d u1 = UnitFromHashVec(Mix64Vec(key_c1, ek));
+    const __m256d u2 = UnitFromHashVec(Mix64Vec(key_c2, ek));
+    const __m256d live = _mm256_and_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(weights + i), zero, _CMP_NLE_UQ),
+        _mm256_cmp_pd(_mm256_mul_pd(u1, u2),
+                      _mm256_set1_pd(scan.threshold), _CMP_NLT_UQ));
+    // Survivors are evaluated in index order. A best found in an earlier
+    // lane raises the threshold the later lanes were tested against:
+    // that can only cost an extra evaluation, never a wrong skip.
+    for (auto mask = static_cast<unsigned>(_mm256_movemask_pd(live));
+         mask != 0; mask &= mask - 1) {
+      const size_t k = i + static_cast<size_t>(std::countr_zero(mask));
+      scan.Offer(CcwsValueAt(weights[k], seed, slot, k).value, k);
+    }
+    ek = _mm256_add_epi64(ek, ek_step);
+  }
+  CcwsScanRows(weights, i, n, seed, slot, &scan);
+  return scan.best;
+}
 
 size_t CwsArgminAvx2(CwsKernelScheme scheme, const double* weights,
                      const double* log_weights, size_t n, uint64_t seed,
                      uint64_t slot) {
+  if (scheme == CwsKernelScheme::kCcws) {
+    return CcwsArgminPrunedAvx2(weights, n, seed, slot);
+  }
   if (n < 8) {
     return CwsArgminScalar(scheme, weights, log_weights, n, seed, slot);
   }
-  switch (scheme) {
-    case CwsKernelScheme::kIcws:
-      return CwsArgminLoop<CwsKernelScheme::kIcws>(weights, log_weights, n,
-                                                   seed, slot);
-    case CwsKernelScheme::kPcws:
-      return CwsArgminLoop<CwsKernelScheme::kPcws>(weights, log_weights, n,
-                                                   seed, slot);
-    case CwsKernelScheme::kCcws:
-      break;
+  if (scheme == CwsKernelScheme::kIcws) {
+    return CwsArgminLoop<CwsKernelScheme::kIcws>(weights, log_weights, n,
+                                                 seed, slot);
   }
-  return CwsArgminLoop<CwsKernelScheme::kCcws>(weights, log_weights, n,
+  return CwsArgminLoop<CwsKernelScheme::kPcws>(weights, log_weights, n,
                                                seed, slot);
 }
 
@@ -242,9 +294,17 @@ size_t PlainHashArgminAvx2(const size_t* elements, size_t n, uint64_t seed,
 
 namespace eafe::simd::internal {
 
+size_t CcwsArgminPrunedAvx2(const double* weights, size_t n, uint64_t seed,
+                            uint64_t slot) {
+  return CcwsArgminPrunedScalar(weights, n, seed, slot);
+}
+
 size_t CwsArgminAvx2(CwsKernelScheme scheme, const double* weights,
                      const double* log_weights, size_t n, uint64_t seed,
                      uint64_t slot) {
+  if (scheme == CwsKernelScheme::kCcws) {
+    return CcwsArgminPrunedScalar(weights, n, seed, slot);
+  }
   return CwsArgminScalar(scheme, weights, log_weights, n, seed, slot);
 }
 

@@ -61,6 +61,33 @@ TEST(SampleCompressorTest, UnsortedWhenDisabled) {
   }
 }
 
+// The uniform companion slots are plain min-wise hashing over row
+// indices: slot j keeps the first row with the smallest
+// MixHash(seed ^ 0xA5A5A5A5, j, row).
+TEST(SampleCompressorTest, UniformSlotsPickFirstMinHashRow) {
+  CompressorOptions options;
+  options.sort_signature = false;
+  options.extra_uniform_slots = 16;
+  SampleCompressor compressor(options);
+  for (size_t n : {1u, 5u, 300u, 8000u}) {
+    const auto values = RandomFeature(n, 11);
+    const auto signature = compressor.Compress(values).ValueOrDie();
+    const auto weights = SampleCompressor::NormalizeWeights(values);
+    ASSERT_EQ(signature.size(), options.dimension + 16);
+    for (size_t j = 0; j < 16; ++j) {
+      size_t best = 0;
+      for (size_t i = 1; i < n; ++i) {
+        if (MixHash(options.seed ^ 0xA5A5A5A5ULL, j, i) <
+            MixHash(options.seed ^ 0xA5A5A5A5ULL, j, best)) {
+          best = i;
+        }
+      }
+      EXPECT_EQ(signature[options.dimension + j], weights[best])
+          << "n=" << n << " slot=" << j;
+    }
+  }
+}
+
 TEST(SampleCompressorTest, DeterministicInSeed) {
   const auto values = RandomFeature(200, 9);
   SampleCompressor a;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -137,16 +139,44 @@ TEST(PortableLogTest, MatchesLibmAcrossMagnitudes) {
   EXPECT_TRUE(std::isinf(PortableLog(-1.0)));
 }
 
+// Every CCWS tier against the full-scan oracle: the pruned scalar
+// kernel, the pruned AVX2 kernel (when the CPU has it) and the AVX2
+// dispatch entry. Returns the oracle's index.
+size_t ExpectCcwsTiersMatchOracle(const std::vector<double>& w,
+                                  uint64_t seed, uint64_t slot,
+                                  const std::string& what) {
+  const size_t n = w.size();
+  const size_t oracle = internal::CwsArgminScalar(
+      CwsKernelScheme::kCcws, w.data(), nullptr, n, seed, slot);
+  EXPECT_EQ(internal::CcwsArgminPrunedScalar(w.data(), n, seed, slot),
+            oracle)
+      << "pruned scalar, " << what << " n=" << n << " seed=" << seed
+      << " slot=" << slot;
+  if (HaveAvx2()) {
+    EXPECT_EQ(internal::CcwsArgminPrunedAvx2(w.data(), n, seed, slot),
+              oracle)
+        << "pruned avx2, " << what << " n=" << n << " seed=" << seed
+        << " slot=" << slot;
+    EXPECT_EQ(internal::CwsArgminAvx2(CwsKernelScheme::kCcws, w.data(),
+                                      nullptr, n, seed, slot),
+              oracle)
+        << "avx2 dispatch, " << what << " n=" << n;
+  }
+  return oracle;
+}
+
 TEST(MinHashKernelTest, CwsArgminTiersAgreeBitwise) {
-  EAFE_REQUIRE_AVX2();
-  for (const CwsKernelScheme scheme :
-       {CwsKernelScheme::kIcws, CwsKernelScheme::kPcws,
-        CwsKernelScheme::kCcws}) {
-    for (const size_t n : kSizes) {
-      for (const uint64_t seed : kSeeds) {
-        const std::vector<double> w = MakeWeights(n, seed ^ n);
-        const std::vector<double> logs = LogsOf(w);
-        for (uint64_t slot = 0; slot < 4; ++slot) {
+  for (const size_t n : kSizes) {
+    for (const uint64_t seed : kSeeds) {
+      const std::vector<double> w = MakeWeights(n, seed ^ n);
+      const std::vector<double> logs = LogsOf(w);
+      for (uint64_t slot = 0; slot < 4; ++slot) {
+        const size_t ccws = ExpectCcwsTiersMatchOracle(w, seed, slot, "");
+        ASSERT_LT(ccws, n);
+        ASSERT_GT(w[ccws], 0.0) << "zero weight selected";
+        if (!HaveAvx2()) continue;
+        for (const CwsKernelScheme scheme :
+             {CwsKernelScheme::kIcws, CwsKernelScheme::kPcws}) {
           const size_t scalar = internal::CwsArgminScalar(
               scheme, w.data(), logs.data(), n, seed, slot);
           const size_t avx2 = internal::CwsArgminAvx2(
@@ -162,6 +192,111 @@ TEST(MinHashKernelTest, CwsArgminTiersAgreeBitwise) {
   }
 }
 
+// Weight families that stress the CCWS prune bound: its span (max
+// weight + 2) is loose for skewed and spiky columns, tight for constant
+// ones, and 1e-300 weights push y + r2 down to the Beta(1,2) floor.
+std::vector<double> FamilyWeights(const std::string& family, size_t n,
+                                  uint64_t tag) {
+  std::vector<double> w(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double u = TestUniform(tag, i);
+    if (family == "minmax") {
+      w[i] = u;  // Min-max normalized below.
+    } else if (family == "skewed") {
+      w[i] = std::exp(30.0 * u * u);
+    } else if (family == "zeros60") {
+      w[i] = u < 0.6 ? 0.0 : u;
+    } else if (family == "ties") {
+      w[i] = 0.25 * static_cast<double>(1 + static_cast<int>(u * 3.0));
+    } else if (family == "constant") {
+      w[i] = 3.5;
+    } else if (family == "spiky") {
+      w[i] = u < 0.02 ? 1.0 : 1e-12;
+    } else {  // "tiny"
+      w[i] = (0.5 + u) * 1e-300;
+    }
+  }
+  if (family == "minmax" && n > 0) {
+    const auto [lo, hi] = std::minmax_element(w.begin(), w.end());
+    const double low = *lo;
+    const double range = *hi - *lo;
+    for (double& v : w) v = range > 0.0 ? (v - low) / range : 1.0;
+  }
+  if (family == "zeros60" && n > 0) w[n / 2] = 0.5;  // >= 1 positive.
+  return w;
+}
+
+TEST(MinHashKernelTest, CcwsPrunedMatchesOracleAcrossWeightFamilies) {
+  const char* const kFamilies[] = {"minmax", "skewed", "zeros60", "ties",
+                                   "constant", "spiky", "tiny"};
+  for (const char* family : kFamilies) {
+    for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                           size_t{5}, size_t{6}, size_t{7}, size_t{8000},
+                           size_t{20000}}) {
+      const uint64_t slots = n < 100 ? 16 : 3;
+      for (const uint64_t seed : kSeeds) {
+        const std::vector<double> w = FamilyWeights(family, n, seed + n);
+        for (uint64_t slot = 0; slot < slots; ++slot) {
+          const size_t k = ExpectCcwsTiersMatchOracle(w, seed, slot, family);
+          ASSERT_LT(k, n) << family;
+          ASSERT_GT(w[k], 0.0) << family;
+        }
+      }
+    }
+  }
+}
+
+// Inputs no caller produces (they fail ConsistentSample's weight
+// check) must still leave the pruned kernels on the oracle's index:
+// NaN and +inf weights, magnitudes where w / r2 overflows, subnormals,
+// and negative weights, which never compete.
+TEST(MinHashKernelTest, CcwsPrunedMatchesOracleOnNonFiniteAndExtremeWeights) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double big = std::numeric_limits<double>::max();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  for (const size_t n : {size_t{7}, size_t{40}, size_t{1001}}) {
+    for (const double special : {inf, nan, big, 1e300, sub, -1.0}) {
+      for (const size_t at : {size_t{0}, n / 2, n - 1}) {
+        std::vector<double> w = FamilyWeights("minmax", n, 0x5EC + n);
+        w[at] = special;
+        for (uint64_t slot = 0; slot < 4; ++slot) {
+          ExpectCcwsTiersMatchOracle(w, 9, slot, "special");
+        }
+      }
+    }
+  }
+  // An exact tie: every +inf weight samples -inf, and the first wins.
+  std::vector<double> w = FamilyWeights("minmax", 40, 0x71E);
+  w[5] = inf;
+  w[30] = inf;
+  for (uint64_t slot = 0; slot < 4; ++slot) {
+    EXPECT_EQ(ExpectCcwsTiersMatchOracle(w, 9, slot, "tie"), 5u);
+  }
+}
+
+TEST(MinHashKernelTest, CcwsPruneThresholdIsConservative) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Nothing found yet, a -inf best, or a subnormal exp(best): prune
+  // nothing (every u1 * u2 is >= 2^-106 > 0).
+  EXPECT_EQ(internal::CcwsPruneThreshold(inf, 3.0), 0.0);
+  EXPECT_EQ(internal::CcwsPruneThreshold(-inf, 3.0), 0.0);
+  EXPECT_EQ(internal::CcwsPruneThreshold(-720.0, 3.0), 0.0);
+  // An overflowed or NaN span never yields a usable threshold.
+  EXPECT_EQ(internal::CcwsPruneThreshold(-1.0, inf), 0.0);
+  EXPECT_FALSE(0.5 < internal::CcwsPruneThreshold(-1.0, nan));
+  // A finite best: strictly below exp(-exp(best) * span).
+  const double t = internal::CcwsPruneThreshold(-5.0, 3.0);
+  EXPECT_GT(t, 0.0);
+  EXPECT_LT(t, std::exp(-std::exp(-5.0) * 3.0));
+  EXPECT_TRUE(std::isnan(internal::CcwsMaxWeight(
+      std::vector<double>{1.0, nan, 2.0}.data(), 3)));
+  EXPECT_EQ(internal::CcwsMaxWeight(
+                std::vector<double>{-4.0, 0.5, 2.0, 0.0}.data(), 4),
+            2.0);
+}
+
 TEST(MinHashKernelTest, NoPositiveWeightReturnsN) {
   const std::vector<double> zeros(13, 0.0);
   const std::vector<double> logs(13, 0.0);
@@ -170,6 +305,9 @@ TEST(MinHashKernelTest, NoPositiveWeightReturnsN) {
         CwsKernelScheme::kCcws}) {
     EXPECT_EQ(internal::CwsArgminScalar(scheme, zeros.data(), logs.data(),
                                         zeros.size(), 3, 0),
+              zeros.size());
+    EXPECT_EQ(internal::CcwsArgminPrunedScalar(zeros.data(), zeros.size(),
+                                               3, 0),
               zeros.size());
     if (HaveAvx2()) {
       EXPECT_EQ(internal::CwsArgminAvx2(scheme, zeros.data(), logs.data(),

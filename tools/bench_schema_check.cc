@@ -11,7 +11,11 @@
 // additionally carry "qps", "p50_ms" and "p99_ms" — the keys the
 // roadmap's serving story is tracked by — and BENCH_pipeline.json lines
 // must carry "sync_seconds", "async_seconds" and "speedup", the keys
-// the pipelined-search scalability gate compares. The parser is
+// the pipelined-search scalability gate compares. "simd_minhash" lines
+// in BENCH_simd.json must carry "scheme", "level", "kernel"
+// ("full_scan" or "pruned") and "speedup_vs_oracle" — each argmin
+// variant is timed against the scalar full scan it must match. The
+// parser is
 // deliberately in-tree and dependency-free, like everything else here.
 //
 // Runs inside the lint suite (ctest label `lint`) and again in the
@@ -22,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,10 +34,12 @@
 namespace eafe::tools {
 namespace {
 
-/// Minimal parser for one flat JSON object line. Fills `keys` and
-/// returns an empty string on success, else the error description.
+/// Minimal parser for one flat JSON object line. Fills `keys` (and
+/// `strings` with the string-valued entries) and returns an empty
+/// string on success, else the error description.
 std::string ParseFlatObject(const std::string& line,
-                            std::set<std::string>* keys) {
+                            std::set<std::string>* keys,
+                            std::map<std::string, std::string>* strings) {
   size_t i = 0;
   const auto skip_space = [&] {
     while (i < line.size() && std::isspace(static_cast<unsigned char>(
@@ -100,11 +107,12 @@ std::string ParseFlatObject(const std::string& line,
     }
     ++i;
     skip_space();
-    std::string ignored;
+    std::string value;
     if (i < line.size() && line[i] == '"') {
-      if (!parse_string(&ignored)) {
+      if (!parse_string(&value)) {
         return "unterminated string value for " + key;
       }
+      (*strings)[key] = value;
     } else if (line.compare(i, 4, "true") == 0) {
       i += 4;
     } else if (line.compare(i, 5, "false") == 0) {
@@ -158,7 +166,8 @@ int CheckFile(const std::string& path) {
     if (line.empty()) continue;
     ++lines;
     std::set<std::string> keys;
-    const std::string error = ParseFlatObject(line, &keys);
+    std::map<std::string, std::string> strings;
+    const std::string error = ParseFlatObject(line, &keys, &strings);
     if (!error.empty()) {
       std::fprintf(stderr, "%s:%d: %s\n", path.c_str(), line_number,
                    error.c_str());
@@ -185,6 +194,25 @@ int CheckFile(const std::string& path) {
                        path.c_str(), line_number, required);
           ++problems;
         }
+      }
+    }
+    if (base == "BENCH_simd.json" && strings["bench"] == "simd_minhash") {
+      for (const char* required :
+           {"scheme", "level", "kernel", "speedup_vs_oracle"}) {
+        if (keys.count(required) == 0) {
+          std::fprintf(stderr, "%s:%d: simd_minhash line misses \"%s\"\n",
+                       path.c_str(), line_number, required);
+          ++problems;
+        }
+      }
+      const std::string& kernel = strings["kernel"];
+      if (keys.count("kernel") > 0 && kernel != "full_scan" &&
+          kernel != "pruned") {
+        std::fprintf(stderr,
+                     "%s:%d: simd_minhash kernel \"%s\" is neither "
+                     "\"full_scan\" nor \"pruned\"\n",
+                     path.c_str(), line_number, kernel.c_str());
+        ++problems;
       }
     }
     if (base == "BENCH_pipeline.json") {

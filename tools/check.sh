@@ -10,8 +10,8 @@
 #   release  Release build + perf smokes in build-release/: micro_tree
 #            --smoke (tree, shared-binner forest, gbdt booster, and
 #            model-store round-trip serving gates), the SIMD dispatch
-#            smokes (micro_hashing/micro_tree --simd-smoke: AVX2 tiers
-#            bit-identical + speed floor vs scalar), a forced
+#            smokes (micro_hashing/micro_tree --simd-smoke: every tier
+#            bit-identical to its oracle + speed floors), a forced
 #            EAFE_SIMD=scalar rerun of the simd-labeled ctest suite to
 #            prove the fallback tier stays green, and the pipelined-search
 #            smoke (fig9_scalability --pipeline-smoke: sync and async
@@ -120,11 +120,13 @@ run_release() {
     --target micro_tree micro_hashing eafe_simd_test fig9_scalability \
              bench_schema_check
   "${root}/build-release/bench/micro_tree" --smoke
-  # SIMD dispatch smokes: every forced-AVX2 kernel must return the same
-  # bits as the scalar tier (signatures, class counts, walks; gradient
-  # sums within the documented tolerance) and clear a conservative 1.2x
-  # speed floor on the chain-bound rows. BENCH_simd.json snapshots the
-  # full --simd grids from these two binaries.
+  # SIMD dispatch smokes: every kernel variant must return the same bits
+  # as its scalar oracle (signatures from the full-scan and pruned MinHash
+  # argmins, class counts, walks; gradient sums within the documented
+  # tolerance) and clear its speed floor: pruned AVX2 CCWS >= 2x the full
+  # scan, the other AVX2 tiers a conservative 1.2x on the chain-bound
+  # rows. BENCH_simd.json snapshots the full --simd grids from these two
+  # binaries.
   "${root}/build-release/bench/micro_hashing" --simd-smoke
   "${root}/build-release/bench/micro_tree" --simd-smoke
   # Forced-fallback rerun: the simd-labeled dispatch-equivalence tests
