@@ -147,12 +147,9 @@ Status DecisionTree::FitBinnedWithLabels(
   num_classes_ = labels.num_classes;
 
   HistogramBuilder builder(binner_.get(), options_.task, &labels, &y);
-  Histogram root;
-  builder.Build(rows, &root);
+  Histogram scratch;
   Rng rng(options_.seed);
-  BuildNodeHistogram(*binner_, builder, y, rows, std::move(root), 0, &rng);
-  hist_pool_.clear();
-  hist_pool_.shrink_to_fit();
+  BuildNodeHistogram(builder, y, rows, &scratch, 0, &rng);
   return Status::OK();
 }
 
@@ -339,47 +336,34 @@ int DecisionTree::BuildNode(const data::DataFrame& x,
   return node_id;
 }
 
-Histogram DecisionTree::AcquireHistogram() {
-  if (hist_pool_.empty()) return Histogram();
-  Histogram hist = std::move(hist_pool_.back());
-  hist_pool_.pop_back();
-  return hist;
-}
-
-void DecisionTree::ReleaseHistogram(Histogram&& hist) {
-  hist_pool_.push_back(std::move(hist));
-}
-
-int DecisionTree::BuildNodeHistogram(const FeatureBinner& binner,
-                                     const HistogramBuilder& builder,
+int DecisionTree::BuildNodeHistogram(const HistogramBuilder& builder,
                                      const std::vector<double>& y,
                                      std::vector<size_t>& indices,
-                                     Histogram&& hist, size_t depth,
+                                     Histogram* scratch, size_t depth,
                                      Rng* rng) {
   const int node_id = static_cast<int>(nodes_.size());
   nodes_.push_back(MakeLeaf(y, indices));
   if (depth >= options_.max_depth ||
       indices.size() < options_.min_samples_split) {
-    ReleaseHistogram(std::move(hist));
     return node_id;
   }
-  const double parent_impurity = builder.NodeImpurity(hist, indices.size());
-  if (parent_impurity <= 1e-12) {  // Pure node.
-    ReleaseHistogram(std::move(hist));
-    return node_id;
-  }
+  builder.Totals(indices, scratch);
+  const double parent_impurity =
+      builder.NodeImpurity(*scratch, indices.size());
+  if (parent_impurity <= 1e-12) return node_id;  // Pure node.
 
+  // The node scans only the features it samples, so it accumulates only
+  // those slices of the fit's one scratch histogram. The split search is
+  // done with it before the children refill it for their own samples.
   const std::vector<size_t> features = SampleFeatures(rng);
+  builder.Build(indices, features, scratch);
   const HistogramBuilder::Split split =
-      builder.FindBestSplit(hist, features, indices.size(),
+      builder.FindBestSplit(*scratch, features, indices.size(),
                             options_.min_samples_leaf, parent_impurity);
-  if (split.feature < 0 || split.gain <= 1e-12) {
-    ReleaseHistogram(std::move(hist));
-    return node_id;
-  }
+  if (split.feature < 0 || split.gain <= 1e-12) return node_id;
 
   const size_t feature = static_cast<size_t>(split.feature);
-  const std::vector<uint8_t>& codes = binner.codes(feature);
+  const std::vector<uint8_t>& codes = binner_->codes(feature);
   const uint8_t split_bin = static_cast<uint8_t>(split.bin);
   std::vector<size_t> left_idx, right_idx;
   left_idx.reserve(indices.size());
@@ -387,49 +371,20 @@ int DecisionTree::BuildNodeHistogram(const FeatureBinner& binner,
   for (size_t i : indices) {
     (codes[i] <= split_bin ? left_idx : right_idx).push_back(i);
   }
-  if (left_idx.empty() || right_idx.empty()) {
-    ReleaseHistogram(std::move(hist));
-    return node_id;
-  }
+  if (left_idx.empty() || right_idx.empty()) return node_id;
 
   importances_[feature] +=
       split.gain * static_cast<double>(indices.size());
   const double threshold =
-      binner.cut(feature, static_cast<size_t>(split.bin));
+      binner_->cut(feature, static_cast<size_t>(split.bin));
 
   indices.clear();
   indices.shrink_to_fit();
 
-  // Subtraction trick: accumulate only the smaller child's histogram from
-  // rows and derive the larger child as parent minus sibling (in place,
-  // so `hist` becomes the larger child's histogram). Subtracting walks
-  // the full flat array three times, though, so for nodes much smaller
-  // than the histogram itself rebuilding the larger child from its rows
-  // is the cheaper path. The choice depends only on node sizes, so fits
-  // stay reproducible across runs and thread counts.
-  const bool left_is_smaller = left_idx.size() <= right_idx.size();
-  const std::vector<size_t>& smaller_idx =
-      left_is_smaller ? left_idx : right_idx;
-  const std::vector<size_t>& larger_idx =
-      left_is_smaller ? right_idx : left_idx;
-  Histogram smaller = AcquireHistogram();
-  builder.Build(smaller_idx, &smaller);
-  if (larger_idx.size() * binner.num_features() <
-      2 * builder.total_size()) {
-    builder.Build(larger_idx, &hist);
-  } else {
-    builder.Subtract(hist, smaller, &hist);
-  }
-  Histogram left_hist =
-      left_is_smaller ? std::move(smaller) : std::move(hist);
-  Histogram right_hist =
-      left_is_smaller ? std::move(hist) : std::move(smaller);
-
-  const int left = BuildNodeHistogram(binner, builder, y, left_idx,
-                                      std::move(left_hist), depth + 1, rng);
-  const int right = BuildNodeHistogram(binner, builder, y, right_idx,
-                                       std::move(right_hist), depth + 1,
-                                       rng);
+  const int left =
+      BuildNodeHistogram(builder, y, left_idx, scratch, depth + 1, rng);
+  const int right =
+      BuildNodeHistogram(builder, y, right_idx, scratch, depth + 1, rng);
   nodes_[node_id].feature = split.feature;
   nodes_[node_id].threshold = threshold;
   nodes_[node_id].split_bin = split.bin;

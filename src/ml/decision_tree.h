@@ -19,9 +19,9 @@ namespace eafe::ml {
 ///  - kExact: sort every candidate feature's values per node and scan all
 ///    midpoints (O(F n log n) per node). Reference implementation.
 ///  - kHistogram: quantize each column once per frame (<= max_bins uint8
-///    bins) and scan bin boundaries per node (O(F bins)), rebuilding only
-///    the smaller child's histogram and deriving the larger by
-///    subtraction. LightGBM-style; the evaluation hot path's default.
+///    bins); each node accumulates the histograms of only the features it
+///    samples and scans their bin boundaries (O(F bins)). LightGBM-style;
+///    the evaluation hot path's default.
 enum class SplitStrategy { kExact, kHistogram };
 
 std::string SplitStrategyToString(SplitStrategy strategy);
@@ -131,15 +131,12 @@ class DecisionTree : public Model, public SharedBinnerModel {
 
   int BuildNode(const data::DataFrame& x, const std::vector<double>& y,
                 std::vector<size_t>& indices, size_t depth, Rng* rng);
-  int BuildNodeHistogram(const FeatureBinner& binner,
-                         const HistogramBuilder& builder,
+  /// Grows the subtree of `indices` (consumed). `scratch` is the fit's
+  /// one histogram, refilled by every node for the features it samples.
+  int BuildNodeHistogram(const HistogramBuilder& builder,
                          const std::vector<double>& y,
-                         std::vector<size_t>& indices, Histogram&& hist,
+                         std::vector<size_t>& indices, Histogram* scratch,
                          size_t depth, Rng* rng);
-  /// Histogram buffer free-list: at most O(depth) histograms are live at
-  /// once, so recycling keeps per-node allocation out of the hot path.
-  Histogram AcquireHistogram();
-  void ReleaseHistogram(Histogram&& hist);
   SplitResult FindBestSplit(const data::DataFrame& x,
                             const std::vector<double>& y,
                             const std::vector<size_t>& indices, Rng* rng);
@@ -164,7 +161,6 @@ class DecisionTree : public Model, public SharedBinnerModel {
   std::vector<size_t> parent_counts_;
   std::vector<size_t> left_counts_;
   std::vector<size_t> right_counts_;
-  std::vector<Histogram> hist_pool_;
 };
 
 }  // namespace eafe::ml

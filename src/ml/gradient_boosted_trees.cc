@@ -160,7 +160,8 @@ Status GradientBoostedTrees::FitBinned(
     }
     Tree tree;
     Histogram root = AcquireHistogram();
-    builder.Build(sample, &root);
+    builder.Totals(sample, &root);
+    builder.Build(sample, builder.all_features(), &root);
     std::vector<size_t> indices = sample;  // BuildNode consumes its view.
     BuildNode(builder, indices, std::move(root), 0, &tree);
     // Every view row (sampled or not) advances through the new tree so
@@ -226,19 +227,25 @@ int GradientBoostedTrees::BuildNode(const HistogramBuilder& builder,
   indices.clear();
   indices.shrink_to_fit();
 
-  // Subtraction trick with the same size heuristic as DecisionTree:
-  // accumulate the smaller child from rows, derive the larger child as
-  // parent minus sibling unless rebuilding it is cheaper.
+  // Subtraction trick: every node scans every feature, so accumulate the
+  // smaller child from rows and derive the larger child as parent minus
+  // sibling (in place, so `hist` becomes the larger child's histogram).
+  // Subtracting walks the full flat array three times, though, so for
+  // nodes much smaller than the histogram itself rebuilding the larger
+  // child from its rows is the cheaper path. The choice depends only on
+  // node sizes, so fits stay reproducible across runs and thread counts.
   const bool left_is_smaller = left_idx.size() <= right_idx.size();
   const std::vector<size_t>& smaller_idx =
       left_is_smaller ? left_idx : right_idx;
   const std::vector<size_t>& larger_idx =
       left_is_smaller ? right_idx : left_idx;
   Histogram smaller = AcquireHistogram();
-  builder.Build(smaller_idx, &smaller);
+  builder.Totals(smaller_idx, &smaller);
+  builder.Build(smaller_idx, builder.all_features(), &smaller);
   if (larger_idx.size() * binner_->num_features() <
       2 * builder.total_size()) {
-    builder.Build(larger_idx, &hist);
+    builder.Totals(larger_idx, &hist);
+    builder.Build(larger_idx, builder.all_features(), &hist);
   } else {
     builder.Subtract(hist, smaller, &hist);
   }

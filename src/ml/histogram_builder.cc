@@ -76,27 +76,33 @@ HistogramBuilder::HistogramBuilder(const FeatureBinner* binner,
 }
 
 void HistogramBuilder::InitOffsets() {
-  offsets_.resize(binner_->num_features());
+  const size_t num_features = binner_->num_features();
+  offsets_.resize(num_features);
+  all_features_.resize(num_features);
   size_t offset = 0;
-  for (size_t f = 0; f < binner_->num_features(); ++f) {
+  for (size_t f = 0; f < num_features; ++f) {
     offsets_[f] = offset;
+    all_features_[f] = f;
     offset += binner_->num_bins(f) * entry_width_;
   }
   total_size_ = offset;
 }
 
 void HistogramBuilder::BuildFeatures(const std::vector<size_t>& indices,
+                                     const std::vector<size_t>& features,
                                      size_t begin, size_t end,
                                      Histogram* out) const {
   // Accumulation runs in the dispatched kernels (simd/): class counts
   // are bit-identical across tiers, regression triples are fixed-order
   // at every tier, and gradient pairs carry the documented Σg/Σh
   // tolerance contract (DESIGN.md §9).
-  for (size_t f = begin; f < end; ++f) {
+  for (size_t k = begin; k < end; ++k) {
+    const size_t f = features[k];
     const size_t bins = binner_->num_bins(f);
+    double* h = out->data.data() + offsets_[f];
+    std::fill(h, h + bins * entry_width_, 0.0);
     if (bins < 2) continue;  // Constant column: no splits.
     const std::vector<uint8_t>& codes = binner_->codes(f);
-    double* h = out->data.data() + offsets_[f];
     if (mode_ == Mode::kClassification) {
       simd::AccumulateClassCounts(codes.data(), indices.data(),
                                   indices.size(), labels_->classes.data(),
@@ -112,9 +118,8 @@ void HistogramBuilder::BuildFeatures(const std::vector<size_t>& indices,
   }
 }
 
-void HistogramBuilder::Build(const std::vector<size_t>& indices,
-                             Histogram* out) const {
-  out->data.assign(total_size_, 0.0);
+void HistogramBuilder::Totals(const std::vector<size_t>& indices,
+                              Histogram* out) const {
   out->totals.assign(entry_width_, 0.0);
   if (mode_ == Mode::kClassification) {
     const std::vector<int>& classes = labels_->classes;
@@ -133,20 +138,25 @@ void HistogramBuilder::Build(const std::vector<size_t>& indices,
       out->totals[2] += (*hessians_)[i];
     }
   }
-  const size_t num_features = binner_->num_features();
-  // Wide engineered frames accumulate feature-parallel: each block owns a
-  // disjoint slice of the flat array and walks `indices` in order, so the
-  // result is independent of the partition. Nested calls (a tree training
-  // on a pool worker) run inline via ParallelFor's own guard.
-  if (num_features >= kMinParallelFeatures &&
+}
+
+void HistogramBuilder::Build(const std::vector<size_t>& indices,
+                             const std::vector<size_t>& features,
+                             Histogram* out) const {
+  out->data.resize(total_size_);
+  // Wide builds accumulate feature-parallel: each block owns disjoint
+  // slices of the flat array and walks `indices` in order, so the result
+  // is independent of the partition. Nested calls (a tree training on a
+  // pool worker) run inline via ParallelFor's own guard.
+  if (features.size() >= kMinParallelFeatures &&
       indices.size() >= kMinParallelRows) {
     runtime::ParallelFor(
-        runtime::GlobalPool(), num_features, /*min_block=*/16,
+        runtime::GlobalPool(), features.size(), /*min_block=*/16,
         [&](size_t begin, size_t end) {
-          BuildFeatures(indices, begin, end, out);
+          BuildFeatures(indices, features, begin, end, out);
         });
   } else {
-    BuildFeatures(indices, 0, num_features, out);
+    BuildFeatures(indices, features, 0, features.size(), out);
   }
 }
 

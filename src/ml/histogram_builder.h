@@ -21,11 +21,13 @@ struct BinnedLabels {
                                      const std::vector<double>& y);
 };
 
-/// Per-node label statistics accumulated over every feature's bins, in one
-/// flat array. Classification stores per-class counts (num_classes doubles
-/// per bin); regression stores {count, sum_y, sum_y2} (3 doubles per bin).
-/// Doubles keep integer counts exact while making the parent-minus-sibling
-/// derivation a single element-wise subtraction.
+/// Per-node label statistics over the features' bins, in one flat array
+/// with a fixed slice per feature. Classification stores per-class counts
+/// (num_classes doubles per bin); regression stores {count, sum_y, sum_y2}
+/// (3 doubles per bin). Doubles keep integer counts exact while making the
+/// booster's parent-minus-sibling derivation a single element-wise
+/// subtraction. Only the slices of the features a Build listed hold the
+/// node's statistics; the others keep whatever an earlier Build left.
 struct Histogram {
   std::vector<double> data;    ///< Flat per-(feature, bin, stat) array.
   std::vector<double> totals;  ///< Node totals (one entry_width group).
@@ -37,17 +39,19 @@ struct Histogram {
 /// whenever the binning is lossless.
 ///
 /// Row indices are ids into the binner's frame and may repeat (bootstrap
-/// views); `y` and `labels` are indexed by the same ids. Wide frames build
+/// views); `y` and `labels` are indexed by the same ids. A forest node
+/// builds only the features it samples; a build over many features runs
 /// feature-parallel on the global runtime pool: per-feature ranges of the
 /// flat array are disjoint and each feature accumulates its rows serially
 /// in index order, so the result is bit-identical at any thread count
 /// (nested calls — e.g. from per-tree forest fan-out — run inline).
 ///
 /// A third mode accumulates gradient pairs ({count, Σg, Σh} per bin) for
-/// gradient boosting: the same binner, flat layout, subtraction trick,
-/// and feature-parallel build serve the booster's per-round trees, with
-/// FindBestSplitGradient scanning the second-order (XGBoost) gain instead
-/// of an impurity decrease.
+/// gradient boosting: the same binner, flat layout, and feature-parallel
+/// build serve the booster's per-round trees, which build every feature
+/// and derive the larger child by subtraction, with FindBestSplitGradient
+/// scanning the second-order (XGBoost) gain instead of an impurity
+/// decrease.
 class HistogramBuilder {
  public:
   /// `binner`, `labels`, and `y` must outlive the builder; `labels` holds
@@ -69,11 +73,23 @@ class HistogramBuilder {
   /// Flat size of one histogram's data array (all features' bins).
   size_t total_size() const { return total_size_; }
 
-  /// Accumulates the histogram of the rows in `indices` for every feature.
-  void Build(const std::vector<size_t>& indices, Histogram* out) const;
+  /// Every feature id, in order: the feature list of a full Build.
+  const std::vector<size_t>& all_features() const { return all_features_; }
+
+  /// Sets `out->totals` to the node totals of the rows in `indices`,
+  /// accumulated in row order.
+  void Totals(const std::vector<size_t>& indices, Histogram* out) const;
+
+  /// Zeroes the slices of `features` (distinct ids) in `out->data` (sized
+  /// to total_size() on first use) and accumulates the rows in `indices`
+  /// into them. Every other slice, and `out->totals`, is left as it was.
+  void Build(const std::vector<size_t>& indices,
+             const std::vector<size_t>& features, Histogram* out) const;
 
   /// The subtraction trick: out = parent - sibling, so only the smaller
-  /// child of a split is accumulated from rows. `out` may alias `parent`.
+  /// child of a split is accumulated from rows. Both histograms must hold
+  /// every feature (a Build over all_features()). `out` may alias
+  /// `parent`.
   void Subtract(const Histogram& parent, const Histogram& sibling,
                 Histogram* out) const;
 
@@ -105,13 +121,15 @@ class HistogramBuilder {
 
  private:
   enum class Mode { kClassification, kRegression, kGradientPair };
-  /// Feature-count floor below which Build never fans out: narrow frames
+  /// Feature-count floor below which Build never fans out: narrow builds
   /// finish faster serially than one queue round-trip costs.
   static constexpr size_t kMinParallelFeatures = 64;
   /// Node-size floor for fanning out; deep small nodes stay serial.
   static constexpr size_t kMinParallelRows = 512;
 
-  void BuildFeatures(const std::vector<size_t>& indices, size_t begin,
+  /// Build over features[begin, end).
+  void BuildFeatures(const std::vector<size_t>& indices,
+                     const std::vector<size_t>& features, size_t begin,
                      size_t end, Histogram* out) const;
 
   void InitOffsets();
@@ -124,6 +142,7 @@ class HistogramBuilder {
   const std::vector<double>* hessians_ = nullptr;
   size_t entry_width_ = 0;
   std::vector<size_t> offsets_;   ///< Per-feature offset into data.
+  std::vector<size_t> all_features_;
   size_t total_size_ = 0;
 };
 

@@ -20,6 +20,7 @@ using testing::LabelAccuracy;
 using testing::MakeBlobs;
 using testing::MakeSeparable;
 using testing::MakeSmoothRegression;
+using testing::MakeWide;
 using testing::MakeXor;
 
 data::DataFrame OneColumn(std::vector<double> values) {
@@ -27,28 +28,6 @@ data::DataFrame OneColumn(std::vector<double> values) {
   EXPECT_TRUE(
       frame.AddColumn(data::Column("x", std::move(values))).ok());
   return frame;
-}
-
-/// Wide binary-classification data (p columns) crossing the
-/// feature-parallel histogram thresholds.
-data::Dataset MakeWide(size_t n, size_t columns, uint64_t seed) {
-  Rng rng(seed);
-  data::Dataset dataset;
-  dataset.name = "wide";
-  dataset.task = data::TaskType::kClassification;
-  std::vector<std::vector<double>> values(columns, std::vector<double>(n));
-  dataset.labels.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < columns; ++c) values[c][i] = rng.Normal();
-    dataset.labels[i] = values[0][i] + values[1][i] > 0.0 ? 1.0 : 0.0;
-  }
-  for (size_t c = 0; c < columns; ++c) {
-    EXPECT_TRUE(dataset.features
-                    .AddColumn(data::Column("w" + std::to_string(c),
-                                            std::move(values[c])))
-                    .ok());
-  }
-  return dataset;
 }
 
 // One squared-loss round on x = {0,1,2,3}, y = {0,0,1,1}, depth 1,

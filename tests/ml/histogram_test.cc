@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "ml/decision_tree.h"
 #include "ml/evaluator.h"
@@ -9,6 +11,7 @@
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
 #include "runtime/thread_pool.h"
+#include "simd/simd.h"
 #include "tests/ml/test_util.h"
 
 namespace eafe::ml {
@@ -18,6 +21,7 @@ using testing::LabelAccuracy;
 using testing::MakeBlobs;
 using testing::MakeSeparable;
 using testing::MakeSmoothRegression;
+using testing::MakeWide;
 using testing::MakeXor;
 
 TEST(SplitStrategyTest, StringRoundTrip) {
@@ -115,14 +119,93 @@ TEST(HistogramBuilderTest, SubtractionMatchesDirectBuild) {
     all[i] = i;
     (i % 3 == 0 ? left : right).push_back(i);
   }
+  const auto build = [&](const std::vector<size_t>& rows, Histogram* hist) {
+    builder.Totals(rows, hist);
+    builder.Build(rows, builder.all_features(), hist);
+  };
   Histogram parent, left_hist, expected_right;
-  builder.Build(all, &parent);
-  builder.Build(left, &left_hist);
-  builder.Build(right, &expected_right);
+  build(all, &parent);
+  build(left, &left_hist);
+  build(right, &expected_right);
   Histogram derived;
   builder.Subtract(parent, left_hist, &derived);
   EXPECT_EQ(derived.data, expected_right.data);
   EXPECT_EQ(derived.totals, expected_right.totals);
+}
+
+// A build over a feature subset fills exactly the listed slices, bit for
+// bit as an all-features build over the same rows does, in every mode.
+// It zeroes those slices first, so a reused histogram keeps no stale
+// counts from a previous node.
+TEST(HistogramBuilderTest, FeatureSubsetBuildMatchesAllFeaturesSlices) {
+  const data::Dataset dataset = MakeWide(400, 12, 9);
+  FeatureBinner binner;
+  ASSERT_TRUE(binner.Fit(dataset.features).ok());
+  const BinnedLabels classes =
+      BinnedLabels::Create(data::TaskType::kClassification, dataset.labels)
+          .ValueOrDie();
+  const BinnedLabels none =
+      BinnedLabels::Create(data::TaskType::kRegression, dataset.labels)
+          .ValueOrDie();
+  std::vector<double> target(400), grad(400), hess(400);
+  for (size_t i = 0; i < target.size(); ++i) {
+    target[i] = dataset.features.column(2)[i] + 0.25 * dataset.labels[i];
+    grad[i] = dataset.labels[i] - 0.3 * dataset.features.column(3)[i];
+    hess[i] = 0.2 + 0.1 * static_cast<double>(i % 5);
+  }
+  const HistogramBuilder builders[] = {
+      HistogramBuilder(&binner, data::TaskType::kClassification, &classes,
+                       &dataset.labels),
+      HistogramBuilder(&binner, data::TaskType::kRegression, &none, &target),
+      HistogramBuilder(&binner, &grad, &hess)};
+  std::vector<size_t> rows;  // A bootstrap-like view with repeats.
+  for (size_t i = 0; i < 300; ++i) rows.push_back((i * 7) % 400);
+  const std::vector<size_t> subset = {9, 2, 5};
+  for (const HistogramBuilder& builder : builders) {
+    Histogram full, part, reused;
+    builder.Build(rows, builder.all_features(), &full);
+    builder.Build(rows, subset, &part);
+    std::vector<size_t> other(rows.begin(), rows.begin() + 50);
+    builder.Build(other, builder.all_features(), &reused);
+    builder.Build(rows, subset, &reused);
+    ASSERT_EQ(part.data.size(), builder.total_size());
+    size_t offset = 0;  // Slices are laid out in feature order.
+    for (size_t f = 0; f < binner.num_features(); ++f) {
+      const size_t width = binner.num_bins(f) * builder.entry_width();
+      const auto slice = [&](const Histogram& hist) {
+        return std::vector<double>(hist.data.begin() + offset,
+                                   hist.data.begin() + offset + width);
+      };
+      if (std::find(subset.begin(), subset.end(), f) != subset.end()) {
+        EXPECT_EQ(slice(part), slice(full)) << "feature " << f;
+        EXPECT_EQ(slice(reused), slice(full))
+            << "feature " << f << " (reused histogram)";
+      }
+      offset += width;
+    }
+  }
+}
+
+// A forest node scans only the max_features columns it samples, so it
+// accumulates histograms for only those: each node that reaches its split
+// search dispatches at most ceil(sqrt(32)) = 6 class-count kernels, and
+// leaves cut off by depth or size dispatch none.
+TEST(HistogramBuilderTest, ForestNodesAccumulateOnlySampledFeatures) {
+  const data::Dataset dataset = MakeWide(1500, 32, 5);
+  RandomForest::Options options;
+  options.num_trees = 8;
+  RandomForest forest(options);
+  simd::ResetDispatchCounts();
+  ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
+  const uint64_t dispatches =
+      simd::DispatchCount(simd::Kernel::kClassCounts, simd::Level::kScalar) +
+      simd::DispatchCount(simd::Kernel::kClassCounts, simd::Level::kAvx2);
+  const std::vector<TreeNodes> trees = forest.ExportTrees().ValueOrDie();
+  size_t nodes = 0;
+  for (const TreeNodes& tree : trees) nodes += tree.size();
+  const size_t max_features = 6;
+  EXPECT_GT(dispatches, 0u);
+  EXPECT_LE(dispatches, nodes * max_features);
 }
 
 // With every sample value distinct and n <= max_bins, the binning is

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -107,6 +109,29 @@ inline data::Dataset MakeBlobs(size_t n, uint64_t seed) {
   EXPECT_TRUE(dataset.features.AddColumn(data::Column("x0", x0)).ok());
   EXPECT_TRUE(dataset.features.AddColumn(data::Column("x1", x1)).ok());
   dataset.labels = labels;
+  return dataset;
+}
+
+/// Wide binary-classification data (`columns` standard-normal columns,
+/// label = w0 + w1 > 0), wide enough to cross the feature-parallel
+/// histogram thresholds.
+inline data::Dataset MakeWide(size_t n, size_t columns, uint64_t seed) {
+  Rng rng(seed);
+  data::Dataset dataset;
+  dataset.name = "wide";
+  dataset.task = data::TaskType::kClassification;
+  std::vector<std::vector<double>> values(columns, std::vector<double>(n));
+  dataset.labels.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < columns; ++c) values[c][i] = rng.Normal();
+    dataset.labels[i] = values[0][i] + values[1][i] > 0.0 ? 1.0 : 0.0;
+  }
+  for (size_t c = 0; c < columns; ++c) {
+    EXPECT_TRUE(dataset.features
+                    .AddColumn(data::Column("w" + std::to_string(c),
+                                            std::move(values[c])))
+                    .ok());
+  }
   return dataset;
 }
 

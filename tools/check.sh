@@ -27,6 +27,13 @@
 #            snapshots QPS/p50/p99 into BENCH_serve.json, a forced
 #            overload that must shed instead of stall, and
 #            bench_schema_check over every BENCH_*.json
+#   bench    the end-to-end benchmark's own correctness smoke in
+#            build-bench/: builds eafe_e2e through e2ebench/hook.cmake
+#            and runs its `bench`-labeled ctests (every workload at
+#            smoke scale: repeated searches bit-identical, replayed CV
+#            equal to TaskEvaluator::Score, served replies equal to
+#            FlatPredictor; the trace recorder's unit tests); no timing
+#            gates
 #
 # All suites configure with -DEAFE_WERROR=ON: the warning wall
 # (-Wall -Wextra -Wshadow -Wconversion) is kept clean, so a new warning is
@@ -45,7 +52,7 @@ set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 2)"
-suites="lint debug release asan ubsan tsan serve"
+suites="lint debug release asan ubsan tsan serve bench"
 suite="all"
 label=""
 
@@ -273,6 +280,20 @@ run_serve() {
   rm -rf "${work}"
 }
 
+run_bench() {
+  echo "== bench: end-to-end benchmark smoke (${root}/build-bench) =="
+  # The benchmark's targets come in through its CMake hook, which adds
+  # e2ebench/targets.cmake after the root CMakeLists.txt; no repo build
+  # file names them.
+  cmake -B "${root}/build-bench" -S "${root}" \
+    -DCMAKE_BUILD_TYPE=Release -DEAFE_WERROR=ON \
+    -DCMAKE_PROJECT_INCLUDE="${root}/e2ebench/hook.cmake" >/dev/null
+  cmake --build "${root}/build-bench" -j "${jobs}" \
+    --target eafe_e2e eafe_e2e_trace_test
+  ctest --test-dir "${root}/build-bench" --output-on-failure --timeout 600 \
+    -L '^bench$'
+}
+
 case "${suite}" in
   lint) run_lint ;;
   debug) run_debug ;;
@@ -281,8 +302,13 @@ case "${suite}" in
   ubsan) run_ubsan ;;
   tsan) run_tsan ;;
   serve) run_serve ;;
-  no-tsan) run_lint; run_debug; run_release; run_asan; run_ubsan; run_serve ;;
-  all) run_lint; run_debug; run_release; run_asan; run_ubsan; run_tsan; run_serve ;;
+  bench) run_bench ;;
+  no-tsan)
+    run_lint; run_debug; run_release; run_asan; run_ubsan; run_serve
+    run_bench ;;
+  all)
+    run_lint; run_debug; run_release; run_asan; run_ubsan; run_tsan
+    run_serve; run_bench ;;
 esac
 
 echo "== check.sh: OK =="
