@@ -23,8 +23,19 @@
 //    "predict_seconds": ..., "speedup_vs_double": ...}
 //
 // plus one forest_fit line at the E-AFE wide-search shape (1500x32, 8
-// trees of depth 6, carrying "trees" and "max_depth" keys). A grid run
-// ends with a host line (nproc, SIMD tier, build type, wall seconds).
+// trees of depth 6, carrying "trees" and "max_depth" keys), and binning
+// lines at the search shapes (8000x9 and 1500x33): a FeatureBinner::Fit
+// of the whole frame vs an Extend that bins one column appended to a
+// binner fitted on the rest, which is what each candidate evaluation
+// pays. The pair must be bit-identical:
+//
+//   {"bench": "bin_frame", "rows": ..., "features": ..., "mode": "fit",
+//    "seconds": ...}
+//   {"bench": "bin_frame", ..., "mode": "extend", "seconds": ...,
+//    "speedup_vs_fit": ...}
+//
+// A grid run ends with a host line (nproc, SIMD tier, build type, wall
+// seconds).
 //
 // A third grid benchmarks the serving engine: batch predict through the
 // flat arrays of a save→load round trip (serve/flat_predictor.h) vs the
@@ -45,18 +56,20 @@
 // `--smoke` runs one fixed shape and exits nonzero unless the histogram
 // backend is faster than exact, the shared forest fit is faster than the
 // per-tree one, predictions agree bit-for-bit between the fit modes and
-// the predict paths, scores are within tolerance, and the booster bins
+// the predict paths, scores are within tolerance, the booster bins
 // the frame exactly once per fit, refits bit-identically, and clears the
-// no-information score bar; tools/check.sh uses it as a Release-mode
-// regression gate. All timings are single-thread (the pool is pinned to
-// one thread) so deltas reflect the algorithmic change, not parallel
-// fan-out.
+// no-information score bar, and an extended binner equals a full Fit bit
+// for bit (its timings are reported, not gated); tools/check.sh uses it
+// as a Release-mode regression gate. All timings are single-thread (the
+// pool is pinned to one thread) so deltas reflect the algorithmic
+// change, not parallel fan-out.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -368,6 +381,71 @@ void PrintWideForestFit(uint64_t seed) {
       kDepth, shared.seconds, shared.score);
 }
 
+/// True when two binners hold the same bins: bin counts, the bit pattern
+/// of every cut, and every code.
+bool SameBins(const ml::FeatureBinner& a, const ml::FeatureBinner& b) {
+  if (a.num_features() != b.num_features()) return false;
+  for (size_t f = 0; f < a.num_features(); ++f) {
+    if (a.num_bins(f) != b.num_bins(f) || a.codes(f) != b.codes(f)) {
+      return false;
+    }
+    for (size_t c = 0; c + 1 < a.num_bins(f); ++c) {
+      const double cut_a = a.cut(f, c);
+      const double cut_b = b.cut(f, c);
+      if (std::memcmp(&cut_a, &cut_b, sizeof(double)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+/// The bin_frame lines at the search shapes (e2ebench *_tall frames plus
+/// a candidate, 8000x9; eafe_wide, 1500x33): best-of-reps Fit of the
+/// whole frame, and Extend of a binner fitted on all but the last column.
+/// Returns false unless the extended binner equals the full Fit.
+bool PrintBinFrameLines(uint64_t seed) {
+  struct Shape {
+    size_t rows;
+    size_t features;
+  };
+  bool identical = true;
+  for (const Shape& shape : {Shape{8000, 9}, Shape{1500, 33}}) {
+    const data::Dataset dataset = MakeTable(
+        data::TaskType::kClassification, shape.rows, shape.features, seed);
+    data::DataFrame frame = dataset.features;
+    EAFE_CHECK(frame.DropColumn(shape.features - 1).ok());
+    ml::FeatureBinner frame_bins;
+    EAFE_CHECK(frame_bins.Fit(frame).ok());
+
+    constexpr size_t kReps = 20;
+    ml::FeatureBinner full;
+    double fit_seconds = 0.0;
+    double extend_seconds = 0.0;
+    for (size_t r = 0; r < kReps; ++r) {
+      Stopwatch fit_timer;
+      EAFE_CHECK(full.Fit(dataset.features).ok());
+      const double fit = fit_timer.ElapsedSeconds();
+      Stopwatch extend_timer;
+      const ml::FeatureBinner extended =
+          frame_bins.Extend(dataset.features).ValueOrDie();
+      const double extend = extend_timer.ElapsedSeconds();
+      if (r == 0 || fit < fit_seconds) fit_seconds = fit;
+      if (r == 0 || extend < extend_seconds) extend_seconds = extend;
+      identical = identical && SameBins(extended, full);
+    }
+    std::printf(
+        "{\"bench\": \"bin_frame\", \"rows\": %zu, \"features\": %zu, "
+        "\"mode\": \"fit\", \"seconds\": %.6f}\n",
+        shape.rows, shape.features, fit_seconds);
+    std::printf(
+        "{\"bench\": \"bin_frame\", \"rows\": %zu, \"features\": %zu, "
+        "\"mode\": \"extend\", \"seconds\": %.6f, "
+        "\"speedup_vs_fit\": %.2f}\n",
+        shape.rows, shape.features, extend_seconds,
+        extend_seconds > 0.0 ? fit_seconds / extend_seconds : 0.0);
+  }
+  return identical;
+}
+
 /// Closing line of a grid run: the host it ran on (hardware threads, the
 /// dispatched SIMD tier, the build type) and the run's wall clock.
 void PrintHostLine(double seconds) {
@@ -431,6 +509,8 @@ int RunGrid(bool full, uint64_t seed) {
     }
   }
   PrintWideForestFit(seed);
+  EAFE_CHECK_MSG(PrintBinFrameLines(seed),
+                 "extended binner differs from a full Fit");
   // Serving-engine deltas: flat batch predict vs the in-memory
   // pointer-tree PredictCoded over the same fitted forest, after a full
   // container round trip. The acceptance row is speedup_vs_coded at
@@ -521,6 +601,12 @@ int RunSmoke(uint64_t seed) {
   PrintForestLine("forest_fit", dataset, 16, "shared", "speedup_vs_per_tree",
                   shared, per_tree.seconds);
   PrintWideForestFit(seed);  // Reported, not gated.
+  // Binning timings are reported; the gate is Extend == Fit, bit for bit.
+  if (!PrintBinFrameLines(seed)) {
+    std::fprintf(stderr,
+                 "smoke FAILED: extended binner differs from a full Fit\n");
+    return 1;
+  }
   const double fit_speedup =
       shared.seconds > 0.0 ? per_tree.seconds / shared.seconds : 0.0;
   if (fit_speedup < 1.2) {

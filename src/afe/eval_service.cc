@@ -178,7 +178,8 @@ Result<double> EvalService::EvaluateGain(const FeatureSpace& space,
   return outcomes.front().gain;
 }
 
-Result<double> EvalService::ScoreDataset(const data::Dataset& dataset) {
+Result<double> EvalService::ScoreDataset(const data::Dataset& dataset,
+                                         const ml::FeatureBinner* frame_bins) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   metric_requests_->Increment();
   const uint64_t signature =
@@ -189,7 +190,7 @@ Result<double> EvalService::ScoreDataset(const data::Dataset& dataset) {
     evaluator_->RecordCachedScore();
     return *cached;
   }
-  EAFE_ASSIGN_OR_RETURN(double score, evaluator_->Score(dataset));
+  EAFE_ASSIGN_OR_RETURN(double score, evaluator_->Score(dataset, frame_bins));
   metric_evaluations_->Increment();
   cache_.Insert(signature, score);
   return score;

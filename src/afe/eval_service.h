@@ -71,7 +71,11 @@ class EvalService {
                               double current_score);
 
   /// Cached absolute score of an arbitrary dataset (base-score probes).
-  Result<double> ScoreDataset(const data::Dataset& dataset);
+  /// `frame_bins` are passed through to TaskEvaluator::Score on a miss;
+  /// they change the cost, never the score, so the cache signature does
+  /// not cover them.
+  Result<double> ScoreDataset(const data::Dataset& dataset,
+                              const ml::FeatureBinner* frame_bins = nullptr);
 
   /// Candidate evaluations requested (cache hits included).
   size_t requests() const {

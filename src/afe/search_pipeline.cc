@@ -50,8 +50,10 @@ void FilterStage(const StepPipelineConfig& config, StepTask& task) {
 /// Eval stage: absolute downstream score of frame + chosen candidate.
 /// Goes through EvalService::ScoreDataset so scores are cached and the
 /// evaluator's request accounting matches the serial path exactly.
-void EvalStage(const FeatureSpace& frame, EvalService& eval_service,
-               StepTask& task) {
+/// BuildCandidateDataset appends the candidate after the frame's columns,
+/// which is the layout `frame_bins` extend.
+void EvalStage(const FeatureSpace& frame, const ml::FeatureBinner* frame_bins,
+               EvalService& eval_service, StepTask& task) {
   if (!task.status.ok() || task.chosen < 0) return;
   Stopwatch watch;
   auto dataset = BuildCandidateDataset(
@@ -60,7 +62,7 @@ void EvalStage(const FeatureSpace& frame, EvalService& eval_service,
     task.status = dataset.status();
     return;
   }
-  auto score = eval_service.ScoreDataset(*dataset);
+  auto score = eval_service.ScoreDataset(*dataset, frame_bins);
   if (!score.ok()) {
     task.status = score.status();
     return;
@@ -75,6 +77,11 @@ void EvalStage(const FeatureSpace& frame, EvalService& eval_service,
 SearchStepPipeline::SearchStepPipeline(const StepPipelineConfig& config,
                                        const FeatureSpace* frame,
                                        EvalService* eval_service) {
+  // The frame does not change until the epoch barrier, so its columns are
+  // binned here once instead of inside every evaluation.
+  auto frame_bins = eval_service->evaluator().BinFrame(frame->ToDataset());
+  if (frame_bins.ok()) frame_bins_ = std::move(frame_bins).ValueOrDie();
+
   runtime::ThreadPool* pool =
       config.mode == PipelineMode::kAsync ? runtime::GlobalPool() : nullptr;
 
@@ -91,8 +98,9 @@ SearchStepPipeline::SearchStepPipeline(const StepPipelineConfig& config,
   stages[1].workers =
       pool != nullptr && pool->num_threads() > 1 ? pool->num_threads() - 1 : 1;
   stages[1].queue_capacity = config.queue_capacity;
-  stages[1].fn = [frame, eval_service](StepTask& task) {
-    EvalStage(*frame, *eval_service, task);
+  stages[1].fn = [frame, bins = frame_bins_.get(),
+                  eval_service](StepTask& task) {
+    EvalStage(*frame, bins, *eval_service, task);
   };
 
   runtime::Pipeline<StepTask>::Options pipeline_options;

@@ -10,6 +10,7 @@
 #include "afe/search.h"
 #include "core/status.h"
 #include "fpe/fpe_model.h"
+#include "ml/feature_binner.h"
 #include "runtime/pipeline.h"
 
 namespace eafe::afe {
@@ -104,6 +105,10 @@ struct StepPipelineConfig {
 /// both stages inline. The frame and eval service must outlive the
 /// pipeline, and the driver must not mutate the frame or schedule other
 /// pool work until Finish() returns.
+///
+/// Construction bins the frame once (TaskEvaluator::BinFrame, so the
+/// downstream model's own binner options apply), and every evaluation of
+/// the epoch bins only its candidate column on top of those bins.
 class SearchStepPipeline {
  public:
   SearchStepPipeline(const StepPipelineConfig& config,
@@ -125,6 +130,10 @@ class SearchStepPipeline {
   Result<std::vector<StepTask>> Finish();
 
  private:
+  /// The frame's bins; null when the downstream model cannot share bins
+  /// or binning failed (each evaluation then bins its whole table and
+  /// reports its own error).
+  std::shared_ptr<const ml::FeatureBinner> frame_bins_;
   std::unique_ptr<runtime::Pipeline<StepTask>> pipeline_;
   size_t submitted_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "core/rng.h"
 #include "data/split.h"
@@ -11,9 +12,9 @@
 
 namespace eafe::ml {
 
-Result<std::vector<double>> CrossValidateScores(const ModelFactory& factory,
-                                                const data::Dataset& dataset,
-                                                const CvOptions& options) {
+Result<std::vector<double>> CrossValidateScores(
+    const ModelFactory& factory, const data::Dataset& dataset,
+    const CvOptions& options, const FeatureBinner* frame_bins) {
   EAFE_RETURN_NOT_OK(dataset.Validate());
   if (options.folds < 2) {
     return Status::InvalidArgument("cross-validation needs >= 2 folds");
@@ -50,7 +51,8 @@ Result<std::vector<double>> CrossValidateScores(const ModelFactory& factory,
   // via SharedBinnerModel), the frame is binned exactly once here, before
   // the fold fan-out: every fold fits on a row-id view of the same codes
   // and scores its held-out rows by id — no fold materialization, no
-  // per-fold re-binning. Models without the capability (or configurations
+  // per-fold re-binning. Given matching frame bins, only the columns past
+  // them are binned. Models without the capability (or configurations
   // that decline it, e.g. the exact split strategy) take the legacy
   // materialized path below.
   std::shared_ptr<const FeatureBinner> shared_binner;
@@ -61,8 +63,16 @@ Result<std::vector<double>> CrossValidateScores(const ModelFactory& factory,
     }
     if (const auto* capable = dynamic_cast<const SharedBinnerModel*>(
             probe.get())) {
-      EAFE_ASSIGN_OR_RETURN(shared_binner,
-                            capable->BinFrame(dataset.features));
+      if (frame_bins != nullptr &&
+          capable->BinnerOptions() == frame_bins->options()) {
+        EAFE_ASSIGN_OR_RETURN(FeatureBinner extended,
+                              frame_bins->Extend(dataset.features));
+        shared_binner =
+            std::make_shared<const FeatureBinner>(std::move(extended));
+      } else {
+        EAFE_ASSIGN_OR_RETURN(shared_binner,
+                              capable->BinFrame(dataset.features));
+      }
     }
   }
 
@@ -117,9 +127,11 @@ Result<std::vector<double>> CrossValidateScores(const ModelFactory& factory,
 
 Result<double> CrossValidateScore(const ModelFactory& factory,
                                   const data::Dataset& dataset,
-                                  const CvOptions& options) {
-  EAFE_ASSIGN_OR_RETURN(std::vector<double> scores,
-                        CrossValidateScores(factory, dataset, options));
+                                  const CvOptions& options,
+                                  const FeatureBinner* frame_bins) {
+  EAFE_ASSIGN_OR_RETURN(
+      std::vector<double> scores,
+      CrossValidateScores(factory, dataset, options, frame_bins));
   double sum = 0.0;
   for (double s : scores) sum += s;
   return sum / static_cast<double>(scores.size());

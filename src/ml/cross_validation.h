@@ -6,6 +6,7 @@
 
 #include "core/status.h"
 #include "data/dataframe.h"
+#include "ml/feature_binner.h"
 #include "ml/model.h"
 
 namespace eafe::ml {
@@ -27,14 +28,22 @@ struct CvOptions {
 /// --threads=1), so `factory` may be invoked from several threads at once
 /// and must not mutate shared state. Fold assignment and the mean are
 /// computed in fold order: results are identical at any thread count.
+///
+/// `frame_bins`, when given, is a binner fitted on the leading columns of
+/// `dataset.features` (a search's epoch frame, to which the candidate is
+/// appended last). A model that shares bins with the same options then
+/// bins only the columns past it (FeatureBinner::Extend) instead of the
+/// whole table; the scores are bit-identical either way. Models that
+/// cannot share bins, or share them with other options, ignore it.
 Result<double> CrossValidateScore(const ModelFactory& factory,
                                   const data::Dataset& dataset,
-                                  const CvOptions& options = {});
+                                  const CvOptions& options = {},
+                                  const FeatureBinner* frame_bins = nullptr);
 
 /// Per-fold scores (same protocol) for callers needing dispersion.
 Result<std::vector<double>> CrossValidateScores(
     const ModelFactory& factory, const data::Dataset& dataset,
-    const CvOptions& options = {});
+    const CvOptions& options = {}, const FeatureBinner* frame_bins = nullptr);
 
 }  // namespace eafe::ml
 

@@ -92,16 +92,13 @@ Status DecisionTree::Fit(const data::DataFrame& x,
   return Status::OK();
 }
 
-Result<std::shared_ptr<const FeatureBinner>> DecisionTree::BinFrame(
-    const data::DataFrame& x) const {
+std::optional<FeatureBinner::Options> DecisionTree::BinnerOptions() const {
   if (options_.split_strategy != SplitStrategy::kHistogram) {
-    return std::shared_ptr<const FeatureBinner>();  // Cannot share.
+    return std::nullopt;  // Cannot share.
   }
   FeatureBinner::Options binner_options;
   binner_options.max_bins = options_.max_bins;
-  auto binner = std::make_shared<FeatureBinner>(binner_options);
-  EAFE_RETURN_NOT_OK(binner->Fit(x));
-  return std::shared_ptr<const FeatureBinner>(std::move(binner));
+  return binner_options;
 }
 
 Status DecisionTree::FitBinned(std::shared_ptr<const FeatureBinner> binner,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,8 +65,7 @@ class DecisionTree : public Model, public SharedBinnerModel {
   data::TaskType task() const override { return options_.task; }
 
   // SharedBinnerModel: train/predict through a shared pre-binned frame.
-  Result<std::shared_ptr<const FeatureBinner>> BinFrame(
-      const data::DataFrame& x) const override;
+  std::optional<FeatureBinner::Options> BinnerOptions() const override;
   Status FitBinned(std::shared_ptr<const FeatureBinner> binner,
                    const std::vector<double>& y,
                    const std::vector<size_t>& rows) override;

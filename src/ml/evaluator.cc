@@ -136,14 +136,23 @@ std::unique_ptr<Model> TaskEvaluator::CreateModel(data::TaskType task) const {
   return nullptr;
 }
 
-Result<double> TaskEvaluator::Score(const data::Dataset& dataset) const {
+Result<double> TaskEvaluator::Score(const data::Dataset& dataset,
+                                    const FeatureBinner* frame_bins) const {
   evaluation_count_.fetch_add(1, std::memory_order_relaxed);
   CvOptions cv;
   cv.folds = options_.cv_folds;
   cv.seed = options_.seed;
   const data::TaskType task = dataset.task;
   return CrossValidateScore([this, task] { return CreateModel(task); },
-                            dataset, cv);
+                            dataset, cv, frame_bins);
+}
+
+Result<std::shared_ptr<const FeatureBinner>> TaskEvaluator::BinFrame(
+    const data::Dataset& frame) const {
+  const std::unique_ptr<Model> model = CreateModel(frame.task);
+  const auto* shared = dynamic_cast<const SharedBinnerModel*>(model.get());
+  if (shared == nullptr) return std::shared_ptr<const FeatureBinner>();
+  return shared->BinFrame(frame.features);
 }
 
 }  // namespace eafe::ml

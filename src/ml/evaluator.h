@@ -70,7 +70,18 @@ class TaskEvaluator {
   explicit TaskEvaluator(const EvaluatorOptions& options = {});
 
   /// Cross-validated task score of `dataset` (higher is better).
-  Result<double> Score(const data::Dataset& dataset) const;
+  /// `frame_bins`, when given, come from BinFrame over the leading
+  /// columns of `dataset` (see CrossValidateScore); the score is
+  /// bit-identical with or without them.
+  Result<double> Score(const data::Dataset& dataset,
+                       const FeatureBinner* frame_bins = nullptr) const;
+
+  /// Bins `frame` with the downstream model's own binner options, once,
+  /// for Score calls over tables that append columns to it (a search's
+  /// epoch frame plus one candidate). Null when the model cannot share
+  /// bins (the exact split strategy, non-tree models).
+  Result<std::shared_ptr<const FeatureBinner>> BinFrame(
+      const data::Dataset& frame) const;
 
   /// Builds a fresh downstream model for the task type.
   std::unique_ptr<Model> CreateModel(data::TaskType task) const;

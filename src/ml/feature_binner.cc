@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "core/string_util.h"
 
@@ -85,43 +86,73 @@ Status FeatureBinner::Fit(const data::DataFrame& x) {
                   options_.max_cut_samples, options_.max_bins));
   }
   g_total_fits.fetch_add(1, std::memory_order_relaxed);
-  const size_t n = x.num_rows();
   const size_t num_features = x.num_columns();
   cuts_.assign(num_features, {});
+  num_cuts_.assign(num_features, 0);
   codes_.assign(num_features, {});
-
   std::vector<double> sorted;
   for (size_t f = 0; f < num_features; ++f) {
-    const std::vector<double>& values = x.column(f).values();
-
-    if (n > options_.max_cut_samples) {
-      // Wide column: estimate cuts from a deterministic even stride over
-      // the rows (no RNG), sorting only the sample. Sorting the full
-      // column would dominate the whole histogram fit at large n.
-      sorted.resize(options_.max_cut_samples);
-      for (size_t i = 0; i < sorted.size(); ++i) {
-        sorted[i] = values[i * n / sorted.size()];
-      }
-    } else {
-      sorted = values;
-    }
-    std::sort(sorted.begin(), sorted.end());
-    cuts_[f] = ComputeCuts(sorted, options_.max_bins);
-
-    const std::vector<double>& cuts = cuts_[f];
-    std::vector<uint8_t>& codes = codes_[f];
-    codes.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      // First cut >= v is the boundary v sits left of; past-the-end means
-      // the last bin.
-      const size_t bin =
-          static_cast<size_t>(std::lower_bound(cuts.begin(), cuts.end(),
-                                               values[i]) -
-                              cuts.begin());
-      codes[i] = static_cast<uint8_t>(bin);
-    }
+    BinColumn(f, x.column(f).values(), &sorted);
   }
   return Status::OK();
+}
+
+Result<FeatureBinner> FeatureBinner::Extend(const data::DataFrame& x) const {
+  if (!fitted()) {
+    return Status::FailedPrecondition("binner is not fitted");
+  }
+  if (x.num_rows() != num_rows()) {
+    return Status::InvalidArgument(
+        StrFormat("binner fitted on %zu rows, got %zu", num_rows(),
+                  x.num_rows()));
+  }
+  if (x.num_columns() < num_features()) {
+    return Status::InvalidArgument(
+        StrFormat("cannot extend a %zu-feature binner to %zu columns",
+                  num_features(), x.num_columns()));
+  }
+  FeatureBinner extended = *this;
+  const size_t columns = x.num_columns();
+  extended.cuts_.resize(columns);
+  extended.num_cuts_.resize(columns);
+  extended.codes_.resize(columns);
+  std::vector<double> sorted;
+  for (size_t f = num_features(); f < columns; ++f) {
+    extended.BinColumn(f, x.column(f).values(), &sorted);
+  }
+  return extended;
+}
+
+void FeatureBinner::BinColumn(size_t f, const std::vector<double>& values,
+                              std::vector<double>* sorted) {
+  const size_t n = values.size();
+  if (n > options_.max_cut_samples) {
+    // Wide column: estimate cuts from a deterministic even stride over
+    // the rows (no RNG), sorting only the sample. Sorting the full
+    // column would dominate the whole histogram fit at large n.
+    sorted->resize(options_.max_cut_samples);
+    for (size_t i = 0; i < sorted->size(); ++i) {
+      (*sorted)[i] = values[i * n / sorted->size()];
+    }
+  } else {
+    *sorted = values;
+  }
+  std::sort(sorted->begin(), sorted->end());
+  const std::vector<double> cuts = ComputeCuts(*sorted, options_.max_bins);
+
+  // Pad once here so every later encode, down to a one-row Encode, runs
+  // the fixed-depth search without building a padded copy.
+  PaddedCuts& padded = cuts_[f];
+  std::copy(cuts.begin(), cuts.end(), padded.begin());
+  std::fill(padded.begin() + static_cast<std::ptrdiff_t>(cuts.size()),
+            padded.end(), std::numeric_limits<double>::infinity());
+  num_cuts_[f] = static_cast<uint16_t>(cuts.size());
+
+  std::vector<uint8_t>& codes = codes_[f];
+  codes.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    codes[i] = internal::CountCutsBelow(padded, values[i]);
+  }
 }
 
 Result<EncodedFrame> FeatureBinner::Encode(const data::DataFrame& x) const {
@@ -137,15 +168,11 @@ Result<EncodedFrame> FeatureBinner::Encode(const data::DataFrame& x) const {
   EncodedFrame encoded(num_features());
   for (size_t f = 0; f < num_features(); ++f) {
     const std::vector<double>& values = x.column(f).values();
-    const std::vector<double>& cuts = cuts_[f];
+    const PaddedCuts& cuts = cuts_[f];
     std::vector<uint8_t>& codes = encoded[f];
     codes.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      const size_t bin =
-          static_cast<size_t>(std::lower_bound(cuts.begin(), cuts.end(),
-                                               values[i]) -
-                              cuts.begin());
-      codes[i] = static_cast<uint8_t>(bin);
+      codes[i] = internal::CountCutsBelow(cuts, values[i]);
     }
   }
   return encoded;

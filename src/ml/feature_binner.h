@@ -1,6 +1,8 @@
 #ifndef EAFE_ML_FEATURE_BINNER_H_
 #define EAFE_ML_FEATURE_BINNER_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -14,6 +16,29 @@ namespace eafe::ml {
 /// once lets every tree of a forest route predictions on uint8 code
 /// comparisons instead of re-reading raw doubles.
 using EncodedFrame = std::vector<std::vector<uint8_t>>;
+
+/// Cut slots per column. Codes fit uint8, so a column has at most 255
+/// cuts; the slots past its last cut hold +inf.
+inline constexpr size_t kCutSlots = 256;
+using PaddedCuts = std::array<double, kCutSlots>;
+
+namespace internal {
+
+/// Bin code of `v`: the number of cuts < v in an ascending +inf-padded
+/// cut array, which is the index std::lower_bound returns over the real
+/// cuts. Eight fixed halving steps with no data-dependent branch (the
+/// comparison is multiplied in, not branched on). Padding is never < v,
+/// so the count is at most 255; NaN compares false everywhere and
+/// encodes to 0, as under lower_bound.
+inline uint8_t CountCutsBelow(const PaddedCuts& cuts, double v) {
+  size_t pos = 0;
+  for (size_t step = kCutSlots / 2; step > 0; step /= 2) {
+    pos += static_cast<size_t>(cuts[pos + step - 1] < v) * step;
+  }
+  return static_cast<uint8_t>(pos);
+}
+
+}  // namespace internal
 
 /// Quantizes every column of a DataFrame into at most `max_bins` ordinal
 /// bins (uint8 codes) once per *frame*, so split finding can scan bin
@@ -40,6 +65,8 @@ class FeatureBinner {
     /// cap are sorted whole, which preserves the lossless-agreement
     /// property below). Must be >= max_bins.
     size_t max_cut_samples = 4096;
+
+    bool operator==(const Options&) const = default;
   };
 
   FeatureBinner() : FeatureBinner(Options()) {}
@@ -48,10 +75,22 @@ class FeatureBinner {
   /// Computes per-column cut points and encodes every value.
   Status Fit(const data::DataFrame& x);
 
+  /// A binner over `x` whose leading num_features() columns are the
+  /// frame this binner was fitted on: it copies this binner's columns
+  /// and bins only the columns of `x` past them, with the same options.
+  /// Cuts are per-column and RNG-free, so the result equals a Fit(x)
+  /// bit for bit (cuts and codes) at the cost of the new columns only.
+  /// The leading columns are not re-read; passing a frame whose leading
+  /// columns differ from the fitted ones is a caller error. Fails when
+  /// this binner is unfitted, the row counts differ, or `x` has fewer
+  /// columns. Not counted by TotalFits.
+  Result<FeatureBinner> Extend(const data::DataFrame& x) const;
+
   /// Encodes a query frame with the fitted cuts (transform only, no
-  /// refit). Uses the same lower_bound comparison as Fit, so for any
-  /// value v and split bin b, code(v) <= b exactly when v <= cut(b):
-  /// bin-coded tree traversal is bit-identical to the raw-double path.
+  /// refit). Uses the same encoding as Fit (internal::CountCutsBelow, the
+  /// std::lower_bound index), so for any value v and split bin b,
+  /// code(v) <= b exactly when v <= cut(b): bin-coded tree traversal is
+  /// bit-identical to the raw-double path.
   Result<EncodedFrame> Encode(const data::DataFrame& x) const;
 
   /// Process-wide count of Fit calls — test instrumentation for the
@@ -60,12 +99,13 @@ class FeatureBinner {
   static size_t TotalFits();
   static void ResetTotalFits();
 
+  const Options& options() const { return options_; }
   size_t num_features() const { return codes_.size(); }
   size_t num_rows() const { return codes_.empty() ? 0 : codes_[0].size(); }
   bool fitted() const { return !codes_.empty(); }
 
   /// Number of bins for feature `f` (1 means the column is constant).
-  size_t num_bins(size_t f) const { return cuts_[f].size() + 1; }
+  size_t num_bins(size_t f) const { return size_t{num_cuts_[f]} + 1; }
 
   /// Bin code of `row` in feature `f`.
   uint8_t code(size_t f, size_t row) const { return codes_[f][row]; }
@@ -78,8 +118,15 @@ class FeatureBinner {
   double cut(size_t f, size_t b) const { return cuts_[f][b]; }
 
  private:
+  /// Computes column `f`'s cuts from `values` and encodes them; `sorted`
+  /// is a sort buffer reused across columns.
+  void BinColumn(size_t f, const std::vector<double>& values,
+                 std::vector<double>* sorted);
+
   Options options_;
-  std::vector<std::vector<double>> cuts_;    ///< Ascending, num_bins-1 each.
+  /// Ascending cuts, num_bins-1 real ones per column, +inf-padded.
+  std::vector<PaddedCuts> cuts_;
+  std::vector<uint16_t> num_cuts_;
   std::vector<std::vector<uint8_t>> codes_;  ///< Column-major bin codes.
 };
 

@@ -48,13 +48,11 @@ Status GradientBoostedTrees::Fit(const data::DataFrame& x,
   return FitBinned(std::move(binner), y, rows);
 }
 
-Result<std::shared_ptr<const FeatureBinner>> GradientBoostedTrees::BinFrame(
-    const data::DataFrame& x) const {
+std::optional<FeatureBinner::Options> GradientBoostedTrees::BinnerOptions()
+    const {
   FeatureBinner::Options binner_options;
   binner_options.max_bins = options_.max_bins;
-  auto binner = std::make_shared<FeatureBinner>(binner_options);
-  EAFE_RETURN_NOT_OK(binner->Fit(x));
-  return std::shared_ptr<const FeatureBinner>(std::move(binner));
+  return binner_options;
 }
 
 Status GradientBoostedTrees::FitBinned(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/rng.h"
@@ -61,8 +62,7 @@ class GradientBoostedTrees : public Model, public SharedBinnerModel {
   Result<std::vector<double>> PredictProba(const data::DataFrame& x) const;
 
   // SharedBinnerModel — the booster always shares (histogram-only).
-  Result<std::shared_ptr<const FeatureBinner>> BinFrame(
-      const data::DataFrame& x) const override;
+  std::optional<FeatureBinner::Options> BinnerOptions() const override;
   /// Unlike the forest's bootstrap views, `rows` must be distinct: the
   /// booster keeps per-row score state and a duplicated id would apply
   /// every tree's update twice to the same row.

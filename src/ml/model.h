@@ -3,10 +3,12 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/status.h"
 #include "data/dataframe.h"
+#include "ml/feature_binner.h"
 
 namespace eafe::ml {
 
@@ -45,8 +47,6 @@ class ProbabilisticClassifier : public Model {
       const data::DataFrame& x) const = 0;
 };
 
-class FeatureBinner;  // Defined in ml/feature_binner.h.
-
 /// Capability interface for models that can train and predict through a
 /// shared pre-binned frame via row-id views — no fold or bootstrap
 /// materialization anywhere on the path. Cross-validation probes for it
@@ -57,11 +57,16 @@ class SharedBinnerModel {
  public:
   virtual ~SharedBinnerModel() = default;
 
-  /// Bins `x` for FitBinned sharing. Returns null (with OK status) when
-  /// this configuration cannot share — e.g. the exact split strategy —
-  /// and the caller should fall back to materialized Fit/Predict.
-  virtual Result<std::shared_ptr<const FeatureBinner>> BinFrame(
-      const data::DataFrame& x) const = 0;
+  /// Options of the binner this configuration trains through, or nullopt
+  /// when it cannot share one (e.g. the exact split strategy). Callers
+  /// compare them with a binner's options() before reusing its columns.
+  virtual std::optional<FeatureBinner::Options> BinnerOptions() const = 0;
+
+  /// Bins `x` with BinnerOptions() for FitBinned sharing. Returns null
+  /// (with OK status) when this configuration cannot share, and the
+  /// caller should fall back to materialized Fit/Predict.
+  Result<std::shared_ptr<const FeatureBinner>> BinFrame(
+      const data::DataFrame& x) const;
 
   /// Trains on the rows `rows` of the binned frame. `y` holds labels for
   /// every frame row, indexed absolutely; `rows` may repeat (bootstrap is

@@ -90,17 +90,14 @@ Status RandomForest::Fit(const data::DataFrame& x,
   return FitMaterialized(x, y);
 }
 
-Result<std::shared_ptr<const FeatureBinner>> RandomForest::BinFrame(
-    const data::DataFrame& x) const {
+std::optional<FeatureBinner::Options> RandomForest::BinnerOptions() const {
   if (options_.split_strategy != SplitStrategy::kHistogram ||
       !options_.share_binner) {
-    return std::shared_ptr<const FeatureBinner>();  // Caller falls back.
+    return std::nullopt;  // Caller falls back.
   }
   FeatureBinner::Options binner_options;
   binner_options.max_bins = options_.max_bins;
-  auto binner = std::make_shared<FeatureBinner>(binner_options);
-  EAFE_RETURN_NOT_OK(binner->Fit(x));
-  return std::shared_ptr<const FeatureBinner>(std::move(binner));
+  return binner_options;
 }
 
 Status RandomForest::FitBinned(std::shared_ptr<const FeatureBinner> binner,

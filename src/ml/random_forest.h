@@ -2,6 +2,7 @@
 #define EAFE_ML_RANDOM_FOREST_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/rng.h"
@@ -62,8 +63,7 @@ class RandomForest : public Model, public SharedBinnerModel {
 
   // SharedBinnerModel: cross-validation bins the frame once and trains
   // every fold's forest (and each forest's trees) on row-id views.
-  Result<std::shared_ptr<const FeatureBinner>> BinFrame(
-      const data::DataFrame& x) const override;
+  std::optional<FeatureBinner::Options> BinnerOptions() const override;
   Status FitBinned(std::shared_ptr<const FeatureBinner> binner,
                    const std::vector<double>& y,
                    const std::vector<size_t>& rows) override;

@@ -3,13 +3,17 @@
 // results to the synchronous oracle at any thread count. The sweep runs
 // threads in {1, 4, 16}; the global pool is rebuilt per point, and the
 // suite restores the serial default afterwards so other tests are
-// unaffected.
+// unaffected. Golden digests pin each search method's sync result, and a
+// work test bounds the binner fits a search pays.
 
 #include "afe/search_pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "afe/eafe.h"
@@ -20,6 +24,7 @@
 #include "core/check.h"
 #include "data/registry.h"
 #include "data/synthetic.h"
+#include "ml/feature_binner.h"
 #include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
 
@@ -123,6 +128,70 @@ void ExpectBitIdentical(const SearchResult& a, const SearchResult& b) {
   }
 }
 
+/// FNV-1a over 64-bit words: folds one word into the running digest.
+uint64_t Fold(uint64_t digest, uint64_t word) {
+  return (digest ^ word) * 0x100000001B3ULL;
+}
+
+uint64_t FoldDouble(uint64_t digest, double value) {
+  return Fold(digest, std::bit_cast<uint64_t>(value));
+}
+
+/// Digest of everything a search decides: scores and the curve as bit
+/// patterns, the funnel counts, and the selected table's column names
+/// and values. Timing and cache-hit counts are left out (they vary by
+/// scheduling, not by result).
+uint64_t SearchDigest(const SearchResult& result) {
+  uint64_t digest = 0xCBF29CE484222325ULL;
+  digest = FoldDouble(digest, result.base_score);
+  digest = FoldDouble(digest, result.best_score);
+  digest = FoldDouble(digest, result.search_score);
+  digest = Fold(digest, result.curve.size());
+  for (const EpochStats& stats : result.curve) {
+    digest = Fold(digest, stats.epoch);
+    digest = FoldDouble(digest, stats.best_score);
+    digest = Fold(digest, stats.cumulative_evaluations);
+    digest = Fold(digest, stats.features_generated);
+  }
+  digest = Fold(digest, result.features_evaluated);
+  digest = Fold(digest, result.features_generated);
+  digest = Fold(digest, result.features_kept);
+  const auto& columns = result.best_dataset.features.columns();
+  digest = Fold(digest, columns.size());
+  for (const data::Column& column : columns) {
+    for (unsigned char c : column.name()) digest = Fold(digest, c);
+    digest = Fold(digest, column.values().size());
+    for (double v : column.values()) digest = FoldDouble(digest, v);
+  }
+  return digest;
+}
+
+// Golden digests of one fixed-seed sync search per method. The
+// equivalence tests below compare executors with each other, so a
+// binning or scoring path that is wrong the same way in both would pass
+// them; these pin the results themselves. Regression-free refactors of
+// the evaluation path must leave them unchanged, at every SIMD tier
+// (EAFE_SIMD=scalar included); a change that moves one on purpose
+// re-pins it and says why next to it.
+using DigestPoint = std::pair<const char*, uint64_t>;
+
+class GoldenSearchDigest : public ::testing::TestWithParam<DigestPoint> {};
+
+TEST_P(GoldenSearchDigest, SyncSearchMatchesPinnedDigest) {
+  const auto& [method, expected] = GetParam();
+  const SearchResult result = RunMethod(method, PipelineMode::kSync, 1);
+  EXPECT_EQ(SearchDigest(result), expected)
+      << method << " digest 0x" << std::hex << SearchDigest(result);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethods, GoldenSearchDigest,
+    ::testing::Values(DigestPoint{"nfs", 0x1d2e1b7db7adbdd7ULL},
+                      DigestPoint{"random", 0xd51620509d3651ebULL},
+                      DigestPoint{"eafe_d", 0x7d9eecacef243fecULL},
+                      DigestPoint{"eafe_full", 0x25b352d064f632dfULL}),
+    [](const auto& point) { return std::string(point.param.first); });
+
 class SearchPipelineEquivalence
     : public ::testing::TestWithParam<const char*> {};
 
@@ -146,6 +215,19 @@ TEST(SearchPipelineTest, SyncOracleIsThreadInvariant) {
   const SearchResult at1 = RunMethod("nfs", PipelineMode::kSync, 1);
   const SearchResult at4 = RunMethod("nfs", PipelineMode::kSync, 4);
   ExpectBitIdentical(at1, at4);
+}
+
+// Work bound: the pipeline bins each epoch's frame once and every
+// evaluation bins only its candidate column (FeatureBinner::Extend, not
+// a Fit). The only full binner fits left are the base score, one per
+// epoch frame, and the four honest final scores (two repeats of base and
+// best). Binning every evaluated table in full costs one Fit per
+// evaluated candidate on top of that.
+TEST(SearchPipelineTest, EvaluationsBinOnlyTheCandidateColumn) {
+  ml::FeatureBinner::ResetTotalFits();
+  const SearchResult result = RunMethod("nfs", PipelineMode::kAsync, 4);
+  ASSERT_GT(result.features_evaluated, result.curve.size());
+  EXPECT_LE(ml::FeatureBinner::TotalFits(), 1 + result.curve.size() + 4);
 }
 
 TEST(SearchPipelineTest, AsyncRunPublishesQueueGauges) {

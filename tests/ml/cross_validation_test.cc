@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/rng.h"
+#include "ml/feature_binner.h"
+#include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
 #include "tests/ml/test_util.h"
 
@@ -10,6 +19,7 @@ namespace {
 
 using testing::MakeSeparable;
 using testing::MakeSmoothRegression;
+using testing::MakeWide;
 
 ModelFactory RfFactory(data::TaskType task) {
   return [task] {
@@ -107,6 +117,104 @@ TEST(CrossValidationTest, RejectsBadInputs) {
                },
                                   dataset)
                    .ok());
+}
+
+/// `dataset` with one more column ("cand", a noisy function of column
+/// 0) appended last — the shape of a search's frame plus a candidate.
+data::Dataset WithCandidate(data::Dataset dataset, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> candidate = dataset.features.column(0).values();
+  for (double& v : candidate) v = v * v + rng.Normal(0.0, 0.1);
+  EXPECT_TRUE(
+      dataset.features.AddColumn(data::Column("cand", std::move(candidate)))
+          .ok());
+  return dataset;
+}
+
+/// The table without its last column: the frame the candidate extends.
+data::Dataset Frame(const data::Dataset& dataset) {
+  data::Dataset frame = dataset;
+  EXPECT_TRUE(
+      frame.features.DropColumn(frame.features.num_columns() - 1).ok());
+  return frame;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+/// Per-fold scores with frame bins must equal the scores without them bit
+/// for bit, and must bin only the candidate column (no FeatureBinner::Fit).
+void ExpectFrameBinsChangeNothing(const ModelFactory& factory,
+                                  const data::Dataset& dataset) {
+  CvOptions cv;
+  cv.folds = 5;
+  const std::vector<double> plain =
+      CrossValidateScores(factory, dataset, cv).ValueOrDie();
+  const std::unique_ptr<Model> model = factory();
+  const auto* shared = dynamic_cast<const SharedBinnerModel*>(model.get());
+  ASSERT_NE(shared, nullptr);
+  const auto frame_bins =
+      shared->BinFrame(Frame(dataset).features).ValueOrDie();
+  ASSERT_NE(frame_bins, nullptr);
+  FeatureBinner::ResetTotalFits();
+  const std::vector<double> extended =
+      CrossValidateScores(factory, dataset, cv, frame_bins.get())
+          .ValueOrDie();
+  EXPECT_EQ(FeatureBinner::TotalFits(), 0u);
+  EXPECT_EQ(Bits(extended), Bits(plain));
+}
+
+TEST(CrossValidationFrameBinsTest, ForestClassificationIsBitIdentical) {
+  const data::Dataset dataset = WithCandidate(MakeWide(1500, 8, 11), 12);
+  ExpectFrameBinsChangeNothing(RfFactory(dataset.task), dataset);
+}
+
+// 5000 rows take the strided-sample (quantile) cut path.
+TEST(CrossValidationFrameBinsTest, ForestRegressionIsBitIdentical) {
+  const data::Dataset dataset =
+      WithCandidate(MakeSmoothRegression(5000, 13), 14);
+  ExpectFrameBinsChangeNothing(RfFactory(dataset.task), dataset);
+}
+
+TEST(CrossValidationFrameBinsTest, BoosterIsBitIdentical) {
+  const data::Dataset dataset = WithCandidate(MakeWide(1500, 8, 15), 16);
+  ExpectFrameBinsChangeNothing(
+      [] {
+        GradientBoostedTrees::Options options;
+        options.rounds = 10;
+        return std::make_unique<GradientBoostedTrees>(options);
+      },
+      dataset);
+}
+
+// The exact strategy cannot share bins: CV ignores the frame bins it is
+// handed and takes the materialized path, fold sub-frames included.
+TEST(CrossValidationFrameBinsTest, ExactStrategyIgnoresFrameBins) {
+  const data::Dataset dataset = WithCandidate(MakeSeparable(300, 17), 18);
+  const auto frame_bins = RandomForest()
+                              .BinFrame(Frame(dataset).features)
+                              .ValueOrDie();
+  ASSERT_NE(frame_bins, nullptr);
+  const ModelFactory exact = [] {
+    RandomForest::Options options;
+    options.num_trees = 4;
+    options.split_strategy = SplitStrategy::kExact;
+    return std::make_unique<RandomForest>(options);
+  };
+  CvOptions cv;
+  cv.folds = 3;
+  const std::vector<double> plain =
+      CrossValidateScores(exact, dataset, cv).ValueOrDie();
+  FeatureBinner::ResetTotalFits();
+  data::DataFrame::ResetTotalSelectRows();
+  const std::vector<double> with_bins =
+      CrossValidateScores(exact, dataset, cv, frame_bins.get()).ValueOrDie();
+  EXPECT_EQ(FeatureBinner::TotalFits(), 0u);
+  EXPECT_GT(data::DataFrame::TotalSelectRows(), 0u);
+  EXPECT_EQ(Bits(with_bins), Bits(plain));
 }
 
 }  // namespace

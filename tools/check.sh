@@ -9,9 +9,10 @@
 #   debug    build + full ctest (all labels) in build/
 #   release  Release build + perf smokes in build-release/: micro_tree
 #            --smoke (tree, shared-binner forest, gbdt booster, and
-#            model-store round-trip serving gates), the SIMD dispatch
-#            smokes (micro_hashing/micro_tree --simd-smoke: every tier
-#            bit-identical to its oracle + speed floors), a forced
+#            model-store round-trip serving gates, plus the binning gate:
+#            FeatureBinner::Extend equals a full Fit bit for bit), the
+#            SIMD dispatch smokes (micro_hashing/micro_tree --simd-smoke:
+#            every tier bit-identical to its oracle + speed floors), a forced
 #            EAFE_SIMD=scalar rerun of the simd-labeled ctest suite to
 #            prove the fallback tier stays green, and the pipelined-search
 #            smoke (fig9_scalability --pipeline-smoke: sync and async
@@ -119,8 +120,9 @@ run_release() {
   echo "== release: tree perf + serving round-trip smoke (${root}/build-release) =="
   # An explicit Release tree so the smoke gates measure optimized code even
   # when the default tree was configured with another build type. --smoke
-  # covers histogram-vs-exact fits, shared-binner forests, the booster, and
-  # the save->load->flat-predict round trip (bit-identity + speed floor).
+  # covers histogram-vs-exact fits, shared-binner forests, the booster,
+  # the save->load->flat-predict round trip (bit-identity + speed floor),
+  # and the binning gate (Extend == Fit bit for bit; timings reported).
   cmake -B "${root}/build-release" -S "${root}" \
     -DCMAKE_BUILD_TYPE=Release -DEAFE_WERROR=ON >/dev/null
   cmake --build "${root}/build-release" -j "${jobs}" \
