@@ -9,12 +9,21 @@
 // every variant returns the oracle's signature and the AVX2 variants
 // clear their speed floors at rows >= 10k; tools/check.sh runs it in
 // the release suite, and BENCH_simd.json snapshots the grid rows.
+//
+// Both then time the FPE compression an off-pool caller (a search's
+// stage 1, FPE pretraining) pays: one SampleCompressor::Compress (48
+// CCWS slots plus 48 uniform slots, uniform-row memo warm) at 1 and 4
+// global threads, where the CWS slots fan out over the pool. Timing is
+// report-only; the smoke variant exits nonzero unless the 4-thread
+// signature equals the 1-thread one bit for bit. A host line (nproc,
+// SIMD tier, build type, wall clock) closes the run.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,6 +32,7 @@
 #include "hashing/minhash.h"
 #include "hashing/sample_compressor.h"
 #include "hashing/weighted_minhash.h"
+#include "runtime/thread_pool.h"
 #include "simd/minhash_kernels.h"
 #include "simd/portable_math.h"
 #include "simd/simd.h"
@@ -218,16 +228,85 @@ int RunSimdRows(bool smoke) {
   return ok ? 0 : 1;
 }
 
+/// Compress lines: one signature of a normal column as the FPE computes
+/// it (CCWS, d = 48, 48 uniform slots), timed best of 41 from this
+/// (off-pool) thread at 1 and 4 global threads. Returns false when the
+/// 4-thread signature differs from the 1-thread one.
+bool RunCompressRows() {
+  CompressorOptions options;
+  options.extra_uniform_slots = 48;
+  const SampleCompressor compressor(options);
+  bool identical = true;
+  for (const size_t rows : {size_t{1500}, size_t{8000}}) {
+    const std::vector<double> feature = RandomFeature(rows);
+    std::vector<double> reference;
+    double serial_seconds = 0.0;
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      runtime::SetGlobalThreads(threads);
+      (void)runtime::GlobalPool();  // Build the pool outside the timing.
+      std::vector<double> signature =
+          compressor.Compress(feature).ValueOrDie();  // Warms the memo.
+      double best = 0.0;
+      for (int r = 0; r < 41; ++r) {
+        Stopwatch timer;
+        auto timed = compressor.Compress(feature);
+        const double seconds = timer.ElapsedSeconds();
+        if (r == 0 || seconds < best) best = seconds;
+        benchmark::DoNotOptimize(timed);
+      }
+      if (threads == 1) {
+        reference = signature;
+        serial_seconds = best;
+      } else if (signature.size() != reference.size() ||
+                 std::memcmp(signature.data(), reference.data(),
+                             signature.size() * sizeof(double)) != 0) {
+        std::fprintf(stderr,
+                     "simd smoke FAILED: Compress at %zu threads differs "
+                     "from 1 thread at rows=%zu\n",
+                     threads, rows);
+        identical = false;
+      }
+      std::printf(
+          "{\"bench\": \"compress\", \"scheme\": \"ccws\", \"rows\": %zu, "
+          "\"dimension\": %zu, \"uniform_slots\": %zu, \"threads\": %zu, "
+          "\"seconds\": %.6f, \"speedup_vs_1_thread\": %.2f}\n",
+          rows, options.dimension, options.extra_uniform_slots, threads, best,
+          best > 0.0 ? serial_seconds / best : 0.0);
+    }
+  }
+  runtime::SetGlobalThreads(1);
+  return identical;
+}
+
+/// Closing line: the host the run measured (hardware threads, the
+/// largest pool the compress lines used, the dispatched SIMD tier, the
+/// build type) and the run's wall clock.
+void PrintHostLine(double seconds) {
+  std::printf(
+      "{\"bench\": \"host\", \"nproc\": %u, \"threads\": 4, "
+      "\"simd\": \"%s\", \"build_type\": \"%s\", \"seconds\": %.1f}\n",
+      std::thread::hardware_concurrency(),
+      simd::LevelName(simd::ActiveLevel()), EAFE_BENCH_BUILD_TYPE, seconds);
+}
+
+int RunSimd(bool smoke) {
+  Stopwatch wall;
+  const int grid = RunSimdRows(smoke);
+  const bool identical = RunCompressRows();
+  PrintHostLine(wall.ElapsedSeconds());
+  return grid == 0 && identical ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace eafe::hashing
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--simd") == 0) {
-      return eafe::hashing::RunSimdRows(/*smoke=*/false);
+      return eafe::hashing::RunSimd(/*smoke=*/false);
     }
     if (std::strcmp(argv[i], "--simd-smoke") == 0) {
-      return eafe::hashing::RunSimdRows(/*smoke=*/true);
+      return eafe::hashing::RunSimd(/*smoke=*/true);
     }
   }
   eafe::hashing::RegisterAll();

@@ -120,30 +120,27 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
   SearchResult result;
   result.method = name();
 
-  // Agents persist across both stages — the whole point of stage 1.
+  // Agents persist across both stages — the whole point of stage 1. One
+  // per feature group, and a FeatureSpace has one group per original
+  // feature.
   std::vector<RnnAgent> agents;
-  FeatureSpace::Options space_options;
-  space_options.max_order = options_.search.max_order;
-  space_options.max_generated_per_group =
-      options_.search.max_generated_per_group;
-  {
-    FeatureSpace probe(dataset, space_options);
-    agents.reserve(probe.num_groups());
-    for (size_t g = 0; g < probe.num_groups(); ++g) {
-      RnnAgent::Options agent_options;
-      agent_options.input_dim = kAgentStateDim;
-      agent_options.hidden_dim = options_.search.agent_hidden_dim;
-      agent_options.num_actions = kNumOperators;
-      agent_options.learning_rate = options_.search.learning_rate;
-      agent_options.seed = rng.Next();
-      agents.emplace_back(agent_options);
-    }
+  agents.reserve(dataset.num_features());
+  for (size_t g = 0; g < dataset.num_features(); ++g) {
+    RnnAgent::Options agent_options;
+    agent_options.input_dim = kAgentStateDim;
+    agent_options.hidden_dim = options_.search.agent_hidden_dim;
+    agent_options.num_actions = kNumOperators;
+    agent_options.learning_rate = options_.search.learning_rate;
+    agent_options.seed = rng.Next();
+    agents.emplace_back(agent_options);
   }
 
   // Stage 1: quick initialization with the FPE model (kFull only;
   // kPolicyGradient ablates the two-stage strategy, kRandomDrop has no
-  // model to initialize from). Serial: its feedback loop is the cheap
-  // FPE probe itself, so there is nothing to overlap.
+  // model to initialize from). Serial: step t+1's state, operator and
+  // operands depend on step t's FPE reward and accepts, so there is
+  // nothing to overlap. Each FPE probe fans its MinHash slots out over
+  // the otherwise idle pool instead (DESIGN §9).
   if (options_.variant == Variant::kFull && options_.stage1_epochs > 0) {
     Stopwatch stage1_watch;
     EAFE_RETURN_NOT_OK(RunStage1(dataset, &agents, &rng, &result));
@@ -151,6 +148,10 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
   }
 
   // Stage 2: formal training against the downstream task.
+  FeatureSpace::Options space_options;
+  space_options.max_order = options_.search.max_order;
+  space_options.max_generated_per_group =
+      options_.search.max_generated_per_group;
   FeatureSpace space(dataset, space_options);
   Stopwatch eval_watch;
   EAFE_ASSIGN_OR_RETURN(result.base_score, evaluator.Score(dataset));

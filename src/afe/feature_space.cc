@@ -62,7 +62,7 @@ Result<SpaceFeature> FeatureSpace::GenerateCandidate(
   }
   // A constant feature carries no signal and would destabilize some
   // downstream models; treat it as unqualified at generation time.
-  if (column.CountDistinct() < 2) {
+  if (column.IsConstant()) {
     return Status::FailedPrecondition("candidate feature is constant");
   }
   SpaceFeature feature;

@@ -1,7 +1,11 @@
 #include "afe/search.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "core/check.h"
 #include "core/string_util.h"
+#include "runtime/thread_pool.h"
 
 namespace eafe::afe {
 
@@ -54,20 +58,31 @@ Status FinalizeSearchResult(const SearchOptions& options,
   if (!options.honest_final_score) return Status::OK();
   // Two repeats of held-out-seed CV with at least 5 folds: the final
   // comparison should carry less fold noise than the search itself.
-  double base_total = 0.0;
-  double best_total = 0.0;
-  for (uint64_t repeat = 0; repeat < 2; ++repeat) {
-    ml::EvaluatorOptions honest_options = options.evaluator;
-    honest_options.cv_folds = std::max<size_t>(honest_options.cv_folds, 5);
-    honest_options.seed += 7919 + repeat * 104729;
-    const ml::TaskEvaluator honest(honest_options);
-    EAFE_ASSIGN_OR_RETURN(double base, honest.Score(base_dataset));
-    EAFE_ASSIGN_OR_RETURN(double best, honest.Score(result->best_dataset));
-    base_total += base;
-    best_total += best;
+  // The four scores (repeat r, base then best, at index 2r and 2r + 1)
+  // are independent, so they run as one parallel region, each CV inline
+  // on its own thread; the error and the sums are then taken in the
+  // serial loop's order.
+  constexpr size_t kRepeats = 2;
+  const data::Dataset* datasets[] = {&base_dataset, &result->best_dataset};
+  std::vector<Result<double>> scores(2 * kRepeats, 0.0);
+  runtime::ParallelFor(
+      runtime::GlobalPool(), scores.size(), [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          ml::EvaluatorOptions honest_options = options.evaluator;
+          honest_options.cv_folds =
+              std::max<size_t>(honest_options.cv_folds, 5);
+          honest_options.seed += 7919 + (i / 2) * 104729;
+          scores[i] = ml::TaskEvaluator(honest_options)
+                          .Score(*datasets[i % 2]);
+        }
+      });
+  double totals[2] = {0.0, 0.0};
+  for (size_t i = 0; i < scores.size(); ++i) {
+    EAFE_RETURN_NOT_OK(scores[i].status());
+    totals[i % 2] += *scores[i];
   }
-  result->base_score = base_total / 2.0;
-  result->best_score = best_total / 2.0;
+  result->base_score = totals[0] / 2.0;
+  result->best_score = totals[1] / 2.0;
   return Status::OK();
 }
 

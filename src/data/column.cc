@@ -57,4 +57,11 @@ size_t Column::CountDistinct() const {
   return seen.size();
 }
 
+bool Column::IsConstant() const {
+  for (size_t i = 1; i < values_.size(); ++i) {
+    if (!(values_[i] == values_[0])) return false;
+  }
+  return true;
+}
+
 }  // namespace eafe::data

@@ -50,6 +50,12 @@ class Column {
   /// Number of distinct values (exact comparison).
   size_t CountDistinct() const;
 
+  /// True when no value differs from the first under `==` (an empty or
+  /// one-row column is constant). The same verdict as CountDistinct() < 2,
+  /// the test oracle, ±0.0 and NaN included, but it stops at the first
+  /// differing value instead of hashing the whole column.
+  bool IsConstant() const;
+
   bool operator==(const Column& other) const {
     return name_ == other.name_ && values_ == other.values_;
   }

@@ -1,7 +1,9 @@
 #include "hashing/sample_compressor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <mutex>
 
 #include "core/check.h"
 #include "hashing/minhash.h"
@@ -78,17 +80,62 @@ Result<std::vector<double>> SampleCompressor::Compress(
     // Unbiased companion sketch: min-wise hashing over row indices picks
     // each row uniformly, so these slots sample the value distribution
     // without the weight-proportional bias of consistent sampling.
-    std::vector<double> uniform(options_.extra_uniform_slots);
-    for (size_t j = 0; j < uniform.size(); ++j) {
-      uniform[j] = weights[simd::PlainHashArgmin(
-          nullptr, weights.size(), options_.seed ^ 0xA5A5A5A5ULL, j)];
-    }
+    const std::vector<size_t> rows =
+        UniformSlotRows(weights.size(), options_.seed ^ 0xA5A5A5A5ULL,
+                        options_.extra_uniform_slots);
+    std::vector<double> uniform(rows.size());
+    for (size_t j = 0; j < rows.size(); ++j) uniform[j] = weights[rows[j]];
     if (options_.sort_signature) {
       std::sort(uniform.begin(), uniform.end());
     }
     signature.insert(signature.end(), uniform.begin(), uniform.end());
   }
   return signature;
+}
+
+namespace {
+
+/// UniformSlotRows' memo. A search compresses columns of one or two
+/// lengths (the dataset's rows, a pretraining corpus), so a handful of
+/// entries, replaced round-robin, holds every length in play.
+struct UniformRowsMemo {
+  struct Entry {
+    size_t rows = 0;
+    uint64_t seed = 0;
+    std::vector<size_t> selected;  // Empty: unused entry.
+  };
+  std::mutex mutex;
+  std::array<Entry, 8> entries;
+  size_t next_victim = 0;
+};
+
+UniformRowsMemo& Memo() {
+  static auto* memo = new UniformRowsMemo();
+  return *memo;
+}
+
+}  // namespace
+
+std::vector<size_t> UniformSlotRows(size_t rows, uint64_t seed,
+                                    size_t num_slots) {
+  UniformRowsMemo& memo = Memo();
+  {
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    for (const UniformRowsMemo::Entry& entry : memo.entries) {
+      if (entry.rows == rows && entry.seed == seed &&
+          entry.selected.size() == num_slots) {
+        return entry.selected;
+      }
+    }
+  }
+  std::vector<size_t> selected(num_slots);
+  for (size_t j = 0; j < num_slots; ++j) {
+    selected[j] = simd::PlainHashArgmin(nullptr, rows, seed, j);
+  }
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  memo.entries[memo.next_victim] = {rows, seed, selected};
+  memo.next_victim = (memo.next_victim + 1) % memo.entries.size();
+  return selected;
 }
 
 Result<data::DataFrame> SampleCompressor::CompressFrame(

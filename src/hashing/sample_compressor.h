@@ -1,6 +1,8 @@
 #ifndef EAFE_HASHING_SAMPLE_COMPRESSOR_H_
 #define EAFE_HASHING_SAMPLE_COMPRESSOR_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/status.h"
@@ -73,6 +75,15 @@ class SampleCompressor {
  private:
   CompressorOptions options_;
 };
+
+/// The rows the uniform companion slots sample in a column of `rows`
+/// elements: slot j's row is simd::PlainHashArgmin(nullptr, rows, seed, j),
+/// plain min-wise hashing over row indices. That depends on (rows, seed,
+/// num_slots) and never on the column's values, so every column of a
+/// search shares it: the result is memoized in a small bounded
+/// process-wide table (safe to call from any thread).
+std::vector<size_t> UniformSlotRows(size_t rows, uint64_t seed,
+                                    size_t num_slots);
 
 }  // namespace eafe::hashing
 

@@ -32,10 +32,14 @@ namespace eafe::runtime {
 /// Execution model: at construction every stage worker is submitted to
 /// the pool as a long-running task that loops popping its input queue.
 /// Workers occupy their pool threads until the pipeline closes, so the
-/// sum of stage workers must not exceed the pool size and the producer
-/// must not schedule other pool work while the pipeline is open (work
-/// nested *inside* stage functions is fine: ParallelFor detects pool
-/// workers and runs inline). When no pool is available — null
+/// sum of stage workers must not exceed the pool size. The thread that
+/// constructs the pipeline is its producer and must also destroy it:
+/// while the workers hold the pool, the producer holds an
+/// InlineParallelScope, so a ParallelFor it issues between Submit()s
+/// runs inline instead of queueing behind the workers forever. Work
+/// nested *inside* stage functions runs inline too (ParallelFor detects
+/// pool workers). The producer must still not Submit() tasks to the pool
+/// directly while the pipeline is open. When no pool is available — null
 /// GlobalPool-style serial configs, a pool smaller than the stage plan,
 /// or construction from inside a pool worker — the pipeline degrades to
 /// inline execution: Submit() runs every stage on the calling thread
@@ -110,6 +114,7 @@ class Pipeline {
       states_.push_back(std::move(state));
     }
     if (async_) {
+      producer_scope_.emplace();
       for (size_t s = 0; s < stages_.size(); ++s) {
         for (size_t w = 0; w < stages_[s].workers; ++w) {
           workers_.push_back(
@@ -241,6 +246,9 @@ class Pipeline {
   std::vector<StageState> states_;
   std::vector<std::future<void>> workers_;
   bool async_ = false;
+  /// Held on the producer thread while the stage workers occupy the pool
+  /// (async mode only); released after the destructor joins them.
+  std::optional<InlineParallelScope> producer_scope_;
   std::atomic<bool> closed_{false};
   std::atomic<uint64_t> submitted_{0};
 

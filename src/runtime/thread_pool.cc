@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/check.h"
 #include "runtime/metrics.h"
 
 namespace eafe::runtime {
@@ -13,9 +14,10 @@ namespace {
 // Worker identity for the calling thread; -1 / null off-pool.
 thread_local int tls_worker_index = -1;
 thread_local Rng* tls_worker_rng = nullptr;
-// Open ParallelFor regions on the calling thread. Block 0 of a region
+// Open InlineParallelScopes on the calling thread. Block 0 of a region
 // runs on the caller, which may not be a pool worker; the depth makes
-// regions nested under it run inline too instead of re-fanning out.
+// regions nested under it (or under a pipeline producer) run inline too
+// instead of re-fanning out.
 thread_local size_t tls_region_depth = 0;
 
 size_t ResolveThreads(size_t requested) {
@@ -88,6 +90,17 @@ bool ThreadPool::OnWorkerThread() { return tls_worker_index >= 0; }
 
 Rng* ThreadPool::CurrentWorkerRng() { return tls_worker_rng; }
 
+InlineParallelScope::InlineParallelScope()
+    : owner_(std::this_thread::get_id()) {
+  ++tls_region_depth;
+}
+
+InlineParallelScope::~InlineParallelScope() {
+  EAFE_CHECK_MSG(owner_ == std::this_thread::get_id(),
+                 "InlineParallelScope destroyed off its owning thread");
+  --tls_region_depth;
+}
+
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t, size_t)>& fn) {
   ParallelFor(pool, n, 1, fn);
@@ -115,13 +128,14 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t min_block,
   // The caller owns block 0. Its exception must not unwind past the
   // remote blocks, which still reference fn.
   std::exception_ptr first;
-  ++tls_region_depth;
-  try {
-    fn(0, n / blocks);
-  } catch (...) {
-    first = std::current_exception();
+  {
+    const InlineParallelScope scope;
+    try {
+      fn(0, n / blocks);
+    } catch (...) {
+      first = std::current_exception();
+    }
   }
-  --tls_region_depth;
   for (std::future<void>& future : futures) {
     try {
       future.get();

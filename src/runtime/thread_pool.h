@@ -86,6 +86,25 @@ class ThreadPool {
   MetricGauge* busy_workers_;
 };
 
+/// Marks the constructing thread as inside a parallel region until the
+/// scope is destroyed: every ParallelFor it issues meanwhile runs inline.
+/// ParallelFor opens one around its caller-executed block 0, and a
+/// runtime::Pipeline opens one on its producer thread while its stage
+/// workers hold the pool — a region fanned out from there would queue
+/// behind those workers and never run. Must be destroyed on the thread
+/// that constructed it.
+class InlineParallelScope {
+ public:
+  InlineParallelScope();
+  ~InlineParallelScope();
+
+  InlineParallelScope(const InlineParallelScope&) = delete;
+  InlineParallelScope& operator=(const InlineParallelScope&) = delete;
+
+ private:
+  std::thread::id owner_;
+};
+
 /// Runs fn(begin, end) over a static contiguous partition of [0, n): block
 /// b of B covers [b*n/B, (b+1)*n/B) with B = min(pool workers, n). The
 /// partition depends only on (n, pool size), so writes indexed by the loop
@@ -94,8 +113,9 @@ class ThreadPool {
 ///
 /// Runs the whole range inline on the caller when `pool` is null, has one
 /// worker, n <= 1, or the call is nested inside another parallel region —
-/// on a pool worker or inside the caller-executed block 0 (nested
-/// parallelism runs serially rather than oversubscribing the fixed pool).
+/// on a pool worker, or on a thread holding an InlineParallelScope (inside
+/// the caller-executed block 0, or a pipeline producer). Nested
+/// parallelism runs serially rather than oversubscribing the fixed pool.
 /// The caller always executes block 0 itself. Blocks until every block
 /// finishes; rethrows the exception of the lowest-indexed failing block.
 void ParallelFor(ThreadPool* pool, size_t n,

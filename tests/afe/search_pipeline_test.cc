@@ -22,8 +22,10 @@
 #include "afe/random_search.h"
 #include "afe/search.h"
 #include "core/check.h"
+#include "data/dataframe.h"
 #include "data/registry.h"
 #include "data/synthetic.h"
+#include "ml/evaluator.h"
 #include "ml/feature_binner.h"
 #include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
@@ -215,6 +217,75 @@ TEST(SearchPipelineTest, SyncOracleIsThreadInvariant) {
   const SearchResult at1 = RunMethod("nfs", PipelineMode::kSync, 1);
   const SearchResult at4 = RunMethod("nfs", PipelineMode::kSync, 4);
   ExpectBitIdentical(at1, at4);
+}
+
+// The honest re-score runs its four CVs (two repeats of base and best)
+// as one parallel region; the scores must not depend on how many
+// threads share them.
+TEST(FinalizeSearchResultTest, BitIdenticalAtAnyThreads) {
+  const SearchOptions options = QuickSearch(PipelineMode::kSync);
+  const SearchResult searched = RunMethod("nfs", PipelineMode::kSync, 1);
+  ASSERT_GT(searched.best_dataset.num_features(),
+            SmallTarget().num_features());
+  std::vector<SearchResult> finalized;
+  for (size_t threads : {size_t{1}, size_t{4}, size_t{16}}) {
+    runtime::SetGlobalThreads(threads);
+    SearchResult result = searched;
+    ASSERT_TRUE(FinalizeSearchResult(options, SmallTarget(), &result).ok());
+    finalized.push_back(std::move(result));
+  }
+  runtime::SetGlobalThreads(1);
+  for (const SearchResult& result : finalized) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.base_score),
+              std::bit_cast<uint64_t>(finalized[0].base_score));
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.best_score),
+              std::bit_cast<uint64_t>(finalized[0].best_score));
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.search_score),
+              std::bit_cast<uint64_t>(searched.best_score));
+    // `searched` was finalized inside Run at one thread, so re-scoring
+    // its best table reproduces its honest best score.
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.best_score),
+              std::bit_cast<uint64_t>(searched.best_score));
+  }
+  // The serial formula: each score is the mean of two held-out repeats.
+  double base_total = 0.0;
+  for (uint64_t repeat = 0; repeat < 2; ++repeat) {
+    ml::EvaluatorOptions honest = options.evaluator;
+    honest.cv_folds = 5;
+    honest.seed += 7919 + repeat * 104729;
+    base_total += ml::TaskEvaluator(honest).Score(SmallTarget()).ValueOrDie();
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(finalized[0].base_score),
+            std::bit_cast<uint64_t>(base_total / 2.0));
+}
+
+// Every CV runs even when one fails, but the error returned is the one
+// the serial loop met first: base before best, repeat 0 before 1.
+TEST(FinalizeSearchResultTest, ReturnsFirstErrorInSerialOrder) {
+  const SearchOptions options = QuickSearch(PipelineMode::kSync);
+  const data::Dataset base = SmallTarget();
+  data::Dataset no_features = base;
+  no_features.features = data::DataFrame();
+  data::Dataset short_labels = base;
+  short_labels.labels.pop_back();
+  const Status no_features_error = no_features.Validate();
+  const Status short_labels_error = short_labels.Validate();
+  ASSERT_FALSE(no_features_error.ok());
+  ASSERT_FALSE(short_labels_error.ok());
+  ASSERT_NE(no_features_error.ToString(), short_labels_error.ToString());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    runtime::SetGlobalThreads(threads);
+    SearchResult bad_best;
+    bad_best.best_dataset = no_features;
+    EXPECT_EQ(FinalizeSearchResult(options, base, &bad_best).ToString(),
+              no_features_error.ToString());
+    SearchResult both_bad;
+    both_bad.best_dataset = no_features;
+    EXPECT_EQ(
+        FinalizeSearchResult(options, short_labels, &both_bad).ToString(),
+        short_labels_error.ToString());
+  }
+  runtime::SetGlobalThreads(1);
 }
 
 // Work bound: the pipeline bins each epoch's frame once and every

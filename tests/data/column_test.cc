@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace eafe::data {
 namespace {
@@ -52,6 +53,44 @@ TEST(ColumnTest, CountDistinct) {
   EXPECT_EQ(col.CountDistinct(), 3u);
   Column constant("c", {5.0, 5.0, 5.0});
   EXPECT_EQ(constant.CountDistinct(), 1u);
+}
+
+// IsConstant is the early-exit form of CountDistinct() < 2, which stays
+// as its oracle: the two must agree on every column, including the
+// values where `==` and hashing are subtle.
+TEST(ColumnTest, IsConstantMatchesCountDistinctOracle) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  std::vector<double> last_differs(1000, 3.0);
+  last_differs.back() = std::nextafter(3.0, 4.0);
+  const std::vector<std::vector<double>> cases = {
+      {},
+      {7.0},
+      {nan},
+      {0.0, -0.0, 0.0},
+      {-0.0, 0.0},
+      {nan, nan},
+      {1.0, nan},
+      {nan, 1.0, 1.0},
+      {sub, sub, sub},
+      {sub, 0.0},
+      {sub, 2.0 * sub},
+      {inf, inf},
+      {inf, -inf},
+      {5.0, 5.0, 5.0},
+      std::vector<double>(1000, 3.0),
+      last_differs,
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Column column("c", cases[i]);
+    EXPECT_EQ(column.IsConstant(), column.CountDistinct() < 2)
+        << "case " << i;
+  }
+  EXPECT_TRUE(Column("c", {0.0, -0.0}).IsConstant());
+  EXPECT_FALSE(Column("c", {nan, nan}).IsConstant());
+  EXPECT_TRUE(Column("c", {nan}).IsConstant());
+  EXPECT_FALSE(Column("c", last_differs).IsConstant());
 }
 
 TEST(ColumnTest, Equality) {

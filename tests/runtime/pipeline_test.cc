@@ -190,6 +190,62 @@ TEST(RuntimePipelineTest, EmptyPipelineClosesClean) {
   EXPECT_FALSE(pipeline.NextOrdered().has_value());
 }
 
+TEST(RuntimePipelineTest, ProducerParallelForRunsInline) {
+  // The stage workers hold all four pool threads. A ParallelFor from the
+  // producer between Submit()s must run inline; fanned out, its blocks
+  // would queue behind the workers, which wait for Close(), and hang.
+  ThreadPool pool(4);
+  std::vector<Pipeline<Item>::StageSpec> stages;
+  stages.push_back(Stage("double", 1, [](Item& x) { x.doubled = x.id * 2; }));
+  stages.push_back(
+      Stage("inc", 3, [](Item& x) { x.plus_one = x.doubled + 1; }));
+  Pipeline<Item>::Options options;
+  options.pool = &pool;
+  Pipeline<Item> pipeline(std::move(stages), options);
+  ASSERT_TRUE(pipeline.async());
+  constexpr int kItems = 20;
+  std::vector<long long> sums;
+  for (int i = 0; i < kItems; ++i) {
+    pipeline.Submit(Item{i, 0, 0});
+    long long sum = 0;
+    ParallelFor(&pool, 64, [&](size_t begin, size_t end) {
+      EXPECT_FALSE(ThreadPool::OnWorkerThread());
+      EXPECT_EQ(begin, 0u);  // One inline block, not four.
+      for (size_t k = begin; k < end; ++k) sum += static_cast<long long>(k);
+    });
+    sums.push_back(sum);
+  }
+  pipeline.Close();
+  const std::vector<Item> out = Drain(pipeline);
+  ASSERT_EQ(out.size(), static_cast<size_t>(kItems));
+  for (int i = 0; i < kItems; ++i) {
+    EXPECT_EQ(out[static_cast<size_t>(i)].id, i);
+    EXPECT_EQ(out[static_cast<size_t>(i)].plus_one, i * 2 + 1);
+    EXPECT_EQ(sums[static_cast<size_t>(i)], 64 * 63 / 2);
+  }
+}
+
+TEST(RuntimePipelineTest, ProducerFansOutAgainOncePipelineIsGone) {
+  // The producer's inline rule lasts only as long as the pipeline.
+  ThreadPool pool(4);
+  {
+    std::vector<Pipeline<Item>::StageSpec> stages;
+    stages.push_back(Stage("noop", 4, [](Item&) {}));
+    Pipeline<Item>::Options options;
+    options.pool = &pool;
+    Pipeline<Item> pipeline(std::move(stages), options);
+    ASSERT_TRUE(pipeline.async());
+    pipeline.Submit(Item{});
+    pipeline.Close();
+    Drain(pipeline);
+  }
+  std::atomic<int> on_workers{0};
+  ParallelFor(&pool, 4, [&](size_t, size_t) {
+    if (ThreadPool::OnWorkerThread()) on_workers.fetch_add(1);
+  });
+  EXPECT_EQ(on_workers.load(), 3);
+}
+
 TEST(RuntimePipelineTest, DestructorJoinsWithoutDrain) {
   // Dropping a pipeline without draining must not hang or leak workers.
   ThreadPool pool(2);
