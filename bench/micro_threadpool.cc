@@ -1,25 +1,33 @@
 // Micro-benchmark for the concurrent evaluation runtime: candidate
-// evaluations per second through EvalService at 1/2/4/8 worker threads,
-// plus the score-cache hit rate on a repeated workload. Emits one JSON
-// line per configuration so the numbers are machine-readable:
+// evaluations per second through EvalService::ScoreDataset at 1/2/4/8
+// worker threads, plus the score-cache hit rate on a repeated workload.
+// Each candidate is scored the way the search pipeline's eval step does
+// it (BuildCandidateDataset, then ScoreDataset on one shared service),
+// fanned out by ParallelFor over an explicit pool. Emits one JSON line
+// per configuration so the numbers are machine-readable:
 //
 //   {"threads": 4, "phase": "cold", "candidates": 48, "seconds": ...,
 //    "evals_per_sec": ..., "cache_hit_rate": 0.0, "speedup_vs_serial": ...}
 //
-// The "cold" phase evaluates a batch of unique candidates (pure fan-out,
+// The "cold" phase scores a batch of unique candidates (pure fan-out,
 // every score is a real model fit); the "warm" phase replays the same
 // batch (pure cache, no fits). Speedups are relative to the threads=1
 // cold pass. On a single-core machine the fan-out speedup is ~1x by
 // construction — the cache win in the warm phase is hardware-independent.
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "afe/eval_service.h"
+#include "afe/feature_space.h"
+#include "afe/search.h"
 #include "bench/bench_util.h"
+#include "core/rng.h"
+#include "core/status.h"
 #include "core/stopwatch.h"
 #include "runtime/thread_pool.h"
 
@@ -48,18 +56,31 @@ struct PhaseResult {
   double hit_rate = 0.0;
 };
 
-PhaseResult TimeBatch(afe::EvalService* service, const afe::FeatureSpace& space,
+PhaseResult TimeBatch(runtime::ThreadPool* pool, afe::EvalService* service,
+                      const afe::FeatureSpace& space,
                       const std::vector<afe::SpaceFeature>& candidates) {
   const size_t requests_before = service->requests();
   const size_t hits_before = service->cache_hits();
+  std::vector<Status> statuses(candidates.size());
   Stopwatch timer;
-  auto outcomes = service->EvaluateBatch(space, candidates, 0.0);
+  runtime::ParallelFor(pool, candidates.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      auto dataset = afe::BuildCandidateDataset(space, candidates[i]);
+      if (!dataset.ok()) {
+        statuses[i] = dataset.status();
+        continue;
+      }
+      auto score = service->ScoreDataset(*dataset);
+      if (!score.ok()) statuses[i] = score.status();
+    }
+  });
   PhaseResult result;
   result.seconds = timer.ElapsedSeconds();
-  if (!outcomes.ok()) {
-    std::fprintf(stderr, "batch failed: %s\n",
-                 outcomes.status().ToString().c_str());
-    std::exit(1);
+  for (const Status& status : statuses) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "batch failed: %s\n", status.ToString().c_str());
+      std::exit(1);
+    }
   }
   const size_t requests = service->requests() - requests_before;
   const size_t hits = service->cache_hits() - hits_before;
@@ -105,15 +126,16 @@ void Run(const BenchConfig& config) {
 
     ml::TaskEvaluator evaluator(evaluator_options);
     afe::EvalService::Options options;
-    options.pool = pool.get();
     options.cache.capacity = 4 * batch_size;
     afe::EvalService service(&evaluator, options);
 
-    const PhaseResult cold = TimeBatch(&service, space, candidates);
+    const PhaseResult cold =
+        TimeBatch(pool.get(), &service, space, candidates);
     if (threads == 1) serial_cold_seconds = cold.seconds;
     PrintLine(threads, "cold", batch_size, cold, serial_cold_seconds);
 
-    const PhaseResult warm = TimeBatch(&service, space, candidates);
+    const PhaseResult warm =
+        TimeBatch(pool.get(), &service, space, candidates);
     PrintLine(threads, "warm", batch_size, warm, serial_cold_seconds);
   }
 }

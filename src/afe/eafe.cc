@@ -218,7 +218,7 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
           task.accept_group = entry.group;
           task.pre_vetted = true;  // Stage 1 already screened it.
           // Already in the frame: keep the recorded action but let the
-          // filter/eval stages pass the task through untouched.
+          // filter and eval steps pass the task through untouched.
           task.skipped = space.Contains(entry.group, entry.column.name());
           StepAttempt attempt;
           attempt.action_index = static_cast<size_t>(entry.op);

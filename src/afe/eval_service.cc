@@ -1,11 +1,10 @@
 #include "afe/eval_service.h"
 
 #include <bit>
+#include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
-#include "core/stopwatch.h"
 #include "hashing/minhash.h"
 
 namespace eafe::afe {
@@ -73,7 +72,6 @@ uint64_t EvaluationSignature(const data::Dataset& dataset,
 EvalService::EvalService(const ml::TaskEvaluator* evaluator,
                          const Options& options)
     : evaluator_(evaluator),
-      pool_(options.pool),
       cache_(options.cache),
       metric_requests_(runtime::GlobalMetrics()->Counter(
           "eafe_eval_requests_total",
@@ -83,100 +81,7 @@ EvalService::EvalService(const ml::TaskEvaluator* evaluator,
           "Evaluation requests served without a model fit")),
       metric_evaluations_(runtime::GlobalMetrics()->Counter(
           "eafe_eval_evaluations_total",
-          "Model fits actually executed (unique cache misses)")),
-      metric_batch_seconds_(runtime::GlobalMetrics()->Histogram(
-          "eafe_eval_batch_seconds", "EvaluateBatch wall time", {})) {}
-
-runtime::ThreadPool* EvalService::pool() const {
-  return pool_ != nullptr ? pool_ : runtime::GlobalPool();
-}
-
-Result<std::vector<EvalService::Outcome>> EvalService::EvaluateBatch(
-    const FeatureSpace& space, const std::vector<SpaceFeature>& candidates,
-    double current_score) {
-  std::vector<Outcome> outcomes(candidates.size());
-  const Stopwatch batch_timer;
-
-  // Serial prologue: build each candidate's table, compute its signature,
-  // answer what the cache can, and dedup the rest. Request order defines
-  // job order, so the whole batch is deterministic.
-  struct Job {
-    data::Dataset dataset;
-    uint64_t signature = 0;
-  };
-  std::vector<Job> jobs;
-  std::unordered_map<uint64_t, size_t> signature_to_job;
-  // outcome index -> job index, for misses and in-batch duplicates.
-  std::vector<std::pair<size_t, size_t>> pending;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    metric_requests_->Increment();
-    EAFE_ASSIGN_OR_RETURN(data::Dataset dataset,
-                          BuildCandidateDataset(space, candidates[i]));
-    const uint64_t signature =
-        EvaluationSignature(dataset, evaluator_->options());
-    outcomes[i].signature = signature;
-    if (std::optional<double> cached = cache_.Lookup(signature)) {
-      outcomes[i].score = *cached;
-      outcomes[i].cache_hit = true;
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      metric_cache_hits_->Increment();
-      evaluator_->RecordCachedScore();
-      continue;
-    }
-    auto [it, inserted] =
-        signature_to_job.emplace(signature, jobs.size());
-    if (inserted) {
-      jobs.push_back(Job{std::move(dataset), signature});
-    } else {
-      // In-batch duplicate: one model fit, counted as a served request.
-      outcomes[i].cache_hit = true;
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      metric_cache_hits_->Increment();
-      evaluator_->RecordCachedScore();
-    }
-    pending.emplace_back(i, it->second);
-  }
-
-  // Fan the unique uncached evaluations out across the pool. Each job is
-  // independent and writes only its own slot; nested parallelism inside
-  // Score (folds, trees) runs inline on the worker.
-  std::vector<double> scores(jobs.size(), 0.0);
-  std::vector<Status> statuses(jobs.size());
-  runtime::ParallelFor(
-      pool(), jobs.size(), [&](size_t begin, size_t end) {
-        for (size_t j = begin; j < end; ++j) {
-          Result<double> score = evaluator_->Score(jobs[j].dataset);
-          if (score.ok()) {
-            scores[j] = score.ValueOrDie();
-          } else {
-            statuses[j] = score.status();
-          }
-        }
-      });
-  metric_evaluations_->Increment(jobs.size());
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    EAFE_RETURN_NOT_OK(statuses[j]);
-    cache_.Insert(jobs[j].signature, scores[j]);
-  }
-
-  for (const auto& [outcome_index, job_index] : pending) {
-    outcomes[outcome_index].score = scores[job_index];
-  }
-  for (Outcome& outcome : outcomes) {
-    outcome.gain = outcome.score - current_score;
-  }
-  metric_batch_seconds_->Observe(batch_timer.ElapsedSeconds());
-  return outcomes;
-}
-
-Result<double> EvalService::EvaluateGain(const FeatureSpace& space,
-                                         const SpaceFeature& candidate,
-                                         double current_score) {
-  EAFE_ASSIGN_OR_RETURN(std::vector<Outcome> outcomes,
-                        EvaluateBatch(space, {candidate}, current_score));
-  return outcomes.front().gain;
-}
+          "Model fits actually executed (unique cache misses)")) {}
 
 Result<double> EvalService::ScoreDataset(const data::Dataset& dataset,
                                          const ml::FeatureBinner* frame_bins) {

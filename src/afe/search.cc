@@ -34,9 +34,12 @@ Result<data::Dataset> BuildCandidateDataset(const FeatureSpace& space,
                                             const SpaceFeature& candidate) {
   data::Dataset dataset = space.ToDataset();
   data::Column column = candidate.column;
-  if (!dataset.features.AddColumn(column).ok()) {
+  const Status added = dataset.features.AddColumn(column);
+  if (added.code() == StatusCode::kAlreadyExists) {
     column.set_name(column.name() + "#cand");
     EAFE_RETURN_NOT_OK(dataset.features.AddColumn(std::move(column)));
+  } else {
+    EAFE_RETURN_NOT_OK(added);
   }
   return dataset;
 }

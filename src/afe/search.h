@@ -18,9 +18,9 @@ namespace eafe::afe {
 /// results are bit-identical at any --threads; sync is the oracle the
 /// equivalence tests compare against.
 enum class PipelineMode {
-  kSync,   ///< Stages run inline on the calling thread.
-  kAsync,  ///< Stages overlap on the global pool (falls back to inline
-           ///< when the pool is absent or too small).
+  kSync,   ///< Tasks run inline on the calling thread.
+  kAsync,  ///< Every global-pool thread runs tasks (falls back to inline
+           ///< when the pool is absent).
 };
 
 /// Common knobs for every AFE search method, so comparisons run under the
@@ -64,8 +64,8 @@ struct SearchOptions {
   bool honest_final_score = true;
   /// Execution mode of the per-epoch candidate pipeline.
   PipelineMode pipeline = PipelineMode::kAsync;
-  /// Bound of each pipeline stage's input queue; producers block when
-  /// the queue is full (backpressure).
+  /// Bound of the pipeline's intake queue; the producer blocks when the
+  /// queue is full (backpressure).
   size_t pipeline_queue_capacity = 8;
 };
 
@@ -134,9 +134,10 @@ std::vector<double> BuildAgentState(int last_action, double last_reward,
 constexpr size_t kAgentStateDim = kNumOperators + 3;
 
 /// The dataset a candidate is scored on: the current state plus the
-/// candidate column (renamed with a "#cand" suffix on a name collision).
-/// Shared by the serial gain helper below and the batched EvalService so
-/// both paths score byte-identical tables.
+/// candidate column (renamed with a "#cand" suffix on a name collision;
+/// any other AddColumn error, such as a row-count mismatch, is returned
+/// as is). Shared by the serial gain helper below and the search
+/// pipeline's eval step so both paths score byte-identical tables.
 Result<data::Dataset> BuildCandidateDataset(const FeatureSpace& space,
                                             const SpaceFeature& candidate);
 

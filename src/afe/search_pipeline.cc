@@ -9,10 +9,10 @@
 namespace eafe::afe {
 namespace {
 
-/// Filter stage: pick the first attempt that passes the configured
+/// Filter step: pick the first attempt that passes the configured
 /// pre-evaluation filter. Pure in (config, task) — kRandomDrop verdicts
-/// were pre-drawn in the generation stage and FpeModel::PredictProbability
-/// is const — so concurrent execution cannot change which attempt wins.
+/// were pre-drawn at generation and FpeModel::PredictProbability is
+/// const — so concurrent execution cannot change which attempt wins.
 void FilterStage(const StepPipelineConfig& config, StepTask& task) {
   if (!task.status.ok() || task.skipped) return;
   if (task.pre_vetted) {
@@ -47,7 +47,7 @@ void FilterStage(const StepPipelineConfig& config, StepTask& task) {
   }
 }
 
-/// Eval stage: absolute downstream score of frame + chosen candidate.
+/// Eval step: absolute downstream score of frame + chosen candidate.
 /// Goes through EvalService::ScoreDataset so scores are cached and the
 /// evaluator's request accounting matches the serial path exactly.
 /// BuildCandidateDataset appends the candidate after the frame's columns,
@@ -82,32 +82,20 @@ SearchStepPipeline::SearchStepPipeline(const StepPipelineConfig& config,
   auto frame_bins = eval_service->evaluator().BinFrame(frame->ToDataset());
   if (frame_bins.ok()) frame_bins_ = std::move(frame_bins).ValueOrDie();
 
-  runtime::ThreadPool* pool =
-      config.mode == PipelineMode::kAsync ? runtime::GlobalPool() : nullptr;
-
-  std::vector<runtime::Pipeline<StepTask>::StageSpec> stages(2);
-  stages[0].name = "filter";
-  stages[0].workers = 1;
-  stages[0].queue_capacity = config.queue_capacity;
-  stages[0].fn = [config](StepTask& task) { FilterStage(config, task); };
-  stages[1].name = "eval";
-  // Evaluation dominates (Table I), so it gets every remaining pool
-  // thread. The stage workers together occupy the whole pool for the
-  // epoch; nested ParallelFor inside an evaluation detects the pool
-  // worker and runs inline.
-  stages[1].workers =
-      pool != nullptr && pool->num_threads() > 1 ? pool->num_threads() - 1 : 1;
-  stages[1].queue_capacity = config.queue_capacity;
-  stages[1].fn = [frame, bins = frame_bins_.get(),
-                  eval_service](StepTask& task) {
-    EvalStage(*frame, bins, *eval_service, task);
-  };
-
+  // One stage, named "eval" after its metric family: every pool thread
+  // filters, then evaluates, the task it popped. Nested ParallelFor
+  // inside an evaluation detects the pool worker and runs inline.
   runtime::Pipeline<StepTask>::Options pipeline_options;
-  pipeline_options.pool = pool;
-  pipeline_options.metric_prefix = "eafe_pipeline";
-  pipeline_ = std::make_unique<runtime::Pipeline<StepTask>>(std::move(stages),
-                                                            pipeline_options);
+  pipeline_options.pool =
+      config.mode == PipelineMode::kAsync ? runtime::GlobalPool() : nullptr;
+  pipeline_options.name = "eval";
+  pipeline_options.queue_capacity = config.queue_capacity;
+  pipeline_ = std::make_unique<runtime::Pipeline<StepTask>>(
+      [config, frame, bins = frame_bins_.get(), eval_service](StepTask& task) {
+        FilterStage(config, task);
+        EvalStage(*frame, bins, *eval_service, task);
+      },
+      pipeline_options);
 }
 
 SearchStepPipeline::~SearchStepPipeline() = default;

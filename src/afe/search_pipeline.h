@@ -19,17 +19,18 @@ namespace eafe::afe {
 /// (DESIGN.md §12). Each epoch the driver freezes the feature space (the
 /// "frame"), generates one StepTask per (group, step) on the calling
 /// thread — all result-affecting randomness is pre-drawn there — and
-/// submits it. The filter stage (MinHash/FPE probability or a pre-drawn
-/// random-drop verdict) picks the first passing attempt; the eval stage
-/// scores frame+candidate on the downstream task. Finish() returns the
-/// tasks in submission order, and the driver merges them — rewards,
-/// greedy accepts, agent updates — at the epoch barrier. Both stages
-/// are pure functions of (frame, task), which is what makes
-/// --pipeline=async bit-identical to sync at any --threads.
+/// submits it. Whichever worker pops a task runs both of its steps: the
+/// filter (MinHash/FPE probability or a pre-drawn random-drop verdict)
+/// picks the first passing attempt, then the evaluation scores
+/// frame+candidate on the downstream task. Finish() returns the tasks in
+/// submission order, and the search merges them — rewards, greedy
+/// accepts, agent updates — at the epoch barrier. Both steps are pure
+/// functions of (frame, task), which is what makes --pipeline=async
+/// bit-identical to sync at any --threads.
 
 /// One generation attempt within a step. Drivers that retry generation
 /// (E-AFE with max_generation_attempts > 1) pre-draw every attempt; the
-/// filter stage scans them in order and keeps the first that passes.
+/// filter step scans them in order and keeps the first that passes.
 struct StepAttempt {
   /// Operator index the agent sampled (recorded for REINFORCE).
   size_t action_index = 0;
@@ -39,8 +40,7 @@ struct StepAttempt {
   bool generated = false;
   SpaceFeature candidate;
   /// Pre-drawn pass verdict for the E-AFE_D random-drop filter (drawn
-  /// in the generation stage so the RNG stream is independent of
-  /// scheduling).
+  /// at generation so the RNG stream is independent of scheduling).
   bool forced_verdict = false;
 };
 
@@ -60,12 +60,12 @@ struct StepTask {
   /// present in the frame).
   bool skipped = false;
 
-  // Filter-stage outputs.
+  // Filter-step outputs.
   /// Index of the first attempt that passed the filter; -1 when none
   /// did (or nothing was generated).
   int chosen = -1;
 
-  // Eval-stage outputs.
+  // Eval-step outputs.
   bool evaluated = false;
   /// Absolute downstream score of frame + chosen candidate. The driver
   /// turns it into a gain against the running best at merge time.
@@ -74,13 +74,12 @@ struct StepTask {
   /// SearchResult::evaluation_seconds — cumulative compute, not wall
   /// clock).
   double eval_seconds = 0.0;
-  /// First error hit by a stage; later stages pass failed tasks
-  /// through untouched and the driver surfaces the first failure in
-  /// sequence order.
+  /// First error hit by a step; the eval step skips a task the filter
+  /// failed, and Finish() returns the first failure in sequence order.
   Status status;
 };
 
-/// Which pre-evaluation filter the filter stage applies.
+/// Which pre-evaluation filter the filter step applies.
 enum class StepFilter {
   kNone,        ///< Every generated candidate goes to evaluation.
   kFpe,         ///< FPE probability >= threshold (E-AFE / E-AFE_R).
@@ -89,7 +88,7 @@ enum class StepFilter {
 
 struct StepPipelineConfig {
   PipelineMode mode = PipelineMode::kAsync;
-  /// Bound of each stage's input queue (backpressure depth).
+  /// Bound of the pipeline's intake queue (backpressure depth).
   size_t queue_capacity = 8;
   StepFilter filter = StepFilter::kNone;
   /// Required (trained) when filter == kFpe; not owned.
@@ -100,11 +99,11 @@ struct StepPipelineConfig {
 /// One epoch's worth of pipeline: construct against the frozen frame,
 /// Submit() every StepTask in (group, step) order, then Finish() to
 /// close, drain, and get the tasks back in submission order. In async
-/// mode the stages run on the global pool (one filter worker, the rest
-/// evaluators) with bounded-queue backpressure; otherwise Submit runs
-/// both stages inline. The frame and eval service must outlive the
-/// pipeline, and the driver must not mutate the frame or schedule other
-/// pool work until Finish() returns.
+/// mode every global-pool thread is a worker that filters, then
+/// evaluates, the tasks it pops, with bounded-queue backpressure;
+/// otherwise Submit runs both steps inline. The frame and eval service
+/// must outlive the pipeline, and the caller must not mutate the frame or
+/// schedule other pool work until Finish() returns.
 ///
 /// Construction bins the frame once (TaskEvaluator::BinFrame, so the
 /// downstream model's own binner options apply), and every evaluation of
@@ -118,14 +117,14 @@ class SearchStepPipeline {
   SearchStepPipeline(const SearchStepPipeline&) = delete;
   SearchStepPipeline& operator=(const SearchStepPipeline&) = delete;
 
-  /// True when stages overlap on the pool (reporting only; results are
-  /// identical either way).
+  /// True when tasks run on the pool workers (reporting only; results
+  /// are identical either way).
   bool async() const;
 
-  /// Blocks when the filter stage's queue is full.
+  /// Blocks when the intake queue is full.
   void Submit(StepTask task);
 
-  /// Closes the intake, drains the stages, and returns every submitted
+  /// Closes the intake, drains the workers, and returns every submitted
   /// task in submission order. Call exactly once.
   Result<std::vector<StepTask>> Finish();
 

@@ -40,7 +40,7 @@ class BoundedQueue {
   struct Options {
     /// Maximum number of buffered items; producers block at capacity.
     size_t capacity = 8;
-    /// Prometheus identifier prefix (e.g. "eafe_pipeline_filter"); ""
+    /// Prometheus identifier prefix (e.g. "eafe_pipeline_eval"); ""
     /// disables instrumentation.
     std::string metric_prefix;
     MetricGateway* metrics = nullptr;  ///< null -> GlobalMetrics().

@@ -38,7 +38,6 @@ inline constexpr char kSimdDispatchPrefix[] = "eafe_simd_dispatch_";
 inline constexpr char kEvalRequestsTotal[] = "eafe_eval_requests_total";
 inline constexpr char kEvalCacheHitsTotal[] = "eafe_eval_cache_hits_total";
 inline constexpr char kEvalEvaluationsTotal[] = "eafe_eval_evaluations_total";
-inline constexpr char kEvalBatchSeconds[] = "eafe_eval_batch_seconds";
 
 // -- serve/server/server.cc: TCP model server.
 inline constexpr char kServerConnectionsAcceptedTotal[] =

@@ -21,106 +21,76 @@
 
 namespace eafe::runtime {
 
-/// Multi-stage producer-consumer pipeline over BoundedQueue, built on
+/// One-stage producer-consumer pipeline over a BoundedQueue, built on
 /// ThreadPool workers (never raw threads — the lint wall polices that).
-/// The producer Submit()s items, each stage transforms them in place,
-/// and NextOrdered() hands completed items back in submission order via
-/// a sequence-number reorder buffer — so a pipeline whose stage
-/// functions are pure produces results bit-identical to running the
-/// stages inline, at any worker count. See DESIGN.md §12.
+/// The producer Submit()s items into one bounded intake queue, every pool
+/// thread runs the stage function on the items it pops, and
+/// NextOrdered() hands completed items back in submission order via a
+/// sequence-number reorder buffer — so a pipeline whose stage function is
+/// pure produces results bit-identical to running it inline, at any
+/// worker count. See DESIGN.md §12.
 ///
-/// Execution model: at construction every stage worker is submitted to
-/// the pool as a long-running task that loops popping its input queue.
-/// Workers occupy their pool threads until the pipeline closes, so the
-/// sum of stage workers must not exceed the pool size. The thread that
-/// constructs the pipeline is its producer and must also destroy it:
-/// while the workers hold the pool, the producer holds an
-/// InlineParallelScope, so a ParallelFor it issues between Submit()s
-/// runs inline instead of queueing behind the workers forever. Work
-/// nested *inside* stage functions runs inline too (ParallelFor detects
-/// pool workers). The producer must still not Submit() tasks to the pool
-/// directly while the pipeline is open. When no pool is available — null
-/// GlobalPool-style serial configs, a pool smaller than the stage plan,
-/// or construction from inside a pool worker — the pipeline degrades to
-/// inline execution: Submit() runs every stage on the calling thread
-/// and NextOrdered() just replays submission order. async() reports
-/// which mode was chosen.
+/// Execution model: at construction one worker per pool thread is
+/// submitted to the pool as a long-running task that loops popping the
+/// intake queue. Workers occupy the whole pool until the pipeline closes.
+/// The thread that constructs the pipeline is its producer and must also
+/// destroy it: while the workers hold the pool, the producer holds an
+/// InlineParallelScope, so a ParallelFor it issues between Submit()s runs
+/// inline instead of queueing behind the workers forever. Work nested
+/// *inside* the stage function runs inline too (ParallelFor detects pool
+/// workers). The producer must still not Submit() tasks to the pool
+/// directly while the pipeline is open. With a null pool, or when
+/// constructed from inside a pool worker, the pipeline runs inline:
+/// Submit() runs the stage on the calling thread and NextOrdered() just
+/// replays submission order. async() reports which mode was chosen.
 ///
 /// Lifecycle: Submit()* -> Close() -> NextOrdered() until nullopt.
-/// Submit blocks when stage 0's queue is full (backpressure). Close()
-/// closes stage 0's input; the last worker of each stage closes the
-/// next stage's queue, so the close cascades and NextOrdered() returns
-/// nullopt exactly after every submitted item has been delivered.
+/// Submit blocks while the intake queue is full (backpressure).
 /// NextOrdered() may also be interleaved with Submit(); it blocks until
-/// the next sequence number completes. Stage functions must not throw —
-/// propagate failures in the item itself (e.g. a Status member).
+/// the next sequence number completes. The stage function must not
+/// throw — propagate failures in the item itself (e.g. a Status member).
 ///
-/// Instrumentation per stage (through the BoundedQueue gauges plus):
-///   <prefix>_<stage>_busy_workers gauge — workers inside fn right now
-///   <prefix>_<stage>_items_total  counter — items processed
+/// Instrumentation (through the BoundedQueue gauges plus):
+///   <prefix>_<name>_busy_workers gauge — workers inside fn right now
+///   <prefix>_<name>_items_total  counter — items processed
 template <typename Item>
 class Pipeline {
  public:
-  struct StageSpec {
-    /// Prometheus-identifier fragment naming the stage ("filter",
-    /// "eval").
-    std::string name;
-    /// Worker count for this stage (>= 1) in async mode.
-    size_t workers = 1;
-    /// Input queue bound for this stage.
-    size_t queue_capacity = 8;
-    /// In-place transform; runs concurrently across items of one stage.
-    std::function<void(Item&)> fn;
-  };
-
   struct Options {
-    /// Pool to run stage workers on; null forces inline mode.
+    /// Pool whose every thread becomes a worker; null forces inline mode.
     ThreadPool* pool = nullptr;
+    /// Prometheus-identifier fragment naming the stage ("eval").
+    std::string name;
+    /// Intake queue bound.
+    size_t queue_capacity = 8;
     /// Metric name prefix; "" disables instrumentation.
     std::string metric_prefix = "eafe_pipeline";
     MetricGateway* metrics = nullptr;  ///< null -> GlobalMetrics().
   };
 
-  Pipeline(std::vector<StageSpec> stages, const Options& options)
-      : stages_(std::move(stages)) {
-    size_t required = 0;
-    for (const StageSpec& stage : stages_) required += stage.workers;
-    async_ = options.pool != nullptr && !stages_.empty() &&
-             options.pool->num_threads() >= required &&
-             !ThreadPool::OnWorkerThread();
-    MetricGateway* gateway =
-        options.metrics != nullptr ? options.metrics : GlobalMetrics();
-    for (const StageSpec& stage : stages_) {
-      const bool instrument = !options.metric_prefix.empty();
-      const std::string base = options.metric_prefix + "_" + stage.name;
-      StageState state;
-      state.busy = instrument
-                       ? gateway->Gauge(base + "_busy_workers",
-                                        "Stage workers currently processing "
-                                        "an item")
-                       : nullptr;
-      state.items = instrument
-                        ? gateway->Counter(base + "_items_total",
-                                           "Items processed by the stage")
-                        : nullptr;
-      if (async_) {
-        typename BoundedQueue<Slot>::Options queue_options;
-        queue_options.capacity = stage.queue_capacity;
-        queue_options.metric_prefix = instrument ? base : "";
-        queue_options.metrics = options.metrics;
-        state.queue = std::make_unique<BoundedQueue<Slot>>(queue_options);
-        state.live_workers.store(stage.workers, std::memory_order_relaxed);
-      }
-      states_.push_back(std::move(state));
+  /// `fn` transforms one item in place; it runs concurrently across items.
+  Pipeline(std::function<void(Item&)> fn, const Options& options)
+      : fn_(std::move(fn)),
+        async_(options.pool != nullptr && !ThreadPool::OnWorkerThread()) {
+    const bool instrument = !options.metric_prefix.empty();
+    const std::string base = options.metric_prefix + "_" + options.name;
+    if (instrument) {
+      MetricGateway* gateway =
+          options.metrics != nullptr ? options.metrics : GlobalMetrics();
+      busy_ = gateway->Gauge(base + "_busy_workers",
+                             "Stage workers currently processing an item");
+      items_ = gateway->Counter(base + "_items_total",
+                                "Items processed by the stage");
     }
-    if (async_) {
-      producer_scope_.emplace();
-      for (size_t s = 0; s < stages_.size(); ++s) {
-        for (size_t w = 0; w < stages_[s].workers; ++w) {
-          workers_.push_back(
-              options.pool->Submit([this, s] { StageWorker(s); }));
-        }
-      }
+    if (!async_) return;
+    typename BoundedQueue<Slot>::Options queue_options;
+    queue_options.capacity = options.queue_capacity;
+    queue_options.metric_prefix = instrument ? base : "";
+    queue_options.metrics = options.metrics;
+    queue_ = std::make_unique<BoundedQueue<Slot>>(queue_options);
+    producer_scope_.emplace();
+    for (size_t w = 0; w < options.pool->num_threads(); ++w) {
+      workers_.push_back(options.pool->Submit([this] { Work(); }));
     }
   }
 
@@ -132,18 +102,16 @@ class Pipeline {
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
-  /// True when stage workers run on the pool; false in inline mode.
+  /// True when the workers run on the pool; false in inline mode.
   bool async() const { return async_; }
 
-  /// Hands the item to stage 0, blocking while its queue is full
-  /// (backpressure). In inline mode runs every stage on the calling
-  /// thread instead. Must not be called after Close().
+  /// Hands the item to the intake queue, blocking while it is full
+  /// (backpressure). In inline mode runs the stage on the calling thread
+  /// instead. Must not be called after Close().
   void Submit(Item item) {
     const uint64_t seq = submitted_++;
     if (!async_) {
-      for (size_t s = 0; s < stages_.size(); ++s) {
-        RunStage(s, item);
-      }
+      Run(item);
       Emit(seq, std::move(item));
       return;
     }
@@ -151,20 +119,16 @@ class Pipeline {
     // Close — the item would be silently lost, so surface it by
     // accounting: a dropped push keeps `submitted_` ahead of emitted
     // items and NextOrdered() blocks, making the misuse loud in tests.
-    states_[0].queue->Push(Slot{seq, std::move(item)});
+    queue_->Push(Slot{seq, std::move(item)});
   }
 
-  /// Closes the intake. Idempotent. In async mode the close cascades
-  /// stage by stage as workers drain their queues.
+  /// Closes the intake. Idempotent. Workers finish the items already
+  /// queued, then exit.
   void Close() {
-    if (closed_.exchange(true)) return;
-    if (async_) {
-      states_[0].queue->Close();
-    } else {
-      std::lock_guard<std::mutex> lock(out_mu_);
-      done_ = true;
-      out_cv_.notify_all();
-    }
+    if (async_) queue_->Close();
+    std::lock_guard<std::mutex> lock(out_mu_);
+    done_ = true;
+    out_cv_.notify_all();
   }
 
   /// Returns completed items in submission order, blocking until the
@@ -190,49 +154,17 @@ class Pipeline {
     Item item;
   };
 
-  struct StageState {
-    std::unique_ptr<BoundedQueue<Slot>> queue;  // Async mode only.
-    std::atomic<size_t> live_workers{0};
-    MetricGauge* busy = nullptr;
-    MetricCounter* items = nullptr;
-
-    StageState() = default;
-    StageState(StageState&& other) noexcept
-        : queue(std::move(other.queue)),
-          live_workers(other.live_workers.load(std::memory_order_relaxed)),
-          busy(other.busy),
-          items(other.items) {}
-  };
-
-  void RunStage(size_t s, Item& item) {
-    StageState& state = states_[s];
-    if (state.busy != nullptr) state.busy->Add(1);
-    stages_[s].fn(item);
-    if (state.busy != nullptr) state.busy->Add(-1);
-    if (state.items != nullptr) state.items->Increment();
+  void Run(Item& item) {
+    if (busy_ != nullptr) busy_->Add(1);
+    fn_(item);
+    if (busy_ != nullptr) busy_->Add(-1);
+    if (items_ != nullptr) items_->Increment();
   }
 
-  void StageWorker(size_t s) {
-    while (true) {
-      std::optional<Slot> slot = states_[s].queue->Pop();
-      if (!slot.has_value()) break;  // Closed and drained.
-      RunStage(s, slot->item);
-      if (s + 1 < states_.size()) {
-        states_[s + 1].queue->Push(std::move(*slot));
-      } else {
-        Emit(slot->seq, std::move(slot->item));
-      }
-    }
-    if (states_[s].live_workers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last worker out closes the downstream queue; after the final
-      // stage drains, mark the output complete.
-      if (s + 1 < states_.size()) {
-        states_[s + 1].queue->Close();
-      } else {
-        std::lock_guard<std::mutex> lock(out_mu_);
-        done_ = true;
-        out_cv_.notify_all();
-      }
+  void Work() {
+    while (std::optional<Slot> slot = queue_->Pop()) {
+      Run(slot->item);
+      Emit(slot->seq, std::move(slot->item));
     }
   }
 
@@ -242,20 +174,23 @@ class Pipeline {
     out_cv_.notify_all();
   }
 
-  std::vector<StageSpec> stages_;
-  std::vector<StageState> states_;
-  std::vector<std::future<void>> workers_;
+  std::function<void(Item&)> fn_;
   bool async_ = false;
-  /// Held on the producer thread while the stage workers occupy the pool
+  MetricGauge* busy_ = nullptr;
+  MetricCounter* items_ = nullptr;
+  std::unique_ptr<BoundedQueue<Slot>> queue_;  // Async mode only.
+  std::vector<std::future<void>> workers_;
+  /// Held on the producer thread while the workers occupy the pool
   /// (async mode only); released after the destructor joins them.
   std::optional<InlineParallelScope> producer_scope_;
-  std::atomic<bool> closed_{false};
   std::atomic<uint64_t> submitted_{0};
 
-  /// Reorder buffer: completed items keyed by sequence number. Bounded
-  /// in practice by the stage queue bounds plus items in flight — the
-  /// producer cannot run ahead of the slowest stage by more than the
-  /// total queue capacity.
+  /// Reorder buffer: completed items not yet taken, keyed by sequence
+  /// number. The intake queue bounds only the items not yet started.
+  /// The search pipeline calls NextOrdered() only from its Finish(),
+  /// after the last Submit(), so this buffer can hold every item of a
+  /// run — a whole epoch's tasks (96 on the e2ebench `eafe_wide`
+  /// workload).
   std::mutex out_mu_;
   std::condition_variable out_cv_;
   std::map<uint64_t, Item> output_;

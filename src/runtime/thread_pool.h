@@ -89,8 +89,8 @@ class ThreadPool {
 /// Marks the constructing thread as inside a parallel region until the
 /// scope is destroyed: every ParallelFor it issues meanwhile runs inline.
 /// ParallelFor opens one around its caller-executed block 0, and a
-/// runtime::Pipeline opens one on its producer thread while its stage
-/// workers hold the pool — a region fanned out from there would queue
+/// runtime::Pipeline opens one on its producer thread while its workers
+/// hold the pool — a region fanned out from there would queue
 /// behind those workers and never run. Must be destroyed on the thread
 /// that constructed it.
 class InlineParallelScope {

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <future>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "afe/feature_space.h"
 #include "afe/nfs.h"
+#include "afe/search.h"
+#include "core/rng.h"
 #include "data/registry.h"
+#include "ml/evaluator.h"
 #include "runtime/thread_pool.h"
 
 namespace eafe::afe {
@@ -51,21 +58,26 @@ class EvalServiceTest : public ::testing::Test {
   void TearDown() override { runtime::SetGlobalThreads(1); }
 };
 
-TEST_F(EvalServiceTest, GainMatchesSerialEvaluateCandidateGain) {
+/// The table each candidate is scored on.
+std::vector<data::Dataset> CandidateTables(const FeatureSpace& space,
+                                           size_t count, uint64_t seed) {
+  std::vector<data::Dataset> tables;
+  for (const SpaceFeature& candidate : MakeCandidates(space, count, seed)) {
+    tables.push_back(BuildCandidateDataset(space, candidate).ValueOrDie());
+  }
+  return tables;
+}
+
+TEST_F(EvalServiceTest, ScoreDatasetMatchesTaskEvaluatorScore) {
   runtime::SetGlobalThreads(1);
   const data::Dataset dataset = SmallTarget();
   FeatureSpace space(dataset, {});
-  const std::vector<SpaceFeature> candidates = MakeCandidates(space, 3, 21);
-
   ml::TaskEvaluator reference(QuickEvaluator());
   ml::TaskEvaluator evaluator(QuickEvaluator());
   EvalService service(&evaluator);
-  for (const SpaceFeature& candidate : candidates) {
-    const double expected =
-        EvaluateCandidateGain(reference, space, candidate, 0.25)
-            .ValueOrDie();
-    const double actual =
-        service.EvaluateGain(space, candidate, 0.25).ValueOrDie();
+  for (const data::Dataset& table : CandidateTables(space, 3, 21)) {
+    const double expected = reference.Score(table).ValueOrDie();
+    const double actual = service.ScoreDataset(table).ValueOrDie();
     EXPECT_EQ(actual, expected);  // Bit-identical, not just close.
   }
 }
@@ -74,14 +86,12 @@ TEST_F(EvalServiceTest, CacheHitAndMissAccounting) {
   runtime::SetGlobalThreads(1);
   const data::Dataset dataset = SmallTarget();
   FeatureSpace space(dataset, {});
-  const SpaceFeature candidate = MakeCandidates(space, 1, 3).front();
+  const data::Dataset table = CandidateTables(space, 1, 3).front();
 
   ml::TaskEvaluator evaluator(QuickEvaluator());
   EvalService service(&evaluator);
-  const double first =
-      service.EvaluateGain(space, candidate, 0.0).ValueOrDie();
-  const double second =
-      service.EvaluateGain(space, candidate, 0.0).ValueOrDie();
+  const double first = service.ScoreDataset(table).ValueOrDie();
+  const double second = service.ScoreDataset(table).ValueOrDie();
   EXPECT_EQ(first, second);
   EXPECT_EQ(service.requests(), 2u);
   EXPECT_EQ(service.cache_hits(), 1u);
@@ -89,31 +99,6 @@ TEST_F(EvalServiceTest, CacheHitAndMissAccounting) {
   EXPECT_EQ(service.cache().stats().insertions, 1u);
   // ...but the accounting matches the cache-free serial path.
   EXPECT_EQ(evaluator.evaluation_count(), 2u);
-}
-
-TEST_F(EvalServiceTest, BatchDeduplicatesIdenticalCandidates) {
-  runtime::SetGlobalThreads(1);
-  const data::Dataset dataset = SmallTarget();
-  FeatureSpace space(dataset, {});
-  const std::vector<SpaceFeature> unique = MakeCandidates(space, 2, 7);
-  // a, b, a, a: one fit for a, one for b.
-  const std::vector<SpaceFeature> batch = {unique[0], unique[1], unique[0],
-                                           unique[0]};
-
-  ml::TaskEvaluator evaluator(QuickEvaluator());
-  EvalService service(&evaluator);
-  const std::vector<EvalService::Outcome> outcomes =
-      service.EvaluateBatch(space, batch, 0.0).ValueOrDie();
-  ASSERT_EQ(outcomes.size(), 4u);
-  EXPECT_EQ(outcomes[0].signature, outcomes[2].signature);
-  EXPECT_EQ(outcomes[0].score, outcomes[2].score);
-  EXPECT_EQ(outcomes[0].score, outcomes[3].score);
-  EXPECT_NE(outcomes[0].signature, outcomes[1].signature);
-  EXPECT_FALSE(outcomes[0].cache_hit);
-  EXPECT_TRUE(outcomes[2].cache_hit);
-  EXPECT_TRUE(outcomes[3].cache_hit);
-  EXPECT_EQ(service.cache().stats().insertions, 2u);
-  EXPECT_EQ(evaluator.evaluation_count(), 4u);  // Requests, not fits.
 }
 
 TEST_F(EvalServiceTest, SignatureTracksStateAndCandidate) {
@@ -139,36 +124,51 @@ TEST_F(EvalServiceTest, SignatureTracksStateAndCandidate) {
             signature(candidates[0], other_seed));
 }
 
-TEST_F(EvalServiceTest, ParallelBatchMatchesSerialBitForBit) {
+/// Scores `tables` through one shared service from `tasks` pool tasks;
+/// task t scores tables t, t + tasks, t + 2 * tasks, ...
+std::vector<double> ScoreFromPoolTasks(const std::vector<data::Dataset>& tables,
+                                       size_t tasks) {
+  runtime::ThreadPool pool(tasks);
+  ml::TaskEvaluator evaluator(QuickEvaluator());
+  EvalService service(&evaluator);
+  std::vector<double> scores(tables.size(), 0.0);
+  std::vector<std::future<void>> done;
+  for (size_t t = 0; t < tasks; ++t) {
+    done.push_back(pool.Submit([&, t] {
+      for (size_t i = t; i < tables.size(); i += tasks) {
+        scores[i] = service.ScoreDataset(tables[i]).ValueOrDie();
+      }
+    }));
+  }
+  for (std::future<void>& task : done) task.get();
+  EXPECT_EQ(service.requests(), tables.size());
+  return scores;
+}
+
+TEST_F(EvalServiceTest, PoolTaskScoresMatchSerialBitForBit) {
+  runtime::SetGlobalThreads(1);
   const data::Dataset dataset = SmallTarget();
   FeatureSpace space(dataset, {});
-  const std::vector<SpaceFeature> candidates = MakeCandidates(space, 8, 31);
+  const std::vector<data::Dataset> tables = CandidateTables(space, 8, 31);
 
-  runtime::SetGlobalThreads(1);
   ml::TaskEvaluator serial_evaluator(QuickEvaluator());
   EvalService serial(&serial_evaluator);
-  const std::vector<EvalService::Outcome> serial_outcomes =
-      serial.EvaluateBatch(space, candidates, 0.5).ValueOrDie();
+  std::vector<double> serial_scores;
+  for (const data::Dataset& table : tables) {
+    serial_scores.push_back(serial.ScoreDataset(table).ValueOrDie());
+  }
 
-  runtime::SetGlobalThreads(4);
-  ml::TaskEvaluator parallel_evaluator(QuickEvaluator());
-  EvalService parallel(&parallel_evaluator);
-  const std::vector<EvalService::Outcome> parallel_outcomes =
-      parallel.EvaluateBatch(space, candidates, 0.5).ValueOrDie();
-
-  ASSERT_EQ(serial_outcomes.size(), parallel_outcomes.size());
-  for (size_t i = 0; i < serial_outcomes.size(); ++i) {
-    EXPECT_EQ(serial_outcomes[i].score, parallel_outcomes[i].score);
-    EXPECT_EQ(serial_outcomes[i].gain, parallel_outcomes[i].gain);
-    EXPECT_EQ(serial_outcomes[i].signature, parallel_outcomes[i].signature);
+  const std::vector<double> parallel_scores = ScoreFromPoolTasks(tables, 4);
+  ASSERT_EQ(parallel_scores.size(), serial_scores.size());
+  for (size_t i = 0; i < serial_scores.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(parallel_scores[i]),
+              std::bit_cast<uint64_t>(serial_scores[i]));
   }
   // Repeated parallel runs are identical to each other, too.
-  ml::TaskEvaluator repeat_evaluator(QuickEvaluator());
-  EvalService repeat(&repeat_evaluator);
-  const std::vector<EvalService::Outcome> repeat_outcomes =
-      repeat.EvaluateBatch(space, candidates, 0.5).ValueOrDie();
-  for (size_t i = 0; i < serial_outcomes.size(); ++i) {
-    EXPECT_EQ(parallel_outcomes[i].score, repeat_outcomes[i].score);
+  const std::vector<double> repeat_scores = ScoreFromPoolTasks(tables, 4);
+  for (size_t i = 0; i < serial_scores.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(repeat_scores[i]),
+              std::bit_cast<uint64_t>(parallel_scores[i]));
   }
 }
 
@@ -198,18 +198,6 @@ TEST_F(EvalServiceTest, SearchIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.downstream_evaluations, parallel.downstream_evaluations);
   EXPECT_EQ(serial.best_dataset.features.ColumnNames(),
             parallel.best_dataset.features.ColumnNames());
-}
-
-TEST_F(EvalServiceTest, ScoreDatasetUsesCache) {
-  runtime::SetGlobalThreads(1);
-  const data::Dataset dataset = SmallTarget();
-  ml::TaskEvaluator evaluator(QuickEvaluator());
-  EvalService service(&evaluator);
-  const double first = service.ScoreDataset(dataset).ValueOrDie();
-  const double second = service.ScoreDataset(dataset).ValueOrDie();
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(service.cache_hits(), 1u);
-  EXPECT_EQ(evaluator.evaluation_count(), 2u);
 }
 
 }  // namespace

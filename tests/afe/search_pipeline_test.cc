@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,9 +24,13 @@
 #include "afe/random_search.h"
 #include "afe/search.h"
 #include "core/check.h"
+#include "core/rng.h"
+#include "core/status.h"
+#include "data/column.h"
 #include "data/dataframe.h"
 #include "data/registry.h"
 #include "data/synthetic.h"
+#include "fpe/fpe_model.h"
 #include "ml/evaluator.h"
 #include "ml/feature_binner.h"
 #include "runtime/metrics.h"
@@ -212,8 +218,8 @@ INSTANTIATE_TEST_SUITE_P(AllDrivers, SearchPipelineEquivalence,
                                            "eafe_full"));
 
 TEST(SearchPipelineTest, SyncOracleIsThreadInvariant) {
-  // The oracle itself must not depend on --threads (PR 1 contract:
-  // EvalService fan-out reduces in request order).
+  // The oracle itself must not depend on --threads: CV folds and forest
+  // trees fan out over the pool and reduce in index order.
   const SearchResult at1 = RunMethod("nfs", PipelineMode::kSync, 1);
   const SearchResult at4 = RunMethod("nfs", PipelineMode::kSync, 4);
   ExpectBitIdentical(at1, at4);
@@ -301,39 +307,162 @@ TEST(SearchPipelineTest, EvaluationsBinOnlyTheCandidateColumn) {
   EXPECT_LE(ml::FeatureBinner::TotalFits(), 1 + result.curve.size() + 4);
 }
 
+/// A frame and the evaluation service a hand-built SearchStepPipeline
+/// scores against.
+struct StepFixture {
+  data::Dataset dataset = SmallTarget();
+  FeatureSpace space{dataset, FeatureSpace::Options()};
+  ml::TaskEvaluator evaluator{QuickSearch(PipelineMode::kAsync).evaluator};
+  EvalService eval_service{&evaluator};
+
+  /// `count` generated candidates, drawn with a fixed seed.
+  std::vector<SpaceFeature> Candidates(size_t count) const {
+    Rng rng(11);
+    std::vector<SpaceFeature> candidates;
+    while (candidates.size() < count) {
+      const size_t group = rng.UniformInt(space.num_groups());
+      auto candidate =
+          space.GenerateCandidate(space.SampleRandomAction(group, &rng));
+      if (candidate.ok()) {
+        candidates.push_back(std::move(candidate).ValueOrDie());
+      }
+    }
+    return candidates;
+  }
+};
+
+/// One task carrying `candidate` as its only attempt.
+StepTask OneAttemptTask(size_t index, SpaceFeature candidate, bool pre_vetted) {
+  StepTask task;
+  task.pre_vetted = pre_vetted;
+  StepAttempt attempt;
+  attempt.action_index = index;
+  attempt.generated = true;
+  attempt.candidate = std::move(candidate);
+  task.attempts.push_back(std::move(attempt));
+  return task;
+}
+
 TEST(SearchPipelineTest, AsyncRunPublishesQueueGauges) {
-  // Queue instruments are registered only when the stages actually run
-  // on the pool — their presence is how an operator confirms overlap
-  // is live (README troubleshooting note).
+  // Queue instruments are registered only when the workers actually run
+  // on the pool — their presence is how an operator confirms the async
+  // executor engaged (README troubleshooting note). The pipeline has one
+  // stage, `eval`, whose workers also run the filter; no `filter` family
+  // exists.
   runtime::TextMetricGateway gateway;
   runtime::SetGlobalMetrics(&gateway);
   const SearchResult result = RunMethod("nfs", PipelineMode::kAsync, 4);
+  // RunMethod set one thread, so this drops a global pool built while
+  // `gateway` was installed; its instruments would outlive the gateway.
+  EXPECT_EQ(runtime::GlobalPool(), nullptr);
   runtime::SetGlobalMetrics(nullptr);
   EXPECT_GT(result.features_generated, 0u);
   const std::string exposition = gateway.TextExposition();
-  EXPECT_NE(exposition.find("eafe_pipeline_filter_queue_depth"),
-            std::string::npos);
-  EXPECT_NE(exposition.find("eafe_pipeline_eval_queue_depth"),
-            std::string::npos);
-  EXPECT_NE(exposition.find("eafe_pipeline_eval_items_total"),
-            std::string::npos);
-  EXPECT_NE(exposition.find("eafe_pipeline_eval_busy_workers"),
-            std::string::npos);
+  for (const char* suffix :
+       {"queue_depth", "queue_push_stall_seconds", "queue_pop_stall_seconds",
+        "busy_workers", "items_total"}) {
+    EXPECT_NE(exposition.find(std::string("eafe_pipeline_eval_") + suffix),
+              std::string::npos)
+        << suffix;
+  }
+  EXPECT_EQ(exposition.find("eafe_pipeline_filter_"), std::string::npos);
+}
+
+enum class Failure { kFilter, kEval };
+
+// Failure paths of the fused stage under full queues: 4 workers, a
+// one-slot intake queue and 24 tasks under the FPE filter with an
+// untrained model. Both failures need no test hook. A filter failure is
+// a task that is not pre-vetted, so PredictProbability returns
+// FailedPrecondition. An eval failure is a pre-vetted task whose
+// candidate column is one row short, so BuildCandidateDataset fails.
+// Every other task is pre-vetted, skips the filter and evaluates. The
+// two failing tasks are adjacent, so they race on two workers and either
+// may finish first. Each kind takes the lower index in one of the two
+// runs; Finish() must return the lower-index error, and the pool must
+// stay usable afterwards.
+TEST(SearchPipelineTest, FusedStageReportsFirstFailureInSequenceOrder) {
+  constexpr size_t kTasks = 24;
+  constexpr size_t kFirstFailure = 11;
+  StepFixture fixture;
+  const std::vector<SpaceFeature> candidates = fixture.Candidates(kTasks);
+  const fpe::FpeModel untrained;
+  StepPipelineConfig config;
+  config.mode = PipelineMode::kAsync;
+  config.queue_capacity = 1;
+  config.filter = StepFilter::kFpe;
+  config.fpe_model = &untrained;
+
+  runtime::SetGlobalThreads(4);
+  runtime::ThreadPool* const pool = runtime::GlobalPool();
+  for (const Failure lower : {Failure::kFilter, Failure::kEval}) {
+    SCOPED_TRACE(lower == Failure::kFilter ? "filter first" : "eval first");
+    const auto failure_at = [&](size_t index) -> std::optional<Failure> {
+      if (index == kFirstFailure) return lower;
+      if (index == kFirstFailure + 1) {
+        return lower == Failure::kFilter ? Failure::kEval : Failure::kFilter;
+      }
+      return std::nullopt;
+    };
+    std::string short_column;
+    {
+      SearchStepPipeline pipeline(config, &fixture.space,
+                                  &fixture.eval_service);
+      ASSERT_TRUE(pipeline.async());
+      for (size_t i = 0; i < kTasks; ++i) {
+        SpaceFeature candidate = candidates[i];
+        const std::optional<Failure> failure = failure_at(i);
+        if (failure == Failure::kEval) {
+          std::vector<double> values = candidate.column.values();
+          values.pop_back();
+          short_column = candidate.column.name();
+          candidate.column = data::Column(short_column, std::move(values));
+        }
+        pipeline.Submit(OneAttemptTask(i, std::move(candidate),
+                                       failure != Failure::kFilter));
+      }
+      const Result<std::vector<StepTask>> finished = pipeline.Finish();
+      ASSERT_FALSE(finished.ok());
+      const Status& error = finished.status();
+      if (lower == Failure::kFilter) {
+        EXPECT_EQ(error.code(), StatusCode::kFailedPrecondition)
+            << error.ToString();
+      } else {
+        EXPECT_EQ(error.code(), StatusCode::kInvalidArgument)
+            << error.ToString();
+        // The row-count error names the real column, not a "#cand" retry.
+        EXPECT_NE(error.message().find("'" + short_column + "'"),
+                  std::string::npos)
+            << error.ToString();
+        EXPECT_EQ(error.message().find("#cand"), std::string::npos);
+      }
+    }
+
+    // The same pool still fans out a multi-block region...
+    ASSERT_EQ(runtime::GlobalPool(), pool);
+    std::atomic<int> on_workers{0};
+    runtime::ParallelFor(pool, 4, [&](size_t, size_t) {
+      if (runtime::ThreadPool::OnWorkerThread()) on_workers.fetch_add(1);
+    });
+    EXPECT_EQ(on_workers.load(), 3);
+    // ...and runs a fresh pipeline to completion.
+    SearchStepPipeline fresh(config, &fixture.space, &fixture.eval_service);
+    ASSERT_TRUE(fresh.async());
+    for (size_t i = 0; i < 4; ++i) {
+      fresh.Submit(OneAttemptTask(i, candidates[i], /*pre_vetted=*/true));
+    }
+    const std::vector<StepTask> tasks = fresh.Finish().ValueOrDie();
+    ASSERT_EQ(tasks.size(), 4u);
+    for (const StepTask& task : tasks) EXPECT_TRUE(task.evaluated);
+  }
+  runtime::SetGlobalThreads(1);
 }
 
 TEST(SearchPipelineTest, StepPipelineReordersAndFiltersDirectly) {
   // Unit-level: submit tasks whose eval cost is uneven and check
   // Finish() returns submission order with the right stages applied.
-  data::Dataset dataset = SmallTarget();
-  FeatureSpace::Options space_options;
-  FeatureSpace space(dataset, space_options);
-  ml::EvaluatorOptions evaluator_options;
-  evaluator_options.cv_folds = 3;
-  evaluator_options.rf_trees = 4;
-  evaluator_options.rf_max_depth = 3;
-  ml::TaskEvaluator evaluator(evaluator_options);
-  EvalService eval_service(&evaluator);
-
+  StepFixture fixture;
+  const FeatureSpace& space = fixture.space;
   StepPipelineConfig config;
   config.mode = PipelineMode::kAsync;
   config.queue_capacity = 2;
@@ -341,7 +470,7 @@ TEST(SearchPipelineTest, StepPipelineReordersAndFiltersDirectly) {
 
   runtime::SetGlobalThreads(4);
   {
-    SearchStepPipeline pipeline(config, &space, &eval_service);
+    SearchStepPipeline pipeline(config, &space, &fixture.eval_service);
     Rng rng(7);
     for (size_t i = 0; i < 6; ++i) {
       StepTask task;

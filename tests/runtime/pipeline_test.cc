@@ -4,9 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,15 +23,17 @@ struct Item {
   int plus_one = 0;
 };
 
-Pipeline<Item>::StageSpec Stage(const std::string& name,
-                                size_t workers,
-                                std::function<void(Item&)> fn) {
-  Pipeline<Item>::StageSpec spec;
-  spec.name = name;
-  spec.workers = workers;
-  spec.queue_capacity = 4;
-  spec.fn = std::move(fn);
-  return spec;
+void DoubleThenIncrement(Item& x) {
+  x.doubled = x.id * 2;
+  x.plus_one = x.doubled + 1;
+}
+
+Pipeline<Item>::Options OnPool(ThreadPool* pool) {
+  Pipeline<Item>::Options options;
+  options.pool = pool;
+  options.name = "work";
+  options.queue_capacity = 4;
+  return options;
 }
 
 std::vector<Item> Drain(Pipeline<Item>& pipeline) {
@@ -39,12 +43,7 @@ std::vector<Item> Drain(Pipeline<Item>& pipeline) {
 }
 
 TEST(RuntimePipelineTest, InlineWhenPoolMissing) {
-  std::vector<Pipeline<Item>::StageSpec> stages;
-  stages.push_back(Stage("double", 1, [](Item& x) { x.doubled = x.id * 2; }));
-  stages.push_back(
-      Stage("inc", 1, [](Item& x) { x.plus_one = x.doubled + 1; }));
-  Pipeline<Item>::Options options;  // Null pool -> inline.
-  Pipeline<Item> pipeline(std::move(stages), options);
+  Pipeline<Item> pipeline(DoubleThenIncrement, OnPool(nullptr));
   EXPECT_FALSE(pipeline.async());
   for (int i = 0; i < 5; ++i) pipeline.Submit(Item{i, 0, 0});
   pipeline.Close();
@@ -56,26 +55,9 @@ TEST(RuntimePipelineTest, InlineWhenPoolMissing) {
   }
 }
 
-TEST(RuntimePipelineTest, InlineWhenPoolTooSmall) {
-  ThreadPool pool(1);
-  std::vector<Pipeline<Item>::StageSpec> stages;
-  stages.push_back(Stage("a", 1, [](Item&) {}));
-  stages.push_back(Stage("b", 1, [](Item&) {}));  // Needs 2 > 1 workers.
-  Pipeline<Item>::Options options;
-  options.pool = &pool;
-  Pipeline<Item> pipeline(std::move(stages), options);
-  EXPECT_FALSE(pipeline.async());
-}
-
-TEST(RuntimePipelineTest, AsyncRunsAllStagesAndPreservesOrder) {
+TEST(RuntimePipelineTest, AsyncPreservesSubmissionOrder) {
   ThreadPool pool(4);
-  std::vector<Pipeline<Item>::StageSpec> stages;
-  stages.push_back(Stage("double", 1, [](Item& x) { x.doubled = x.id * 2; }));
-  stages.push_back(
-      Stage("inc", 3, [](Item& x) { x.plus_one = x.doubled + 1; }));
-  Pipeline<Item>::Options options;
-  options.pool = &pool;
-  Pipeline<Item> pipeline(std::move(stages), options);
+  Pipeline<Item> pipeline(DoubleThenIncrement, OnPool(&pool));
   EXPECT_TRUE(pipeline.async());
   constexpr int kItems = 100;
   for (int i = 0; i < kItems; ++i) pipeline.Submit(Item{i, 0, 0});
@@ -88,6 +70,37 @@ TEST(RuntimePipelineTest, AsyncRunsAllStagesAndPreservesOrder) {
   }
 }
 
+TEST(RuntimePipelineTest, EveryPoolThreadIsAWorker) {
+  // N items that each wait until all N are inside the stage at once: they
+  // can only all finish if every one of the N pool threads runs the
+  // stage. The wait times out, so a pipeline with fewer workers fails
+  // here instead of hanging.
+  constexpr size_t kThreads = 4;
+  ThreadPool pool(kThreads);
+  std::mutex mu;
+  std::condition_variable all_arrived;
+  size_t arrived = 0;
+  std::atomic<size_t> met{0};
+  Pipeline<Item> pipeline(
+      [&](Item&) {
+        std::unique_lock<std::mutex> lock(mu);
+        ++arrived;
+        all_arrived.notify_all();
+        if (all_arrived.wait_for(lock, std::chrono::seconds(20),
+                                 [&] { return arrived >= kThreads; })) {
+          met.fetch_add(1);
+        }
+      },
+      OnPool(&pool));
+  ASSERT_TRUE(pipeline.async());
+  for (size_t i = 0; i < kThreads; ++i) {
+    pipeline.Submit(Item{static_cast<int>(i), 0, 0});
+  }
+  pipeline.Close();
+  EXPECT_EQ(Drain(pipeline).size(), kThreads);
+  EXPECT_EQ(met.load(), kThreads);
+}
+
 TEST(RuntimePipelineTest, OutOfOrderCompletionIsResequenced) {
   // Three parallel workers, and the first item is by far the slowest:
   // later items finish first, but NextOrdered() must still deliver
@@ -95,19 +108,17 @@ TEST(RuntimePipelineTest, OutOfOrderCompletionIsResequenced) {
   ThreadPool pool(3);
   std::atomic<int> first_done{0};
   std::atomic<int> finished_before_first{0};
-  std::vector<Pipeline<Item>::StageSpec> stages;
-  stages.push_back(Stage("work", 3, [&](Item& x) {
-    if (x.id == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      first_done.store(1);
-    } else if (first_done.load() == 0) {
-      finished_before_first.fetch_add(1);
-    }
-    x.doubled = x.id * 2;
-  }));
-  Pipeline<Item>::Options options;
-  options.pool = &pool;
-  Pipeline<Item> pipeline(std::move(stages), options);
+  Pipeline<Item> pipeline(
+      [&](Item& x) {
+        if (x.id == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          first_done.store(1);
+        } else if (first_done.load() == 0) {
+          finished_before_first.fetch_add(1);
+        }
+        x.doubled = x.id * 2;
+      },
+      OnPool(&pool));
   ASSERT_TRUE(pipeline.async());
   for (int i = 0; i < 8; ++i) pipeline.Submit(Item{i, 0, 0});
   pipeline.Close();
@@ -130,21 +141,16 @@ TEST(RuntimePipelineTest, BackpressureBoundsWorkInFlight) {
   ThreadPool producer_pool(1);
   std::atomic<bool> gate{false};
   std::atomic<int> entered{0};
-  std::vector<Pipeline<Item>::StageSpec> stages;
-  Pipeline<Item>::StageSpec spec;
-  spec.name = "gated";
-  spec.workers = 1;
-  spec.queue_capacity = 2;
-  spec.fn = [&](Item&) {
-    entered.fetch_add(1);
-    while (!gate.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  stages.push_back(std::move(spec));
-  Pipeline<Item>::Options options;
-  options.pool = &stage_pool;
-  Pipeline<Item> pipeline(std::move(stages), options);
+  Pipeline<Item>::Options options = OnPool(&stage_pool);
+  options.queue_capacity = 2;
+  Pipeline<Item> pipeline(
+      [&](Item&) {
+        entered.fetch_add(1);
+        while (!gate.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      },
+      options);
   ASSERT_TRUE(pipeline.async());
 
   std::atomic<bool> producer_done{false};
@@ -165,11 +171,7 @@ TEST(RuntimePipelineTest, BackpressureBoundsWorkInFlight) {
 
 TEST(RuntimePipelineTest, DrainAfterCloseEndsWithNullopt) {
   ThreadPool pool(2);
-  std::vector<Pipeline<Item>::StageSpec> stages;
-  stages.push_back(Stage("noop", 2, [](Item&) {}));
-  Pipeline<Item>::Options options;
-  options.pool = &pool;
-  Pipeline<Item> pipeline(std::move(stages), options);
+  Pipeline<Item> pipeline([](Item&) {}, OnPool(&pool));
   pipeline.Submit(Item{1, 0, 0});
   pipeline.Submit(Item{2, 0, 0});
   pipeline.Close();
@@ -181,27 +183,17 @@ TEST(RuntimePipelineTest, DrainAfterCloseEndsWithNullopt) {
 
 TEST(RuntimePipelineTest, EmptyPipelineClosesClean) {
   ThreadPool pool(2);
-  std::vector<Pipeline<Item>::StageSpec> stages;
-  stages.push_back(Stage("noop", 2, [](Item&) {}));
-  Pipeline<Item>::Options options;
-  options.pool = &pool;
-  Pipeline<Item> pipeline(std::move(stages), options);
+  Pipeline<Item> pipeline([](Item&) {}, OnPool(&pool));
   pipeline.Close();
   EXPECT_FALSE(pipeline.NextOrdered().has_value());
 }
 
 TEST(RuntimePipelineTest, ProducerParallelForRunsInline) {
-  // The stage workers hold all four pool threads. A ParallelFor from the
+  // The workers hold all four pool threads. A ParallelFor from the
   // producer between Submit()s must run inline; fanned out, its blocks
   // would queue behind the workers, which wait for Close(), and hang.
   ThreadPool pool(4);
-  std::vector<Pipeline<Item>::StageSpec> stages;
-  stages.push_back(Stage("double", 1, [](Item& x) { x.doubled = x.id * 2; }));
-  stages.push_back(
-      Stage("inc", 3, [](Item& x) { x.plus_one = x.doubled + 1; }));
-  Pipeline<Item>::Options options;
-  options.pool = &pool;
-  Pipeline<Item> pipeline(std::move(stages), options);
+  Pipeline<Item> pipeline(DoubleThenIncrement, OnPool(&pool));
   ASSERT_TRUE(pipeline.async());
   constexpr int kItems = 20;
   std::vector<long long> sums;
@@ -229,11 +221,7 @@ TEST(RuntimePipelineTest, ProducerFansOutAgainOncePipelineIsGone) {
   // The producer's inline rule lasts only as long as the pipeline.
   ThreadPool pool(4);
   {
-    std::vector<Pipeline<Item>::StageSpec> stages;
-    stages.push_back(Stage("noop", 4, [](Item&) {}));
-    Pipeline<Item>::Options options;
-    options.pool = &pool;
-    Pipeline<Item> pipeline(std::move(stages), options);
+    Pipeline<Item> pipeline([](Item&) {}, OnPool(&pool));
     ASSERT_TRUE(pipeline.async());
     pipeline.Submit(Item{});
     pipeline.Close();
@@ -249,11 +237,7 @@ TEST(RuntimePipelineTest, ProducerFansOutAgainOncePipelineIsGone) {
 TEST(RuntimePipelineTest, DestructorJoinsWithoutDrain) {
   // Dropping a pipeline without draining must not hang or leak workers.
   ThreadPool pool(2);
-  std::vector<Pipeline<Item>::StageSpec> stages;
-  stages.push_back(Stage("noop", 2, [](Item& x) { x.doubled = x.id; }));
-  Pipeline<Item>::Options options;
-  options.pool = &pool;
-  Pipeline<Item> pipeline(std::move(stages), options);
+  Pipeline<Item> pipeline([](Item& x) { x.doubled = x.id; }, OnPool(&pool));
   for (int i = 0; i < 10; ++i) pipeline.Submit(Item{i, 0, 0});
   // No Close(), no Drain: the destructor closes and joins.
 }
