@@ -50,6 +50,13 @@ DecisionTree::DecisionTree(const Options& options) : options_(options) {}
 
 Status DecisionTree::Fit(const data::DataFrame& x,
                          const std::vector<double>& y) {
+  EAFE_RETURN_NOT_OK(FitNodes(x, y));
+  WriteImage();
+  return Status::OK();
+}
+
+Status DecisionTree::FitNodes(const data::DataFrame& x,
+                              const std::vector<double>& y) {
   if (x.num_columns() == 0) {
     return Status::InvalidArgument("tree needs at least one feature");
   }
@@ -72,6 +79,7 @@ Status DecisionTree::Fit(const data::DataFrame& x,
   }
   nodes_.clear();
   binner_.reset();
+  image_ = FlatEnsemble();
   num_features_ = x.num_columns();
   importances_.assign(num_features_, 0.0);
   if (options_.task == data::TaskType::kClassification) {
@@ -106,8 +114,10 @@ Status DecisionTree::FitBinned(std::shared_ptr<const FeatureBinner> binner,
                                const std::vector<size_t>& rows) {
   EAFE_ASSIGN_OR_RETURN(BinnedLabels labels,
                         BinnedLabels::Create(options_.task, y));
-  return FitBinnedWithLabels(std::move(binner), y,
-                             std::vector<size_t>(rows), labels);
+  EAFE_RETURN_NOT_OK(FitBinnedWithLabels(std::move(binner), y,
+                                         std::vector<size_t>(rows), labels));
+  WriteImage();
+  return Status::OK();
 }
 
 Status DecisionTree::FitBinnedWithLabels(
@@ -139,6 +149,8 @@ Status DecisionTree::FitBinnedWithLabels(
   }
   nodes_.clear();
   binner_ = std::move(binner);
+  depth_ = 0;
+  image_ = FlatEnsemble();
   num_features_ = binner_->num_features();
   importances_.assign(num_features_, 0.0);
   num_classes_ = labels.num_classes;
@@ -340,6 +352,7 @@ int DecisionTree::BuildNodeHistogram(const HistogramBuilder& builder,
                                      Rng* rng) {
   const int node_id = static_cast<int>(nodes_.size());
   nodes_.push_back(MakeLeaf(y, indices));
+  depth_ = std::max(depth_, static_cast<uint32_t>(depth));
   if (depth >= options_.max_depth ||
       indices.size() < options_.min_samples_split) {
     return node_id;
@@ -390,6 +403,26 @@ int DecisionTree::BuildNodeHistogram(const HistogramBuilder& builder,
   return node_id;
 }
 
+void DecisionTree::WriteImage() {
+  if (binner_ == nullptr) return;  // Exact fits walk raw doubles only.
+  image_ = FlatEnsemble(EnsembleKind::kForestVote, options_.task,
+                        num_features_, num_classes_);
+  AppendTo(&image_);
+}
+
+void DecisionTree::AppendTo(FlatEnsemble* image) const {
+  const uint32_t base = static_cast<uint32_t>(image->model().num_nodes());
+  for (const Node& nd : nodes_) {
+    const uint32_t node = image->AddNode(nd.value, nd.proba);
+    if (nd.feature >= 0) {
+      image->SetSplit(node, nd.feature, static_cast<uint8_t>(nd.split_bin),
+                      base + static_cast<uint32_t>(nd.left),
+                      base + static_cast<uint32_t>(nd.right));
+    }
+  }
+  image->EndTree(depth_);
+}
+
 size_t DecisionTree::TraverseToLeaf(const data::DataFrame& x,
                                     size_t row) const {
   size_t node = 0;
@@ -403,84 +436,9 @@ size_t DecisionTree::TraverseToLeaf(const data::DataFrame& x,
   return node;
 }
 
-Result<std::vector<double>> DecisionTree::Predict(
-    const data::DataFrame& x) const {
+Status DecisionTree::CheckPredict(size_t num_columns) const {
   if (nodes_.empty()) {
     return Status::FailedPrecondition("tree is not fitted");
-  }
-  if (x.num_columns() != num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("tree fitted on %zu features, got %zu", num_features_,
-                  x.num_columns()));
-  }
-  std::vector<double> out(x.num_rows());
-  for (size_t r = 0; r < x.num_rows(); ++r) {
-    out[r] = nodes_[TraverseToLeaf(x, r)].value;
-  }
-  return out;
-}
-
-Result<std::vector<double>> DecisionTree::PredictProba(
-    const data::DataFrame& x) const {
-  if (nodes_.empty()) {
-    return Status::FailedPrecondition("tree is not fitted");
-  }
-  if (x.num_columns() != num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("tree fitted on %zu features, got %zu", num_features_,
-                  x.num_columns()));
-  }
-  std::vector<double> out(x.num_rows());
-  for (size_t r = 0; r < x.num_rows(); ++r) {
-    out[r] = nodes_[TraverseToLeaf(x, r)].proba;
-  }
-  return out;
-}
-
-Result<TreeNodes> DecisionTree::ExportNodes() const {
-  if (nodes_.empty()) {
-    return Status::FailedPrecondition("tree is not fitted");
-  }
-  if (binner_ == nullptr) {
-    return Status::FailedPrecondition(
-        "only histogram fits export nodes: exact trees carry no split bins "
-        "or binner cuts");
-  }
-  TreeNodes out(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& nd = nodes_[i];
-    TreeNodeRecord& rec = out[i];
-    rec.feature = nd.feature;
-    rec.split_bin =
-        nd.feature >= 0 ? static_cast<uint8_t>(nd.split_bin) : uint8_t{0};
-    rec.left = nd.left;
-    rec.right = nd.right;
-    rec.value = nd.value;
-    rec.proba = nd.proba;
-  }
-  return out;
-}
-
-size_t DecisionTree::TraverseToLeafCoded(const EncodedFrame& codes,
-                                         size_t row) const {
-  size_t node = 0;
-  while (nodes_[node].feature >= 0) {
-    const Node& nd = nodes_[node];
-    node = static_cast<size_t>(
-        codes[static_cast<size_t>(nd.feature)][row] <= nd.split_bin
-            ? nd.left
-            : nd.right);
-  }
-  return node;
-}
-
-Status DecisionTree::CheckCodedPredict(size_t num_columns) const {
-  if (nodes_.empty()) {
-    return Status::FailedPrecondition("tree is not fitted");
-  }
-  if (binner_ == nullptr) {
-    return Status::FailedPrecondition(
-        "bin-coded prediction requires a histogram fit");
   }
   if (num_columns != num_features_) {
     return Status::InvalidArgument(
@@ -490,49 +448,36 @@ Status DecisionTree::CheckCodedPredict(size_t num_columns) const {
   return Status::OK();
 }
 
-Result<std::vector<double>> DecisionTree::PredictCoded(
-    const EncodedFrame& codes, size_t num_rows) const {
-  EAFE_RETURN_NOT_OK(CheckCodedPredict(codes.size()));
-  std::vector<double> out(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = nodes_[TraverseToLeafCoded(codes, r)].value;
+Result<std::vector<double>> DecisionTree::PredictFrame(
+    const data::DataFrame& x, bool proba) const {
+  EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
+  if (image_.num_trees() > 0) return image_.PredictFrame(*binner_, x, proba);
+  std::vector<double> out(x.num_rows());
+  for (size_t r = 0; r < x.num_rows(); ++r) {
+    const Node& leaf = nodes_[TraverseToLeaf(x, r)];
+    out[r] = proba ? leaf.proba : leaf.value;
   }
   return out;
 }
 
-Result<std::vector<double>> DecisionTree::PredictProbaCoded(
-    const EncodedFrame& codes, size_t num_rows) const {
-  EAFE_RETURN_NOT_OK(CheckCodedPredict(codes.size()));
-  std::vector<double> out(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = nodes_[TraverseToLeafCoded(codes, r)].proba;
-  }
-  return out;
+Result<std::vector<double>> DecisionTree::Predict(
+    const data::DataFrame& x) const {
+  return PredictFrame(x, /*proba=*/false);
+}
+
+Result<std::vector<double>> DecisionTree::PredictProba(
+    const data::DataFrame& x) const {
+  return PredictFrame(x, /*proba=*/true);
 }
 
 Result<std::vector<double>> DecisionTree::PredictBinnedRows(
     const std::vector<size_t>& rows) const {
-  EAFE_RETURN_NOT_OK(CheckCodedPredict(num_features_));
-  std::vector<double> out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const size_t row = rows[i];
-    if (row >= binner_->num_rows()) {
-      return Status::InvalidArgument(
-          StrFormat("row id %zu out of range (%zu frame rows)", row,
-                    binner_->num_rows()));
-    }
-    size_t node = 0;
-    while (nodes_[node].feature >= 0) {
-      const Node& nd = nodes_[node];
-      node = static_cast<size_t>(
-          binner_->code(static_cast<size_t>(nd.feature), row) <=
-                  nd.split_bin
-              ? nd.left
-              : nd.right);
-    }
-    out[i] = nodes_[node].value;
+  EAFE_RETURN_NOT_OK(CheckPredict(num_features_));
+  if (image_.num_trees() == 0) {
+    return Status::FailedPrecondition(
+        "PredictBinnedRows requires a histogram fit");
   }
-  return out;
+  return image_.PredictRows(*binner_, rows);
 }
 
 }  // namespace eafe::ml

@@ -10,9 +10,9 @@
 #include "core/rng.h"
 #include "core/status.h"
 #include "data/dataframe.h"
+#include "ml/flat_model.h"
 #include "ml/histogram_builder.h"
 #include "ml/model.h"
-#include "ml/tree_export.h"
 
 namespace eafe::ml {
 
@@ -36,9 +36,10 @@ Result<SplitStrategy> SplitStrategyFromString(const std::string& name);
 /// is binned once, and each tree fit is a row-id view over the shared
 /// codes (FitBinned) — bootstrap and fold selection never materialize a
 /// sub-frame. Histogram splits record both the double threshold and the
-/// split bin, so prediction can route on uint8 code comparisons
-/// (PredictCoded / PredictBinnedRows) bit-identically to the raw-double
-/// Predict path.
+/// split bin. A standalone histogram fit writes its tree into a flat
+/// image (flat_model.h, a forest of one) and predicts fresh frames and
+/// binned rows through the one walk over uint8 codes, bit-identically to
+/// the raw-double walk (TraverseToLeaf) that exact fits predict through.
 class DecisionTree : public Model, public SharedBinnerModel {
  public:
   struct Options {
@@ -72,22 +73,6 @@ class DecisionTree : public Model, public SharedBinnerModel {
   Result<std::vector<double>> PredictBinnedRows(
       const std::vector<size_t>& rows) const override;
 
-  /// Forest internals: FitBinned with the frame's class codes already
-  /// converted (one BinnedLabels per forest, not per tree). `rows` is
-  /// consumed by the build recursion, so callers move it in.
-  Status FitBinnedWithLabels(std::shared_ptr<const FeatureBinner> binner,
-                             const std::vector<double>& y,
-                             std::vector<size_t> rows,
-                             const BinnedLabels& labels);
-
-  /// Predicts through a pre-encoded query frame (FeatureBinner::Encode):
-  /// traversal compares uint8 codes against split bins, bit-identically
-  /// to Predict on the raw doubles. Histogram-fitted trees only.
-  Result<std::vector<double>> PredictCoded(const EncodedFrame& codes,
-                                           size_t num_rows) const;
-  Result<std::vector<double>> PredictProbaCoded(const EncodedFrame& codes,
-                                                size_t num_rows) const;
-
   /// For binary classification: fraction of class-1 training samples in
   /// the reached leaf.
   Result<std::vector<double>> PredictProba(const data::DataFrame& x) const;
@@ -99,20 +84,19 @@ class DecisionTree : public Model, public SharedBinnerModel {
   }
 
   /// The shared binner a histogram fit trained through (null for exact
-  /// fits). Forests reuse it to encode query frames once.
+  /// fits).
   const std::shared_ptr<const FeatureBinner>& binner() const {
     return binner_;
   }
-
-  /// Flattens the fitted tree into persistence records (tree_export.h).
-  /// Histogram fits only: exact fits carry neither split bins nor a
-  /// binner, so they have no serializable form.
-  Result<TreeNodes> ExportNodes() const;
 
   size_t node_count() const { return nodes_.size(); }
   bool fitted() const { return !nodes_.empty(); }
 
  private:
+  // A forest fits its trees through FitNodes / FitBinnedWithLabels, which
+  // write no image, and writes every tree into its own image (AppendTo).
+  friend class RandomForest;
+
   struct Node {
     int feature = -1;          ///< -1 marks a leaf.
     double threshold = 0.0;    ///< Go left if x[feature] <= threshold.
@@ -128,6 +112,24 @@ class DecisionTree : public Model, public SharedBinnerModel {
     double threshold = 0.0;
     double gain = 0.0;
   };
+
+  /// Fit without the flat image: exact, or histogram through BinFrame.
+  Status FitNodes(const data::DataFrame& x, const std::vector<double>& y);
+  /// FitBinned with the frame's class codes already converted (one
+  /// BinnedLabels per forest, not per tree), writing no image. `rows` is
+  /// consumed by the build recursion, so callers move it in.
+  Status FitBinnedWithLabels(std::shared_ptr<const FeatureBinner> binner,
+                             const std::vector<double>& y,
+                             std::vector<size_t> rows,
+                             const BinnedLabels& labels);
+  /// Writes a histogram fit's tree into image_, a forest of one.
+  void WriteImage();
+  /// Appends the histogram-fitted tree's nodes to `image` as one tree.
+  void AppendTo(FlatEnsemble* image) const;
+  Status CheckPredict(size_t num_columns) const;
+  /// Leaf payload (value or proba) of every row of `x`.
+  Result<std::vector<double>> PredictFrame(const data::DataFrame& x,
+                                           bool proba) const;
 
   int BuildNode(const data::DataFrame& x, const std::vector<double>& y,
                 std::vector<size_t>& indices, size_t depth, Rng* rng);
@@ -145,9 +147,11 @@ class DecisionTree : public Model, public SharedBinnerModel {
   std::vector<size_t> SampleFeatures(Rng* rng) const;
   Node MakeLeaf(const std::vector<double>& y,
                 const std::vector<size_t>& indices);
+  /// The raw-double walk: routes `row` on x[feature] <= threshold. Exact
+  /// fits carry no split bins, so it is the only walk they have; exact
+  /// and per-tree-binner forests (the references the tests compare the
+  /// flat walk against) predict through it and RandomForest::Aggregate.
   size_t TraverseToLeaf(const data::DataFrame& x, size_t row) const;
-  size_t TraverseToLeafCoded(const EncodedFrame& codes, size_t row) const;
-  Status CheckCodedPredict(size_t num_columns) const;
 
   Options options_;
   std::vector<Node> nodes_;
@@ -156,6 +160,11 @@ class DecisionTree : public Model, public SharedBinnerModel {
   int num_classes_ = 0;
   /// Shared binner a histogram fit trained through; null after exact fits.
   std::shared_ptr<const FeatureBinner> binner_;
+  /// Level of the deepest node of a histogram fit.
+  uint32_t depth_ = 0;
+  /// The flat image of a standalone histogram fit; empty for exact fits
+  /// and for trees a forest fitted.
+  FlatEnsemble image_;
   /// Flat per-class count buffers, reused across nodes (classification).
   std::vector<size_t> leaf_counts_;
   std::vector<size_t> parent_counts_;

@@ -140,12 +140,10 @@ void FeatureBinner::BinColumn(size_t f, const std::vector<double>& values,
   std::sort(sorted->begin(), sorted->end());
   const std::vector<double> cuts = ComputeCuts(*sorted, options_.max_bins);
 
-  // Pad once here so every later encode, down to a one-row Encode, runs
+  // Pad once here so every later encode, down to a one-row predict, runs
   // the fixed-depth search without building a padded copy.
   PaddedCuts& padded = cuts_[f];
-  std::copy(cuts.begin(), cuts.end(), padded.begin());
-  std::fill(padded.begin() + static_cast<std::ptrdiff_t>(cuts.size()),
-            padded.end(), std::numeric_limits<double>::infinity());
+  internal::PadCuts(cuts.data(), cuts.size(), &padded);
   num_cuts_[f] = static_cast<uint16_t>(cuts.size());
 
   std::vector<uint8_t>& codes = codes_[f];
@@ -155,27 +153,51 @@ void FeatureBinner::BinColumn(size_t f, const std::vector<double>& values,
   }
 }
 
-Result<EncodedFrame> FeatureBinner::Encode(const data::DataFrame& x) const {
-  if (!fitted()) {
-    return Status::FailedPrecondition("binner is not fitted");
-  }
-  if (x.num_columns() != num_features()) {
-    return Status::InvalidArgument(
-        StrFormat("binner fitted on %zu features, got %zu", num_features(),
-                  x.num_columns()));
-  }
-  const size_t n = x.num_rows();
-  EncodedFrame encoded(num_features());
-  for (size_t f = 0; f < num_features(); ++f) {
-    const std::vector<double>& values = x.column(f).values();
-    const PaddedCuts& cuts = cuts_[f];
-    std::vector<uint8_t>& codes = encoded[f];
-    codes.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      codes[i] = internal::CountCutsBelow(cuts, values[i]);
+Status FeatureBinner::GatherRows(const std::vector<size_t>& rows,
+                                 std::vector<uint8_t>* codes) const {
+  for (size_t row : rows) {
+    if (row >= num_rows()) {
+      return Status::InvalidArgument(StrFormat(
+          "row id %zu out of range (%zu frame rows)", row, num_rows()));
     }
   }
-  return encoded;
+  const size_t width = num_features();
+  codes->resize(rows.size() * width);
+  uint8_t* out = codes->data();
+  for (size_t f = 0; f < width; ++f) {
+    const uint8_t* column = codes_[f].data();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out[i * width + f] = column[rows[i]];
+    }
+  }
+  return Status::OK();
+}
+
+namespace internal {
+
+void PadCuts(const double* cuts, size_t count, PaddedCuts* padded) {
+  std::copy(cuts, cuts + count, padded->begin());
+  std::fill(padded->begin() + static_cast<std::ptrdiff_t>(count),
+            padded->end(), std::numeric_limits<double>::infinity());
+}
+
+}  // namespace internal
+
+void EncodeRows(const std::vector<PaddedCuts>& cuts, const data::DataFrame& x,
+                std::vector<uint8_t>* codes) {
+  const size_t n = x.num_rows();
+  const size_t width = cuts.size();
+  codes->resize(n * width);
+  uint8_t* out = codes->data();
+  // Feature-outer keeps one feature's cuts hot in cache; writes stride by
+  // the row width so a finished row's codes are contiguous.
+  for (size_t f = 0; f < width; ++f) {
+    const PaddedCuts& padded = cuts[f];
+    const std::vector<double>& values = x.column(f).values();
+    for (size_t r = 0; r < n; ++r) {
+      out[r * width + f] = internal::CountCutsBelow(padded, values[r]);
+    }
+  }
 }
 
 }  // namespace eafe::ml

@@ -11,12 +11,6 @@
 
 namespace eafe::ml {
 
-/// Column-major bin codes of a query frame produced by
-/// FeatureBinner::Encode — one uint8 vector per feature. Encoding a frame
-/// once lets every tree of a forest route predictions on uint8 code
-/// comparisons instead of re-reading raw doubles.
-using EncodedFrame = std::vector<std::vector<uint8_t>>;
-
 /// Cut slots per column. Codes fit uint8, so a column has at most 255
 /// cuts; the slots past its last cut hold +inf.
 inline constexpr size_t kCutSlots = 256;
@@ -38,7 +32,17 @@ inline uint8_t CountCutsBelow(const PaddedCuts& cuts, double v) {
   return static_cast<uint8_t>(pos);
 }
 
+/// +inf-pads `count` ascending cuts (count < kCutSlots) into `padded`.
+void PadCuts(const double* cuts, size_t count, PaddedCuts* padded);
+
 }  // namespace internal
+
+/// Row-major bin codes of `x` (row r's codes at [r * F, (r + 1) * F) for
+/// F = cuts.size()) under per-feature padded cuts: the one encoder of
+/// fresh frames, for in-memory models (their binner's padded_cuts()) and
+/// loaded containers alike. Requires x.num_columns() == cuts.size().
+void EncodeRows(const std::vector<PaddedCuts>& cuts, const data::DataFrame& x,
+                std::vector<uint8_t>* codes);
 
 /// Quantizes every column of a DataFrame into at most `max_bins` ordinal
 /// bins (uint8 codes) once per *frame*, so split finding can scan bin
@@ -86,12 +90,11 @@ class FeatureBinner {
   /// columns. Not counted by TotalFits.
   Result<FeatureBinner> Extend(const data::DataFrame& x) const;
 
-  /// Encodes a query frame with the fitted cuts (transform only, no
-  /// refit). Uses the same encoding as Fit (internal::CountCutsBelow, the
-  /// std::lower_bound index), so for any value v and split bin b,
-  /// code(v) <= b exactly when v <= cut(b): bin-coded tree traversal is
-  /// bit-identical to the raw-double path.
-  Result<EncodedFrame> Encode(const data::DataFrame& x) const;
+  /// Copies the codes of frame rows `rows` into `codes`, row-major
+  /// (num_features() per row), ready for the flat walk. Fails on a row id
+  /// past num_rows().
+  Status GatherRows(const std::vector<size_t>& rows,
+                    std::vector<uint8_t>* codes) const;
 
   /// Process-wide count of Fit calls — test instrumentation for the
   /// zero-per-tree-re-binning guarantee (a forest fit must bump this
@@ -116,6 +119,12 @@ class FeatureBinner {
   /// Threshold between bins `b` and `b+1` of feature `f`: raw values v
   /// with v <= cut(f, b) encode to a bin <= b. Requires b < num_bins - 1.
   double cut(size_t f, size_t b) const { return cuts_[f][b]; }
+
+  /// Every feature's cuts, +inf-padded: EncodeRows encodes query frames
+  /// through them exactly as Fit encoded the frame (internal::
+  /// CountCutsBelow), so for any value v and split bin b, code(v) <= b
+  /// exactly when v <= cut(b).
+  const std::vector<PaddedCuts>& padded_cuts() const { return cuts_; }
 
  private:
   /// Computes column `f`'s cuts from `values` and encodes them; `sorted`

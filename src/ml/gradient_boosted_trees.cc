@@ -18,12 +18,6 @@ constexpr double kMinHessian = 1e-16;
 /// Clamp on the base-rate used for the initial log-odds.
 constexpr double kProbaClamp = 1e-6;
 
-double Sigmoid(double s) {
-  if (s >= 0.0) return 1.0 / (1.0 + std::exp(-s));
-  const double e = std::exp(s);
-  return e / (1.0 + e);
-}
-
 }  // namespace
 
 GradientBoostedTrees::GradientBoostedTrees(const Options& options)
@@ -101,7 +95,6 @@ Status GradientBoostedTrees::FitBinned(
     }
   }
 
-  trees_.clear();
   binner_ = std::move(binner);
   num_features_ = binner_->num_features();
   const size_t n = rows.size();
@@ -117,6 +110,9 @@ Status GradientBoostedTrees::FitBinned(
   } else {
     base_score_ = mean;
   }
+  image_ = FlatEnsemble(EnsembleKind::kBoostedSum, options_.task,
+                        num_features_, /*num_classes=*/0, base_score_,
+                        options_.learning_rate);
 
   // Frame-row-indexed state; only view rows are ever read or written.
   std::vector<double> score(y.size(), base_score_);
@@ -142,7 +138,10 @@ Status GradientBoostedTrees::FitBinned(
     }
   }
 
-  trees_.reserve(options_.rounds);
+  // The view rows' codes, gathered once: every round's tree walks them.
+  std::vector<uint8_t> view_codes;
+  EAFE_RETURN_NOT_OK(binner_->GatherRows(rows, &view_codes));
+  std::vector<uint32_t> leaves(n);
   for (size_t round = 0; round < options_.rounds; ++round) {
     const std::vector<size_t>& sample =
         subsampled ? round_rows[round] : rows;
@@ -156,19 +155,20 @@ Status GradientBoostedTrees::FitBinned(
         hess[row] = 1.0;
       }
     }
-    Tree tree;
     Histogram root = AcquireHistogram();
     builder.Totals(sample, &root);
     builder.Build(sample, builder.all_features(), &root);
     std::vector<size_t> indices = sample;  // BuildNode consumes its view.
-    BuildNode(builder, indices, std::move(root), 0, &tree);
+    uint32_t deepest = 0;
+    BuildNode(builder, indices, std::move(root), 0, &deepest);
+    image_.EndTree(deepest);
     // Every view row (sampled or not) advances through the new tree so
     // the next round's gradients see the full ensemble.
-    for (size_t row : rows) {
-      score[row] +=
-          options_.learning_rate * TraverseBinnedRow(tree, row);
+    image_.WalkTree(round, view_codes.data(), n, leaves.data());
+    const std::vector<double>& value = image_.model().value;
+    for (size_t i = 0; i < n; ++i) {
+      score[rows[i]] += options_.learning_rate * value[leaves[i]];
     }
-    trees_.push_back(std::move(tree));
   }
   hist_pool_.clear();
   hist_pool_.shrink_to_fit();
@@ -186,14 +186,13 @@ void GradientBoostedTrees::ReleaseHistogram(Histogram&& hist) {
   hist_pool_.push_back(std::move(hist));
 }
 
-int GradientBoostedTrees::BuildNode(const HistogramBuilder& builder,
-                                    std::vector<size_t>& indices,
-                                    Histogram&& hist, size_t depth,
-                                    Tree* tree) {
-  const int node_id = static_cast<int>(tree->nodes.size());
-  Node leaf;
-  leaf.value = -hist.totals[1] / (hist.totals[2] + options_.lambda);
-  tree->nodes.push_back(leaf);
+uint32_t GradientBoostedTrees::BuildNode(const HistogramBuilder& builder,
+                                         std::vector<size_t>& indices,
+                                         Histogram&& hist, uint32_t depth,
+                                         uint32_t* deepest) {
+  const uint32_t node_id = image_.AddNode(
+      -hist.totals[1] / (hist.totals[2] + options_.lambda), 0.0);
+  *deepest = std::max(*deepest, depth);
   if (depth >= options_.max_depth ||
       indices.size() < 2 * options_.min_samples_leaf) {
     ReleaseHistogram(std::move(hist));
@@ -219,8 +218,6 @@ int GradientBoostedTrees::BuildNode(const HistogramBuilder& builder,
     ReleaseHistogram(std::move(hist));
     return node_id;
   }
-  const double threshold =
-      binner_->cut(feature, static_cast<size_t>(split.bin));
 
   indices.clear();
   indices.shrink_to_fit();
@@ -252,81 +249,16 @@ int GradientBoostedTrees::BuildNode(const HistogramBuilder& builder,
   Histogram right_hist =
       left_is_smaller ? std::move(hist) : std::move(smaller);
 
-  const int left =
-      BuildNode(builder, left_idx, std::move(left_hist), depth + 1, tree);
-  const int right =
-      BuildNode(builder, right_idx, std::move(right_hist), depth + 1, tree);
-  tree->nodes[node_id].feature = split.feature;
-  tree->nodes[node_id].split_bin = split_bin;
-  tree->nodes[node_id].threshold = threshold;
-  tree->nodes[node_id].left = left;
-  tree->nodes[node_id].right = right;
+  const uint32_t left = BuildNode(builder, left_idx, std::move(left_hist),
+                                  depth + 1, deepest);
+  const uint32_t right = BuildNode(builder, right_idx,
+                                   std::move(right_hist), depth + 1, deepest);
+  image_.SetSplit(node_id, split.feature, split_bin, left, right);
   return node_id;
 }
 
-Result<std::vector<TreeNodes>> GradientBoostedTrees::ExportTrees() const {
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("booster is not fitted");
-  }
-  EAFE_CHECK(binner_ != nullptr);  // Histogram-only: every fit has one.
-  std::vector<TreeNodes> out;
-  out.reserve(trees_.size());
-  for (const Tree& tree : trees_) {
-    TreeNodes nodes(tree.nodes.size());
-    for (size_t i = 0; i < tree.nodes.size(); ++i) {
-      const Node& nd = tree.nodes[i];
-      TreeNodeRecord& rec = nodes[i];
-      rec.feature = nd.feature;
-      rec.split_bin = nd.split_bin;
-      rec.left = nd.left;
-      rec.right = nd.right;
-      rec.value = nd.value;
-    }
-    out.push_back(std::move(nodes));
-  }
-  return out;
-}
-
-double GradientBoostedTrees::TraverseBinnedRow(const Tree& tree,
-                                               size_t row) const {
-  size_t node = 0;
-  while (tree.nodes[node].feature >= 0) {
-    const Node& nd = tree.nodes[node];
-    node = static_cast<size_t>(
-        binner_->code(static_cast<size_t>(nd.feature), row) <= nd.split_bin
-            ? nd.left
-            : nd.right);
-  }
-  return tree.nodes[node].value;
-}
-
-double GradientBoostedTrees::TraverseCoded(const Tree& tree,
-                                           const EncodedFrame& codes,
-                                           size_t row) const {
-  size_t node = 0;
-  while (tree.nodes[node].feature >= 0) {
-    const Node& nd = tree.nodes[node];
-    node = static_cast<size_t>(
-        codes[static_cast<size_t>(nd.feature)][row] <= nd.split_bin
-            ? nd.left
-            : nd.right);
-  }
-  return tree.nodes[node].value;
-}
-
-std::vector<double> GradientBoostedTrees::RawScoresCoded(
-    const EncodedFrame& codes, size_t num_rows) const {
-  std::vector<double> scores(num_rows, base_score_);
-  for (const Tree& tree : trees_) {
-    for (size_t r = 0; r < num_rows; ++r) {
-      scores[r] += options_.learning_rate * TraverseCoded(tree, codes, r);
-    }
-  }
-  return scores;
-}
-
 Status GradientBoostedTrees::CheckPredict(size_t num_columns) const {
-  if (trees_.empty()) {
+  if (image_.num_trees() == 0) {
     return Status::FailedPrecondition("booster is not fitted");
   }
   if (num_columns != num_features_) {
@@ -340,47 +272,19 @@ Status GradientBoostedTrees::CheckPredict(size_t num_columns) const {
 Result<std::vector<double>> GradientBoostedTrees::Predict(
     const data::DataFrame& x) const {
   EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
-  // Encode the query frame once; every tree then routes on uint8 codes,
-  // bit-identical to raw-value comparisons by the cut/code invariant.
-  EAFE_ASSIGN_OR_RETURN(EncodedFrame codes, binner_->Encode(x));
-  std::vector<double> scores = RawScoresCoded(codes, x.num_rows());
-  if (options_.task == data::TaskType::kClassification) {
-    for (double& s : scores) s = Sigmoid(s) > 0.5 ? 1.0 : 0.0;
-  }
-  return scores;
+  return image_.PredictFrame(*binner_, x, /*proba=*/false);
 }
 
 Result<std::vector<double>> GradientBoostedTrees::PredictProba(
     const data::DataFrame& x) const {
   EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
-  EAFE_ASSIGN_OR_RETURN(EncodedFrame codes, binner_->Encode(x));
-  std::vector<double> scores = RawScoresCoded(codes, x.num_rows());
-  if (options_.task == data::TaskType::kClassification) {
-    for (double& s : scores) s = Sigmoid(s);
-  }
-  return scores;
+  return image_.PredictFrame(*binner_, x, /*proba=*/true);
 }
 
 Result<std::vector<double>> GradientBoostedTrees::PredictBinnedRows(
     const std::vector<size_t>& rows) const {
   EAFE_RETURN_NOT_OK(CheckPredict(num_features_));
-  const bool classification =
-      options_.task == data::TaskType::kClassification;
-  std::vector<double> out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const size_t row = rows[i];
-    if (row >= binner_->num_rows()) {
-      return Status::InvalidArgument(
-          StrFormat("row id %zu out of range (%zu frame rows)", row,
-                    binner_->num_rows()));
-    }
-    double score = base_score_;
-    for (const Tree& tree : trees_) {
-      score += options_.learning_rate * TraverseBinnedRow(tree, row);
-    }
-    out[i] = classification ? (Sigmoid(score) > 0.5 ? 1.0 : 0.0) : score;
-  }
-  return out;
+  return image_.PredictRows(*binner_, rows);
 }
 
 }  // namespace eafe::ml

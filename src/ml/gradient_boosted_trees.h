@@ -10,9 +10,9 @@
 #include "core/status.h"
 #include "data/dataframe.h"
 #include "ml/feature_binner.h"
+#include "ml/flat_model.h"
 #include "ml/histogram_builder.h"
 #include "ml/model.h"
-#include "ml/tree_export.h"
 
 namespace eafe::ml {
 
@@ -28,6 +28,10 @@ namespace eafe::ml {
 /// codes — no SelectRows, no re-binning, same counter-verified
 /// invariants as the forest. Under cross-validation the frame is binned
 /// once per CV run and each fold's booster trains and scores by row id.
+/// Each round's tree goes straight into the booster's flat image
+/// (flat_model.h), its only tree storage: the fit gathers the view rows'
+/// codes once and advances their scores through each new tree with the
+/// same walk every predict uses.
 ///
 /// Determinism: the only randomness is the optional per-round row
 /// subsample, drawn serially for every round before any tree is built;
@@ -72,57 +76,36 @@ class GradientBoostedTrees : public Model, public SharedBinnerModel {
   Result<std::vector<double>> PredictBinnedRows(
       const std::vector<size_t>& rows) const override;
 
-  /// Flattens every round's tree into persistence records
-  /// (tree_export.h). Leaf records carry the unscaled leaf weight in
-  /// `value`; prediction applies base_score and learning_rate on top.
-  Result<std::vector<TreeNodes>> ExportTrees() const;
-
   /// The frame binner the booster trained through.
   const std::shared_ptr<const FeatureBinner>& binner() const {
     return binner_;
   }
 
-  size_t num_trees() const { return trees_.size(); }
+  /// Every round's tree, flattened. Leaves carry the unscaled leaf weight
+  /// in `value`; prediction applies base_score and learning_rate on top.
+  const FlatTreeModel& image() const { return image_.model(); }
+
+  size_t num_trees() const { return image_.num_trees(); }
   size_t num_features() const { return num_features_; }
   double base_score() const { return base_score_; }
   const Options& options() const { return options_; }
 
  private:
-  struct Node {
-    int feature = -1;  ///< -1 for leaves.
-    int left = -1;
-    int right = -1;
-    uint8_t split_bin = 0;    ///< Go left if code <= split_bin.
-    double threshold = 0.0;   ///< Raw-value cut equivalent to split_bin.
-    double value = 0.0;       ///< Leaf weight -G/(H+lambda) (unscaled).
-  };
-  struct Tree {
-    std::vector<Node> nodes;
-  };
-
   Histogram AcquireHistogram();
   void ReleaseHistogram(Histogram&& hist);
 
-  /// Recursively grows one round's tree; consumes `indices` and `hist`.
-  int BuildNode(const HistogramBuilder& builder,
-                std::vector<size_t>& indices, Histogram&& hist, size_t depth,
-                Tree* tree);
-
-  /// Leaf value of `row` in `tree`, routed through the fitted binner.
-  double TraverseBinnedRow(const Tree& tree, size_t row) const;
-  /// Leaf value of `row` in `tree`, routed through encoded query codes.
-  double TraverseCoded(const Tree& tree, const EncodedFrame& codes,
-                       size_t row) const;
-
-  /// Raw additive scores F(x) for an encoded query frame.
-  std::vector<double> RawScoresCoded(const EncodedFrame& codes,
-                                     size_t num_rows) const;
+  /// Recursively grows one round's tree into the image; consumes
+  /// `indices` and `hist`, raises `deepest` to the levels it reaches, and
+  /// returns the node's index.
+  uint32_t BuildNode(const HistogramBuilder& builder,
+                     std::vector<size_t>& indices, Histogram&& hist,
+                     uint32_t depth, uint32_t* deepest);
 
   Status CheckPredict(size_t num_columns) const;
 
   Options options_;
   std::shared_ptr<const FeatureBinner> binner_;
-  std::vector<Tree> trees_;
+  FlatEnsemble image_;
   double base_score_ = 0.0;
   size_t num_features_ = 0;
   std::vector<Histogram> hist_pool_;

@@ -79,6 +79,7 @@ Status RandomForest::Fit(const data::DataFrame& x,
   }
   trees_.clear();
   binner_.reset();
+  image_ = FlatEnsemble();
   num_features_ = x.num_columns();
   max_features_ = ResolveMaxFeatures(options_, num_features_);
   if (options_.split_strategy == SplitStrategy::kHistogram &&
@@ -125,6 +126,7 @@ Status RandomForest::FitBinned(std::shared_ptr<const FeatureBinner> binner,
   }
   trees_.clear();
   binner_.reset();
+  image_ = FlatEnsemble();
   num_features_ = binner->num_features();
   max_features_ = ResolveMaxFeatures(options_, num_features_);
   return FitShared(std::move(binner), y, &rows);
@@ -164,6 +166,10 @@ Status RandomForest::FitShared(std::shared_ptr<const FeatureBinner> binner,
   }
   binner_ = std::move(binner);
   num_classes_ = labels.num_classes;
+  // The trees trained in parallel; they enter the image in tree order.
+  image_ = FlatEnsemble(EnsembleKind::kForestVote, options_.task,
+                        num_features_, num_classes_);
+  for (const DecisionTree& tree : trees_) tree.AppendTo(&image_);
   return Status::OK();
 }
 
@@ -190,7 +196,7 @@ Status RandomForest::FitMaterialized(const data::DataFrame& x,
             yt[i] = y[plan.sample[i]];
           }
           DecisionTree tree(TreeOptions(plan.seed));
-          statuses[t] = tree.Fit(xt, yt);
+          statuses[t] = tree.FitNodes(xt, yt);
           if (statuses[t].ok()) trees_[t] = std::move(tree);
         }
       });
@@ -201,6 +207,18 @@ Status RandomForest::FitMaterialized(const data::DataFrame& x,
     }
   }
   num_classes_ = labels.num_classes;
+  return Status::OK();
+}
+
+Status RandomForest::CheckPredict(size_t num_columns) const {
+  if (trees_.empty()) {
+    return Status::FailedPrecondition("forest is not fitted");
+  }
+  if (num_columns != num_features_) {
+    return Status::InvalidArgument(
+        StrFormat("forest fitted on %zu features, got %zu", num_features_,
+                  num_columns));
+  }
   return Status::OK();
 }
 
@@ -249,81 +267,42 @@ Result<std::vector<double>> RandomForest::Aggregate(
 
 Result<std::vector<double>> RandomForest::Predict(
     const data::DataFrame& x) const {
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("forest is not fitted");
-  }
-  if (x.num_columns() != num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("forest fitted on %zu features, got %zu", num_features_,
-                  x.num_columns()));
-  }
+  EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
   const size_t n = x.num_rows();
-  if (binner_ != nullptr && options_.coded_predict) {
-    // Encode the query frame once; every tree then routes on uint8 bin
-    // comparisons, bit-identically to the raw-double traversal.
-    EAFE_ASSIGN_OR_RETURN(const EncodedFrame codes, binner_->Encode(x));
-    return Aggregate(n, [&](const DecisionTree& tree) {
-      return tree.PredictCoded(codes, n);
-    });
+  if (binner_ == nullptr) {
+    // Exact and per-tree-binner forests: the raw-double reference walk.
+    return Aggregate(
+        n, [&](const DecisionTree& tree) { return tree.Predict(x); });
   }
-  return Aggregate(n,
-                   [&](const DecisionTree& tree) { return tree.Predict(x); });
+  return image_.PredictFrame(*binner_, x, /*proba=*/false);
 }
 
 Result<std::vector<double>> RandomForest::PredictBinnedRows(
     const std::vector<size_t>& rows) const {
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("forest is not fitted");
-  }
+  EAFE_RETURN_NOT_OK(CheckPredict(num_features_));
   if (binner_ == nullptr) {
     return Status::FailedPrecondition(
         "PredictBinnedRows requires a shared-binner fit");
   }
-  return Aggregate(rows.size(), [&](const DecisionTree& tree) {
-    return tree.PredictBinnedRows(rows);
-  });
+  // Held-out fold rows are rows of the binned frame: gather their codes
+  // once, then every tree walks the same row-major buffer.
+  return image_.PredictRows(*binner_, rows);
 }
 
 Result<std::vector<double>> RandomForest::PredictProba(
     const data::DataFrame& x) const {
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("forest is not fitted");
+  EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
+  if (binner_ != nullptr) {
+    return image_.PredictFrame(*binner_, x, /*proba=*/true);
   }
   const size_t n = x.num_rows();
   std::vector<double> sum(n, 0.0);
-  if (binner_ != nullptr && options_.coded_predict) {
-    EAFE_ASSIGN_OR_RETURN(const EncodedFrame codes, binner_->Encode(x));
-    for (const DecisionTree& tree : trees_) {
-      EAFE_ASSIGN_OR_RETURN(std::vector<double> proba,
-                            tree.PredictProbaCoded(codes, n));
-      for (size_t i = 0; i < n; ++i) sum[i] += proba[i];
-    }
-  } else {
-    for (const DecisionTree& tree : trees_) {
-      EAFE_ASSIGN_OR_RETURN(std::vector<double> proba, tree.PredictProba(x));
-      for (size_t i = 0; i < n; ++i) sum[i] += proba[i];
-    }
+  for (const DecisionTree& tree : trees_) {
+    EAFE_ASSIGN_OR_RETURN(std::vector<double> proba, tree.PredictProba(x));
+    for (size_t i = 0; i < n; ++i) sum[i] += proba[i];
   }
   for (double& v : sum) v /= static_cast<double>(trees_.size());
   return sum;
-}
-
-Result<std::vector<TreeNodes>> RandomForest::ExportTrees() const {
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("forest is not fitted");
-  }
-  if (binner_ == nullptr) {
-    return Status::FailedPrecondition(
-        "only shared-binner histogram fits export trees: refit with the "
-        "histogram strategy and share_binner enabled");
-  }
-  std::vector<TreeNodes> out;
-  out.reserve(trees_.size());
-  for (const DecisionTree& tree : trees_) {
-    EAFE_ASSIGN_OR_RETURN(TreeNodes nodes, tree.ExportNodes());
-    out.push_back(std::move(nodes));
-  }
-  return out;
 }
 
 std::vector<double> RandomForest::FeatureImportances() const {

@@ -19,8 +19,10 @@ namespace eafe::ml {
 /// exactly once and every tree trains through a row-id view of the shared
 /// codes: bootstrap is pure row selection, so there is no per-tree
 /// SelectRows materialization and no per-tree re-binning anywhere in a
-/// fit. Prediction encodes the query frame once and routes every tree on
-/// uint8 bin comparisons (bit-identical to the raw-double path).
+/// fit. The fit ends by writing every tree into one flat image
+/// (flat_model.h): fresh frames encode once and held-out fold rows gather
+/// their codes once, then every tree routes on uint8 bin comparisons
+/// through the one walk, bit-identically to the raw-double path.
 class RandomForest : public Model, public SharedBinnerModel {
  public:
   struct Options {
@@ -43,14 +45,9 @@ class RandomForest : public Model, public SharedBinnerModel {
     /// Histogram strategy only: bin the frame once and share the codes
     /// across all trees via row-id bootstrap views. Off reproduces the
     /// per-tree materialize-and-rebin reference path (kept for the
-    /// benchmark baseline and the sharing-identity tests).
+    /// benchmark baseline and the sharing-identity tests), which predicts
+    /// through the raw-double walk.
     bool share_binner = true;
-    /// Histogram fits only: encode query frames once and predict through
-    /// uint8 bin comparisons instead of per-tree double traversals. Both
-    /// paths are bit-identical. Encoding costs one lower_bound per value,
-    /// so on a fresh frame this pays off as trees grow; PredictBinnedRows
-    /// (the CV hot path) skips encoding entirely either way.
-    bool coded_predict = true;
   };
 
   RandomForest() : RandomForest(Options()) {}
@@ -79,17 +76,16 @@ class RandomForest : public Model, public SharedBinnerModel {
   /// to pre-select features on very wide datasets.
   std::vector<double> FeatureImportances() const;
 
-  /// Flattens every tree into persistence records (tree_export.h).
-  /// Shared-binner histogram fits only: the container stores exactly one
-  /// set of binner cuts, which only describes forests whose trees all
-  /// trained through the shared frame binner.
-  Result<std::vector<TreeNodes>> ExportTrees() const;
-
   /// The frame binner shared by all trees (null for exact or
   /// per-tree-materialized fits).
   const std::shared_ptr<const FeatureBinner>& binner() const {
     return binner_;
   }
+
+  /// The flat image every tree of a shared-binner fit is written into;
+  /// empty for exact or per-tree-materialized fits, whose trees have no
+  /// one set of cuts.
+  const FlatTreeModel& image() const { return image_.model(); }
 
   size_t num_trees() const { return trees_.size(); }
   size_t num_features() const { return num_features_; }
@@ -116,7 +112,11 @@ class RandomForest : public Model, public SharedBinnerModel {
   /// Reference path: materialize each bootstrap sample and re-bin it.
   Status FitMaterialized(const data::DataFrame& x,
                          const std::vector<double>& y);
-  /// Majority vote / mean over per-tree predictions supplied by `predict`.
+  Status CheckPredict(size_t num_columns) const;
+  /// Majority vote / mean over per-tree predictions supplied by `predict`:
+  /// the reference aggregation of exact and per-tree-binner forests,
+  /// whose trees predict through the raw-double walk
+  /// (DecisionTree::TraverseToLeaf).
   Result<std::vector<double>> Aggregate(
       size_t n, const std::function<Result<std::vector<double>>(
                     const DecisionTree&)>& predict) const;
@@ -128,6 +128,8 @@ class RandomForest : public Model, public SharedBinnerModel {
   size_t max_features_ = 0;
   /// The frame binner shared by all trees (histogram fits only).
   std::shared_ptr<const FeatureBinner> binner_;
+  /// Shared-binner fits: every tree, written once at the end of the fit.
+  FlatEnsemble image_;
 };
 
 }  // namespace eafe::ml

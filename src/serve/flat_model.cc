@@ -1,203 +1,45 @@
 #include "serve/flat_model.h"
 
-#include <cmath>
-#include <limits>
-#include <utility>
+#include <memory>
 
-#include "core/string_util.h"
 #include "ml/feature_binner.h"
-#include "ml/tree_export.h"
 
 namespace eafe::serve {
 namespace {
 
-/// Appends one exported tree's nodes, rebasing child offsets from
-/// tree-relative to absolute indices.
-Status AppendTree(const ml::TreeNodes& nodes, FlatTreeModel* model) {
-  const size_t base = model->num_nodes();
-  if (nodes.empty()) {
-    return Status::InvalidArgument("exported tree has no nodes");
-  }
-  if (base + nodes.size() >
-      static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
-    return Status::InvalidArgument(
-        "ensemble exceeds the container's 2^31-node capacity");
-  }
-  for (const ml::TreeNodeRecord& rec : nodes) {
-    model->feature.push_back(rec.feature);
-    model->split_bin.push_back(rec.split_bin);
-    model->left.push_back(
-        rec.left < 0 ? -1 : rec.left + static_cast<int32_t>(base));
-    model->right.push_back(
-        rec.right < 0 ? -1 : rec.right + static_cast<int32_t>(base));
-    model->value.push_back(rec.value);
-    model->proba.push_back(rec.proba);
-  }
-  model->tree_offsets.push_back(static_cast<uint32_t>(model->num_nodes()));
-  return Status::OK();
-}
-
-Status FillCuts(const ml::FeatureBinner& binner, FlatTreeModel* model) {
-  const size_t num_features = binner.num_features();
-  model->cut_offsets.reserve(num_features + 1);
-  model->cut_offsets.push_back(0);
-  for (size_t f = 0; f < num_features; ++f) {
-    const size_t num_cuts = binner.num_bins(f) - 1;
-    for (size_t b = 0; b < num_cuts; ++b) {
-      model->cuts.push_back(binner.cut(f, b));
+/// `image` with `binner`'s cuts appended, feature by feature.
+ml::FlatTreeModel WithCuts(ml::FlatTreeModel image,
+                           const ml::FeatureBinner& binner) {
+  image.cut_offsets.assign(1, 0);
+  for (size_t f = 0; f < binner.num_features(); ++f) {
+    for (size_t b = 0; b + 1 < binner.num_bins(f); ++b) {
+      image.cuts.push_back(binner.cut(f, b));
     }
-    model->cut_offsets.push_back(model->cuts.size());
+    image.cut_offsets.push_back(image.cuts.size());
   }
-  return Status::OK();
-}
-
-Status FlattenTrees(const std::vector<ml::TreeNodes>& trees,
-                    FlatTreeModel* model) {
-  model->tree_offsets.push_back(0);
-  for (const ml::TreeNodes& nodes : trees) {
-    EAFE_RETURN_NOT_OK(AppendTree(nodes, model));
-  }
-  return Status::OK();
+  return image;
 }
 
 }  // namespace
 
-Status FlatTreeModel::Validate() const {
-  const size_t n = feature.size();
-  if (split_bin.size() != n || left.size() != n || right.size() != n ||
-      value.size() != n || proba.size() != n) {
-    return Status::InvalidArgument(
-        "corrupt flat model: node arrays disagree in length");
+Result<ml::FlatTreeModel> FlattenForest(const ml::RandomForest& forest) {
+  if (!forest.fitted()) {
+    return Status::FailedPrecondition("forest is not fitted");
   }
-  if (kind != EnsembleKind::kForestVote && kind != EnsembleKind::kBoostedSum) {
-    return Status::InvalidArgument("corrupt flat model: unknown ensemble kind");
+  if (forest.binner() == nullptr) {
+    return Status::FailedPrecondition(
+        "only shared-binner histogram fits flatten: refit with the "
+        "histogram strategy and share_binner enabled");
   }
-  if (num_features == 0) {
-    return Status::InvalidArgument("corrupt flat model: zero features");
-  }
-  if (tree_offsets.size() < 2 || tree_offsets.front() != 0 ||
-      tree_offsets.back() != n) {
-    return Status::InvalidArgument(
-        "corrupt flat model: tree offsets do not span the node arrays");
-  }
-  if (cut_offsets.size() != static_cast<size_t>(num_features) + 1 ||
-      cut_offsets.front() != 0 || cut_offsets.back() != cuts.size()) {
-    return Status::InvalidArgument(
-        "corrupt flat model: cut offsets do not span the cuts array");
-  }
-  for (size_t f = 0; f < num_features; ++f) {
-    if (cut_offsets[f] > cut_offsets[f + 1]) {
-      return Status::InvalidArgument(
-          "corrupt flat model: cut offsets are not monotone");
-    }
-    for (uint64_t c = cut_offsets[f] + 1; c < cut_offsets[f + 1]; ++c) {
-      if (!(cuts[static_cast<size_t>(c - 1)] <
-            cuts[static_cast<size_t>(c)])) {
-        return Status::InvalidArgument(StrFormat(
-            "corrupt flat model: cuts of feature %zu are not ascending", f));
-      }
-    }
-  }
-  const bool classification_vote =
-      kind == EnsembleKind::kForestVote &&
-      task == data::TaskType::kClassification;
-  if (classification_vote && num_classes < 2) {
-    return Status::InvalidArgument(
-        "corrupt flat model: classification forest needs >= 2 classes");
-  }
-  if (kind == EnsembleKind::kBoostedSum && !(learning_rate > 0.0)) {
-    return Status::InvalidArgument(
-        "corrupt flat model: booster needs a positive learning rate");
-  }
-  for (size_t t = 0; t + 1 < tree_offsets.size(); ++t) {
-    const uint32_t begin = tree_offsets[t];
-    const uint32_t end = tree_offsets[t + 1];
-    if (begin >= end) {
-      return Status::InvalidArgument(
-          StrFormat("corrupt flat model: tree %zu is empty or its offsets "
-                    "are not increasing",
-                    t));
-    }
-    for (uint32_t i = begin; i < end; ++i) {
-      const int32_t f = feature[i];
-      if (f < 0) {  // Leaf.
-        if (left[i] != -1 || right[i] != -1) {
-          return Status::InvalidArgument(
-              StrFormat("corrupt flat model: leaf node %u has children", i));
-        }
-        if (classification_vote) {
-          const double v = value[i];
-          if (!(v >= 0.0) || v != std::floor(v) ||
-              v >= static_cast<double>(num_classes)) {
-            return Status::InvalidArgument(StrFormat(
-                "corrupt flat model: leaf node %u predicts an invalid "
-                "class id",
-                i));
-          }
-        }
-        continue;
-      }
-      if (static_cast<uint32_t>(f) >= num_features) {
-        return Status::InvalidArgument(StrFormat(
-            "corrupt flat model: node %u splits on unknown feature %d", i,
-            f));
-      }
-      const uint64_t num_cuts =
-          cut_offsets[static_cast<size_t>(f) + 1] -
-          cut_offsets[static_cast<size_t>(f)];
-      if (split_bin[i] >= num_cuts) {
-        return Status::InvalidArgument(StrFormat(
-            "corrupt flat model: node %u splits past feature %d's last "
-            "bin boundary",
-            i, f));
-      }
-      // Children strictly after the parent and inside the owning tree:
-      // any traversal advances monotonically and must terminate.
-      for (const int32_t child : {left[i], right[i]}) {
-        if (child <= static_cast<int32_t>(i) ||
-            static_cast<uint32_t>(child) >= end) {
-          return Status::InvalidArgument(StrFormat(
-              "corrupt flat model: node %u has an out-of-tree or "
-              "non-forward child",
-              i));
-        }
-      }
-    }
-  }
-  return Status::OK();
+  return WithCuts(forest.image(), *forest.binner());
 }
 
-Result<FlatTreeModel> FlattenForest(const ml::RandomForest& forest) {
-  EAFE_ASSIGN_OR_RETURN(std::vector<ml::TreeNodes> trees,
-                        forest.ExportTrees());
-  const std::shared_ptr<const ml::FeatureBinner>& binner = forest.binner();
-  FlatTreeModel model;
-  model.kind = EnsembleKind::kForestVote;
-  model.task = forest.task();
-  model.num_features = static_cast<uint32_t>(binner->num_features());
-  model.num_classes = forest.task() == data::TaskType::kClassification
-                          ? static_cast<uint32_t>(forest.num_classes())
-                          : 0;
-  EAFE_RETURN_NOT_OK(FlattenTrees(trees, &model));
-  EAFE_RETURN_NOT_OK(FillCuts(*binner, &model));
-  EAFE_RETURN_NOT_OK(model.Validate());
-  return model;
-}
-
-Result<FlatTreeModel> FlattenGbdt(const ml::GradientBoostedTrees& booster) {
-  EAFE_ASSIGN_OR_RETURN(std::vector<ml::TreeNodes> trees,
-                        booster.ExportTrees());
-  const std::shared_ptr<const ml::FeatureBinner>& binner = booster.binner();
-  FlatTreeModel model;
-  model.kind = EnsembleKind::kBoostedSum;
-  model.task = booster.task();
-  model.num_features = static_cast<uint32_t>(binner->num_features());
-  model.base_score = booster.base_score();
-  model.learning_rate = booster.options().learning_rate;
-  EAFE_RETURN_NOT_OK(FlattenTrees(trees, &model));
-  EAFE_RETURN_NOT_OK(FillCuts(*binner, &model));
-  EAFE_RETURN_NOT_OK(model.Validate());
-  return model;
+Result<ml::FlatTreeModel> FlattenGbdt(
+    const ml::GradientBoostedTrees& booster) {
+  if (booster.num_trees() == 0) {
+    return Status::FailedPrecondition("booster is not fitted");
+  }
+  return WithCuts(booster.image(), *booster.binner());
 }
 
 }  // namespace eafe::serve

@@ -1,85 +1,23 @@
 #ifndef EAFE_SERVE_FLAT_MODEL_H_
 #define EAFE_SERVE_FLAT_MODEL_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "core/status.h"
-#include "data/dataframe.h"
+#include "ml/flat_model.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
 
 namespace eafe::serve {
 
-/// How the flattened trees combine into one prediction.
-enum class EnsembleKind : uint32_t {
-  /// Majority vote (classification) / mean (regression) over leaf values
-  /// — RandomForest semantics.
-  kForestVote = 1,
-  /// base_score + learning_rate * sum of leaf weights, through a sigmoid
-  /// for classification — GradientBoostedTrees semantics.
-  kBoostedSum = 2,
-};
-
-/// A tree ensemble flattened to structure-of-arrays node records plus
-/// the fitted binner thresholds: the in-memory image of the container's
-/// payload sections (model_store.h) and the input of FlatPredictor
-/// (flat_predictor.h). Each node field is one contiguous array over the
-/// concatenation of all trees; tree t owns nodes
-/// [tree_offsets[t], tree_offsets[t+1]), and child offsets are absolute
-/// indices into the concatenated arrays (no per-tree rebasing during
-/// traversal, no pointers anywhere — the layout is mmap-friendly).
-///
-/// Thresholds are not stored: a histogram split routes on
-/// code <= split_bin, and the cuts array lets the predictor encode raw
-/// frames exactly like the training-time FeatureBinner, so flat
-/// prediction is bit-identical to the in-memory PredictCoded path.
-struct FlatTreeModel {
-  EnsembleKind kind = EnsembleKind::kForestVote;
-  data::TaskType task = data::TaskType::kClassification;
-  uint32_t num_features = 0;
-  /// Vote width of a classification forest; 0 otherwise.
-  uint32_t num_classes = 0;
-  double base_score = 0.0;     ///< kBoostedSum only.
-  double learning_rate = 0.0;  ///< kBoostedSum only.
-
-  /// num_trees + 1 monotone offsets into the node arrays; front 0, back
-  /// the total node count.
-  std::vector<uint32_t> tree_offsets;
-  std::vector<int32_t> feature;    ///< Split feature; -1 marks a leaf.
-  std::vector<uint8_t> split_bin;  ///< Go left if code <= split_bin.
-  std::vector<int32_t> left;       ///< Absolute child index; -1 for leaves.
-  std::vector<int32_t> right;
-  std::vector<double> value;  ///< Leaf class / mean / boost weight.
-  std::vector<double> proba;  ///< Leaf P(class == 1) (kForestVote only).
-
-  /// Binner thresholds: feature f owns the ascending cuts
-  /// [cut_offsets[f], cut_offsets[f+1]); a value v encodes to
-  /// lower_bound(cuts of f, v), exactly like FeatureBinner::Encode.
-  std::vector<uint64_t> cut_offsets;  ///< num_features + 1 offsets.
-  std::vector<double> cuts;
-
-  size_t num_trees() const {
-    return tree_offsets.empty() ? 0 : tree_offsets.size() - 1;
-  }
-  size_t num_nodes() const { return feature.size(); }
-
-  /// Structural validation, run after every load and flatten: array
-  /// lengths agree, offsets are monotone, split features and bins are in
-  /// range, children stay inside the owning tree and strictly after
-  /// their parent (traversal terminates on any input), leaves have no
-  /// children, classification leaf values are valid class ids, and cuts
-  /// ascend per feature. A corrupted container fails here with a clean
-  /// error instead of crashing the predictor.
-  Status Validate() const;
-};
-
-/// Flattens a fitted shared-binner histogram forest. Fails for exact or
+/// The saved form of a fitted shared-binner histogram forest: a copy of
+/// the flat image the forest already holds, plus its binner's cuts, so a
+/// loaded model encodes raw frames on its own. Fails for exact or
 /// per-tree-materialized fits (no single set of cuts describes them).
-Result<FlatTreeModel> FlattenForest(const ml::RandomForest& forest);
+Result<ml::FlatTreeModel> FlattenForest(const ml::RandomForest& forest);
 
-/// Flattens a fitted booster (histogram-only, always flattenable).
-Result<FlatTreeModel> FlattenGbdt(const ml::GradientBoostedTrees& booster);
+/// The saved form of a fitted booster (histogram-only, always
+/// flattenable): its image plus its binner's cuts.
+Result<ml::FlatTreeModel> FlattenGbdt(
+    const ml::GradientBoostedTrees& booster);
 
 }  // namespace eafe::serve
 

@@ -69,7 +69,7 @@ std::string ContainerHeader(ModelKind kind) {
 
 // --- tree model sections ---------------------------------------------------
 
-std::string TreeMetaPayload(const FlatTreeModel& model) {
+std::string TreeMetaPayload(const ml::FlatTreeModel& model) {
   ByteWriter w;
   w.PutU32(TaskToWire(model.task));
   w.PutU32(model.num_classes);
@@ -78,7 +78,7 @@ std::string TreeMetaPayload(const FlatTreeModel& model) {
   return w.Take();
 }
 
-std::string TreeNodesPayload(const FlatTreeModel& model) {
+std::string TreeNodesPayload(const ml::FlatTreeModel& model) {
   ByteWriter w;
   w.PutU64(model.num_trees());
   for (uint32_t offset : model.tree_offsets) w.PutU32(offset);
@@ -92,7 +92,7 @@ std::string TreeNodesPayload(const FlatTreeModel& model) {
   return w.Take();
 }
 
-std::string BinnerCutsPayload(const FlatTreeModel& model) {
+std::string BinnerCutsPayload(const ml::FlatTreeModel& model) {
   ByteWriter w;
   w.PutU32(model.num_features);
   for (uint64_t offset : model.cut_offsets) w.PutU64(offset);
@@ -100,7 +100,7 @@ std::string BinnerCutsPayload(const FlatTreeModel& model) {
   return w.Take();
 }
 
-Result<std::string> SerializeFlatTree(const FlatTreeModel& model,
+Result<std::string> SerializeFlatTree(const ml::FlatTreeModel& model,
                                       ModelKind kind) {
   EAFE_RETURN_NOT_OK(model.Validate());
   ByteWriter container;
@@ -111,7 +111,7 @@ Result<std::string> SerializeFlatTree(const FlatTreeModel& model,
   return container.Take();
 }
 
-Status ParseTreeMeta(ByteReader* section, FlatTreeModel* model) {
+Status ParseTreeMeta(ByteReader* section, ml::FlatTreeModel* model) {
   EAFE_ASSIGN_OR_RETURN(uint32_t task, section->TakeU32());
   EAFE_ASSIGN_OR_RETURN(model->task, TaskFromWire(task));
   EAFE_ASSIGN_OR_RETURN(model->num_classes, section->TakeU32());
@@ -120,7 +120,7 @@ Status ParseTreeMeta(ByteReader* section, FlatTreeModel* model) {
   return Status::OK();
 }
 
-Status ParseTreeNodes(ByteReader* section, FlatTreeModel* model) {
+Status ParseTreeNodes(ByteReader* section, ml::FlatTreeModel* model) {
   EAFE_ASSIGN_OR_RETURN(uint64_t num_trees,
                         section->TakeCount(sizeof(uint32_t)));
   model->tree_offsets.resize(static_cast<size_t>(num_trees) + 1);
@@ -159,7 +159,7 @@ Status ParseTreeNodes(ByteReader* section, FlatTreeModel* model) {
   return Status::OK();
 }
 
-Status ParseBinnerCuts(ByteReader* section, FlatTreeModel* model) {
+Status ParseBinnerCuts(ByteReader* section, ml::FlatTreeModel* model) {
   EAFE_ASSIGN_OR_RETURN(model->num_features, section->TakeU32());
   if (model->num_features >
       section->remaining() / sizeof(uint64_t)) {
@@ -174,10 +174,12 @@ Status ParseBinnerCuts(ByteReader* section, FlatTreeModel* model) {
   return Status::OK();
 }
 
-Result<FlatTreeModel> ParseTreeModel(ByteReader* reader, ModelKind kind) {
-  FlatTreeModel model;
-  model.kind = kind == ModelKind::kRandomForest ? EnsembleKind::kForestVote
-                                                : EnsembleKind::kBoostedSum;
+Result<ml::FlatTreeModel> ParseTreeModel(ByteReader* reader,
+                                         ModelKind kind) {
+  ml::FlatTreeModel model;
+  model.kind = kind == ModelKind::kRandomForest
+                   ? ml::EnsembleKind::kForestVote
+                   : ml::EnsembleKind::kBoostedSum;
   bool have_meta = false;
   bool have_nodes = false;
   bool have_cuts = false;
@@ -513,12 +515,12 @@ class MappedFile {
 }  // namespace
 
 Result<std::string> SerializeForest(const ml::RandomForest& forest) {
-  EAFE_ASSIGN_OR_RETURN(FlatTreeModel model, FlattenForest(forest));
+  EAFE_ASSIGN_OR_RETURN(ml::FlatTreeModel model, FlattenForest(forest));
   return SerializeFlatTree(model, ModelKind::kRandomForest);
 }
 
 Result<std::string> SerializeGbdt(const ml::GradientBoostedTrees& booster) {
-  EAFE_ASSIGN_OR_RETURN(FlatTreeModel model, FlattenGbdt(booster));
+  EAFE_ASSIGN_OR_RETURN(ml::FlatTreeModel model, FlattenGbdt(booster));
   return SerializeFlatTree(model, ModelKind::kGradientBoostedTrees);
 }
 
@@ -581,7 +583,7 @@ Result<LoadedModel> DeserializeModel(std::string_view bytes) {
     case static_cast<uint32_t>(ModelKind::kRandomForest):
     case static_cast<uint32_t>(ModelKind::kGradientBoostedTrees): {
       loaded.kind = static_cast<ModelKind>(kind_wire);
-      EAFE_ASSIGN_OR_RETURN(FlatTreeModel model,
+      EAFE_ASSIGN_OR_RETURN(ml::FlatTreeModel model,
                             ParseTreeModel(&reader, loaded.kind));
       loaded.tree = std::move(model);
       return loaded;

@@ -34,10 +34,10 @@ namespace eafe::serve {
 /// structurally validated, so truncated or corrupted containers fail
 /// with a clean Status instead of undefined behaviour.
 ///
-/// Tree models (forest / gbdt) store flattened structure-of-arrays node
-/// records plus the fitted FeatureBinner thresholds (flat_model.h), so
-/// a loaded model encodes raw frames itself and predicts bit-identically
-/// to the in-memory coded paths. FPE models store the compressor
+/// Tree models (forest / gbdt) store the fit's flat image, structure-of-
+/// arrays node records (ml/flat_model.h), plus the fitted FeatureBinner
+/// thresholds, so a loaded model encodes raw frames itself and predicts
+/// bit-identically to the in-memory model. FPE models store the compressor
 /// configuration plus the classifier (logistic weights or MLP layers);
 /// the pre-container "eafe-fpe-model v1" text format is still accepted
 /// by DeserializeModel / LoadModel for backward compatibility.
@@ -72,7 +72,7 @@ Result<std::string> SerializeFpe(const fpe::FpeModel& model);
 /// FlatPredictor::Create), the FPE kind carries a restored FpeModel.
 struct LoadedModel {
   ModelKind kind = ModelKind::kRandomForest;
-  std::optional<FlatTreeModel> tree;
+  std::optional<ml::FlatTreeModel> tree;
   std::optional<fpe::FpeModel> fpe;
 };
 

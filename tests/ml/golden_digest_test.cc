@@ -8,13 +8,13 @@
 
 #include "core/rng.h"
 #include "data/dataframe.h"
+#include "ml/flat_model.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
-#include "ml/tree_export.h"
 #include "simd/simd.h"
 
 // Golden digests of fixed-seed model fits. Each digest folds the bit
-// pattern of every prediction, importance and exported node of one fit,
+// pattern of every prediction, importance and flattened node of one fit,
 // so any change to what a fit learns or predicts, down to the last bit of
 // one double, changes the pinned value. A refactor of the training or
 // prediction code that claims to keep results must leave these unchanged;
@@ -66,17 +66,26 @@ uint64_t FoldValues(uint64_t digest, const std::vector<double>& values) {
   return digest;
 }
 
-uint64_t FoldTrees(uint64_t digest, const std::vector<TreeNodes>& trees) {
-  digest = Fold(digest, trees.size());
-  for (const TreeNodes& nodes : trees) {
-    digest = Fold(digest, nodes.size());
-    for (const TreeNodeRecord& node : nodes) {
-      digest = Fold(digest, static_cast<uint64_t>(node.feature));
-      digest = Fold(digest, node.split_bin);
-      digest = Fold(digest, static_cast<uint64_t>(node.left));
-      digest = Fold(digest, static_cast<uint64_t>(node.right));
-      digest = Fold(digest, std::bit_cast<uint64_t>(node.value));
-      digest = Fold(digest, std::bit_cast<uint64_t>(node.proba));
+/// Folds every tree of a flat image: its node count, then each node's
+/// feature, split bin, children (relative to the tree's first node, -1
+/// on leaves), value and proba.
+uint64_t FoldTrees(uint64_t digest, const FlatTreeModel& image) {
+  digest = Fold(digest, image.num_trees());
+  for (size_t t = 0; t < image.num_trees(); ++t) {
+    const uint32_t begin = image.tree_offsets[t];
+    const uint32_t end = image.tree_offsets[t + 1];
+    const auto relative = [begin](int32_t child) {
+      return static_cast<uint64_t>(
+          child < 0 ? child : child - static_cast<int32_t>(begin));
+    };
+    digest = Fold(digest, end - begin);
+    for (uint32_t i = begin; i < end; ++i) {
+      digest = Fold(digest, static_cast<uint64_t>(image.feature[i]));
+      digest = Fold(digest, image.split_bin[i]);
+      digest = Fold(digest, relative(image.left[i]));
+      digest = Fold(digest, relative(image.right[i]));
+      digest = Fold(digest, std::bit_cast<uint64_t>(image.value[i]));
+      digest = Fold(digest, std::bit_cast<uint64_t>(image.proba[i]));
     }
   }
   return digest;
@@ -98,7 +107,7 @@ uint64_t ForestDigest(data::TaskType task, size_t rows, size_t columns) {
   digest =
       FoldValues(digest, forest.PredictProba(dataset.features).ValueOrDie());
   digest = FoldValues(digest, forest.FeatureImportances());
-  return FoldTrees(digest, forest.ExportTrees().ValueOrDie());
+  return FoldTrees(digest, forest.image());
 }
 
 // Restores the dispatch tier a test forced via SetActiveLevel.
@@ -139,7 +148,7 @@ TEST(GoldenDigestTest, ScalarBooster) {
   digest = FoldValues(digest, booster.Predict(dataset.features).ValueOrDie());
   digest =
       FoldValues(digest, booster.PredictProba(dataset.features).ValueOrDie());
-  digest = FoldTrees(digest, booster.ExportTrees().ValueOrDie());
+  digest = FoldTrees(digest, booster.image());
   EXPECT_EQ(digest, 0xe29c747b2680a6cfULL);
 }
 

@@ -200,9 +200,7 @@ TEST(HistogramBuilderTest, ForestNodesAccumulateOnlySampledFeatures) {
   const uint64_t dispatches =
       simd::DispatchCount(simd::Kernel::kClassCounts, simd::Level::kScalar) +
       simd::DispatchCount(simd::Kernel::kClassCounts, simd::Level::kAvx2);
-  const std::vector<TreeNodes> trees = forest.ExportTrees().ValueOrDie();
-  size_t nodes = 0;
-  for (const TreeNodes& tree : trees) nodes += tree.size();
+  const size_t nodes = forest.image().num_nodes();
   const size_t max_features = 6;
   EXPECT_GT(dispatches, 0u);
   EXPECT_LE(dispatches, nodes * max_features);

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <future>
 #include <vector>
 
 #include "data/dataframe.h"
 #include "ml/cross_validation.h"
 #include "ml/decision_tree.h"
 #include "ml/feature_binner.h"
+#include "ml/flat_model.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
 #include "runtime/thread_pool.h"
+#include "simd/simd.h"
 #include "tests/ml/test_util.h"
 
 namespace eafe::ml {
@@ -71,13 +75,50 @@ data::Dataset MakeWide(size_t n, size_t columns, uint64_t seed) {
   return dataset;
 }
 
-RandomForest::Options ForestOptions(bool share_binner, bool coded_predict,
-                                    uint64_t seed = 17) {
+RandomForest::Options ForestOptions(bool share_binner, uint64_t seed = 17) {
   RandomForest::Options options;
   options.seed = seed;
   options.share_binner = share_binner;
-  options.coded_predict = coded_predict;
   return options;
+}
+
+/// The raw-double reference walk over a shared-binner forest's image:
+/// every tree routes row r on x[feature] <= cut(feature, split_bin), with
+/// no codes anywhere, and rows aggregate as RandomForest defines it
+/// (majority vote with the lowest class id on ties, or the mean leaf
+/// value; `proba` takes the mean leaf fraction instead).
+std::vector<double> PredictThresholds(const RandomForest& forest,
+                                      const data::DataFrame& x,
+                                      bool proba) {
+  const FlatTreeModel& image = forest.image();
+  const FeatureBinner& binner = *forest.binner();
+  const bool vote =
+      !proba && forest.task() == data::TaskType::kClassification;
+  std::vector<double> out(x.num_rows(), 0.0);
+  for (size_t r = 0; r < x.num_rows(); ++r) {
+    std::vector<uint32_t> votes(static_cast<size_t>(forest.num_classes()),
+                                0);
+    for (size_t t = 0; t < image.num_trees(); ++t) {
+      size_t node = image.tree_offsets[t];
+      while (image.feature[node] >= 0) {
+        const size_t f = static_cast<size_t>(image.feature[node]);
+        const double threshold = binner.cut(f, image.split_bin[node]);
+        node = static_cast<size_t>(x.column(f)[r] <= threshold
+                                       ? image.left[node]
+                                       : image.right[node]);
+      }
+      if (vote) {
+        ++votes[static_cast<size_t>(image.value[node])];
+      } else {
+        out[r] += proba ? image.proba[node] : image.value[node];
+      }
+    }
+    out[r] = vote ? static_cast<double>(
+                        std::max_element(votes.begin(), votes.end()) -
+                        votes.begin())
+                  : out[r] / static_cast<double>(image.num_trees());
+  }
+  return out;
 }
 
 // On quantized data every bootstrap contains every distinct value, so the
@@ -86,10 +127,8 @@ RandomForest::Options ForestOptions(bool share_binner, bool coded_predict,
 TEST(SharedBinnerForestTest, SharedFitMatchesPerTreeFitOnQuantizedData) {
   const data::Dataset dataset = MakeQuantized(600, 4, 21);
   const data::Dataset query = MakeQuantized(200, 4, 22);
-  RandomForest shared(ForestOptions(/*share_binner=*/true,
-                                    /*coded_predict=*/false));
-  RandomForest per_tree(ForestOptions(/*share_binner=*/false,
-                                      /*coded_predict=*/false));
+  RandomForest shared(ForestOptions(/*share_binner=*/true));
+  RandomForest per_tree(ForestOptions(/*share_binner=*/false));
   ASSERT_TRUE(shared.Fit(dataset.features, dataset.labels).ok());
   ASSERT_TRUE(per_tree.Fit(dataset.features, dataset.labels).ok());
   EXPECT_EQ(shared.Predict(dataset.features).ValueOrDie(),
@@ -102,42 +141,36 @@ TEST(SharedBinnerForestTest, SharedFitMatchesPerTreeFitOnQuantizedData) {
 }
 
 // code(v) <= split_bin exactly when v <= cut(split_bin) for *any* value,
-// so bin-coded prediction must match double-threshold prediction even
-// when binning is lossy (2000 rows, 255 bins) and the query frame holds
-// values never seen in training.
+// so the forest's walk over codes must match the raw-double reference
+// walk over the same trees even when binning is lossy (2000 rows, 255
+// bins) and the query frame holds values never seen in training.
 TEST(SharedBinnerForestTest, CodedPredictMatchesDoublePredict) {
   const data::Dataset dataset = MakeXor(2000, 31);
   const data::Dataset query = MakeXor(500, 32);
-  RandomForest coded(ForestOptions(/*share_binner=*/true,
-                                   /*coded_predict=*/true));
-  RandomForest raw(ForestOptions(/*share_binner=*/true,
-                                 /*coded_predict=*/false));
-  ASSERT_TRUE(coded.Fit(dataset.features, dataset.labels).ok());
-  ASSERT_TRUE(raw.Fit(dataset.features, dataset.labels).ok());
-  EXPECT_EQ(coded.Predict(dataset.features).ValueOrDie(),
-            raw.Predict(dataset.features).ValueOrDie());
-  EXPECT_EQ(coded.Predict(query.features).ValueOrDie(),
-            raw.Predict(query.features).ValueOrDie());
-  EXPECT_EQ(coded.PredictProba(query.features).ValueOrDie(),
-            raw.PredictProba(query.features).ValueOrDie());
+  RandomForest forest(ForestOptions(/*share_binner=*/true));
+  ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
+  EXPECT_EQ(forest.Predict(dataset.features).ValueOrDie(),
+            PredictThresholds(forest, dataset.features, false));
+  EXPECT_EQ(forest.Predict(query.features).ValueOrDie(),
+            PredictThresholds(forest, query.features, false));
+  EXPECT_EQ(forest.PredictProba(query.features).ValueOrDie(),
+            PredictThresholds(forest, query.features, true));
 }
 
 TEST(SharedBinnerForestTest, CodedPredictMatchesDoublePredictWhenLossless) {
   const data::Dataset dataset = MakeBlobs(150, 33);
-  RandomForest coded(ForestOptions(true, true));
-  RandomForest raw(ForestOptions(true, false));
-  ASSERT_TRUE(coded.Fit(dataset.features, dataset.labels).ok());
-  ASSERT_TRUE(raw.Fit(dataset.features, dataset.labels).ok());
-  EXPECT_EQ(coded.Predict(dataset.features).ValueOrDie(),
-            raw.Predict(dataset.features).ValueOrDie());
+  RandomForest forest(ForestOptions(/*share_binner=*/true));
+  ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
+  EXPECT_EQ(forest.Predict(dataset.features).ValueOrDie(),
+            PredictThresholds(forest, dataset.features, false));
 }
 
 // The zero-per-tree-work guarantee, by counter: a 10k-row forest fit bins
 // the frame exactly once and never materializes a bootstrap sub-frame,
-// and coded prediction never re-fits a binner.
+// and prediction never re-fits a binner.
 TEST(SharedBinnerForestTest, ForestFitBinsOnceAndNeverSelectsRows) {
   const data::Dataset dataset = MakeXor(10000, 41);
-  RandomForest forest;  // Defaults: histogram, shared, coded.
+  RandomForest forest;  // Defaults: histogram, shared binner.
   FeatureBinner::ResetTotalFits();
   data::DataFrame::ResetTotalSelectRows();
   ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
@@ -164,6 +197,68 @@ TEST(SharedBinnerForestTest, CrossValidationBinsOnceAndNeverSelectsRows) {
   EXPECT_EQ(FeatureBinner::TotalFits(), 1u);
   EXPECT_EQ(data::DataFrame::TotalSelectRows(), 0u);
   EXPECT_GT(score, 0.85);
+}
+
+// Held-out fold rows gather their codes once, and each tree walks them
+// in one dispatch: an 8-tree forest over 3 folds walks 24 times.
+TEST(SharedBinnerForestTest, CrossValidationWalksOncePerFoldAndTree) {
+  const data::Dataset dataset = MakeXor(600, 46);
+  CvOptions cv;
+  cv.folds = 3;
+  simd::ResetDispatchCounts();
+  const double score =
+      CrossValidateScore(
+          [] {
+            RandomForest::Options options;
+            options.num_trees = 8;
+            return std::make_unique<RandomForest>(options);
+          },
+          dataset, cv)
+          .ValueOrDie();
+  EXPECT_EQ(simd::DispatchCount(simd::Kernel::kWalk, simd::Level::kScalar) +
+                simd::DispatchCount(simd::Kernel::kWalk, simd::Level::kAvx2),
+            24u);
+  EXPECT_GT(score, 0.85);
+}
+
+// One fitted forest serves many threads at once (a forest-backed FPE
+// model filters on every pool worker): each walk keeps its scratch in the
+// call, so concurrent predicts must each return the serial result.
+TEST(SharedBinnerForestTest, ConcurrentPredictsMatchSerial) {
+  const data::Dataset dataset = MakeXor(1200, 47);
+  const data::Dataset query = MakeXor(300, 48);
+  RandomForest forest(ForestOptions(/*share_binner=*/true));
+  ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < dataset.num_rows(); r += 3) rows.push_back(r);
+  const std::vector<double> predict =
+      forest.Predict(query.features).ValueOrDie();
+  const std::vector<double> proba =
+      forest.PredictProba(query.features).ValueOrDie();
+  const std::vector<double> binned =
+      forest.PredictBinnedRows(rows).ValueOrDie();
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 8;
+  runtime::ThreadPool pool(kThreads);
+  std::vector<std::future<void>> done;
+  std::vector<size_t> mismatches(kThreads, 0);
+  for (size_t t = 0; t < kThreads; ++t) {
+    done.push_back(pool.Submit([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        mismatches[t] += forest.Predict(query.features).ValueOrDie() !=
+                         predict;
+        mismatches[t] += forest.PredictProba(query.features).ValueOrDie() !=
+                         proba;
+        mismatches[t] += forest.PredictBinnedRows(rows).ValueOrDie() !=
+                         binned;
+      }
+    }));
+  }
+  for (std::future<void>& f : done) f.get();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 // The exact strategy declines sharing (BinFrame returns null) and CV must
@@ -216,7 +311,7 @@ TEST(SharedBinnerForestTest, WideFrameFitsIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(serial_tree.Fit(dataset.features, dataset.labels).ok());
   const auto serial_tree_pred =
       serial_tree.Predict(dataset.features).ValueOrDie();
-  RandomForest serial_forest(ForestOptions(true, true));
+  RandomForest serial_forest(ForestOptions(true));
   ASSERT_TRUE(serial_forest.Fit(dataset.features, dataset.labels).ok());
   const auto serial_forest_pred =
       serial_forest.Predict(dataset.features).ValueOrDie();
@@ -227,7 +322,7 @@ TEST(SharedBinnerForestTest, WideFrameFitsIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(tree.Fit(dataset.features, dataset.labels).ok());
     EXPECT_EQ(tree.node_count(), serial_tree.node_count());
     EXPECT_EQ(tree.Predict(dataset.features).ValueOrDie(), serial_tree_pred);
-    RandomForest forest(ForestOptions(true, true));
+    RandomForest forest(ForestOptions(true));
     ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
     EXPECT_EQ(forest.Predict(dataset.features).ValueOrDie(),
               serial_forest_pred);

@@ -25,14 +25,25 @@ TEST(FlatModelTest, FlattenForestProducesValidatedArrays) {
   ml::RandomForest forest;
   const data::Dataset data = MakeData(data::TaskType::kClassification, 41);
   ASSERT_TRUE(forest.Fit(data.features, data.labels).ok());
-  const FlatTreeModel model = FlattenForest(forest).ValueOrDie();
+  const ml::FlatTreeModel model = FlattenForest(forest).ValueOrDie();
 
-  EXPECT_EQ(model.kind, EnsembleKind::kForestVote);
+  EXPECT_EQ(model.kind, ml::EnsembleKind::kForestVote);
   EXPECT_EQ(model.task, data::TaskType::kClassification);
   EXPECT_EQ(model.num_trees(), forest.num_trees());
   EXPECT_EQ(model.num_features, 5u);
   EXPECT_GE(model.num_classes, 2u);
   EXPECT_TRUE(model.Validate().ok());
+
+  // The saved nodes are a copy of the image the forest predicts through.
+  const ml::FlatTreeModel& image = forest.image();
+  EXPECT_EQ(model.tree_offsets, image.tree_offsets);
+  EXPECT_EQ(model.feature, image.feature);
+  EXPECT_EQ(model.split_bin, image.split_bin);
+  EXPECT_EQ(model.left, image.left);
+  EXPECT_EQ(model.right, image.right);
+  EXPECT_EQ(model.value, image.value);
+  EXPECT_EQ(model.proba, image.proba);
+  EXPECT_TRUE(image.cuts.empty());  // The in-memory image uses the binner.
 
   // The stored cuts are the fitted binner's thresholds, feature by
   // feature — the loaded model can encode raw frames on its own.
@@ -56,13 +67,15 @@ TEST(FlatModelTest, FlattenGbdtCarriesBoosterMeta) {
   ml::GradientBoostedTrees booster(options);
   const data::Dataset data = MakeData(data::TaskType::kRegression, 42);
   ASSERT_TRUE(booster.Fit(data.features, data.labels).ok());
-  const FlatTreeModel model = FlattenGbdt(booster).ValueOrDie();
+  const ml::FlatTreeModel model = FlattenGbdt(booster).ValueOrDie();
 
-  EXPECT_EQ(model.kind, EnsembleKind::kBoostedSum);
+  EXPECT_EQ(model.kind, ml::EnsembleKind::kBoostedSum);
   EXPECT_EQ(model.num_trees(), 7u);
   EXPECT_EQ(model.base_score, booster.base_score());
   EXPECT_EQ(model.learning_rate, 0.3);
   EXPECT_TRUE(model.Validate().ok());
+  EXPECT_EQ(model.feature, booster.image().feature);
+  EXPECT_EQ(model.value, booster.image().value);
 }
 
 TEST(FlatModelTest, ChildOffsetsAreAbsoluteAndForward) {
@@ -71,7 +84,7 @@ TEST(FlatModelTest, ChildOffsetsAreAbsoluteAndForward) {
   ml::RandomForest forest(options);
   const data::Dataset data = MakeData(data::TaskType::kRegression, 43);
   ASSERT_TRUE(forest.Fit(data.features, data.labels).ok());
-  const FlatTreeModel model = FlattenForest(forest).ValueOrDie();
+  const ml::FlatTreeModel model = FlattenForest(forest).ValueOrDie();
   for (size_t t = 0; t < model.num_trees(); ++t) {
     const uint32_t begin = model.tree_offsets[t];
     const uint32_t end = model.tree_offsets[t + 1];

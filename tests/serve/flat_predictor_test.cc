@@ -31,8 +31,8 @@ void ExpectBitIdentical(const std::vector<double>& got,
 }
 
 // Property: for any seed and task, the flat engine's Predict and
-// PredictProba over the serialized round trip match the in-memory coded
-// paths bit for bit on fresh query frames.
+// PredictProba over the serialized round trip match the in-memory model
+// bit for bit on fresh query frames.
 TEST(FlatPredictorTest, ForestBitIdenticalAcrossSeeds) {
   for (const data::TaskType task :
        {data::TaskType::kClassification, data::TaskType::kRegression}) {
@@ -131,7 +131,7 @@ TEST(FlatPredictorTest, StructurallyBrokenModelsRejected) {
   const data::Dataset data =
       MakeData(data::TaskType::kClassification, 35);
   ASSERT_TRUE(forest.Fit(data.features, data.labels).ok());
-  const FlatTreeModel good =
+  const ml::FlatTreeModel good =
       DeserializeModel(SerializeForest(forest).ValueOrDie())
           .ValueOrDie()
           .tree.value();
@@ -146,23 +146,23 @@ TEST(FlatPredictorTest, StructurallyBrokenModelsRejected) {
   ASSERT_LT(internal, good.num_nodes());
 
   {
-    FlatTreeModel broken = good;
+    ml::FlatTreeModel broken = good;
     // Self-referential child: traversal would spin forever.
     broken.left[internal] = static_cast<int32_t>(internal);
     EXPECT_FALSE(FlatPredictor::Create(std::move(broken)).ok());
   }
   {
-    FlatTreeModel broken = good;
+    ml::FlatTreeModel broken = good;
     broken.feature.pop_back();  // Array lengths disagree.
     EXPECT_FALSE(FlatPredictor::Create(std::move(broken)).ok());
   }
   {
-    FlatTreeModel broken = good;
+    ml::FlatTreeModel broken = good;
     broken.tree_offsets.back() += 1;  // Offsets past the arrays.
     EXPECT_FALSE(FlatPredictor::Create(std::move(broken)).ok());
   }
   {
-    FlatTreeModel broken = good;
+    ml::FlatTreeModel broken = good;
     broken.split_bin[internal] = 255;  // Past the last bin boundary.
     EXPECT_FALSE(FlatPredictor::Create(std::move(broken)).ok());
   }

@@ -7,11 +7,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
 #include "data/synthetic.h"
 #include "fpe/serialization.h"
+#include "ml/flat_model.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
 #include "serve/flat_predictor.h"
@@ -84,6 +87,113 @@ void PatchU32(std::string* bytes, size_t offset, uint32_t v) {
   for (size_t i = 0; i < 4; ++i) {
     (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+}
+
+/// Container bytes for a forest `model`, written section by section in
+/// the documented layout without the writer's own Validate: hand-made
+/// input for the loader.
+std::string ForestContainer(const ml::FlatTreeModel& model) {
+  ByteWriter meta;
+  meta.PutU32(0);  // Classification.
+  meta.PutU32(model.num_classes);
+  meta.PutDouble(model.base_score);
+  meta.PutDouble(model.learning_rate);
+  ByteWriter nodes;
+  nodes.PutU64(model.num_trees());
+  for (uint32_t offset : model.tree_offsets) nodes.PutU32(offset);
+  nodes.PutU64(model.num_nodes());
+  for (int32_t f : model.feature) nodes.PutI32(f);
+  for (uint8_t b : model.split_bin) nodes.PutU8(b);
+  for (int32_t l : model.left) nodes.PutI32(l);
+  for (int32_t r : model.right) nodes.PutI32(r);
+  for (double v : model.value) nodes.PutDouble(v);
+  for (double p : model.proba) nodes.PutDouble(p);
+  ByteWriter cuts;
+  cuts.PutU32(model.num_features);
+  for (uint64_t offset : model.cut_offsets) cuts.PutU64(offset);
+  cuts.PutDoubleVec(model.cuts);
+
+  ByteWriter container;
+  container.PutBytes(std::string_view(kMagic, kMagicSize));
+  container.PutU32(kFormatVersion);
+  container.PutU32(static_cast<uint32_t>(ModelKind::kRandomForest));
+  for (const auto& [id, payload] :
+       {std::pair{kSectionTreeMeta, meta.Take()},
+        std::pair{kSectionTreeNodes, nodes.Take()},
+        std::pair{kSectionBinnerCuts, cuts.Take()}}) {
+    container.PutU32(id);
+    container.PutU64(payload.size());
+    container.PutBytes(payload);
+  }
+  return container.Take();
+}
+
+/// A one-tree classification forest over one feature with cuts 0.5, 1.5,
+/// ...: the root splits at `split_bin`, sending codes <= split_bin to a
+/// class-0 leaf and the rest to a class-1 leaf.
+ml::FlatTreeModel OneSplitForest(size_t num_cuts, uint8_t split_bin,
+                                 uint32_t num_classes) {
+  ml::FlatTreeModel model;
+  model.num_features = 1;
+  model.num_classes = num_classes;
+  model.tree_offsets = {0, 3};
+  model.feature = {0, -1, -1};
+  model.split_bin = {split_bin, 0, 0};
+  model.left = {1, -1, -1};
+  model.right = {2, -1, -1};
+  model.value = {0.0, 0.0, 1.0};
+  model.proba = {0.0, 0.0, 1.0};
+  model.cut_offsets = {0, num_cuts};
+  for (size_t c = 0; c < num_cuts; ++c) {
+    model.cuts.push_back(static_cast<double>(c) + 0.5);
+  }
+  return model;
+}
+
+data::DataFrame OneColumn(std::vector<double> values) {
+  data::DataFrame frame;
+  EXPECT_TRUE(frame.AddColumn(data::Column("x", std::move(values))).ok());
+  return frame;
+}
+
+// A uint8 code counts at most 255 cuts. A feature with 300 would encode
+// 270.0 as 270 truncated to 14 and send it left of a split at bin 43, a
+// wrong class instead of an error, so the loader rejects the feature.
+TEST(ModelStoreTest, FeatureWithMoreCutsThanCodesRejected) {
+  const auto result =
+      DeserializeModel(ForestContainer(OneSplitForest(300, 43, 2)));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("more than 255 cuts"),
+            std::string::npos)
+      << result.status().ToString();
+
+  // 255 cuts still load, and a value past the last one routes right.
+  const LoadedModel loaded =
+      DeserializeModel(ForestContainer(OneSplitForest(255, 43, 2)))
+          .ValueOrDie();
+  FlatPredictor predictor = FlatPredictor::Create(*loaded.tree).ValueOrDie();
+  EXPECT_EQ(predictor.Predict(OneColumn({270.0, 20.0})).ValueOrDie(),
+            (std::vector<double>{1.0, 0.0}));
+}
+
+// The vote buffer is sized by the largest leaf class, not by the class
+// count a container declares: a model claiming 2^32 - 1 classes whose
+// leaves vote 0 or 1 predicts a row with two vote columns instead of
+// asking for rows x 2^32 of them. A leaf class id past kMaxVoteClasses
+// is rejected outright.
+TEST(ModelStoreTest, DeclaredClassCountDoesNotSizeTheVoteBuffer) {
+  const LoadedModel loaded =
+      DeserializeModel(ForestContainer(OneSplitForest(10, 4, 0xFFFFFFFFu)))
+          .ValueOrDie();
+  FlatPredictor predictor = FlatPredictor::Create(*loaded.tree).ValueOrDie();
+  EXPECT_EQ(predictor.Predict(OneColumn({7.0})).ValueOrDie(),
+            (std::vector<double>{1.0}));
+  EXPECT_EQ(predictor.Predict(OneColumn({2.0, 9.0})).ValueOrDie(),
+            (std::vector<double>{0.0, 1.0}));
+
+  ml::FlatTreeModel wide = OneSplitForest(10, 4, 0xFFFFFFFFu);
+  wide.value[2] = static_cast<double>(ml::kMaxVoteClasses);
+  EXPECT_FALSE(DeserializeModel(ForestContainer(wide)).ok());
 }
 
 TEST(ModelStoreTest, ForestRoundTripPredictsIdentically) {

@@ -532,10 +532,9 @@ TEST(HistogramKernelTest, SplitScansTiersAgreeBitwise) {
 
 // --- Flat-predictor walk ---------------------------------------------
 
-TEST(PredictKernelTest, WalkRowsTierInvariantAndMatchesNaive) {
-  LevelGuard guard;
+TEST(PredictKernelTest, WalkRowsMatchesNaive) {
   // A depth-3 tree over 4 features: 7 internal nodes, 8 leaves packed as
-  // self-loops, exactly how FlatPredictor lays trees out.
+  // self-loops, exactly how ml::FlatEnsemble lays trees out.
   const uint32_t steps = 3;
   const size_t stride = 4;
   std::vector<PackedNode> nodes(15);
@@ -556,17 +555,21 @@ TEST(PredictKernelTest, WalkRowsTierInvariantAndMatchesNaive) {
       codes[i] = static_cast<uint8_t>(
           static_cast<size_t>(TestUniform(0x81, i) * 997.0) % 128);
     }
-    std::vector<uint32_t> naive(n, 0), tiered(n, 0);
-    internal::WalkRowsBlocked<1>(nodes.data(), codes.data(), stride, 0,
-                                 steps, n, naive.data());
-    for (const Level level : {Level::kScalar, Level::kAvx2}) {
-      if (!LevelSupported(level)) continue;
-      SetActiveLevel(level);
-      WalkRows(nodes.data(), codes.data(), stride, 0, steps, n,
-               tiered.data());
-      EXPECT_EQ(tiered, naive)
-          << "level=" << LevelName(level) << " n=" << n;
+    // One row at a time, stopping at the leaf.
+    std::vector<uint32_t> naive(n, 0), walked(n, 0);
+    for (size_t r = 0; r < n; ++r) {
+      uint32_t node = 0;
+      while (nodes[node].left != node) {
+        const PackedNode& nd = nodes[node];
+        node = codes[r * stride + static_cast<size_t>(nd.feature)] <=
+                       nd.split_bin
+                   ? nd.left
+                   : nd.right;
+      }
+      naive[r] = node;
     }
+    WalkRows(nodes.data(), codes.data(), stride, 0, steps, n, walked.data());
+    EXPECT_EQ(walked, naive) << "n=" << n;
   }
 }
 
