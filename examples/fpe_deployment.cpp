@@ -7,12 +7,13 @@
 // Build & run:  cmake --build build && ./build/examples/fpe_deployment
 
 #include <cstdio>
+#include <utility>
 
 #include "eafe.h"  // Umbrella header: the whole public API.
 
 int main() {
   using namespace eafe;
-  const std::string model_path = "/tmp/eafe_fpe_model.txt";
+  const std::string model_path = "/tmp/eafe_fpe_model.eafe";
 
   // ---- Offline, once: pre-train and persist the FPE model. -----------
   {
@@ -20,7 +21,7 @@ int main() {
     auto trained =
         afe::PretrainFpe(data::MakePublicCollection(10, 0.6, 11), {})
             .ValueOrDie();
-    const Status saved = fpe::SaveFpeModel(trained.model, model_path);
+    const Status saved = serve::SaveModel(trained.model, model_path);
     std::printf("[offline] saved to %s (%s); scheme=%s d=%zu recall=%.2f\n",
                 model_path.c_str(), saved.ToString().c_str(),
                 hashing::MinHashSchemeToString(trained.selected.scheme)
@@ -30,7 +31,12 @@ int main() {
 
   // ---- Online, per target: load and search. No labeling, no classifier
   // ---- training — the expensive part is already amortized. -----------
-  const fpe::FpeModel model = fpe::LoadFpeModel(model_path).ValueOrDie();
+  serve::LoadedModel loaded = serve::LoadModel(model_path).ValueOrDie();
+  if (!loaded.fpe) {
+    std::printf("[online] %s holds no FPE model\n", model_path.c_str());
+    return 1;
+  }
+  const fpe::FpeModel model = std::move(*loaded.fpe);
   std::printf("[online] model loaded; trained=%s\n\n",
               model.trained() ? "yes" : "no");
 

@@ -3,6 +3,8 @@
 #include <bit>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "hashing/minhash.h"
@@ -31,32 +33,31 @@ uint64_t HashValues(uint64_t digest, uint64_t position,
   return hashing::MixHash(digest, position, h);
 }
 
+// One word per EvaluatorOptions field: enums by value, doubles by bit
+// pattern, integers widened.
+template <typename T>
+uint64_t FieldWord(T value) {
+  if constexpr (std::is_enum_v<T> || std::is_integral_v<T>) {
+    return static_cast<uint64_t>(value);
+  } else {
+    static_assert(std::is_same_v<T, double>,
+                  "EvaluationSignature has no conversion for this field");
+    return std::bit_cast<uint64_t>(value);
+  }
+}
+
 }  // namespace
 
 uint64_t EvaluationSignature(const data::Dataset& dataset,
                              const ml::EvaluatorOptions& options) {
   uint64_t digest = 0x45AF3A1E9C2D7B51ULL;
   uint64_t position = 0;
-  digest = hashing::MixHash(digest, position++,
-                            static_cast<uint64_t>(options.model));
-  digest = hashing::MixHash(digest, position++, options.cv_folds);
-  digest = hashing::MixHash(digest, position++, options.seed);
-  digest = hashing::MixHash(digest, position++, options.rf_trees);
-  digest = hashing::MixHash(digest, position++, options.rf_max_depth);
-  digest = hashing::MixHash(digest, position++,
-                            static_cast<uint64_t>(options.split_strategy));
-  digest = hashing::MixHash(digest, position++, options.max_bins);
-  digest = hashing::MixHash(digest, position++, options.nn_epochs);
-  digest = hashing::MixHash(digest, position++, options.linear_epochs);
-  digest = hashing::MixHash(digest, position++, options.gbdt_rounds);
-  digest = hashing::MixHash(
-      digest, position++,
-      std::bit_cast<uint64_t>(options.gbdt_learning_rate));
-  digest = hashing::MixHash(digest, position++, options.gbdt_max_depth);
-  digest = hashing::MixHash(digest, position++,
-                            std::bit_cast<uint64_t>(options.gbdt_subsample));
-  digest = hashing::MixHash(digest, position++,
-                            std::bit_cast<uint64_t>(options.gbdt_lambda));
+  std::apply(
+      [&](const auto&... field) {
+        ((digest = hashing::MixHash(digest, position++, FieldWord(field))),
+         ...);
+      },
+      options.Fields());
   digest = hashing::MixHash(digest, position++,
                             static_cast<uint64_t>(dataset.task));
   digest = hashing::MixHash(digest, position++, dataset.num_rows());

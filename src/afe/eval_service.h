@@ -15,8 +15,9 @@
 namespace eafe::afe {
 
 /// Canonical transformation-signature hash of a candidate evaluation: a
-/// 64-bit digest of the evaluator configuration, the task, and every
-/// column (name and values) of the table the candidate would be scored on.
+/// 64-bit digest of the evaluator configuration (every field
+/// EvaluatorOptions::Fields() lists), the task, and every column (name
+/// and values) of the table the candidate would be scored on.
 /// Built on hashing::MixHash — the same order-independent-seeded mixer the
 /// weighted-MinHash canonicalization uses — so two requests collide only
 /// when they would score byte-identical tables under identical settings.

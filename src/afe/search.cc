@@ -44,16 +44,6 @@ Result<data::Dataset> BuildCandidateDataset(const FeatureSpace& space,
   return dataset;
 }
 
-Result<double> EvaluateCandidateGain(const ml::TaskEvaluator& evaluator,
-                                     const FeatureSpace& space,
-                                     const SpaceFeature& candidate,
-                                     double current_score) {
-  EAFE_ASSIGN_OR_RETURN(data::Dataset dataset,
-                        BuildCandidateDataset(space, candidate));
-  EAFE_ASSIGN_OR_RETURN(double score, evaluator.Score(dataset));
-  return score - current_score;
-}
-
 Status FinalizeSearchResult(const SearchOptions& options,
                             const data::Dataset& base_dataset,
                             SearchResult* result) {

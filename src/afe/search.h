@@ -136,18 +136,9 @@ constexpr size_t kAgentStateDim = kNumOperators + 3;
 /// The dataset a candidate is scored on: the current state plus the
 /// candidate column (renamed with a "#cand" suffix on a name collision;
 /// any other AddColumn error, such as a row-count mismatch, is returned
-/// as is). Shared by the serial gain helper below and the search
-/// pipeline's eval step so both paths score byte-identical tables.
+/// as is). The search pipeline's eval step scores these tables.
 Result<data::Dataset> BuildCandidateDataset(const FeatureSpace& space,
                                             const SpaceFeature& candidate);
-
-/// Greedy candidate evaluation shared by all searches: scores the current
-/// state plus `candidate` on the downstream task and reports the gain
-/// over `current_score`. Exactly one evaluator Score() call.
-Result<double> EvaluateCandidateGain(const ml::TaskEvaluator& evaluator,
-                                     const FeatureSpace& space,
-                                     const SpaceFeature& candidate,
-                                     double current_score);
 
 /// Applies the honest-final-score protocol: moves the accumulated greedy
 /// score into `result->search_score` and replaces base/best scores with

@@ -21,8 +21,8 @@
 #include "data/dataframe.h"       // Column / DataFrame / Dataset.
 #include "data/registry.h"        // The paper's 36 target datasets.
 #include "data/synthetic.h"       // Synthetic dataset factory.
-#include "fpe/serialization.h"    // Save/Load trained FPE models.
 #include "ml/evaluator.h"         // Downstream-task evaluation.
 #include "ml/feature_selection.h" // RF-importance pre-selection.
+#include "serve/model_store.h"    // Save/Load trained models.
 
 #endif  // EAFE_EAFE_H_

@@ -73,9 +73,8 @@ class FpeModel {
   /// Width of the classifier's input vector under the current options.
   size_t InputDimension() const;
 
-  // Persistence support. The text v1 codec (fpe/serialization.h) covers
-  // logistic models; the binary container (src/serve/model_store.h)
-  // additionally serializes MLP-backed models.
+  // Persistence support for the model container (src/serve/model_store.h),
+  // which serializes logistic and MLP classifiers.
   const ml::LogisticRegression& logistic_classifier() const {
     return logistic_;
   }

@@ -129,10 +129,11 @@ std::vector<double> LogWeights(const std::vector<double>& weights) {
 /// and ran 1.6-1.8x faster at 128 (median of 201, 4-vCPU AVX2 guest with
 /// idle cores); below that a pool round trip costs more than the slots it
 /// spreads, and with busy cores fan-out only adds the round trip. A
-/// caller already on a pool worker (the stage-2 filter and eval workers,
-/// a server's FPE route) also stays inline: ParallelFor would run inline
-/// there anyway, and skipping GlobalPool() keeps a process that never
-/// asked for the global pool from building one.
+/// caller already on a pool worker (a search pipeline worker, which
+/// filters and then evaluates its own task, or a server's FPE route) also
+/// stays inline: ParallelFor would run inline there anyway, and skipping
+/// GlobalPool() keeps a process that never asked for the global pool
+/// from building one.
 constexpr size_t kSlotFanOutMinRows = 128;
 
 template <typename SlotFn>

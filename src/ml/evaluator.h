@@ -2,8 +2,10 @@
 #define EAFE_ML_EVALUATOR_H_
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "core/status.h"
 #include "data/dataframe.h"
@@ -59,7 +61,46 @@ struct EvaluatorOptions {
   size_t gbdt_max_depth = 3;
   double gbdt_subsample = 1.0;
   double gbdt_lambda = 1.0;
+
+  /// Every field above, in declaration order. EvaluationSignature
+  /// (afe/eval_service.h) folds over this list, so the score cache keys on
+  /// every knob; the static_assert below fails the build when a field is
+  /// added here but not listed.
+  auto Fields() const {
+    return std::tie(model, cv_folds, seed, rf_trees, rf_max_depth,
+                    split_strategy, max_bins, nn_epochs, linear_epochs,
+                    gbdt_rounds, gbdt_learning_rate, gbdt_max_depth,
+                    gbdt_subsample, gbdt_lambda);
+  }
 };
+
+namespace internal {
+
+/// Converts to any field type; only ever named in unevaluated probes.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+
+/// Field count of the aggregate T: the largest N for which
+/// T{AnyField x N} is well-formed (the brace-init probe of Boost.PFR).
+template <typename T, typename... Probe>
+constexpr size_t AggregateFieldCount() {
+  if constexpr (requires { T{Probe{}..., AnyField{}}; }) {
+    return AggregateFieldCount<T, Probe..., AnyField>();
+  } else {
+    return sizeof...(Probe);
+  }
+}
+
+}  // namespace internal
+
+static_assert(
+    internal::AggregateFieldCount<EvaluatorOptions>() ==
+        std::tuple_size_v<decltype(EvaluatorOptions{}.Fields())>,
+    "every EvaluatorOptions field must be listed in Fields(), or the "
+    "score cache would share scores across configurations that differ "
+    "in it");
 
 /// The formal evaluation task A_T(F, y): k-fold cross-validated score of a
 /// downstream model on a feature set. Counts every invocation so the

@@ -34,8 +34,8 @@ inline constexpr uint32_t kMaxVoteClasses = 1u << 16;
 /// Each node field is one contiguous array over the concatenation of all
 /// trees; tree t owns nodes [tree_offsets[t], tree_offsets[t+1]), and
 /// child offsets are absolute indices into the concatenated arrays (no
-/// pointers anywhere — the layout is mmap-friendly). Every child sits
-/// after its parent.
+/// pointers anywhere, so the arrays serialize as they are). Every child
+/// sits after its parent.
 ///
 /// Thresholds are not stored: a histogram split routes on
 /// code <= split_bin, and a value v encodes to the number of cuts below

@@ -38,7 +38,7 @@ class LogisticRegression : public ProbabilisticClassifier {
     return weights_[cls];
   }
 
-  // Fitted-state access for persistence (fpe/serialization).
+  // Fitted-state access for persistence (src/serve/).
   const data::StandardScaler& scaler() const { return scaler_; }
   const std::vector<std::vector<double>>& all_weights() const {
     return weights_;

@@ -6,18 +6,9 @@
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define EAFE_MODEL_STORE_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 #include "core/matrix.h"
 #include "core/string_util.h"
 #include "data/scaler.h"
-#include "fpe/serialization.h"
 #include "hashing/weighted_minhash.h"
 #include "ml/linear.h"
 #include "ml/mlp.h"
@@ -25,8 +16,6 @@
 
 namespace eafe::serve {
 namespace {
-
-constexpr char kLegacyTextHeader[] = "eafe-fpe-model v1";
 
 // Wire ids for enums, decoupled from the C++ enumerator values so
 // reordering an enum can never silently change the format.
@@ -472,46 +461,6 @@ Result<std::string> ReadFileBytes(const std::string& path) {
   return buffer.str();
 }
 
-#if EAFE_MODEL_STORE_HAS_MMAP
-// Read-only mapping of an entire regular file. Decoding copies every
-// payload into owned model structures, so the mapping only has to outlive
-// the DeserializeModel call, not the returned model. An invalid instance
-// (missing file, zero length, mmap failure) means the caller falls back
-// to the buffered read, which reports the actual error.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return;
-    struct stat st {};
-    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size <= 0) {
-      ::close(fd);
-      return;
-    }
-    const size_t size = static_cast<size_t>(st.st_size);
-    void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);  // The mapping keeps the file referenced.
-    if (base == MAP_FAILED) return;
-    base_ = base;
-    size_ = size;
-  }
-  ~MappedFile() {
-    if (base_ != nullptr) ::munmap(base_, size_);
-  }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  bool valid() const { return base_ != nullptr; }
-  std::string_view bytes() const {
-    return std::string_view(static_cast<const char*>(base_), size_);
-  }
-
- private:
-  void* base_ = nullptr;
-  size_t size_ = 0;
-};
-#endif  // EAFE_MODEL_STORE_HAS_MMAP
-
 }  // namespace
 
 Result<std::string> SerializeForest(const ml::RandomForest& forest) {
@@ -549,17 +498,6 @@ Result<std::string> SerializeFpe(const fpe::FpeModel& model) {
 }
 
 Result<LoadedModel> DeserializeModel(std::string_view bytes) {
-  // Legacy v1 text models (logistic FPE) sniff by their header line. The
-  // line-oriented text parser wants an owned string; legacy files are
-  // small, so the copy is immaterial.
-  if (StartsWith(bytes, kLegacyTextHeader)) {
-    EAFE_ASSIGN_OR_RETURN(fpe::FpeModel model,
-                          fpe::DeserializeFpeModel(std::string(bytes)));
-    LoadedModel loaded;
-    loaded.kind = ModelKind::kFpe;
-    loaded.fpe = std::move(model);
-    return loaded;
-  }
   if (bytes.size() < kMagicSize ||
       bytes.compare(0, kMagicSize, kMagic, kMagicSize) != 0) {
     return Status::InvalidArgument(
@@ -617,15 +555,6 @@ Status SaveModel(const fpe::FpeModel& model, const std::string& path) {
 }
 
 Result<LoadedModel> LoadModel(const std::string& path) {
-#if EAFE_MODEL_STORE_HAS_MMAP
-  // Zero-copy fast path: decode straight out of a read-only mapping.
-  // Any open/stat/map failure (including zero-length files, which mmap
-  // rejects) falls through to the buffered read for the real error.
-  {
-    const MappedFile mapped(path);
-    if (mapped.valid()) return DeserializeModel(mapped.bytes());
-  }
-#endif
   EAFE_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
   return DeserializeModel(bytes);
 }

@@ -38,9 +38,7 @@ namespace eafe::serve {
 /// arrays node records (ml/flat_model.h), plus the fitted FeatureBinner
 /// thresholds, so a loaded model encodes raw frames itself and predicts
 /// bit-identically to the in-memory model. FPE models store the compressor
-/// configuration plus the classifier (logistic weights or MLP layers);
-/// the pre-container "eafe-fpe-model v1" text format is still accepted
-/// by DeserializeModel / LoadModel for backward compatibility.
+/// configuration plus the classifier (logistic weights or MLP layers).
 
 enum class ModelKind : uint32_t {
   kRandomForest = 1,
@@ -76,15 +74,12 @@ struct LoadedModel {
   std::optional<fpe::FpeModel> fpe;
 };
 
-/// Decodes container bytes (or a legacy v1 FPE text file). Takes a view:
-/// decoding never needs to own the bytes, so LoadModel can parse straight
-/// out of a memory-mapped file without a heap copy.
+/// Decodes container bytes. Anything else, including the retired
+/// "eafe-fpe-model v1" text format, fails as a bad magic.
 Result<LoadedModel> DeserializeModel(std::string_view bytes);
 
-/// File convenience wrappers. LoadModel memory-maps the file and decodes
-/// in place where the platform supports it (POSIX mmap), falling back to
-/// a buffered read anywhere mapping is unavailable or fails — both paths
-/// produce identical models, the mapped one just skips the byte copy.
+/// File convenience wrappers. LoadModel reads the whole file into memory
+/// and decodes it with DeserializeModel.
 Status SaveModel(const ml::RandomForest& forest, const std::string& path);
 Status SaveModel(const ml::GradientBoostedTrees& booster,
                  const std::string& path);

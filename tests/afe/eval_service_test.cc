@@ -5,8 +5,12 @@
 #include <bit>
 #include <cstdint>
 #include <future>
+#include <set>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "afe/feature_space.h"
@@ -101,6 +105,30 @@ TEST_F(EvalServiceTest, CacheHitAndMissAccounting) {
   EXPECT_EQ(evaluator.evaluation_count(), 2u);
 }
 
+/// `options` with element I of Fields() moved to another value: an enum
+/// to a neighbouring enumerator, a number up by one.
+template <size_t I>
+ml::EvaluatorOptions PerturbField(ml::EvaluatorOptions options) {
+  using Field = std::remove_cvref_t<
+      std::tuple_element_t<I, decltype(options.Fields())>>;
+  // Fields() lists const references; `options` itself is not const, so
+  // writing through one is well-defined.
+  Field& field = const_cast<Field&>(std::get<I>(options.Fields()));
+  if constexpr (std::is_enum_v<Field>) {
+    field = static_cast<Field>(
+        static_cast<std::underlying_type_t<Field>>(field) ^ 1);
+  } else {
+    field = field + 1;
+  }
+  return options;
+}
+
+template <size_t... I>
+std::vector<ml::EvaluatorOptions> PerturbEachField(
+    const ml::EvaluatorOptions& options, std::index_sequence<I...>) {
+  return {PerturbField<I>(options)...};
+}
+
 TEST_F(EvalServiceTest, SignatureTracksStateAndCandidate) {
   const data::Dataset dataset = SmallTarget();
   FeatureSpace space(dataset, {});
@@ -112,16 +140,23 @@ TEST_F(EvalServiceTest, SignatureTracksStateAndCandidate) {
     return EvaluationSignature(
         BuildCandidateDataset(space, candidate).ValueOrDie(), opts);
   };
-  // Same request -> same signature; different candidate or different
-  // evaluator settings -> different signature.
+  // Same request -> same signature; different candidate -> different
+  // signature.
   EXPECT_EQ(signature(candidates[0], options),
             signature(candidates[0], options));
   EXPECT_NE(signature(candidates[0], options),
             signature(candidates[1], options));
-  ml::EvaluatorOptions other_seed = options;
-  other_seed.seed += 1;
-  EXPECT_NE(signature(candidates[0], options),
-            signature(candidates[0], other_seed));
+
+  // Perturbing each listed field in turn moves the digest away from the
+  // base and from every other field's perturbation, which also catches a
+  // field listed twice in Fields().
+  constexpr size_t kFields = std::tuple_size_v<decltype(options.Fields())>;
+  std::set<uint64_t> digests = {signature(candidates[0], options)};
+  for (const ml::EvaluatorOptions& perturbed :
+       PerturbEachField(options, std::make_index_sequence<kFields>())) {
+    digests.insert(signature(candidates[0], perturbed));
+  }
+  EXPECT_EQ(digests.size(), kFields + 1);
 }
 
 /// Scores `tables` through one shared service from `tasks` pool tasks;

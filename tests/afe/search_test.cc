@@ -46,27 +46,6 @@ TEST(BuildAgentStateTest, NoLastActionIsAllZeroOneHot) {
   }
 }
 
-TEST(EvaluateCandidateGainTest, ReportsScoreDelta) {
-  const data::Dataset dataset = SmallTarget();
-  ml::TaskEvaluator evaluator(QuickSearch().evaluator);
-  FeatureSpace::Options space_options;
-  FeatureSpace space(dataset, space_options);
-  const double base = evaluator.Score(dataset).ValueOrDie();
-
-  Rng rng(3);
-  const FeatureSpace::Action action =
-      space.MakeAction(0, Operator::kMultiply, &rng);
-  const SpaceFeature candidate =
-      space.GenerateCandidate(action).ValueOrDie();
-  const size_t evals_before = evaluator.evaluation_count();
-  const double gain =
-      EvaluateCandidateGain(evaluator, space, candidate, base)
-          .ValueOrDie();
-  EXPECT_EQ(evaluator.evaluation_count(), evals_before + 1);
-  EXPECT_GE(gain, -1.0);
-  EXPECT_LE(gain, 1.0);
-}
-
 TEST(RandomSearchTest, RunsAndImprovesOrMatchesBase) {
   RandomSearch search(QuickSearch());
   const SearchResult result = search.Run(SmallTarget()).ValueOrDie();

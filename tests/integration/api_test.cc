@@ -7,8 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-
-#include "fpe/serialization.h"
+#include <utility>
 
 namespace eafe {
 namespace {
@@ -70,9 +69,12 @@ TEST(ApiTest, PersistedFpeModelDrivesSearch) {
       afe::PretrainFpe(data::MakePublicCollection(4, 0.6, 55), pretrain)
           .ValueOrDie();
 
-  const std::string path = ::testing::TempDir() + "/eafe_api_model.txt";
-  ASSERT_TRUE(fpe::SaveFpeModel(trained.model, path).ok());
-  const fpe::FpeModel loaded = fpe::LoadFpeModel(path).ValueOrDie();
+  const std::string path = ::testing::TempDir() + "/eafe_api_model.eafe";
+  ASSERT_TRUE(serve::SaveModel(trained.model, path).ok());
+  serve::LoadedModel container = serve::LoadModel(path).ValueOrDie();
+  ASSERT_EQ(container.kind, serve::ModelKind::kFpe);
+  ASSERT_TRUE(container.fpe.has_value());
+  const fpe::FpeModel loaded = std::move(*container.fpe);
 
   data::MaterializeOptions mat;
   mat.max_samples = 150;

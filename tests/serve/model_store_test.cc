@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -13,7 +12,6 @@
 
 #include "core/rng.h"
 #include "data/synthetic.h"
-#include "fpe/serialization.h"
 #include "ml/flat_model.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
@@ -241,13 +239,22 @@ TEST(ModelStoreTest, GbdtRoundTripPredictsIdentically) {
 }
 
 TEST(ModelStoreTest, FpeLogisticRoundTrip) {
-  const fpe::FpeModel model =
-      TrainFpe(fpe::FpeModel::ClassifierKind::kLogistic, 13);
+  fpe::FpeModel::Options options;
+  options.compressor.scheme = hashing::MinHashScheme::kIcws;
+  options.compressor.dimension = 24;
+  options.compressor.seed = 99;
+  options.seed = 13;
+  fpe::FpeModel model(options);
+  ASSERT_TRUE(model.Train(MakeFeatures(80, 13)).ok());
   const std::string bytes = SerializeFpe(model).ValueOrDie();
   const LoadedModel loaded = DeserializeModel(bytes).ValueOrDie();
   EXPECT_EQ(loaded.kind, ModelKind::kFpe);
   ASSERT_TRUE(loaded.fpe.has_value());
   EXPECT_TRUE(loaded.fpe->trained());
+  EXPECT_EQ(loaded.fpe->options().compressor.scheme,
+            hashing::MinHashScheme::kIcws);
+  EXPECT_EQ(loaded.fpe->options().compressor.dimension, 24u);
+  EXPECT_EQ(loaded.fpe->options().compressor.seed, 99u);
   for (const auto& f : MakeFeatures(20, 14)) {
     EXPECT_EQ(model.PredictProbability(f.values).ValueOrDie(),
               loaded.fpe->PredictProbability(f.values).ValueOrDie());
@@ -257,10 +264,6 @@ TEST(ModelStoreTest, FpeLogisticRoundTrip) {
 TEST(ModelStoreTest, FpeMlpRoundTrip) {
   const fpe::FpeModel model =
       TrainFpe(fpe::FpeModel::ClassifierKind::kMlp, 15);
-  // The v1 text codec cannot hold this model (fpe/serialization.h) —
-  // the container is the fix.
-  EXPECT_EQ(fpe::SerializeFpeModel(model).status().code(),
-            StatusCode::kNotImplemented);
   const std::string bytes = SerializeFpe(model).ValueOrDie();
   const LoadedModel loaded = DeserializeModel(bytes).ValueOrDie();
   ASSERT_TRUE(loaded.fpe.has_value());
@@ -272,17 +275,27 @@ TEST(ModelStoreTest, FpeMlpRoundTrip) {
   }
 }
 
-TEST(ModelStoreTest, LegacyTextModelStillLoads) {
-  const fpe::FpeModel model =
-      TrainFpe(fpe::FpeModel::ClassifierKind::kLogistic, 17);
-  const std::string text = fpe::SerializeFpeModel(model).ValueOrDie();
-  const LoadedModel loaded = DeserializeModel(text).ValueOrDie();
-  EXPECT_EQ(loaded.kind, ModelKind::kFpe);
-  ASSERT_TRUE(loaded.fpe.has_value());
-  for (const auto& f : MakeFeatures(10, 18)) {
-    EXPECT_EQ(model.PredictProbability(f.values).ValueOrDie(),
-              loaded.fpe->PredictProbability(f.values).ValueOrDie());
-  }
+// A complete v1 text model, the format that preceded the container, fails
+// like any other non-container.
+TEST(ModelStoreTest, LegacyTextHeaderIsRejected) {
+  const std::string v1 =
+      "eafe-fpe-model v1\n"
+      "scheme ccws\n"
+      "dimension 1\n"
+      "extra_uniform_slots 1\n"
+      "sort_signature 0\n"
+      "compressor_seed 1\n"
+      "input 0\n"
+      "num_classes 2\n"
+      "scaler_means 0 0\n"
+      "scaler_scales 1 1\n"
+      "num_heads 1\n"
+      "weights_0 0.5 -0.25 0.125\n";
+  const auto result = DeserializeModel(v1);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("bad magic"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(ModelStoreTest, FileRoundTrip) {
@@ -296,61 +309,7 @@ TEST(ModelStoreTest, FileRoundTrip) {
   EXPECT_EQ(LoadModel(path).status().code(), StatusCode::kIoError);
 }
 
-// LoadModel decodes through a read-only memory mapping where the platform
-// has one; deserializing a manual buffered read of the same file must
-// produce a model with identical predictions — zero-copy is an IO
-// optimization, never a semantic one.
-TEST(ModelStoreTest, MappedLoadMatchesBufferedDeserialize) {
-  const ml::RandomForest forest =
-      TrainForest(data::TaskType::kRegression, 29);
-  const std::string path = ::testing::TempDir() + "/forest_mmap.eafe";
-  ASSERT_TRUE(SaveModel(forest, path).ok());
-  const LoadedModel mapped = LoadModel(path).ValueOrDie();
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const LoadedModel buffered = DeserializeModel(buffer.str()).ValueOrDie();
-  std::remove(path.c_str());
-  EXPECT_EQ(mapped.kind, buffered.kind);
-  ASSERT_TRUE(mapped.tree.has_value());
-  ASSERT_TRUE(buffered.tree.has_value());
-  FlatPredictor from_map = FlatPredictor::Create(*mapped.tree).ValueOrDie();
-  FlatPredictor from_buf =
-      FlatPredictor::Create(*buffered.tree).ValueOrDie();
-  const data::Dataset query = MakeData(data::TaskType::kRegression, 30);
-  const std::vector<double> a =
-      from_map.Predict(query.features).ValueOrDie();
-  const std::vector<double> b =
-      from_buf.Predict(query.features).ValueOrDie();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "row " << i;
-  }
-}
-
-// Legacy v1 text models go through LoadModel's mapped path too (the
-// string_view is copied for the line-oriented parser).
-TEST(ModelStoreTest, LegacyTextModelLoadsFromFile) {
-  const fpe::FpeModel model =
-      TrainFpe(fpe::FpeModel::ClassifierKind::kLogistic, 31);
-  const std::string text = fpe::SerializeFpeModel(model).ValueOrDie();
-  const std::string path = ::testing::TempDir() + "/legacy.txt";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << text;
-  }
-  const LoadedModel loaded = LoadModel(path).ValueOrDie();
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.kind, ModelKind::kFpe);
-  ASSERT_TRUE(loaded.fpe.has_value());
-  for (const auto& f : MakeFeatures(10, 32)) {
-    EXPECT_EQ(model.PredictProbability(f.values).ValueOrDie(),
-              loaded.fpe->PredictProbability(f.values).ValueOrDie());
-  }
-}
-
-// Zero-length files cannot be mapped (mmap rejects them); the buffered
-// fallback reads "" and the magic check reports the real problem.
+// An empty file reads as "" and the magic check reports it.
 TEST(ModelStoreTest, EmptyFileFailsCleanly) {
   const std::string path = ::testing::TempDir() + "/empty.eafe";
   { std::ofstream out(path, std::ios::binary); }
@@ -422,14 +381,22 @@ TEST(ModelStoreTest, OversizedSectionLengthRejected) {
 }
 
 TEST(ModelStoreTest, EveryTruncationFailsCleanly) {
-  const std::string bytes =
+  const std::string containers[] = {
       SerializeGbdt(TrainBooster(data::TaskType::kClassification, 25))
-          .ValueOrDie();
+          .ValueOrDie(),
+      SerializeFpe(TrainFpe(fpe::FpeModel::ClassifierKind::kLogistic, 25))
+          .ValueOrDie(),
+      SerializeFpe(TrainFpe(fpe::FpeModel::ClassifierKind::kMlp, 25))
+          .ValueOrDie(),
+  };
   // Every strict prefix must fail with a clean Status: either a
   // truncated read, a short section, or a missing required section.
-  for (size_t n = 0; n < bytes.size(); n += 3) {
-    EXPECT_FALSE(DeserializeModel(bytes.substr(0, n)).ok())
-        << "prefix length " << n << " of " << bytes.size();
+  for (const std::string& bytes : containers) {
+    const std::string_view view(bytes);
+    for (size_t n = 0; n < bytes.size(); ++n) {
+      EXPECT_FALSE(DeserializeModel(view.substr(0, n)).ok())
+          << "prefix length " << n << " of " << bytes.size();
+    }
   }
 }
 

@@ -3,7 +3,7 @@
 //
 //   eafe pretrain --out model.eafe [--public 10] [--scheme ccws]
 //       Pre-train an FPE model (synthetic public collection) and save it
-//       as a binary model container (legacy .txt models stay loadable).
+//       as a binary model container.
 //
 //   eafe search --data train.csv --label target --task classification
 //               [--model model.eafe] [--method eafe|nfs|random]

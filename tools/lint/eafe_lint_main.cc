@@ -61,8 +61,6 @@ int main(int argc, char** argv) {
           "(cross-checked against docs/ARCHITECTURE.md)\n"
           "test-labels         every eafe_add_test is labeled; concurrency "
           "tests carry `tsan`\n"
-          "cache-signature     every EvaluatorOptions field reaches "
-          "EvaluationSignature()\n"
           "unused-suppression  every eafe-lint: allow(...) escape "
           "suppresses a real finding\n");
       return 0;

@@ -222,8 +222,7 @@ std::vector<std::string> AllRuleIds() {
           kRuleServeSocket,      kRuleCondvarPredicate,
           kRuleNakedLock,        kRuleMetricRegistry,
           kRuleIncludeCycle,     kRuleLayering,
-          kRuleTestLabels,       kRuleCacheSignature,
-          kRuleUnusedSuppression};
+          kRuleTestLabels,       kRuleUnusedSuppression};
 }
 
 namespace {
@@ -1016,111 +1015,16 @@ std::vector<Finding> CheckTestLabels(
   return findings;
 }
 
-std::vector<std::string> ParseEvaluatorOptionsFields(
-    const std::string& evaluator_header) {
-  const std::string stripped = StripCommentsAndStrings(evaluator_header);
-  const size_t struct_at = stripped.find("struct EvaluatorOptions");
-  if (struct_at == std::string::npos) return {};
-  const size_t open = stripped.find('{', struct_at);
-  if (open == std::string::npos) return {};
-  std::vector<std::string> fields;
-  size_t depth = 1;
-  std::string statement;
-  for (size_t i = open + 1; i < stripped.size() && depth > 0; ++i) {
-    const char c = stripped[i];
-    if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-    } else if (c == ';' && depth == 1) {
-      // A data member: no parens (functions/ctors have them), name is the
-      // identifier before '=' or the trailing identifier.
-      const size_t eq = statement.find('=');
-      std::string decl =
-          eq == std::string::npos ? statement : statement.substr(0, eq);
-      if (decl.find('(') == std::string::npos &&
-          decl.find("using") == std::string::npos) {
-        std::string name;
-        std::string token;
-        for (size_t j = 0; j <= decl.size(); ++j) {
-          if (j < decl.size() && IsIdentChar(decl[j])) {
-            token += decl[j];
-          } else if (!token.empty()) {
-            name = token;
-            token.clear();
-          }
-        }
-        if (!name.empty()) fields.push_back(name);
-      }
-      statement.clear();
-      continue;
-    }
-    if (depth == 1) statement += c;
-  }
-  return fields;
-}
-
-std::vector<Finding> CheckCacheSignature(
-    const std::string& evaluator_header,
-    const std::string& eval_service_source) {
-  const std::vector<std::string> fields =
-      ParseEvaluatorOptionsFields(evaluator_header);
-  std::vector<Finding> findings;
-  if (fields.empty()) {
-    Finding finding;
-    finding.file = "src/ml/evaluator.h";
-    finding.rule = kRuleCacheSignature;
-    finding.message =
-        "could not parse any fields out of `struct EvaluatorOptions`; the "
-        "cache-signature rule has nothing to check (was the struct renamed?).";
-    findings.push_back(std::move(finding));
-    return findings;
-  }
-  const std::string stripped = StripCommentsAndStrings(eval_service_source);
-  const std::vector<Ident> idents = Identifiers(stripped);
-  // Anchor the report at the signature builder itself.
-  size_t signature_line = 0;
-  std::unordered_set<std::string> covered;
-  for (size_t i = 0; i + 1 < idents.size(); ++i) {
-    if (idents[i].text == "EvaluationSignature" && signature_line == 0) {
-      signature_line = idents[i].line;
-    }
-    if (idents[i].text == "options" &&
-        NextNonSpace(stripped, idents[i].end) == '.' &&
-        idents[i + 1].prev == '.') {
-      covered.insert(idents[i + 1].text);
-    }
-  }
-  for (const std::string& field : fields) {
-    if (covered.count(field) > 0) continue;
-    Finding finding;
-    finding.file = "src/afe/eval_service.cc";
-    finding.line = signature_line;
-    finding.rule = kRuleCacheSignature;
-    finding.message =
-        "EvaluatorOptions::" + field +
-        " is never mixed into EvaluationSignature(). Every option knob "
-        "must reach the signature (hashing::MixHash / std::bit_cast for "
-        "doubles), or two configurations differing only in `" + field +
-        "` would silently share cached scores.";
-    findings.push_back(std::move(finding));
-  }
-  return findings;
-}
-
 std::optional<std::vector<Finding>> LintRepository(const std::string& root,
                                                    std::string* error) {
   const fs::path base(root);
   const fs::path src = base / "src";
-  const fs::path evaluator_header = base / "src" / "ml" / "evaluator.h";
-  const fs::path eval_service = base / "src" / "afe" / "eval_service.cc";
   const fs::path tests_cmake = base / "tests" / "CMakeLists.txt";
   const fs::path layers_spec = base / "tools" / "lint" / "layers.spec";
   const fs::path architecture = base / "docs" / "ARCHITECTURE.md";
   const fs::path readme = base / "README.md";
-  for (const fs::path& anchor : {src, evaluator_header, eval_service,
-                                 tests_cmake, layers_spec, architecture,
-                                 readme}) {
+  for (const fs::path& anchor :
+       {src, tests_cmake, layers_spec, architecture, readme}) {
     if (!fs::exists(anchor)) {
       if (error != nullptr) {
         *error = "not a lintable eafe checkout: missing " + anchor.string() +
@@ -1251,19 +1155,6 @@ std::optional<std::vector<Finding>> LintRepository(const std::string& root,
   findings.insert(findings.end(),
                   std::make_move_iterator(label_findings.begin()),
                   std::make_move_iterator(label_findings.end()));
-
-  // Cache-signature rule over the evaluator header + signature builder.
-  const auto header = tree.find("src/ml/evaluator.h");
-  const auto service = tree.find("src/afe/eval_service.cc");
-  if (header == tree.end() || service == tree.end()) {
-    if (error != nullptr) *error = "unreadable evaluator/eval_service source";
-    return std::nullopt;
-  }
-  std::vector<Finding> signature_findings =
-      CheckCacheSignature(header->second, service->second);
-  findings.insert(findings.end(),
-                  std::make_move_iterator(signature_findings.begin()),
-                  std::make_move_iterator(signature_findings.end()));
 
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {

@@ -10,18 +10,17 @@
 
 // eafe_lint: project-invariant checker.
 //
-// The repository's correctness story rests on two contracts that ordinary
-// compilers cannot see:
+// The rules here guard project invariants that no type can express. The
+// load-bearing one is determinism: every run is bit-identical at any
+// --threads, which is only true while all randomness flows through
+// eafe::Rng from an explicit seed and no wall-clock leaks into results.
+// The others keep threads, intrinsics, sockets, raw decoding and manual
+// locking in their audited homes, and metric names and test labels
+// registered. (The score cache's key, every EvaluatorOptions field, is a
+// static_assert in src/ml/evaluator.h instead.)
 //
-//   * determinism — every run is bit-identical at any --threads, which is
-//     only true while all randomness flows through eafe::Rng from an
-//     explicit seed and no wall-clock leaks into results;
-//   * cache safety — the eval-service score cache keys on an evaluation
-//     signature, which is only sound while *every* EvaluatorOptions knob is
-//     mixed into that signature.
-//
-// These rules enforce both mechanically on every commit (tools/check.sh
-// --suite lint, CI `lint` job). Each rule can be silenced on a single line
+// The rules run on every commit (tools/check.sh --suite lint, CI `lint`
+// job). Each rule can be silenced on a single line
 // with `// eafe-lint: allow(<rule>)` — the escape is part of the diff and
 // shows up in review, unlike a silently-missing invariant — and the
 // unused-suppression rule deletes escapes that stop earning their keep.
@@ -50,7 +49,6 @@ struct Finding {
 inline constexpr char kRuleDeterminism[] = "determinism";
 inline constexpr char kRuleRawThread[] = "raw-thread";
 inline constexpr char kRuleTestLabels[] = "test-labels";
-inline constexpr char kRuleCacheSignature[] = "cache-signature";
 inline constexpr char kRuleRawDeserialize[] = "raw-deserialize";
 inline constexpr char kRuleSimd[] = "simd";
 inline constexpr char kRuleServeSocket[] = "serve-socket";
@@ -236,32 +234,16 @@ std::vector<Finding> CheckTestLabels(
         read_source);
 
 // ---------------------------------------------------------------------------
-// Rule: cache-signature
-//
-// Every field of ml::EvaluatorOptions (src/ml/evaluator.h) must be mixed
-// into EvaluationSignature (src/afe/eval_service.cc). A knob that changes
-// scores but not the signature would silently alias cached results across
-// configurations — the exact bug class this rule exists to prevent.
-
-// Field names of `struct EvaluatorOptions` parsed from the header.
-std::vector<std::string> ParseEvaluatorOptionsFields(
-    const std::string& evaluator_header);
-
-std::vector<Finding> CheckCacheSignature(
-    const std::string& evaluator_header,
-    const std::string& eval_service_source);
-
-// ---------------------------------------------------------------------------
 // Driver: runs every rule over a repository checkout — the per-file token
 // rules over src/, the include-graph rules (cycles, layering, spec/doc
 // cross-check) over src/ + tools/ + tests/ + bench/ + examples/, the
 // metric registry against src/runtime/metric_names.h + README.md, and
-// the test-label / cache-signature anchors. allow() escapes are applied
-// centrally here, and escapes that suppress nothing become
+// the test-label rule over tests/CMakeLists.txt. allow() escapes are
+// applied centrally here, and escapes that suppress nothing become
 // unused-suppression findings. Findings are sorted by (file, line, rule)
 // and deterministic. `error` receives a message and the result is
 // nullopt if the tree is not lintable (missing anchor files such as
-// src/ml/evaluator.h or tools/lint/layers.spec).
+// tests/CMakeLists.txt or tools/lint/layers.spec).
 std::optional<std::vector<Finding>> LintRepository(const std::string& root,
                                                    std::string* error);
 
