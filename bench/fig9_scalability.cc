@@ -4,8 +4,9 @@
 // since the per-candidate evaluation that FPE skips gets more expensive.
 //
 // This harness also times the per-epoch candidate pipeline both ways —
-// --pipeline=sync (inline oracle) and --pipeline=async (stages overlap
-// on the thread pool) — and reports the async speedup per scale point.
+// --pipeline=sync (inline oracle) and --pipeline=async (each candidate
+// task runs on the thread pool while the caller keeps generating) — and
+// reports the async speedup per scale point.
 // The two executors are bit-identical by contract (DESIGN.md §12), so
 // the score columns are mode-independent.
 //

@@ -178,7 +178,6 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
 
   StepPipelineConfig pipeline_config;
   pipeline_config.mode = options_.search.pipeline;
-  pipeline_config.queue_capacity = options_.search.pipeline_queue_capacity;
   pipeline_config.filter = options_.variant == Variant::kRandomDrop
                                ? StepFilter::kRandomDrop
                                : StepFilter::kFpe;

@@ -46,7 +46,6 @@ Result<SearchResult> NfsSearch::Run(const data::Dataset& dataset) {
 
   StepPipelineConfig pipeline_config;
   pipeline_config.mode = options_.pipeline;
-  pipeline_config.queue_capacity = options_.pipeline_queue_capacity;
   pipeline_config.filter = StepFilter::kNone;
 
   size_t last_improvement_epoch = 0;

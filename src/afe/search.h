@@ -64,9 +64,6 @@ struct SearchOptions {
   bool honest_final_score = true;
   /// Execution mode of the per-epoch candidate pipeline.
   PipelineMode pipeline = PipelineMode::kAsync;
-  /// Bound of the pipeline's intake queue; the producer blocks when the
-  /// queue is full (backpressure).
-  size_t pipeline_queue_capacity = 8;
 };
 
 /// Score/efficiency snapshot at the end of one epoch, for learning curves

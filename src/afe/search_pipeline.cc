@@ -1,6 +1,8 @@
 #include "afe/search_pipeline.h"
 
 #include <cstddef>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "core/stopwatch.h"
@@ -76,45 +78,55 @@ void EvalStage(const FeatureSpace& frame, const ml::FeatureBinner* frame_bins,
 
 SearchStepPipeline::SearchStepPipeline(const StepPipelineConfig& config,
                                        const FeatureSpace* frame,
-                                       EvalService* eval_service) {
+                                       EvalService* eval_service)
+    : config_(config), frame_(frame), eval_service_(eval_service) {
   // The frame does not change until the epoch barrier, so its columns are
   // binned here once instead of inside every evaluation.
   auto frame_bins = eval_service->evaluator().BinFrame(frame->ToDataset());
   if (frame_bins.ok()) frame_bins_ = std::move(frame_bins).ValueOrDie();
-
-  // One stage, named "eval" after its metric family: every pool thread
-  // filters, then evaluates, the task it popped. Nested ParallelFor
-  // inside an evaluation detects the pool worker and runs inline.
-  runtime::Pipeline<StepTask>::Options pipeline_options;
-  pipeline_options.pool =
-      config.mode == PipelineMode::kAsync ? runtime::GlobalPool() : nullptr;
-  pipeline_options.name = "eval";
-  pipeline_options.queue_capacity = config.queue_capacity;
-  pipeline_ = std::make_unique<runtime::Pipeline<StepTask>>(
-      [config, frame, bins = frame_bins_.get(), eval_service](StepTask& task) {
-        FilterStage(config, task);
-        EvalStage(*frame, bins, *eval_service, task);
-      },
-      pipeline_options);
+  if (config.mode == PipelineMode::kAsync &&
+      !runtime::ThreadPool::OnWorkerThread()) {
+    pool_ = runtime::GlobalPool();
+  }
+  // The `eval` family under the registered `eafe_pipeline` prefix.
+  const std::string family = std::string("eafe_pipeline") + "_eval";
+  runtime::MetricGateway* metrics = runtime::GlobalMetrics();
+  busy_ = metrics->Gauge(family + "_busy_workers",
+                         "Threads currently filtering or evaluating a task");
+  items_ = metrics->Counter(family + "_items_total",
+                            "Search tasks filtered and evaluated");
 }
 
-SearchStepPipeline::~SearchStepPipeline() = default;
+SearchStepPipeline::~SearchStepPipeline() {
+  // Pool tasks reference tasks_ and the frame; none may outlive them.
+  for (std::future<void>& done : done_) {
+    if (done.valid()) done.wait();
+  }
+}
 
-bool SearchStepPipeline::async() const { return pipeline_->async(); }
+void SearchStepPipeline::Run(StepTask& task) {
+  busy_->Add(1);
+  FilterStage(config_, task);
+  EvalStage(*frame_, frame_bins_.get(), *eval_service_, task);
+  busy_->Add(-1);
+  items_->Increment();
+}
 
 void SearchStepPipeline::Submit(StepTask task) {
-  pipeline_->Submit(std::move(task));
-  ++submitted_;
+  StepTask& slot = tasks_.emplace_back(std::move(task));
+  if (pool_ == nullptr) {
+    Run(slot);
+    return;
+  }
+  // A ParallelFor nested inside the task runs inline on its worker.
+  done_.push_back(pool_->Submit([this, &slot] { Run(slot); }));
 }
 
 Result<std::vector<StepTask>> SearchStepPipeline::Finish() {
-  pipeline_->Close();
-  std::vector<StepTask> tasks;
-  tasks.reserve(submitted_);
-  while (auto task = pipeline_->NextOrdered()) {
-    tasks.push_back(std::move(*task));
-  }
-  // Surface the first stage failure in submission order so error
+  for (std::future<void>& done : done_) done.get();
+  std::vector<StepTask> tasks(std::make_move_iterator(tasks_.begin()),
+                              std::make_move_iterator(tasks_.end()));
+  // Surface the first step failure in submission order so error
   // reporting is independent of scheduling.
   for (const StepTask& task : tasks) {
     EAFE_RETURN_NOT_OK(task.status);

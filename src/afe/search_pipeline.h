@@ -2,6 +2,8 @@
 #define EAFE_AFE_SEARCH_PIPELINE_H_
 
 #include <cstddef>
+#include <deque>
+#include <future>
 #include <memory>
 #include <vector>
 
@@ -11,7 +13,8 @@
 #include "core/status.h"
 #include "fpe/fpe_model.h"
 #include "ml/feature_binner.h"
-#include "runtime/pipeline.h"
+#include "runtime/metrics.h"
+#include "runtime/thread_pool.h"
 
 namespace eafe::afe {
 
@@ -19,7 +22,7 @@ namespace eafe::afe {
 /// (DESIGN.md §12). Each epoch the driver freezes the feature space (the
 /// "frame"), generates one StepTask per (group, step) on the calling
 /// thread — all result-affecting randomness is pre-drawn there — and
-/// submits it. Whichever worker pops a task runs both of its steps: the
+/// submits it. Each task is one pool task that runs both of its steps: the
 /// filter (MinHash/FPE probability or a pre-drawn random-drop verdict)
 /// picks the first passing attempt, then the evaluation scores
 /// frame+candidate on the downstream task. Finish() returns the tasks in
@@ -88,8 +91,6 @@ enum class StepFilter {
 
 struct StepPipelineConfig {
   PipelineMode mode = PipelineMode::kAsync;
-  /// Bound of the pipeline's intake queue (backpressure depth).
-  size_t queue_capacity = 8;
   StepFilter filter = StepFilter::kNone;
   /// Required (trained) when filter == kFpe; not owned.
   const fpe::FpeModel* fpe_model = nullptr;
@@ -97,13 +98,15 @@ struct StepPipelineConfig {
 };
 
 /// One epoch's worth of pipeline: construct against the frozen frame,
-/// Submit() every StepTask in (group, step) order, then Finish() to
-/// close, drain, and get the tasks back in submission order. In async
-/// mode every global-pool thread is a worker that filters, then
-/// evaluates, the tasks it pops, with bounded-queue backpressure;
-/// otherwise Submit runs both steps inline. The frame and eval service
-/// must outlive the pipeline, and the caller must not mutate the frame or
-/// schedule other pool work until Finish() returns.
+/// Submit() every StepTask in (group, step) order, then Finish() to wait
+/// for them and get them back in submission order. In async mode each
+/// Submit hands the global pool one task that filters, then evaluates,
+/// its StepTask, and the pool's own FIFO queue gives it to whichever
+/// worker is free. With no pool, in sync mode, or when constructed on a
+/// pool worker (nested pipelines degrade like nested ParallelFor),
+/// Submit runs both steps inline. The frame and eval service must
+/// outlive the pipeline, and the caller must not mutate the frame until
+/// Finish() returns.
 ///
 /// Construction bins the frame once (TaskEvaluator::BinFrame, so the
 /// downstream model's own binner options apply), and every evaluation of
@@ -119,22 +122,35 @@ class SearchStepPipeline {
 
   /// True when tasks run on the pool workers (reporting only; results
   /// are identical either way).
-  bool async() const;
+  bool async() const { return pool_ != nullptr; }
 
-  /// Blocks when the intake queue is full.
+  /// Never blocks in async mode; runs both steps first in inline mode.
   void Submit(StepTask task);
 
-  /// Closes the intake, drains the workers, and returns every submitted
-  /// task in submission order. Call exactly once.
+  /// Waits for every submitted task and returns them in submission
+  /// order, or the first failure in that order. Call exactly once.
   Result<std::vector<StepTask>> Finish();
 
  private:
+  /// Filters, then evaluates, one task.
+  void Run(StepTask& task);
+
+  const StepPipelineConfig config_;
+  const FeatureSpace* const frame_;
+  EvalService* const eval_service_;
   /// The frame's bins; null when the downstream model cannot share bins
   /// or binning failed (each evaluation then bins its whole table and
   /// reports its own error).
   std::shared_ptr<const ml::FeatureBinner> frame_bins_;
-  std::unique_ptr<runtime::Pipeline<StepTask>> pipeline_;
-  size_t submitted_ = 0;
+  /// Null in inline mode.
+  runtime::ThreadPool* pool_ = nullptr;
+  runtime::MetricGauge* busy_ = nullptr;
+  runtime::MetricCounter* items_ = nullptr;
+  /// Submitted tasks; a deque never moves its elements, so a pool task
+  /// can hold a reference to its own while Submit appends more.
+  std::deque<StepTask> tasks_;
+  /// One future per pool task, in submission order (async mode only).
+  std::vector<std::future<void>> done_;
 };
 
 }  // namespace eafe::afe

@@ -1,10 +1,11 @@
 #include "core/string_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cerrno>
 
 namespace eafe {
 
@@ -51,7 +52,11 @@ Result<double> ParseDouble(std::string_view token) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(buffer.c_str(), &end);
-  if (errno != 0 || end != buffer.c_str() + buffer.size()) {
+  // strtod sets ERANGE on underflow too, but then returns the nearest
+  // double (subnormal or ±0), which is what the text means; only overflow
+  // (±HUGE_VAL) is out of range.
+  const bool underflow = errno == ERANGE && !std::isinf(value);
+  if ((errno != 0 && !underflow) || end != buffer.c_str() + buffer.size()) {
     return Status::InvalidArgument("cannot parse double: '" + buffer + "'");
   }
   return value;

@@ -26,8 +26,8 @@ inline constexpr char kCacheMissesTotal[] = "eafe_cache_misses_total";
 inline constexpr char kCacheInsertionsTotal[] = "eafe_cache_insertions_total";
 inline constexpr char kCacheEvictionsTotal[] = "eafe_cache_evictions_total";
 
-// -- runtime/pipeline.h + afe/search_pipeline.cc: per-stage family
-//    prefix; stages append _<stage>_queue_depth, _<stage>_items_total, ...
+// -- afe/search_pipeline.cc: search-task family prefix; the one family,
+//    `eval`, appends _eval_busy_workers and _eval_items_total.
 inline constexpr char kPipelinePrefix[] = "eafe_pipeline";
 
 // -- simd/simd.cc: per-kernel dispatch family prefix; completed as

@@ -5,20 +5,17 @@
 #include <memory>
 #include <utility>
 
-#include "core/check.h"
 #include "runtime/metrics.h"
 
 namespace eafe::runtime {
 namespace {
 
-// Worker identity for the calling thread; -1 / null off-pool.
+// Worker identity for the calling thread; -1 off-pool.
 thread_local int tls_worker_index = -1;
-thread_local Rng* tls_worker_rng = nullptr;
-// Open InlineParallelScopes on the calling thread. Block 0 of a region
-// runs on the caller, which may not be a pool worker; the depth makes
-// regions nested under it (or under a pipeline producer) run inline too
-// instead of re-fanning out.
-thread_local size_t tls_region_depth = 0;
+// True while the calling thread runs block 0 of a region. That block runs
+// on the caller, which may not be a pool worker; the flag makes regions
+// nested under it run inline too instead of re-fanning out.
+thread_local bool tls_in_block0 = false;
 
 size_t ResolveThreads(size_t requested) {
   if (requested > 0) return requested;
@@ -27,13 +24,12 @@ size_t ResolveThreads(size_t requested) {
 
 }  // namespace
 
-ThreadPool::ThreadPool(const Options& options)
-    : rng_seed_(options.rng_seed),
-      tasks_total_(GlobalMetrics()->Counter(
+ThreadPool::ThreadPool(size_t num_threads)
+    : tasks_total_(GlobalMetrics()->Counter(
           "eafe_pool_tasks_total", "Tasks executed by pool workers")),
       busy_workers_(GlobalMetrics()->Gauge(
           "eafe_pool_busy_workers", "Pool workers currently running a task")) {
-  const size_t count = ResolveThreads(options.num_threads);
+  const size_t count = ResolveThreads(num_threads);
   workers_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     workers_.emplace_back([this, i] { WorkerMain(i); });
@@ -61,11 +57,7 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::WorkerMain(size_t index) {
-  // Stream i is splitmix-expanded from (seed, i) by the Rng constructor,
-  // so recreating a pool with the same seed reproduces every stream.
-  Rng rng(rng_seed_ + 0x9E3779B97F4A7C15ULL * (index + 1));
   tls_worker_index = static_cast<int>(index);
-  tls_worker_rng = &rng;
   for (;;) {
     std::packaged_task<void()> task;
     {
@@ -81,25 +73,11 @@ void ThreadPool::WorkerMain(size_t index) {
     tasks_total_->Increment();
   }
   tls_worker_index = -1;
-  tls_worker_rng = nullptr;
 }
 
 int ThreadPool::CurrentWorkerIndex() { return tls_worker_index; }
 
 bool ThreadPool::OnWorkerThread() { return tls_worker_index >= 0; }
-
-Rng* ThreadPool::CurrentWorkerRng() { return tls_worker_rng; }
-
-InlineParallelScope::InlineParallelScope()
-    : owner_(std::this_thread::get_id()) {
-  ++tls_region_depth;
-}
-
-InlineParallelScope::~InlineParallelScope() {
-  EAFE_CHECK_MSG(owner_ == std::this_thread::get_id(),
-                 "InlineParallelScope destroyed off its owning thread");
-  --tls_region_depth;
-}
 
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t, size_t)>& fn) {
@@ -112,8 +90,7 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t min_block,
   if (min_block == 0) min_block = 1;
   const size_t max_blocks = std::max<size_t>(n / min_block, 1);
   if (pool == nullptr || pool->num_threads() <= 1 || n <= 1 ||
-      max_blocks <= 1 || ThreadPool::OnWorkerThread() ||
-      tls_region_depth > 0) {
+      max_blocks <= 1 || ThreadPool::OnWorkerThread() || tls_in_block0) {
     fn(0, n);
     return;
   }
@@ -128,14 +105,13 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t min_block,
   // The caller owns block 0. Its exception must not unwind past the
   // remote blocks, which still reference fn.
   std::exception_ptr first;
-  {
-    const InlineParallelScope scope;
-    try {
-      fn(0, n / blocks);
-    } catch (...) {
-      first = std::current_exception();
-    }
+  tls_in_block0 = true;
+  try {
+    fn(0, n / blocks);
+  } catch (...) {
+    first = std::current_exception();
   }
+  tls_in_block0 = false;
   for (std::future<void>& future : futures) {
     try {
       future.get();

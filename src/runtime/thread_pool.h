@@ -3,15 +3,12 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "core/rng.h"
 
 namespace eafe::runtime {
 
@@ -25,23 +22,12 @@ class MetricGauge;
 /// Determinism contract: the pool itself never introduces randomness into
 /// results. Work that feeds a reduction must be partitioned statically
 /// (see ParallelFor) and reduced in index order, never in completion
-/// order. Each worker owns a deterministically-seeded RNG stream
-/// (options.rng_seed x worker index) for randomness that may not affect
-/// results (e.g. jittered backoff); result-affecting randomness must be
-/// pre-drawn serially by the caller.
+/// order; result-affecting randomness must be pre-drawn serially by the
+/// caller.
 class ThreadPool {
  public:
-  struct Options {
-    /// Worker count; 0 means std::thread::hardware_concurrency().
-    size_t num_threads = 0;
-    /// Base seed for the per-worker RNG streams.
-    uint64_t rng_seed = 0x243F6A8885A308D3ULL;
-  };
-
-  ThreadPool() : ThreadPool(Options()) {}
-  explicit ThreadPool(size_t num_threads)
-      : ThreadPool(Options{num_threads, Options().rng_seed}) {}
-  explicit ThreadPool(const Options& options);
+  /// `num_threads` workers; 0 means std::thread::hardware_concurrency().
+  explicit ThreadPool(size_t num_threads);
   /// Drains the queue (queued tasks still run), then joins all workers.
   ~ThreadPool();
 
@@ -64,12 +50,6 @@ class ThreadPool {
   /// (folds submit, trees run inline).
   static bool OnWorkerThread();
 
-  /// The calling worker's own RNG stream, deterministically seeded from
-  /// (options.rng_seed, worker index); null off-pool. Streams are stable
-  /// per worker, but which task observes which stream depends on
-  /// scheduling — never use this for randomness that affects results.
-  static Rng* CurrentWorkerRng();
-
  private:
   void WorkerMain(size_t index);
 
@@ -78,31 +58,11 @@ class ThreadPool {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool shutdown_ = false;
-  uint64_t rng_seed_;
   /// Occupancy instruments, captured from GlobalMetrics() at
   /// construction (no-ops unless a recording gateway is installed
   /// first); owned by the gateway.
   MetricCounter* tasks_total_;
   MetricGauge* busy_workers_;
-};
-
-/// Marks the constructing thread as inside a parallel region until the
-/// scope is destroyed: every ParallelFor it issues meanwhile runs inline.
-/// ParallelFor opens one around its caller-executed block 0, and a
-/// runtime::Pipeline opens one on its producer thread while its workers
-/// hold the pool — a region fanned out from there would queue
-/// behind those workers and never run. Must be destroyed on the thread
-/// that constructed it.
-class InlineParallelScope {
- public:
-  InlineParallelScope();
-  ~InlineParallelScope();
-
-  InlineParallelScope(const InlineParallelScope&) = delete;
-  InlineParallelScope& operator=(const InlineParallelScope&) = delete;
-
- private:
-  std::thread::id owner_;
 };
 
 /// Runs fn(begin, end) over a static contiguous partition of [0, n): block
@@ -113,8 +73,7 @@ class InlineParallelScope {
 ///
 /// Runs the whole range inline on the caller when `pool` is null, has one
 /// worker, n <= 1, or the call is nested inside another parallel region —
-/// on a pool worker, or on a thread holding an InlineParallelScope (inside
-/// the caller-executed block 0, or a pipeline producer). Nested
+/// on a pool worker, or inside the caller-executed block 0. Nested
 /// parallelism runs serially rather than oversubscribing the fixed pool.
 /// The caller always executes block 0 itself. Blocks until every block
 /// finishes; rethrows the exception of the lowest-indexed failing block.

@@ -3,8 +3,10 @@
 // results to the synchronous oracle at any thread count. The sweep runs
 // threads in {1, 4, 16}; the global pool is rebuilt per point, and the
 // suite restores the serial default afterwards so other tests are
-// unaffected. Golden digests pin each search method's sync result, and a
-// work test bounds the binner fits a search pays.
+// unaffected. Golden digests pin each search method's sync result, a
+// work test bounds the binner fits a search pays, and hand-built
+// SearchStepPipelines test the executor itself: order, fan-out,
+// teardown, inline fallback and failure paths.
 
 #include "afe/search_pipeline.h"
 
@@ -12,9 +14,15 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -55,7 +63,6 @@ SearchOptions QuickSearch(PipelineMode mode) {
   options.evaluator.rf_max_depth = 3;
   options.seed = 33;
   options.pipeline = mode;
-  options.pipeline_queue_capacity = 2;  // Tiny bound: exercise backpressure.
   return options;
 }
 
@@ -343,36 +350,266 @@ StepTask OneAttemptTask(size_t index, SpaceFeature candidate, bool pre_vetted) {
   return task;
 }
 
-TEST(SearchPipelineTest, AsyncRunPublishesQueueGauges) {
-  // Queue instruments are registered only when the workers actually run
-  // on the pool — their presence is how an operator confirms the async
-  // executor engaged (README troubleshooting note). The pipeline has one
-  // stage, `eval`, whose workers also run the filter; no `filter` family
-  // exists.
-  runtime::TextMetricGateway gateway;
-  runtime::SetGlobalMetrics(&gateway);
-  const SearchResult result = RunMethod("nfs", PipelineMode::kAsync, 4);
-  // RunMethod set one thread, so this drops a global pool built while
-  // `gateway` was installed; its instruments would outlive the gateway.
-  EXPECT_EQ(runtime::GlobalPool(), nullptr);
-  runtime::SetGlobalMetrics(nullptr);
-  EXPECT_GT(result.features_generated, 0u);
-  const std::string exposition = gateway.TextExposition();
-  for (const char* suffix :
-       {"queue_depth", "queue_push_stall_seconds", "queue_pop_stall_seconds",
-        "busy_workers", "items_total"}) {
-    EXPECT_NE(exposition.find(std::string("eafe_pipeline_eval_") + suffix),
-              std::string::npos)
-        << suffix;
+/// A skipped task: both steps pass it through at once.
+StepTask SkippedTask(size_t index) {
+  StepTask task;
+  task.skipped = true;
+  StepAttempt attempt;
+  attempt.action_index = index;
+  task.attempts.push_back(std::move(attempt));
+  return task;
+}
+
+/// Recording gateway whose `eafe_pipeline_eval_busy_workers` gauge calls
+/// `on_start` on the thread that starts each task, as the task starts.
+/// Installed process-wide with a `threads`-thread global pool for its
+/// lifetime; the destructor drops the pool first, since a pool built
+/// meanwhile holds instruments the gateway owns.
+class TaskStartProbe : public runtime::MetricGateway {
+ public:
+  TaskStartProbe(size_t threads, std::function<void()> on_start)
+      : gauge_(std::move(on_start)) {
+    runtime::SetGlobalMetrics(this);
+    runtime::SetGlobalThreads(threads);
   }
+  ~TaskStartProbe() override {
+    runtime::SetGlobalThreads(1);
+    EXPECT_EQ(runtime::GlobalPool(), nullptr);
+    runtime::SetGlobalMetrics(nullptr);
+  }
+
+  runtime::MetricCounter* Counter(const std::string& name,
+                                  const std::string& help) override {
+    return recorder_.Counter(name, help);
+  }
+  runtime::MetricGauge* Gauge(const std::string& name,
+                              const std::string& help) override {
+    if (name == "eafe_pipeline_eval_busy_workers") return &gauge_;
+    return recorder_.Gauge(name, help);
+  }
+  runtime::MetricHistogram* Histogram(const std::string& name,
+                                      const std::string& help,
+                                      std::vector<double> buckets) override {
+    return recorder_.Histogram(name, help, std::move(buckets));
+  }
+  std::string TextExposition() const override {
+    return recorder_.TextExposition();
+  }
+
+  /// Tasks finished so far.
+  uint64_t ItemsTotal() {
+    return recorder_.Counter("eafe_pipeline_eval_items_total", "")->Value();
+  }
+
+ private:
+  class StartGauge : public runtime::MetricGauge {
+   public:
+    explicit StartGauge(std::function<void()> on_start)
+        : on_start_(std::move(on_start)) {}
+    void Set(double value) override { value_.store(value); }
+    void Add(double delta) override {
+      if (delta > 0 && on_start_) on_start_();
+      value_.fetch_add(delta);
+    }
+    double Value() const override { return value_.load(); }
+
+   private:
+    std::function<void()> on_start_;
+    std::atomic<double> value_{0.0};
+  };
+
+  runtime::TextMetricGateway recorder_;
+  StartGauge gauge_;
+};
+
+TEST(SearchPipelineTest, AsyncRunCountsEveryTask) {
+  // async() reports that the pool executor engaged, and the `eval`
+  // family counts one item per submitted task, skipped and evaluated
+  // alike. The filter runs inside the same task, so no `filter` family
+  // exists.
+  StepFixture fixture;
+  const std::vector<SpaceFeature> candidates = fixture.Candidates(3);
+  TaskStartProbe probe(4, nullptr);
+  {
+    SearchStepPipeline pipeline(StepPipelineConfig(), &fixture.space,
+                                &fixture.eval_service);
+    ASSERT_TRUE(pipeline.async());
+    for (size_t i = 0; i < 6; ++i) {
+      pipeline.Submit(i % 2 == 0 ? OneAttemptTask(i, candidates[i / 2], true)
+                                 : SkippedTask(i));
+    }
+    ASSERT_TRUE(pipeline.Finish().ok());
+  }
+  EXPECT_EQ(probe.ItemsTotal(), 6u);
+  const std::string exposition = probe.TextExposition();
+  EXPECT_NE(exposition.find("eafe_pipeline_eval_items_total"),
+            std::string::npos);
   EXPECT_EQ(exposition.find("eafe_pipeline_filter_"), std::string::npos);
+}
+
+// Tasks of uneven cost: the first task to start waits until every other
+// task has finished, so completion order is not submission order (the
+// wait times out rather than hangs). Finish() must still return
+// submission order.
+TEST(SearchPipelineTest, UnevenTasksComeBackInSubmissionOrder) {
+  constexpr size_t kTasks = 24;
+  StepFixture fixture;
+  const std::vector<SpaceFeature> candidates = fixture.Candidates(kTasks);
+  std::atomic<bool> first{true};
+  TaskStartProbe probe(4, [&] {
+    if (!first.exchange(false)) return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (probe.ItemsTotal() < kTasks - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  {
+    SearchStepPipeline pipeline(StepPipelineConfig(), &fixture.space,
+                                &fixture.eval_service);
+    ASSERT_TRUE(pipeline.async());
+    for (size_t i = 0; i < kTasks; ++i) {
+      pipeline.Submit(i % 4 == 0 ? OneAttemptTask(i, candidates[i], true)
+                                 : SkippedTask(i));
+    }
+    const std::vector<StepTask> tasks = pipeline.Finish().ValueOrDie();
+    ASSERT_EQ(tasks.size(), kTasks);
+    for (size_t i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(tasks[i].attempts.front().action_index, i);
+      EXPECT_EQ(tasks[i].evaluated, i % 4 == 0) << "task " << i;
+    }
+  }
+}
+
+// Four tasks that each wait, as they start, until all four have started:
+// they can only all meet if every thread of the 4-thread pool runs one.
+// The wait times out, so a pipeline that uses fewer threads fails here
+// instead of hanging.
+TEST(SearchPipelineTest, EveryPoolThreadRunsTasks) {
+  constexpr size_t kThreads = 4;
+  StepFixture fixture;
+  std::mutex mu;
+  std::condition_variable all_started;
+  size_t started = 0;
+  size_t met = 0;
+  std::set<int> workers;
+  TaskStartProbe probe(kThreads, [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    ++started;
+    workers.insert(runtime::ThreadPool::CurrentWorkerIndex());
+    all_started.notify_all();
+    if (all_started.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return started >= kThreads; })) {
+      ++met;
+    }
+  });
+  {
+    SearchStepPipeline pipeline(StepPipelineConfig(), &fixture.space,
+                                &fixture.eval_service);
+    ASSERT_TRUE(pipeline.async());
+    for (size_t i = 0; i < kThreads; ++i) pipeline.Submit(SkippedTask(i));
+    EXPECT_EQ(pipeline.Finish().ValueOrDie().size(), kThreads);
+  }
+  EXPECT_EQ(met, kThreads);
+  EXPECT_EQ(workers, (std::set<int>{0, 1, 2, 3}));
+}
+
+// Dropping a pipeline without Finish() must wait for the tasks it
+// handed the pool: they reference its task list, the frame and the eval
+// service, all destroyed right after it (the sanitizer suites catch a
+// task that outlives them).
+TEST(SearchPipelineTest, DestroyWithoutFinishWaitsForTasks) {
+  constexpr size_t kTasks = 8;
+  TaskStartProbe probe(4, nullptr);
+  {
+    StepFixture fixture;
+    const std::vector<SpaceFeature> candidates = fixture.Candidates(kTasks);
+    SearchStepPipeline pipeline(StepPipelineConfig(), &fixture.space,
+                                &fixture.eval_service);
+    ASSERT_TRUE(pipeline.async());
+    for (size_t i = 0; i < kTasks; ++i) {
+      pipeline.Submit(OneAttemptTask(i, candidates[i], /*pre_vetted=*/true));
+    }
+  }
+  EXPECT_EQ(probe.ItemsTotal(), kTasks);
+}
+
+// A pipeline built on a pool worker must not queue its tasks behind the
+// worker that waits for them: it runs every task inline, on that worker.
+TEST(SearchPipelineTest, PipelineBuiltOnAPoolWorkerRunsInline) {
+  StepFixture fixture;
+  const std::vector<SpaceFeature> candidates = fixture.Candidates(3);
+  std::mutex mu;
+  std::set<std::thread::id> task_threads;
+  TaskStartProbe probe(4, [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    task_threads.insert(std::this_thread::get_id());
+  });
+  std::thread::id builder;
+  bool async = true;
+  std::vector<StepTask> tasks;
+  runtime::GlobalPool()
+      ->Submit([&] {
+        builder = std::this_thread::get_id();
+        SearchStepPipeline pipeline(StepPipelineConfig(), &fixture.space,
+                                    &fixture.eval_service);
+        async = pipeline.async();
+        for (size_t i = 0; i < candidates.size(); ++i) {
+          pipeline.Submit(OneAttemptTask(i, candidates[i], true));
+        }
+        tasks = pipeline.Finish().ValueOrDie();
+      })
+      .get();
+  EXPECT_FALSE(async);
+  EXPECT_EQ(task_threads, std::set<std::thread::id>{builder});
+  ASSERT_EQ(tasks.size(), candidates.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(tasks[i].attempts.front().action_index, i);
+    EXPECT_TRUE(tasks[i].evaluated);
+  }
+}
+
+// The producer is not a pool worker, so a ParallelFor it issues between
+// Submit()s fans out: its blocks queue behind the tasks already on the
+// pool, then run. It must come back complete and correct.
+TEST(SearchPipelineTest, ProducerParallelForBetweenSubmitsFansOut) {
+  constexpr size_t kTasks = 8;
+  StepFixture fixture;
+  const std::vector<SpaceFeature> candidates = fixture.Candidates(kTasks);
+  runtime::SetGlobalThreads(4);
+  runtime::ThreadPool* const pool = runtime::GlobalPool();
+  {
+    SearchStepPipeline pipeline(StepPipelineConfig(), &fixture.space,
+                                &fixture.eval_service);
+    ASSERT_TRUE(pipeline.async());
+    for (size_t i = 0; i < kTasks; ++i) {
+      pipeline.Submit(OneAttemptTask(i, candidates[i], /*pre_vetted=*/true));
+      std::atomic<size_t> blocks{0};
+      std::atomic<long long> sum{0};
+      runtime::ParallelFor(pool, 64, [&](size_t begin, size_t end) {
+        blocks.fetch_add(1);
+        long long local = 0;
+        for (size_t k = begin; k < end; ++k) local += static_cast<long long>(k);
+        sum.fetch_add(local);
+      });
+      EXPECT_EQ(blocks.load(), 4u) << "after task " << i;
+      EXPECT_EQ(sum.load(), 64 * 63 / 2) << "after task " << i;
+    }
+    const std::vector<StepTask> tasks = pipeline.Finish().ValueOrDie();
+    ASSERT_EQ(tasks.size(), kTasks);
+    for (size_t i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(tasks[i].attempts.front().action_index, i);
+      EXPECT_TRUE(tasks[i].evaluated);
+    }
+  }
+  runtime::SetGlobalThreads(1);
 }
 
 enum class Failure { kFilter, kEval };
 
-// Failure paths of the fused stage under full queues: 4 workers, a
-// one-slot intake queue and 24 tasks under the FPE filter with an
-// untrained model. Both failures need no test hook. A filter failure is
+// Failure paths of the fused stage: 4 workers and 24 tasks under the FPE
+// filter with an untrained model. Both failures need no test hook. A filter failure is
 // a task that is not pre-vetted, so PredictProbability returns
 // FailedPrecondition. An eval failure is a pre-vetted task whose
 // candidate column is one row short, so BuildCandidateDataset fails.
@@ -389,7 +626,6 @@ TEST(SearchPipelineTest, FusedStageReportsFirstFailureInSequenceOrder) {
   const fpe::FpeModel untrained;
   StepPipelineConfig config;
   config.mode = PipelineMode::kAsync;
-  config.queue_capacity = 1;
   config.filter = StepFilter::kFpe;
   config.fpe_model = &untrained;
 
@@ -465,7 +701,6 @@ TEST(SearchPipelineTest, StepPipelineReordersAndFiltersDirectly) {
   const FeatureSpace& space = fixture.space;
   StepPipelineConfig config;
   config.mode = PipelineMode::kAsync;
-  config.queue_capacity = 2;
   config.filter = StepFilter::kRandomDrop;
 
   runtime::SetGlobalThreads(4);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace eafe {
 namespace {
 
@@ -32,6 +35,15 @@ TEST(ParseDoubleTest, StrictParsing) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("12x").ok());
   EXPECT_FALSE(ParseDouble("abc").ok());
+}
+
+TEST(ParseDoubleTest, UnderflowYieldsTheNearestDouble) {
+  EXPECT_EQ(ParseDouble("4.9406564584124654e-324").ValueOrDie(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(ParseDouble("-1e-400").ValueOrDie(), 0.0);
+  EXPECT_TRUE(std::signbit(ParseDouble("-1e-400").ValueOrDie()));
+  EXPECT_FALSE(ParseDouble("1e400").ok());
+  EXPECT_FALSE(ParseDouble("-1e400").ok());
 }
 
 TEST(ParseIntTest, StrictParsing) {

@@ -57,6 +57,18 @@ TEST(ArffTest, MissingValuesBecomeNaN) {
   EXPECT_TRUE(std::isnan(frame.column(1)[1]));
 }
 
+TEST(ArffTest, SubnormalLiteralsParse) {
+  const std::string text =
+      "@relation r\n@attribute x numeric\n@data\n"
+      "4.9406564584124654e-324\n-2.5e-320\n";
+  const Result<DataFrame> frame = ParseArff(text);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->column(0)[0], 4.9406564584124654e-324);
+  EXPECT_EQ(frame->column(0)[1], -2.5e-320);
+  EXPECT_FALSE(ParseArff("@relation r\n@attribute x numeric\n@data\n1e400\n")
+                   .ok());
+}
+
 TEST(ArffTest, QuotedNamesAndValues) {
   const std::string text =
       "@relation r\n"

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace eafe::data {
 namespace {
@@ -71,6 +74,25 @@ TEST(CsvTest, WriteReadRoundTrip) {
     }
   }
   std::remove(path.c_str());
+}
+
+TEST(CsvTest, SubnormalsRoundTripBitExact) {
+  // strtod reports underflow for these; the reader must still take them.
+  const std::vector<double> values = {4.9406564584124654e-324, 1e-310,
+                                      -2.5e-320, 2.2250738585072014e-308};
+  DataFrame frame;
+  ASSERT_TRUE(frame.AddColumn(Column("x", values)).ok());
+  const std::string path = testing::TempDir() + "/eafe_csv_subnormal.csv";
+  ASSERT_TRUE(WriteCsv(frame, path).ok());
+  const Result<DataFrame> back = ReadCsv(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->num_rows(), values.size());
+  for (size_t r = 0; r < values.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(back->column(0)[r]),
+              std::bit_cast<uint64_t>(values[r]))
+        << "row " << r;
+  }
 }
 
 TEST(CsvTest, NaNRoundTripsAsEmpty) {

@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <latch>
-#include <map>
-#include <mutex>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,7 +19,7 @@ TEST(ThreadPoolTest, StartupAndShutdown) {
 }
 
 TEST(ThreadPoolTest, ZeroThreadsResolvesToHardware) {
-  ThreadPool pool(ThreadPool::Options{});
+  ThreadPool pool(0);
   EXPECT_GE(pool.num_threads(), 1u);
 }
 
@@ -64,48 +61,6 @@ TEST(ThreadPoolTest, SubmitExceptionLandsInFuture) {
 TEST(ThreadPoolTest, WorkerIdentityOffPool) {
   EXPECT_EQ(ThreadPool::CurrentWorkerIndex(), -1);
   EXPECT_FALSE(ThreadPool::OnWorkerThread());
-  EXPECT_EQ(ThreadPool::CurrentWorkerRng(), nullptr);
-}
-
-TEST(ThreadPoolTest, WorkerRngStreamsAreDeterministicPerIndex) {
-  // Pin every worker inside a task simultaneously (via the latch) so each
-  // records its own stream's first draw exactly once.
-  auto collect = [](uint64_t seed) {
-    constexpr size_t kThreads = 4;
-    ThreadPool::Options options;
-    options.num_threads = kThreads;
-    options.rng_seed = seed;
-    ThreadPool pool(options);
-    std::latch ready(kThreads);
-    std::mutex mutex;
-    std::map<int, uint64_t> draws;
-    std::vector<std::future<void>> futures;
-    for (size_t i = 0; i < kThreads; ++i) {
-      futures.push_back(pool.Submit([&] {
-        ready.arrive_and_wait();  // Forces one task per worker.
-        const int index = ThreadPool::CurrentWorkerIndex();
-        ASSERT_GE(index, 0);
-        ASSERT_NE(ThreadPool::CurrentWorkerRng(), nullptr);
-        const uint64_t value = ThreadPool::CurrentWorkerRng()->Next();
-        std::lock_guard<std::mutex> lock(mutex);
-        draws[index] = value;
-      }));
-    }
-    for (std::future<void>& future : futures) future.get();
-    return draws;
-  };
-
-  const auto first = collect(99);
-  const auto second = collect(99);
-  const auto other = collect(100);
-  ASSERT_EQ(first.size(), 4u);
-  EXPECT_EQ(first, second);  // Same seed -> same per-worker streams.
-  EXPECT_NE(first, other);   // Streams depend on the pool seed.
-  // Streams are distinct across workers.
-  std::vector<uint64_t> values;
-  for (const auto& [index, value] : first) values.push_back(value);
-  std::sort(values.begin(), values.end());
-  EXPECT_EQ(std::unique(values.begin(), values.end()), values.end());
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

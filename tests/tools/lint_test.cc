@@ -276,16 +276,17 @@ TEST(TestLabelsTest, TsanLabeledConcurrencyTestIsClean) {
 
 TEST(TestLabelsTest, PipelineTypesRequireTsan) {
   // The pipelined-search surface counts as concurrency: sources naming
-  // BoundedQueue / Pipeline / SearchStepPipeline need the tsan label.
+  // SearchStepPipeline need the tsan label.
   const std::string cmake =
-      "eafe_add_test(q LABELS runtime SOURCES runtime/queue_test.cc)";
+      "eafe_add_test(q LABELS afe SOURCES afe/step_test.cc)";
   const auto source = [](const std::string&) -> std::optional<std::string> {
-    return "runtime::BoundedQueue<int> queue(options);";
+    return "afe::SearchStepPipeline pipeline(config, &frame, &service);";
   };
   const std::vector<Finding> findings =
       CheckTestLabels(ParseTestRegistrations(cmake), source);
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_NE(findings[0].message.find("BoundedQueue"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("SearchStepPipeline"),
+            std::string::npos);
 
   // Exact identifier matching: a source that only names PipelineTest or
   // PipelineMode (e.g. toggling SearchOptions::pipeline) is not on the
@@ -451,7 +452,7 @@ TEST(CondvarPredicateTest, FiresOnPredicatelessWaitsInScope) {
       "cv_.wait_until(lock, deadline);\n"
       "cv_.wait((lock));\n";  // nested parens still count one argument
   const std::vector<Finding> findings =
-      CheckCondvarPredicate("src/runtime/bounded_queue.cc", source);
+      CheckCondvarPredicate("src/runtime/thread_pool.cc", source);
   ASSERT_EQ(findings.size(), 4u);
   for (size_t i = 0; i < findings.size(); ++i) {
     EXPECT_EQ(findings[i].rule, kRuleCondvarPredicate);
@@ -520,7 +521,7 @@ TEST(NakedLockTest, GuardsRuntimeTemplateClosersAndEscapeAreQuiet) {
   EXPECT_TRUE(CheckNakedLocks("src/ml/x.cc", "std::lock(a, b);").empty());
   // src/runtime/ is the audited home for manual lock juggling.
   EXPECT_TRUE(
-      CheckNakedLocks("src/runtime/bounded_queue.cc", "mu_.lock();").empty());
+      CheckNakedLocks("src/runtime/thread_pool.cc", "mu_.lock();").empty());
   // weak_ptr::lock() is promotion, not a mutex; the escape documents it.
   EXPECT_TRUE(
       CheckNakedLocks(

@@ -957,8 +957,7 @@ std::vector<Finding> CheckTestLabels(
     const std::function<std::optional<std::string>(const std::string&)>&
         read_source) {
   static const std::vector<std::string> kConcurrencyTokens = {
-      "ParallelFor",  "ThreadPool", "EvalService",
-      "BoundedQueue", "Pipeline",   "SearchStepPipeline"};
+      "ParallelFor", "ThreadPool", "EvalService", "SearchStepPipeline"};
   std::vector<Finding> findings;
   for (const TestRegistration& test : tests) {
     if (test.labels.empty()) {

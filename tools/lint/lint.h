@@ -210,9 +210,8 @@ std::vector<Finding> CheckUnusedSuppressions(
 // Every eafe_add_test() in tests/CMakeLists.txt must carry at least one
 // label (labels drive suite selection in tools/check.sh), and any test
 // whose sources touch the concurrency surface (ParallelFor, ThreadPool,
-// EvalService, and the pipelined-search types BoundedQueue, Pipeline,
-// SearchStepPipeline) must carry `tsan` so the ThreadSanitizer suite
-// picks it up automatically.
+// EvalService, and the pipelined-search type SearchStepPipeline) must
+// carry `tsan` so the ThreadSanitizer suite picks it up automatically.
 
 struct TestRegistration {
   std::string name;
