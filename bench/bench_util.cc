@@ -30,7 +30,6 @@ afe::SearchOptions BenchConfig::SearchOptions() const {
   options.steps_per_agent = steps_per_agent;
   options.evaluator = EvaluatorOptions();
   options.seed = seed + 101;
-  options.pipeline = pipeline;
   return options;
 }
 
@@ -53,8 +52,6 @@ void AddStandardFlags(FlagParser* parser) {
       .AddString("downstream", "rf",
                  "downstream evaluator: "
                  "rf|tree|gbdt|logreg|svm|nb_gp|mlp|resnet")
-      .AddString("pipeline", "async",
-                 "per-epoch candidate pipeline: async | sync")
       .AddThreads();
 }
 
@@ -93,12 +90,6 @@ BenchConfig ConfigFromFlags(const FlagParser& parser) {
     std::exit(1);
   }
   config.downstream = downstream.ValueOrDie();
-  auto pipeline = afe::PipelineModeFromString(parser.GetString("pipeline"));
-  if (!pipeline.ok()) {
-    std::fprintf(stderr, "%s\n", pipeline.status().ToString().c_str());
-    std::exit(1);
-  }
-  config.pipeline = pipeline.ValueOrDie();
   config.threads =
       static_cast<size_t>(std::max<int64_t>(parser.GetInt("threads"), 1));
   runtime::SetGlobalThreads(config.threads);

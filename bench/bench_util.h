@@ -51,10 +51,6 @@ struct BenchConfig {
   /// Downstream evaluator family for every search/evaluation in the run
   /// (--downstream rf|tree|gbdt|logreg|svm|nb_gp|mlp|resnet).
   ml::ModelKind downstream = ml::ModelKind::kRandomForest;
-  /// Execution mode of the per-epoch candidate pipeline (--pipeline
-  /// sync|async). Results are bit-identical either way; the knob exists
-  /// so the scalability bench can time both executors.
-  afe::PipelineMode pipeline = afe::PipelineMode::kAsync;
 
   ml::EvaluatorOptions EvaluatorOptions() const;
   afe::SearchOptions SearchOptions() const;

@@ -1,14 +1,20 @@
 #include "afe/eafe.h"
 
-#include "afe/eval_service.h"
 #include "afe/search_pipeline.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
 
 namespace eafe::afe {
+namespace {
 
-EafeSearch::EafeSearch(const Options& options)
-    : options_(options), replay_(options.replay_capacity) {}
+/// Probability of drawing a fresh step's operator from the replay buffer
+/// instead of the policy in the first stage-2 epoch (decays linearly to
+/// 0 over the epochs).
+constexpr double kReplayBias = 0.5;
+
+}  // namespace
+
+EafeSearch::EafeSearch(const Options& options) : options_(options) {}
 
 std::string EafeSearch::name() const {
   switch (options_.variant) {
@@ -23,12 +29,9 @@ std::string EafeSearch::name() const {
 }
 
 Status EafeSearch::RunStage1(const data::Dataset& dataset,
+                             const FeatureSpace::Options& space_options,
                              std::vector<RnnAgent>* agents, Rng* rng,
                              SearchResult* result) {
-  FeatureSpace::Options space_options;
-  space_options.max_order = options_.search.max_order;
-  space_options.max_generated_per_group =
-      options_.search.max_generated_per_group;
   FeatureSpace space(dataset, space_options);
 
   for (size_t epoch = 0; epoch < options_.stage1_epochs; ++epoch) {
@@ -88,8 +91,7 @@ Status EafeSearch::RunStage1(const data::Dataset& dataset,
         last_action = static_cast<int>(action_index);
         last_reward = reward;
       }
-      agent.Update(actions,
-                   DiscountedReturns(rewards, options_.search.gamma));
+      agent.Update(actions, DiscountedReturns(rewards, kGamma));
     }
   }
   return Status::OK();
@@ -109,31 +111,21 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
     return Status::InvalidArgument("random_drop_pass_rate must be in (0,1]");
   }
 
-  Stopwatch total_watch;
+  StepPipelineConfig pipeline_config;
+  pipeline_config.filter = options_.variant == Variant::kRandomDrop
+                               ? StepFilter::kRandomDrop
+                               : StepFilter::kFpe;
+  pipeline_config.fpe_model = options_.fpe_model;
+  pipeline_config.fpe_accept_threshold = options_.fpe_accept_threshold;
+  SearchRun run(options_.search, name(), dataset, pipeline_config);
+  SearchResult& result = run.result();
   Rng rng(options_.search.seed);
-  ml::TaskEvaluator evaluator(options_.search.evaluator);
-  EvalService::Options service_options;
-  service_options.cache.capacity = options_.search.eval_cache_capacity;
-  EvalService eval_service(&evaluator, service_options);
   replay_.Clear();
-
-  SearchResult result;
-  result.method = name();
 
   // Agents persist across both stages — the whole point of stage 1. One
   // per feature group, and a FeatureSpace has one group per original
   // feature.
-  std::vector<RnnAgent> agents;
-  agents.reserve(dataset.num_features());
-  for (size_t g = 0; g < dataset.num_features(); ++g) {
-    RnnAgent::Options agent_options;
-    agent_options.input_dim = kAgentStateDim;
-    agent_options.hidden_dim = options_.search.agent_hidden_dim;
-    agent_options.num_actions = kNumOperators;
-    agent_options.learning_rate = options_.search.learning_rate;
-    agent_options.seed = rng.Next();
-    agents.emplace_back(agent_options);
-  }
+  std::vector<RnnAgent> agents = MakeAgents(dataset.num_features(), &rng);
 
   // Stage 1: quick initialization with the FPE model (kFull only;
   // kPolicyGradient ablates the two-stage strategy, kRandomDrop has no
@@ -143,20 +135,14 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
   // the otherwise idle pool instead (DESIGN §9).
   if (options_.variant == Variant::kFull && options_.stage1_epochs > 0) {
     Stopwatch stage1_watch;
-    EAFE_RETURN_NOT_OK(RunStage1(dataset, &agents, &rng, &result));
+    EAFE_RETURN_NOT_OK(
+        RunStage1(dataset, run.space().options(), &agents, &rng, &result));
     result.generation_seconds += stage1_watch.ElapsedSeconds();
   }
 
   // Stage 2: formal training against the downstream task.
-  FeatureSpace::Options space_options;
-  space_options.max_order = options_.search.max_order;
-  space_options.max_generated_per_group =
-      options_.search.max_generated_per_group;
-  FeatureSpace space(dataset, space_options);
-  Stopwatch eval_watch;
-  EAFE_ASSIGN_OR_RETURN(result.base_score, evaluator.Score(dataset));
-  result.evaluation_seconds += eval_watch.ElapsedSeconds();
-  result.best_score = result.base_score;
+  const FeatureSpace& space = run.space();
+  EAFE_RETURN_NOT_OK(run.ScoreBase());
 
   // Stage-2 replay queue (Algorithm 2 line 16: "Get feature from replay
   // buffer"): the FPE-positive features stage 1 stored, most promising
@@ -176,29 +162,19 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
   }
   size_t replay_cursor = 0;
 
-  StepPipelineConfig pipeline_config;
-  pipeline_config.mode = options_.search.pipeline;
-  pipeline_config.filter = options_.variant == Variant::kRandomDrop
-                               ? StepFilter::kRandomDrop
-                               : StepFilter::kFpe;
-  pipeline_config.fpe_model = options_.fpe_model;
-  pipeline_config.fpe_accept_threshold = options_.fpe_accept_threshold;
-
-  size_t last_improvement_epoch = 0;
-  size_t kept_at_last_improvement = 0;
   for (size_t epoch = 0; epoch < options_.search.epochs; ++epoch) {
     const double progress = static_cast<double>(epoch) /
                             static_cast<double>(options_.search.epochs);
     // Generation runs against the frame (the space frozen at epoch
     // start); every result-affecting RNG draw — action samples, replay
     // bias, random-drop verdicts — happens here on the calling thread,
-    // so the stream is identical in sync and async mode. Rewards,
-    // accepts, and policy updates happen at the merge barrier below.
+    // so the stream is identical at any --threads. Rewards, accepts,
+    // and policy updates happen at the merge barrier below.
     // Within an episode the agent state uses the previous *sampled*
     // action and a zero reward placeholder (rewards are unknown until
     // the merge); the recorded REINFORCE action is fixed up at merge
     // time to the attempt the filter chose.
-    SearchStepPipeline pipeline(pipeline_config, &space, &eval_service);
+    SearchStepPipeline pipeline = run.StartEpoch();
     for (size_t group = 0; group < space.num_groups(); ++group) {
       RnnAgent& agent = agents[group];
       agent.ResetEpisode();
@@ -245,7 +221,7 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
           // FPE-positive features in stage 1.
           const bool use_replay =
               options_.variant == Variant::kFull && !replay_.empty() &&
-              rng.Bernoulli(options_.replay_bias * (1.0 - progress));
+              rng.Bernoulli(kReplayBias * (1.0 - progress));
           if (use_replay) {
             action_index = static_cast<size_t>(replay_.Sample(&rng).op);
           }
@@ -276,79 +252,33 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
     }
     EAFE_ASSIGN_OR_RETURN(auto tasks, pipeline.Finish());
 
-    // Merge: gains against the running best, greedy accepts (re-checking
-    // Contains — two steps of one epoch can generate the same name
-    // against the shared frame), then one policy update per agent.
+    // Merge, then one policy update per agent.
     size_t task_index = 0;
     for (size_t group = 0; group < space.num_groups(); ++group) {
       std::vector<size_t> actions;
       std::vector<double> rewards;
       for (size_t step = 0; step < options_.search.steps_per_agent; ++step) {
         StepTask& task = tasks[task_index++];
-        double reward = 0.0;
-        if (task.evaluated) {
-          result.evaluation_seconds += task.eval_seconds;
-          ++result.features_evaluated;
-          const double gain = task.score - result.best_score;
-          reward = gain;
-          SpaceFeature& candidate =
-              task.attempts[static_cast<size_t>(task.chosen)].candidate;
-          if (gain > options_.search.accept_margin &&
-              !space.Contains(task.accept_group, candidate.column.name()) &&
-              space.Accept(task.accept_group, std::move(candidate)).ok()) {
-            result.best_score += gain;
-            ++result.features_kept;
-          }
-        }
+        rewards.push_back(run.Merge(task));
         // The recorded REINFORCE action: the attempt the filter chose
         // when one passed, otherwise the last sampled attempt.
-        size_t recorded_action = 0;
-        if (!task.attempts.empty()) {
-          recorded_action =
-              task.chosen >= 0
-                  ? task.attempts[static_cast<size_t>(task.chosen)].action_index
-                  : task.attempts.back().action_index;
-        }
-        actions.push_back(recorded_action);
-        rewards.push_back(reward);
+        actions.push_back(
+            task.chosen >= 0
+                ? task.attempts[static_cast<size_t>(task.chosen)].action_index
+                : task.attempts.back().action_index);
       }
       // kFull / kRandomDrop use the Eq. 10 lambda-return; the
       // kPolicyGradient ablation uses NFS-style discounted returns.
       if (options_.variant == Variant::kPolicyGradient) {
-        agents[group].Update(
-            actions, DiscountedReturns(rewards, options_.search.gamma));
+        agents[group].Update(actions, DiscountedReturns(rewards, kGamma));
       } else {
-        agents[group].Update(actions,
-                             LambdaReturns(rewards, options_.search.gamma,
-                                           options_.search.lambda));
+        agents[group].Update(actions, LambdaReturns(rewards, kGamma, kLambda));
       }
     }
 
-    EpochStats stats;
-    stats.epoch = epoch;
-    stats.best_score = result.best_score;
-    stats.elapsed_seconds = total_watch.ElapsedSeconds();
-    stats.cumulative_evaluations = evaluator.evaluation_count();
-    stats.features_generated = result.features_generated;
-    result.curve.push_back(stats);
-    // Early stopping: quit once no feature has been accepted for
-    // `early_stop_patience` consecutive epochs.
-    if (result.features_kept > kept_at_last_improvement) {
-      kept_at_last_improvement = result.features_kept;
-      last_improvement_epoch = epoch;
-    }
-    if (options_.search.early_stop_patience > 0 &&
-        epoch - last_improvement_epoch >= options_.search.early_stop_patience) {
-      break;
-    }
+    if (run.EndEpoch(epoch)) break;
   }
-
-  result.best_dataset = space.ToDataset();
-  result.downstream_evaluations = evaluator.evaluation_count();
-  result.eval_cache_hits = eval_service.cache_hits();
-  EAFE_RETURN_NOT_OK(FinalizeSearchResult(options_.search, dataset, &result));
-  result.total_seconds = total_watch.ElapsedSeconds();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace eafe::afe

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "afe/agent.h"
+#include "afe/feature_space.h"
 #include "afe/replay_buffer.h"
 #include "afe/reward.h"
 #include "afe/search.h"
@@ -45,10 +46,6 @@ class EafeSearch : public FeatureSearch {
     double fpe_accept_threshold = 0.55;
     /// Eq. 8 shaping constants for stage-1 rewards.
     FpeRewardOptions reward;
-    size_t replay_capacity = 256;
-    /// Probability of drawing the operator from the replay buffer instead
-    /// of the policy in early stage-2 epochs (decays linearly to 0).
-    double replay_bias = 0.5;
     /// Cap on the fraction of stage-2 steps spent evaluating replayed
     /// stage-1 features. Replayed candidates always reach the downstream
     /// task (they pre-passed FPE), so an uncapped queue would spend the
@@ -73,8 +70,10 @@ class EafeSearch : public FeatureSearch {
 
  private:
   /// Stage 1 of Algorithm 2: FPE-only exploration that initializes
-  /// `agents` and fills the replay buffer. No downstream evaluations.
+  /// `agents` and fills the replay buffer, in a space of its own built
+  /// like stage 2's (`space_options`). No downstream evaluations.
   Status RunStage1(const data::Dataset& dataset,
+                   const FeatureSpace::Options& space_options,
                    std::vector<RnnAgent>* agents, Rng* rng,
                    SearchResult* result);
 

@@ -20,6 +20,11 @@ struct FpeRewardOptions {
 ///   p in [0.5, 1]:  A^O + (0.5 - p)/0.5 * (thre - delta_min)  (penalty)
 double FpeShapedScore(double p_ineffective, const FpeRewardOptions& options);
 
+/// Discount factor gamma of Eq. 9/10, for every search's returns.
+constexpr double kGamma = 0.99;
+/// Lambda of the Eq. 10 return (E-AFE and E-AFE_D).
+constexpr double kLambda = 0.8;
+
 /// Discounted returns (Eq. 9/10's U_t): U_t = sum_{k>=t} gamma^{k-t} r_k.
 /// (The paper's notation mixes past/future accumulation; we use the
 /// standard forward-looking return, which Eq. 9's leading expression

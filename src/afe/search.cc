@@ -9,13 +9,6 @@
 
 namespace eafe::afe {
 
-Result<PipelineMode> PipelineModeFromString(const std::string& text) {
-  if (text == "sync") return PipelineMode::kSync;
-  if (text == "async") return PipelineMode::kAsync;
-  return Status::InvalidArgument("unknown pipeline mode '" + text +
-                                 "' (expected sync or async)");
-}
-
 std::vector<double> BuildAgentState(int last_action, double last_reward,
                                     size_t group_size, double progress) {
   std::vector<double> state(kAgentStateDim, 0.0);
@@ -48,7 +41,6 @@ Status FinalizeSearchResult(const SearchOptions& options,
                             const data::Dataset& base_dataset,
                             SearchResult* result) {
   result->search_score = result->best_score;
-  if (!options.honest_final_score) return Status::OK();
   // Two repeats of held-out-seed CV with at least 5 folds: the final
   // comparison should carry less fold noise than the search itself.
   // The four scores (repeat r, base then best, at index 2r and 2r + 1)

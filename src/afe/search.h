@@ -11,16 +11,11 @@
 
 namespace eafe::afe {
 
-/// How the per-epoch generate → filter → evaluate loop executes (see
-/// DESIGN.md §12). Both modes run the same epoch-frame semantics —
-/// candidates are generated against the feature space frozen at epoch
-/// start and merged in sequence order at the epoch barrier — so their
-/// results are bit-identical at any --threads; sync is the oracle the
-/// equivalence tests compare against.
+/// The search's one executor, the global pool (DESIGN.md §12). Nothing
+/// reads it: it stays only because the frozen benchmark harness
+/// (`e2ebench/main.cc`) assigns SearchOptions::pipeline.
 enum class PipelineMode {
-  kSync,   ///< Tasks run inline on the calling thread.
-  kAsync,  ///< Every global-pool thread runs tasks (falls back to inline
-           ///< when the pool is absent).
+  kAsync,  ///< Every global-pool thread runs tasks.
 };
 
 /// Common knobs for every AFE search method, so comparisons run under the
@@ -33,12 +28,6 @@ struct SearchOptions {
   size_t steps_per_agent = 3;
   /// Maximum transformation order (paper default 5).
   size_t max_order = 5;
-  /// Cap on accepted generated features per original feature.
-  size_t max_generated_per_group = 6;
-  double gamma = 0.99;   ///< Discount factor of Eq. 9/10.
-  double lambda = 0.8;   ///< Lambda of the Eq. 10 return.
-  double learning_rate = 0.01;
-  size_t agent_hidden_dim = 16;
   /// Downstream task (the formal evaluation).
   ml::EvaluatorOptions evaluator;
   uint64_t seed = 123;
@@ -50,19 +39,7 @@ struct SearchOptions {
   /// (0 disables). The paper's complexity analysis compares methods
   /// "without early stopping"; enabling it shortens saturated runs.
   size_t early_stop_patience = 0;
-  /// Capacity of the per-run candidate score cache (signature -> CV
-  /// score). Candidates regenerated against an unchanged state are
-  /// answered without refitting the downstream model; 1 effectively
-  /// disables reuse while keeping the accounting identical.
-  size_t eval_cache_capacity = 1024;
-  /// Re-score the final selected feature set (and the base features) with
-  /// a held-out cross-validation seed. The greedy search accumulates
-  /// positive CV-noise deltas — a winner's-curse bias that grows with the
-  /// number of candidate evaluations — so honest final scores are required
-  /// for a fair comparison between methods with different evaluation
-  /// budgets.
-  bool honest_final_score = true;
-  /// Execution mode of the per-epoch candidate pipeline.
+  /// Unread; see PipelineMode.
   PipelineMode pipeline = PipelineMode::kAsync;
 };
 
@@ -79,11 +56,11 @@ struct EpochStats {
 /// Outcome of one AFE search run.
 struct SearchResult {
   std::string method;
-  /// Downstream score of the raw features (held-out CV seed when
-  /// honest_final_score is set).
+  /// Downstream score of the raw features, re-scored on held-out CV seeds
+  /// (FinalizeSearchResult).
   double base_score = 0.0;
-  /// Downstream score of the selected feature set (held-out CV seed when
-  /// honest_final_score is set; otherwise the accumulated greedy score).
+  /// Downstream score of the selected feature set, re-scored on held-out
+  /// CV seeds (FinalizeSearchResult).
   double best_score = 0.0;
   /// The accumulated greedy score the search itself optimized (biased
   /// upward by CV noise; kept for diagnostics).
@@ -99,10 +76,10 @@ struct SearchResult {
   size_t eval_cache_hits = 0;
   size_t features_kept = 0;
   double generation_seconds = 0.0;
-  /// Cumulative per-candidate evaluation time summed across pipeline
-  /// workers. Under --pipeline=async evaluations overlap, so this can
-  /// exceed total_seconds — compare it across runs as compute spent,
-  /// not as a share of the wall clock.
+  /// Cumulative per-candidate evaluation time summed across pool
+  /// workers. At --threads > 1 evaluations overlap, so this can exceed
+  /// total_seconds — compare it across runs as compute spent, not as a
+  /// share of the wall clock.
   double evaluation_seconds = 0.0;
   double total_seconds = 0.0;
 };
@@ -115,9 +92,6 @@ class FeatureSearch {
   /// Runs the full search on a target dataset.
   virtual Result<SearchResult> Run(const data::Dataset& dataset) = 0;
 };
-
-/// Parses "sync" | "async" (the CLI/bench --pipeline flag).
-Result<PipelineMode> PipelineModeFromString(const std::string& text);
 
 /// Builds the agent's state vector s_t: one-hot of the previous action
 /// (kNumOperators entries; all zero on the first round), followed by
@@ -137,10 +111,10 @@ constexpr size_t kAgentStateDim = kNumOperators + 3;
 Result<data::Dataset> BuildCandidateDataset(const FeatureSpace& space,
                                             const SpaceFeature& candidate);
 
-/// Applies the honest-final-score protocol: moves the accumulated greedy
-/// score into `result->search_score` and replaces base/best scores with
-/// held-out-seed evaluations of the raw and selected feature sets. No-op
-/// when options.honest_final_score is false.
+/// Moves the accumulated greedy score into `result->search_score` and
+/// replaces base/best scores with held-out-seed evaluations of the raw
+/// and selected feature sets: the greedy score carries a winner's-curse
+/// bias that grows with the number of candidate evaluations.
 Status FinalizeSearchResult(const SearchOptions& options,
                             const data::Dataset& base_dataset,
                             SearchResult* result);

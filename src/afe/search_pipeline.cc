@@ -4,6 +4,7 @@
 #include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/stopwatch.h"
 #include "runtime/thread_pool.h"
@@ -84,10 +85,7 @@ SearchStepPipeline::SearchStepPipeline(const StepPipelineConfig& config,
   // binned here once instead of inside every evaluation.
   auto frame_bins = eval_service->evaluator().BinFrame(frame->ToDataset());
   if (frame_bins.ok()) frame_bins_ = std::move(frame_bins).ValueOrDie();
-  if (config.mode == PipelineMode::kAsync &&
-      !runtime::ThreadPool::OnWorkerThread()) {
-    pool_ = runtime::GlobalPool();
-  }
+  if (!runtime::ThreadPool::OnWorkerThread()) pool_ = runtime::GlobalPool();
   // The `eval` family under the registered `eafe_pipeline` prefix.
   const std::string family = std::string("eafe_pipeline") + "_eval";
   runtime::MetricGateway* metrics = runtime::GlobalMetrics();
@@ -132,6 +130,84 @@ Result<std::vector<StepTask>> SearchStepPipeline::Finish() {
     EAFE_RETURN_NOT_OK(task.status);
   }
   return tasks;
+}
+
+std::vector<RnnAgent> MakeAgents(size_t groups, Rng* rng) {
+  std::vector<RnnAgent> agents;
+  agents.reserve(groups);
+  for (size_t g = 0; g < groups; ++g) {
+    RnnAgent::Options options;
+    options.input_dim = kAgentStateDim;
+    options.num_actions = kNumOperators;
+    options.seed = rng->Next();
+    agents.emplace_back(options);
+  }
+  return agents;
+}
+
+SearchRun::SearchRun(const SearchOptions& options, std::string method,
+                     const data::Dataset& dataset,
+                     const StepPipelineConfig& pipeline)
+    : options_(options),
+      dataset_(dataset),
+      pipeline_(pipeline),
+      evaluator_(options.evaluator),
+      eval_service_(&evaluator_),
+      // The search's order cap, FeatureSpace's default group cap.
+      space_(dataset, {.max_order = options.max_order}) {
+  result_.method = std::move(method);
+}
+
+Status SearchRun::ScoreBase() {
+  Stopwatch watch;
+  EAFE_ASSIGN_OR_RETURN(result_.base_score, evaluator_.Score(dataset_));
+  result_.evaluation_seconds += watch.ElapsedSeconds();
+  result_.best_score = result_.base_score;
+  return Status::OK();
+}
+
+SearchStepPipeline SearchRun::StartEpoch() {
+  return SearchStepPipeline(pipeline_, &space_, &eval_service_);
+}
+
+double SearchRun::Merge(StepTask& task) {
+  if (!task.evaluated) return 0.0;
+  result_.evaluation_seconds += task.eval_seconds;
+  ++result_.features_evaluated;
+  const double gain = task.score - result_.best_score;
+  SpaceFeature& candidate =
+      task.attempts[static_cast<size_t>(task.chosen)].candidate;
+  if (gain > options_.accept_margin &&
+      !space_.Contains(task.accept_group, candidate.column.name()) &&
+      space_.Accept(task.accept_group, std::move(candidate)).ok()) {
+    result_.best_score += gain;
+    ++result_.features_kept;
+  }
+  return gain;
+}
+
+bool SearchRun::EndEpoch(size_t epoch) {
+  EpochStats stats;
+  stats.epoch = epoch;
+  stats.best_score = result_.best_score;
+  stats.elapsed_seconds = watch_.ElapsedSeconds();
+  stats.cumulative_evaluations = evaluator_.evaluation_count();
+  stats.features_generated = result_.features_generated;
+  result_.curve.push_back(stats);
+  stale_epochs_ =
+      result_.features_kept > kept_at_epoch_start_ ? 0 : stale_epochs_ + 1;
+  kept_at_epoch_start_ = result_.features_kept;
+  return options_.early_stop_patience > 0 &&
+         stale_epochs_ >= options_.early_stop_patience;
+}
+
+Result<SearchResult> SearchRun::Finish() {
+  result_.best_dataset = space_.ToDataset();
+  result_.downstream_evaluations = evaluator_.evaluation_count();
+  result_.eval_cache_hits = eval_service_.cache_hits();
+  EAFE_RETURN_NOT_OK(FinalizeSearchResult(options_, dataset_, &result_));
+  result_.total_seconds = watch_.ElapsedSeconds();
+  return std::move(result_);
 }
 
 }  // namespace eafe::afe

@@ -5,12 +5,17 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "afe/agent.h"
 #include "afe/eval_service.h"
 #include "afe/feature_space.h"
 #include "afe/search.h"
+#include "core/rng.h"
 #include "core/status.h"
+#include "core/stopwatch.h"
+#include "data/dataframe.h"
 #include "fpe/fpe_model.h"
 #include "ml/feature_binner.h"
 #include "runtime/metrics.h"
@@ -26,10 +31,10 @@ namespace eafe::afe {
 /// filter (MinHash/FPE probability or a pre-drawn random-drop verdict)
 /// picks the first passing attempt, then the evaluation scores
 /// frame+candidate on the downstream task. Finish() returns the tasks in
-/// submission order, and the search merges them — rewards, greedy
-/// accepts, agent updates — at the epoch barrier. Both steps are pure
-/// functions of (frame, task), which is what makes --pipeline=async
-/// bit-identical to sync at any --threads.
+/// submission order, and SearchRun::Merge folds them in — rewards and
+/// greedy accepts — at the epoch barrier, before the driver's policy
+/// updates. Both steps are pure functions of (frame, task), which is what
+/// makes a search bit-identical at any --threads.
 
 /// One generation attempt within a step. Drivers that retry generation
 /// (E-AFE with max_generation_attempts > 1) pre-draw every attempt; the
@@ -70,8 +75,8 @@ struct StepTask {
 
   // Eval-step outputs.
   bool evaluated = false;
-  /// Absolute downstream score of frame + chosen candidate. The driver
-  /// turns it into a gain against the running best at merge time.
+  /// Absolute downstream score of frame + chosen candidate.
+  /// SearchRun::Merge turns it into a gain against the running best.
   double score = 0.0;
   /// Wall time this evaluation took on its worker (summed into
   /// SearchResult::evaluation_seconds — cumulative compute, not wall
@@ -90,7 +95,6 @@ enum class StepFilter {
 };
 
 struct StepPipelineConfig {
-  PipelineMode mode = PipelineMode::kAsync;
   StepFilter filter = StepFilter::kNone;
   /// Required (trained) when filter == kFpe; not owned.
   const fpe::FpeModel* fpe_model = nullptr;
@@ -99,14 +103,13 @@ struct StepPipelineConfig {
 
 /// One epoch's worth of pipeline: construct against the frozen frame,
 /// Submit() every StepTask in (group, step) order, then Finish() to wait
-/// for them and get them back in submission order. In async mode each
-/// Submit hands the global pool one task that filters, then evaluates,
-/// its StepTask, and the pool's own FIFO queue gives it to whichever
-/// worker is free. With no pool, in sync mode, or when constructed on a
-/// pool worker (nested pipelines degrade like nested ParallelFor),
-/// Submit runs both steps inline. The frame and eval service must
-/// outlive the pipeline, and the caller must not mutate the frame until
-/// Finish() returns.
+/// for them and get them back in submission order. Each Submit hands the
+/// global pool one task that filters, then evaluates, its StepTask, and
+/// the pool's own FIFO queue gives it to whichever worker is free. With
+/// no pool (--threads=1), or when constructed on a pool worker (nested
+/// pipelines degrade like nested ParallelFor), Submit runs both steps
+/// inline. The frame and eval service must outlive the pipeline, and the
+/// caller must not mutate the frame until Finish() returns.
 ///
 /// Construction bins the frame once (TaskEvaluator::BinFrame, so the
 /// downstream model's own binner options apply), and every evaluation of
@@ -124,7 +127,7 @@ class SearchStepPipeline {
   /// are identical either way).
   bool async() const { return pool_ != nullptr; }
 
-  /// Never blocks in async mode; runs both steps first in inline mode.
+  /// Never blocks on the pool; runs both steps first when inline.
   void Submit(StepTask task);
 
   /// Waits for every submitted task and returns them in submission
@@ -149,8 +152,73 @@ class SearchStepPipeline {
   /// Submitted tasks; a deque never moves its elements, so a pool task
   /// can hold a reference to its own while Submit appends more.
   std::deque<StepTask> tasks_;
-  /// One future per pool task, in submission order (async mode only).
+  /// One future per pool task, in submission order (empty when inline).
   std::vector<std::future<void>> done_;
+};
+
+/// One RNN controller per feature group (NFS and E-AFE), each seeded by
+/// one draw from `rng`, in group order.
+std::vector<RnnAgent> MakeAgents(size_t groups, Rng* rng);
+
+/// The stage-2 epoch skeleton all three search drivers share: it owns the
+/// downstream evaluator, its EvalService, the live feature space and the
+/// result. Per epoch a driver generates against space(), runs a
+/// StartEpoch() pipeline, Merge()s its tasks in submission order, updates
+/// its policy from the rewards, and stops when EndEpoch() says so.
+class SearchRun {
+ public:
+  /// Starts the run's clock. `dataset` must be valid and outlive the run;
+  /// `pipeline` configures every epoch's filter step.
+  SearchRun(const SearchOptions& options, std::string method,
+            const data::Dataset& dataset,
+            const StepPipelineConfig& pipeline = StepPipelineConfig());
+
+  SearchRun(const SearchRun&) = delete;
+  SearchRun& operator=(const SearchRun&) = delete;
+
+  /// Scores the raw features: the running best the first merge compares
+  /// against.
+  Status ScoreBase();
+
+  /// The live feature space. Only Merge changes it, so it is the frozen
+  /// frame while an epoch's pipeline runs.
+  const FeatureSpace& space() const { return space_; }
+  /// The result under construction; drivers add their generation counts
+  /// and times.
+  SearchResult& result() { return result_; }
+
+  /// A pipeline for the next epoch, against the space as it stands.
+  SearchStepPipeline StartEpoch();
+
+  /// Merges one finished task. An evaluated task's candidate is accepted
+  /// when its gain over the running best exceeds accept_margin, its name
+  /// is new to the accept group (two tasks of one epoch can generate the
+  /// same name) and the group has room. Returns the task's reward: that
+  /// gain, accepted or not, or 0 for an unevaluated task.
+  double Merge(StepTask& task);
+
+  /// Closes `epoch`: appends its learning-curve point, and returns true
+  /// when early stopping fires — early_stop_patience (> 0) consecutive
+  /// epochs have accepted nothing.
+  bool EndEpoch(size_t epoch);
+
+  /// Fills in the selected table and counts, re-scores base and best
+  /// (FinalizeSearchResult) and stops the clock. Call once, last.
+  Result<SearchResult> Finish();
+
+ private:
+  const SearchOptions options_;
+  const data::Dataset& dataset_;
+  const StepPipelineConfig pipeline_;
+  Stopwatch watch_;
+  ml::TaskEvaluator evaluator_;
+  EvalService eval_service_;
+  FeatureSpace space_;
+  SearchResult result_;
+  /// features_kept when the current epoch started.
+  size_t kept_at_epoch_start_ = 0;
+  /// Consecutive closed epochs that accepted nothing.
+  size_t stale_epochs_ = 0;
 };
 
 }  // namespace eafe::afe

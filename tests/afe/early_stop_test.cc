@@ -1,6 +1,6 @@
-// Early-stopping behaviour shared by all searches: a run whose greedy
-// search stops finding features quits after `early_stop_patience` stale
-// epochs; patience 0 always runs the full budget.
+// Early-stopping behaviour shared by all searches: a run quits after
+// `early_stop_patience` consecutive epochs that accept nothing; patience
+// 0 always runs the full budget.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +13,9 @@
 namespace eafe::afe {
 namespace {
 
-/// A dataset where engineered features essentially never help: pure
-/// noise columns and random labels, so greedy acceptance stays empty and
-/// early stopping must fire.
+/// Pure noise columns and random labels. Engineered features still win
+/// fold noise here now and then: at a margin of 0.05 each driver keeps
+/// one feature. The margin of 1.0 below keeps every one out.
 data::Dataset NoiseDataset() {
   Rng rng(41);
   const size_t n = 80;
@@ -44,31 +44,43 @@ SearchOptions Options(size_t patience) {
   options.evaluator.cv_folds = 3;
   options.evaluator.rf_trees = 4;
   options.evaluator.rf_max_depth = 3;
-  options.accept_margin = 0.05;  // Nothing passes on noise.
+  // No gain on a score in [0, 1] can exceed a margin of 1.0, so no
+  // epoch accepts anything.
+  options.accept_margin = 1.0;
   options.early_stop_patience = patience;
   options.seed = 77;
   return options;
 }
 
-TEST(EarlyStopTest, RandomSearchStopsEarly) {
-  RandomSearch search(Options(2));
-  const auto result = search.Run(NoiseDataset()).ValueOrDie();
-  EXPECT_LE(result.curve.size(), 3u);  // Stops at epoch patience (2).
+// A run that never accepts stops after exactly `patience` epochs, for
+// every patience and every driver: epoch 0 is a stale epoch too.
+TEST(EarlyStopTest, RandomSearchStopsAfterPatienceStaleEpochs) {
+  for (size_t patience : {size_t{1}, size_t{2}, size_t{3}}) {
+    const auto result =
+        RandomSearch(Options(patience)).Run(NoiseDataset()).ValueOrDie();
+    EXPECT_EQ(result.features_kept, 0u);
+    EXPECT_EQ(result.curve.size(), patience);
+  }
 }
 
-TEST(EarlyStopTest, NfsStopsEarly) {
-  NfsSearch search(Options(3));
-  const auto result = search.Run(NoiseDataset()).ValueOrDie();
-  EXPECT_LE(result.curve.size(), 4u);
+TEST(EarlyStopTest, NfsStopsAfterPatienceStaleEpochs) {
+  for (size_t patience : {size_t{1}, size_t{2}, size_t{3}}) {
+    const auto result =
+        NfsSearch(Options(patience)).Run(NoiseDataset()).ValueOrDie();
+    EXPECT_EQ(result.features_kept, 0u);
+    EXPECT_EQ(result.curve.size(), patience);
+  }
 }
 
-TEST(EarlyStopTest, EafeRandomDropStopsEarly) {
-  EafeSearch::Options options;
-  options.search = Options(2);
-  options.variant = EafeSearch::Variant::kRandomDrop;
-  EafeSearch search(options);
-  const auto result = search.Run(NoiseDataset()).ValueOrDie();
-  EXPECT_LE(result.curve.size(), 3u);
+TEST(EarlyStopTest, EafeRandomDropStopsAfterPatienceStaleEpochs) {
+  for (size_t patience : {size_t{1}, size_t{2}, size_t{3}}) {
+    EafeSearch::Options options;
+    options.search = Options(patience);
+    options.variant = EafeSearch::Variant::kRandomDrop;
+    const auto result = EafeSearch(options).Run(NoiseDataset()).ValueOrDie();
+    EXPECT_EQ(result.features_kept, 0u);
+    EXPECT_EQ(result.curve.size(), patience);
+  }
 }
 
 TEST(EarlyStopTest, ZeroPatienceRunsFullBudget) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "afe/feature_space.h"
-#include "afe/nfs.h"
 #include "afe/search.h"
 #include "core/rng.h"
 #include "data/registry.h"
@@ -205,34 +204,6 @@ TEST_F(EvalServiceTest, PoolTaskScoresMatchSerialBitForBit) {
     EXPECT_EQ(std::bit_cast<uint64_t>(repeat_scores[i]),
               std::bit_cast<uint64_t>(parallel_scores[i]));
   }
-}
-
-TEST_F(EvalServiceTest, SearchIsIdenticalAcrossThreadCounts) {
-  // End-to-end determinism: a whole NFS run at --threads=1 and at
-  // --threads=4 must produce the same scores, counts, and kept features.
-  const data::Dataset dataset = SmallTarget();
-  SearchOptions options;
-  options.epochs = 2;
-  options.steps_per_agent = 2;
-  options.evaluator = QuickEvaluator();
-  options.seed = 19;
-
-  runtime::SetGlobalThreads(1);
-  const SearchResult serial =
-      NfsSearch(options).Run(dataset).ValueOrDie();
-  runtime::SetGlobalThreads(4);
-  const SearchResult parallel =
-      NfsSearch(options).Run(dataset).ValueOrDie();
-
-  EXPECT_EQ(serial.base_score, parallel.base_score);
-  EXPECT_EQ(serial.best_score, parallel.best_score);
-  EXPECT_EQ(serial.search_score, parallel.search_score);
-  EXPECT_EQ(serial.features_generated, parallel.features_generated);
-  EXPECT_EQ(serial.features_evaluated, parallel.features_evaluated);
-  EXPECT_EQ(serial.features_kept, parallel.features_kept);
-  EXPECT_EQ(serial.downstream_evaluations, parallel.downstream_evaluations);
-  EXPECT_EQ(serial.best_dataset.features.ColumnNames(),
-            parallel.best_dataset.features.ColumnNames());
 }
 
 }  // namespace

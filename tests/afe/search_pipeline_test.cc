@@ -1,12 +1,12 @@
-// Sync-vs-async equivalence sweep for the pipelined search (DESIGN.md
-// §12): for every driver, --pipeline=async must produce bit-identical
-// results to the synchronous oracle at any thread count. The sweep runs
-// threads in {1, 4, 16}; the global pool is rebuilt per point, and the
-// suite restores the serial default afterwards so other tests are
-// unaffected. Golden digests pin each search method's sync result, a
-// work test bounds the binner fits a search pays, and hand-built
-// SearchStepPipelines test the executor itself: order, fan-out,
-// teardown, inline fallback and failure paths.
+// Thread-count equivalence sweep for the pipelined search (DESIGN.md
+// §12): for every driver, a search on a 4- or 16-thread pool must produce
+// bit-identical results to the serial run at --threads=1, where every
+// task runs inline. The global pool is rebuilt per point, and the suite
+// restores the serial default afterwards so other tests are unaffected.
+// Golden digests pin each search method's serial result, a work test
+// bounds the binner fits a search pays, hand-built tasks test
+// SearchRun::Merge, and hand-built SearchStepPipelines test the executor
+// itself: order, fan-out, teardown, inline fallback and failure paths.
 
 #include "afe/search_pipeline.h"
 
@@ -54,7 +54,7 @@ data::Dataset SmallTarget() {
   return data::MakeTargetDatasetByName("PimaIndian", options).ValueOrDie();
 }
 
-SearchOptions QuickSearch(PipelineMode mode) {
+SearchOptions QuickSearch() {
   SearchOptions options;
   options.epochs = 2;
   options.steps_per_agent = 2;
@@ -62,7 +62,6 @@ SearchOptions QuickSearch(PipelineMode mode) {
   options.evaluator.rf_trees = 4;
   options.evaluator.rf_max_depth = 3;
   options.seed = 33;
-  options.pipeline = mode;
   return options;
 }
 
@@ -84,26 +83,25 @@ const fpe::FpeTrainingResult& SharedFpe() {
   return *kResult;
 }
 
-SearchResult RunMethod(const std::string& method, PipelineMode mode,
-                       size_t threads) {
+SearchResult RunMethod(const std::string& method, size_t threads) {
   runtime::SetGlobalThreads(threads);
   SearchResult result;
   if (method == "random") {
-    RandomSearch search(QuickSearch(mode));
+    RandomSearch search(QuickSearch());
     result = search.Run(SmallTarget()).ValueOrDie();
   } else if (method == "nfs") {
-    NfsSearch search(QuickSearch(mode));
+    NfsSearch search(QuickSearch());
     result = search.Run(SmallTarget()).ValueOrDie();
   } else if (method == "eafe_d") {
     EafeSearch::Options options;
-    options.search = QuickSearch(mode);
+    options.search = QuickSearch();
     options.variant = EafeSearch::Variant::kRandomDrop;
     options.max_generation_attempts = 2;
     EafeSearch search(options);
     result = search.Run(SmallTarget()).ValueOrDie();
   } else {
     EafeSearch::Options options;
-    options.search = QuickSearch(mode);
+    options.search = QuickSearch();
     options.fpe_model = &SharedFpe().model;
     options.stage1_epochs = 2;
     options.max_generation_attempts = 2;
@@ -115,7 +113,7 @@ SearchResult RunMethod(const std::string& method, PipelineMode mode,
 }
 
 /// Everything except timing and cache-hit counts must match bit for
-/// bit. eval_cache_hits is excluded by contract: two async workers can
+/// bit. eval_cache_hits is excluded by contract: two pool workers can
 /// both miss on the same signature that the serial order would have
 /// served from cache — scores are unaffected because evaluation is
 /// pure.
@@ -181,9 +179,9 @@ uint64_t SearchDigest(const SearchResult& result) {
   return digest;
 }
 
-// Golden digests of one fixed-seed sync search per method. The
-// equivalence tests below compare executors with each other, so a
-// binning or scoring path that is wrong the same way in both would pass
+// Golden digests of one fixed-seed serial search per method. The
+// equivalence tests below compare thread counts with each other, so a
+// binning or scoring path that is wrong the same way at each would pass
 // them; these pin the results themselves. Regression-free refactors of
 // the evaluation path must leave them unchanged, at every SIMD tier
 // (EAFE_SIMD=scalar included); a change that moves one on purpose
@@ -192,9 +190,9 @@ using DigestPoint = std::pair<const char*, uint64_t>;
 
 class GoldenSearchDigest : public ::testing::TestWithParam<DigestPoint> {};
 
-TEST_P(GoldenSearchDigest, SyncSearchMatchesPinnedDigest) {
+TEST_P(GoldenSearchDigest, SerialSearchMatchesPinnedDigest) {
   const auto& [method, expected] = GetParam();
-  const SearchResult result = RunMethod(method, PipelineMode::kSync, 1);
+  const SearchResult result = RunMethod(method, 1);
   EXPECT_EQ(SearchDigest(result), expected)
       << method << " digest 0x" << std::hex << SearchDigest(result);
 }
@@ -210,13 +208,12 @@ INSTANTIATE_TEST_SUITE_P(
 class SearchPipelineEquivalence
     : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(SearchPipelineEquivalence, AsyncMatchesSyncOracleAtAnyThreads) {
+TEST_P(SearchPipelineEquivalence, PooledMatchesSerialAtAnyThreads) {
   const std::string method = GetParam();
-  const SearchResult oracle = RunMethod(method, PipelineMode::kSync, 1);
-  for (size_t threads : {size_t{1}, size_t{4}, size_t{16}}) {
+  const SearchResult serial = RunMethod(method, 1);
+  for (size_t threads : {size_t{4}, size_t{16}}) {
     SCOPED_TRACE(method + " threads=" + std::to_string(threads));
-    const SearchResult async = RunMethod(method, PipelineMode::kAsync, threads);
-    ExpectBitIdentical(oracle, async);
+    ExpectBitIdentical(serial, RunMethod(method, threads));
   }
 }
 
@@ -224,20 +221,12 @@ INSTANTIATE_TEST_SUITE_P(AllDrivers, SearchPipelineEquivalence,
                          ::testing::Values("random", "nfs", "eafe_d",
                                            "eafe_full"));
 
-TEST(SearchPipelineTest, SyncOracleIsThreadInvariant) {
-  // The oracle itself must not depend on --threads: CV folds and forest
-  // trees fan out over the pool and reduce in index order.
-  const SearchResult at1 = RunMethod("nfs", PipelineMode::kSync, 1);
-  const SearchResult at4 = RunMethod("nfs", PipelineMode::kSync, 4);
-  ExpectBitIdentical(at1, at4);
-}
-
 // The honest re-score runs its four CVs (two repeats of base and best)
 // as one parallel region; the scores must not depend on how many
 // threads share them.
 TEST(FinalizeSearchResultTest, BitIdenticalAtAnyThreads) {
-  const SearchOptions options = QuickSearch(PipelineMode::kSync);
-  const SearchResult searched = RunMethod("nfs", PipelineMode::kSync, 1);
+  const SearchOptions options = QuickSearch();
+  const SearchResult searched = RunMethod("nfs", 1);
   ASSERT_GT(searched.best_dataset.num_features(),
             SmallTarget().num_features());
   std::vector<SearchResult> finalized;
@@ -275,7 +264,7 @@ TEST(FinalizeSearchResultTest, BitIdenticalAtAnyThreads) {
 // Every CV runs even when one fails, but the error returned is the one
 // the serial loop met first: base before best, repeat 0 before 1.
 TEST(FinalizeSearchResultTest, ReturnsFirstErrorInSerialOrder) {
-  const SearchOptions options = QuickSearch(PipelineMode::kSync);
+  const SearchOptions options = QuickSearch();
   const data::Dataset base = SmallTarget();
   data::Dataset no_features = base;
   no_features.features = data::DataFrame();
@@ -301,6 +290,134 @@ TEST(FinalizeSearchResultTest, ReturnsFirstErrorInSerialOrder) {
   runtime::SetGlobalThreads(1);
 }
 
+/// A SearchRun on SmallTarget() after ScoreBase(), and hand-built
+/// evaluated tasks to merge into it.
+struct MergeFixture {
+  explicit MergeFixture(const SearchOptions& options = QuickSearch())
+      : run(options, "merge", dataset) {
+    EXPECT_TRUE(run.ScoreBase().ok());
+  }
+
+  /// An evaluated task whose chosen candidate is a column `name` for
+  /// group 0, scoring `score`.
+  StepTask Task(const std::string& name, double score) const {
+    StepTask task;
+    StepAttempt attempt;
+    attempt.generated = true;
+    attempt.candidate.column =
+        data::Column(name, dataset.features.columns()[0].values());
+    attempt.candidate.order = 1;
+    task.attempts.push_back(std::move(attempt));
+    task.chosen = 0;
+    task.evaluated = true;
+    task.score = score;
+    task.eval_seconds = 0.25;
+    return task;
+  }
+
+  const SearchResult& result() { return run.result(); }
+
+  data::Dataset dataset = SmallTarget();
+  SearchRun run;
+};
+
+TEST(SearchRunMergeTest, AcceptsAGainAboveTheMargin) {
+  MergeFixture fixture;
+  const double base = fixture.result().best_score;
+  EXPECT_EQ(fixture.result().base_score, base);
+  StepTask task = fixture.Task("a", base + 0.1);
+  EXPECT_EQ(fixture.run.Merge(task), (base + 0.1) - base);
+  EXPECT_EQ(fixture.result().best_score, base + ((base + 0.1) - base));
+  EXPECT_EQ(fixture.result().features_kept, 1u);
+  EXPECT_EQ(fixture.result().features_evaluated, 1u);
+  EXPECT_GE(fixture.result().evaluation_seconds, 0.25);
+  EXPECT_TRUE(fixture.run.space().Contains(0, "a"));
+}
+
+// Two tasks of one epoch can generate the same name against the frame.
+// The second counts as evaluated and its reward is its gain over the
+// best the first one raised, but it is not accepted again.
+TEST(SearchRunMergeTest, SameNameInOneEpochIsNotAcceptedTwice) {
+  MergeFixture fixture;
+  const double base = fixture.result().best_score;
+  StepTask first = fixture.Task("a", base + 0.1);
+  fixture.run.Merge(first);
+  const double best = fixture.result().best_score;
+  StepTask second = fixture.Task("a", base + 0.2);
+  EXPECT_EQ(fixture.run.Merge(second), (base + 0.2) - best);
+  EXPECT_EQ(fixture.result().best_score, best);
+  EXPECT_EQ(fixture.result().features_kept, 1u);
+  EXPECT_EQ(fixture.result().features_evaluated, 2u);
+  EXPECT_EQ(fixture.run.space().group(0).size(), 2u);
+}
+
+// The margin is strict: with a margin of 0, a task that scores exactly
+// the running best gains 0 and is not accepted.
+TEST(SearchRunMergeTest, ScoringExactlyTheBestIsNotAccepted) {
+  SearchOptions options = QuickSearch();
+  options.accept_margin = 0.0;
+  MergeFixture fixture(options);
+  const double base = fixture.result().best_score;
+  StepTask task = fixture.Task("a", base);
+  EXPECT_EQ(fixture.run.Merge(task), 0.0);
+  EXPECT_EQ(fixture.result().best_score, base);
+  EXPECT_EQ(fixture.result().features_kept, 0u);
+  EXPECT_EQ(fixture.result().features_evaluated, 1u);
+  EXPECT_FALSE(fixture.run.space().Contains(0, "a"));
+}
+
+TEST(SearchRunMergeTest, UnevaluatedTaskCountsNothing) {
+  MergeFixture fixture;
+  const SearchResult before = fixture.result();
+  StepTask task = fixture.Task("a", before.best_score + 0.1);
+  task.evaluated = false;
+  task.chosen = -1;
+  EXPECT_EQ(fixture.run.Merge(task), 0.0);
+  EXPECT_EQ(fixture.result().best_score, before.best_score);
+  EXPECT_EQ(fixture.result().features_evaluated, 0u);
+  EXPECT_EQ(fixture.result().features_kept, 0u);
+  EXPECT_EQ(fixture.result().evaluation_seconds, before.evaluation_seconds);
+  EXPECT_FALSE(fixture.run.space().Contains(0, "a"));
+}
+
+// FeatureSpace's default cap is six generated features per group: a
+// seventh gain, however large, leaves the best score where it was.
+TEST(SearchRunMergeTest, FullGroupLeavesTheBestUnchanged) {
+  MergeFixture fixture;
+  for (int i = 0; i < 6; ++i) {
+    StepTask task = fixture.Task("a" + std::to_string(i),
+                                 fixture.result().best_score + 0.01);
+    fixture.run.Merge(task);
+  }
+  ASSERT_EQ(fixture.result().features_kept, 6u);
+  const double best = fixture.result().best_score;
+  StepTask task = fixture.Task("full", best + 0.5);
+  EXPECT_EQ(fixture.run.Merge(task), (best + 0.5) - best);
+  EXPECT_EQ(fixture.result().best_score, best);
+  EXPECT_EQ(fixture.result().features_kept, 6u);
+  EXPECT_EQ(fixture.result().features_evaluated, 7u);
+  EXPECT_FALSE(fixture.run.space().Contains(0, "full"));
+}
+
+// After an epoch that accepts, a run stops once `patience` epochs in a
+// row accept nothing; each EndEpoch appends the epoch's curve point.
+TEST(SearchRunTest, EndEpochStopsAfterPatienceEpochsWithoutAnAccept) {
+  SearchOptions options = QuickSearch();
+  options.early_stop_patience = 2;
+  MergeFixture fixture(options);
+  StepTask task = fixture.Task("a", fixture.result().best_score + 0.1);
+  fixture.run.Merge(task);
+  EXPECT_FALSE(fixture.run.EndEpoch(0));
+  EXPECT_FALSE(fixture.run.EndEpoch(1));
+  EXPECT_TRUE(fixture.run.EndEpoch(2));
+  const std::vector<EpochStats>& curve = fixture.result().curve;
+  ASSERT_EQ(curve.size(), 3u);
+  for (size_t epoch = 0; epoch < curve.size(); ++epoch) {
+    EXPECT_EQ(curve[epoch].epoch, epoch);
+    EXPECT_EQ(curve[epoch].best_score, fixture.result().best_score);
+  }
+}
+
 // Work bound: the pipeline bins each epoch's frame once and every
 // evaluation bins only its candidate column (FeatureBinner::Extend, not
 // a Fit). The only full binner fits left are the base score, one per
@@ -309,7 +426,7 @@ TEST(FinalizeSearchResultTest, ReturnsFirstErrorInSerialOrder) {
 // evaluated candidate on top of that.
 TEST(SearchPipelineTest, EvaluationsBinOnlyTheCandidateColumn) {
   ml::FeatureBinner::ResetTotalFits();
-  const SearchResult result = RunMethod("nfs", PipelineMode::kAsync, 4);
+  const SearchResult result = RunMethod("nfs", 4);
   ASSERT_GT(result.features_evaluated, result.curve.size());
   EXPECT_LE(ml::FeatureBinner::TotalFits(), 1 + result.curve.size() + 4);
 }
@@ -319,7 +436,7 @@ TEST(SearchPipelineTest, EvaluationsBinOnlyTheCandidateColumn) {
 struct StepFixture {
   data::Dataset dataset = SmallTarget();
   FeatureSpace space{dataset, FeatureSpace::Options()};
-  ml::TaskEvaluator evaluator{QuickSearch(PipelineMode::kAsync).evaluator};
+  ml::TaskEvaluator evaluator{QuickSearch().evaluator};
   EvalService eval_service{&evaluator};
 
   /// `count` generated candidates, drawn with a fixed seed.
@@ -625,7 +742,6 @@ TEST(SearchPipelineTest, FusedStageReportsFirstFailureInSequenceOrder) {
   const std::vector<SpaceFeature> candidates = fixture.Candidates(kTasks);
   const fpe::FpeModel untrained;
   StepPipelineConfig config;
-  config.mode = PipelineMode::kAsync;
   config.filter = StepFilter::kFpe;
   config.fpe_model = &untrained;
 
@@ -700,7 +816,6 @@ TEST(SearchPipelineTest, StepPipelineReordersAndFiltersDirectly) {
   StepFixture fixture;
   const FeatureSpace& space = fixture.space;
   StepPipelineConfig config;
-  config.mode = PipelineMode::kAsync;
   config.filter = StepFilter::kRandomDrop;
 
   runtime::SetGlobalThreads(4);

@@ -289,10 +289,10 @@ TEST(TestLabelsTest, PipelineTypesRequireTsan) {
             std::string::npos);
 
   // Exact identifier matching: a source that only names PipelineTest or
-  // PipelineMode (e.g. toggling SearchOptions::pipeline) is not on the
+  // PipelineMode (e.g. setting SearchOptions::pipeline) is not on the
   // concurrency surface and stays clean without the label.
   const auto benign = [](const std::string&) -> std::optional<std::string> {
-    return "TEST(PipelineTest, X) { options.pipeline = PipelineMode::kSync; }";
+    return "TEST(PipelineTest, X) { options.pipeline = PipelineMode::kAsync; }";
   };
   EXPECT_TRUE(
       CheckTestLabels(ParseTestRegistrations(

@@ -10,8 +10,8 @@
 // "fit_seconds" or "wall_seconds"). BENCH_serve.json lines must
 // additionally carry "qps", "p50_ms" and "p99_ms" — the keys the
 // roadmap's serving story is tracked by — and BENCH_pipeline.json lines
-// must carry "sync_seconds", "async_seconds" and "speedup", the keys
-// the pipelined-search scalability gate compares. "simd_minhash" lines
+// must carry "serial_seconds", "pooled_seconds" and "speedup", the
+// keys the pipelined-search scalability gate compares. "simd_minhash" lines
 // in BENCH_simd.json must carry "scheme", "level", "kernel"
 // ("full_scan" or "pruned") and "speedup_vs_oracle" — each argmin
 // variant is timed against the scalar full scan it must match. The
@@ -217,7 +217,7 @@ int CheckFile(const std::string& path) {
     }
     if (base == "BENCH_pipeline.json") {
       for (const char* required :
-           {"sync_seconds", "async_seconds", "speedup"}) {
+           {"serial_seconds", "pooled_seconds", "speedup"}) {
         if (keys.count(required) == 0) {
           std::fprintf(stderr, "%s:%d: pipeline line misses \"%s\"\n",
                        path.c_str(), line_number, required);

@@ -14,11 +14,14 @@
 #            SIMD dispatch smokes (micro_hashing/micro_tree --simd-smoke:
 #            every tier bit-identical to its oracle + speed floors), a forced
 #            EAFE_SIMD=scalar rerun of the simd-labeled ctest suite to
-#            prove the fallback tier stays green, and the pipelined-search
-#            smoke (fig9_scalability --pipeline-smoke: sync and async
-#            executors bit-identical on an n>=10k point, wall clock
-#            compared on multi-core machines, BENCH_pipeline.json line
-#            schema-checked)
+#            prove the fallback tier stays green, the golden search and
+#            forest digests under EAFE_SIMD=scalar (their pinned values
+#            hold at every tier), and the pipelined-search smoke
+#            (fig9_scalability --pipeline-smoke: --threads 1 and --threads
+#            4 searches bit-identical on an n>=10k point, the pooled one
+#            >= 1.8x faster on multi-core machines, one comparison after
+#            >= 1.5 s of warm-up per side,
+#            BENCH_pipeline.json line schema-checked)
 #   asan     full ctest under AddressSanitizer in build-asan/
 #   ubsan    full ctest under UndefinedBehaviorSanitizer in build-ubsan/
 #   tsan     every test labeled `tsan` under ThreadSanitizer in build-tsan/
@@ -127,7 +130,7 @@ run_release() {
     -DCMAKE_BUILD_TYPE=Release -DEAFE_WERROR=ON >/dev/null
   cmake --build "${root}/build-release" -j "${jobs}" \
     --target micro_tree micro_hashing eafe_simd_test fig9_scalability \
-             bench_schema_check
+             bench_schema_check eafe_search_pipeline_test eafe_ml_test
   "${root}/build-release/bench/micro_tree" --smoke
   # SIMD dispatch smokes: every kernel variant must return the same bits
   # as its scalar oracle (signatures from the full-scan and pruned MinHash
@@ -142,10 +145,18 @@ run_release() {
   # must stay green with every specialized tier disabled.
   EAFE_SIMD=scalar ctest --test-dir "${root}/build-release" \
     --output-on-failure --timeout 600 -L '^simd$'
-  # Pipelined-search smoke: sync and async executors must be bit-identical
-  # on a 10k-sample search; on >=4-core machines async must also not lose
-  # wall clock. The fresh BENCH_pipeline.json line must pass the schema
-  # gate (sync_seconds/async_seconds/speedup keys).
+  # The golden digests claim to hold at every SIMD tier; the simd-labeled
+  # tests above check each kernel alone, these check whole searches and
+  # forest fits, so a caller that branches on the active tier fails here.
+  EAFE_SIMD=scalar "${root}/build-release/tests/eafe_search_pipeline_test" \
+    --gtest_filter='*GoldenSearchDigest*'
+  EAFE_SIMD=scalar "${root}/build-release/tests/eafe_ml_test" \
+    --gtest_filter='GoldenDigestTest.*'
+  # Pipelined-search smoke: a 10k-sample search at --threads 1 and at
+  # --threads 4 must be bit-identical; on >=4-core machines the pooled
+  # run must also be >= 1.8x faster (best of 3 after >= 1.5 s of warm-up
+  # each, one comparison). The fresh BENCH_pipeline.json line must pass
+  # the schema gate (serial_seconds/pooled_seconds/speedup keys).
   rm -f "${root}/BENCH_pipeline.json"
   "${root}/build-release/bench/fig9_scalability" --pipeline-smoke \
     --threads 4 --out "${root}/BENCH_pipeline.json"

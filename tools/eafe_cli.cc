@@ -160,9 +160,6 @@ int Search(int argc, char** argv) {
                  "rf|tree|gbdt|logreg|svm|nb_gp|mlp|resnet")
       .AddString("split-strategy", "histogram",
                  "tree split backend: exact | histogram")
-      .AddString("pipeline", "async",
-                 "per-epoch candidate pipeline: async (stages overlap on "
-                 "the pool) | sync (inline oracle; bit-identical results)")
       .AddThreads().AddBool(
           "metrics", false, "dump runtime metrics to stderr at exit");
   const Status parsed = flags.Parse(argc, argv);
@@ -195,10 +192,6 @@ int Search(int argc, char** argv) {
       ml::SplitStrategyFromString(flags.GetString("split-strategy"));
   if (!search_strategy.ok()) return Fail(search_strategy.status());
   search_options.evaluator.split_strategy = search_strategy.ValueOrDie();
-  auto pipeline_mode =
-      afe::PipelineModeFromString(flags.GetString("pipeline"));
-  if (!pipeline_mode.ok()) return Fail(pipeline_mode.status());
-  search_options.pipeline = pipeline_mode.ValueOrDie();
 
   std::unique_ptr<afe::FeatureSearch> search;
   fpe::FpeModel model;
