@@ -90,8 +90,6 @@
 #include "runtime/thread_pool.h"
 #include "serve/flat_predictor.h"
 #include "serve/model_store.h"
-#include "simd/histogram_kernels.h"
-#include "simd/predict_kernels.h"
 #include "simd/simd.h"
 
 namespace eafe::bench {
@@ -750,259 +748,6 @@ int RunSmoke(uint64_t seed) {
   return 0;
 }
 
-// --- SIMD kernel rows (--simd / --simd-smoke) --------------------------
-//
-// Direct kernel timings at both dispatch tiers for the histogram
-// accumulation loops, and the single-tier flat-predictor walk:
-//
-//   {"bench": "simd_hist_accumulate", "kind": "class"|"gradient",
-//    "rows": ..., "bins": 32, "level": ..., "seconds_per_call": ...,
-//    "speedup_vs_scalar": ...}
-//   {"bench": "simd_flat_walk", "rows": ..., "level": ...,
-//    "seconds_per_call": ..., "speedup_vs_scalar": ...}
-//
-// The smoke variant gates each accumulation kernel on its best skewed
-// grid point (acceptance target >= 1.5x AVX2-vs-scalar at rows >= 10k;
-// the gate asserts a conservative 1.2x and takes the best point so one
-// noisy measurement on shared CI hardware cannot flip the verdict) and
-// checks the equivalence contract on the spot: class counts
-// bit-identical, gradient sums within relative tolerance.
-
-struct SimdFixture {
-  size_t bins = 32;
-  size_t width = 2;
-  std::vector<uint8_t> codes;
-  std::vector<size_t> indices;
-  std::vector<int> classes;
-  std::vector<double> g;
-  std::vector<double> h;
-
-  // `skewed` concentrates ~70% of rows in one bin — the regime real
-  // histogram features hit constantly (sparse columns, repeated values,
-  // deep-node row subsets), where consecutive rows touching the same
-  // cell serialize the scalar scatter on store-to-load forwarding.
-  // Uniform codes are the scalar loop's best case (chains almost never
-  // collide).
-  SimdFixture(size_t rows, bool skewed, uint64_t seed) {
-    Rng rng(seed);
-    codes.resize(rows);
-    indices.resize(rows);
-    classes.resize(rows);
-    g.resize(rows);
-    h.resize(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      const auto uniform =
-          static_cast<uint8_t>(rng.UniformInt(uint64_t{bins}));
-      codes[r] =
-          skewed && rng.Uniform(0.0, 1.0) < 0.7 ? uint8_t{0} : uniform;
-      indices[r] = r;
-      classes[r] = static_cast<int>(rng.UniformInt(uint64_t{width}));
-      g[r] = rng.Normal();
-      h[r] = 0.1 + 0.2 * rng.Uniform(0.0, 1.0);
-    }
-  }
-};
-
-/// Best-of-5 of `iters` back-to-back calls, seconds per call. Five reps
-/// because the smoke gate compares two of these against each other on
-/// shared hardware — min-of-more keeps a background blip on one side
-/// from flipping the ratio.
-template <typename Fn>
-double TimePerCall(size_t iters, const Fn& fn) {
-  double best = 0.0;
-  for (int r = 0; r < 5; ++r) {
-    Stopwatch timer;
-    for (size_t i = 0; i < iters; ++i) fn();
-    const double seconds =
-        timer.ElapsedSeconds() / static_cast<double>(iters);
-    if (r == 0 || seconds < best) best = seconds;
-  }
-  return best;
-}
-
-void PrintSimdKernelRow(const char* bench, const char* kind,
-                        const char* dist, size_t rows, size_t bins,
-                        const char* level, double seconds,
-                        double speedup) {
-  if (kind != nullptr) {
-    std::printf(
-        "{\"bench\": \"%s\", \"kind\": \"%s\", \"dist\": \"%s\", "
-        "\"rows\": %zu, \"bins\": %zu, \"level\": \"%s\", "
-        "\"seconds_per_call\": %.9f, \"speedup_vs_scalar\": %.2f}\n",
-        bench, kind, dist, rows, bins, level, seconds, speedup);
-  } else {
-    std::printf(
-        "{\"bench\": \"%s\", \"rows\": %zu, \"level\": \"%s\", "
-        "\"seconds_per_call\": %.9f, \"speedup_vs_scalar\": %.2f}\n",
-        bench, rows, level, seconds, speedup);
-  }
-}
-
-int RunSimdRows(bool smoke, uint64_t seed) {
-  const bool have_avx2 = simd::LevelSupported(simd::Level::kAvx2);
-  if (!have_avx2) {
-    std::fprintf(stderr,
-                 "note: AVX2 unsupported on this CPU — scalar rows only, "
-                 "smoke gate vacuous\n");
-  }
-  bool ok = true;
-  // Best AVX2-vs-scalar ratio seen on any skewed grid point, per kernel;
-  // the smoke gate checks these after the sweep so one noisy measurement
-  // on shared hardware cannot flip the verdict.
-  double best_class_skewed = 0.0;
-  double best_grad_skewed = 0.0;
-  for (const size_t rows : {size_t{16384}, size_t{65536}}) {
-    const size_t iters = rows <= 16384 ? 200 : 50;
-    for (const bool skewed : {false, true}) {
-      const char* dist = skewed ? "skewed" : "uniform";
-      const SimdFixture f(rows, skewed, seed);
-      const size_t cells = f.bins * f.width;
-
-      // Class-count accumulation: exact at every tier.
-      std::vector<double> scalar_counts(cells, 0.0);
-      std::vector<double> avx2_counts(cells, 0.0);
-      const double class_scalar = TimePerCall(iters, [&] {
-        std::fill(scalar_counts.begin(), scalar_counts.end(), 0.0);
-        simd::internal::AccumulateClassCountsScalar(
-            f.codes.data(), f.indices.data(), rows, f.classes.data(),
-            f.width, scalar_counts.data());
-      });
-      PrintSimdKernelRow("simd_hist_accumulate", "class", dist, rows,
-                         f.bins, "scalar", class_scalar, 1.0);
-      if (have_avx2) {
-        const double class_avx2 = TimePerCall(iters, [&] {
-          std::fill(avx2_counts.begin(), avx2_counts.end(), 0.0);
-          simd::internal::AccumulateClassCountsAvx2(
-              f.codes.data(), f.indices.data(), rows, f.classes.data(),
-              f.bins, f.width, avx2_counts.data());
-        });
-        const double speedup =
-            class_avx2 > 0.0 ? class_scalar / class_avx2 : 0.0;
-        PrintSimdKernelRow("simd_hist_accumulate", "class", dist, rows,
-                           f.bins, "avx2", class_avx2, speedup);
-        if (avx2_counts != scalar_counts) {
-          std::fprintf(stderr,
-                       "simd smoke FAILED: class counts differ between "
-                       "tiers at rows=%zu dist=%s\n",
-                       rows, dist);
-          ok = false;
-        }
-        if (skewed && speedup > best_class_skewed) {
-          best_class_skewed = speedup;
-        }
-      }
-
-      // Gradient-pair accumulation: counts exact, sums under the
-      // documented tolerance contract.
-      std::vector<double> scalar_pairs(f.bins * 3, 0.0);
-      std::vector<double> avx2_pairs(f.bins * 3, 0.0);
-      const double grad_scalar = TimePerCall(iters, [&] {
-        std::fill(scalar_pairs.begin(), scalar_pairs.end(), 0.0);
-        simd::internal::AccumulateGradientPairsScalar(
-            f.codes.data(), f.indices.data(), rows, f.g.data(),
-            f.h.data(), scalar_pairs.data());
-      });
-      PrintSimdKernelRow("simd_hist_accumulate", "gradient", dist, rows,
-                         f.bins, "scalar", grad_scalar, 1.0);
-      if (have_avx2) {
-        const double grad_avx2 = TimePerCall(iters, [&] {
-          std::fill(avx2_pairs.begin(), avx2_pairs.end(), 0.0);
-          simd::internal::AccumulateGradientPairsAvx2(
-              f.codes.data(), f.indices.data(), rows, f.g.data(),
-              f.h.data(), f.bins, avx2_pairs.data());
-        });
-        const double speedup =
-            grad_avx2 > 0.0 ? grad_scalar / grad_avx2 : 0.0;
-        PrintSimdKernelRow("simd_hist_accumulate", "gradient", dist, rows,
-                           f.bins, "avx2", grad_avx2, speedup);
-        for (size_t b = 0; b < f.bins && ok; ++b) {
-          if (scalar_pairs[b * 3] != avx2_pairs[b * 3]) {
-            std::fprintf(stderr,
-                         "simd smoke FAILED: gradient counts differ at "
-                         "bin %zu\n",
-                         b);
-            ok = false;
-          }
-          for (size_t k = 1; k < 3; ++k) {
-            const double a = scalar_pairs[b * 3 + k];
-            const double v = avx2_pairs[b * 3 + k];
-            if (std::fabs(v - a) > 1e-9 * (std::fabs(a) + 1.0)) {
-              std::fprintf(stderr,
-                           "simd smoke FAILED: gradient sums out of "
-                           "tolerance at bin %zu\n",
-                           b);
-              ok = false;
-            }
-          }
-        }
-        if (skewed && speedup > best_grad_skewed) {
-          best_grad_skewed = speedup;
-        }
-      }
-    }
-
-    // Flat-predictor walk: one tier (the 8-row block) at every dispatch
-    // level, timed for the record.
-    const uint32_t steps = 6;
-    const size_t stride = 16;
-    std::vector<simd::PackedNode> nodes(127);
-    {
-      Rng rng(seed ^ 0xF1A7);
-      for (uint32_t i = 0; i < 63; ++i) {
-        nodes[i].feature = static_cast<int32_t>(rng.UniformInt(
-            uint64_t{stride}));
-        nodes[i].split_bin = static_cast<uint8_t>(rng.UniformInt(
-            uint64_t{256}));
-        nodes[i].left = 2 * i + 1;
-        nodes[i].right = 2 * i + 2;
-      }
-      for (uint32_t i = 63; i < 127; ++i) {
-        nodes[i].feature = 0;
-        nodes[i].left = i;
-        nodes[i].right = i;
-      }
-    }
-    std::vector<uint8_t> walk_codes(rows * stride);
-    {
-      Rng rng(seed ^ 0xC0DE);
-      for (uint8_t& c : walk_codes) {
-        c = static_cast<uint8_t>(rng.UniformInt(uint64_t{256}));
-      }
-    }
-    std::vector<uint32_t> leaves(rows, 0);
-    const double walk_seconds = TimePerCall(iters, [&] {
-      simd::WalkRows(nodes.data(), walk_codes.data(), stride, 0, steps,
-                     rows, leaves.data());
-    });
-    PrintSimdKernelRow("simd_flat_walk", nullptr, nullptr, rows, 0,
-                       "scalar", walk_seconds, 1.0);
-  }
-  // Gate in the dependency-chain regime the interleave targets
-  // (acceptance target >= 1.5x at rows >= 10k; the gate asserts a
-  // conservative 1.2x on each kernel's best skewed point so shared CI
-  // hardware doesn't flake). Uniform rows are reported for context —
-  // scatter updates there are load-bound, not chain-bound, and the
-  // tiers track each other.
-  if (smoke && have_avx2) {
-    if (best_class_skewed < 1.2) {
-      std::fprintf(stderr,
-                   "simd smoke FAILED: best class-count avx2 speedup "
-                   "%.2fx < 1.2x on skewed rows\n",
-                   best_class_skewed);
-      ok = false;
-    }
-    if (best_grad_skewed < 1.2) {
-      std::fprintf(stderr,
-                   "simd smoke FAILED: best gradient-pair avx2 speedup "
-                   "%.2fx < 1.2x on skewed rows\n",
-                   best_grad_skewed);
-      ok = false;
-    }
-  }
-  if (ok && smoke) std::fprintf(stderr, "simd smoke OK\n");
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 }  // namespace eafe::bench
 
@@ -1012,12 +757,6 @@ int main(int argc, char** argv) {
                 "single fixed shape; nonzero exit unless histogram is "
                 "faster and scores within tolerance")
       .AddBool("full", false, "add a 50k-row shape to the grid")
-      .AddBool("simd", false,
-               "emit SIMD kernel tier rows (histogram accumulation, flat "
-               "walk) instead of the tree grid")
-      .AddBool("simd-smoke", false,
-               "SIMD rows plus gates: nonzero exit unless AVX2 beats "
-               "scalar on the accumulation kernels at rows >= 10k")
       .AddInt("seed", 7, "random seed");
   const eafe::Status parsed = flags.Parse(argc, argv);
   if (parsed.code() == eafe::StatusCode::kNotFound) return 0;  // --help.
@@ -1030,9 +769,6 @@ int main(int argc, char** argv) {
   // Single-thread timings: deltas reflect the algorithmic change (binner
   // sharing, bin-coded routing), not parallel fan-out.
   eafe::runtime::SetGlobalThreads(1);
-  if (flags.GetBool("simd") || flags.GetBool("simd-smoke")) {
-    return eafe::bench::RunSimdRows(flags.GetBool("simd-smoke"), seed);
-  }
   if (flags.GetBool("smoke")) return eafe::bench::RunSmoke(seed);
   return eafe::bench::RunGrid(flags.GetBool("full"), seed);
 }

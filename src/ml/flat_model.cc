@@ -70,6 +70,12 @@ Status FlatTreeModel::Validate() const {
                     "are not increasing",
                     t));
     }
+    // Only the last offset is checked against n above; a middle one past
+    // it would send this loop beyond the node arrays.
+    if (end > n) {
+      return Status::InvalidArgument(StrFormat(
+          "corrupt flat model: tree %zu runs past the node arrays", t));
+    }
     for (uint32_t i = begin; i < end; ++i) {
       const int32_t f = feature[i];
       if (f < 0) {  // Leaf.

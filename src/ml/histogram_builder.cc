@@ -92,10 +92,8 @@ void HistogramBuilder::BuildFeatures(const std::vector<size_t>& indices,
                                      const std::vector<size_t>& features,
                                      size_t begin, size_t end,
                                      Histogram* out) const {
-  // Accumulation runs in the dispatched kernels (simd/): class counts
-  // are bit-identical across tiers, regression triples are fixed-order
-  // at every tier, and gradient pairs carry the documented Σg/Σh
-  // tolerance contract (DESIGN.md §9).
+  // Accumulation runs in the simd/ kernels: fixed row-order loops, so
+  // every histogram is the same bits at every dispatch tier.
   for (size_t k = begin; k < end; ++k) {
     const size_t f = features[k];
     const size_t bins = binner_->num_bins(f);
@@ -106,14 +104,14 @@ void HistogramBuilder::BuildFeatures(const std::vector<size_t>& indices,
     if (mode_ == Mode::kClassification) {
       simd::AccumulateClassCounts(codes.data(), indices.data(),
                                   indices.size(), labels_->classes.data(),
-                                  bins, entry_width_, h);
+                                  entry_width_, h);
     } else if (mode_ == Mode::kRegression) {
       simd::AccumulateSquares(codes.data(), indices.data(), indices.size(),
                               y_->data(), h);
     } else {
       simd::AccumulateGradientPairs(codes.data(), indices.data(),
                                     indices.size(), gradients_->data(),
-                                    hessians_->data(), bins, h);
+                                    hessians_->data(), h);
     }
   }
 }
@@ -201,7 +199,7 @@ HistogramBuilder::Split HistogramBuilder::FindBestSplit(
     if (bins < 2) continue;
     const double* h = hist.data.data() + offsets_[f];
     if (!classification) {
-      // The variance-reduction scan runs in the dispatched kernel; its
+      // The variance-reduction scan runs in the simd/ kernel; its
       // per-feature winner is bit-identical to the inline loop this
       // replaces (same empty-bin skips, min-leaf pruning, and expression
       // tree). The strict > keeps the earliest feature on gain ties,
@@ -275,11 +273,11 @@ HistogramBuilder::Split HistogramBuilder::FindBestSplitGradient(
     const size_t bins = binner_->num_bins(f);
     if (bins < 2) continue;
     const double* h = hist.data.data() + offsets_[f];
-    // The second-order gain scan runs in the dispatched kernel with the
-    // same shape as FindBestSplit's: empty bins duplicate the previous
+    // The second-order gain scan runs in the simd/ kernel with the same
+    // shape as FindBestSplit's: empty bins duplicate the previous
     // boundary and are skipped; the scan stops once the right side drops
-    // below the leaf minimum. The chosen (bin, gain) is bit-identical
-    // across tiers; strict > keeps the earliest feature on ties.
+    // below the leaf minimum. Strict > keeps the earliest feature on
+    // ties.
     const simd::SplitScan scan = simd::GradientSplitScan(
         h, bins, total_n, total_g, total_h, min_leaf, lambda, parent_term);
     if (scan.bin >= 0 && scan.gain > best.gain) {

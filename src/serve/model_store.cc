@@ -295,8 +295,17 @@ Status ParseFpeMeta(ByteReader* section, FpeSections* out) {
   EAFE_ASSIGN_OR_RETURN(out->options.compressor.scheme,
                         hashing::MinHashSchemeFromString(scheme));
   EAFE_ASSIGN_OR_RETURN(uint64_t dimension, section->TakeU64());
-  out->options.compressor.dimension = static_cast<size_t>(dimension);
   EAFE_ASSIGN_OR_RETURN(uint64_t extra, section->TakeU64());
+  // The compressor needs a positive dimension. Capping both counts at
+  // 2^32 - 1 keeps dimension + extra, and FpeModel's default of
+  // 2 x dimension, from wrapping, so the classifier width check in
+  // RestoreLogistic / RestoreMlp compares the real signature size.
+  if (dimension == 0 || dimension > UINT32_MAX || extra > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "corrupt container: FPE compressor dimension must be in "
+        "[1, 2^32 - 1] and uniform slots at most 2^32 - 1");
+  }
+  out->options.compressor.dimension = static_cast<size_t>(dimension);
   out->options.compressor.extra_uniform_slots = static_cast<size_t>(extra);
   EAFE_ASSIGN_OR_RETURN(uint8_t sort_flag, section->TakeU8());
   out->options.compressor.sort_signature = sort_flag != 0;

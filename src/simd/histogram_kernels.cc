@@ -3,22 +3,34 @@
 #include "simd/simd.h"
 
 namespace eafe::simd {
-namespace internal {
 
-void AccumulateClassCountsScalar(const uint8_t* codes,
-                                 const size_t* indices, size_t n,
-                                 const int* classes, size_t width,
-                                 double* out) {
+void AccumulateClassCounts(const uint8_t* codes, const size_t* indices,
+                           size_t n, const int* classes, size_t width,
+                           double* out) {
+  internal::CountDispatch(Kernel::kClassCounts, Level::kScalar);
   for (size_t i = 0; i < n; ++i) {
     const size_t row = indices[i];
     out[codes[row] * width + static_cast<size_t>(classes[row])] += 1.0;
   }
 }
 
-void AccumulateGradientPairsScalar(const uint8_t* codes,
-                                   const size_t* indices, size_t n,
-                                   const double* g, const double* h,
-                                   double* out) {
+void AccumulateSquares(const uint8_t* codes, const size_t* indices,
+                       size_t n, const double* y, double* out) {
+  internal::CountDispatch(Kernel::kTriples, Level::kScalar);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t row = indices[i];
+    const double value = y[row];
+    double* entry = out + codes[row] * 3;
+    entry[0] += 1.0;
+    entry[1] += value;
+    entry[2] += value * value;
+  }
+}
+
+void AccumulateGradientPairs(const uint8_t* codes, const size_t* indices,
+                             size_t n, const double* g, const double* h,
+                             double* out) {
+  internal::CountDispatch(Kernel::kTriples, Level::kScalar);
   for (size_t i = 0; i < n; ++i) {
     const size_t row = indices[i];
     double* entry = out + codes[row] * 3;
@@ -28,15 +40,17 @@ void AccumulateGradientPairsScalar(const uint8_t* codes,
   }
 }
 
-void SubtractArraysScalar(const double* a, const double* b, size_t n,
-                          double* out) {
+void SubtractArrays(const double* a, const double* b, size_t n,
+                    double* out) {
+  internal::CountDispatch(Kernel::kSubtract, Level::kScalar);
   for (size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
 }
 
-SplitScan GradientSplitScanScalar(const double* h, size_t bins,
-                                  double total_n, double total_g,
-                                  double total_h, double min_leaf,
-                                  double lambda, double parent_term) {
+SplitScan GradientSplitScan(const double* h, size_t bins, double total_n,
+                            double total_g, double total_h,
+                            double min_leaf, double lambda,
+                            double parent_term) {
+  internal::CountDispatch(Kernel::kSplitScan, Level::kScalar);
   SplitScan best;
   double left_n = 0.0, left_g = 0.0, left_h = 0.0;
   // Empty bins duplicate the previous boundary and are skipped; the scan
@@ -65,10 +79,10 @@ SplitScan GradientSplitScanScalar(const double* h, size_t bins,
   return best;
 }
 
-SplitScan RegressionSplitScanScalar(const double* h, size_t bins, double n,
-                                    double total_sum, double total_sum2,
-                                    double min_leaf,
-                                    double parent_impurity) {
+SplitScan RegressionSplitScan(const double* h, size_t bins, double n,
+                              double total_sum, double total_sum2,
+                              double min_leaf, double parent_impurity) {
+  internal::CountDispatch(Kernel::kSplitScan, Level::kScalar);
   SplitScan best;
   double left_n = 0.0, left_sum = 0.0, left_sum2 = 0.0;
   for (size_t b = 0; b + 1 < bins; ++b) {
@@ -97,93 +111,6 @@ SplitScan RegressionSplitScanScalar(const double* h, size_t bins, double n,
     }
   }
   return best;
-}
-
-}  // namespace internal
-
-void AccumulateClassCounts(const uint8_t* codes, const size_t* indices,
-                           size_t n, const int* classes, size_t bins,
-                           size_t width, double* out) {
-  const Level level = ActiveLevel();
-  internal::CountDispatch(Kernel::kClassCounts, level);
-  if (level == Level::kAvx2) {
-    internal::AccumulateClassCountsAvx2(codes, indices, n, classes, bins,
-                                        width, out);
-    return;
-  }
-  internal::AccumulateClassCountsScalar(codes, indices, n, classes, width,
-                                        out);
-}
-
-void AccumulateSquares(const uint8_t* codes, const size_t* indices,
-                       size_t n, const double* y, double* out) {
-  // Fixed row order at every tier (exact-backend comparisons depend on
-  // these sums bit for bit), so this is the one kernel with no AVX2
-  // specialization; the dispatch counter records the tier that ran.
-  internal::CountDispatch(Kernel::kTriples, Level::kScalar);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t row = indices[i];
-    const double value = y[row];
-    double* entry = out + codes[row] * 3;
-    entry[0] += 1.0;
-    entry[1] += value;
-    entry[2] += value * value;
-  }
-}
-
-void AccumulateGradientPairs(const uint8_t* codes, const size_t* indices,
-                             size_t n, const double* g, const double* h,
-                             size_t bins, double* out) {
-  const Level level = ActiveLevel();
-  internal::CountDispatch(Kernel::kTriples, level);
-  if (level == Level::kAvx2) {
-    internal::AccumulateGradientPairsAvx2(codes, indices, n, g, h, bins,
-                                          out);
-    return;
-  }
-  internal::AccumulateGradientPairsScalar(codes, indices, n, g, h, out);
-}
-
-void SubtractArrays(const double* a, const double* b, size_t n,
-                    double* out) {
-  const Level level = ActiveLevel();
-  internal::CountDispatch(Kernel::kSubtract, level);
-  if (level == Level::kAvx2) {
-    internal::SubtractArraysAvx2(a, b, n, out);
-    return;
-  }
-  internal::SubtractArraysScalar(a, b, n, out);
-}
-
-SplitScan GradientSplitScan(const double* h, size_t bins, double total_n,
-                            double total_g, double total_h,
-                            double min_leaf, double lambda,
-                            double parent_term) {
-  const Level level = ActiveLevel();
-  internal::CountDispatch(Kernel::kSplitScan, level);
-  if (level == Level::kAvx2) {
-    return internal::GradientSplitScanAvx2(h, bins, total_n, total_g,
-                                           total_h, min_leaf, lambda,
-                                           parent_term);
-  }
-  return internal::GradientSplitScanScalar(h, bins, total_n, total_g,
-                                           total_h, min_leaf, lambda,
-                                           parent_term);
-}
-
-SplitScan RegressionSplitScan(const double* h, size_t bins, double n,
-                              double total_sum, double total_sum2,
-                              double min_leaf, double parent_impurity) {
-  const Level level = ActiveLevel();
-  internal::CountDispatch(Kernel::kSplitScan, level);
-  if (level == Level::kAvx2) {
-    return internal::RegressionSplitScanAvx2(h, bins, n, total_sum,
-                                             total_sum2, min_leaf,
-                                             parent_impurity);
-  }
-  return internal::RegressionSplitScanScalar(h, bins, n, total_sum,
-                                             total_sum2, min_leaf,
-                                             parent_impurity);
 }
 
 }  // namespace eafe::simd

@@ -6,38 +6,34 @@
 
 namespace eafe::simd {
 
-/// Histogram hot-loop kernels behind the runtime dispatch (simd.h).
-/// `codes` is the binner's full per-row uint8 code column; `indices`
-/// selects the node's rows (ids into codes, may repeat). All entries are
-/// accumulated INTO `out` — callers zero it first; counts stay exact
-/// integers in doubles at every tier.
+/// Histogram hot-loop kernels. `codes` is the binner's full per-row
+/// uint8 code column; `indices` selects the node's rows (ids into codes,
+/// may repeat). All entries are accumulated INTO `out` — callers zero it
+/// first.
+///
+/// Each kernel is one fixed-order loop with no tier branch, so its
+/// result is the same bits at every dispatch level; dispatches are
+/// counted at the scalar tier, the one that runs. There is no AVX2 tier
+/// on purpose: one was faster on no benchmark workload, and its
+/// gradient-pair merge changed the sums' bits (DESIGN.md §9).
 
-/// Per-class counts: out[codes[row] * width + classes[row]] += 1. The
-/// AVX2 tier counts in uint32 scratch and merges vectorized — integer
-/// arithmetic throughout, so the result is bit-identical to the scalar
-/// row-order loop. `bins * width` is out's length.
+/// Per-class counts: out[codes[row] * width + classes[row]] += 1.
+/// Counts stay exact integers in doubles.
 void AccumulateClassCounts(const uint8_t* codes, const size_t* indices,
-                           size_t n, const int* classes, size_t bins,
-                           size_t width, double* out);
+                           size_t n, const int* classes, size_t width,
+                           double* out);
 
-/// Regression triples {count, Σy, Σy²} per bin. Variance-split gains
-/// feed exact-backend comparisons, so this kernel runs the fixed
-/// row-order accumulation at EVERY tier (the documented fixed-order
-/// fallback; dispatch is counted at the scalar tier).
+/// Regression triples {count, Σy, Σy²} per bin, in row order.
 void AccumulateSquares(const uint8_t* codes, const size_t* indices,
                        size_t n, const double* y, double* out);
 
-/// Gradient pairs {count, Σg, Σh} per bin. Counts are exact at every
-/// tier; the AVX2 tier accumulates four interleaved sub-histograms and
-/// merges, which reassociates the Σg/Σh sums — deterministic for a
-/// given (indices, tier) but only equal to the scalar tier within
-/// floating-point tolerance (see DESIGN.md §9).
+/// Gradient pairs {count, Σg, Σh} per bin, in row order.
 void AccumulateGradientPairs(const uint8_t* codes, const size_t* indices,
                              size_t n, const double* g, const double* h,
-                             size_t bins, double* out);
+                             double* out);
 
 /// out[i] = a[i] - b[i] (the parent-minus-sibling trick); out may alias
-/// a. Element-wise, hence exact at every tier.
+/// a.
 void SubtractArrays(const double* a, const double* b, size_t n,
                     double* out);
 
@@ -50,59 +46,20 @@ struct SplitScan {
 
 /// Second-order (XGBoost) gain scan over one feature's {count, Σg, Σh}
 /// bins. `h` points at the feature's bins*3 doubles; `parent_term` is
-/// G²/(H+lambda). Ties keep the lowest boundary, empty bins and
-/// min-leaf pruning replicate HistogramBuilder's scan exactly; the AVX2
-/// tier evaluates gains from sequentially-accumulated prefixes with the
-/// identical expression tree, so the chosen (bin, gain) is
-/// bit-identical across tiers.
+/// G²/(H+lambda). Ties keep the lowest boundary; empty bins are skipped
+/// and the scan stops once the right side falls below `min_leaf`.
 SplitScan GradientSplitScan(const double* h, size_t bins, double total_n,
                             double total_g, double total_h,
                             double min_leaf, double lambda,
                             double parent_term);
 
 /// Variance-reduction gain scan over one feature's {count, Σy, Σy²}
-/// bins (the regression arm of FindBestSplit), same exactness contract
-/// as GradientSplitScan. `n` is the node's row count as a double.
+/// bins (the regression arm of FindBestSplit), with GradientSplitScan's
+/// tie, empty-bin and min-leaf rules. `n` is the node's row count as a
+/// double.
 SplitScan RegressionSplitScan(const double* h, size_t bins, double n,
                               double total_sum, double total_sum2,
                               double min_leaf, double parent_impurity);
-
-namespace internal {
-void AccumulateClassCountsScalar(const uint8_t* codes,
-                                 const size_t* indices, size_t n,
-                                 const int* classes, size_t width,
-                                 double* out);
-void AccumulateClassCountsAvx2(const uint8_t* codes, const size_t* indices,
-                               size_t n, const int* classes, size_t bins,
-                               size_t width, double* out);
-void AccumulateGradientPairsScalar(const uint8_t* codes,
-                                   const size_t* indices, size_t n,
-                                   const double* g, const double* h,
-                                   double* out);
-void AccumulateGradientPairsAvx2(const uint8_t* codes,
-                                 const size_t* indices, size_t n,
-                                 const double* g, const double* h,
-                                 size_t bins, double* out);
-void SubtractArraysScalar(const double* a, const double* b, size_t n,
-                          double* out);
-void SubtractArraysAvx2(const double* a, const double* b, size_t n,
-                        double* out);
-SplitScan GradientSplitScanScalar(const double* h, size_t bins,
-                                  double total_n, double total_g,
-                                  double total_h, double min_leaf,
-                                  double lambda, double parent_term);
-SplitScan GradientSplitScanAvx2(const double* h, size_t bins,
-                                double total_n, double total_g,
-                                double total_h, double min_leaf,
-                                double lambda, double parent_term);
-SplitScan RegressionSplitScanScalar(const double* h, size_t bins, double n,
-                                    double total_sum, double total_sum2,
-                                    double min_leaf,
-                                    double parent_impurity);
-SplitScan RegressionSplitScanAvx2(const double* h, size_t bins, double n,
-                                  double total_sum, double total_sum2,
-                                  double min_leaf, double parent_impurity);
-}  // namespace internal
 
 }  // namespace eafe::simd
 

@@ -6,7 +6,7 @@ namespace eafe::simd {
 
 void WalkRows(const PackedNode* nodes, const uint8_t* codes, size_t stride,
               uint32_t root, uint32_t steps, size_t n, uint32_t* leaves) {
-  internal::CountDispatch(Kernel::kWalk, ActiveLevel());
+  internal::CountDispatch(Kernel::kWalk, Level::kScalar);
   constexpr size_t kBlock = 8;
   size_t r = 0;
   // kBlock rows in flight: each step is a conditional move on the row's

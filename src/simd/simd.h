@@ -12,13 +12,11 @@ namespace eafe::simd {
 
 /// Runtime-dispatched kernel tier. Every kernel in src/simd/ ships a
 /// portable scalar reference (the exact, fixed-order baseline the
-/// determinism suites pin) and may ship an AVX2 specialization. The
-/// active tier is resolved once per process: the EAFE_SIMD environment
-/// variable ("scalar" or "avx2") wins, otherwise the best
-/// cpuid-supported tier is used. Kernels that only reorder integer ops
-/// or comparisons are bit-identical across tiers; the one documented
-/// exception (gradient-pair Σg/Σh accumulation) carries an explicit
-/// tolerance contract — see DESIGN.md §9.
+/// determinism suites pin); only the MinHash argmins also ship an AVX2
+/// specialization. The active tier is resolved once per process: the
+/// EAFE_SIMD environment variable ("scalar" or "avx2") wins, otherwise
+/// the best cpuid-supported tier is used. Every kernel returns the same
+/// bits at every tier (DESIGN.md §9).
 enum class Level : int {
   kScalar = 0,
   kAvx2 = 1,
@@ -26,6 +24,7 @@ enum class Level : int {
 
 /// Kernel families with per-dispatch counters (DispatchCount), so the
 /// metrics exposition can show which tier actually served the hot loops.
+/// Single-tier kernels (histograms, walk) count under Level::kScalar.
 enum class Kernel : int {
   kCwsArgmin = 0,    ///< Weighted-MinHash sampling-value argmin per slot.
   kPlainArgmin = 1,  ///< Unweighted MixHash argmin per slot.

@@ -11,7 +11,6 @@
 #include "ml/flat_model.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
-#include "simd/simd.h"
 
 // Golden digests of fixed-seed model fits. Each digest folds the bit
 // pattern of every prediction, importance and flattened node of one fit,
@@ -110,18 +109,6 @@ uint64_t ForestDigest(data::TaskType task, size_t rows, size_t columns) {
   return FoldTrees(digest, forest.image());
 }
 
-// Restores the dispatch tier a test forced via SetActiveLevel.
-class LevelGuard {
- public:
-  LevelGuard() : saved_(simd::ActiveLevel()) {}
-  ~LevelGuard() { simd::SetActiveLevel(saved_); }
-  LevelGuard(const LevelGuard&) = delete;
-  LevelGuard& operator=(const LevelGuard&) = delete;
-
- private:
-  simd::Level saved_;
-};
-
 // Class counts are exact integers, so the forest's fit is the same at
 // every SIMD tier and thread count.
 TEST(GoldenDigestTest, ClassificationForest) {
@@ -129,11 +116,7 @@ TEST(GoldenDigestTest, ClassificationForest) {
             0x05e8e1e00a66a145ULL);
 }
 
-// Gradient-pair sums are tier-dependent within a tolerance (DESIGN.md
-// §9), so the booster's golden value is pinned on the scalar reference.
-TEST(GoldenDigestTest, ScalarBooster) {
-  LevelGuard guard;
-  simd::SetActiveLevel(simd::Level::kScalar);
+TEST(GoldenDigestTest, Booster) {
   const data::Dataset dataset =
       MakeFrame(data::TaskType::kClassification, 1500, 32, 2025);
   GradientBoostedTrees::Options options;

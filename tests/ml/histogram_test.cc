@@ -7,6 +7,7 @@
 #include "ml/decision_tree.h"
 #include "ml/evaluator.h"
 #include "ml/feature_binner.h"
+#include "ml/gradient_boosted_trees.h"
 #include "ml/histogram_builder.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
@@ -204,6 +205,61 @@ TEST(HistogramBuilderTest, ForestNodesAccumulateOnlySampledFeatures) {
   const size_t max_features = 6;
   EXPECT_GT(dispatches, 0u);
   EXPECT_LE(dispatches, nodes * max_features);
+}
+
+// Restores the dispatch tier a test forced via SetActiveLevel.
+class LevelGuard {
+ public:
+  LevelGuard() : saved_(simd::ActiveLevel()) {}
+  ~LevelGuard() { simd::SetActiveLevel(saved_); }
+  LevelGuard(const LevelGuard&) = delete;
+  LevelGuard& operator=(const LevelGuard&) = delete;
+
+ private:
+  simd::Level saved_;
+};
+
+// The histogram kernels and the flat walk have one tier, so they count
+// their dispatches under kScalar even when the process runs at kAvx2;
+// the dispatch gauges then name the tier that ran. A forced AVX2 fit and
+// predict of each histogram model must leave every such count at kAvx2
+// zero.
+TEST(HistogramBuilderTest, SingleTierKernelsCountAtScalarUnderAvx2) {
+  if (!simd::LevelSupported(simd::Level::kAvx2)) {
+    GTEST_SKIP() << "AVX2 unsupported on this CPU";
+  }
+  LevelGuard guard;
+  simd::SetActiveLevel(simd::Level::kAvx2);
+  simd::ResetDispatchCounts();
+  const data::Dataset classification = MakeWide(600, 8, 31);
+  const data::Dataset regression = MakeSmoothRegression(600, 32);
+  for (const data::Dataset* dataset : {&classification, &regression}) {
+    RandomForest::Options options;
+    options.task = dataset->task;
+    options.num_trees = 4;
+    RandomForest forest(options);
+    ASSERT_TRUE(forest.Fit(dataset->features, dataset->labels).ok());
+    ASSERT_TRUE(forest.Predict(dataset->features).ok());
+  }
+  GradientBoostedTrees::Options booster_options;
+  booster_options.rounds = 5;
+  // Few bins make the histogram small next to the node, so the booster
+  // derives its larger children by subtraction.
+  booster_options.max_bins = 16;
+  GradientBoostedTrees booster(booster_options);
+  ASSERT_TRUE(
+      booster.Fit(classification.features, classification.labels).ok());
+  ASSERT_TRUE(booster.Predict(classification.features).ok());
+
+  for (const simd::Kernel kernel :
+       {simd::Kernel::kClassCounts, simd::Kernel::kTriples,
+        simd::Kernel::kSubtract, simd::Kernel::kSplitScan,
+        simd::Kernel::kWalk}) {
+    EXPECT_EQ(simd::DispatchCount(kernel, simd::Level::kAvx2), 0u)
+        << simd::KernelName(kernel);
+    EXPECT_GT(simd::DispatchCount(kernel, simd::Level::kScalar), 0u)
+        << simd::KernelName(kernel);
+  }
 }
 
 // With every sample value distinct and n <= max_bins, the binning is

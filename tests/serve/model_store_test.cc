@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -192,6 +193,18 @@ TEST(ModelStoreTest, DeclaredClassCountDoesNotSizeTheVoteBuffer) {
   ml::FlatTreeModel wide = OneSplitForest(10, 4, 0xFFFFFFFFu);
   wide.value[2] = static_cast<double>(ml::kMaxVoteClasses);
   EXPECT_FALSE(DeserializeModel(ForestContainer(wide)).ok());
+}
+
+// A middle tree offset past the node count is rejected before that
+// tree's nodes are read, even though the last offset spans the arrays.
+TEST(ModelStoreTest, TreeOffsetPastTheNodeArraysRejected) {
+  ml::FlatTreeModel model = OneSplitForest(10, 4, 2);
+  model.tree_offsets = {0, 4, 3};
+  const auto result = DeserializeModel(ForestContainer(model));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("past the node arrays"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(ModelStoreTest, ForestRoundTripPredictsIdentically) {
@@ -397,6 +410,124 @@ TEST(ModelStoreTest, EveryTruncationFailsCleanly) {
       EXPECT_FALSE(DeserializeModel(view.substr(0, n)).ok())
           << "prefix length " << n << " of " << bytes.size();
     }
+  }
+}
+
+/// A logistic-FPE container written section by section: compressor
+/// `dimension` and `extra` uniform slots over a signature input, and a
+/// binary head over `width` features. Hand-made input for the loader.
+std::string LogisticFpeContainer(uint64_t dimension, uint64_t extra,
+                                 size_t width) {
+  ByteWriter meta;
+  meta.PutString("ccws");
+  meta.PutU64(dimension);
+  meta.PutU64(extra);
+  meta.PutU8(0);   // Unsorted signature.
+  meta.PutU64(7);  // Compressor seed.
+  meta.PutU32(0);  // Signature input.
+  meta.PutU32(1);  // Logistic classifier.
+  ByteWriter scaler;
+  scaler.PutDoubleVec(std::vector<double>(width, 0.0));
+  scaler.PutDoubleVec(std::vector<double>(width, 1.0));
+  ByteWriter logistic;
+  logistic.PutU64(2);  // Classes.
+  logistic.PutU64(1);  // One head: weights plus bias.
+  logistic.PutDoubleVec(std::vector<double>(width + 1, 0.25));
+
+  ByteWriter container;
+  container.PutBytes(std::string_view(kMagic, kMagicSize));
+  container.PutU32(kFormatVersion);
+  container.PutU32(static_cast<uint32_t>(ModelKind::kFpe));
+  for (const auto& [id, payload] :
+       {std::pair{kSectionFpeMeta, meta.Take()},
+        std::pair{kSectionScaler, scaler.Take()},
+        std::pair{kSectionLogistic, logistic.Take()}}) {
+    container.PutU32(id);
+    container.PutU64(payload.size());
+    container.PutBytes(payload);
+  }
+  return container.Take();
+}
+
+// The compressor requires a positive dimension; a container declaring 0
+// is rejected by the decoder instead of reaching the compressor's check.
+TEST(ModelStoreTest, FpeCompressorDimensionZeroRejected) {
+  const LoadedModel control =
+      DeserializeModel(LogisticFpeContainer(2, 2, 4)).ValueOrDie();
+  EXPECT_TRUE(control.fpe->PredictProbability({1.0, 3.0, 2.0, 5.0}).ok());
+
+  const auto result = DeserializeModel(LogisticFpeContainer(0, 0, 1));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Dimension 2^64 - 1 plus 2 uniform slots would wrap the signature width
+// to 1 and let a one-feature head pass the width check; the first
+// predict would then ask for a 2^64 - 1 slot signature. The same holds
+// with the roles of the two counts swapped.
+TEST(ModelStoreTest, FpeSignatureWidthThatWrapsRejected) {
+  for (const auto& [dimension, extra] :
+       {std::pair{UINT64_MAX, uint64_t{2}},
+        std::pair{uint64_t{2}, UINT64_MAX}}) {
+    const auto result =
+        DeserializeModel(LogisticFpeContainer(dimension, extra, 1));
+    ASSERT_FALSE(result.ok()) << dimension << " + " << extra;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Overwrites every byte of a forest, a booster, a logistic-FPE and an
+// MLP-FPE container with 0x00 and then 0xFF. Every mutation must decode
+// to a Status, and a model that loads must predict without crashing;
+// an error Status from the predict is fine.
+TEST(ModelStoreTest, EverySingleByteOverwriteFailsCleanlyOrPredicts) {
+  const data::Dataset data = MakeData(data::TaskType::kClassification, 28);
+  ml::RandomForest::Options forest_options;
+  forest_options.num_trees = 2;
+  forest_options.max_depth = 3;
+  ml::RandomForest forest(forest_options);
+  ASSERT_TRUE(forest.Fit(data.features, data.labels).ok());
+  ml::GradientBoostedTrees::Options booster_options;
+  booster_options.rounds = 2;
+  booster_options.max_depth = 3;
+  ml::GradientBoostedTrees booster(booster_options);
+  ASSERT_TRUE(booster.Fit(data.features, data.labels).ok());
+  const std::string containers[] = {
+      SerializeForest(forest).ValueOrDie(),
+      SerializeGbdt(booster).ValueOrDie(),
+      SerializeFpe(TrainFpe(fpe::FpeModel::ClassifierKind::kLogistic, 29))
+          .ValueOrDie(),
+      SerializeFpe(TrainFpe(fpe::FpeModel::ClassifierKind::kMlp, 29))
+          .ValueOrDie(),
+  };
+  const data::Dataset query =
+      MakeData(data::TaskType::kClassification, 96, /*rows=*/16);
+  const std::vector<double> column = MakeFeatures(1, 30)[0].values;
+  for (size_t c = 0; c < std::size(containers); ++c) {
+    std::string bytes = containers[c];
+    size_t predicted = 0;
+    for (size_t at = 0; at < bytes.size(); ++at) {
+      const char original = bytes[at];
+      for (const char value : {'\x00', '\xFF'}) {
+        bytes[at] = value;
+        const Result<LoadedModel> loaded = DeserializeModel(bytes);
+        if (!loaded.ok()) continue;
+        if (loaded->fpe.has_value()) {
+          (void)loaded->fpe->PredictProbability(column);
+        } else {
+          Result<FlatPredictor> predictor =
+              FlatPredictor::Create(*loaded->tree);
+          if (!predictor.ok()) continue;
+          (void)predictor->Predict(query.features);
+          (void)predictor->PredictProba(query.features);
+        }
+        ++predicted;
+      }
+      bytes[at] = original;
+    }
+    // Overwrites of payload values (weights, thresholds, leaf values)
+    // still load, so each container's predict path runs.
+    EXPECT_GT(predicted, 0u) << "container " << c;
   }
 }
 

@@ -11,11 +11,11 @@
 #            --smoke (tree, shared-binner forest, gbdt booster, and
 #            model-store round-trip serving gates, plus the binning gate:
 #            FeatureBinner::Extend equals a full Fit bit for bit), the
-#            SIMD dispatch smokes (micro_hashing/micro_tree --simd-smoke:
-#            every tier bit-identical to its oracle + speed floors), a forced
+#            MinHash SIMD dispatch smoke (micro_hashing --simd-smoke: the
+#            AVX2 tier bit-identical to its oracle + speed floors), a forced
 #            EAFE_SIMD=scalar rerun of the simd-labeled ctest suite to
-#            prove the fallback tier stays green, the golden search and
-#            forest digests under EAFE_SIMD=scalar (their pinned values
+#            prove the fallback tier stays green, the golden search, forest
+#            and booster digests under EAFE_SIMD=scalar (their pinned values
 #            hold at every tier), and the pipelined-search smoke
 #            (fig9_scalability --pipeline-smoke: --threads 1 and --threads
 #            4 searches bit-identical on an n>=10k point, the pooled one
@@ -132,22 +132,21 @@ run_release() {
     --target micro_tree micro_hashing eafe_simd_test fig9_scalability \
              bench_schema_check eafe_search_pipeline_test eafe_ml_test
   "${root}/build-release/bench/micro_tree" --smoke
-  # SIMD dispatch smokes: every kernel variant must return the same bits
-  # as its scalar oracle (signatures from the full-scan and pruned MinHash
-  # argmins, class counts, walks; gradient sums within the documented
-  # tolerance) and clear its speed floor: pruned AVX2 CCWS >= 2x the full
-  # scan, the other AVX2 tiers a conservative 1.2x on the chain-bound
-  # rows. BENCH_simd.json snapshots the full --simd grids from these two
-  # binaries.
+  # MinHash SIMD dispatch smoke: the signatures from the full-scan and
+  # pruned argmins must be the same bits at both tiers, and the AVX2
+  # variants must clear their speed floors (pruned CCWS >= 2x the full
+  # scan, ICWS >= 1.2x). The MinHash argmins are the only kernels with an
+  # AVX2 tier.
+  # BENCH_simd.json snapshots micro_hashing's full --simd grid.
   "${root}/build-release/bench/micro_hashing" --simd-smoke
-  "${root}/build-release/bench/micro_tree" --simd-smoke
   # Forced-fallback rerun: the simd-labeled dispatch-equivalence tests
   # must stay green with every specialized tier disabled.
   EAFE_SIMD=scalar ctest --test-dir "${root}/build-release" \
     --output-on-failure --timeout 600 -L '^simd$'
   # The golden digests claim to hold at every SIMD tier; the simd-labeled
   # tests above check each kernel alone, these check whole searches and
-  # forest fits, so a caller that branches on the active tier fails here.
+  # forest and booster fits, so a caller that branches on the active tier
+  # fails here.
   EAFE_SIMD=scalar "${root}/build-release/tests/eafe_search_pipeline_test" \
     --gtest_filter='*GoldenSearchDigest*'
   EAFE_SIMD=scalar "${root}/build-release/tests/eafe_ml_test" \
