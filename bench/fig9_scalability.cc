@@ -56,16 +56,16 @@ Result<data::Dataset> MakeScaleDataset(const BenchConfig& config,
 }
 
 /// The equivalence contract of DESIGN.md §12: every result-bearing field
-/// must match bit-for-bit at any --threads (eval_cache_hits and timing
-/// are excluded — concurrent same-signature evaluations may both miss
-/// the cache, and wall clock is the quantity under test).
+/// must match bit-for-bit at any --threads (timing is excluded: wall
+/// clock is the quantity under test).
 bool BitIdentical(const afe::SearchResult& a, const afe::SearchResult& b) {
   if (a.base_score != b.base_score || a.best_score != b.best_score ||
       a.search_score != b.search_score ||
       a.downstream_evaluations != b.downstream_evaluations ||
       a.features_generated != b.features_generated ||
       a.features_evaluated != b.features_evaluated ||
-      a.features_kept != b.features_kept) {
+      a.features_kept != b.features_kept ||
+      a.eval_cache_hits != b.eval_cache_hits) {
     return false;
   }
   if (a.curve.size() != b.curve.size()) return false;

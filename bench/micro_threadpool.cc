@@ -1,6 +1,6 @@
 // Micro-benchmark for the concurrent evaluation runtime: candidate
 // evaluations per second through EvalService::ScoreDataset at 1/2/4/8
-// worker threads, plus the score-cache hit rate on a repeated workload.
+// worker threads, plus the evaluation-memo hit rate on a repeated workload.
 // Each candidate is scored the way the search pipeline's eval step does
 // it (BuildCandidateDataset, then ScoreDataset on one shared service),
 // fanned out by ParallelFor over an explicit pool. Emits one JSON line
@@ -11,9 +11,9 @@
 //
 // The "cold" phase scores a batch of unique candidates (pure fan-out,
 // every score is a real model fit); the "warm" phase replays the same
-// batch (pure cache, no fits). Speedups are relative to the threads=1
+// batch (pure memo hits, no fits). Speedups are relative to the threads=1
 // cold pass. On a single-core machine the fan-out speedup is ~1x by
-// construction — the cache win in the warm phase is hardware-independent.
+// construction — the memo win in the warm phase is hardware-independent.
 
 #include <cstdio>
 #include <cstdlib>
@@ -125,9 +125,7 @@ void Run(const BenchConfig& config) {
     if (threads > 1) pool = std::make_unique<runtime::ThreadPool>(threads);
 
     ml::TaskEvaluator evaluator(evaluator_options);
-    afe::EvalService::Options options;
-    options.cache.capacity = 4 * batch_size;
-    afe::EvalService service(&evaluator, options);
+    afe::EvalService service(&evaluator);
 
     const PhaseResult cold =
         TimeBatch(pool.get(), &service, space, candidates);

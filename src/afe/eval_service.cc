@@ -1,7 +1,6 @@
 #include "afe/eval_service.h"
 
 #include <bit>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -70,19 +69,17 @@ uint64_t EvaluationSignature(const data::Dataset& dataset,
   return digest;
 }
 
-EvalService::EvalService(const ml::TaskEvaluator* evaluator,
-                         const Options& options)
+EvalService::EvalService(const ml::TaskEvaluator* evaluator)
     : evaluator_(evaluator),
-      cache_(options.cache),
       metric_requests_(runtime::GlobalMetrics()->Counter(
           "eafe_eval_requests_total",
-          "Candidate evaluations requested (cache hits included)")),
+          "Candidate evaluations requested (memo hits included)")),
       metric_cache_hits_(runtime::GlobalMetrics()->Counter(
           "eafe_eval_cache_hits_total",
           "Evaluation requests served without a model fit")),
       metric_evaluations_(runtime::GlobalMetrics()->Counter(
           "eafe_eval_evaluations_total",
-          "Model fits actually executed (unique cache misses)")) {}
+          "Model fits executed, one per distinct signature")) {}
 
 Result<double> EvalService::ScoreDataset(const data::Dataset& dataset,
                                          const ml::FeatureBinner* frame_bins) {
@@ -90,15 +87,27 @@ Result<double> EvalService::ScoreDataset(const data::Dataset& dataset,
   metric_requests_->Increment();
   const uint64_t signature =
       EvaluationSignature(dataset, evaluator_->options());
-  if (std::optional<double> cached = cache_.Lookup(signature)) {
+  std::promise<Result<double>> first;
+  std::shared_future<Result<double>> earlier;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto [entry, inserted] = memo_.try_emplace(signature);
+    if (inserted) {
+      entry->second = first.get_future().share();
+    } else {
+      earlier = entry->second;
+    }
+  }
+  if (earlier.valid()) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     metric_cache_hits_->Increment();
-    evaluator_->RecordCachedScore();
-    return *cached;
+    return earlier.get();
   }
-  EAFE_ASSIGN_OR_RETURN(double score, evaluator_->Score(dataset, frame_bins));
+  // Scored outside the lock: requests for other signatures go on, and
+  // requests for this one wait on `first`.
   metric_evaluations_->Increment();
-  cache_.Insert(signature, score);
+  Result<double> score = evaluator_->Score(dataset, frame_bins);
+  first.set_value(score);
   return score;
 }
 

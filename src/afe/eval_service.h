@@ -4,13 +4,15 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <future>
+#include <mutex>
+#include <unordered_map>
 
 #include "core/status.h"
 #include "data/dataframe.h"
 #include "ml/evaluator.h"
 #include "ml/feature_binner.h"
 #include "runtime/metrics.h"
-#include "runtime/score_cache.h"
 
 namespace eafe::afe {
 
@@ -24,50 +26,50 @@ namespace eafe::afe {
 uint64_t EvaluationSignature(const data::Dataset& dataset,
                              const ml::EvaluatorOptions& options);
 
-/// Cached candidate-evaluation front-end shared by every search method.
-/// ScoreDataset answers a table from a sharded LRU ScoreCache keyed by
-/// EvaluationSignature, and otherwise scores it with the evaluator and
-/// caches the result. Scores are pure functions of (table, evaluator
-/// config), so a cache hit returns exactly the score a fresh evaluation
-/// would have computed. The service is safe to call from many threads at
+/// Memoized candidate-evaluation front-end shared by every search method,
+/// and the one place evaluations are counted. ScoreDataset keys each
+/// table by EvaluationSignature: the first request for a signature scores
+/// it with the evaluator, and every later or concurrent request waits for
+/// that result and counts as a hit. Scores are pure functions of (table,
+/// evaluator config), so a hit returns exactly the score a fresh
+/// evaluation would have computed, and a failure is memoized like a
+/// score. Each signature is fitted once per service whatever the thread
+/// count, so requests(), cache_hits() and the fits they imply do not
+/// depend on scheduling. The service is safe to call from many threads at
 /// once: the search pipeline's workers share one (DESIGN.md §12).
 ///
-/// Accounting: every request bumps the evaluator's evaluation count (cache
-/// hits via RecordCachedScore), keeping Table IV's requested-evaluation
-/// numbers identical to the cache-free serial path. Model fits actually
-/// paid are visible as cache misses in cache().stats().
+/// A waiter blocks its thread until the first request's score is ready.
+/// That score never needs the waiter: on a pool worker (or in a
+/// ParallelFor caller's block 0) the evaluator's nested ParallelFor runs
+/// inline. A thread outside the pool must therefore not score a table
+/// that the pool's workers are scoring at the same time.
 class EvalService {
  public:
-  struct Options {
-    runtime::ScoreCache::Options cache;
-  };
-
   /// `evaluator` is not owned and must outlive the service.
-  explicit EvalService(const ml::TaskEvaluator* evaluator)
-      : EvalService(evaluator, Options()) {}
-  EvalService(const ml::TaskEvaluator* evaluator, const Options& options);
+  explicit EvalService(const ml::TaskEvaluator* evaluator);
 
-  /// Cached absolute score of `dataset`. `frame_bins` are passed through
-  /// to TaskEvaluator::Score on a miss; they change the cost, never the
-  /// score, so the cache signature does not cover them.
+  /// Memoized absolute score of `dataset`. `frame_bins` are passed through
+  /// to TaskEvaluator::Score on the first request; they change the cost,
+  /// never the score, so the signature does not cover them.
   Result<double> ScoreDataset(const data::Dataset& dataset,
                               const ml::FeatureBinner* frame_bins = nullptr);
 
-  /// Candidate evaluations requested (cache hits included).
+  /// Evaluations requested (memo hits included): Table IV's count.
   size_t requests() const {
     return requests_.load(std::memory_order_relaxed);
   }
-  /// Requests answered from the cache, without a model fit.
+  /// Requests answered by an earlier request's score, without a model fit.
   size_t cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
   }
 
-  const runtime::ScoreCache& cache() const { return cache_; }
   const ml::TaskEvaluator& evaluator() const { return *evaluator_; }
 
  private:
   const ml::TaskEvaluator* evaluator_;
-  runtime::ScoreCache cache_;
+  std::mutex mutex_;
+  /// One entry per signature requested, fulfilled by its first request.
+  std::unordered_map<uint64_t, std::shared_future<Result<double>>> memo_;
   std::atomic<size_t> requests_{0};
   std::atomic<size_t> cache_hits_{0};
   /// Instruments captured from GlobalMetrics() at construction; owned by

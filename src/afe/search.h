@@ -67,12 +67,13 @@ struct SearchResult {
   double search_score = 0.0;
   data::Dataset best_dataset;
   std::vector<EpochStats> curve;
-  size_t downstream_evaluations = 0;  ///< Candidate evaluations (Table IV).
+  /// Evaluations requested, the base score's included (Table IV).
+  size_t downstream_evaluations = 0;
   size_t features_generated = 0;
   size_t features_evaluated = 0;  ///< Candidates sent to the downstream task.
-  /// Evaluation requests the score cache answered without a model fit
-  /// (subset of features_evaluated; the actual fits paid are the
-  /// difference).
+  /// Evaluation requests the evaluation memo answered without a model fit
+  /// (subset of features_evaluated; the fits paid are
+  /// downstream_evaluations minus this, one per distinct signature).
   size_t eval_cache_hits = 0;
   size_t features_kept = 0;
   double generation_seconds = 0.0;

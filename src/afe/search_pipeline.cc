@@ -51,8 +51,7 @@ void FilterStage(const StepPipelineConfig& config, StepTask& task) {
 }
 
 /// Eval step: absolute downstream score of frame + chosen candidate.
-/// Goes through EvalService::ScoreDataset so scores are cached and the
-/// evaluator's request accounting matches the serial path exactly.
+/// Goes through EvalService::ScoreDataset, which memoizes and counts it.
 /// BuildCandidateDataset appends the candidate after the frame's columns,
 /// which is the layout `frame_bins` extend.
 void EvalStage(const FeatureSpace& frame, const ml::FeatureBinner* frame_bins,
@@ -160,7 +159,8 @@ SearchRun::SearchRun(const SearchOptions& options, std::string method,
 
 Status SearchRun::ScoreBase() {
   Stopwatch watch;
-  EAFE_ASSIGN_OR_RETURN(result_.base_score, evaluator_.Score(dataset_));
+  EAFE_ASSIGN_OR_RETURN(result_.base_score,
+                        eval_service_.ScoreDataset(dataset_));
   result_.evaluation_seconds += watch.ElapsedSeconds();
   result_.best_score = result_.base_score;
   return Status::OK();
@@ -191,7 +191,7 @@ bool SearchRun::EndEpoch(size_t epoch) {
   stats.epoch = epoch;
   stats.best_score = result_.best_score;
   stats.elapsed_seconds = watch_.ElapsedSeconds();
-  stats.cumulative_evaluations = evaluator_.evaluation_count();
+  stats.cumulative_evaluations = eval_service_.requests();
   stats.features_generated = result_.features_generated;
   result_.curve.push_back(stats);
   stale_epochs_ =
@@ -203,7 +203,7 @@ bool SearchRun::EndEpoch(size_t epoch) {
 
 Result<SearchResult> SearchRun::Finish() {
   result_.best_dataset = space_.ToDataset();
-  result_.downstream_evaluations = evaluator_.evaluation_count();
+  result_.downstream_evaluations = eval_service_.requests();
   result_.eval_cache_hits = eval_service_.cache_hits();
   EAFE_RETURN_NOT_OK(FinalizeSearchResult(options_, dataset_, &result_));
   result_.total_seconds = watch_.ElapsedSeconds();

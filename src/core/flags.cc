@@ -19,9 +19,11 @@ FlagParser& FlagParser::AddString(const std::string& name,
 }
 
 FlagParser& FlagParser::AddInt(const std::string& name, int64_t def,
-                               const std::string& help) {
+                               const std::string& help, int64_t min,
+                               int64_t max) {
   EAFE_CHECK(!flags_.count(name));
-  flags_[name] = {Type::kInt, std::to_string(def), help};
+  EAFE_CHECK(min <= def && def <= max);
+  flags_[name] = {Type::kInt, std::to_string(def), help, min, max};
   order_.push_back(name);
   return *this;
 }
@@ -60,6 +62,18 @@ Status FlagParser::SetValue(const std::string& name,
     case Type::kInt: {
       auto parsed = ParseInt(value);
       if (!parsed.ok()) return parsed.status();
+      const Flag& flag = it->second;
+      if (*parsed < flag.min || *parsed > flag.max) {
+        return Status::InvalidArgument(
+            flag.max == std::numeric_limits<int64_t>::max()
+                ? StrFormat("flag --%s must be >= %lld, got %s",
+                            name.c_str(), static_cast<long long>(flag.min),
+                            value.c_str())
+                : StrFormat("flag --%s must be in [%lld, %lld], got %s",
+                            name.c_str(), static_cast<long long>(flag.min),
+                            static_cast<long long>(flag.max),
+                            value.c_str()));
+      }
       break;
     }
     case Type::kDouble: {

@@ -2,6 +2,7 @@
 #define EAFE_CORE_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,8 +19,11 @@ class FlagParser {
   /// Declares a flag with a default; returns *this for chaining.
   FlagParser& AddString(const std::string& name, const std::string& def,
                         const std::string& help);
+  /// Parse rejects a value outside the inclusive range [min, max].
   FlagParser& AddInt(const std::string& name, int64_t def,
-                     const std::string& help);
+                     const std::string& help,
+                     int64_t min = std::numeric_limits<int64_t>::min(),
+                     int64_t max = std::numeric_limits<int64_t>::max());
   FlagParser& AddDouble(const std::string& name, double def,
                         const std::string& help);
   FlagParser& AddBool(const std::string& name, bool def,
@@ -49,6 +53,9 @@ class FlagParser {
     Type type;
     std::string value;
     std::string help;
+    /// Inclusive bounds of an int flag.
+    int64_t min = std::numeric_limits<int64_t>::min();
+    int64_t max = std::numeric_limits<int64_t>::max();
   };
 
   Status SetValue(const std::string& name, const std::string& value);

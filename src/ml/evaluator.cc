@@ -138,7 +138,6 @@ std::unique_ptr<Model> TaskEvaluator::CreateModel(data::TaskType task) const {
 
 Result<double> TaskEvaluator::Score(const data::Dataset& dataset,
                                     const FeatureBinner* frame_bins) const {
-  evaluation_count_.fetch_add(1, std::memory_order_relaxed);
   CvOptions cv;
   cv.folds = options_.cv_folds;
   cv.seed = options_.seed;

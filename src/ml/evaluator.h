@@ -1,7 +1,6 @@
 #ifndef EAFE_ML_EVALUATOR_H_
 #define EAFE_ML_EVALUATOR_H_
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -63,9 +62,9 @@ struct EvaluatorOptions {
   double gbdt_lambda = 1.0;
 
   /// Every field above, in declaration order. EvaluationSignature
-  /// (afe/eval_service.h) folds over this list, so the score cache keys on
-  /// every knob; the static_assert below fails the build when a field is
-  /// added here but not listed.
+  /// (afe/eval_service.h) folds over this list, so the evaluation memo
+  /// keys on every knob; the static_assert below fails the build when a
+  /// field is added here but not listed.
   auto Fields() const {
     return std::tie(model, cv_folds, seed, rf_trees, rf_max_depth,
                     split_strategy, max_bins, nn_epochs, linear_epochs,
@@ -99,13 +98,12 @@ static_assert(
     internal::AggregateFieldCount<EvaluatorOptions>() ==
         std::tuple_size_v<decltype(EvaluatorOptions{}.Fields())>,
     "every EvaluatorOptions field must be listed in Fields(), or the "
-    "score cache would share scores across configurations that differ "
-    "in it");
+    "evaluation memo would share scores across configurations that "
+    "differ in it");
 
 /// The formal evaluation task A_T(F, y): k-fold cross-validated score of a
-/// downstream model on a feature set. Counts every invocation so the
-/// experiment harnesses can report Table IV's evaluated-feature numbers,
-/// and every search method pays the same accounting.
+/// downstream model on a feature set. Stateless; the searches count and
+/// memoize their evaluations in afe::EvalService (Table IV's numbers).
 class TaskEvaluator {
  public:
   explicit TaskEvaluator(const EvaluatorOptions& options = {});
@@ -129,26 +127,8 @@ class TaskEvaluator {
 
   const EvaluatorOptions& options() const { return options_; }
 
-  /// Number of Score() calls since construction / last reset. Mutable
-  /// atomic accounting: scoring does not change evaluation semantics, and
-  /// the evaluation service scores batches from pool workers concurrently.
-  size_t evaluation_count() const {
-    return evaluation_count_.load(std::memory_order_relaxed);
-  }
-  void ResetEvaluationCount() {
-    evaluation_count_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Counts a request that a score cache answered without a model fit, so
-  /// evaluation accounting stays identical to the cache-free serial path
-  /// (Table IV counts requested evaluations, not model fits).
-  void RecordCachedScore() const {
-    evaluation_count_.fetch_add(1, std::memory_order_relaxed);
-  }
-
  private:
   EvaluatorOptions options_;
-  mutable std::atomic<size_t> evaluation_count_{0};
 };
 
 }  // namespace eafe::ml

@@ -20,12 +20,6 @@ namespace eafe::runtime::metric_names {
 inline constexpr char kPoolTasksTotal[] = "eafe_pool_tasks_total";
 inline constexpr char kPoolBusyWorkers[] = "eafe_pool_busy_workers";
 
-// -- runtime/score_cache.cc: evaluation score cache.
-inline constexpr char kCacheHitsTotal[] = "eafe_cache_hits_total";
-inline constexpr char kCacheMissesTotal[] = "eafe_cache_misses_total";
-inline constexpr char kCacheInsertionsTotal[] = "eafe_cache_insertions_total";
-inline constexpr char kCacheEvictionsTotal[] = "eafe_cache_evictions_total";
-
 // -- afe/search_pipeline.cc: search-task family prefix; the one family,
 //    `eval`, appends _eval_busy_workers and _eval_items_total.
 inline constexpr char kPipelinePrefix[] = "eafe_pipeline";
@@ -34,7 +28,7 @@ inline constexpr char kPipelinePrefix[] = "eafe_pipeline";
 //    eafe_simd_dispatch_<kernel>_<level>.
 inline constexpr char kSimdDispatchPrefix[] = "eafe_simd_dispatch_";
 
-// -- afe/eval_service.cc: candidate-evaluation service.
+// -- afe/eval_service.cc: candidate-evaluation memo.
 inline constexpr char kEvalRequestsTotal[] = "eafe_eval_requests_total";
 inline constexpr char kEvalCacheHitsTotal[] = "eafe_eval_cache_hits_total";
 inline constexpr char kEvalEvaluationsTotal[] = "eafe_eval_evaluations_total";

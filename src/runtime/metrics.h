@@ -103,12 +103,12 @@ class TextMetricGateway : public MetricGateway {
   std::map<std::string, std::unique_ptr<Family>> families_;
 };
 
-/// Process-wide gateway used by ThreadPool / ScoreCache / EvalService /
-/// the SIMD dispatch counters; VoidMetrics() until installed. Install
-/// (SetGlobalMetrics) before constructing the instrumented components —
-/// they capture their instruments at construction. Passing nullptr
-/// restores the void gateway. The caller keeps ownership and must keep
-/// the gateway alive while any instrumented component lives.
+/// Process-wide gateway used by ThreadPool / EvalService / the search
+/// pipeline / the SIMD dispatch counters; VoidMetrics() until installed.
+/// Install (SetGlobalMetrics) before constructing the instrumented
+/// components — they capture their instruments at construction. Passing
+/// nullptr restores the void gateway. The caller keeps ownership and must
+/// keep the gateway alive while any instrumented component lives.
 MetricGateway* GlobalMetrics();
 void SetGlobalMetrics(MetricGateway* gateway);
 

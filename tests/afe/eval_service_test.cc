@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <future>
+#include <latch>
 #include <set>
 #include <string>
 #include <tuple>
@@ -18,6 +19,8 @@
 #include "core/rng.h"
 #include "data/registry.h"
 #include "ml/evaluator.h"
+#include "runtime/metric_names.h"
+#include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
 
 namespace eafe::afe {
@@ -61,6 +64,23 @@ class EvalServiceTest : public ::testing::Test {
   void TearDown() override { runtime::SetGlobalThreads(1); }
 };
 
+/// Installs a recording gateway for its lifetime, so a service
+/// constructed meanwhile counts its model fits into it.
+class FitCounter {
+ public:
+  FitCounter() { runtime::SetGlobalMetrics(&gateway_); }
+  ~FitCounter() { runtime::SetGlobalMetrics(nullptr); }
+
+  uint64_t fits() {
+    return gateway_
+        .Counter(runtime::metric_names::kEvalEvaluationsTotal, "")
+        ->Value();
+  }
+
+ private:
+  runtime::TextMetricGateway gateway_;
+};
+
 /// The table each candidate is scored on.
 std::vector<data::Dataset> CandidateTables(const FeatureSpace& space,
                                            size_t count, uint64_t seed) {
@@ -91,17 +111,52 @@ TEST_F(EvalServiceTest, CacheHitAndMissAccounting) {
   FeatureSpace space(dataset, {});
   const data::Dataset table = CandidateTables(space, 1, 3).front();
 
+  FitCounter counter;
   ml::TaskEvaluator evaluator(QuickEvaluator());
   EvalService service(&evaluator);
   const double first = service.ScoreDataset(table).ValueOrDie();
   const double second = service.ScoreDataset(table).ValueOrDie();
   EXPECT_EQ(first, second);
-  EXPECT_EQ(service.requests(), 2u);
-  EXPECT_EQ(service.cache_hits(), 1u);
   // One model fit happened...
-  EXPECT_EQ(service.cache().stats().insertions, 1u);
-  // ...but the accounting matches the cache-free serial path.
-  EXPECT_EQ(evaluator.evaluation_count(), 2u);
+  EXPECT_EQ(counter.fits(), 1u);
+  EXPECT_EQ(service.cache_hits(), 1u);
+  // ...but both requests count, as on a memo-free serial path.
+  EXPECT_EQ(service.requests(), 2u);
+}
+
+TEST_F(EvalServiceTest, ConcurrentSameSignatureRequestsFitOnce) {
+  runtime::SetGlobalThreads(1);
+  const data::Dataset dataset = SmallTarget();
+  FeatureSpace space(dataset, {});
+  const data::Dataset table = CandidateTables(space, 1, 3).front();
+
+  constexpr size_t kTasks = 4;
+  FitCounter counter;
+  ml::TaskEvaluator evaluator(QuickEvaluator());
+  EvalService service(&evaluator);
+  const uint64_t fits_before = counter.fits();
+  std::vector<double> scores(kTasks, 0.0);
+  {
+    runtime::ThreadPool pool(kTasks);
+    // Every task requests the table once all of them are running, so the
+    // later requests arrive while the first is still fitting.
+    std::latch start(kTasks);
+    std::vector<std::future<void>> done;
+    for (size_t t = 0; t < kTasks; ++t) {
+      done.push_back(pool.Submit([&, t] {
+        start.arrive_and_wait();
+        scores[t] = service.ScoreDataset(table).ValueOrDie();
+      }));
+    }
+    for (std::future<void>& task : done) task.get();
+  }
+  EXPECT_EQ(service.requests(), kTasks);
+  EXPECT_EQ(service.cache_hits(), kTasks - 1);
+  EXPECT_EQ(counter.fits() - fits_before, 1u);
+  for (double score : scores) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(score),
+              std::bit_cast<uint64_t>(scores.front()));
+  }
 }
 
 /// `options` with element I of Fields() moved to another value: an enum

@@ -112,11 +112,7 @@ SearchResult RunMethod(const std::string& method, size_t threads) {
   return result;
 }
 
-/// Everything except timing and cache-hit counts must match bit for
-/// bit. eval_cache_hits is excluded by contract: two pool workers can
-/// both miss on the same signature that the serial order would have
-/// served from cache — scores are unaffected because evaluation is
-/// pure.
+/// Everything except timing must match bit for bit.
 void ExpectBitIdentical(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.method, b.method);
   EXPECT_EQ(a.base_score, b.base_score);
@@ -126,6 +122,7 @@ void ExpectBitIdentical(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.features_generated, b.features_generated);
   EXPECT_EQ(a.features_evaluated, b.features_evaluated);
   EXPECT_EQ(a.features_kept, b.features_kept);
+  EXPECT_EQ(a.eval_cache_hits, b.eval_cache_hits);
   ASSERT_EQ(a.curve.size(), b.curve.size());
   for (size_t i = 0; i < a.curve.size(); ++i) {
     EXPECT_EQ(a.curve[i].best_score, b.curve[i].best_score);

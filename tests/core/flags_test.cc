@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace eafe {
@@ -87,6 +91,56 @@ TEST(FlagParserTest, BadIntRejected) {
   FlagParser parser = MakeParser();
   ArgvBuilder args({"--count=abc"});
   EXPECT_FALSE(parser.Parse(args.argc(), args.argv()).ok());
+}
+
+/// Parses `args` against a count flag with a minimum of 0 and a port
+/// flag in [0, 65535], the two bounded kinds the tools declare.
+Status ParseBounded(std::vector<std::string> args, FlagParser* parser) {
+  parser->AddInt("epochs", 10, "a count", 0)
+      .AddInt("port", 0, "a port", 0, 65535);
+  ArgvBuilder argv(std::move(args));
+  return parser->Parse(argv.argc(), argv.argv());
+}
+
+TEST(FlagParserTest, IntBelowMinimumRejectedNamingFlag) {
+  for (const std::string arg : {"--epochs=-1", "--port=-1"}) {
+    FlagParser parser;
+    const Status status = ParseBounded({arg}, &parser);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find(arg.substr(0, arg.find('='))),
+              std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(FlagParserTest, IntAboveMaximumRejectedNamingFlag) {
+  for (const std::string arg : {"--port=65536", "--port=70000"}) {
+    FlagParser parser;
+    const Status status = ParseBounded({arg}, &parser);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find("--port"), std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(FlagParserTest, IntBoundsAreInclusive) {
+  FlagParser low;
+  ASSERT_TRUE(ParseBounded({"--epochs=0", "--port=0"}, &low).ok());
+  EXPECT_EQ(low.GetInt("epochs"), 0);
+  EXPECT_EQ(low.GetInt("port"), 0);
+  FlagParser high;
+  ASSERT_TRUE(ParseBounded({"--port", "65535"}, &high).ok());
+  EXPECT_EQ(high.GetInt("port"), 65535);
+}
+
+TEST(FlagParserTest, UnboundedIntTakesEveryInt64) {
+  FlagParser parser = MakeParser();
+  ArgvBuilder args({"--count=-9223372036854775808"});
+  ASSERT_TRUE(parser.Parse(args.argc(), args.argv()).ok());
+  EXPECT_EQ(parser.GetInt("count"), std::numeric_limits<int64_t>::min());
+  ArgvBuilder max_args({"--count=9223372036854775807"});
+  ASSERT_TRUE(parser.Parse(max_args.argc(), max_args.argv()).ok());
+  EXPECT_EQ(parser.GetInt("count"), std::numeric_limits<int64_t>::max());
 }
 
 TEST(FlagParserTest, MissingValueRejected) {

@@ -39,17 +39,6 @@ TEST(TaskEvaluatorTest, ScoresRegression) {
   EXPECT_GT(score, 0.3);
 }
 
-TEST(TaskEvaluatorTest, CountsEvaluations) {
-  const data::Dataset dataset = MakeSeparable(100, 3);
-  TaskEvaluator evaluator;
-  EXPECT_EQ(evaluator.evaluation_count(), 0u);
-  ASSERT_TRUE(evaluator.Score(dataset).ok());
-  ASSERT_TRUE(evaluator.Score(dataset).ok());
-  EXPECT_EQ(evaluator.evaluation_count(), 2u);
-  evaluator.ResetEvaluationCount();
-  EXPECT_EQ(evaluator.evaluation_count(), 0u);
-}
-
 TEST(TaskEvaluatorTest, DeterministicScore) {
   const data::Dataset dataset = MakeSeparable(150, 4);
   TaskEvaluator evaluator;

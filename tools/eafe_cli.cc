@@ -101,9 +101,9 @@ Result<data::Dataset> LoadDataset(const FlagParser& flags) {
 int Pretrain(int argc, char** argv) {
   FlagParser flags;
   flags.AddString("out", "fpe_model.eafe", "output model path")
-      .AddInt("public", 10, "number of synthetic public datasets")
+      .AddInt("public", 10, "number of synthetic public datasets", 0)
       .AddString("scheme", "", "fix one MinHash scheme (default: sweep)")
-      .AddInt("dimension", 48, "signature dimension d")
+      .AddInt("dimension", 48, "signature dimension d", 1)
       .AddDouble("thre", 0.01, "label threshold")
       .AddInt("seed", 17, "random seed")
       .AddThreads().AddBool(
@@ -151,8 +151,8 @@ int Search(int argc, char** argv) {
       .AddString("task", "classification", "classification|regression")
       .AddString("model", "", "FPE model path (required for method eafe)")
       .AddString("method", "eafe", "eafe|nfs|random")
-      .AddInt("epochs", 10, "training epochs")
-      .AddInt("max-features", 48, "RF-importance pre-selection cap")
+      .AddInt("epochs", 10, "training epochs", 0)
+      .AddInt("max-features", 48, "RF-importance pre-selection cap", 0)
       .AddString("out", "", "write the engineered table to this CSV")
       .AddInt("seed", 17, "random seed")
       .AddString("downstream", "rf",
@@ -258,7 +258,7 @@ int Evaluate(int argc, char** argv) {
       .AddString("task", "classification", "classification|regression")
       .AddString("downstream", "rf",
                  "rf|tree|gbdt|logreg|svm|nb_gp|mlp|resnet")
-      .AddInt("folds", 5, "cross-validation folds")
+      .AddInt("folds", 5, "cross-validation folds", 0)
       .AddInt("seed", 17, "random seed")
       .AddString("split-strategy", "histogram",
                  "tree split backend: exact | histogram")
@@ -344,7 +344,7 @@ int SaveModelCmd(int argc, char** argv) {
       .AddString("task", "classification", "classification|regression")
       .AddString("model-type", "rf", "model to train: rf|gbdt")
       .AddString("out", "model.eafe", "output container path")
-      .AddInt("trees", 10, "forest trees / boosting rounds")
+      .AddInt("trees", 10, "forest trees / boosting rounds", 0)
       .AddInt("max-depth", 0, "tree depth cap (0: model default)")
       .AddInt("seed", 17, "random seed")
       .AddThreads().AddBool(

@@ -252,7 +252,7 @@ double Percentile(std::vector<double> sorted, double q) {
 int Main(int argc, char** argv) {
   FlagParser flags;
   flags.AddString("host", "127.0.0.1", "server address")
-      .AddInt("port", 0, "server port (0: read --port-file)")
+      .AddInt("port", 0, "server port (0: read --port-file)", 0, 65535)
       .AddString("port-file", "", "file holding the server port")
       .AddString("model-id", "default", "model to query")
       .AddString("model-file", "",

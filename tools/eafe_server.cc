@@ -70,7 +70,7 @@ int Main(int argc, char** argv) {
       .AddString("model-id", "default", "routing id for --model-file")
       .AddString("models", "", "extra models as id=path,id2=path2")
       .AddString("host", "127.0.0.1", "bind address")
-      .AddInt("port", 0, "bind port (0 picks an ephemeral port)")
+      .AddInt("port", 0, "bind port (0 picks an ephemeral port)", 0, 65535)
       .AddString("port-file", "", "write the bound port to this file")
       .AddInt("queue-limit", 512, "admission-control queue depth")
       .AddInt("batch-rows", 4096, "micro-batch row budget")

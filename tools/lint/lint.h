@@ -16,8 +16,8 @@
 // eafe::Rng from an explicit seed and no wall-clock leaks into results.
 // The others keep threads, intrinsics, sockets, raw decoding and manual
 // locking in their audited homes, and metric names and test labels
-// registered. (The score cache's key, every EvaluatorOptions field, is a
-// static_assert in src/ml/evaluator.h instead.)
+// registered. (The evaluation memo's key, every EvaluatorOptions field, is
+// a static_assert in src/ml/evaluator.h instead.)
 //
 // The rules run on every commit (tools/check.sh --suite lint, CI `lint`
 // job). Each rule can be silenced on a single line
