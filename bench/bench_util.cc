@@ -20,7 +20,6 @@ ml::EvaluatorOptions BenchConfig::EvaluatorOptions() const {
   options.rf_trees = rf_trees;
   options.rf_max_depth = rf_max_depth;
   options.seed = seed;
-  options.split_strategy = split_strategy;
   return options;
 }
 
@@ -47,8 +46,6 @@ void AddStandardFlags(FlagParser* parser) {
       .AddInt("seed", 7, "global random seed")
       .AddInt("datasets", 0, "number of target datasets (0 = profile default)")
       .AddInt("epochs", 0, "training epochs (0 = profile default)")
-      .AddString("split-strategy", "histogram",
-                 "tree split backend: exact | histogram")
       .AddString("downstream", "rf",
                  "downstream evaluator: "
                  "rf|tree|gbdt|logreg|svm|nb_gp|mlp|resnet")
@@ -77,13 +74,6 @@ BenchConfig ConfigFromFlags(const FlagParser& parser) {
   if (parser.GetInt("epochs") > 0) {
     config.epochs = static_cast<size_t>(parser.GetInt("epochs"));
   }
-  auto strategy =
-      ml::SplitStrategyFromString(parser.GetString("split-strategy"));
-  if (!strategy.ok()) {
-    std::fprintf(stderr, "%s\n", strategy.status().ToString().c_str());
-    std::exit(1);
-  }
-  config.split_strategy = strategy.ValueOrDie();
   auto downstream = ml::ModelKindFromString(parser.GetString("downstream"));
   if (!downstream.ok()) {
     std::fprintf(stderr, "%s\n", downstream.status().ToString().c_str());
@@ -283,7 +273,6 @@ Result<double> ScoreRfOnSplit(const ResNetSplit& split,
   rf_options.num_trees = config.rf_trees;
   rf_options.max_depth = config.rf_max_depth;
   rf_options.seed = config.seed;
-  rf_options.split_strategy = config.split_strategy;
   ml::RandomForest forest(rf_options);
   EAFE_RETURN_NOT_OK(forest.Fit(split.train.features, split.train.labels));
   EAFE_ASSIGN_OR_RETURN(std::vector<double> predicted,
@@ -311,7 +300,6 @@ Result<double> ScoreDlThenFe(const data::Dataset& dataset,
   rf_options.num_trees = config.rf_trees;
   rf_options.max_depth = config.rf_max_depth;
   rf_options.seed = config.seed;
-  rf_options.split_strategy = config.split_strategy;
   ml::RandomForest forest(rf_options);
   EAFE_RETURN_NOT_OK(forest.Fit(split.train.features, split.train.labels));
   const std::vector<double> importances = forest.FeatureImportances();

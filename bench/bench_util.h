@@ -46,8 +46,6 @@ struct BenchConfig {
   /// Worker threads for the concurrent evaluation runtime (1 = serial).
   /// ConfigFromFlags applies this to runtime::SetGlobalThreads.
   size_t threads = 1;
-  /// Tree split-finding backend for every RF/tree evaluation in the run.
-  ml::SplitStrategy split_strategy = ml::SplitStrategy::kHistogram;
   /// Downstream evaluator family for every search/evaluation in the run
   /// (--downstream rf|tree|gbdt|logreg|svm|nb_gp|mlp|resnet).
   ml::ModelKind downstream = ml::ModelKind::kRandomForest;

@@ -11,20 +11,21 @@
 // evaluation hot path's regime — where histogram split finding should be
 // several times faster while scoring within tolerance of exact.
 //
-// A second grid benchmarks the forest through the same shapes: fit with
-// the shared frame binner (bin once, row-id bootstrap views) vs the
-// per-tree materialize-and-rebin reference, and predict through the flat
-// walk over bin codes vs the raw-double reference walk over the same
-// trees (PredictThresholds). The predict pair is bit-identical by
-// construction, so its lines report pure speed deltas:
+// A second grid benchmarks the forest through the same shapes: its fit
+// (the frame binned once, every tree on a row-id bootstrap view), and
+// its predict through the flat walk over bin codes vs the raw-double
+// reference walk over the same trees (PredictThresholds). The predict
+// pair is bit-identical by construction, so its lines report pure speed
+// deltas:
 //
-//   {"bench": "forest_fit", ..., "mode": "shared",
-//    "fit_seconds": ..., "speedup_vs_per_tree": ...}
-//   {"bench": "forest_predict", ..., "mode": "flat",
-//    "predict_seconds": ..., "speedup_vs_double": ...}
+//   {"bench": "forest_fit", ..., "trees": 10, "max_depth": 8,
+//    "mode": "shared", "seconds": ..., "score": ...}
+//   {"bench": "forest_predict", ..., "mode": "flat", "seconds": ...,
+//    "speedup_vs_double": ...}
 //
-// plus one forest_fit line at the E-AFE wide-search shape (1500x32, 8
-// trees of depth 6, carrying "trees" and "max_depth" keys), and binning
+// ("shared": the frame is binned once and shared by every tree, so the
+// lines compare with older snapshots), plus one forest_fit line at the
+// E-AFE wide-search shape (1500x32, 8 trees of depth 6), and binning
 // lines at the search shapes (8000x9 and 1500x33): a FeatureBinner::Fit
 // of the whole frame vs an Extend that bins one column appended to a
 // binner fitted on the rest, which is what each candidate evaluation
@@ -47,21 +48,20 @@
 //    "speedup_vs_double": ...}
 //
 // A fourth grid benchmarks the gradient booster through the same shapes —
-// fit and predict, with the shared-binner forest as the cost reference
+// fit and predict, with the forest as the cost reference
 // for the evaluator matrix:
 //
 //   {"bench": "gbdt_fit", ..., "mode": "gbdt", "seconds": ...,
 //    "score": ..., "speed_vs_forest": ...}
 //
 // `--smoke` runs one fixed shape and exits nonzero unless the histogram
-// backend is faster than exact, the shared forest fit is faster than the
-// per-tree one, the flat walk agrees bit-for-bit with the raw-double
-// reference and beats it by 1.35x after a save→load round trip, scores
-// are within tolerance, the booster bins
-// the frame exactly once per fit, refits bit-identically, and clears the
-// no-information score bar, and an extended binner equals a full Fit bit
-// for bit (its timings are reported, not gated); tools/check.sh uses it
-// as a Release-mode regression gate. All timings are single-thread (the
+// tree is faster than exact and scores within tolerance of it, the flat
+// walk agrees bit-for-bit with the raw-double reference and beats it by
+// 1.35x after a save→load round trip, the booster bins the frame exactly
+// once per fit, refits bit-identically, and clears the no-information
+// score bar, and an extended binner equals a full Fit bit for bit (its
+// timings, and the forest fit's, are reported, not gated);
+// tools/check.sh uses it as a Release-mode regression gate. All timings are single-thread (the
 // pool is pinned to one thread) so deltas reflect the algorithmic
 // change, not parallel fan-out.
 
@@ -159,18 +159,14 @@ FitResult TimeFit(const data::Dataset& dataset, ml::SplitStrategy strategy,
   return result;
 }
 
-/// Best-of-`reps` single-thread forest fit, shared-binner or per-tree
-/// reference mode; `predictions` (optional) receives the training-table
-/// predictions for the cross-mode identity check.
-FitResult TimeForestFit(const data::Dataset& dataset, bool share_binner,
-                        size_t reps,
-                        std::vector<double>* predictions = nullptr,
+/// Best-of-`reps` single-thread forest fit; the score is on the training
+/// table.
+FitResult TimeForestFit(const data::Dataset& dataset, size_t reps,
                         size_t num_trees = 10, size_t max_depth = 8) {
   ml::RandomForest::Options options;
   options.task = dataset.task;
   options.num_trees = num_trees;
   options.max_depth = max_depth;
-  options.share_binner = share_binner;
   FitResult result;
   for (size_t r = 0; r < reps; ++r) {
     ml::RandomForest forest(options);
@@ -184,15 +180,12 @@ FitResult TimeForestFit(const data::Dataset& dataset, bool share_binner,
       EAFE_CHECK(predicted.ok());
       result.score = ml::TaskScore(dataset.task, dataset.labels,
                                    predicted.ValueOrDie());
-      if (predictions != nullptr) {
-        *predictions = std::move(predicted).ValueOrDie();
-      }
     }
   }
   return result;
 }
 
-/// The raw-double reference walk over a shared-binner forest's image:
+/// The raw-double reference walk over a forest's image:
 /// every tree routes row r on x[feature] <= cut(feature, split_bin),
 /// tree-outer, and rows aggregate as the forest does (majority vote with
 /// the lowest class id on ties, or the mean). The flat walk over codes
@@ -399,22 +392,31 @@ void PrintForestLine(const char* bench, const data::Dataset& dataset,
       result.seconds > 0.0 ? baseline_seconds / result.seconds : 0.0);
 }
 
-/// The forest_fit line at the E-AFE wide-search shape (e2ebench
-/// eafe_wide): cross-validation fits 8-tree, depth-6 shared-binner
-/// forests on a 1500x32 frame, where each node's histogram work, not the
-/// row count, sets the fit time.
-void PrintWideForestFit(uint64_t seed) {
-  constexpr size_t kFeatures = 32, kTrees = 8, kDepth = 6;
-  const data::Dataset dataset =
-      MakeTable(data::TaskType::kClassification, 1500, kFeatures, seed);
-  const FitResult shared = TimeForestFit(dataset, /*share_binner=*/true,
-                                         /*reps=*/5, nullptr, kTrees, kDepth);
+/// Times a forest fit (TimeForestFit) and prints its forest_fit line,
+/// which has no comparand.
+FitResult PrintForestFit(const data::Dataset& dataset, size_t features,
+                         size_t reps, size_t num_trees = 10,
+                         size_t max_depth = 8) {
+  const FitResult result =
+      TimeForestFit(dataset, reps, num_trees, max_depth);
   std::printf(
       "{\"bench\": \"forest_fit\", \"task\": \"%s\", \"rows\": %zu, "
       "\"features\": %zu, \"trees\": %zu, \"max_depth\": %zu, "
       "\"mode\": \"shared\", \"seconds\": %.6f, \"score\": %.4f}\n",
-      TaskName(dataset), dataset.features.num_rows(), kFeatures, kTrees,
-      kDepth, shared.seconds, shared.score);
+      TaskName(dataset), dataset.features.num_rows(), features, num_trees,
+      max_depth, result.seconds, result.score);
+  return result;
+}
+
+/// The forest_fit line at the E-AFE wide-search shape (e2ebench
+/// eafe_wide): cross-validation fits 8-tree, depth-6 forests on a
+/// 1500x32 frame, where each node's histogram work, not the row count,
+/// sets the fit time.
+void PrintWideForestFit(uint64_t seed) {
+  constexpr size_t kFeatures = 32;
+  PrintForestFit(
+      MakeTable(data::TaskType::kClassification, 1500, kFeatures, seed),
+      kFeatures, /*reps=*/5, /*num_trees=*/8, /*max_depth=*/6);
 }
 
 /// True when two binners hold the same bins: bin counts, the bit pattern
@@ -516,24 +518,16 @@ int RunGrid(bool full, uint64_t seed) {
                 histogram, exact.seconds);
     }
   }
-  // Forest-level deltas: fit (shared frame codes vs per-tree
-  // materialize-and-rebin) and predict (the flat walk over codes vs the
-  // raw-double reference walk over the same trees, a bit-identical pair).
+  // Forest-level lines: fit, and predict (the flat walk over codes vs
+  // the raw-double reference walk over the same trees, a bit-identical
+  // pair).
   for (data::TaskType task : {data::TaskType::kClassification,
                               data::TaskType::kRegression}) {
     for (const Shape& shape : shapes) {
       const data::Dataset dataset =
           MakeTable(task, shape.rows, shape.features, seed);
       const size_t reps = shape.rows <= 1000 ? 3 : 2;
-      std::vector<double> shared_pred, per_tree_pred;
-      const FitResult per_tree = TimeForestFit(
-          dataset, /*share_binner=*/false, reps, &per_tree_pred);
-      const FitResult shared =
-          TimeForestFit(dataset, /*share_binner=*/true, reps, &shared_pred);
-      PrintForestLine("forest_fit", dataset, shape.features, "per_tree",
-                      "speedup_vs_per_tree", per_tree, per_tree.seconds);
-      PrintForestLine("forest_fit", dataset, shape.features, "shared",
-                      "speedup_vs_per_tree", shared, per_tree.seconds);
+      PrintForestFit(dataset, shape.features, reps);
 
       const FitResult raw = TimeForestPredict(dataset, /*flat=*/false, reps);
       const FitResult flat = TimeForestPredict(dataset, /*flat=*/true, reps);
@@ -564,9 +558,9 @@ int RunGrid(bool full, uint64_t seed) {
                       "speedup_vs_double", pair.flat, pair.raw.seconds);
     }
   }
-  // Booster fit/predict with the shared-binner forest as the cost
-  // reference: speed_vs_forest > 1 means gbdt is the cheaper evaluator at
-  // that shape (both run the shared histogram machinery, so the delta is
+  // Booster fit/predict with the forest as the cost reference:
+  // speed_vs_forest > 1 means gbdt is the cheaper evaluator at that shape
+  // (both run the shared histogram machinery, so the delta is
   // rounds-times-shallow-trees vs trees-times-depth-8).
   for (data::TaskType task : {data::TaskType::kClassification,
                               data::TaskType::kRegression}) {
@@ -574,8 +568,7 @@ int RunGrid(bool full, uint64_t seed) {
       const data::Dataset dataset =
           MakeTable(task, shape.rows, shape.features, seed);
       const size_t reps = shape.rows <= 1000 ? 3 : 2;
-      const FitResult forest_fit =
-          TimeForestFit(dataset, /*share_binner=*/true, reps);
+      const FitResult forest_fit = TimeForestFit(dataset, reps);
       const FitResult gbdt_fit = TimeGbdtFit(dataset, reps);
       PrintForestLine("gbdt_fit", dataset, shape.features, "gbdt",
                       "speed_vs_forest", gbdt_fit, forest_fit.seconds);
@@ -619,20 +612,9 @@ int RunSmoke(uint64_t seed) {
     return 1;
   }
 
-  // Forest gate: binner sharing must beat the per-tree reference on fit
-  // (the acceptance target is >= 1.5x; the gate asserts a conservative
-  // 1.2x so shared CI hardware doesn't flake) and score within tolerance
-  // of it. The two fits are not bit-identical on continuous data — a
-  // bootstrap's cut points differ from the full frame's — so equality is
-  // asserted only for the flat-vs-double predict pair below, where it
-  // holds for any data.
-  const FitResult per_tree =
-      TimeForestFit(dataset, /*share_binner=*/false, 2);
-  const FitResult shared = TimeForestFit(dataset, /*share_binner=*/true, 2);
-  PrintForestLine("forest_fit", dataset, 16, "per_tree",
-                  "speedup_vs_per_tree", per_tree, per_tree.seconds);
-  PrintForestLine("forest_fit", dataset, 16, "shared", "speedup_vs_per_tree",
-                  shared, per_tree.seconds);
+  // The forest fit is reported, not gated; it is the booster's cost
+  // reference below.
+  const FitResult forest_fit = PrintForestFit(dataset, 16, 2);
   PrintWideForestFit(seed);  // Reported, not gated.
   // Binning timings are reported; the gate is Extend == Fit, bit for bit.
   if (!PrintBinFrameLines(seed)) {
@@ -640,22 +622,6 @@ int RunSmoke(uint64_t seed) {
                  "smoke FAILED: extended binner differs from a full Fit\n");
     return 1;
   }
-  const double fit_speedup =
-      shared.seconds > 0.0 ? per_tree.seconds / shared.seconds : 0.0;
-  if (fit_speedup < 1.2) {
-    std::fprintf(stderr,
-                 "smoke FAILED: shared forest fit speedup %.2fx < 1.2x\n",
-                 fit_speedup);
-    return 1;
-  }
-  if (std::fabs(shared.score - per_tree.score) > 0.02) {
-    std::fprintf(stderr,
-                 "smoke FAILED: |shared score %.4f - per-tree score %.4f| "
-                 "> 0.02\n",
-                 shared.score, per_tree.score);
-    return 1;
-  }
-
   // The forest's predict is gated on bit-identity with the raw-double
   // reference walk over the same trees; its speed on a fresh frame at
   // the default 10 trees is reported, not gated.
@@ -732,19 +698,17 @@ int RunSmoke(uint64_t seed) {
   }
   const double gbdt_seconds = std::min(gbdt_first.seconds, gbdt.seconds);
   const double gbdt_vs_forest =
-      gbdt_seconds > 0.0 ? shared.seconds / gbdt_seconds : 0.0;
+      gbdt_seconds > 0.0 ? forest_fit.seconds / gbdt_seconds : 0.0;
   PrintForestLine("gbdt_fit", dataset, 16, "gbdt", "speed_vs_forest", gbdt,
-                  shared.seconds);
+                  forest_fit.seconds);
 
   std::fprintf(stderr,
-               "smoke OK: tree %.2fx vs exact (score delta %.4f), forest "
-               "fit %.2fx shared-vs-per-tree, predict %.2fx "
-               "flat-vs-double, flat serve %.2fx vs double (round trip "
-               "bit-identical), gbdt score %.4f at %.2fx forest-fit "
+               "smoke OK: tree %.2fx vs exact (score delta %.4f), predict "
+               "%.2fx flat-vs-double, flat serve %.2fx vs double (round "
+               "trip bit-identical), gbdt score %.4f at %.2fx forest-fit "
                "speed\n",
                speedup, std::fabs(histogram.score - exact.score),
-               fit_speedup, predict_speedup, flat_speedup, gbdt.score,
-               gbdt_vs_forest);
+               predict_speedup, flat_speedup, gbdt.score, gbdt_vs_forest);
   return 0;
 }
 
@@ -766,8 +730,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  // Single-thread timings: deltas reflect the algorithmic change (binner
-  // sharing, bin-coded routing), not parallel fan-out.
+  // Single-thread timings: deltas reflect the algorithmic change
+  // (histogram splits, bin-coded routing), not parallel fan-out.
   eafe::runtime::SetGlobalThreads(1);
   if (flags.GetBool("smoke")) return eafe::bench::RunSmoke(seed);
   return eafe::bench::RunGrid(flags.GetBool("full"), seed);

@@ -180,9 +180,12 @@ Status Dataset::Validate() const {
       return Status::InvalidArgument("labels contain non-finite values");
     }
     if (task == TaskType::kClassification &&
-        (label != std::floor(label) || label < 0.0)) {
+        (label != std::floor(label) || label < 0.0 ||
+         label >= static_cast<double>(kMaxClasses))) {
       return Status::InvalidArgument(
-          "classification labels must be nonnegative integers");
+          StrFormat("classification labels must be integers in [0, %u), "
+                    "got %.17g",
+                    kMaxClasses, label));
     }
   }
   if (task == TaskType::kClassification && NumClasses() < 2) {

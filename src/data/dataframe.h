@@ -1,6 +1,7 @@
 #ifndef EAFE_DATA_DATAFRAME_H_
 #define EAFE_DATA_DATAFRAME_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -86,8 +87,13 @@ enum class TaskType { kClassification, kRegression };
 
 std::string TaskTypeToString(TaskType task);
 
+/// Classification labels are class ids below this bound, so per-class
+/// counts and votes stay small dense arrays.
+inline constexpr uint32_t kMaxClasses = 1u << 16;
+
 /// A supervised dataset: feature frame + aligned label vector + task type.
-/// Classification labels are nonnegative integers stored as doubles.
+/// Classification labels are integer class ids in [0, kMaxClasses) stored
+/// as doubles.
 struct Dataset {
   std::string name;
   TaskType task = TaskType::kClassification;
@@ -100,7 +106,8 @@ struct Dataset {
   /// Number of distinct class labels (classification); 0 for regression.
   size_t NumClasses() const;
 
-  /// OK iff features and labels are aligned, nonempty, and finite.
+  /// OK iff features and labels are aligned, nonempty, and finite, and
+  /// classification labels are class ids below kMaxClasses.
   Status Validate() const;
 
   /// Subset of rows (indices may repeat).

@@ -37,26 +37,10 @@ std::string SplitStrategyToString(SplitStrategy strategy) {
   return "?";
 }
 
-Result<SplitStrategy> SplitStrategyFromString(const std::string& name) {
-  const std::string lower = ToLower(name);
-  if (lower == "exact") return SplitStrategy::kExact;
-  if (lower == "histogram" || lower == "hist") {
-    return SplitStrategy::kHistogram;
-  }
-  return Status::InvalidArgument("unknown split strategy: " + name);
-}
-
 DecisionTree::DecisionTree(const Options& options) : options_(options) {}
 
 Status DecisionTree::Fit(const data::DataFrame& x,
                          const std::vector<double>& y) {
-  EAFE_RETURN_NOT_OK(FitNodes(x, y));
-  WriteImage();
-  return Status::OK();
-}
-
-Status DecisionTree::FitNodes(const data::DataFrame& x,
-                              const std::vector<double>& y) {
   if (x.num_columns() == 0) {
     return Status::InvalidArgument("tree needs at least one feature");
   }
@@ -65,38 +49,28 @@ Status DecisionTree::FitNodes(const data::DataFrame& x,
         StrFormat("rows (%zu) and labels (%zu) disagree or are empty",
                   x.num_rows(), y.size()));
   }
+  EAFE_ASSIGN_OR_RETURN(BinnedLabels labels,
+                        BinnedLabels::Create(options_.task, y));
+  std::vector<size_t> rows(y.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
   if (options_.split_strategy == SplitStrategy::kHistogram) {
     // The standalone histogram fit is the degenerate shared case: bin the
     // frame once and train on the all-rows view.
     EAFE_ASSIGN_OR_RETURN(std::shared_ptr<const FeatureBinner> binner,
                           BinFrame(x));
-    std::vector<size_t> rows(y.size());
-    std::iota(rows.begin(), rows.end(), size_t{0});
-    EAFE_ASSIGN_OR_RETURN(BinnedLabels labels,
-                          BinnedLabels::Create(options_.task, y));
-    return FitBinnedWithLabels(std::move(binner), y, std::move(rows),
-                               labels);
+    EAFE_RETURN_NOT_OK(
+        FitBinnedWithLabels(std::move(binner), y, std::move(rows), labels));
+    WriteImage();
+    return Status::OK();
   }
   nodes_.clear();
   binner_.reset();
   image_ = FlatEnsemble();
   num_features_ = x.num_columns();
   importances_.assign(num_features_, 0.0);
-  if (options_.task == data::TaskType::kClassification) {
-    int max_class = 0;
-    for (double label : y) {
-      if (label < 0.0) {
-        return Status::InvalidArgument(
-            "classification labels must be nonnegative class ids");
-      }
-      max_class = std::max(max_class, static_cast<int>(label));
-    }
-    num_classes_ = max_class + 1;
-  }
-  std::vector<size_t> indices(y.size());
-  std::iota(indices.begin(), indices.end(), size_t{0});
+  num_classes_ = labels.num_classes;
   Rng rng(options_.seed);
-  BuildNode(x, y, indices, 0, &rng);
+  BuildNode(x, y, rows, 0, &rng);
   return Status::OK();
 }
 
@@ -404,7 +378,6 @@ int DecisionTree::BuildNodeHistogram(const HistogramBuilder& builder,
 }
 
 void DecisionTree::WriteImage() {
-  if (binner_ == nullptr) return;  // Exact fits walk raw doubles only.
   image_ = FlatEnsemble(EnsembleKind::kForestVote, options_.task,
                         num_features_, num_classes_);
   AppendTo(&image_);

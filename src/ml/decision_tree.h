@@ -18,15 +18,16 @@ namespace eafe::ml {
 
 /// How a tree searches for the best split at each node.
 ///  - kExact: sort every candidate feature's values per node and scan all
-///    midpoints (O(F n log n) per node). Reference implementation.
+///    midpoints (O(F n log n) per node). The reference the histogram
+///    search is tested against: with lossless binning the two agree bit
+///    for bit.
 ///  - kHistogram: quantize each column once per frame (<= max_bins uint8
 ///    bins); each node accumulates the histograms of only the features it
 ///    samples and scans their bin boundaries (O(F bins)). LightGBM-style;
-///    the evaluation hot path's default.
+///    the only search RandomForest and the booster run.
 enum class SplitStrategy { kExact, kHistogram };
 
 std::string SplitStrategyToString(SplitStrategy strategy);
-Result<SplitStrategy> SplitStrategyFromString(const std::string& name);
 
 /// CART decision tree for classification (Gini) and regression (variance
 /// reduction), with numeric threshold splits. Supports per-split feature
@@ -51,7 +52,7 @@ class DecisionTree : public Model, public SharedBinnerModel {
     size_t max_features = 0;
     uint64_t seed = 1;
     /// Split-finding backend. A standalone tree defaults to the exact
-    /// reference; RandomForest overrides to histogram.
+    /// reference; RandomForest and the evaluator set histogram.
     SplitStrategy split_strategy = SplitStrategy::kExact;
     /// Histogram strategy only: bins per feature (2..256).
     size_t max_bins = 255;
@@ -93,8 +94,8 @@ class DecisionTree : public Model, public SharedBinnerModel {
   bool fitted() const { return !nodes_.empty(); }
 
  private:
-  // A forest fits its trees through FitNodes / FitBinnedWithLabels, which
-  // write no image, and writes every tree into its own image (AppendTo).
+  // A forest fits its trees through FitBinnedWithLabels, which writes no
+  // image, and writes every tree into its own image (AppendTo).
   friend class RandomForest;
 
   struct Node {
@@ -113,8 +114,6 @@ class DecisionTree : public Model, public SharedBinnerModel {
     double gain = 0.0;
   };
 
-  /// Fit without the flat image: exact, or histogram through BinFrame.
-  Status FitNodes(const data::DataFrame& x, const std::vector<double>& y);
   /// FitBinned with the frame's class codes already converted (one
   /// BinnedLabels per forest, not per tree), writing no image. `rows` is
   /// consumed by the build recursion, so callers move it in.
@@ -148,9 +147,8 @@ class DecisionTree : public Model, public SharedBinnerModel {
   Node MakeLeaf(const std::vector<double>& y,
                 const std::vector<size_t>& indices);
   /// The raw-double walk: routes `row` on x[feature] <= threshold. Exact
-  /// fits carry no split bins, so it is the only walk they have; exact
-  /// and per-tree-binner forests (the references the tests compare the
-  /// flat walk against) predict through it and RandomForest::Aggregate.
+  /// fits carry no split bins, so it is the only walk they have: the
+  /// reference walk of the exact oracle trees.
   size_t TraverseToLeaf(const data::DataFrame& x, size_t row) const;
 
   Options options_;

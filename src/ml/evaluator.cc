@@ -1,6 +1,7 @@
 #include "ml/evaluator.h"
 
 #include "core/string_util.h"
+#include "ml/decision_tree.h"
 #include "ml/gaussian_process.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/linear.h"
@@ -65,7 +66,6 @@ std::unique_ptr<Model> TaskEvaluator::CreateModel(data::TaskType task) const {
       rf.num_trees = options_.rf_trees;
       rf.max_depth = options_.rf_max_depth;
       rf.seed = options_.seed;
-      rf.split_strategy = options_.split_strategy;
       rf.max_bins = options_.max_bins;
       return std::make_unique<RandomForest>(rf);
     }
@@ -74,7 +74,7 @@ std::unique_ptr<Model> TaskEvaluator::CreateModel(data::TaskType task) const {
       tree.task = task;
       tree.max_depth = options_.rf_max_depth;
       tree.seed = options_.seed;
-      tree.split_strategy = options_.split_strategy;
+      tree.split_strategy = SplitStrategy::kHistogram;
       tree.max_bins = options_.max_bins;
       return std::make_unique<DecisionTree>(tree);
     }

@@ -9,7 +9,6 @@
 #include "core/status.h"
 #include "data/dataframe.h"
 #include "ml/cross_validation.h"
-#include "ml/decision_tree.h"
 #include "ml/model.h"
 
 namespace eafe::ml {
@@ -42,12 +41,9 @@ struct EvaluatorOptions {
   // Random forest / tree capacity.
   size_t rf_trees = 10;
   size_t rf_max_depth = 8;
-  /// Split-finding backend for the tree-based downstream models. The
-  /// histogram backend is the hot-path default; kExact is the reference.
-  SplitStrategy split_strategy = SplitStrategy::kHistogram;
-  /// Histogram backend only: bins per feature (2..256). With the
-  /// histogram RF, each evaluation bins the frame once and shares the
-  /// codes across all CV folds and forest trees.
+  /// Bins per feature (2..256) of the tree-based downstream models, which
+  /// all split on histograms. With the RF, each evaluation bins the frame
+  /// once and shares the codes across all CV folds and forest trees.
   size_t max_bins = 255;
   // Neural / linear model budgets.
   size_t nn_epochs = 40;
@@ -66,10 +62,9 @@ struct EvaluatorOptions {
   /// keys on every knob; the static_assert below fails the build when a
   /// field is added here but not listed.
   auto Fields() const {
-    return std::tie(model, cv_folds, seed, rf_trees, rf_max_depth,
-                    split_strategy, max_bins, nn_epochs, linear_epochs,
-                    gbdt_rounds, gbdt_learning_rate, gbdt_max_depth,
-                    gbdt_subsample, gbdt_lambda);
+    return std::tie(model, cv_folds, seed, rf_trees, rf_max_depth, max_bins,
+                    nn_epochs, linear_epochs, gbdt_rounds, gbdt_learning_rate,
+                    gbdt_max_depth, gbdt_subsample, gbdt_lambda);
   }
 };
 
@@ -118,7 +113,7 @@ class TaskEvaluator {
   /// Bins `frame` with the downstream model's own binner options, once,
   /// for Score calls over tables that append columns to it (a search's
   /// epoch frame plus one candidate). Null when the model cannot share
-  /// bins (the exact split strategy, non-tree models).
+  /// bins (non-tree models).
   Result<std::shared_ptr<const FeatureBinner>> BinFrame(
       const data::Dataset& frame) const;
 

@@ -25,8 +25,9 @@ enum class EnsembleKind : uint32_t {
 };
 
 /// Classification leaves name class ids below this bound, so a row's vote
-/// counts stay a small dense array.
-inline constexpr uint32_t kMaxVoteClasses = 1u << 16;
+/// counts stay a small dense array: the labels' own bound, which every
+/// fit enforces.
+inline constexpr uint32_t kMaxVoteClasses = data::kMaxClasses;
 
 /// A tree ensemble flattened to structure-of-arrays node records: the
 /// image every histogram fit writes its trees into, and the in-memory

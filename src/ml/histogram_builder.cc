@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/check.h"
+#include "core/string_util.h"
 #include "runtime/thread_pool.h"
 #include "simd/histogram_kernels.h"
 
@@ -29,9 +30,11 @@ Result<BinnedLabels> BinnedLabels::Create(data::TaskType task,
   labels.classes.resize(y.size());
   int max_class = 0;
   for (size_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0) {
-      return Status::InvalidArgument(
-          "classification labels must be nonnegative class ids");
+    // Negated so NaN fails too; the bound keeps the int cast defined.
+    if (!(y[i] >= 0.0 && y[i] < static_cast<double>(data::kMaxClasses))) {
+      return Status::InvalidArgument(StrFormat(
+          "classification labels must be class ids in [0, %u), got %.17g",
+          data::kMaxClasses, y[i]));
     }
     labels.classes[i] = static_cast<int>(y[i]);
     max_class = std::max(max_class, labels.classes[i]);

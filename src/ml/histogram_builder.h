@@ -10,9 +10,9 @@
 namespace eafe::ml {
 
 /// Per-frame label codes shared across every tree trained on the frame:
-/// classification labels are validated and cast to class ids exactly once
-/// (per forest fit / per cross-validation run), instead of once per
-/// HistogramBuilder as before. Empty `classes` for regression.
+/// classification labels are validated as class ids in
+/// [0, data::kMaxClasses) and cast exactly once per fit, whether the tree
+/// splits on histograms or exactly. Empty `classes` for regression.
 struct BinnedLabels {
   std::vector<int> classes;  ///< Per-row class id (classification only).
   int num_classes = 0;       ///< 0 for regression.

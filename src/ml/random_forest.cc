@@ -36,7 +36,7 @@ DecisionTree::Options RandomForest::TreeOptions(uint64_t seed) const {
   tree_options.min_samples_leaf = options_.min_samples_leaf;
   tree_options.max_features = max_features_;
   tree_options.seed = seed;
-  tree_options.split_strategy = options_.split_strategy;
+  tree_options.split_strategy = SplitStrategy::kHistogram;
   tree_options.max_bins = options_.max_bins;
   return tree_options;
 }
@@ -77,25 +77,12 @@ Status RandomForest::Fit(const data::DataFrame& x,
   if (x.num_rows() != y.size() || y.empty()) {
     return Status::InvalidArgument("rows and labels disagree or are empty");
   }
-  trees_.clear();
-  binner_.reset();
-  image_ = FlatEnsemble();
-  num_features_ = x.num_columns();
-  max_features_ = ResolveMaxFeatures(options_, num_features_);
-  if (options_.split_strategy == SplitStrategy::kHistogram &&
-      options_.share_binner) {
-    EAFE_ASSIGN_OR_RETURN(std::shared_ptr<const FeatureBinner> binner,
-                          BinFrame(x));
-    return FitShared(std::move(binner), y, /*rows=*/nullptr);
-  }
-  return FitMaterialized(x, y);
+  EAFE_ASSIGN_OR_RETURN(std::shared_ptr<const FeatureBinner> binner,
+                        BinFrame(x));
+  return FitShared(std::move(binner), y, /*rows=*/nullptr);
 }
 
 std::optional<FeatureBinner::Options> RandomForest::BinnerOptions() const {
-  if (options_.split_strategy != SplitStrategy::kHistogram ||
-      !options_.share_binner) {
-    return std::nullopt;  // Caller falls back.
-  }
   FeatureBinner::Options binner_options;
   binner_options.max_bins = options_.max_bins;
   return binner_options;
@@ -104,10 +91,6 @@ std::optional<FeatureBinner::Options> RandomForest::BinnerOptions() const {
 Status RandomForest::FitBinned(std::shared_ptr<const FeatureBinner> binner,
                                const std::vector<double>& y,
                                const std::vector<size_t>& rows) {
-  if (options_.split_strategy != SplitStrategy::kHistogram) {
-    return Status::InvalidArgument(
-        "FitBinned requires the histogram split strategy");
-  }
   if (binner == nullptr || !binner->fitted()) {
     return Status::InvalidArgument("FitBinned requires a fitted binner");
   }
@@ -124,11 +107,6 @@ Status RandomForest::FitBinned(std::shared_ptr<const FeatureBinner> binner,
       return Status::InvalidArgument("training row id out of range");
     }
   }
-  trees_.clear();
-  binner_.reset();
-  image_ = FlatEnsemble();
-  num_features_ = binner->num_features();
-  max_features_ = ResolveMaxFeatures(options_, num_features_);
   return FitShared(std::move(binner), y, &rows);
 }
 
@@ -136,6 +114,11 @@ Status RandomForest::FitShared(std::shared_ptr<const FeatureBinner> binner,
                                const std::vector<double>& y,
                                const std::vector<size_t>* rows) {
   EAFE_CHECK(binner != nullptr && binner->fitted());
+  binner_.reset();
+  image_ = FlatEnsemble();
+  num_features_ = binner->num_features();
+  max_features_ = ResolveMaxFeatures(options_, num_features_);
+  importances_.assign(num_features_, 0.0);
   EAFE_ASSIGN_OR_RETURN(std::vector<TreePlan> plans,
                         DrawPlans(rows, y.size()));
   EAFE_ASSIGN_OR_RETURN(BinnedLabels labels,
@@ -146,72 +129,34 @@ Status RandomForest::FitShared(std::shared_ptr<const FeatureBinner> binner,
   // re-binned per tree. When Fit already runs on a pool worker (a
   // cross-validation fold), the trees train inline rather than
   // oversubscribing.
-  trees_.resize(options_.num_trees);
+  std::vector<DecisionTree> trees(options_.num_trees);
   std::vector<Status> statuses(options_.num_trees);
   runtime::ParallelFor(
       runtime::GlobalPool(), options_.num_trees,
       [&](size_t begin, size_t end) {
         for (size_t t = begin; t < end; ++t) {
-          DecisionTree tree(TreeOptions(plans[t].seed));
-          statuses[t] = tree.FitBinnedWithLabels(
+          trees[t] = DecisionTree(TreeOptions(plans[t].seed));
+          statuses[t] = trees[t].FitBinnedWithLabels(
               binner, y, std::move(plans[t].sample), labels);
-          if (statuses[t].ok()) trees_[t] = std::move(tree);
         }
       });
-  for (const Status& status : statuses) {
-    if (!status.ok()) {
-      trees_.clear();
-      return status;
-    }
-  }
+  for (const Status& status : statuses) EAFE_RETURN_NOT_OK(status);
   binner_ = std::move(binner);
   num_classes_ = labels.num_classes;
-  // The trees trained in parallel; they enter the image in tree order.
+  // The trees trained in parallel; they enter the image, and their
+  // importances the sum, in tree order.
   image_ = FlatEnsemble(EnsembleKind::kForestVote, options_.task,
                         num_features_, num_classes_);
-  for (const DecisionTree& tree : trees_) tree.AppendTo(&image_);
-  return Status::OK();
-}
-
-Status RandomForest::FitMaterialized(const data::DataFrame& x,
-                                     const std::vector<double>& y) {
-  EAFE_ASSIGN_OR_RETURN(std::vector<TreePlan> plans,
-                        DrawPlans(/*rows=*/nullptr, y.size()));
-  // Validates labels and records the vote width for flat-count
-  // aggregation; the per-tree class conversion still happens inside
-  // DecisionTree::Fit on this reference path.
-  EAFE_ASSIGN_OR_RETURN(BinnedLabels labels,
-                        BinnedLabels::Create(options_.task, y));
-
-  trees_.resize(options_.num_trees);
-  std::vector<Status> statuses(options_.num_trees);
-  runtime::ParallelFor(
-      runtime::GlobalPool(), options_.num_trees,
-      [&](size_t begin, size_t end) {
-        for (size_t t = begin; t < end; ++t) {
-          const TreePlan& plan = plans[t];
-          data::DataFrame xt = x.SelectRows(plan.sample);
-          std::vector<double> yt(plan.sample.size());
-          for (size_t i = 0; i < plan.sample.size(); ++i) {
-            yt[i] = y[plan.sample[i]];
-          }
-          DecisionTree tree(TreeOptions(plan.seed));
-          statuses[t] = tree.FitNodes(xt, yt);
-          if (statuses[t].ok()) trees_[t] = std::move(tree);
-        }
-      });
-  for (const Status& status : statuses) {
-    if (!status.ok()) {
-      trees_.clear();
-      return status;
-    }
+  for (const DecisionTree& tree : trees) {
+    tree.AppendTo(&image_);
+    const std::vector<double>& imp = tree.feature_importances();
+    for (size_t f = 0; f < num_features_; ++f) importances_[f] += imp[f];
   }
-  num_classes_ = labels.num_classes;
   return Status::OK();
 }
 
 Status RandomForest::CheckPredict(size_t num_columns) const {
-  if (trees_.empty()) {
+  if (!fitted()) {
     return Status::FailedPrecondition("forest is not fitted");
   }
   if (num_columns != num_features_) {
@@ -222,68 +167,15 @@ Status RandomForest::CheckPredict(size_t num_columns) const {
   return Status::OK();
 }
 
-Result<std::vector<double>> RandomForest::Aggregate(
-    size_t n, const std::function<Result<std::vector<double>>(
-                  const DecisionTree&)>& predict) const {
-  if (options_.task == data::TaskType::kRegression) {
-    std::vector<double> sum(n, 0.0);
-    for (const DecisionTree& tree : trees_) {
-      EAFE_ASSIGN_OR_RETURN(std::vector<double> pred, predict(tree));
-      for (size_t i = 0; i < n; ++i) sum[i] += pred[i];
-    }
-    for (double& v : sum) v /= static_cast<double>(trees_.size());
-    return sum;
-  }
-  // Majority vote over flat per-class counts (every class id seen in
-  // training is < num_classes_). Scanning classes in ascending order with
-  // a strict > keeps the lowest class on ties, matching the ordered-map
-  // aggregation this replaced.
-  EAFE_CHECK_GT(num_classes_, 0);
-  const size_t width = static_cast<size_t>(num_classes_);
-  std::vector<uint32_t> votes(n * width, 0);
-  for (const DecisionTree& tree : trees_) {
-    EAFE_ASSIGN_OR_RETURN(std::vector<double> pred, predict(tree));
-    for (size_t i = 0; i < n; ++i) {
-      const int cls = static_cast<int>(pred[i]);
-      EAFE_CHECK(cls >= 0 && cls < num_classes_);
-      ++votes[i * width + static_cast<size_t>(cls)];
-    }
-  }
-  std::vector<double> out(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t* row = votes.data() + i * width;
-    uint32_t best_count = 0;
-    size_t best_class = 0;
-    for (size_t c = 0; c < width; ++c) {
-      if (row[c] > best_count) {
-        best_count = row[c];
-        best_class = c;
-      }
-    }
-    out[i] = static_cast<double>(best_class);
-  }
-  return out;
-}
-
 Result<std::vector<double>> RandomForest::Predict(
     const data::DataFrame& x) const {
   EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
-  const size_t n = x.num_rows();
-  if (binner_ == nullptr) {
-    // Exact and per-tree-binner forests: the raw-double reference walk.
-    return Aggregate(
-        n, [&](const DecisionTree& tree) { return tree.Predict(x); });
-  }
   return image_.PredictFrame(*binner_, x, /*proba=*/false);
 }
 
 Result<std::vector<double>> RandomForest::PredictBinnedRows(
     const std::vector<size_t>& rows) const {
   EAFE_RETURN_NOT_OK(CheckPredict(num_features_));
-  if (binner_ == nullptr) {
-    return Status::FailedPrecondition(
-        "PredictBinnedRows requires a shared-binner fit");
-  }
   // Held-out fold rows are rows of the binned frame: gather their codes
   // once, then every tree walks the same row-major buffer.
   return image_.PredictRows(*binner_, rows);
@@ -292,25 +184,11 @@ Result<std::vector<double>> RandomForest::PredictBinnedRows(
 Result<std::vector<double>> RandomForest::PredictProba(
     const data::DataFrame& x) const {
   EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
-  if (binner_ != nullptr) {
-    return image_.PredictFrame(*binner_, x, /*proba=*/true);
-  }
-  const size_t n = x.num_rows();
-  std::vector<double> sum(n, 0.0);
-  for (const DecisionTree& tree : trees_) {
-    EAFE_ASSIGN_OR_RETURN(std::vector<double> proba, tree.PredictProba(x));
-    for (size_t i = 0; i < n; ++i) sum[i] += proba[i];
-  }
-  for (double& v : sum) v /= static_cast<double>(trees_.size());
-  return sum;
+  return image_.PredictFrame(*binner_, x, /*proba=*/true);
 }
 
 std::vector<double> RandomForest::FeatureImportances() const {
-  std::vector<double> total(num_features_, 0.0);
-  for (const DecisionTree& tree : trees_) {
-    const std::vector<double>& imp = tree.feature_importances();
-    for (size_t f = 0; f < num_features_; ++f) total[f] += imp[f];
-  }
+  std::vector<double> total = importances_;
   double sum = 0.0;
   for (double v : total) sum += v;
   if (sum > 0.0) {

@@ -15,14 +15,14 @@ namespace eafe::ml {
 /// model (following NFS). Classification predicts by majority vote,
 /// regression by mean; PredictProba returns the vote fraction for class 1.
 ///
-/// With the histogram strategy (the default) the forest bins the frame
-/// exactly once and every tree trains through a row-id view of the shared
-/// codes: bootstrap is pure row selection, so there is no per-tree
-/// SelectRows materialization and no per-tree re-binning anywhere in a
-/// fit. The fit ends by writing every tree into one flat image
-/// (flat_model.h): fresh frames encode once and held-out fold rows gather
-/// their codes once, then every tree routes on uint8 bin comparisons
-/// through the one walk, bit-identically to the raw-double path.
+/// Every fit bins the frame exactly once and every tree trains on
+/// histograms through a row-id view of the shared codes: bootstrap is
+/// pure row selection, so there is no per-tree SelectRows materialization
+/// and no per-tree re-binning anywhere in a fit. The trees live only in
+/// one flat image (flat_model.h), written in tree order at the end of the
+/// fit: fresh frames encode once and held-out fold rows gather their
+/// codes once, then every tree routes on uint8 bin comparisons through
+/// the one walk.
 class RandomForest : public Model, public SharedBinnerModel {
  public:
   struct Options {
@@ -36,18 +36,8 @@ class RandomForest : public Model, public SharedBinnerModel {
     /// Bootstrap sample size as a fraction of the training set.
     double subsample = 1.0;
     uint64_t seed = 1;
-    /// Split-finding backend for every tree. The forest is the evaluation
-    /// hot path (k-fold CV per candidate feature), so it defaults to the
-    /// histogram backend; kExact keeps the reference behaviour.
-    SplitStrategy split_strategy = SplitStrategy::kHistogram;
-    /// Histogram strategy only: bins per feature (2..256).
+    /// Bins per feature (2..256).
     size_t max_bins = 255;
-    /// Histogram strategy only: bin the frame once and share the codes
-    /// across all trees via row-id bootstrap views. Off reproduces the
-    /// per-tree materialize-and-rebin reference path (kept for the
-    /// benchmark baseline and the sharing-identity tests), which predicts
-    /// through the raw-double walk.
-    bool share_binner = true;
   };
 
   RandomForest() : RandomForest(Options()) {}
@@ -76,23 +66,20 @@ class RandomForest : public Model, public SharedBinnerModel {
   /// to pre-select features on very wide datasets.
   std::vector<double> FeatureImportances() const;
 
-  /// The frame binner shared by all trees (null for exact or
-  /// per-tree-materialized fits).
+  /// The frame binner shared by all trees (null before a fit).
   const std::shared_ptr<const FeatureBinner>& binner() const {
     return binner_;
   }
 
-  /// The flat image every tree of a shared-binner fit is written into;
-  /// empty for exact or per-tree-materialized fits, whose trees have no
-  /// one set of cuts.
+  /// The flat image every tree is written into (empty before a fit).
   const FlatTreeModel& image() const { return image_.model(); }
 
-  size_t num_trees() const { return trees_.size(); }
+  size_t num_trees() const { return image_.num_trees(); }
   size_t num_features() const { return num_features_; }
   /// Vote width of a classification fit; 0 for regression.
   int num_classes() const { return num_classes_; }
   const Options& options() const { return options_; }
-  bool fitted() const { return !trees_.empty(); }
+  bool fitted() const { return image_.num_trees() > 0; }
 
  private:
   /// Bootstrap plans pre-drawn serially (samples in tree order, then each
@@ -105,31 +92,24 @@ class RandomForest : public Model, public SharedBinnerModel {
   DecisionTree::Options TreeOptions(uint64_t seed) const;
   Result<std::vector<TreePlan>> DrawPlans(const std::vector<size_t>* rows,
                                           size_t n);
-  /// Shared-binner fit over a row view (`rows` null means all frame rows).
+  /// The fit over a row view of the binned frame (`rows` null means all
+  /// frame rows).
   Status FitShared(std::shared_ptr<const FeatureBinner> binner,
                    const std::vector<double>& y,
                    const std::vector<size_t>* rows);
-  /// Reference path: materialize each bootstrap sample and re-bin it.
-  Status FitMaterialized(const data::DataFrame& x,
-                         const std::vector<double>& y);
   Status CheckPredict(size_t num_columns) const;
-  /// Majority vote / mean over per-tree predictions supplied by `predict`:
-  /// the reference aggregation of exact and per-tree-binner forests,
-  /// whose trees predict through the raw-double walk
-  /// (DecisionTree::TraverseToLeaf).
-  Result<std::vector<double>> Aggregate(
-      size_t n, const std::function<Result<std::vector<double>>(
-                    const DecisionTree&)>& predict) const;
 
   Options options_;
-  std::vector<DecisionTree> trees_;
   size_t num_features_ = 0;
   int num_classes_ = 0;  ///< Classification vote width; 0 for regression.
   size_t max_features_ = 0;
-  /// The frame binner shared by all trees (histogram fits only).
+  /// The frame binner shared by all trees.
   std::shared_ptr<const FeatureBinner> binner_;
-  /// Shared-binner fits: every tree, written once at the end of the fit.
+  /// Every tree, written once at the end of the fit in tree order.
   FlatEnsemble image_;
+  /// Per-feature impurity decrease summed over the trees in tree order
+  /// (unnormalized).
+  std::vector<double> importances_;
 };
 
 }  // namespace eafe::ml

@@ -26,11 +26,6 @@ Result<ml::FlatTreeModel> FlattenForest(const ml::RandomForest& forest) {
   if (!forest.fitted()) {
     return Status::FailedPrecondition("forest is not fitted");
   }
-  if (forest.binner() == nullptr) {
-    return Status::FailedPrecondition(
-        "only shared-binner histogram fits flatten: refit with the "
-        "histogram strategy and share_binner enabled");
-  }
   return WithCuts(forest.image(), *forest.binner());
 }
 

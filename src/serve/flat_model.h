@@ -8,14 +8,12 @@
 
 namespace eafe::serve {
 
-/// The saved form of a fitted shared-binner histogram forest: a copy of
-/// the flat image the forest already holds, plus its binner's cuts, so a
-/// loaded model encodes raw frames on its own. Fails for exact or
-/// per-tree-materialized fits (no single set of cuts describes them).
+/// The saved form of a fitted forest: a copy of the flat image the forest
+/// already holds, plus its binner's cuts, so a loaded model encodes raw
+/// frames on its own. Fails only for an unfitted forest.
 Result<ml::FlatTreeModel> FlattenForest(const ml::RandomForest& forest);
 
-/// The saved form of a fitted booster (histogram-only, always
-/// flattenable): its image plus its binner's cuts.
+/// The saved form of a fitted booster: its image plus its binner's cuts.
 Result<ml::FlatTreeModel> FlattenGbdt(
     const ml::GradientBoostedTrees& booster);
 

@@ -59,9 +59,9 @@ inline constexpr uint32_t kSectionScaler = 17;
 inline constexpr uint32_t kSectionLogistic = 18;
 inline constexpr uint32_t kSectionMlp = 19;
 
-/// Serializes a fitted model to container bytes. Forests must be
-/// shared-binner histogram fits; FPE models must be trained with the
-/// logistic or MLP classifier (forest-backed FPE is NotImplemented).
+/// Serializes a fitted model to container bytes. Every fitted forest
+/// serializes; FPE models must be trained with the logistic or MLP
+/// classifier (forest-backed FPE is NotImplemented).
 Result<std::string> SerializeForest(const ml::RandomForest& forest);
 Result<std::string> SerializeGbdt(const ml::GradientBoostedTrees& booster);
 Result<std::string> SerializeFpe(const fpe::FpeModel& model);

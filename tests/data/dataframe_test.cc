@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace eafe::data {
 namespace {
 
@@ -130,6 +132,23 @@ TEST(DatasetTest, ValidateRejectsNonIntegerClassLabels) {
   dataset.task = TaskType::kClassification;
   ASSERT_TRUE(dataset.features.AddColumn(Column("x", {1, 2})).ok());
   dataset.labels = {0.0, 0.5};
+  EXPECT_FALSE(dataset.Validate().ok());
+}
+
+// Class ids stop below kMaxClasses (65536), the bound the flat vote
+// buffers and the model loader share.
+TEST(DatasetTest, ValidateBoundsClassIds) {
+  Dataset dataset;
+  dataset.task = TaskType::kClassification;
+  ASSERT_TRUE(dataset.features.AddColumn(Column("x", {1, 2})).ok());
+  dataset.labels = {0.0, 65535.0};
+  EXPECT_TRUE(dataset.Validate().ok());
+  dataset.labels = {0.0, 65536.0};
+  const Status status = dataset.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("65536"), std::string::npos)
+      << status.message();
+  dataset.labels = {0.0, 3e9};
   EXPECT_FALSE(dataset.Validate().ok());
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "ml/decision_tree.h"
 #include "ml/feature_binner.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
@@ -190,7 +191,7 @@ TEST(CrossValidationFrameBinsTest, BoosterIsBitIdentical) {
       dataset);
 }
 
-// The exact strategy cannot share bins: CV ignores the frame bins it is
+// An exact tree cannot share bins: CV ignores the frame bins it is
 // handed and takes the materialized path, fold sub-frames included.
 TEST(CrossValidationFrameBinsTest, ExactStrategyIgnoresFrameBins) {
   const data::Dataset dataset = WithCandidate(MakeSeparable(300, 17), 18);
@@ -199,10 +200,9 @@ TEST(CrossValidationFrameBinsTest, ExactStrategyIgnoresFrameBins) {
                               .ValueOrDie();
   ASSERT_NE(frame_bins, nullptr);
   const ModelFactory exact = [] {
-    RandomForest::Options options;
-    options.num_trees = 4;
+    DecisionTree::Options options;
     options.split_strategy = SplitStrategy::kExact;
-    return std::make_unique<RandomForest>(options);
+    return std::make_unique<DecisionTree>(options);
   };
   CvOptions cv;
   cv.folds = 3;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "ml/metrics.h"
 #include "tests/ml/test_util.h"
 
@@ -130,6 +133,23 @@ TEST(DecisionTreeTest, ErrorsOnBadInput) {
   ASSERT_TRUE(x.AddColumn(data::Column("f", {1, 2})).ok());
   EXPECT_FALSE(tree.Fit(x, {1.0}).ok());  // Length mismatch.
   EXPECT_FALSE(tree.Predict(x).ok());     // Not fitted.
+}
+
+// The exact fit converts its labels through BinnedLabels::Create, so a
+// class id past data::kMaxClasses, or NaN, fails as it does for a
+// histogram fit.
+TEST(DecisionTreeTest, ExactFitRejectsClassIdsPastTheBound) {
+  const data::Dataset dataset = MakeSeparable(50, 5);
+  for (const double bad : {3e9, static_cast<double>(data::kMaxClasses),
+                           std::nan("")}) {
+    std::vector<double> labels = dataset.labels;
+    labels[3] = bad;
+    DecisionTree tree;  // Exact by default.
+    EXPECT_EQ(tree.Fit(dataset.features, labels).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_FALSE(tree.fitted());
+  }
 }
 
 TEST(DecisionTreeTest, PredictRejectsWrongWidth) {

@@ -146,24 +146,6 @@ TEST(RandomForestTest, FitIsIdenticalAcrossThreadCounts) {
   runtime::SetGlobalThreads(1);
 }
 
-TEST(RandomForestTest, FitIsIdenticalAcrossThreadCountsExactStrategy) {
-  // Same contract for the exact reference backend (the forest default is
-  // histogram, which the test above covers).
-  const data::Dataset dataset = MakeXor(200, 11);
-  RandomForest::Options options;
-  options.split_strategy = SplitStrategy::kExact;
-  runtime::SetGlobalThreads(1);
-  RandomForest serial(options);
-  ASSERT_TRUE(serial.Fit(dataset.features, dataset.labels).ok());
-  runtime::SetGlobalThreads(4);
-  RandomForest parallel(options);
-  ASSERT_TRUE(parallel.Fit(dataset.features, dataset.labels).ok());
-  EXPECT_EQ(serial.Predict(dataset.features).ValueOrDie(),
-            parallel.Predict(dataset.features).ValueOrDie());
-  EXPECT_EQ(serial.FeatureImportances(), parallel.FeatureImportances());
-  runtime::SetGlobalThreads(1);
-}
-
 TEST(RandomForestTest, ErrorsBeforeFitAndOnMismatch) {
   RandomForest forest;
   const data::Dataset dataset = MakeXor(50, 9);
@@ -172,6 +154,20 @@ TEST(RandomForestTest, ErrorsBeforeFitAndOnMismatch) {
   data::DataFrame narrow;
   ASSERT_TRUE(narrow.AddColumn(data::Column("x0", {0.0})).ok());
   EXPECT_FALSE(forest.Predict(narrow).ok());
+}
+
+// A class id past data::kMaxClasses (or one an int cannot hold) fails the
+// fit instead of sizing the per-class counts by it.
+TEST(RandomForestTest, RejectsClassIdsPastTheBound) {
+  data::Dataset dataset = MakeXor(50, 10);
+  dataset.labels[7] = 3e9;
+  RandomForest forest;
+  EXPECT_EQ(forest.Fit(dataset.features, dataset.labels).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(forest.fitted());
+  dataset.labels[7] = static_cast<double>(data::kMaxClasses);
+  EXPECT_EQ(forest.Fit(dataset.features, dataset.labels).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

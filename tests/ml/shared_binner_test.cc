@@ -24,9 +24,9 @@ using testing::MakeXor;
 
 /// Classification data whose values live on a small integer grid. Every
 /// column has exactly `grid` distinct values, so with n large every
-/// bootstrap sample contains all of them and a per-tree binner computes
-/// the same cuts as the shared full-frame binner — the basis of the
-/// shared-vs-per-tree identity test.
+/// bootstrap sample contains all of them and a binner fitted on the
+/// sample computes the same cuts as the full-frame binner — the basis of
+/// the shared-vs-sub-frame identity test.
 data::Dataset MakeQuantized(size_t n, size_t columns, uint64_t seed,
                             size_t grid = 5) {
   Rng rng(seed);
@@ -75,14 +75,13 @@ data::Dataset MakeWide(size_t n, size_t columns, uint64_t seed) {
   return dataset;
 }
 
-RandomForest::Options ForestOptions(bool share_binner, uint64_t seed = 17) {
+RandomForest::Options ForestOptions() {
   RandomForest::Options options;
-  options.seed = seed;
-  options.share_binner = share_binner;
+  options.seed = 17;
   return options;
 }
 
-/// The raw-double reference walk over a shared-binner forest's image:
+/// The raw-double reference walk over a forest's image:
 /// every tree routes row r on x[feature] <= cut(feature, split_bin), with
 /// no codes anywhere, and rows aggregate as RandomForest defines it
 /// (majority vote with the lowest class id on ties, or the mean leaf
@@ -121,23 +120,39 @@ std::vector<double> PredictThresholds(const RandomForest& forest,
   return out;
 }
 
-// On quantized data every bootstrap contains every distinct value, so the
-// per-tree binner cuts equal the shared full-frame cuts and the two fit
-// paths must produce bit-identical forests for the same seed.
-TEST(SharedBinnerForestTest, SharedFitMatchesPerTreeFitOnQuantizedData) {
+// On quantized data every bootstrap contains every distinct value, so a
+// binner fitted on the bootstrap sample cuts where the full-frame binner
+// does: a tree trained through the full-frame codes on the bootstrap row
+// view must be bit-identical to one fitted on the materialized sample.
+TEST(SharedBinnerTreeTest, SharedFitMatchesSubFrameFitOnQuantizedData) {
   const data::Dataset dataset = MakeQuantized(600, 4, 21);
   const data::Dataset query = MakeQuantized(200, 4, 22);
-  RandomForest shared(ForestOptions(/*share_binner=*/true));
-  RandomForest per_tree(ForestOptions(/*share_binner=*/false));
-  ASSERT_TRUE(shared.Fit(dataset.features, dataset.labels).ok());
-  ASSERT_TRUE(per_tree.Fit(dataset.features, dataset.labels).ok());
-  EXPECT_EQ(shared.Predict(dataset.features).ValueOrDie(),
-            per_tree.Predict(dataset.features).ValueOrDie());
-  EXPECT_EQ(shared.Predict(query.features).ValueOrDie(),
-            per_tree.Predict(query.features).ValueOrDie());
-  EXPECT_EQ(shared.PredictProba(query.features).ValueOrDie(),
-            per_tree.PredictProba(query.features).ValueOrDie());
-  EXPECT_EQ(shared.FeatureImportances(), per_tree.FeatureImportances());
+  DecisionTree::Options options;
+  options.split_strategy = SplitStrategy::kHistogram;
+  options.max_features = 2;  // Feature sampling as in a forest's trees.
+  Rng rng(23);
+  for (uint64_t draw = 0; draw < 10; ++draw) {
+    options.seed = 17 + draw;
+    std::vector<size_t> rows(dataset.num_rows());
+    for (size_t& row : rows) row = rng.UniformInt(dataset.num_rows());
+
+    DecisionTree shared(options);
+    const auto binner = shared.BinFrame(dataset.features).ValueOrDie();
+    ASSERT_TRUE(shared.FitBinned(binner, dataset.labels, rows).ok());
+    const data::Dataset sample = dataset.SelectRows(rows);
+    DecisionTree sub_frame(options);
+    ASSERT_TRUE(sub_frame.Fit(sample.features, sample.labels).ok());
+
+    EXPECT_EQ(shared.node_count(), sub_frame.node_count()) << draw;
+    EXPECT_EQ(shared.Predict(query.features).ValueOrDie(),
+              sub_frame.Predict(query.features).ValueOrDie())
+        << draw;
+    EXPECT_EQ(shared.PredictProba(query.features).ValueOrDie(),
+              sub_frame.PredictProba(query.features).ValueOrDie())
+        << draw;
+    EXPECT_EQ(shared.feature_importances(), sub_frame.feature_importances())
+        << draw;
+  }
 }
 
 // code(v) <= split_bin exactly when v <= cut(split_bin) for *any* value,
@@ -147,7 +162,7 @@ TEST(SharedBinnerForestTest, SharedFitMatchesPerTreeFitOnQuantizedData) {
 TEST(SharedBinnerForestTest, CodedPredictMatchesDoublePredict) {
   const data::Dataset dataset = MakeXor(2000, 31);
   const data::Dataset query = MakeXor(500, 32);
-  RandomForest forest(ForestOptions(/*share_binner=*/true));
+  RandomForest forest(ForestOptions());
   ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
   EXPECT_EQ(forest.Predict(dataset.features).ValueOrDie(),
             PredictThresholds(forest, dataset.features, false));
@@ -159,7 +174,7 @@ TEST(SharedBinnerForestTest, CodedPredictMatchesDoublePredict) {
 
 TEST(SharedBinnerForestTest, CodedPredictMatchesDoublePredictWhenLossless) {
   const data::Dataset dataset = MakeBlobs(150, 33);
-  RandomForest forest(ForestOptions(/*share_binner=*/true));
+  RandomForest forest(ForestOptions());
   ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
   EXPECT_EQ(forest.Predict(dataset.features).ValueOrDie(),
             PredictThresholds(forest, dataset.features, false));
@@ -170,7 +185,7 @@ TEST(SharedBinnerForestTest, CodedPredictMatchesDoublePredictWhenLossless) {
 // and prediction never re-fits a binner.
 TEST(SharedBinnerForestTest, ForestFitBinsOnceAndNeverSelectsRows) {
   const data::Dataset dataset = MakeXor(10000, 41);
-  RandomForest forest;  // Defaults: histogram, shared binner.
+  RandomForest forest;
   FeatureBinner::ResetTotalFits();
   data::DataFrame::ResetTotalSelectRows();
   ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
@@ -227,7 +242,7 @@ TEST(SharedBinnerForestTest, CrossValidationWalksOncePerFoldAndTree) {
 TEST(SharedBinnerForestTest, ConcurrentPredictsMatchSerial) {
   const data::Dataset dataset = MakeXor(1200, 47);
   const data::Dataset query = MakeXor(300, 48);
-  RandomForest forest(ForestOptions(/*share_binner=*/true));
+  RandomForest forest(ForestOptions());
   ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
   std::vector<size_t> rows;
   for (size_t r = 0; r < dataset.num_rows(); r += 3) rows.push_back(r);
@@ -261,23 +276,25 @@ TEST(SharedBinnerForestTest, ConcurrentPredictsMatchSerial) {
   }
 }
 
-// The exact strategy declines sharing (BinFrame returns null) and CV must
+// An exact tree declines sharing (BinFrame returns null) and CV must
 // fall back to the materialized path and still work.
 TEST(SharedBinnerForestTest, ExactStrategyFallsBackToMaterializedCv) {
   const data::Dataset dataset = MakeXor(300, 44);
   CvOptions cv;
   cv.folds = 3;
   FeatureBinner::ResetTotalFits();
+  data::DataFrame::ResetTotalSelectRows();
   const double score =
       CrossValidateScore(
           [] {
-            RandomForest::Options options;
+            DecisionTree::Options options;
             options.split_strategy = SplitStrategy::kExact;
-            return std::make_unique<RandomForest>(options);
+            return std::make_unique<DecisionTree>(options);
           },
           dataset, cv)
           .ValueOrDie();
   EXPECT_EQ(FeatureBinner::TotalFits(), 0u);
+  EXPECT_GT(data::DataFrame::TotalSelectRows(), 0u);
   EXPECT_GT(score, 0.85);
 }
 
@@ -292,14 +309,14 @@ TEST(SharedBinnerForestTest, FitBinnedRejectsBadInputs) {
   std::vector<double> short_labels(50, 0.0);
   EXPECT_FALSE(forest.FitBinned(binner, short_labels, {0, 1}).ok());
   EXPECT_FALSE(forest.FitBinned(nullptr, dataset.labels, {0, 1}).ok());
-  // PredictBinnedRows needs a shared fit first.
+  // PredictBinnedRows needs a fit first.
   EXPECT_FALSE(forest.PredictBinnedRows({0}).ok());
 }
 
 // Wide frames (p >= 200) cross the feature-parallel histogram threshold:
 // the per-feature slices are disjoint and each feature walks rows in
 // index order, so fits must be bit-identical at every thread count, for
-// both a standalone tree and a shared-binner forest.
+// both a standalone tree and a forest.
 TEST(SharedBinnerForestTest, WideFrameFitsIdenticalAcrossThreadCounts) {
   const data::Dataset dataset = MakeWide(2000, 200, 51);
   DecisionTree::Options tree_options;
@@ -311,7 +328,7 @@ TEST(SharedBinnerForestTest, WideFrameFitsIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(serial_tree.Fit(dataset.features, dataset.labels).ok());
   const auto serial_tree_pred =
       serial_tree.Predict(dataset.features).ValueOrDie();
-  RandomForest serial_forest(ForestOptions(true));
+  RandomForest serial_forest(ForestOptions());
   ASSERT_TRUE(serial_forest.Fit(dataset.features, dataset.labels).ok());
   const auto serial_forest_pred =
       serial_forest.Predict(dataset.features).ValueOrDie();
@@ -322,7 +339,7 @@ TEST(SharedBinnerForestTest, WideFrameFitsIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(tree.Fit(dataset.features, dataset.labels).ok());
     EXPECT_EQ(tree.node_count(), serial_tree.node_count());
     EXPECT_EQ(tree.Predict(dataset.features).ValueOrDie(), serial_tree_pred);
-    RandomForest forest(ForestOptions(true));
+    RandomForest forest(ForestOptions());
     ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
     EXPECT_EQ(forest.Predict(dataset.features).ValueOrDie(),
               serial_forest_pred);

@@ -104,14 +104,5 @@ TEST(FlatModelTest, UnfittedModelsDoNotFlatten) {
   EXPECT_FALSE(FlattenGbdt(ml::GradientBoostedTrees()).ok());
 }
 
-TEST(FlatModelTest, NonSharedBinnerForestIsRejected) {
-  ml::RandomForest::Options options;
-  options.share_binner = false;  // Per-tree binners: no single cut table.
-  ml::RandomForest forest(options);
-  const data::Dataset data = MakeData(data::TaskType::kClassification, 44);
-  ASSERT_TRUE(forest.Fit(data.features, data.labels).ok());
-  EXPECT_FALSE(FlattenForest(forest).ok());
-}
-
 }  // namespace
 }  // namespace eafe::serve

@@ -337,16 +337,6 @@ TEST(ModelStoreTest, UntrainedModelsRejected) {
   EXPECT_FALSE(SerializeFpe(fpe::FpeModel()).ok());
 }
 
-TEST(ModelStoreTest, ExactTreeFitsAreNotExportable) {
-  ml::RandomForest::Options options;
-  options.split_strategy = ml::SplitStrategy::kExact;
-  ml::RandomForest forest(options);
-  const data::Dataset data = MakeData(data::TaskType::kClassification, 20);
-  ASSERT_TRUE(forest.Fit(data.features, data.labels).ok());
-  EXPECT_EQ(SerializeForest(forest).status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
 TEST(ModelStoreTest, BadMagicRejected) {
   EXPECT_FALSE(DeserializeModel("").ok());
   EXPECT_FALSE(DeserializeModel("garbage").ok());

@@ -8,9 +8,10 @@
 #            (self-skips when not installed) in build/
 #   debug    build + full ctest (all labels) in build/
 #   release  Release build + perf smokes in build-release/: micro_tree
-#            --smoke (tree, shared-binner forest, gbdt booster, and
-#            model-store round-trip serving gates, plus the binning gate:
-#            FeatureBinner::Extend equals a full Fit bit for bit), the
+#            --smoke (histogram tree vs exact, flat vs raw-double forest
+#            predict, gbdt booster, and model-store round-trip serving
+#            gates, plus the binning gate: FeatureBinner::Extend equals a
+#            full Fit bit for bit; the forest fit is timed, not gated), the
 #            MinHash SIMD dispatch smoke (micro_hashing --simd-smoke: the
 #            AVX2 tier bit-identical to its oracle + speed floors), a forced
 #            EAFE_SIMD=scalar rerun of the simd-labeled ctest suite to
@@ -123,9 +124,10 @@ run_release() {
   echo "== release: tree perf + serving round-trip smoke (${root}/build-release) =="
   # An explicit Release tree so the smoke gates measure optimized code even
   # when the default tree was configured with another build type. --smoke
-  # covers histogram-vs-exact fits, shared-binner forests, the booster,
-  # the save->load->flat-predict round trip (bit-identity + speed floor),
-  # and the binning gate (Extend == Fit bit for bit; timings reported).
+  # covers histogram-vs-exact tree fits, the forest's flat-vs-double
+  # predict, the booster, the save->load->flat-predict round trip
+  # (bit-identity + speed floor), and the binning gate (Extend == Fit bit
+  # for bit; timings reported).
   cmake -B "${root}/build-release" -S "${root}" \
     -DCMAKE_BUILD_TYPE=Release -DEAFE_WERROR=ON >/dev/null
   cmake --build "${root}/build-release" -j "${jobs}" \

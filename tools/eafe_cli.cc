@@ -158,8 +158,6 @@ int Search(int argc, char** argv) {
       .AddString("downstream", "rf",
                  "downstream evaluator: "
                  "rf|tree|gbdt|logreg|svm|nb_gp|mlp|resnet")
-      .AddString("split-strategy", "histogram",
-                 "tree split backend: exact | histogram")
       .AddThreads().AddBool(
           "metrics", false, "dump runtime metrics to stderr at exit");
   const Status parsed = flags.Parse(argc, argv);
@@ -188,10 +186,6 @@ int Search(int argc, char** argv) {
   auto downstream = ml::ModelKindFromString(flags.GetString("downstream"));
   if (!downstream.ok()) return Fail(downstream.status());
   search_options.evaluator.model = downstream.ValueOrDie();
-  auto search_strategy =
-      ml::SplitStrategyFromString(flags.GetString("split-strategy"));
-  if (!search_strategy.ok()) return Fail(search_strategy.status());
-  search_options.evaluator.split_strategy = search_strategy.ValueOrDie();
 
   std::unique_ptr<afe::FeatureSearch> search;
   fpe::FpeModel model;
@@ -260,8 +254,6 @@ int Evaluate(int argc, char** argv) {
                  "rf|tree|gbdt|logreg|svm|nb_gp|mlp|resnet")
       .AddInt("folds", 5, "cross-validation folds", 0)
       .AddInt("seed", 17, "random seed")
-      .AddString("split-strategy", "histogram",
-                 "tree split backend: exact | histogram")
       .AddThreads().AddBool(
           "metrics", false, "dump runtime metrics to stderr at exit");
   const Status parsed = flags.Parse(argc, argv);
@@ -279,10 +271,6 @@ int Evaluate(int argc, char** argv) {
   options.model = *kind;
   options.cv_folds = static_cast<size_t>(flags.GetInt("folds"));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  auto strategy =
-      ml::SplitStrategyFromString(flags.GetString("split-strategy"));
-  if (!strategy.ok()) return Fail(strategy.status());
-  options.split_strategy = strategy.ValueOrDie();
   ml::TaskEvaluator evaluator(options);
   auto score = evaluator.Score(*dataset);
   if (!score.ok()) return Fail(score.status());

@@ -22,9 +22,11 @@
 // project Rng, so reruns send identical bytes.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -260,7 +262,8 @@ int Main(int argc, char** argv) {
       .AddInt("connections", 8, "concurrent connections")
       .AddInt("requests", 200, "requests per connection")
       .AddInt("rows", 1, "rows per predict request")
-      .AddInt("cols", 0, "request width (default: model num_features)")
+      .AddInt("cols", 0, "request width (default: model num_features)", 0,
+              std::numeric_limits<uint32_t>::max())
       .AddInt("seed", 17, "payload rng seed")
       .AddBool("proba", false, "ask for probabilities")
       .AddBool("smoke", false, "run the correctness gate and exit")

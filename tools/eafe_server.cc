@@ -20,8 +20,10 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,12 +74,13 @@ int Main(int argc, char** argv) {
       .AddString("host", "127.0.0.1", "bind address")
       .AddInt("port", 0, "bind port (0 picks an ephemeral port)", 0, 65535)
       .AddString("port-file", "", "write the bound port to this file")
-      .AddInt("queue-limit", 512, "admission-control queue depth")
-      .AddInt("batch-rows", 4096, "micro-batch row budget")
-      .AddInt("retry-after-ms", 20, "backoff hint in shed responses")
-      .AddInt("max-connections", 512, "concurrent connection cap")
+      .AddInt("queue-limit", 512, "admission-control queue depth", 0)
+      .AddInt("batch-rows", 4096, "micro-batch row budget", 0)
+      .AddInt("retry-after-ms", 20, "backoff hint in shed responses", 0,
+              std::numeric_limits<uint32_t>::max())
+      .AddInt("max-connections", 512, "concurrent connection cap", 0)
       .AddInt("debug-batch-sleep-ms", 0,
-              "test hook: sleep per batch to force overload")
+              "test hook: sleep per batch to force overload", 0)
       .AddBool("metrics", false, "dump the metric exposition at shutdown");
   const Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) return Fail(parsed);
