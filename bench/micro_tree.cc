@@ -25,11 +25,21 @@
 //
 // ("shared": the frame is binned once and shared by every tree, so the
 // lines compare with older snapshots), plus one forest_fit line at the
-// E-AFE wide-search shape (1500x32, 8 trees of depth 6), and binning
-// lines at the search shapes (8000x9 and 1500x33): a FeatureBinner::Fit
-// of the whole frame vs an Extend that bins one column appended to a
-// binner fitted on the rest, which is what each candidate evaluation
-// pays. The pair must be bit-identical:
+// E-AFE wide-search shape (1500x32, 8 trees of depth 6), one 3-class
+// forest_fit line (10000x10; no e2ebench workload is multi-class, so it
+// is the one timing of the class scan's runtime-width path), forest_cv
+// lines at the three search shapes (a single-thread TaskEvaluator::Score
+// of a frame plus one derived column, 3 folds of 8 depth-6 trees, over
+// frame bins extended by the candidate, as the search evaluates):
+//
+//   {"bench": "forest_cv", "shape": "eafe_tall", "task": ..., "rows": ...,
+//    "features": ..., "folds": 3, "trees": 8, "max_depth": 6,
+//    "seconds": ..., "score": ...}
+//
+// and binning lines at the search shapes (8000x9 and 1500x33): a
+// FeatureBinner::Fit of the whole frame vs an Extend that bins one column
+// appended to a binner fitted on the rest, which is what each candidate
+// evaluation pays. The pair must be bit-identical:
 //
 //   {"bench": "bin_frame", "rows": ..., "features": ..., "mode": "fit",
 //    "seconds": ...}
@@ -82,6 +92,7 @@
 #include "core/stopwatch.h"
 #include "data/dataframe.h"
 #include "ml/decision_tree.h"
+#include "ml/evaluator.h"
 #include "ml/feature_binner.h"
 #include "ml/flat_model.h"
 #include "ml/gradient_boosted_trees.h"
@@ -97,9 +108,11 @@ namespace {
 
 /// Synthetic table with continuous (all-distinct) columns so the exact
 /// backend pays full per-node sorting cost: half the columns drive the
-/// label, half are noise.
+/// label, half are noise. A classification label is the number of cuts
+/// -1 + 2j/classes (j = 1 .. classes-1) the signal exceeds: one cut at 0
+/// for two classes.
 data::Dataset MakeTable(data::TaskType task, size_t rows, size_t features,
-                        uint64_t seed) {
+                        uint64_t seed, size_t classes = 2) {
   Rng rng(seed);
   std::vector<std::vector<double>> columns(features,
                                            std::vector<double>(rows));
@@ -113,9 +126,17 @@ data::Dataset MakeTable(data::TaskType task, size_t rows, size_t features,
         signal += (f % 2 == 0 ? 1.0 : -0.5) * columns[f][i];
       }
     }
-    labels[i] = task == data::TaskType::kClassification
-                    ? (signal > 0.0 ? 1.0 : 0.0)
-                    : signal + rng.Normal(0.0, 0.1);
+    if (task == data::TaskType::kClassification) {
+      size_t label = 0;
+      for (size_t j = 1; j < classes; ++j) {
+        const double cut = -1.0 + 2.0 * static_cast<double>(j) /
+                                      static_cast<double>(classes);
+        if (signal > cut) ++label;
+      }
+      labels[i] = static_cast<double>(label);
+    } else {
+      labels[i] = signal + rng.Normal(0.0, 0.1);
+    }
   }
   data::Dataset dataset;
   dataset.task = task;
@@ -419,6 +440,82 @@ void PrintWideForestFit(uint64_t seed) {
       kFeatures, /*reps=*/5, /*num_trees=*/8, /*max_depth=*/6);
 }
 
+/// The 3-class forest_fit line: the only timing of the class scan's
+/// runtime-width path, since every e2ebench workload is binary or
+/// regression.
+void PrintMultiClassForestFit(uint64_t seed) {
+  constexpr size_t kFeatures = 10;
+  PrintForestFit(MakeTable(data::TaskType::kClassification, 10000, kFeatures,
+                           seed, /*classes=*/3),
+                 kFeatures, /*reps=*/3);
+}
+
+/// The forest_cv lines at the three search shapes (e2ebench eafe_tall,
+/// nfs_tall and eafe_wide): what one candidate evaluation costs. Each
+/// candidate appends a derived column x_k * x_{k+1} to the frame, and
+/// TaskEvaluator::Score (3 folds, 8 trees of depth 6) extends the frame's
+/// BinFrame bins by it, as a search's per-candidate CV does. The seconds
+/// are the best of 3 rounds of the mean over 4 candidates; the score is
+/// the candidates' mean.
+void PrintForestCvLines(uint64_t seed) {
+  struct Shape {
+    const char* name;
+    data::TaskType task;
+    size_t rows;
+    size_t features;
+  };
+  ml::EvaluatorOptions options;
+  options.cv_folds = 3;
+  options.rf_trees = 8;
+  options.rf_max_depth = 6;
+  const ml::TaskEvaluator evaluator(options);
+  constexpr size_t kCandidates = 4;
+  constexpr size_t kRounds = 3;
+  for (const Shape& shape :
+       {Shape{"eafe_tall", data::TaskType::kClassification, 8000, 8},
+        Shape{"nfs_tall", data::TaskType::kRegression, 8000, 8},
+        Shape{"eafe_wide", data::TaskType::kClassification, 1500, 32}}) {
+    const data::Dataset frame =
+        MakeTable(shape.task, shape.rows, shape.features, seed);
+    auto bins = evaluator.BinFrame(frame);
+    EAFE_CHECK_MSG(bins.ok(), bins.status().ToString().c_str());
+    std::vector<data::Dataset> candidates;
+    for (size_t k = 0; k < kCandidates; ++k) {
+      const data::Column& a = frame.features.column(k);
+      const data::Column& b = frame.features.column(k + 1);
+      std::vector<double> derived(shape.rows);
+      for (size_t i = 0; i < shape.rows; ++i) derived[i] = a[i] * b[i];
+      data::Dataset candidate = frame;
+      EAFE_CHECK(candidate.features
+                     .AddColumn(data::Column("derived", std::move(derived)))
+                     .ok());
+      candidates.push_back(std::move(candidate));
+    }
+    double seconds = 0.0;
+    double score = 0.0;
+    for (size_t round = 0; round < kRounds; ++round) {
+      double sum = 0.0;
+      Stopwatch timer;
+      for (const data::Dataset& candidate : candidates) {
+        auto scored = evaluator.Score(candidate, bins.ValueOrDie().get());
+        EAFE_CHECK_MSG(scored.ok(), scored.status().ToString().c_str());
+        sum += scored.ValueOrDie();
+      }
+      const double mean_seconds =
+          timer.ElapsedSeconds() / static_cast<double>(kCandidates);
+      if (round == 0 || mean_seconds < seconds) seconds = mean_seconds;
+      score = sum / static_cast<double>(kCandidates);
+    }
+    std::printf(
+        "{\"bench\": \"forest_cv\", \"shape\": \"%s\", \"task\": \"%s\", "
+        "\"rows\": %zu, \"features\": %zu, \"folds\": %zu, \"trees\": %zu, "
+        "\"max_depth\": %zu, \"seconds\": %.6f, \"score\": %.4f}\n",
+        shape.name, TaskName(frame), shape.rows, shape.features + 1,
+        options.cv_folds, options.rf_trees, options.rf_max_depth, seconds,
+        score);
+  }
+}
+
 /// True when two binners hold the same bins: bin counts, the bit pattern
 /// of every cut, and every code.
 bool SameBins(const ml::FeatureBinner& a, const ml::FeatureBinner& b) {
@@ -538,6 +635,8 @@ int RunGrid(bool full, uint64_t seed) {
     }
   }
   PrintWideForestFit(seed);
+  PrintMultiClassForestFit(seed);
+  PrintForestCvLines(seed);
   EAFE_CHECK_MSG(PrintBinFrameLines(seed),
                  "extended binner differs from a full Fit");
   // Serving-engine deltas: flat batch predict after a full container

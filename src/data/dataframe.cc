@@ -157,6 +157,18 @@ size_t Dataset::NumClasses() const {
   return classes.size();
 }
 
+Status CheckClassId(double label) {
+  // Negated so NaN fails too.
+  if (!(label >= 0.0 && label < static_cast<double>(kMaxClasses) &&
+        label == std::floor(label))) {
+    return Status::InvalidArgument(
+        StrFormat("classification labels must be integers in [0, %u), "
+                  "got %.17g",
+                  kMaxClasses, label));
+  }
+  return Status::OK();
+}
+
 Status Dataset::Validate() const {
   if (features.num_columns() == 0) {
     return Status::InvalidArgument("dataset has no feature columns");
@@ -179,13 +191,8 @@ Status Dataset::Validate() const {
     if (!std::isfinite(label)) {
       return Status::InvalidArgument("labels contain non-finite values");
     }
-    if (task == TaskType::kClassification &&
-        (label != std::floor(label) || label < 0.0 ||
-         label >= static_cast<double>(kMaxClasses))) {
-      return Status::InvalidArgument(
-          StrFormat("classification labels must be integers in [0, %u), "
-                    "got %.17g",
-                    kMaxClasses, label));
+    if (task == TaskType::kClassification) {
+      EAFE_RETURN_NOT_OK(CheckClassId(label));
     }
   }
   if (task == TaskType::kClassification && NumClasses() < 2) {

@@ -91,6 +91,11 @@ std::string TaskTypeToString(TaskType task);
 /// counts and votes stay small dense arrays.
 inline constexpr uint32_t kMaxClasses = 1u << 16;
 
+/// OK iff `label` is a class id: an integer in [0, kMaxClasses), so its
+/// int cast is defined and bounded. The one per-label check behind
+/// Dataset::Validate and every classifier's fit (ml::BinnedLabels).
+Status CheckClassId(double label);
+
 /// A supervised dataset: feature frame + aligned label vector + task type.
 /// Classification labels are integer class ids in [0, kMaxClasses) stored
 /// as doubles.

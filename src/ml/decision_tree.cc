@@ -131,8 +131,10 @@ Status DecisionTree::FitBinnedWithLabels(
 
   HistogramBuilder builder(binner_.get(), options_.task, &labels, &y);
   Histogram scratch;
+  builder.Totals(rows, &scratch);
+  std::vector<size_t> staging(rows.size());
   Rng rng(options_.seed);
-  BuildNodeHistogram(builder, y, rows, &scratch, 0, &rng);
+  BuildNodeHistogram(builder, rows, staging, &scratch, 0, &rng);
   return Status::OK();
 }
 
@@ -166,6 +168,24 @@ DecisionTree::Node DecisionTree::MakeLeaf(const std::vector<double>& y,
     leaf.value = indices.empty()
                      ? 0.0
                      : sum / static_cast<double>(indices.size());
+    leaf.proba = leaf.value;
+  }
+  return leaf;
+}
+
+DecisionTree::Node DecisionTree::LeafFromTotals(
+    const std::vector<double>& totals, size_t n) const {
+  Node leaf;
+  const double count = static_cast<double>(n);
+  if (options_.task == data::TaskType::kClassification) {
+    size_t best_class = 0;
+    for (size_t cls = 1; cls < totals.size(); ++cls) {
+      if (totals[cls] > totals[best_class]) best_class = cls;
+    }
+    leaf.value = static_cast<double>(best_class);
+    leaf.proba = totals.size() > 1 ? totals[1] / count : 0.0;
+  } else {
+    leaf.value = totals[1] / count;
     leaf.proba = leaf.value;
   }
   return leaf;
@@ -319,56 +339,59 @@ int DecisionTree::BuildNode(const data::DataFrame& x,
   return node_id;
 }
 
-int DecisionTree::BuildNodeHistogram(const HistogramBuilder& builder,
-                                     const std::vector<double>& y,
-                                     std::vector<size_t>& indices,
+int DecisionTree::BuildNodeHistogram(HistogramBuilder& builder,
+                                     std::span<size_t> rows,
+                                     std::span<size_t> staging,
                                      Histogram* scratch, size_t depth,
                                      Rng* rng) {
   const int node_id = static_cast<int>(nodes_.size());
-  nodes_.push_back(MakeLeaf(y, indices));
+  nodes_.push_back(LeafFromTotals(scratch->totals, rows.size()));
   depth_ = std::max(depth_, static_cast<uint32_t>(depth));
   if (depth >= options_.max_depth ||
-      indices.size() < options_.min_samples_split) {
+      rows.size() < options_.min_samples_split) {
     return node_id;
   }
-  builder.Totals(indices, scratch);
-  const double parent_impurity =
-      builder.NodeImpurity(*scratch, indices.size());
+  const double parent_impurity = builder.NodeImpurity(*scratch, rows.size());
   if (parent_impurity <= 1e-12) return node_id;  // Pure node.
 
   // The node scans only the features it samples, so it accumulates only
   // those slices of the fit's one scratch histogram. The split search is
   // done with it before the children refill it for their own samples.
   const std::vector<size_t> features = SampleFeatures(rng);
-  builder.Build(indices, features, scratch);
+  builder.Build(rows, features, scratch);
   const HistogramBuilder::Split split =
-      builder.FindBestSplit(*scratch, features, indices.size(),
+      builder.FindBestSplit(*scratch, features, rows.size(),
                             options_.min_samples_leaf, parent_impurity);
   if (split.feature < 0 || split.gain <= 1e-12) return node_id;
 
+  // One stable pass splits the node's range in place and sums each
+  // child's totals, so a child's rows keep the order they had here.
   const size_t feature = static_cast<size_t>(split.feature);
-  const std::vector<uint8_t>& codes = binner_->codes(feature);
-  const uint8_t split_bin = static_cast<uint8_t>(split.bin);
-  std::vector<size_t> left_idx, right_idx;
-  left_idx.reserve(indices.size());
-  right_idx.reserve(indices.size());
-  for (size_t i : indices) {
-    (codes[i] <= split_bin ? left_idx : right_idx).push_back(i);
+  const size_t width = builder.entry_width();
+  const size_t group = 2 * depth * width;
+  if (child_totals_.size() < group + 2 * width) {
+    child_totals_.resize(group + 2 * width);
   }
-  if (left_idx.empty() || right_idx.empty()) return node_id;
+  const size_t num_left = builder.Partition(
+      rows, feature, static_cast<uint8_t>(split.bin), staging,
+      std::span<double>(child_totals_.data() + group, width),
+      std::span<double>(child_totals_.data() + group + width, width));
+  if (num_left == 0 || num_left == rows.size()) return node_id;
 
-  importances_[feature] +=
-      split.gain * static_cast<double>(indices.size());
+  importances_[feature] += split.gain * static_cast<double>(rows.size());
   const double threshold =
       binner_->cut(feature, static_cast<size_t>(split.bin));
 
-  indices.clear();
-  indices.shrink_to_fit();
-
-  const int left =
-      BuildNodeHistogram(builder, y, left_idx, scratch, depth + 1, rng);
-  const int right =
-      BuildNodeHistogram(builder, y, right_idx, scratch, depth + 1, rng);
+  // The left subtree may grow child_totals_, so the right child's totals
+  // are read back only when its turn comes.
+  const double* left_totals = child_totals_.data() + group;
+  scratch->totals.assign(left_totals, left_totals + width);
+  const int left = BuildNodeHistogram(builder, rows.first(num_left), staging,
+                                      scratch, depth + 1, rng);
+  const double* right_totals = child_totals_.data() + group + width;
+  scratch->totals.assign(right_totals, right_totals + width);
+  const int right = BuildNodeHistogram(builder, rows.subspan(num_left),
+                                       staging, scratch, depth + 1, rng);
   nodes_[node_id].feature = split.feature;
   nodes_[node_id].threshold = threshold;
   nodes_[node_id].split_bin = split.bin;

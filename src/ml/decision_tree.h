@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,8 +116,9 @@ class DecisionTree : public Model, public SharedBinnerModel {
   };
 
   /// FitBinned with the frame's class codes already converted (one
-  /// BinnedLabels per forest, not per tree), writing no image. `rows` is
-  /// consumed by the build recursion, so callers move it in.
+  /// BinnedLabels per forest, not per tree), writing no image. `rows`
+  /// becomes the tree's row array, which the build partitions in place,
+  /// so callers move it in.
   Status FitBinnedWithLabels(std::shared_ptr<const FeatureBinner> binner,
                              const std::vector<double>& y,
                              std::vector<size_t> rows,
@@ -132,18 +134,26 @@ class DecisionTree : public Model, public SharedBinnerModel {
 
   int BuildNode(const data::DataFrame& x, const std::vector<double>& y,
                 std::vector<size_t>& indices, size_t depth, Rng* rng);
-  /// Grows the subtree of `indices` (consumed). `scratch` is the fit's
-  /// one histogram, refilled by every node for the features it samples.
-  int BuildNodeHistogram(const HistogramBuilder& builder,
-                         const std::vector<double>& y,
-                         std::vector<size_t>& indices, Histogram* scratch,
+  /// Grows the subtree of `rows`, a range of the tree's row array, which
+  /// it partitions in place; `staging` is the fit's scratch row array (as
+  /// long as the root's range). `scratch` is the fit's one histogram: on
+  /// entry its totals are the node's, and every node refills the slices
+  /// of the features it samples.
+  int BuildNodeHistogram(HistogramBuilder& builder, std::span<size_t> rows,
+                         std::span<size_t> staging, Histogram* scratch,
                          size_t depth, Rng* rng);
+  /// A histogram node's leaf payload from its totals: the first class
+  /// with the largest count and P(class 1), or the mean. Counts are exact
+  /// integers and Σy was summed in the node's row order, so it equals
+  /// MakeLeaf over the node's rows, bit for bit.
+  Node LeafFromTotals(const std::vector<double>& totals, size_t n) const;
   SplitResult FindBestSplit(const data::DataFrame& x,
                             const std::vector<double>& y,
                             const std::vector<size_t>& indices, Rng* rng);
   /// Candidate features for one node (random subset when max_features is
   /// set, all features otherwise).
   std::vector<size_t> SampleFeatures(Rng* rng) const;
+  /// Leaf payload of an exact (oracle) node from its rows.
   Node MakeLeaf(const std::vector<double>& y,
                 const std::vector<size_t>& indices);
   /// The raw-double walk: routes `row` on x[feature] <= threshold. Exact
@@ -163,7 +173,11 @@ class DecisionTree : public Model, public SharedBinnerModel {
   /// The flat image of a standalone histogram fit; empty for exact fits
   /// and for trees a forest fitted.
   FlatEnsemble image_;
-  /// Flat per-class count buffers, reused across nodes (classification).
+  /// Children's totals of a histogram fit, two entry_width groups (left,
+  /// right) per depth: a node at depth d writes its children's into pair
+  /// d, which nothing overwrites while its left subtree grows.
+  std::vector<double> child_totals_;
+  /// Flat per-class count buffers of exact fits, reused across nodes.
   std::vector<size_t> leaf_counts_;
   std::vector<size_t> parent_counts_;
   std::vector<size_t> left_counts_;

@@ -1,6 +1,7 @@
 #include "ml/gradient_boosted_trees.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -142,6 +143,10 @@ Status GradientBoostedTrees::FitBinned(
   std::vector<uint8_t> view_codes;
   EAFE_RETURN_NOT_OK(binner_->GatherRows(rows, &view_codes));
   std::vector<uint32_t> leaves(n);
+  // Each round's row array, partitioned in place by its tree, and the
+  // partition's staging rows.
+  std::vector<size_t> tree_rows;
+  std::vector<size_t> staging(n);
   for (size_t round = 0; round < options_.rounds; ++round) {
     const std::vector<size_t>& sample =
         subsampled ? round_rows[round] : rows;
@@ -158,9 +163,9 @@ Status GradientBoostedTrees::FitBinned(
     Histogram root = AcquireHistogram();
     builder.Totals(sample, &root);
     builder.Build(sample, builder.all_features(), &root);
-    std::vector<size_t> indices = sample;  // BuildNode consumes its view.
+    tree_rows.assign(sample.begin(), sample.end());
     uint32_t deepest = 0;
-    BuildNode(builder, indices, std::move(root), 0, &deepest);
+    BuildNode(builder, tree_rows, staging, std::move(root), 0, &deepest);
     image_.EndTree(deepest);
     // Every view row (sampled or not) advances through the new tree so
     // the next round's gradients see the full ensemble.
@@ -187,14 +192,15 @@ void GradientBoostedTrees::ReleaseHistogram(Histogram&& hist) {
 }
 
 uint32_t GradientBoostedTrees::BuildNode(const HistogramBuilder& builder,
-                                         std::vector<size_t>& indices,
+                                         std::span<size_t> rows,
+                                         std::span<size_t> staging,
                                          Histogram&& hist, uint32_t depth,
                                          uint32_t* deepest) {
   const uint32_t node_id = image_.AddNode(
       -hist.totals[1] / (hist.totals[2] + options_.lambda), 0.0);
   *deepest = std::max(*deepest, depth);
   if (depth >= options_.max_depth ||
-      indices.size() < 2 * options_.min_samples_leaf) {
+      rows.size() < 2 * options_.min_samples_leaf) {
     ReleaseHistogram(std::move(hist));
     return node_id;
   }
@@ -205,42 +211,45 @@ uint32_t GradientBoostedTrees::BuildNode(const HistogramBuilder& builder,
     return node_id;
   }
 
-  const size_t feature = static_cast<size_t>(split.feature);
-  const std::vector<uint8_t>& codes = binner_->codes(feature);
+  // One stable pass splits the node's range in place and sums both
+  // children's {count, Σg, Σh} totals in row order.
   const uint8_t split_bin = static_cast<uint8_t>(split.bin);
-  std::vector<size_t> left_idx, right_idx;
-  left_idx.reserve(indices.size());
-  right_idx.reserve(indices.size());
-  for (size_t i : indices) {
-    (codes[i] <= split_bin ? left_idx : right_idx).push_back(i);
-  }
-  if (left_idx.empty() || right_idx.empty()) {
+  std::array<double, 3> left_totals{};
+  std::array<double, 3> right_totals{};
+  const size_t num_left =
+      builder.Partition(rows, static_cast<size_t>(split.feature), split_bin,
+                        staging, left_totals, right_totals);
+  if (num_left == 0 || num_left == rows.size()) {
     ReleaseHistogram(std::move(hist));
     return node_id;
   }
-
-  indices.clear();
-  indices.shrink_to_fit();
+  const std::span<size_t> left_rows = rows.first(num_left);
+  const std::span<size_t> right_rows = rows.subspan(num_left);
 
   // Subtraction trick: every node scans every feature, so accumulate the
   // smaller child from rows and derive the larger child as parent minus
-  // sibling (in place, so `hist` becomes the larger child's histogram).
-  // Subtracting walks the full flat array three times, though, so for
-  // nodes much smaller than the histogram itself rebuilding the larger
-  // child from its rows is the cheaper path. The choice depends only on
-  // node sizes, so fits stay reproducible across runs and thread counts.
-  const bool left_is_smaller = left_idx.size() <= right_idx.size();
-  const std::vector<size_t>& smaller_idx =
-      left_is_smaller ? left_idx : right_idx;
-  const std::vector<size_t>& larger_idx =
-      left_is_smaller ? right_idx : left_idx;
+  // sibling (in place, so `hist` becomes the larger child's histogram,
+  // totals included). Subtracting walks the full flat array three times,
+  // though, so for nodes much smaller than the histogram itself
+  // rebuilding the larger child from its rows is the cheaper path. The
+  // choice depends only on node sizes, so fits stay reproducible across
+  // runs and thread counts.
+  const bool left_is_smaller = left_rows.size() <= right_rows.size();
+  const std::span<size_t> smaller_rows =
+      left_is_smaller ? left_rows : right_rows;
+  const std::span<size_t> larger_rows =
+      left_is_smaller ? right_rows : left_rows;
+  const std::array<double, 3>& smaller_totals =
+      left_is_smaller ? left_totals : right_totals;
+  const std::array<double, 3>& larger_totals =
+      left_is_smaller ? right_totals : left_totals;
   Histogram smaller = AcquireHistogram();
-  builder.Totals(smaller_idx, &smaller);
-  builder.Build(smaller_idx, builder.all_features(), &smaller);
-  if (larger_idx.size() * binner_->num_features() <
+  smaller.totals.assign(smaller_totals.begin(), smaller_totals.end());
+  builder.Build(smaller_rows, builder.all_features(), &smaller);
+  if (larger_rows.size() * binner_->num_features() <
       2 * builder.total_size()) {
-    builder.Totals(larger_idx, &hist);
-    builder.Build(larger_idx, builder.all_features(), &hist);
+    hist.totals.assign(larger_totals.begin(), larger_totals.end());
+    builder.Build(larger_rows, builder.all_features(), &hist);
   } else {
     builder.Subtract(hist, smaller, &hist);
   }
@@ -249,9 +258,9 @@ uint32_t GradientBoostedTrees::BuildNode(const HistogramBuilder& builder,
   Histogram right_hist =
       left_is_smaller ? std::move(hist) : std::move(smaller);
 
-  const uint32_t left = BuildNode(builder, left_idx, std::move(left_hist),
-                                  depth + 1, deepest);
-  const uint32_t right = BuildNode(builder, right_idx,
+  const uint32_t left = BuildNode(builder, left_rows, staging,
+                                  std::move(left_hist), depth + 1, deepest);
+  const uint32_t right = BuildNode(builder, right_rows, staging,
                                    std::move(right_hist), depth + 1, deepest);
   image_.SetSplit(node_id, split.feature, split_bin, left, right);
   return node_id;

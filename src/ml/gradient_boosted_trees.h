@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -94,11 +95,12 @@ class GradientBoostedTrees : public Model, public SharedBinnerModel {
   Histogram AcquireHistogram();
   void ReleaseHistogram(Histogram&& hist);
 
-  /// Recursively grows one round's tree into the image; consumes
-  /// `indices` and `hist`, raises `deepest` to the levels it reaches, and
-  /// returns the node's index.
-  uint32_t BuildNode(const HistogramBuilder& builder,
-                     std::vector<size_t>& indices, Histogram&& hist,
+  /// Recursively grows one round's tree into the image: partitions
+  /// `rows`, a range of the round's row array, in place through
+  /// `staging`, consumes `hist` (the node's histogram and totals), raises
+  /// `deepest` to the levels it reaches, and returns the node's index.
+  uint32_t BuildNode(const HistogramBuilder& builder, std::span<size_t> rows,
+                     std::span<size_t> staging, Histogram&& hist,
                      uint32_t depth, uint32_t* deepest);
 
   Status CheckPredict(size_t num_columns) const;

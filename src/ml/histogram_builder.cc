@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/check.h"
-#include "core/string_util.h"
 #include "runtime/thread_pool.h"
 #include "simd/histogram_kernels.h"
 
@@ -21,6 +20,35 @@ double GiniFromCounts(const double* counts, int num_classes, double total) {
   return 1.0 - sum_sq;
 }
 
+/// Row adders of the three modes: each makes one row's adds to a totals
+/// array in a fixed order.
+struct ClassCountAdder {
+  const int* classes;
+  void operator()(double* totals, size_t row) const {
+    totals[classes[row]] += 1.0;
+  }
+};
+
+struct SquaresAdder {
+  const double* y;
+  void operator()(double* totals, size_t row) const {
+    const double value = y[row];
+    totals[0] += 1.0;
+    totals[1] += value;
+    totals[2] += value * value;
+  }
+};
+
+struct GradientPairAdder {
+  const double* g;
+  const double* h;
+  void operator()(double* totals, size_t row) const {
+    totals[0] += 1.0;
+    totals[1] += g[row];
+    totals[2] += h[row];
+  }
+};
+
 }  // namespace
 
 Result<BinnedLabels> BinnedLabels::Create(data::TaskType task,
@@ -30,12 +58,8 @@ Result<BinnedLabels> BinnedLabels::Create(data::TaskType task,
   labels.classes.resize(y.size());
   int max_class = 0;
   for (size_t i = 0; i < y.size(); ++i) {
-    // Negated so NaN fails too; the bound keeps the int cast defined.
-    if (!(y[i] >= 0.0 && y[i] < static_cast<double>(data::kMaxClasses))) {
-      return Status::InvalidArgument(StrFormat(
-          "classification labels must be class ids in [0, %u), got %.17g",
-          data::kMaxClasses, y[i]));
-    }
+    // The check bounds the label, so the int cast is defined.
+    EAFE_RETURN_NOT_OK(data::CheckClassId(y[i]));
     labels.classes[i] = static_cast<int>(y[i]);
     max_class = std::max(max_class, labels.classes[i]);
   }
@@ -60,6 +84,7 @@ HistogramBuilder::HistogramBuilder(const FeatureBinner* binner,
   EAFE_CHECK_GE(entry_width_, 1u);
   if (classification) {
     EAFE_CHECK_EQ(labels_->classes.size(), y_->size());
+    class_left_.resize(entry_width_);
   }
   InitOffsets();
 }
@@ -91,7 +116,22 @@ void HistogramBuilder::InitOffsets() {
   total_size_ = offset;
 }
 
-void HistogramBuilder::BuildFeatures(const std::vector<size_t>& indices,
+template <typename Fn>
+void HistogramBuilder::WithRowAdder(Fn&& fn) const {
+  switch (mode_) {
+    case Mode::kClassification:
+      fn(ClassCountAdder{labels_->classes.data()});
+      return;
+    case Mode::kRegression:
+      fn(SquaresAdder{y_->data()});
+      return;
+    case Mode::kGradientPair:
+      fn(GradientPairAdder{gradients_->data(), hessians_->data()});
+      return;
+  }
+}
+
+void HistogramBuilder::BuildFeatures(std::span<const size_t> rows,
                                      const std::vector<size_t>& features,
                                      size_t begin, size_t end,
                                      Histogram* out) const {
@@ -105,60 +145,75 @@ void HistogramBuilder::BuildFeatures(const std::vector<size_t>& indices,
     if (bins < 2) continue;  // Constant column: no splits.
     const std::vector<uint8_t>& codes = binner_->codes(f);
     if (mode_ == Mode::kClassification) {
-      simd::AccumulateClassCounts(codes.data(), indices.data(),
-                                  indices.size(), labels_->classes.data(),
-                                  entry_width_, h);
+      simd::AccumulateClassCounts(codes.data(), rows.data(), rows.size(),
+                                  labels_->classes.data(), entry_width_, h);
     } else if (mode_ == Mode::kRegression) {
-      simd::AccumulateSquares(codes.data(), indices.data(), indices.size(),
+      simd::AccumulateSquares(codes.data(), rows.data(), rows.size(),
                               y_->data(), h);
     } else {
-      simd::AccumulateGradientPairs(codes.data(), indices.data(),
-                                    indices.size(), gradients_->data(),
-                                    hessians_->data(), h);
+      simd::AccumulateGradientPairs(codes.data(), rows.data(), rows.size(),
+                                    gradients_->data(), hessians_->data(),
+                                    h);
     }
   }
 }
 
-void HistogramBuilder::Totals(const std::vector<size_t>& indices,
+void HistogramBuilder::Totals(std::span<const size_t> rows,
                               Histogram* out) const {
   out->totals.assign(entry_width_, 0.0);
-  if (mode_ == Mode::kClassification) {
-    const std::vector<int>& classes = labels_->classes;
-    for (size_t i : indices) out->totals[classes[i]] += 1.0;
-  } else if (mode_ == Mode::kRegression) {
-    for (size_t i : indices) {
-      const double value = (*y_)[i];
-      out->totals[0] += 1.0;
-      out->totals[1] += value;
-      out->totals[2] += value * value;
-    }
-  } else {
-    for (size_t i : indices) {
-      out->totals[0] += 1.0;
-      out->totals[1] += (*gradients_)[i];
-      out->totals[2] += (*hessians_)[i];
-    }
-  }
+  double* totals = out->totals.data();
+  WithRowAdder([&](auto add) {
+    for (const size_t row : rows) add(totals, row);
+  });
 }
 
-void HistogramBuilder::Build(const std::vector<size_t>& indices,
+void HistogramBuilder::Build(std::span<const size_t> rows,
                              const std::vector<size_t>& features,
                              Histogram* out) const {
   out->data.resize(total_size_);
   // Wide builds accumulate feature-parallel: each block owns disjoint
-  // slices of the flat array and walks `indices` in order, so the result
+  // slices of the flat array and walks `rows` in order, so the result
   // is independent of the partition. Nested calls (a tree training on a
   // pool worker) run inline via ParallelFor's own guard.
   if (features.size() >= kMinParallelFeatures &&
-      indices.size() >= kMinParallelRows) {
+      rows.size() >= kMinParallelRows) {
     runtime::ParallelFor(
         runtime::GlobalPool(), features.size(), /*min_block=*/16,
         [&](size_t begin, size_t end) {
-          BuildFeatures(indices, features, begin, end, out);
+          BuildFeatures(rows, features, begin, end, out);
         });
   } else {
-    BuildFeatures(indices, features, 0, features.size(), out);
+    BuildFeatures(rows, features, 0, features.size(), out);
   }
+}
+
+size_t HistogramBuilder::Partition(std::span<size_t> rows, size_t feature,
+                                   uint8_t bin, std::span<size_t> staging,
+                                   std::span<double> left_totals,
+                                   std::span<double> right_totals) const {
+  EAFE_CHECK_GE(staging.size(), rows.size());
+  EAFE_CHECK(left_totals.size() == entry_width_ &&
+             right_totals.size() == entry_width_);
+  std::fill(left_totals.begin(), left_totals.end(), 0.0);
+  std::fill(right_totals.begin(), right_totals.end(), 0.0);
+  const uint8_t* codes = binner_->codes(feature).data();
+  size_t num_left = 0;
+  size_t num_right = 0;
+  WithRowAdder([&](auto add) {
+    // Branch-free: each row is written to both candidate slots and only
+    // its side's cursor advances. rows[num_left] trails the read position,
+    // so compacting the left rows in place never overwrites an unread row.
+    for (const size_t row : rows) {
+      const bool left = codes[row] <= bin;
+      rows[num_left] = row;
+      staging[num_right] = row;
+      num_left += left ? 1 : 0;
+      num_right += left ? 0 : 1;
+      add(left ? left_totals.data() : right_totals.data(), row);
+    }
+  });
+  std::copy_n(staging.begin(), num_right, rows.begin() + num_left);
+  return num_left;
 }
 
 void HistogramBuilder::Subtract(const Histogram& parent,
@@ -188,74 +243,34 @@ double HistogramBuilder::NodeImpurity(const Histogram& hist,
 
 HistogramBuilder::Split HistogramBuilder::FindBestSplit(
     const Histogram& hist, const std::vector<size_t>& features,
-    size_t node_size, size_t min_samples_leaf,
-    double parent_impurity) const {
+    size_t node_size, size_t min_samples_leaf, double parent_impurity) {
   EAFE_CHECK(mode_ != Mode::kGradientPair);
   Split best;
   const double n = static_cast<double>(node_size);
   const bool classification = mode_ == Mode::kClassification;
   const double min_leaf = static_cast<double>(min_samples_leaf);
 
-  std::vector<double> left(entry_width_);
   for (size_t f : features) {
     const size_t bins = binner_->num_bins(f);
     if (bins < 2) continue;
     const double* h = hist.data.data() + offsets_[f];
-    if (!classification) {
-      // The variance-reduction scan runs in the simd/ kernel; its
-      // per-feature winner is bit-identical to the inline loop this
-      // replaces (same empty-bin skips, min-leaf pruning, and expression
-      // tree). The strict > keeps the earliest feature on gain ties,
-      // matching the original single running compare.
-      const simd::SplitScan scan = simd::RegressionSplitScan(
-          h, bins, n, hist.totals[1], hist.totals[2], min_leaf,
-          parent_impurity);
-      if (scan.bin >= 0 && scan.gain > best.gain) {
-        best.gain = scan.gain;
-        best.feature = static_cast<int>(f);
-        best.bin = scan.bin;
-      }
-      continue;
-    }
-    std::fill(left.begin(), left.end(), 0.0);
-    double left_n = 0.0;
-    // Boundary after bin b: left = bins [0, b], right = the rest. An
-    // empty bin's boundary duplicates the previous candidate's partition
-    // (identical stats, and strict > keeps the first of equal gains), so
-    // it is skipped without evaluating; and since left_n only grows, the
-    // scan stops once the right side is below the leaf minimum. Both cuts
-    // leave the chosen split bit-identical while making the per-node cost
-    // proportional to occupied bins, not the bin budget.
-    for (size_t b = 0; b + 1 < bins; ++b) {
-      const double* entry = h + b * entry_width_;
-      double bin_n = 0.0;
-      for (size_t c = 0; c < entry_width_; ++c) bin_n += entry[c];
-      if (bin_n <= 0.0) continue;  // Empty bin: duplicate boundary.
-      for (size_t c = 0; c < entry_width_; ++c) left[c] += entry[c];
-      left_n += bin_n;
-      const double right_n = n - left_n;
-      if (right_n <= 0.0 || right_n < min_leaf) break;
-      if (left_n < min_leaf) continue;
-
-      const double wl = left_n / n;
-      double gini_right = 0.0;
-      {
-        double sum_sq = 0.0;
-        for (size_t c = 0; c < entry_width_; ++c) {
-          const double p = (hist.totals[c] - left[c]) / right_n;
-          sum_sq += p * p;
-        }
-        gini_right = 1.0 - sum_sq;
-      }
-      const double gini_left =
-          GiniFromCounts(left.data(), labels_->num_classes, left_n);
-      const double impurity = wl * gini_left + (1.0 - wl) * gini_right;
-      const double gain = parent_impurity - impurity;
-      if (gain > best.gain) {
-        best.gain = gain;
-        best.feature = static_cast<int>(f);
-        best.bin = static_cast<int>(b);
-      }
+    // Both scans run in the simd/ kernels: empty bins duplicate the
+    // previous boundary and are skipped, and the scan stops once the
+    // right side drops below the leaf minimum, so a node's scan costs its
+    // occupied bins, not the bin budget. The strict > keeps the earliest
+    // feature on gain ties.
+    const simd::SplitScan scan =
+        classification
+            ? simd::ClassSplitScan(h, bins, entry_width_, hist.totals.data(),
+                                   n, min_leaf, parent_impurity,
+                                   class_left_.data())
+            : simd::RegressionSplitScan(h, bins, n, hist.totals[1],
+                                        hist.totals[2], min_leaf,
+                                        parent_impurity);
+    if (scan.bin >= 0 && scan.gain > best.gain) {
+      best.gain = scan.gain;
+      best.feature = static_cast<int>(f);
+      best.bin = scan.bin;
     }
   }
   return best;

@@ -2,6 +2,7 @@
 #define EAFE_ML_HISTOGRAM_BUILDER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/dataframe.h"
@@ -10,9 +11,10 @@
 namespace eafe::ml {
 
 /// Per-frame label codes shared across every tree trained on the frame:
-/// classification labels are validated as class ids in
-/// [0, data::kMaxClasses) and cast exactly once per fit, whether the tree
-/// splits on histograms or exactly. Empty `classes` for regression.
+/// classification labels are validated as class ids (data::CheckClassId)
+/// and cast exactly once per fit, whether the tree splits on histograms or
+/// exactly. Empty `classes` for regression. Every classifier takes its
+/// class count from here.
 struct BinnedLabels {
   std::vector<int> classes;  ///< Per-row class id (classification only).
   int num_classes = 0;       ///< 0 for regression.
@@ -39,7 +41,10 @@ struct Histogram {
 /// whenever the binning is lossless.
 ///
 /// Row indices are ids into the binner's frame and may repeat (bootstrap
-/// views); `y` and `labels` are indexed by the same ids. A forest node
+/// views); `y` and `labels` are indexed by the same ids. A tree keeps its
+/// rows in one array that Partition splits in place, node by node, so
+/// every node's rows are a contiguous range in their original order
+/// (LightGBM's DataPartition layout). A forest node
 /// builds only the features it samples; a build over many features runs
 /// feature-parallel on the global runtime pool: per-feature ranges of the
 /// flat array are disjoint and each feature accumulates its rows serially
@@ -76,15 +81,26 @@ class HistogramBuilder {
   /// Every feature id, in order: the feature list of a full Build.
   const std::vector<size_t>& all_features() const { return all_features_; }
 
-  /// Sets `out->totals` to the node totals of the rows in `indices`,
-  /// accumulated in row order.
-  void Totals(const std::vector<size_t>& indices, Histogram* out) const;
+  /// Sets `out->totals` to the node totals of `rows`, accumulated in row
+  /// order.
+  void Totals(std::span<const size_t> rows, Histogram* out) const;
 
   /// Zeroes the slices of `features` (distinct ids) in `out->data` (sized
-  /// to total_size() on first use) and accumulates the rows in `indices`
-  /// into them. Every other slice, and `out->totals`, is left as it was.
-  void Build(const std::vector<size_t>& indices,
+  /// to total_size() on first use) and accumulates `rows` into them.
+  /// Every other slice, and `out->totals`, is left as it was.
+  void Build(std::span<const size_t> rows,
              const std::vector<size_t>& features, Histogram* out) const;
+
+  /// Splits `rows` in place on codes(feature) <= bin, stably: the left
+  /// rows keep their order at the front and the right rows, staged
+  /// through `staging` (at least rows.size() long), keep theirs after
+  /// them. The same pass sets `left_totals` and `right_totals`
+  /// (entry_width() doubles each) to each side's totals, making Totals'
+  /// adds in Totals' row order, so each side's totals are the bits Totals
+  /// would return for its rows. Returns the number of left rows.
+  size_t Partition(std::span<size_t> rows, size_t feature, uint8_t bin,
+                   std::span<size_t> staging, std::span<double> left_totals,
+                   std::span<double> right_totals) const;
 
   /// The subtraction trick: out = parent - sibling, so only the smaller
   /// child of a split is accumulated from rows. Both histograms must hold
@@ -105,10 +121,12 @@ class HistogramBuilder {
 
   /// Best bin boundary over `features`. `parent_impurity` is
   /// NodeImpurity(hist, node_size); boundaries leaving fewer than
-  /// `min_samples_leaf` rows on either side are skipped.
+  /// `min_samples_leaf` rows on either side are skipped. Not const: a
+  /// class scan at any width but 2 accumulates its left counts in the
+  /// builder's own buffer, so one builder scans on one thread at a time.
   Split FindBestSplit(const Histogram& hist,
                       const std::vector<size_t>& features, size_t node_size,
-                      size_t min_samples_leaf, double parent_impurity) const;
+                      size_t min_samples_leaf, double parent_impurity);
 
   /// Best boundary over every feature under the second-order gain
   ///   0.5 * (G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda))
@@ -128,9 +146,15 @@ class HistogramBuilder {
   static constexpr size_t kMinParallelRows = 512;
 
   /// Build over features[begin, end).
-  void BuildFeatures(const std::vector<size_t>& indices,
+  void BuildFeatures(std::span<const size_t> rows,
                      const std::vector<size_t>& features, size_t begin,
                      size_t end, Histogram* out) const;
+
+  /// Calls fn(add) with the mode's row adder: add(totals, row) makes the
+  /// row's adds to a totals array (a class count, {1, y, y²} or {1, g,
+  /// h}). Totals and Partition share it, so their sums are the same bits.
+  template <typename Fn>
+  void WithRowAdder(Fn&& fn) const;
 
   void InitOffsets();
 
@@ -144,6 +168,8 @@ class HistogramBuilder {
   std::vector<size_t> offsets_;   ///< Per-feature offset into data.
   std::vector<size_t> all_features_;
   size_t total_size_ = 0;
+  /// ClassSplitScan's left counts at any class width but 2.
+  std::vector<double> class_left_;
 };
 
 }  // namespace eafe::ml

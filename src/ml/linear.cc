@@ -7,6 +7,7 @@
 #include "core/optimizer.h"
 #include "core/rng.h"
 #include "core/string_util.h"
+#include "ml/histogram_builder.h"
 
 namespace eafe::ml {
 namespace {
@@ -35,20 +36,6 @@ Result<Matrix> DesignMatrix(const data::StandardScaler& scaler,
   return design;
 }
 
-/// Number of classes, or an error if labels are not nonnegative integers
-/// (a classification model fitted on regression targets is a caller bug).
-Result<size_t> CountClasses(const std::vector<double>& y) {
-  int max_class = 0;
-  for (double label : y) {
-    if (label < 0.0 || label != std::floor(label)) {
-      return Status::InvalidArgument(
-          "classification labels must be nonnegative integers");
-    }
-    max_class = std::max(max_class, static_cast<int>(label));
-  }
-  return static_cast<size_t>(max_class) + 1;
-}
-
 }  // namespace
 
 LogisticRegression::LogisticRegression(const Options& options)
@@ -64,7 +51,10 @@ Status LogisticRegression::Fit(const data::DataFrame& x,
   EAFE_RETURN_NOT_OK(design.status());
   const Matrix& xm = *design;
   num_features_ = x.num_columns();
-  EAFE_ASSIGN_OR_RETURN(num_classes_, CountClasses(y));
+  EAFE_ASSIGN_OR_RETURN(
+      const BinnedLabels labels,
+      BinnedLabels::Create(data::TaskType::kClassification, y));
+  num_classes_ = static_cast<size_t>(labels.num_classes);
   if (num_classes_ < 2) {
     return Status::InvalidArgument("need at least 2 classes");
   }
@@ -248,7 +238,10 @@ Status LinearSvm::Fit(const data::DataFrame& x, const std::vector<double>& y) {
     return Status::OK();
   }
 
-  EAFE_ASSIGN_OR_RETURN(num_classes_, CountClasses(y));
+  EAFE_ASSIGN_OR_RETURN(
+      const BinnedLabels labels,
+      BinnedLabels::Create(data::TaskType::kClassification, y));
+  num_classes_ = static_cast<size_t>(labels.num_classes);
   if (num_classes_ < 2) {
     return Status::InvalidArgument("need at least 2 classes");
   }

@@ -5,6 +5,7 @@
 
 #include "core/check.h"
 #include "core/string_util.h"
+#include "ml/histogram_builder.h"
 
 namespace eafe::ml {
 
@@ -17,15 +18,10 @@ Status GaussianNaiveBayes::Fit(const data::DataFrame& x,
     return Status::InvalidArgument("rows and labels disagree or are empty");
   }
   num_features_ = x.num_columns();
-  int max_class = 0;
-  for (double label : y) {
-    if (label < 0.0 || label != std::floor(label)) {
-      return Status::InvalidArgument(
-          "classification labels must be nonnegative integers");
-    }
-    max_class = std::max(max_class, static_cast<int>(label));
-  }
-  const size_t num_classes = static_cast<size_t>(max_class) + 1;
+  EAFE_ASSIGN_OR_RETURN(
+      const BinnedLabels labels,
+      BinnedLabels::Create(data::TaskType::kClassification, y));
+  const size_t num_classes = static_cast<size_t>(labels.num_classes);
   if (num_classes < 2) {
     return Status::InvalidArgument("need at least 2 classes");
   }

@@ -8,6 +8,7 @@
 #include "core/optimizer.h"
 #include "core/rng.h"
 #include "core/string_util.h"
+#include "ml/histogram_builder.h"
 
 namespace eafe::ml {
 namespace {
@@ -87,17 +88,11 @@ Status TabularResNet::Fit(const data::DataFrame& x,
 
   std::vector<double> targets = y;
   if (options_.task == data::TaskType::kClassification) {
-    int max_class = 0;
-    std::set<int> distinct;
-    for (double label : y) {
-      if (label < 0.0 || label != std::floor(label)) {
-        return Status::InvalidArgument(
-            "classification labels must be nonnegative integers");
-      }
-      max_class = std::max(max_class, static_cast<int>(label));
-      distinct.insert(static_cast<int>(label));
-    }
-    output_dim_ = static_cast<size_t>(max_class) + 1;
+    EAFE_ASSIGN_OR_RETURN(const BinnedLabels labels,
+                          BinnedLabels::Create(options_.task, y));
+    output_dim_ = static_cast<size_t>(labels.num_classes);
+    const std::set<int> distinct(labels.classes.begin(),
+                                 labels.classes.end());
     if (distinct.size() < 2) {
       return Status::InvalidArgument("need at least 2 classes");
     }

@@ -1,8 +1,65 @@
 #include "simd/histogram_kernels.h"
 
+#include <algorithm>
+
 #include "simd/simd.h"
 
 namespace eafe::simd {
+namespace {
+
+/// ClassSplitScan's one body. A nonzero kWidth fixes the class count at
+/// compile time, so the loops over classes unroll and the left counts
+/// stay in registers; kWidth == 0 reads `runtime_width` and accumulates
+/// into the caller's `left_buffer`. Every sum runs in class order from 0.0, so
+/// both instantiations return the same bits for the same counts.
+template <size_t kWidth>
+SplitScan ClassScan(const double* h, size_t bins, size_t runtime_width,
+                    const double* totals, double n, double min_leaf,
+                    double parent_impurity, double* left_buffer) {
+  internal::CountDispatch(Kernel::kSplitScan, Level::kScalar);
+  double fixed[kWidth == 0 ? 1 : kWidth] = {};
+  const size_t width = kWidth == 0 ? runtime_width : kWidth;
+  double* left = kWidth == 0 ? left_buffer : fixed;
+  std::fill(left, left + width, 0.0);
+  SplitScan best;
+  double left_n = 0.0;
+  // Boundary after bin b: left = bins [0, b], right = the rest. An empty
+  // bin's boundary duplicates the previous candidate's partition, so it
+  // is skipped; left_n only grows, so the scan stops once the right side
+  // is below the leaf minimum.
+  for (size_t b = 0; b + 1 < bins; ++b) {
+    const double* entry = h + b * width;
+    double bin_n = 0.0;
+    for (size_t c = 0; c < width; ++c) bin_n += entry[c];
+    if (bin_n <= 0.0) continue;  // Empty bin: duplicate boundary.
+    for (size_t c = 0; c < width; ++c) left[c] += entry[c];
+    left_n += bin_n;
+    const double right_n = n - left_n;
+    if (right_n <= 0.0 || right_n < min_leaf) break;
+    if (left_n < min_leaf) continue;
+
+    const double wl = left_n / n;
+    double left_sq = 0.0;
+    double right_sq = 0.0;
+    for (size_t c = 0; c < width; ++c) {
+      const double pl = left[c] / left_n;
+      const double pr = (totals[c] - left[c]) / right_n;
+      left_sq += pl * pl;
+      right_sq += pr * pr;
+    }
+    const double gini_left = 1.0 - left_sq;
+    const double gini_right = 1.0 - right_sq;
+    const double impurity = wl * gini_left + (1.0 - wl) * gini_right;
+    const double gain = parent_impurity - impurity;
+    if (gain > best.gain) {
+      best.gain = gain;
+      best.bin = static_cast<int>(b);
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 void AccumulateClassCounts(const uint8_t* codes, const size_t* indices,
                            size_t n, const int* classes, size_t width,
@@ -111,6 +168,17 @@ SplitScan RegressionSplitScan(const double* h, size_t bins, double n,
     }
   }
   return best;
+}
+
+SplitScan ClassSplitScan(const double* h, size_t bins, size_t width,
+                         const double* totals, double n, double min_leaf,
+                         double parent_impurity, double* left) {
+  if (width == 2) {
+    return ClassScan<2>(h, bins, width, totals, n, min_leaf,
+                        parent_impurity, nullptr);
+  }
+  return ClassScan<0>(h, bins, width, totals, n, min_leaf, parent_impurity,
+                      left);
 }
 
 }  // namespace eafe::simd

@@ -61,6 +61,17 @@ SplitScan RegressionSplitScan(const double* h, size_t bins, double n,
                               double total_sum, double total_sum2,
                               double min_leaf, double parent_impurity);
 
+/// Gini-decrease scan over one feature's per-class count bins (the
+/// classification arm of FindBestSplit), with GradientSplitScan's tie,
+/// empty-bin and min-leaf rules. `h` points at the feature's bins*width
+/// counts and `totals` at the node's `width` class counts; `n` is the
+/// node's row count. Two classes keep their left counts in registers;
+/// any other width accumulates them in `left`, a caller-owned buffer of
+/// `width` doubles (unused, and may be null, when width == 2).
+SplitScan ClassSplitScan(const double* h, size_t bins, size_t width,
+                         const double* totals, double n, double min_leaf,
+                         double parent_impurity, double* left);
+
 }  // namespace eafe::simd
 
 #endif  // EAFE_SIMD_HISTOGRAM_KERNELS_H_

@@ -31,7 +31,8 @@ enum class Kernel : int {
   kClassCounts = 2,  ///< Histogram per-class count accumulation.
   kTriples = 3,      ///< Histogram {count, Σa, Σb} accumulation.
   kSubtract = 4,     ///< Histogram parent-minus-sibling subtraction.
-  kSplitScan = 5,    ///< Best-split bin scans (gradient / regression).
+  kSplitScan = 5,    ///< Best-split bin scans (gradient / regression /
+                     ///< classification).
   kWalk = 6,         ///< Flat-predictor batch node walk.
   kKernelCount = 7,
 };

@@ -11,6 +11,7 @@
 namespace eafe::ml {
 namespace {
 
+using testing::ExpectClassIdRejected;
 using testing::LabelAccuracy;
 using testing::MakeSeparable;
 using testing::MakeSmoothRegression;
@@ -150,6 +151,17 @@ TEST(DecisionTreeTest, ExactFitRejectsClassIdsPastTheBound) {
         << bad;
     EXPECT_FALSE(tree.fitted());
   }
+}
+
+// A fractional label is no class id: the fit rejects it, as
+// Dataset::Validate does, instead of training it as class 0.
+TEST(DecisionTreeTest, ExactFitRejectsNonIntegralClassIds) {
+  const data::Dataset dataset = MakeSeparable(50, 5);
+  std::vector<double> labels = dataset.labels;
+  labels[3] = 0.5;
+  DecisionTree tree;  // Exact by default.
+  ExpectClassIdRejected(tree.Fit(dataset.features, labels));
+  EXPECT_FALSE(tree.fitted());
 }
 
 TEST(DecisionTreeTest, PredictRejectsWrongWidth) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -25,9 +26,12 @@ namespace {
 /// rows x columns (columns >= 5) frame of standard-normal columns, with
 /// column 4 rounded to a few distinct values so binning sees ties. The
 /// target mixes a few columns through an interaction and label noise, so
-/// trees grow to their depth cap rather than stopping at pure nodes.
+/// trees grow to their depth cap rather than stopping at pure nodes. A
+/// classification label is the number of `cuts` the signal exceeds: one
+/// cut at 0 makes it binary, two make three classes.
 data::Dataset MakeFrame(data::TaskType task, size_t rows, size_t columns,
-                        uint64_t seed) {
+                        uint64_t seed,
+                        const std::vector<double>& cuts = {0.0}) {
   Rng rng(seed);
   std::vector<std::vector<double>> values(columns,
                                           std::vector<double>(rows));
@@ -41,9 +45,13 @@ data::Dataset MakeFrame(data::TaskType task, size_t rows, size_t columns,
     const double signal = values[0][i] + 0.5 * values[1][i] * values[2][i] -
                           values[3][i] + 0.3 * values[4][i] +
                           rng.Normal(0.0, 0.5);
-    dataset.labels[i] = task == data::TaskType::kClassification
-                            ? (signal > 0.0 ? 1.0 : 0.0)
-                            : signal;
+    dataset.labels[i] = signal;
+    if (task == data::TaskType::kClassification) {
+      dataset.labels[i] = static_cast<double>(std::count_if(
+          cuts.begin(), cuts.end(), [signal](double cut) {
+            return signal > cut;
+          }));
+    }
   }
   for (size_t c = 0; c < columns; ++c) {
     EXPECT_TRUE(dataset.features
@@ -92,8 +100,9 @@ uint64_t FoldTrees(uint64_t digest, const FlatTreeModel& image) {
 
 constexpr uint64_t kDigestSeed = 0xCBF29CE484222325ULL;
 
-uint64_t ForestDigest(data::TaskType task, size_t rows, size_t columns) {
-  const data::Dataset dataset = MakeFrame(task, rows, columns, 2024);
+uint64_t ForestDigest(data::TaskType task, size_t rows, size_t columns,
+                      const std::vector<double>& cuts = {0.0}) {
+  const data::Dataset dataset = MakeFrame(task, rows, columns, 2024, cuts);
   RandomForest::Options options;
   options.task = task;
   options.num_trees = 8;
@@ -114,6 +123,16 @@ uint64_t ForestDigest(data::TaskType task, size_t rows, size_t columns) {
 TEST(GoldenDigestTest, ClassificationForest) {
   EXPECT_EQ(ForestDigest(data::TaskType::kClassification, 1500, 32),
             0x05e8e1e00a66a145ULL);
+}
+
+// Three classes take the class split scan's runtime-width path and the
+// three-way majority leaf; no other digest reaches either. Pinned before
+// the class scan left FindBestSplit's inline loop and tree nodes began
+// reading their leaves from partition totals; both kept it.
+TEST(GoldenDigestTest, MultiClassForest) {
+  EXPECT_EQ(ForestDigest(data::TaskType::kClassification, 2000, 10,
+                         {-0.5, 0.5}),
+            0xe75222f32acea3ddULL);
 }
 
 TEST(GoldenDigestTest, Booster) {

@@ -254,6 +254,20 @@ TEST(HistogramBuilderTest, SingleTierKernelsCountAtScalarUnderAvx2) {
     EXPECT_GT(simd::DispatchCount(kernel, simd::Level::kScalar), 0u)
         << simd::KernelName(kernel);
   }
+
+  // A classification forest scans its splits in the class split kernel
+  // too, so a fit with no regression or booster beside it counts there.
+  simd::ResetDispatchCounts();
+  RandomForest::Options options;
+  options.num_trees = 4;
+  RandomForest forest(options);
+  ASSERT_TRUE(
+      forest.Fit(classification.features, classification.labels).ok());
+  EXPECT_EQ(
+      simd::DispatchCount(simd::Kernel::kSplitScan, simd::Level::kAvx2), 0u);
+  EXPECT_GT(
+      simd::DispatchCount(simd::Kernel::kSplitScan, simd::Level::kScalar),
+      0u);
 }
 
 // With every sample value distinct and n <= max_bins, the binning is

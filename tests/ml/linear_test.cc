@@ -8,10 +8,12 @@
 namespace eafe::ml {
 namespace {
 
+using testing::ExpectClassIdRejected;
 using testing::LabelAccuracy;
 using testing::MakeBlobs;
 using testing::MakeLinearRegression;
 using testing::MakeSeparable;
+using testing::OutOfRangeClassLabels;
 
 TEST(LogisticRegressionTest, LearnsSeparableData) {
   const data::Dataset dataset = MakeSeparable(400, 1);
@@ -60,6 +62,17 @@ TEST(LogisticRegressionTest, ErrorsOnBadInput) {
   EXPECT_FALSE(model.Fit(x, {1.0, 0.0}).ok());   // Mismatch.
   EXPECT_FALSE(model.Fit(x, {0, 0, 0}).ok());    // Single class.
   EXPECT_FALSE(model.Predict(x).ok());           // Not fitted.
+}
+
+// Both linear classifiers take their class count from BinnedLabels, so a
+// class id no int holds fails the fit instead of sizing one head per id.
+TEST(LinearClassifiersTest, RejectClassIdsPastTheBound) {
+  data::DataFrame x;
+  ASSERT_TRUE(x.AddColumn(data::Column("f", {1, 2, 3})).ok());
+  for (const std::vector<double>& labels : OutOfRangeClassLabels()) {
+    ExpectClassIdRejected(LogisticRegression().Fit(x, labels));
+    ExpectClassIdRejected(LinearSvm().Fit(x, labels));
+  }
 }
 
 TEST(LogisticRegressionTest, DeterministicGivenSeed) {

@@ -8,11 +8,13 @@
 namespace eafe::ml {
 namespace {
 
+using testing::ExpectClassIdRejected;
 using testing::LabelAccuracy;
 using testing::MakeBlobs;
 using testing::MakeSeparable;
 using testing::MakeSmoothRegression;
 using testing::MakeXor;
+using testing::OutOfRangeClassLabels;
 
 TEST(MlpTest, LearnsXor) {
   const data::Dataset dataset = MakeXor(400, 1);
@@ -99,6 +101,14 @@ TEST(MlpTest, ErrorsOnBadInput) {
   EXPECT_FALSE(model.Fit(x, {1.0}).ok());
   EXPECT_FALSE(model.Fit(x, {1, 1, 1}).ok());  // Single class.
   EXPECT_FALSE(model.Predict(x).ok());
+}
+
+TEST(MlpTest, RejectsClassIdsPastTheBound) {
+  data::DataFrame x;
+  ASSERT_TRUE(x.AddColumn(data::Column("f", {1, 2, 3})).ok());
+  for (const std::vector<double>& labels : OutOfRangeClassLabels()) {
+    ExpectClassIdRejected(Mlp().Fit(x, labels));
+  }
 }
 
 }  // namespace

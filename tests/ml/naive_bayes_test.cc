@@ -7,9 +7,11 @@
 namespace eafe::ml {
 namespace {
 
+using testing::ExpectClassIdRejected;
 using testing::LabelAccuracy;
 using testing::MakeBlobs;
 using testing::MakeSeparable;
+using testing::OutOfRangeClassLabels;
 
 TEST(GaussianNaiveBayesTest, LearnsBlobs) {
   const data::Dataset dataset = MakeBlobs(300, 1);
@@ -71,6 +73,14 @@ TEST(GaussianNaiveBayesTest, RejectsEmptyClass) {
   ASSERT_TRUE(frame.AddColumn(data::Column("x", {1, 2, 3})).ok());
   // Labels 0 and 2 present, class 1 missing.
   EXPECT_FALSE(GaussianNaiveBayes().Fit(frame, {0, 2, 0}).ok());
+}
+
+TEST(GaussianNaiveBayesTest, RejectsClassIdsPastTheBound) {
+  data::DataFrame x;
+  ASSERT_TRUE(x.AddColumn(data::Column("f", {1, 2, 3})).ok());
+  for (const std::vector<double>& labels : OutOfRangeClassLabels()) {
+    ExpectClassIdRejected(GaussianNaiveBayes().Fit(x, labels));
+  }
 }
 
 TEST(GaussianNaiveBayesTest, ErrorsOnBadInput) {

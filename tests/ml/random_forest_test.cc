@@ -9,6 +9,7 @@
 namespace eafe::ml {
 namespace {
 
+using testing::ExpectClassIdRejected;
 using testing::LabelAccuracy;
 using testing::MakeBlobs;
 using testing::MakeSeparable;
@@ -168,6 +169,16 @@ TEST(RandomForestTest, RejectsClassIdsPastTheBound) {
   dataset.labels[7] = static_cast<double>(data::kMaxClasses);
   EXPECT_EQ(forest.Fit(dataset.features, dataset.labels).code(),
             StatusCode::kInvalidArgument);
+}
+
+// A fractional label is no class id: the fit rejects it, as
+// Dataset::Validate does, instead of training it as class 0.
+TEST(RandomForestTest, RejectsNonIntegralClassIds) {
+  data::Dataset dataset = MakeXor(50, 10);
+  dataset.labels[7] = 0.5;
+  RandomForest forest;
+  ExpectClassIdRejected(forest.Fit(dataset.features, dataset.labels));
+  EXPECT_FALSE(forest.fitted());
 }
 
 }  // namespace

@@ -9,10 +9,12 @@
 namespace eafe::ml {
 namespace {
 
+using testing::ExpectClassIdRejected;
 using testing::LabelAccuracy;
 using testing::MakeSeparable;
 using testing::MakeSmoothRegression;
 using testing::MakeXor;
+using testing::OutOfRangeClassLabels;
 
 TEST(TabularResNetTest, LearnsSeparable) {
   const data::Dataset dataset = MakeSeparable(300, 1);
@@ -78,6 +80,14 @@ TEST(TabularResNetTest, ErrorsOnBadInput) {
   EXPECT_FALSE(model.Predict(x).ok());
   EXPECT_FALSE(model.ExtractRepresentation(x).ok());
   EXPECT_FALSE(model.Fit(x, {1.0}).ok());
+}
+
+TEST(TabularResNetTest, RejectsClassIdsPastTheBound) {
+  data::DataFrame x;
+  ASSERT_TRUE(x.AddColumn(data::Column("f", {1, 2, 3})).ok());
+  for (const std::vector<double>& labels : OutOfRangeClassLabels()) {
+    ExpectClassIdRejected(TabularResNet().Fit(x, labels));
+  }
 }
 
 TEST(TabularResNetTest, ZeroBlocksIsLinearStemPlusHead) {

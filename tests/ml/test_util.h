@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "core/status.h"
 #include "data/dataframe.h"
 
 namespace eafe::ml::testing {
@@ -133,6 +134,20 @@ inline data::Dataset MakeWide(size_t n, size_t columns, uint64_t seed) {
                     .ok());
   }
   return dataset;
+}
+
+/// Label vectors over three rows whose last label is no class id: past
+/// any int (3e9), or infinite. A classifier's Fit must reject each with
+/// ExpectClassIdRejected.
+inline std::vector<std::vector<double>> OutOfRangeClassLabels() {
+  return {{0.0, 1.0, 3e9}, {0.0, 1.0, HUGE_VAL}};
+}
+
+/// The rejection of data::CheckClassId: InvalidArgument naming the bound.
+inline void ExpectClassIdRejected(const Status& status) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("[0, 65536)"), std::string::npos)
+      << status.ToString();
 }
 
 /// Fraction of matching integer predictions.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -387,6 +388,146 @@ TEST(HistogramKernelTest, SubtractArraysMayAliasItsFirstInput) {
     // The in-place parent-minus-sibling use: out == a.
     SubtractArrays(a.data(), b.data(), n, a.data());
     EXPECT_EQ(a, naive) << "n=" << n;
+  }
+}
+
+/// The classification scan as FindBestSplit ran it inline before it
+/// moved into ClassSplitScan: a heap vector of left counts, the left Gini
+/// through a guarded helper, and the same empty-bin skip, min-leaf break
+/// and strict > on gain.
+SplitScan NaiveClassScan(const double* h, size_t bins, size_t width,
+                         const double* totals, double n, double min_leaf,
+                         double parent_impurity) {
+  SplitScan best;
+  std::vector<double> left(width, 0.0);
+  double left_n = 0.0;
+  for (size_t b = 0; b + 1 < bins; ++b) {
+    const double* entry = h + b * width;
+    double bin_n = 0.0;
+    for (size_t c = 0; c < width; ++c) bin_n += entry[c];
+    if (bin_n <= 0.0) continue;
+    for (size_t c = 0; c < width; ++c) left[c] += entry[c];
+    left_n += bin_n;
+    const double right_n = n - left_n;
+    if (right_n <= 0.0 || right_n < min_leaf) break;
+    if (left_n < min_leaf) continue;
+    const double wl = left_n / n;
+    double gini_right = 0.0;
+    {
+      double sum_sq = 0.0;
+      for (size_t c = 0; c < width; ++c) {
+        const double p = (totals[c] - left[c]) / right_n;
+        sum_sq += p * p;
+      }
+      gini_right = 1.0 - sum_sq;
+    }
+    double gini_left = 0.0;
+    if (left_n > 0.0) {
+      double sum_sq = 0.0;
+      for (size_t c = 0; c < width; ++c) {
+        const double p = left[c] / left_n;
+        sum_sq += p * p;
+      }
+      gini_left = 1.0 - sum_sq;
+    }
+    const double impurity = wl * gini_left + (1.0 - wl) * gini_right;
+    const double gain = parent_impurity - impurity;
+    if (gain > best.gain) {
+      best.gain = gain;
+      best.bin = static_cast<int>(b);
+    }
+  }
+  return best;
+}
+
+/// Runs ClassSplitScan and the naive scan over one feature's counts and
+/// expects the same bin and the same gain bits.
+void ExpectClassScansAgree(const std::vector<double>& h, size_t width,
+                           double min_leaf, const std::string& what) {
+  const size_t bins = h.size() / width;
+  std::vector<double> totals(width, 0.0);
+  for (size_t b = 0; b < bins; ++b) {
+    for (size_t c = 0; c < width; ++c) totals[c] += h[b * width + c];
+  }
+  double n = 0.0;
+  for (const double count : totals) n += count;
+  double sum_sq = 0.0;
+  for (const double count : totals) sum_sq += (count / n) * (count / n);
+  const double parent = 1.0 - sum_sq;
+  std::vector<double> left(width);
+  const SplitScan kernel = ClassSplitScan(h.data(), bins, width,
+                                          totals.data(), n, min_leaf, parent,
+                                          left.data());
+  const SplitScan naive = NaiveClassScan(h.data(), bins, width,
+                                         totals.data(), n, min_leaf, parent);
+  EXPECT_EQ(kernel.bin, naive.bin) << what;
+  EXPECT_EQ(std::bit_cast<uint64_t>(kernel.gain),
+            std::bit_cast<uint64_t>(naive.gain))
+      << what;
+}
+
+// The class split scan against the inline loop it replaced, on seeded
+// integer count histograms: both instantiations (two classes in
+// registers, any other width in the caller's buffer), runs of empty bins
+// and several leaf minimums must give the same bin and gain bits.
+TEST(HistogramKernelTest, ClassSplitScanMatchesInlineLoop) {
+  for (const size_t width : {size_t{2}, size_t{3}, size_t{5}}) {
+    for (const size_t bins : {size_t{2}, size_t{7}, size_t{40}, size_t{255}}) {
+      for (const uint64_t seed : kSeeds) {
+        std::vector<double> h(bins * width);
+        for (size_t b = 0; b < bins; ++b) {
+          // Every fourth run of three bins is empty.
+          const bool empty = (b / 3) % 4 == 1;
+          for (size_t c = 0; c < width; ++c) {
+            h[b * width + c] =
+                empty ? 0.0
+                      : std::floor(TestUniform(seed + width, b * width + c) *
+                                   (c == 0 ? 7.0 : 4.0));
+          }
+        }
+        for (const double min_leaf : {1.0, 2.0, 5.0}) {
+          ExpectClassScansAgree(h, width, min_leaf,
+                                "width=" + std::to_string(width) +
+                                    " bins=" + std::to_string(bins) +
+                                    " seed=" + std::to_string(seed) +
+                                    " min_leaf=" + std::to_string(min_leaf));
+        }
+      }
+    }
+  }
+}
+
+// Bins (2,0) (0,2) (0,2) (2,0) over 8 rows: the boundaries after bins 0
+// and 2 mirror each other (weights 1/4 and 3/4 are exact, the impure side
+// is (2,4) both times), so their gains are equal to the bit and the
+// strict > keeps bin 0. Extra classes stay empty and change no sum.
+TEST(HistogramKernelTest, ClassSplitScanKeepsTheFirstOfTiedBins) {
+  for (const size_t width : {size_t{2}, size_t{3}, size_t{5}}) {
+    std::vector<double> h(4 * width, 0.0);
+    h[0 * width + 0] = 2.0;
+    h[1 * width + 1] = 2.0;
+    h[2 * width + 1] = 2.0;
+    h[3 * width + 0] = 2.0;
+    std::vector<double> totals(width, 0.0);
+    totals[0] = 4.0;
+    totals[1] = 4.0;
+    std::vector<double> left(width);
+    const SplitScan scan = ClassSplitScan(h.data(), 4, width, totals.data(),
+                                          8.0, 1.0, 0.5, left.data());
+    EXPECT_EQ(scan.bin, 0) << "width=" << width;
+    EXPECT_GT(scan.gain, 0.0) << "width=" << width;
+    ExpectClassScansAgree(h, width, 1.0, "tie width=" + std::to_string(width));
+    // The mirrored boundary alone (bin 0 merged into bin 1's side) has
+    // the same gain bits.
+    std::vector<double> tail(h.begin() + static_cast<std::ptrdiff_t>(width),
+                             h.end());
+    tail[0] += 2.0;  // Bin 0's rows join bin 1: boundaries 1|2 and 2|3.
+    const SplitScan mirrored = ClassSplitScan(
+        tail.data(), 3, width, totals.data(), 8.0, 1.0, 0.5, left.data());
+    EXPECT_EQ(mirrored.bin, 1) << "width=" << width;
+    EXPECT_EQ(std::bit_cast<uint64_t>(mirrored.gain),
+              std::bit_cast<uint64_t>(scan.gain))
+        << "width=" << width;
   }
 }
 

@@ -39,6 +39,10 @@
 #            equal to TaskEvaluator::Score, served replies equal to
 #            FlatPredictor; the trace recorder's unit tests); no timing
 #            gates
+#   coverage report only, not part of `all`: a --coverage -O0 build in
+#            build-coverage/, the full ctest set, then gcov line coverage
+#            per src/ layer (tools/coverage_report.py), printed and saved
+#            to build-coverage/coverage.txt; no threshold
 #
 # All suites configure with -DEAFE_WERROR=ON: the warning wall
 # (-Wall -Wextra -Wshadow -Wconversion) is kept clean, so a new warning is
@@ -49,6 +53,7 @@
 #   tools/check.sh --suite tsan       # one suite
 #   tools/check.sh --label ml         # debug suite, ml-labeled tests only
 #   tools/check.sh --no-tsan          # all suites except tsan
+#   tools/check.sh --suite coverage   # line coverage report
 #
 # Test selection is label-driven (see eafe_add_test in tests/CMakeLists.txt):
 # the tsan suite discovers its targets from the `tsan` label instead of a
@@ -57,7 +62,7 @@ set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 2)"
-suites="lint debug release asan ubsan tsan serve bench"
+suites="lint debug release asan ubsan tsan serve bench coverage"
 suite="all"
 label=""
 
@@ -308,6 +313,28 @@ run_bench() {
     -L '^bench$'
 }
 
+run_coverage() {
+  echo "== coverage: gcov line coverage per src/ layer (${root}/build-coverage) =="
+  # -O0 keeps every source line its own counted block. Benchmarks and
+  # examples are left out: the report is about what the tests reach.
+  cmake -B "${root}/build-coverage" -S "${root}" \
+    -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS="--coverage -O0" \
+    -DCMAKE_EXE_LINKER_FLAGS="--coverage" \
+    -DEAFE_WERROR=ON \
+    -DEAFE_BUILD_BENCHMARKS=OFF \
+    -DEAFE_BUILD_EXAMPLES=OFF >/dev/null
+  cmake --build "${root}/build-coverage" -j "${jobs}"
+  # Counters accumulate across runs; start from zero so the table
+  # describes this run of the suite alone.
+  find "${root}/build-coverage" -name '*.gcda' -delete
+  # shellcheck disable=SC2046
+  ctest --test-dir "${root}/build-coverage" --output-on-failure \
+    --timeout 1800 -j "${jobs}" $(label_args "${label}")
+  python3 "${root}/tools/coverage_report.py" \
+    --build "${root}/build-coverage" --root "${root}" |
+    tee "${root}/build-coverage/coverage.txt"
+}
+
 case "${suite}" in
   lint) run_lint ;;
   debug) run_debug ;;
@@ -317,6 +344,7 @@ case "${suite}" in
   tsan) run_tsan ;;
   serve) run_serve ;;
   bench) run_bench ;;
+  coverage) run_coverage ;;
   no-tsan)
     run_lint; run_debug; run_release; run_asan; run_ubsan; run_serve
     run_bench ;;
