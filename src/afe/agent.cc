@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/activation.h"
 #include "core/check.h"
 
 namespace eafe::afe {
 
-RnnAgent::RnnAgent(const Options& options) : options_(options) {
+RnnAgent::RnnAgent(const Options& options)
+    : options_(options), adam_(options.learning_rate, options.l2) {
   EAFE_CHECK_GT(options_.input_dim, 0u);
   EAFE_CHECK_GT(options_.hidden_dim, 0u);
   EAFE_CHECK_GT(options_.num_actions, 1u);
@@ -15,10 +17,6 @@ RnnAgent::RnnAgent(const Options& options) : options_(options) {
   params_.resize(NumParams());
   // Small initialization keeps the initial policy near uniform.
   for (double& p : params_) p = rng.Normal(0.0, 0.05);
-  Adam::Options adam_options;
-  adam_options.learning_rate = options_.learning_rate;
-  adam_options.weight_decay = options_.l2;
-  adam_ = Adam(adam_options);
   hidden_.assign(options_.hidden_dim, 0.0);
 }
 
@@ -52,21 +50,13 @@ std::vector<double> RnnAgent::Step(const std::vector<double>& input) {
   hidden_ = z;
   record.hidden = z;
 
-  std::vector<double> logits(act, 0.0);
+  std::vector<double> probs(act, 0.0);
   for (size_t a = 0; a < act; ++a) {
     double sum = c[a];
     for (size_t h = 0; h < hid; ++h) sum += wo[h * act + a] * z[h];
-    logits[a] = sum;
+    probs[a] = sum;  // The logit, until the softmax below.
   }
-  double max_logit = logits[0];
-  for (double l : logits) max_logit = std::max(max_logit, l);
-  double total = 0.0;
-  std::vector<double> probs(act);
-  for (size_t a = 0; a < act; ++a) {
-    probs[a] = std::exp(logits[a] - max_logit);
-    total += probs[a];
-  }
-  for (double& p : probs) p /= total;
+  SoftmaxInPlace(probs);
   record.probs = probs;
   records_.push_back(std::move(record));
   return probs;

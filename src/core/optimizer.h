@@ -15,19 +15,9 @@ namespace eafe {
 /// policy networks.
 class Adam {
  public:
-  struct Options {
-    double learning_rate = 0.01;  ///< Paper's default for the RL framework.
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double epsilon = 1e-8;
-    double weight_decay = 0.0;  ///< Decoupled L2 (AdamW-style).
-  };
-
-  Adam() : Adam(Options{}) {}
-  explicit Adam(const Options& options) : options_(options) {}
-
-  const Options& options() const { return options_; }
-  void set_learning_rate(double lr) { options_.learning_rate = lr; }
+  /// `weight_decay` is a decoupled L2 (AdamW-style).
+  explicit Adam(double learning_rate, double weight_decay = 0.0)
+      : learning_rate_(learning_rate), weight_decay_(weight_decay) {}
 
   /// Applies one update: params -= lr * m_hat / (sqrt(v_hat) + eps).
   /// `params` and `grads` must be the same size across calls.
@@ -39,18 +29,17 @@ class Adam {
       t_ = 0;
     }
     ++t_;
-    const double bias1 = 1.0 - std::pow(options_.beta1, t_);
-    const double bias2 = 1.0 - std::pow(options_.beta2, t_);
+    const double bias1 = 1.0 - std::pow(kBeta1, t_);
+    const double bias2 = 1.0 - std::pow(kBeta2, t_);
     for (size_t i = 0; i < params->size(); ++i) {
       double g = grads[i];
-      m_[i] = options_.beta1 * m_[i] + (1.0 - options_.beta1) * g;
-      v_[i] = options_.beta2 * v_[i] + (1.0 - options_.beta2) * g * g;
+      m_[i] = kBeta1 * m_[i] + (1.0 - kBeta1) * g;
+      v_[i] = kBeta2 * v_[i] + (1.0 - kBeta2) * g * g;
       const double m_hat = m_[i] / bias1;
       const double v_hat = v_[i] / bias2;
       (*params)[i] -=
-          options_.learning_rate *
-          (m_hat / (std::sqrt(v_hat) + options_.epsilon) +
-           options_.weight_decay * (*params)[i]);
+          learning_rate_ * (m_hat / (std::sqrt(v_hat) + kEpsilon) +
+                            weight_decay_ * (*params)[i]);
     }
   }
 
@@ -63,7 +52,12 @@ class Adam {
   int64_t step_count() const { return t_; }
 
  private:
-  Options options_;
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEpsilon = 1e-8;
+
+  double learning_rate_;
+  double weight_decay_;
   std::vector<double> m_;
   std::vector<double> v_;
   int64_t t_ = 0;

@@ -157,15 +157,19 @@ Result<TestResult> WilcoxonSignedRank(const std::vector<double>& a,
             [](const Entry& x, const Entry& y) {
               return x.abs_diff < y.abs_diff;
             });
-  // Average ranks within tie groups.
+  // Average ranks within tie groups; each group of t tied |d| takes
+  // (t^3 - t) / 48 off the variance of W+.
   const size_t n = entries.size();
   std::vector<double> ranks(n);
+  double tie_sum = 0.0;  // Sum of t^3 - t over the tie groups.
   size_t i = 0;
   while (i < n) {
     size_t j = i;
     while (j + 1 < n && entries[j + 1].abs_diff == entries[i].abs_diff) ++j;
     const double avg_rank = 0.5 * static_cast<double>(i + j) + 1.0;
     for (size_t k = i; k <= j; ++k) ranks[k] = avg_rank;
+    const double t = static_cast<double>(j - i + 1);
+    tie_sum += t * t * t - t;
     i = j + 1;
   }
   double w_plus = 0.0;
@@ -174,7 +178,8 @@ Result<TestResult> WilcoxonSignedRank(const std::vector<double>& a,
   }
   const double nd = static_cast<double>(n);
   const double mean_w = nd * (nd + 1.0) / 4.0;
-  const double sd_w = std::sqrt(nd * (nd + 1.0) * (2.0 * nd + 1.0) / 24.0);
+  const double sd_w = std::sqrt(nd * (nd + 1.0) * (2.0 * nd + 1.0) / 24.0 -
+                                tie_sum / 48.0);
   TestResult result;
   result.statistic = (w_plus - mean_w) / sd_w;
   result.p_value = 1.0 - NormalCdf(result.statistic);

@@ -8,6 +8,14 @@
 #include "data/meta_features.h"
 
 namespace eafe::fpe {
+namespace {
+
+/// Training oversamples the minority class toward this positive fraction.
+constexpr double kRebalancePositiveFraction = 0.5;
+/// Epochs of the logistic and MLP classifiers.
+constexpr size_t kClassifierEpochs = 120;
+
+}  // namespace
 
 FpeModel::FpeModel(const Options& options) : options_(options) {
   // The classifier needs an unbiased view of the value distribution in
@@ -78,28 +86,24 @@ Status FpeModel::Train(const std::vector<LabeledFeature>& features) {
         "FPE training needs both positive and negative features");
   }
 
-  // Optional minority-class oversampling: the validness labels are skewed
-  // toward 0 and the paper's objective is recall of positives (Eq. 6).
+  // Minority-class oversampling: the validness labels are skewed toward 0
+  // and the paper's objective is recall of positives (Eq. 6).
   std::vector<size_t> order(features.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (options_.rebalance_positive_fraction > 0.0) {
-    const double target = options_.rebalance_positive_fraction;
-    const bool positives_minority =
-        static_cast<double>(positives) <
-        target * static_cast<double>(features.size());
-    const int minority_label = positives_minority ? 1 : 0;
-    std::vector<size_t> minority_indices;
-    for (size_t i = 0; i < features.size(); ++i) {
-      if (features[i].label == minority_label) minority_indices.push_back(i);
-    }
-    const size_t majority = features.size() - minority_indices.size();
-    // Duplicate minority examples until the classes are near balanced.
-    Rng rng(options_.seed);
-    while (!minority_indices.empty() &&
-           order.size() < 2 * majority) {
-      order.push_back(minority_indices[rng.UniformInt(
-          static_cast<uint64_t>(minority_indices.size()))]);
-    }
+  const bool positives_minority =
+      static_cast<double>(positives) <
+      kRebalancePositiveFraction * static_cast<double>(features.size());
+  const int minority_label = positives_minority ? 1 : 0;
+  std::vector<size_t> minority_indices;
+  for (size_t i = 0; i < features.size(); ++i) {
+    if (features[i].label == minority_label) minority_indices.push_back(i);
+  }
+  const size_t majority = features.size() - minority_indices.size();
+  // Duplicate minority examples until the classes are near balanced.
+  Rng rng(options_.seed);
+  while (!minority_indices.empty() && order.size() < 2 * majority) {
+    order.push_back(minority_indices[rng.UniformInt(
+        static_cast<uint64_t>(minority_indices.size()))]);
   }
 
   std::vector<LabeledFeature> training;
@@ -116,7 +120,7 @@ Status FpeModel::Train(const std::vector<LabeledFeature>& features) {
   switch (options_.classifier) {
     case ClassifierKind::kLogistic: {
       ml::LogisticRegression::Options lr;
-      lr.epochs = options_.classifier_epochs;
+      lr.epochs = kClassifierEpochs;
       lr.seed = options_.seed;
       logistic_ = ml::LogisticRegression(lr);
       EAFE_RETURN_NOT_OK(logistic_.Fit(x, y));
@@ -126,7 +130,7 @@ Status FpeModel::Train(const std::vector<LabeledFeature>& features) {
       ml::Mlp::Options mlp;
       mlp.task = data::TaskType::kClassification;
       mlp.hidden_sizes = {32};
-      mlp.epochs = options_.classifier_epochs;
+      mlp.epochs = kClassifierEpochs;
       mlp.seed = options_.seed;
       mlp_ = ml::Mlp(mlp);
       EAFE_RETURN_NOT_OK(mlp_.Fit(x, y));

@@ -40,18 +40,15 @@ class FpeModel {
     hashing::CompressorOptions compressor;
     ClassifierKind classifier = ClassifierKind::kLogistic;
     InputRepresentation input = InputRepresentation::kSignature;
-    /// Oversample the minority class to this positive fraction when
-    /// training (0 disables rebalancing). Feature-validness labels are
-    /// heavily skewed toward 0, and the paper optimizes for recall.
-    double rebalance_positive_fraction = 0.5;
-    size_t classifier_epochs = 120;
     uint64_t seed = 29;
   };
 
   FpeModel() : FpeModel(Options()) {}
   explicit FpeModel(const Options& options);
 
-  /// Compresses each labeled feature and fits the binary classifier.
+  /// Compresses each labeled feature and fits the binary classifier on
+  /// classes oversampled to balance: feature-validness labels are heavily
+  /// skewed toward 0, and the paper optimizes for recall.
   Status Train(const std::vector<LabeledFeature>& features);
 
   /// P(feature is effective) from the compressed representation.

@@ -6,6 +6,13 @@
 #include "core/rng.h"
 
 namespace eafe::fpe {
+namespace {
+
+/// Training negatives whose gain lies within this margin below the label
+/// threshold are dropped: their labels are cross-validation coin flips.
+constexpr double kNegativeMargin = 0.015;
+
+}  // namespace
 
 Result<FpeCandidateMetrics> EvaluateCandidate(
     const std::vector<LabeledFeature>& train,
@@ -104,18 +111,18 @@ Result<FpeTrainingResult> TrainFpeModel(
 
   // Training-set denoising: gains just below the threshold carry labels
   // dominated by CV fold noise; dropping that band sharpens the decision
-  // boundary the classifier can learn. Validation is left untouched.
-  if (options.negative_margin > 0.0) {
-    std::vector<LabeledFeature> filtered;
-    for (LabeledFeature& f : result.training_features) {
-      if (f.label == 1 ||
-          f.score_gain < options.threshold - options.negative_margin) {
-        filtered.push_back(std::move(f));
-      }
-    }
-    if (has_both(filtered)) {
-      result.training_features = std::move(filtered);
-    }
+  // boundary the classifier can learn, unless it would drop every
+  // negative. Validation is left untouched. A NaN gain is in the band.
+  const double cutoff = options.threshold - kNegativeMargin;
+  const auto in_band = [cutoff](const LabeledFeature& f) {
+    return f.label != 1 && !(f.score_gain < cutoff);
+  };
+  const auto kept_negative = [cutoff](const LabeledFeature& f) {
+    return f.label != 1 && f.score_gain < cutoff;
+  };
+  std::vector<LabeledFeature>& training = result.training_features;
+  if (std::any_of(training.begin(), training.end(), kept_negative)) {
+    std::erase_if(training, in_band);
   }
 
   // Step 3: sweep (scheme, d) and keep the recall-maximizing candidate

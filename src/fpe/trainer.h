@@ -17,13 +17,11 @@ struct FpeTrainingOptions {
   std::vector<size_t> dimensions = {16, 32, 48, 64};
   /// Candidate hash families; empty means all weighted schemes + plain.
   std::vector<hashing::MinHashScheme> schemes;
-  /// Score-gain threshold thre for labels (paper default 0.01).
+  /// Score-gain threshold thre for labels (paper default 0.01). Training
+  /// negatives within 0.015 below it are dropped from the training split
+  /// (their labels are cross-validation coin flips); validation keeps
+  /// every feature so recall stays honest.
   double threshold = 0.01;
-  /// Training-set denoising: negatives whose gain lies within
-  /// `negative_margin` below the threshold are dropped from the training
-  /// split (their labels are cross-validation coin flips). Validation
-  /// keeps every feature so recall stays honest. 0 disables.
-  double negative_margin = 0.015;
   /// Fraction of labeled features held out for recall validation.
   double validation_fraction = 0.3;
   FpeModel::ClassifierKind classifier = FpeModel::ClassifierKind::kLogistic;

@@ -21,8 +21,7 @@ Result<std::vector<double>> CrossValidateScores(
   }
   Rng rng(options.seed);
 
-  bool use_stratified =
-      options.stratified && dataset.task == data::TaskType::kClassification;
+  bool use_stratified = dataset.task == data::TaskType::kClassification;
   if (use_stratified) {
     std::map<int, size_t> class_counts;
     for (double label : dataset.labels) {

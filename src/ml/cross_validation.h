@@ -11,11 +11,11 @@
 
 namespace eafe::ml {
 
+/// Classification folds are stratified by class when every class has at
+/// least `folds` members; other tasks and smaller classes take plain
+/// K-fold.
 struct CvOptions {
   size_t folds = 5;
-  /// Stratify folds by class for classification tasks when every class has
-  /// at least `folds` members; falls back to plain K-fold otherwise.
-  bool stratified = true;
   uint64_t seed = 1;
 };
 

@@ -14,6 +14,9 @@
 namespace eafe::ml {
 namespace {
 
+/// Nodes with fewer rows stay leaves.
+constexpr size_t kMinSamplesSplit = 4;
+
 /// Gini impurity from flat per-class counts.
 double Gini(const std::vector<size_t>& counts, size_t total) {
   if (total == 0) return 0.0;
@@ -308,7 +311,7 @@ int DecisionTree::BuildNode(const data::DataFrame& x,
   const int node_id = static_cast<int>(nodes_.size());
   nodes_.push_back(MakeLeaf(y, indices));
   if (depth >= options_.max_depth ||
-      indices.size() < options_.min_samples_split) {
+      indices.size() < kMinSamplesSplit) {
     return node_id;
   }
   const SplitResult split = FindBestSplit(x, y, indices, rng);
@@ -348,7 +351,7 @@ int DecisionTree::BuildNodeHistogram(HistogramBuilder& builder,
   nodes_.push_back(LeafFromTotals(scratch->totals, rows.size()));
   depth_ = std::max(depth_, static_cast<uint32_t>(depth));
   if (depth >= options_.max_depth ||
-      rows.size() < options_.min_samples_split) {
+      rows.size() < kMinSamplesSplit) {
     return node_id;
   }
   const double parent_impurity = builder.NodeImpurity(*scratch, rows.size());

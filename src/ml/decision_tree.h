@@ -48,7 +48,6 @@ class DecisionTree : public Model, public SharedBinnerModel {
     data::TaskType task = data::TaskType::kClassification;
     size_t max_depth = 8;
     size_t min_samples_leaf = 2;
-    size_t min_samples_split = 4;
     /// Features considered per split; 0 means all.
     size_t max_features = 0;
     uint64_t seed = 1;

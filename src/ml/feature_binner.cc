@@ -11,6 +11,15 @@ namespace {
 
 std::atomic<size_t> g_total_fits{0};
 
+/// Cut points are estimated from at most this many values per column: an
+/// evenly row-strided subsample, sorted. Columns at or under the cap are
+/// sorted whole, which keeps binning lossless where the column has at
+/// most max_bins distinct values.
+constexpr size_t kMaxCutSamples = 4096;
+// A sample must hold at least as many values as the widest binning has
+// bins (codes fit uint8).
+static_assert(kMaxCutSamples >= 256);
+
 }  // namespace
 
 size_t FeatureBinner::TotalFits() {
@@ -80,11 +89,6 @@ Status FeatureBinner::Fit(const data::DataFrame& x) {
         StrFormat("max_bins must be in [2, 256], got %zu",
                   options_.max_bins));
   }
-  if (options_.max_cut_samples < options_.max_bins) {
-    return Status::InvalidArgument(
-        StrFormat("max_cut_samples (%zu) must be >= max_bins (%zu)",
-                  options_.max_cut_samples, options_.max_bins));
-  }
   g_total_fits.fetch_add(1, std::memory_order_relaxed);
   const size_t num_features = x.num_columns();
   cuts_.assign(num_features, {});
@@ -126,11 +130,11 @@ Result<FeatureBinner> FeatureBinner::Extend(const data::DataFrame& x) const {
 void FeatureBinner::BinColumn(size_t f, const std::vector<double>& values,
                               std::vector<double>* sorted) {
   const size_t n = values.size();
-  if (n > options_.max_cut_samples) {
+  if (n > kMaxCutSamples) {
     // Wide column: estimate cuts from a deterministic even stride over
     // the rows (no RNG), sorting only the sample. Sorting the full
     // column would dominate the whole histogram fit at large n.
-    sorted->resize(options_.max_cut_samples);
+    sorted->resize(kMaxCutSamples);
     for (size_t i = 0; i < sorted->size(); ++i) {
       (*sorted)[i] = values[i * n / sorted->size()];
     }

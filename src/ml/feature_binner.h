@@ -64,11 +64,6 @@ class FeatureBinner {
   struct Options {
     /// Upper bound on bins per feature; codes must fit uint8, so <= 256.
     size_t max_bins = 255;
-    /// Cut points are estimated from at most this many values per column
-    /// (an evenly row-strided subsample, sorted; columns at or under the
-    /// cap are sorted whole, which preserves the lossless-agreement
-    /// property below). Must be >= max_bins.
-    size_t max_cut_samples = 4096;
 
     bool operator==(const Options&) const = default;
   };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "ml/random_forest.h"
+
 namespace eafe::ml {
 
 Result<std::vector<size_t>> TopFeatureIndices(
@@ -17,7 +19,7 @@ Result<std::vector<size_t>> TopFeatureIndices(
     std::iota(indices.begin(), indices.end(), size_t{0});
     return indices;
   }
-  RandomForest::Options forest_options = options.forest;
+  RandomForest::Options forest_options;
   forest_options.task = dataset.task;
   RandomForest forest(forest_options);
   EAFE_RETURN_NOT_OK(forest.Fit(dataset.features, dataset.labels));

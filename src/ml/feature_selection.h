@@ -5,7 +5,6 @@
 
 #include "core/status.h"
 #include "data/dataframe.h"
-#include "ml/random_forest.h"
 
 namespace eafe::ml {
 
@@ -15,14 +14,13 @@ namespace eafe::ml {
 /// less than maximum features according to the feature importance via RF
 /// on the raw target datasets."
 struct PreselectOptions {
-  /// Forest used to compute impurity importances.
-  RandomForest::Options forest;
   /// Keep at most this many features (ties broken by original order).
   size_t max_features = 48;
 };
 
-/// Column indices of the top-`max_features` features by random-forest
-/// impurity importance, in original column order.
+/// Column indices of the top-`max_features` features by the impurity
+/// importance of a default-options random forest, in original column
+/// order.
 Result<std::vector<size_t>> TopFeatureIndices(const data::Dataset& dataset,
                                               const PreselectOptions& options);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/activation.h"
 #include "core/string_util.h"
 
 namespace eafe::ml {

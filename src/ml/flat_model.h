@@ -1,7 +1,6 @@
 #ifndef EAFE_ML_FLAT_MODEL_H_
 #define EAFE_ML_FLAT_MODEL_H_
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -85,14 +84,6 @@ struct FlatTreeModel {
   /// fitted nodes and skip it.
   Status Validate() const;
 };
-
-/// Logistic link of the boosted sum. Branches on the sign so exp never
-/// overflows; the booster's gradients and every predict share it.
-inline double Sigmoid(double s) {
-  if (s >= 0.0) return 1.0 / (1.0 + std::exp(-s));
-  const double e = std::exp(s);
-  return e / (1.0 + e);
-}
 
 /// Caller-owned buffers of one FlatEnsemble predict. One fitted model is
 /// predicted from every pool worker at once (a forest-backed FPE model

@@ -3,34 +3,39 @@
 #include <cmath>
 
 #include "core/rng.h"
-#include "core/string_util.h"
 
 namespace eafe::ml {
+namespace {
 
-GaussianProcessRegressor::GaussianProcessRegressor(const Options& options)
-    : options_(options) {}
+constexpr double kLengthScale = 1.0;
+constexpr double kSignalVariance = 1.0;
+constexpr double kNoiseVariance = 1e-2;
+/// Seeds the row subsample of a fit larger than max_training_rows.
+constexpr uint64_t kSubsampleSeed = 97;
 
-double GaussianProcessRegressor::Kernel(const double* a, const double* b,
-                                        size_t dim) const {
+/// The RBF kernel of two standardized rows.
+double Kernel(const double* a, const double* b, size_t dim) {
   double sq = 0.0;
   for (size_t d = 0; d < dim; ++d) {
     const double diff = a[d] - b[d];
     sq += diff * diff;
   }
-  return options_.signal_variance *
-         std::exp(-0.5 * sq /
-                  (options_.length_scale * options_.length_scale));
+  return kSignalVariance *
+         std::exp(-0.5 * sq / (kLengthScale * kLengthScale));
 }
+
+}  // namespace
+
+GaussianProcessRegressor::GaussianProcessRegressor(const Options& options)
+    : options_(options) {}
 
 Status GaussianProcessRegressor::Fit(const data::DataFrame& x,
                                      const std::vector<double>& y) {
-  if (x.num_rows() != y.size() || y.empty()) {
-    return Status::InvalidArgument("rows and labels disagree or are empty");
-  }
+  EAFE_RETURN_NOT_OK(CheckFitInput(x, y));
   data::DataFrame features = x;
   std::vector<double> labels = y;
   if (features.num_rows() > options_.max_training_rows) {
-    Rng rng(options_.subsample_seed);
+    Rng rng(kSubsampleSeed);
     const std::vector<size_t> keep = rng.SampleWithoutReplacement(
         features.num_rows(), options_.max_training_rows);
     features = features.SelectRows(keep);
@@ -57,7 +62,7 @@ Status GaussianProcessRegressor::Fit(const data::DataFrame& x,
       k(i, j) = value;
       k(j, i) = value;
     }
-    k(i, i) += options_.noise_variance;
+    k(i, i) += kNoiseVariance;
   }
   auto chol = Cholesky(k);
   if (!chol.ok()) {
@@ -75,14 +80,7 @@ Status GaussianProcessRegressor::Fit(const data::DataFrame& x,
 
 Result<std::vector<double>> GaussianProcessRegressor::Predict(
     const data::DataFrame& x) const {
-  if (alpha_.empty()) {
-    return Status::FailedPrecondition("model is not fitted");
-  }
-  if (x.num_columns() != num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("model fitted on %zu features, got %zu", num_features_,
-                  x.num_columns()));
-  }
+  EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, x));
   EAFE_ASSIGN_OR_RETURN(data::DataFrame scaled, scaler_.Transform(x));
   const Matrix test_x = scaled.ToMatrix();
   std::vector<double> out(test_x.rows());

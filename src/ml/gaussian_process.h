@@ -9,20 +9,16 @@
 
 namespace eafe::ml {
 
-/// Gaussian-process regression with an RBF kernel and observation noise,
-/// solved exactly by Cholesky factorization. Table V's "GP" downstream
-/// task for regression rows. Training is O(n^3): inputs larger than
-/// `max_training_rows` are deterministically subsampled (seeded by
-/// `subsample_seed`) before fitting, the standard sparsification shortcut
-/// for exact GPs at this scale.
+/// Gaussian-process regression with a unit RBF kernel and observation
+/// noise, solved exactly by Cholesky factorization. Table V's "GP"
+/// downstream task for regression rows. Training is O(n^3): inputs larger
+/// than `max_training_rows` are deterministically subsampled before
+/// fitting, the standard sparsification shortcut for exact GPs at this
+/// scale.
 class GaussianProcessRegressor : public Model {
  public:
   struct Options {
-    double length_scale = 1.0;
-    double signal_variance = 1.0;
-    double noise_variance = 1e-2;
     size_t max_training_rows = 1200;
-    uint64_t subsample_seed = 97;
   };
 
   GaussianProcessRegressor() : GaussianProcessRegressor(Options()) {}
@@ -36,8 +32,6 @@ class GaussianProcessRegressor : public Model {
   bool fitted() const { return !alpha_.empty(); }
 
  private:
-  double Kernel(const double* a, const double* b, size_t dim) const;
-
   Options options_;
   data::StandardScaler scaler_;
   Matrix train_x_;             ///< Standardized training inputs.

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <utility>
 
+#include "core/activation.h"
 #include "core/check.h"
 #include "core/string_util.h"
 

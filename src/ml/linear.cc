@@ -1,25 +1,18 @@
 #include "ml/linear.h"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 
-#include "core/check.h"
+#include "core/activation.h"
 #include "core/optimizer.h"
 #include "core/rng.h"
-#include "core/string_util.h"
 #include "ml/histogram_builder.h"
 
 namespace eafe::ml {
 namespace {
 
-double Sigmoid(double z) {
-  if (z >= 0.0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
+/// SVR tube half-width: residuals inside it add no gradient.
+constexpr double kSvrEpsilon = 0.1;
 
 /// Row-major standardized matrix with a trailing bias column of ones.
 Result<Matrix> DesignMatrix(const data::StandardScaler& scaler,
@@ -36,6 +29,79 @@ Result<Matrix> DesignMatrix(const data::StandardScaler& scaler,
   return design;
 }
 
+/// The linear score w . row, summed from 0 in feature order.
+double Score(const std::vector<double>& w, const double* row) {
+  double z = 0.0;
+  for (size_t d = 0; d < w.size(); ++d) z += w[d] * row[d];
+  return z;
+}
+
+/// Trains one head `weights` (zeros on entry) on the design matrix `xm`
+/// by mini-batch Adam: one shuffle of the rows per epoch, then per batch
+/// the mean over its rows of coefficient x row, plus options.l2 x w.
+/// `rule(i, z)` gives row i's coefficient at score z, or nullopt for a
+/// row that adds nothing (adding 0 x row is not a no-op when the row holds
+/// an inf or a NaN). A template, not a std::function: the logistic FPE
+/// classifier fits inside every E-AFE setup, and the rule runs per row.
+template <typename Options, typename Rule>
+void TrainHead(const Options& options, const Matrix& xm, Rng* rng,
+               const Rule& rule, std::vector<double>* weights) {
+  std::vector<double>& w = *weights;
+  const size_t n = xm.rows();
+  const size_t dim = w.size();
+  Adam adam(options.learning_rate);
+  std::vector<double> grad(dim);
+  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
+    const std::vector<size_t> order = rng->Permutation(n);
+    for (size_t start = 0; start < n; start += kBatchSize) {
+      const size_t end = std::min(n, start + kBatchSize);
+      std::fill(grad.begin(), grad.end(), 0.0);
+      for (size_t k = start; k < end; ++k) {
+        const double* row = xm.row(order[k]);
+        const std::optional<double> coefficient = rule(order[k], Score(w, row));
+        if (!coefficient.has_value()) continue;
+        for (size_t d = 0; d < dim; ++d) grad[d] += *coefficient * row[d];
+      }
+      const double scale = 1.0 / static_cast<double>(end - start);
+      for (size_t d = 0; d < dim; ++d) {
+        grad[d] = grad[d] * scale + options.l2 * w[d];
+      }
+      adam.Step(&w, grad);
+    }
+  }
+}
+
+/// Trains the one-vs-rest heads of a linear classifier on class labels
+/// `y`, head after head from one `rng`: a binary problem trains one head
+/// on class 1, a multi-class one trains one head per class.
+/// `rule(positive, z)` is TrainHead's rule for a row whose label is
+/// (`positive`) or is not the head's class.
+template <typename Options, typename Rule>
+Status FitOneVsRest(const Options& options, const Matrix& xm,
+                    const std::vector<double>& y, Rng* rng, const Rule& rule,
+                    size_t* num_classes,
+                    std::vector<std::vector<double>>* weights) {
+  EAFE_ASSIGN_OR_RETURN(
+      const BinnedLabels labels,
+      BinnedLabels::Create(data::TaskType::kClassification, y));
+  if (labels.num_classes < 2) {
+    return Status::InvalidArgument("need at least 2 classes");
+  }
+  *num_classes = static_cast<size_t>(labels.num_classes);
+  const size_t heads = *num_classes == 2 ? 1 : *num_classes;
+  weights->assign(heads, std::vector<double>(xm.cols(), 0.0));
+  for (size_t head = 0; head < heads; ++head) {
+    const int positive = *num_classes == 2 ? 1 : static_cast<int>(head);
+    TrainHead(
+        options, xm, rng,
+        [&](size_t i, double z) {
+          return rule(labels.classes[i] == positive, z);
+        },
+        &(*weights)[head]);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 LogisticRegression::LogisticRegression(const Options& options)
@@ -43,59 +109,18 @@ LogisticRegression::LogisticRegression(const Options& options)
 
 Status LogisticRegression::Fit(const data::DataFrame& x,
                                const std::vector<double>& y) {
-  if (x.num_rows() != y.size() || y.empty()) {
-    return Status::InvalidArgument("rows and labels disagree or are empty");
-  }
+  EAFE_RETURN_NOT_OK(CheckFitInput(x, y));
   EAFE_RETURN_NOT_OK(scaler_.Fit(x));
-  auto design = DesignMatrix(scaler_, x);
-  EAFE_RETURN_NOT_OK(design.status());
-  const Matrix& xm = *design;
+  EAFE_ASSIGN_OR_RETURN(const Matrix xm, DesignMatrix(scaler_, x));
   num_features_ = x.num_columns();
-  EAFE_ASSIGN_OR_RETURN(
-      const BinnedLabels labels,
-      BinnedLabels::Create(data::TaskType::kClassification, y));
-  num_classes_ = static_cast<size_t>(labels.num_classes);
-  if (num_classes_ < 2) {
-    return Status::InvalidArgument("need at least 2 classes");
-  }
-  const size_t dim = num_features_ + 1;
-  const size_t n = y.size();
-  // Binary problems train one head on y==1; multi-class trains one-vs-rest.
-  const size_t heads = num_classes_ == 2 ? 1 : num_classes_;
-  weights_.assign(heads, std::vector<double>(dim, 0.0));
-
   Rng rng(options_.seed);
-  for (size_t head = 0; head < heads; ++head) {
-    const int positive = num_classes_ == 2 ? 1 : static_cast<int>(head);
-    std::vector<double>& w = weights_[head];
-    Adam::Options adam_options;
-    adam_options.learning_rate = options_.learning_rate;
-    Adam adam(adam_options);
-    std::vector<double> grad(dim);
-    for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      std::vector<size_t> order = rng.Permutation(n);
-      for (size_t start = 0; start < n; start += options_.batch_size) {
-        const size_t end = std::min(n, start + options_.batch_size);
-        std::fill(grad.begin(), grad.end(), 0.0);
-        for (size_t k = start; k < end; ++k) {
-          const size_t i = order[k];
-          const double* row = xm.row(i);
-          double z = 0.0;
-          for (size_t d = 0; d < dim; ++d) z += w[d] * row[d];
-          const double target =
-              static_cast<int>(y[i]) == positive ? 1.0 : 0.0;
-          const double error = Sigmoid(z) - target;
-          for (size_t d = 0; d < dim; ++d) grad[d] += error * row[d];
-        }
-        const double scale = 1.0 / static_cast<double>(end - start);
-        for (size_t d = 0; d < dim; ++d) {
-          grad[d] = grad[d] * scale + options_.l2 * w[d];
-        }
-        adam.Step(&w, grad);
-      }
-    }
-  }
-  return Status::OK();
+  // Log-loss gradient: the predicted probability minus the 0/1 target.
+  return FitOneVsRest(
+      options_, xm, y, &rng,
+      [](bool positive, double z) -> std::optional<double> {
+        return Sigmoid(z) - (positive ? 1.0 : 0.0);
+      },
+      &num_classes_, &weights_);
 }
 
 Status LogisticRegression::RestoreFitted(
@@ -125,25 +150,13 @@ Status LogisticRegression::RestoreFitted(
 
 Result<std::vector<std::vector<double>>> LogisticRegression::ScoreAll(
     const data::DataFrame& x) const {
-  if (weights_.empty()) {
-    return Status::FailedPrecondition("model is not fitted");
-  }
-  if (x.num_columns() != num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("model fitted on %zu features, got %zu", num_features_,
-                  x.num_columns()));
-  }
+  EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, x));
   EAFE_ASSIGN_OR_RETURN(Matrix xm, DesignMatrix(scaler_, x));
   std::vector<std::vector<double>> scores(weights_.size());
   for (size_t head = 0; head < weights_.size(); ++head) {
     scores[head].resize(xm.rows());
     for (size_t r = 0; r < xm.rows(); ++r) {
-      double z = 0.0;
-      const double* row = xm.row(r);
-      for (size_t d = 0; d < weights_[head].size(); ++d) {
-        z += weights_[head][d] * row[d];
-      }
-      scores[head][r] = Sigmoid(z);
+      scores[head][r] = Sigmoid(Score(weights_[head], xm.row(r)));
     }
   }
   return scores;
@@ -186,150 +199,63 @@ Result<std::vector<double>> LogisticRegression::PredictProba(
 LinearSvm::LinearSvm(const Options& options) : options_(options) {}
 
 Status LinearSvm::Fit(const data::DataFrame& x, const std::vector<double>& y) {
-  if (x.num_rows() != y.size() || y.empty()) {
-    return Status::InvalidArgument("rows and labels disagree or are empty");
-  }
+  EAFE_RETURN_NOT_OK(CheckFitInput(x, y));
   EAFE_RETURN_NOT_OK(scaler_.Fit(x));
-  auto design = DesignMatrix(scaler_, x);
-  EAFE_RETURN_NOT_OK(design.status());
-  const Matrix& xm = *design;
+  EAFE_ASSIGN_OR_RETURN(const Matrix xm, DesignMatrix(scaler_, x));
   num_features_ = x.num_columns();
-  const size_t dim = num_features_ + 1;
-  const size_t n = y.size();
   Rng rng(options_.seed);
-
-  if (options_.task == data::TaskType::kRegression) {
-    label_mean_ = 0.0;
-    for (double v : y) label_mean_ += v;
-    label_mean_ /= static_cast<double>(n);
-    weights_.assign(1, std::vector<double>(dim, 0.0));
-    std::vector<double>& w = weights_[0];
-    Adam::Options adam_options;
-    adam_options.learning_rate = options_.learning_rate;
-    Adam adam(adam_options);
-    std::vector<double> grad(dim);
-    for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      std::vector<size_t> order = rng.Permutation(n);
-      for (size_t start = 0; start < n; start += options_.batch_size) {
-        const size_t end = std::min(n, start + options_.batch_size);
-        std::fill(grad.begin(), grad.end(), 0.0);
-        for (size_t k = start; k < end; ++k) {
-          const size_t i = order[k];
-          const double* row = xm.row(i);
-          double pred = 0.0;
-          for (size_t d = 0; d < dim; ++d) pred += w[d] * row[d];
-          const double residual = pred - (y[i] - label_mean_);
-          // Epsilon-insensitive subgradient.
-          double sign = 0.0;
-          if (residual > options_.epsilon) {
-            sign = 1.0;
-          } else if (residual < -options_.epsilon) {
-            sign = -1.0;
-          }
-          for (size_t d = 0; d < dim; ++d) grad[d] += sign * row[d];
-        }
-        const double scale = 1.0 / static_cast<double>(end - start);
-        for (size_t d = 0; d < dim; ++d) {
-          grad[d] = grad[d] * scale + options_.l2 * w[d];
-        }
-        adam.Step(&w, grad);
-      }
-    }
-    return Status::OK();
+  if (options_.task == data::TaskType::kClassification) {
+    // Hinge subgradient: -target x row for rows inside the margin.
+    return FitOneVsRest(
+        options_, xm, y, &rng,
+        [](bool positive, double z) -> std::optional<double> {
+          const double target = positive ? 1.0 : -1.0;
+          if (target * z < 1.0) return -target;
+          return std::nullopt;
+        },
+        &num_classes_, &weights_);
   }
-
-  EAFE_ASSIGN_OR_RETURN(
-      const BinnedLabels labels,
-      BinnedLabels::Create(data::TaskType::kClassification, y));
-  num_classes_ = static_cast<size_t>(labels.num_classes);
-  if (num_classes_ < 2) {
-    return Status::InvalidArgument("need at least 2 classes");
-  }
-  const size_t heads = num_classes_ == 2 ? 1 : num_classes_;
-  weights_.assign(heads, std::vector<double>(dim, 0.0));
-  for (size_t head = 0; head < heads; ++head) {
-    const int positive = num_classes_ == 2 ? 1 : static_cast<int>(head);
-    std::vector<double>& w = weights_[head];
-    Adam::Options adam_options;
-    adam_options.learning_rate = options_.learning_rate;
-    Adam adam(adam_options);
-    std::vector<double> grad(dim);
-    for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      std::vector<size_t> order = rng.Permutation(n);
-      for (size_t start = 0; start < n; start += options_.batch_size) {
-        const size_t end = std::min(n, start + options_.batch_size);
-        std::fill(grad.begin(), grad.end(), 0.0);
-        for (size_t k = start; k < end; ++k) {
-          const size_t i = order[k];
-          const double* row = xm.row(i);
-          const double target =
-              static_cast<int>(y[i]) == positive ? 1.0 : -1.0;
-          double margin = 0.0;
-          for (size_t d = 0; d < dim; ++d) margin += w[d] * row[d];
-          if (target * margin < 1.0) {
-            for (size_t d = 0; d < dim; ++d) grad[d] -= target * row[d];
-          }
-        }
-        const double scale = 1.0 / static_cast<double>(end - start);
-        for (size_t d = 0; d < dim; ++d) {
-          grad[d] = grad[d] * scale + options_.l2 * w[d];
-        }
-        adam.Step(&w, grad);
-      }
-    }
-  }
+  label_mean_ = 0.0;
+  for (double v : y) label_mean_ += v;
+  label_mean_ /= static_cast<double>(y.size());
+  weights_.assign(1, std::vector<double>(xm.cols(), 0.0));
+  // Epsilon-insensitive subgradient: the sign of a residual outside the
+  // tube.
+  TrainHead(
+      options_, xm, &rng,
+      [&](size_t i, double z) -> std::optional<double> {
+        const double residual = z - (y[i] - label_mean_);
+        if (residual > kSvrEpsilon) return 1.0;
+        if (residual < -kSvrEpsilon) return -1.0;
+        return 0.0;
+      },
+      &weights_[0]);
   return Status::OK();
 }
 
 Result<std::vector<double>> LinearSvm::Predict(
     const data::DataFrame& x) const {
-  if (weights_.empty()) {
-    return Status::FailedPrecondition("model is not fitted");
-  }
-  if (x.num_columns() != num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("model fitted on %zu features, got %zu", num_features_,
-                  x.num_columns()));
-  }
+  EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, x));
   EAFE_ASSIGN_OR_RETURN(Matrix xm, DesignMatrix(scaler_, x));
   std::vector<double> out(xm.rows());
-  if (options_.task == data::TaskType::kRegression) {
-    for (size_t r = 0; r < xm.rows(); ++r) {
-      double pred = 0.0;
-      const double* row = xm.row(r);
-      for (size_t d = 0; d < weights_[0].size(); ++d) {
-        pred += weights_[0][d] * row[d];
-      }
-      out[r] = pred + label_mean_;
-    }
-    return out;
-  }
-  if (weights_.size() == 1) {
-    for (size_t r = 0; r < xm.rows(); ++r) {
-      double margin = 0.0;
-      const double* row = xm.row(r);
-      for (size_t d = 0; d < weights_[0].size(); ++d) {
-        margin += weights_[0][d] * row[d];
-      }
-      out[r] = margin >= 0.0 ? 1.0 : 0.0;
-    }
-    return out;
-  }
   for (size_t r = 0; r < xm.rows(); ++r) {
-    double best_margin = 0.0;
-    size_t best = 0;
     const double* row = xm.row(r);
-    for (size_t head = 0; head < weights_.size(); ++head) {
-      double margin = 0.0;
-      for (size_t d = 0; d < weights_[head].size(); ++d) {
-        margin += weights_[head][d] * row[d];
+    if (options_.task == data::TaskType::kRegression) {
+      out[r] = Score(weights_[0], row) + label_mean_;
+    } else if (weights_.size() == 1) {
+      out[r] = Score(weights_[0], row) >= 0.0 ? 1.0 : 0.0;
+    } else {
+      double best_margin = 0.0;
+      size_t best = 0;
+      for (size_t head = 0; head < weights_.size(); ++head) {
+        const double margin = Score(weights_[head], row);
+        if (head == 0 || margin > best_margin) {
+          best_margin = margin;
+          best = head;
+        }
       }
-      if (head == 0 || margin > best_margin) {
-        best_margin = margin;
-        best = head;
-      }
+      out[r] = static_cast<double>(best);
     }
-    out[r] = static_cast<double>(best);
   }
   return out;
 }

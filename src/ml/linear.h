@@ -13,11 +13,10 @@ namespace eafe::ml {
 /// one-vs-rest. Inputs are standardized internally (fit on training data)
 /// so callers can pass raw engineered features. Used both as a baseline
 /// downstream model and as the default FPE classifier.
-class LogisticRegression : public ProbabilisticClassifier {
+class LogisticRegression : public Model {
  public:
   struct Options {
     size_t epochs = 100;
-    size_t batch_size = 32;
     double learning_rate = 0.01;
     double l2 = 1e-4;
     uint64_t seed = 1;
@@ -29,8 +28,13 @@ class LogisticRegression : public ProbabilisticClassifier {
   Status Fit(const data::DataFrame& x, const std::vector<double>& y) override;
   Result<std::vector<double>> Predict(
       const data::DataFrame& x) const override;
-  Result<std::vector<double>> PredictProba(
-      const data::DataFrame& x) const override;
+  data::TaskType task() const override {
+    return data::TaskType::kClassification;
+  }
+
+  /// P(label == 1) per row. Binary problems return the one head's
+  /// sigmoid; multi-class ones normalize class 1's head over all heads.
+  Result<std::vector<double>> PredictProba(const data::DataFrame& x) const;
 
   bool fitted() const { return !weights_.empty(); }
   /// Weight vector of the one-vs-rest classifier for class `cls`.
@@ -67,17 +71,15 @@ class LogisticRegression : public ProbabilisticClassifier {
 
 /// Linear support-vector machine trained with subgradient descent.
 /// Classification uses hinge loss (one-vs-rest for multi-class);
-/// regression uses the epsilon-insensitive loss (linear SVR). This is the
-/// "SVM" downstream task of Table V.
+/// regression uses the epsilon-insensitive loss (linear SVR, tube
+/// half-width 0.1). This is the "SVM" downstream task of Table V.
 class LinearSvm : public Model {
  public:
   struct Options {
     data::TaskType task = data::TaskType::kClassification;
     size_t epochs = 100;
-    size_t batch_size = 32;
     double learning_rate = 0.01;
     double l2 = 1e-3;
-    double epsilon = 0.1;  ///< SVR tube half-width.
     uint64_t seed = 1;
   };
 
@@ -90,6 +92,11 @@ class LinearSvm : public Model {
   data::TaskType task() const override { return options_.task; }
 
   bool fitted() const { return !weights_.empty(); }
+  /// Weight vectors with a trailing bias: one per one-vs-rest head, or
+  /// one for binary classification and regression.
+  const std::vector<std::vector<double>>& all_weights() const {
+    return weights_;
+  }
 
  private:
   Options options_;

@@ -20,7 +20,6 @@ class Mlp : public Model {
     data::TaskType task = data::TaskType::kClassification;
     std::vector<size_t> hidden_sizes = {32, 16};
     size_t epochs = 60;
-    size_t batch_size = 32;
     double learning_rate = 0.005;
     double l2 = 1e-4;
     uint64_t seed = 1;

@@ -34,18 +34,19 @@ class Model {
   virtual data::TaskType task() const = 0;
 };
 
-/// Extension for classifiers that expose P(class == 1) for binary
-/// problems — needed by the FPE reward shaping (Eq. 7-8).
-class ProbabilisticClassifier : public Model {
- public:
-  data::TaskType task() const override {
-    return data::TaskType::kClassification;
-  }
+/// Mini-batch size of every learner trained by mini-batch Adam: the
+/// logistic, SVM, MLP and ResNet models.
+inline constexpr size_t kBatchSize = 32;
 
-  /// P(label == 1) per row; only meaningful for binary problems.
-  virtual Result<std::vector<double>> PredictProba(
-      const data::DataFrame& x) const = 0;
-};
+/// The learners' shared fit check: InvalidArgument unless `x` has one row
+/// per label and at least one row.
+Status CheckFitInput(const data::DataFrame& x, const std::vector<double>& y);
+
+/// The learners' shared predict check: FailedPrecondition unless the model
+/// is `fitted`, InvalidArgument unless `x` has the `num_features` columns
+/// the model was fitted on.
+Status CheckPredictInput(bool fitted, size_t num_features,
+                         const data::DataFrame& x);
 
 /// Capability interface for models that can train and predict through a
 /// shared pre-binned frame via row-id views — no fold or bootstrap

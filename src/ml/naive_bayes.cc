@@ -3,20 +3,21 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/check.h"
 #include "core/string_util.h"
 #include "ml/histogram_builder.h"
 
 namespace eafe::ml {
+namespace {
 
-GaussianNaiveBayes::GaussianNaiveBayes(const Options& options)
-    : options_(options) {}
+/// Added to every per-feature variance, relative to the largest feature
+/// variance, mirroring sklearn's variance smoothing.
+constexpr double kVarSmoothing = 1e-9;
+
+}  // namespace
 
 Status GaussianNaiveBayes::Fit(const data::DataFrame& x,
                                const std::vector<double>& y) {
-  if (x.num_rows() != y.size() || y.empty()) {
-    return Status::InvalidArgument("rows and labels disagree or are empty");
-  }
+  EAFE_RETURN_NOT_OK(CheckFitInput(x, y));
   num_features_ = x.num_columns();
   EAFE_ASSIGN_OR_RETURN(
       const BinnedLabels labels,
@@ -32,7 +33,7 @@ Status GaussianNaiveBayes::Fit(const data::DataFrame& x,
     const double sd = c.StdDev();
     max_var = std::max(max_var, sd * sd);
   }
-  const double floor = std::max(options_.var_smoothing * max_var, 1e-12);
+  const double floor = std::max(kVarSmoothing * max_var, 1e-12);
 
   std::vector<size_t> counts(num_classes, 0);
   means_.assign(num_classes, std::vector<double>(num_features_, 0.0));
@@ -74,14 +75,7 @@ Status GaussianNaiveBayes::Fit(const data::DataFrame& x,
 
 Result<std::vector<std::vector<double>>> GaussianNaiveBayes::LogJoint(
     const data::DataFrame& x) const {
-  if (class_priors_.empty()) {
-    return Status::FailedPrecondition("model is not fitted");
-  }
-  if (x.num_columns() != num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("model fitted on %zu features, got %zu", num_features_,
-                  x.num_columns()));
-  }
+  EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, x));
   const size_t n = x.num_rows();
   const size_t num_classes = class_priors_.size();
   std::vector<std::vector<double>> log_joint(

@@ -10,22 +10,17 @@ namespace eafe::ml {
 /// Gaussian naive Bayes classifier: per-class, per-feature Gaussians with
 /// a variance floor for numerical stability. Table V's "NB" downstream
 /// task.
-class GaussianNaiveBayes : public ProbabilisticClassifier {
+class GaussianNaiveBayes : public Model {
  public:
-  struct Options {
-    /// Added to every per-feature variance (relative to the largest
-    /// feature variance), mirroring sklearn's var_smoothing.
-    double var_smoothing = 1e-9;
-  };
-
-  GaussianNaiveBayes() : GaussianNaiveBayes(Options()) {}
-  explicit GaussianNaiveBayes(const Options& options);
-
   Status Fit(const data::DataFrame& x, const std::vector<double>& y) override;
   Result<std::vector<double>> Predict(
       const data::DataFrame& x) const override;
-  Result<std::vector<double>> PredictProba(
-      const data::DataFrame& x) const override;
+  data::TaskType task() const override {
+    return data::TaskType::kClassification;
+  }
+
+  /// P(label == 1) per row: class 1's posterior.
+  Result<std::vector<double>> PredictProba(const data::DataFrame& x) const;
 
   bool fitted() const { return !class_priors_.empty(); }
   size_t num_classes() const { return class_priors_.size(); }
@@ -35,7 +30,6 @@ class GaussianNaiveBayes : public ProbabilisticClassifier {
   Result<std::vector<std::vector<double>>> LogJoint(
       const data::DataFrame& x) const;
 
-  Options options_;
   std::vector<double> class_priors_;            ///< log P(class).
   std::vector<std::vector<double>> means_;      ///< [class][feature].
   std::vector<std::vector<double>> variances_;  ///< [class][feature].

@@ -74,9 +74,7 @@ Result<std::vector<RandomForest::TreePlan>> RandomForest::DrawPlans(
 
 Status RandomForest::Fit(const data::DataFrame& x,
                          const std::vector<double>& y) {
-  if (x.num_rows() != y.size() || y.empty()) {
-    return Status::InvalidArgument("rows and labels disagree or are empty");
-  }
+  EAFE_RETURN_NOT_OK(CheckFitInput(x, y));
   EAFE_ASSIGN_OR_RETURN(std::shared_ptr<const FeatureBinner> binner,
                         BinFrame(x));
   return FitShared(std::move(binner), y, /*rows=*/nullptr);

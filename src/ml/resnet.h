@@ -23,7 +23,6 @@ class TabularResNet : public Model {
     size_t hidden = 64;       ///< Block bottleneck width.
     size_t num_blocks = 2;
     size_t epochs = 60;
-    size_t batch_size = 32;
     double learning_rate = 0.005;
     double l2 = 1e-4;
     uint64_t seed = 1;
@@ -46,7 +45,6 @@ class TabularResNet : public Model {
 
  private:
   struct ForwardCache {
-    Matrix stem_out;                ///< Post-stem residual stream.
     std::vector<Matrix> block_in;   ///< Stream entering each block.
     std::vector<Matrix> block_mid;  ///< ReLU(W1 h + b1) per block.
     Matrix pre_head;                ///< ReLU of the final stream.
@@ -54,6 +52,9 @@ class TabularResNet : public Model {
   };
 
   ForwardCache Forward(const Matrix& batch) const;
+
+  /// Forward over a frame: the predict check, standardization, Forward.
+  Result<ForwardCache> ForwardFrame(const data::DataFrame& x) const;
 
   Options options_;
   data::StandardScaler scaler_;

@@ -59,10 +59,6 @@ BlockingClient& BlockingClient::operator=(BlockingClient&& other) noexcept {
 
 BlockingClient::~BlockingClient() { Close(); }
 
-void BlockingClient::ShutdownWrite() {
-  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_WR);
-}
-
 void BlockingClient::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

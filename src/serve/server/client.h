@@ -54,9 +54,6 @@ class BlockingClient {
   Result<std::string> Metrics(uint64_t request_id);
   Result<std::vector<std::string>> ListModels(uint64_t request_id);
 
-  /// Half-closes the write side so the server sees EOF while replies in
-  /// flight can still be read.
-  void ShutdownWrite();
   void Close();
   bool connected() const { return fd_ >= 0; }
 

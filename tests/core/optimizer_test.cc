@@ -9,9 +9,7 @@ namespace {
 
 TEST(AdamTest, MinimizesQuadratic) {
   // f(x) = (x - 3)^2, gradient 2(x - 3).
-  Adam::Options options;
-  options.learning_rate = 0.1;
-  Adam adam(options);
+  Adam adam(0.1);
   std::vector<double> params = {0.0};
   for (int i = 0; i < 500; ++i) {
     std::vector<double> grads = {2.0 * (params[0] - 3.0)};
@@ -21,9 +19,7 @@ TEST(AdamTest, MinimizesQuadratic) {
 }
 
 TEST(AdamTest, MinimizesMultiDimensional) {
-  Adam::Options options;
-  options.learning_rate = 0.05;
-  Adam adam(options);
+  Adam adam(0.05);
   std::vector<double> params = {5.0, -5.0, 1.0};
   const std::vector<double> target = {1.0, 2.0, -3.0};
   for (int i = 0; i < 2000; ++i) {
@@ -36,19 +32,14 @@ TEST(AdamTest, MinimizesMultiDimensional) {
 
 TEST(AdamTest, FirstStepIsLearningRateSized) {
   // With bias correction, the first Adam step is ~lr * sign(grad).
-  Adam::Options options;
-  options.learning_rate = 0.01;
-  Adam adam(options);
+  Adam adam(0.01);
   std::vector<double> params = {0.0};
   adam.Step(&params, {123.0});
   EXPECT_NEAR(params[0], -0.01, 1e-6);
 }
 
 TEST(AdamTest, WeightDecayShrinksParameters) {
-  Adam::Options options;
-  options.learning_rate = 0.1;
-  options.weight_decay = 0.1;
-  Adam adam(options);
+  Adam adam(/*learning_rate=*/0.1, /*weight_decay=*/0.1);
   std::vector<double> params = {10.0};
   for (int i = 0; i < 200; ++i) {
     adam.Step(&params, {0.0});  // Zero gradient: decay only.
@@ -58,7 +49,7 @@ TEST(AdamTest, WeightDecayShrinksParameters) {
 }
 
 TEST(AdamTest, ResetClearsState) {
-  Adam adam;
+  Adam adam(0.01);
   std::vector<double> params = {1.0};
   adam.Step(&params, {1.0});
   EXPECT_EQ(adam.step_count(), 1);
@@ -67,7 +58,7 @@ TEST(AdamTest, ResetClearsState) {
 }
 
 TEST(AdamTest, StepCountAdvances) {
-  Adam adam;
+  Adam adam(0.01);
   std::vector<double> params = {0.0, 0.0};
   for (int i = 1; i <= 5; ++i) {
     adam.Step(&params, {0.1, -0.1});

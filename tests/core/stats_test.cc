@@ -102,6 +102,19 @@ TEST(WilcoxonTest, SymmetricDifferencesGiveLargeP) {
   EXPECT_GT(result.p_value, 0.3);
 }
 
+// Differences {+1, +1, -2, +3, +3, +3} rank 1.5, 1.5, 3, 5, 5, 5, so
+// W+ = 18 against a mean of 10.5. The tie groups of 2 and 3 take
+// (8 - 2 + 27 - 3) / 48 = 0.625 off the untied variance 22.75, so
+// z = 7.5 / sqrt(22.125); the untied variance would give z = 1.57243.
+TEST(WilcoxonTest, TiesShrinkTheVariance) {
+  const std::vector<double> a(6, 0.0);
+  const std::vector<double> b = {1.0, 1.0, -2.0, 3.0, 3.0, 3.0};
+  const TestResult result = WilcoxonSignedRank(a, b).ValueOrDie();
+  EXPECT_NEAR(result.statistic, 7.5 / std::sqrt(22.125), 1e-12);
+  EXPECT_NEAR(result.statistic, 1.59448, 1e-5);
+  EXPECT_NEAR(result.p_value, 0.05541, 1e-5);
+}
+
 TEST(WilcoxonTest, RejectsAllZeroDifferences) {
   const std::vector<double> a = {1, 2, 3};
   EXPECT_FALSE(WilcoxonSignedRank(a, a).ok());

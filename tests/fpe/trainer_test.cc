@@ -80,6 +80,35 @@ TEST(FpeTrainerTest, ExtraLabeledFeaturesAreMergedIn) {
             baseline.num_labeled_features + 10);
 }
 
+// With the threshold far below every gain, each public feature is a
+// positive, and the only negatives are extra features whose gains sit
+// inside the denoising band just below the threshold. Dropping the band
+// would leave no training negative, so the training split stays whole,
+// every feature with its values.
+TEST(FpeTrainerTest, DenoisingNeverDropsEveryNegative) {
+  const auto datasets = data::MakePublicCollection(4, 0.6, 48);
+  FpeTrainingOptions options = QuickOptions();
+  options.threshold = -100.0;
+  for (int i = 0; i < 12; ++i) {
+    LabeledFeature f;
+    f.values.assign(60, static_cast<double>(i));
+    f.values[0] = -1.0;  // Non-constant.
+    f.score_gain = -100.005;
+    options.extra_labeled.push_back(std::move(f));
+  }
+  const auto result = TrainFpeModel(datasets, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->training_features.size() +
+                result->validation_features.size(),
+            result->num_labeled_features);
+  size_t negatives = 0;
+  for (const LabeledFeature& f : result->training_features) {
+    EXPECT_FALSE(f.values.empty());
+    negatives += f.label == 0;
+  }
+  EXPECT_GT(negatives, 0u);
+}
+
 TEST(FpeTrainerTest, RejectsBadOptions) {
   const auto datasets = data::MakePublicCollection(4, 0.6, 46);
   FpeTrainingOptions options = QuickOptions();

@@ -9,9 +9,16 @@
 
 #include "core/rng.h"
 #include "data/dataframe.h"
+#include "fpe/fpe_model.h"
 #include "ml/flat_model.h"
+#include "ml/gaussian_process.h"
 #include "ml/gradient_boosted_trees.h"
+#include "ml/linear.h"
+#include "ml/mlp.h"
+#include "ml/naive_bayes.h"
 #include "ml/random_forest.h"
+#include "ml/resnet.h"
+#include "serve/model_store.h"
 
 // Golden digests of fixed-seed model fits. Each digest folds the bit
 // pattern of every prediction, importance and flattened node of one fit,
@@ -166,6 +173,228 @@ TEST(GoldenDigestTest, Booster) {
 TEST(GoldenDigestTest, RegressionForest) {
   EXPECT_EQ(ForestDigest(data::TaskType::kRegression, 4000, 8),
             0xa86c63baccd3bd8aULL);
+}
+
+// The non-tree learners. Each digest folds the fitted state a learner
+// exposes and its predictions on a frame it did not train on, so a change
+// to the order of any training or predict arithmetic, or to the draws its
+// Rng makes, moves the pinned value. Pinned before the learners' SGD head
+// loop, network skeleton, softmax and sigmoid were shared.
+
+uint64_t FoldMatrix(uint64_t digest, const Matrix& m) {
+  digest = Fold(digest, m.rows());
+  digest = Fold(digest, m.cols());
+  return FoldValues(digest, m.data());
+}
+
+uint64_t FoldScaler(uint64_t digest, const data::StandardScaler& scaler) {
+  digest = FoldValues(digest, scaler.means());
+  return FoldValues(digest, scaler.scales());
+}
+
+/// Fit/query pair of one learner digest: 400 rows to train on and 200
+/// fresh rows to predict, both over six columns.
+struct LearnerFrames {
+  data::Dataset train;
+  data::Dataset query;
+};
+
+LearnerFrames MakeLearnerFrames(data::TaskType task,
+                                const std::vector<double>& cuts = {0.0}) {
+  return {MakeFrame(task, 400, 6, 3031, cuts),
+          MakeFrame(task, 200, 6, 3032, cuts)};
+}
+
+const std::vector<double> kThreeClassCuts = {-0.5, 0.5};
+
+uint64_t LogisticDigest(const std::vector<double>& cuts) {
+  const LearnerFrames frames =
+      MakeLearnerFrames(data::TaskType::kClassification, cuts);
+  LogisticRegression::Options options;
+  options.epochs = 30;
+  options.seed = 5;
+  LogisticRegression model(options);
+  EXPECT_TRUE(model.Fit(frames.train.features, frames.train.labels).ok());
+  uint64_t digest = FoldScaler(kDigestSeed, model.scaler());
+  for (const std::vector<double>& w : model.all_weights()) {
+    digest = FoldValues(digest, w);
+  }
+  digest =
+      FoldValues(digest, model.Predict(frames.query.features).ValueOrDie());
+  return FoldValues(digest,
+                    model.PredictProba(frames.query.features).ValueOrDie());
+}
+
+TEST(GoldenDigestTest, LogisticBinary) {
+  EXPECT_EQ(LogisticDigest({0.0}), 0x04b7241735295608ULL);
+}
+
+TEST(GoldenDigestTest, LogisticMultiClass) {
+  EXPECT_EQ(LogisticDigest(kThreeClassCuts), 0x5ca6d6be0b0efaa9ULL);
+}
+
+uint64_t SvmDigest(data::TaskType task, const std::vector<double>& cuts) {
+  const LearnerFrames frames = MakeLearnerFrames(task, cuts);
+  LinearSvm::Options options;
+  options.task = task;
+  options.epochs = 30;
+  options.seed = 6;
+  LinearSvm model(options);
+  EXPECT_TRUE(model.Fit(frames.train.features, frames.train.labels).ok());
+  uint64_t digest = kDigestSeed;
+  for (const std::vector<double>& w : model.all_weights()) {
+    digest = FoldValues(digest, w);
+  }
+  return FoldValues(digest,
+                    model.Predict(frames.query.features).ValueOrDie());
+}
+
+TEST(GoldenDigestTest, SvmBinary) {
+  EXPECT_EQ(SvmDigest(data::TaskType::kClassification, {0.0}),
+            0x3a81b8e4f128b6c3ULL);
+}
+
+TEST(GoldenDigestTest, SvmMultiClass) {
+  EXPECT_EQ(SvmDigest(data::TaskType::kClassification, kThreeClassCuts),
+            0xc37d762616ca5ed2ULL);
+}
+
+TEST(GoldenDigestTest, SvmRegression) {
+  EXPECT_EQ(SvmDigest(data::TaskType::kRegression, {0.0}),
+            0x4eb2f21971c4ca08ULL);
+}
+
+uint64_t MlpDigest(data::TaskType task) {
+  const LearnerFrames frames = MakeLearnerFrames(task, kThreeClassCuts);
+  Mlp::Options options;
+  options.task = task;
+  options.hidden_sizes = {12, 8};
+  options.epochs = 15;
+  options.seed = 7;
+  Mlp model(options);
+  EXPECT_TRUE(model.Fit(frames.train.features, frames.train.labels).ok());
+  uint64_t digest = FoldScaler(kDigestSeed, model.scaler());
+  for (size_t layer = 0; layer < model.layer_weights().size(); ++layer) {
+    digest = FoldMatrix(digest, model.layer_weights()[layer]);
+    digest = FoldValues(digest, model.layer_biases()[layer]);
+  }
+  digest = Fold(digest, std::bit_cast<uint64_t>(model.label_mean()));
+  digest = Fold(digest, std::bit_cast<uint64_t>(model.label_scale()));
+  digest =
+      FoldValues(digest, model.Predict(frames.query.features).ValueOrDie());
+  if (task == data::TaskType::kClassification) {
+    digest = FoldValues(
+        digest, model.PredictProba(frames.query.features).ValueOrDie());
+  }
+  return digest;
+}
+
+TEST(GoldenDigestTest, MlpClassification) {
+  EXPECT_EQ(MlpDigest(data::TaskType::kClassification), 0x7394806cb9c96ef1ULL);
+}
+
+TEST(GoldenDigestTest, MlpRegression) {
+  EXPECT_EQ(MlpDigest(data::TaskType::kRegression), 0x808b47b12656112cULL);
+}
+
+/// The representation depends on every stem and block weight, so it
+/// stands in for the fitted state the ResNet does not expose.
+uint64_t ResNetDigest(data::TaskType task) {
+  const LearnerFrames frames = MakeLearnerFrames(task, kThreeClassCuts);
+  TabularResNet::Options options;
+  options.task = task;
+  options.width = 8;
+  options.hidden = 12;
+  options.epochs = 15;
+  options.seed = 8;
+  TabularResNet model(options);
+  EXPECT_TRUE(model.Fit(frames.train.features, frames.train.labels).ok());
+  uint64_t digest = FoldValues(
+      kDigestSeed, model.Predict(frames.query.features).ValueOrDie());
+  const data::DataFrame representation =
+      model.ExtractRepresentation(frames.query.features).ValueOrDie();
+  for (const data::Column& column : representation.columns()) {
+    digest = FoldValues(digest, column.values());
+  }
+  return digest;
+}
+
+TEST(GoldenDigestTest, ResNetClassification) {
+  EXPECT_EQ(ResNetDigest(data::TaskType::kClassification),
+            0x34a206d8243898e0ULL);
+}
+
+TEST(GoldenDigestTest, ResNetRegression) {
+  EXPECT_EQ(ResNetDigest(data::TaskType::kRegression), 0xe444b7697c333e34ULL);
+}
+
+TEST(GoldenDigestTest, NaiveBayes) {
+  const LearnerFrames frames =
+      MakeLearnerFrames(data::TaskType::kClassification, kThreeClassCuts);
+  GaussianNaiveBayes model;
+  ASSERT_TRUE(model.Fit(frames.train.features, frames.train.labels).ok());
+  uint64_t digest = FoldValues(
+      kDigestSeed, model.Predict(frames.query.features).ValueOrDie());
+  digest = FoldValues(digest,
+                      model.PredictProba(frames.query.features).ValueOrDie());
+  EXPECT_EQ(digest, 0xe2bd55a95e9c41fbULL);
+}
+
+// 400 training rows against a 250-row cap also pins the subsample draw.
+TEST(GoldenDigestTest, GaussianProcess) {
+  const LearnerFrames frames = MakeLearnerFrames(data::TaskType::kRegression);
+  GaussianProcessRegressor::Options options;
+  options.max_training_rows = 250;
+  GaussianProcessRegressor model(options);
+  ASSERT_TRUE(model.Fit(frames.train.features, frames.train.labels).ok());
+  EXPECT_EQ(FoldValues(kDigestSeed,
+                       model.Predict(frames.query.features).ValueOrDie()),
+            0x58dd832faf3a8a6cULL);
+}
+
+/// Labeled FPE training columns: positives draw log-normal values,
+/// negatives uniform ones, 80 to 159 values a column.
+std::vector<fpe::LabeledFeature> MakeLabeledFeatures(size_t count,
+                                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<fpe::LabeledFeature> features(count);
+  for (size_t i = 0; i < count; ++i) {
+    fpe::LabeledFeature& f = features[i];
+    f.label = i % 3 == 0 ? 1 : 0;
+    f.values.resize(80 + rng.UniformInt(uint64_t{80}));
+    for (double& v : f.values) {
+      v = f.label == 1 ? std::exp(rng.Normal(0.0, 1.2))
+                       : rng.Uniform(0.0, 1.0);
+    }
+  }
+  return features;
+}
+
+/// FNV-1a over the model container's bytes, which hold the compressor
+/// options and every fitted classifier parameter.
+uint64_t FpeDigest(fpe::FpeModel::ClassifierKind classifier) {
+  fpe::FpeModel::Options options;
+  options.classifier = classifier;
+  options.compressor.dimension = 16;
+  options.seed = 31;
+  fpe::FpeModel model(options);
+  EXPECT_TRUE(model.Train(MakeLabeledFeatures(60, 31)).ok());
+  const std::string bytes = serve::SerializeFpe(model).ValueOrDie();
+  uint64_t digest = kDigestSeed;
+  for (char byte : bytes) {
+    digest = Fold(digest, static_cast<uint8_t>(byte));
+  }
+  return digest;
+}
+
+TEST(GoldenDigestTest, FpeLogisticContainer) {
+  EXPECT_EQ(FpeDigest(fpe::FpeModel::ClassifierKind::kLogistic),
+            0xab2a5e1957e84ab4ULL);
+}
+
+TEST(GoldenDigestTest, FpeMlpContainer) {
+  EXPECT_EQ(FpeDigest(fpe::FpeModel::ClassifierKind::kMlp),
+            0x5a50118c50784adbULL);
 }
 
 }  // namespace

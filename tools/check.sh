@@ -15,23 +15,26 @@
 #            MinHash SIMD dispatch smoke (micro_hashing --simd-smoke: the
 #            AVX2 tier bit-identical to its oracle + speed floors), a forced
 #            EAFE_SIMD=scalar rerun of the simd-labeled ctest suite to
-#            prove the fallback tier stays green, the golden search, forest
-#            and booster digests under EAFE_SIMD=scalar (their pinned values
-#            hold at every tier), and the pipelined-search smoke
-#            (fig9_scalability --pipeline-smoke: --threads 1 and --threads
-#            4 searches bit-identical on an n>=10k point, the pooled one
-#            >= 1.8x faster on multi-core machines, one comparison after
-#            >= 1.5 s of warm-up per side,
-#            BENCH_pipeline.json line schema-checked)
+#            prove the fallback tier stays green, the golden search, forest,
+#            booster and learner digests under EAFE_SIMD=scalar (their
+#            pinned values hold at every tier), and the pipelined-search
+#            smoke (fig9_scalability --pipeline-smoke: --threads 1 and
+#            --threads 4 searches bit-identical on an n>=10k point, the
+#            pooled one >= 1.8x faster on multi-core machines, one
+#            comparison after >= 1.5 s of warm-up per side, the fresh line
+#            written to build-release/BENCH_pipeline.json and
+#            schema-checked with the committed snapshot)
 #   asan     full ctest under AddressSanitizer in build-asan/
 #   ubsan    full ctest under UndefinedBehaviorSanitizer in build-ubsan/
 #   tsan     every test labeled `tsan` under ThreadSanitizer in build-tsan/
 #   serve    end-to-end eafe_server gate in build-release/: train a
 #            fixture model, start the server, eafe_loadgen --smoke
 #            (bit-identity vs direct FlatPredictor), a load run that
-#            snapshots QPS/p50/p99 into BENCH_serve.json, a forced
-#            overload that must shed instead of stall, and
-#            bench_schema_check over every BENCH_*.json
+#            writes QPS/p50/p99 to build-release/BENCH_serve.json, a
+#            forced overload that must shed instead of stall, and
+#            bench_schema_check over every committed BENCH_*.json plus
+#            the fresh serve line. Neither gate run rewrites a committed
+#            snapshot; refreshing one is a deliberate copy.
 #   bench    the end-to-end benchmark's own correctness smoke in
 #            build-bench/: builds eafe_e2e through e2ebench/hook.cmake
 #            and runs its `bench`-labeled ctests (every workload at
@@ -152,8 +155,8 @@ run_release() {
     --output-on-failure --timeout 600 -L '^simd$'
   # The golden digests claim to hold at every SIMD tier; the simd-labeled
   # tests above check each kernel alone, these check whole searches and
-  # forest and booster fits, so a caller that branches on the active tier
-  # fails here.
+  # forest, booster and learner fits, so a caller that branches on the
+  # active tier fails here.
   EAFE_SIMD=scalar "${root}/build-release/tests/eafe_search_pipeline_test" \
     --gtest_filter='*GoldenSearchDigest*'
   EAFE_SIMD=scalar "${root}/build-release/tests/eafe_ml_test" \
@@ -161,13 +164,15 @@ run_release() {
   # Pipelined-search smoke: a 10k-sample search at --threads 1 and at
   # --threads 4 must be bit-identical; on >=4-core machines the pooled
   # run must also be >= 1.8x faster (best of 3 after >= 1.5 s of warm-up
-  # each, one comparison). The fresh BENCH_pipeline.json line must pass
-  # the schema gate (serial_seconds/pooled_seconds/speedup keys).
-  rm -f "${root}/BENCH_pipeline.json"
+  # each, one comparison). The fresh BENCH_pipeline.json line goes to the
+  # build tree, so a gate run leaves the committed snapshot alone; it and
+  # the snapshot must pass the schema gate (serial_seconds/pooled_seconds/
+  # speedup keys).
+  rm -f "${root}/build-release/BENCH_pipeline.json"
   "${root}/build-release/bench/fig9_scalability" --pipeline-smoke \
-    --threads 4 --out "${root}/BENCH_pipeline.json"
+    --threads 4 --out "${root}/build-release/BENCH_pipeline.json"
   "${root}/build-release/tools/bench_schema_check" \
-    "${root}/BENCH_pipeline.json"
+    "${root}/build-release/BENCH_pipeline.json" "${root}/BENCH_pipeline.json"
 }
 
 run_asan() {
@@ -274,12 +279,14 @@ run_serve() {
     --port-file "${work}/server.port" --model-file "${work}/model.eafe" \
     --smoke
 
-  # Gate 2: load run — snapshots QPS/p50/p99 into BENCH_serve.json at
-  # the repo root, where the schema gate and CI artifact upload find it.
-  rm -f "${root}/BENCH_serve.json"
+  # Gate 2: load run — writes QPS/p50/p99 to build-release/
+  # BENCH_serve.json, where the schema gate and CI artifact upload find
+  # it; the committed snapshot at the repo root is left alone.
+  rm -f "${root}/build-release/BENCH_serve.json"
   "${root}/build-release/tools/eafe_loadgen" \
     --port-file "${work}/server.port" --model-file "${work}/model.eafe" \
-    --connections 8 --requests 200 --out "${root}/BENCH_serve.json"
+    --connections 8 --requests 200 \
+    --out "${root}/build-release/BENCH_serve.json"
   stop_servers
 
   # Gate 3: forced overload — a one-deep queue behind a deliberately
@@ -293,7 +300,8 @@ run_serve() {
 
   # Gate 4: every committed snapshot plus the fresh serve line must
   # satisfy the bench schema.
-  "${root}/build-release/tools/bench_schema_check" "${root}"/BENCH_*.json
+  "${root}/build-release/tools/bench_schema_check" "${root}"/BENCH_*.json \
+    "${root}/build-release/BENCH_serve.json"
 
   trap - EXIT
   rm -rf "${work}"
