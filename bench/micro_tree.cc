@@ -154,19 +154,29 @@ struct FitResult {
   double score = 0.0;
 };
 
+/// The two tree fits the tree lines compare: the exact oracle
+/// (DecisionTree::FitExact) and the histogram Fit.
+enum class TreeFit { kExact, kHistogram };
+
+/// The fit's value of the "strategy" key.
+const char* TreeFitName(TreeFit fit) {
+  return fit == TreeFit::kExact ? "exact" : "histogram";
+}
+
 /// Best-of-`reps` single-thread fit; score is on the training table
 /// (F1-style accuracy / 1-RAE), which is what the two backends should
 /// agree on.
-FitResult TimeFit(const data::Dataset& dataset, ml::SplitStrategy strategy,
-                  size_t reps) {
+FitResult TimeFit(const data::Dataset& dataset, TreeFit fit, size_t reps) {
   ml::DecisionTree::Options options;
   options.task = dataset.task;
-  options.split_strategy = strategy;
   FitResult result;
   for (size_t r = 0; r < reps; ++r) {
     ml::DecisionTree tree(options);
     Stopwatch timer;
-    const Status fitted = tree.Fit(dataset.features, dataset.labels);
+    const Status fitted =
+        fit == TreeFit::kExact
+            ? tree.FitExact(dataset.features, dataset.labels)
+            : tree.Fit(dataset.features, dataset.labels);
     const double seconds = timer.ElapsedSeconds();
     EAFE_CHECK_MSG(fitted.ok(), fitted.ToString().c_str());
     if (r == 0 || seconds < result.seconds) result.seconds = seconds;
@@ -380,9 +390,8 @@ FlatPair TimeFlatVsDouble(const data::Dataset& dataset, size_t num_trees,
   return pair;
 }
 
-void PrintLine(const data::Dataset& dataset, size_t features,
-               ml::SplitStrategy strategy, const FitResult& result,
-               double exact_seconds) {
+void PrintLine(const data::Dataset& dataset, size_t features, TreeFit fit,
+               const FitResult& result, double exact_seconds) {
   std::printf(
       "{\"task\": \"%s\", \"rows\": %zu, \"features\": %zu, "
       "\"strategy\": \"%s\", \"fit_seconds\": %.6f, \"score\": %.4f, "
@@ -390,7 +399,7 @@ void PrintLine(const data::Dataset& dataset, size_t features,
       dataset.task == data::TaskType::kClassification ? "classification"
                                                       : "regression",
       dataset.features.num_rows(), features,
-      ml::SplitStrategyToString(strategy).c_str(), result.seconds,
+      TreeFitName(fit), result.seconds,
       result.score,
       result.seconds > 0.0 ? exact_seconds / result.seconds : 0.0);
 }
@@ -605,14 +614,13 @@ int RunGrid(bool full, uint64_t seed) {
       const data::Dataset dataset =
           MakeTable(task, shape.rows, shape.features, seed);
       const size_t reps = shape.rows <= 1000 ? 3 : 2;
-      const FitResult exact =
-          TimeFit(dataset, ml::SplitStrategy::kExact, reps);
+      const FitResult exact = TimeFit(dataset, TreeFit::kExact, reps);
       const FitResult histogram =
-          TimeFit(dataset, ml::SplitStrategy::kHistogram, reps);
-      PrintLine(dataset, shape.features, ml::SplitStrategy::kExact, exact,
+          TimeFit(dataset, TreeFit::kHistogram, reps);
+      PrintLine(dataset, shape.features, TreeFit::kExact, exact,
                 exact.seconds);
-      PrintLine(dataset, shape.features, ml::SplitStrategy::kHistogram,
-                histogram, exact.seconds);
+      PrintLine(dataset, shape.features, TreeFit::kHistogram, histogram,
+                exact.seconds);
     }
   }
   // Forest-level lines: fit, and predict (the flat walk over codes vs
@@ -690,12 +698,10 @@ int RunGrid(bool full, uint64_t seed) {
 int RunSmoke(uint64_t seed) {
   const data::Dataset dataset =
       MakeTable(data::TaskType::kClassification, 16384, 16, seed);
-  const FitResult exact = TimeFit(dataset, ml::SplitStrategy::kExact, 2);
-  const FitResult histogram =
-      TimeFit(dataset, ml::SplitStrategy::kHistogram, 2);
-  PrintLine(dataset, 16, ml::SplitStrategy::kExact, exact, exact.seconds);
-  PrintLine(dataset, 16, ml::SplitStrategy::kHistogram, histogram,
-            exact.seconds);
+  const FitResult exact = TimeFit(dataset, TreeFit::kExact, 2);
+  const FitResult histogram = TimeFit(dataset, TreeFit::kHistogram, 2);
+  PrintLine(dataset, 16, TreeFit::kExact, exact, exact.seconds);
+  PrintLine(dataset, 16, TreeFit::kHistogram, histogram, exact.seconds);
   const double speedup =
       histogram.seconds > 0.0 ? exact.seconds / histogram.seconds : 0.0;
   if (speedup < 1.5) {

@@ -111,9 +111,9 @@ struct StepPipelineConfig {
 /// inline. The frame and eval service must outlive the pipeline, and the
 /// caller must not mutate the frame until Finish() returns.
 ///
-/// Construction bins the frame once (TaskEvaluator::BinFrame, so the
-/// downstream model's own binner options apply), and every evaluation of
-/// the epoch bins only its candidate column on top of those bins.
+/// Construction bins the frame once (TaskEvaluator::BinFrame, when the
+/// downstream model is a tree learner), and every evaluation of the epoch
+/// bins only its candidate column on top of those bins.
 class SearchStepPipeline {
  public:
   SearchStepPipeline(const StepPipelineConfig& config,

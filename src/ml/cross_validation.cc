@@ -46,31 +46,27 @@ Result<std::vector<double>> CrossValidateScores(
         folds, data::KFoldIndices(dataset.num_rows(), options.folds, &rng));
   }
 
-  // When the model can train through a shared pre-binned frame (probed
-  // via SharedBinnerModel), the frame is binned exactly once here, before
-  // the fold fan-out: every fold fits on a row-id view of the same codes
+  // A tree learner (a SharedBinnerModel) trains through a shared
+  // pre-binned frame: the frame is binned exactly once here, before the
+  // fold fan-out, and every fold fits on a row-id view of the same codes
   // and scores its held-out rows by id — no fold materialization, no
-  // per-fold re-binning. Given matching frame bins, only the columns past
-  // them are binned. Models without the capability (or configurations
-  // that decline it, e.g. the exact split strategy) take the legacy
-  // materialized path below.
+  // per-fold re-binning. Given frame bins, only the columns past them are
+  // binned. Other models take the materialized path below.
   std::shared_ptr<const FeatureBinner> shared_binner;
   {
     std::unique_ptr<Model> probe = factory();
     if (probe == nullptr) {
       return Status::Internal("model factory returned null");
     }
-    if (const auto* capable = dynamic_cast<const SharedBinnerModel*>(
-            probe.get())) {
-      if (frame_bins != nullptr &&
-          capable->BinnerOptions() == frame_bins->options()) {
+    if (dynamic_cast<const SharedBinnerModel*>(probe.get()) != nullptr) {
+      if (frame_bins != nullptr) {
         EAFE_ASSIGN_OR_RETURN(FeatureBinner extended,
                               frame_bins->Extend(dataset.features));
         shared_binner =
             std::make_shared<const FeatureBinner>(std::move(extended));
       } else {
         EAFE_ASSIGN_OR_RETURN(shared_binner,
-                              capable->BinFrame(dataset.features));
+                              SharedBinnerModel::BinFrame(dataset.features));
       }
     }
   }

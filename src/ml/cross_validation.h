@@ -31,10 +31,9 @@ struct CvOptions {
 ///
 /// `frame_bins`, when given, is a binner fitted on the leading columns of
 /// `dataset.features` (a search's epoch frame, to which the candidate is
-/// appended last). A model that shares bins with the same options then
-/// bins only the columns past it (FeatureBinner::Extend) instead of the
-/// whole table; the scores are bit-identical either way. Models that
-/// cannot share bins, or share them with other options, ignore it.
+/// appended last). A tree learner then bins only the columns past it
+/// (FeatureBinner::Extend) instead of the whole table; the scores are
+/// bit-identical either way. Other models ignore it.
 Result<double> CrossValidateScore(const ModelFactory& factory,
                                   const data::Dataset& dataset,
                                   const CvOptions& options = {},

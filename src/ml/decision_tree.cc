@@ -6,8 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "core/check.h"
-#include "core/string_util.h"
 #include "ml/feature_binner.h"
 #include "ml/histogram_builder.h"
 
@@ -30,42 +28,15 @@ double Gini(const std::vector<size_t>& counts, size_t total) {
 
 }  // namespace
 
-std::string SplitStrategyToString(SplitStrategy strategy) {
-  switch (strategy) {
-    case SplitStrategy::kExact:
-      return "exact";
-    case SplitStrategy::kHistogram:
-      return "histogram";
-  }
-  return "?";
-}
-
 DecisionTree::DecisionTree(const Options& options) : options_(options) {}
 
-Status DecisionTree::Fit(const data::DataFrame& x,
-                         const std::vector<double>& y) {
-  if (x.num_columns() == 0) {
-    return Status::InvalidArgument("tree needs at least one feature");
-  }
-  if (x.num_rows() != y.size() || y.empty()) {
-    return Status::InvalidArgument(
-        StrFormat("rows (%zu) and labels (%zu) disagree or are empty",
-                  x.num_rows(), y.size()));
-  }
+Status DecisionTree::FitExact(const data::DataFrame& x,
+                              const std::vector<double>& y) {
+  EAFE_RETURN_NOT_OK(CheckFitInput(x, y));
   EAFE_ASSIGN_OR_RETURN(BinnedLabels labels,
                         BinnedLabels::Create(options_.task, y));
   std::vector<size_t> rows(y.size());
   std::iota(rows.begin(), rows.end(), size_t{0});
-  if (options_.split_strategy == SplitStrategy::kHistogram) {
-    // The standalone histogram fit is the degenerate shared case: bin the
-    // frame once and train on the all-rows view.
-    EAFE_ASSIGN_OR_RETURN(std::shared_ptr<const FeatureBinner> binner,
-                          BinFrame(x));
-    EAFE_RETURN_NOT_OK(
-        FitBinnedWithLabels(std::move(binner), y, std::move(rows), labels));
-    WriteImage();
-    return Status::OK();
-  }
   nodes_.clear();
   binner_.reset();
   image_ = FlatEnsemble();
@@ -77,57 +48,27 @@ Status DecisionTree::Fit(const data::DataFrame& x,
   return Status::OK();
 }
 
-std::optional<FeatureBinner::Options> DecisionTree::BinnerOptions() const {
-  if (options_.split_strategy != SplitStrategy::kHistogram) {
-    return std::nullopt;  // Cannot share.
-  }
-  FeatureBinner::Options binner_options;
-  binner_options.max_bins = options_.max_bins;
-  return binner_options;
-}
-
 Status DecisionTree::FitBinned(std::shared_ptr<const FeatureBinner> binner,
                                const std::vector<double>& y,
                                const std::vector<size_t>& rows) {
+  EAFE_RETURN_NOT_OK(CheckBinnedView(binner.get(), y, rows));
   EAFE_ASSIGN_OR_RETURN(BinnedLabels labels,
                         BinnedLabels::Create(options_.task, y));
-  EAFE_RETURN_NOT_OK(FitBinnedWithLabels(std::move(binner), y,
-                                         std::vector<size_t>(rows), labels));
-  WriteImage();
+  GrowBinned(std::move(binner), y, rows, labels);
+  // A standalone tree is a forest of one.
+  image_ = FlatEnsemble(EnsembleKind::kForestVote, options_.task,
+                        num_features_, num_classes_);
+  AppendTo(&image_);
   return Status::OK();
 }
 
-Status DecisionTree::FitBinnedWithLabels(
-    std::shared_ptr<const FeatureBinner> binner,
-    const std::vector<double>& y, std::vector<size_t> rows,
-    const BinnedLabels& labels) {
-  if (options_.split_strategy != SplitStrategy::kHistogram) {
-    return Status::InvalidArgument(
-        "binned training requires the histogram split strategy");
-  }
-  if (binner == nullptr || !binner->fitted()) {
-    return Status::InvalidArgument("binner is null or not fitted");
-  }
-  if (binner->num_rows() != y.size() || y.empty()) {
-    return Status::InvalidArgument(
-        StrFormat("binned frame rows (%zu) and labels (%zu) disagree or "
-                  "are empty",
-                  binner->num_rows(), y.size()));
-  }
-  if (rows.empty()) {
-    return Status::InvalidArgument("row view must be nonempty");
-  }
-  for (size_t row : rows) {
-    if (row >= y.size()) {
-      return Status::InvalidArgument(
-          StrFormat("row id %zu out of range (%zu frame rows)", row,
-                    y.size()));
-    }
-  }
+void DecisionTree::GrowBinned(std::shared_ptr<const FeatureBinner> binner,
+                              const std::vector<double>& y,
+                              std::vector<size_t> rows,
+                              const BinnedLabels& labels) {
   nodes_.clear();
   binner_ = std::move(binner);
   depth_ = 0;
-  image_ = FlatEnsemble();
   num_features_ = binner_->num_features();
   importances_.assign(num_features_, 0.0);
   num_classes_ = labels.num_classes;
@@ -138,7 +79,6 @@ Status DecisionTree::FitBinnedWithLabels(
   std::vector<size_t> staging(rows.size());
   Rng rng(options_.seed);
   BuildNodeHistogram(builder, rows, staging, &scratch, 0, &rng);
-  return Status::OK();
 }
 
 DecisionTree::Node DecisionTree::MakeLeaf(const std::vector<double>& y,
@@ -382,8 +322,6 @@ int DecisionTree::BuildNodeHistogram(HistogramBuilder& builder,
   if (num_left == 0 || num_left == rows.size()) return node_id;
 
   importances_[feature] += split.gain * static_cast<double>(rows.size());
-  const double threshold =
-      binner_->cut(feature, static_cast<size_t>(split.bin));
 
   // The left subtree may grow child_totals_, so the right child's totals
   // are read back only when its turn comes.
@@ -396,17 +334,10 @@ int DecisionTree::BuildNodeHistogram(HistogramBuilder& builder,
   const int right = BuildNodeHistogram(builder, rows.subspan(num_left),
                                        staging, scratch, depth + 1, rng);
   nodes_[node_id].feature = split.feature;
-  nodes_[node_id].threshold = threshold;
   nodes_[node_id].split_bin = split.bin;
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
   return node_id;
-}
-
-void DecisionTree::WriteImage() {
-  image_ = FlatEnsemble(EnsembleKind::kForestVote, options_.task,
-                        num_features_, num_classes_);
-  AppendTo(&image_);
 }
 
 void DecisionTree::AppendTo(FlatEnsemble* image) const {
@@ -435,48 +366,15 @@ size_t DecisionTree::TraverseToLeaf(const data::DataFrame& x,
   return node;
 }
 
-Status DecisionTree::CheckPredict(size_t num_columns) const {
-  if (nodes_.empty()) {
-    return Status::FailedPrecondition("tree is not fitted");
-  }
-  if (num_columns != num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("tree fitted on %zu features, got %zu", num_features_,
-                  num_columns));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<double>> DecisionTree::PredictFrame(
-    const data::DataFrame& x, bool proba) const {
-  EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
-  if (image_.num_trees() > 0) return image_.PredictFrame(*binner_, x, proba);
+std::vector<double> DecisionTree::PredictFrame(const data::DataFrame& x,
+                                               bool proba) const {
+  if (image_.num_trees() > 0) return SharedBinnerModel::PredictFrame(x, proba);
   std::vector<double> out(x.num_rows());
   for (size_t r = 0; r < x.num_rows(); ++r) {
     const Node& leaf = nodes_[TraverseToLeaf(x, r)];
     out[r] = proba ? leaf.proba : leaf.value;
   }
   return out;
-}
-
-Result<std::vector<double>> DecisionTree::Predict(
-    const data::DataFrame& x) const {
-  return PredictFrame(x, /*proba=*/false);
-}
-
-Result<std::vector<double>> DecisionTree::PredictProba(
-    const data::DataFrame& x) const {
-  return PredictFrame(x, /*proba=*/true);
-}
-
-Result<std::vector<double>> DecisionTree::PredictBinnedRows(
-    const std::vector<size_t>& rows) const {
-  EAFE_RETURN_NOT_OK(CheckPredict(num_features_));
-  if (image_.num_trees() == 0) {
-    return Status::FailedPrecondition(
-        "PredictBinnedRows requires a histogram fit");
-  }
-  return image_.PredictRows(*binner_, rows);
 }
 
 }  // namespace eafe::ml

@@ -3,9 +3,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -17,32 +15,27 @@
 
 namespace eafe::ml {
 
-/// How a tree searches for the best split at each node.
-///  - kExact: sort every candidate feature's values per node and scan all
-///    midpoints (O(F n log n) per node). The reference the histogram
-///    search is tested against: with lossless binning the two agree bit
-///    for bit.
-///  - kHistogram: quantize each column once per frame (<= max_bins uint8
-///    bins); each node accumulates the histograms of only the features it
-///    samples and scans their bin boundaries (O(F bins)). LightGBM-style;
-///    the only search RandomForest and the booster run.
-enum class SplitStrategy { kExact, kHistogram };
-
-std::string SplitStrategyToString(SplitStrategy strategy);
-
 /// CART decision tree for classification (Gini) and regression (variance
 /// reduction), with numeric threshold splits. Supports per-split feature
 /// subsampling so RandomForest can decorrelate its trees.
 ///
-/// Histogram trees can train through a *shared* FeatureBinner: the frame
-/// is binned once, and each tree fit is a row-id view over the shared
-/// codes (FitBinned) — bootstrap and fold selection never materialize a
-/// sub-frame. Histogram splits record both the double threshold and the
-/// split bin. A standalone histogram fit writes its tree into a flat
-/// image (flat_model.h, a forest of one) and predicts fresh frames and
-/// binned rows through the one walk over uint8 codes, bit-identically to
-/// the raw-double walk (TraverseToLeaf) that exact fits predict through.
-class DecisionTree : public Model, public SharedBinnerModel {
+/// Fit and FitBinned split on histograms: the frame is binned once
+/// (FeatureBinner, kMaxBins uint8 bins per column), each node accumulates
+/// the histograms of only the features it samples and scans their bin
+/// boundaries (O(F bins)), LightGBM-style. A tree can train through a
+/// *shared* binner: each fit is a row-id view over the shared codes, so
+/// bootstrap and fold selection never materialize a sub-frame. A
+/// standalone fit writes its tree into the flat image (a forest of one)
+/// and predicts fresh frames and binned rows through the one walk over
+/// uint8 codes.
+///
+/// FitExact is the exact CART oracle the histogram search is tested
+/// against: it sorts every candidate feature's values per node and scans
+/// all midpoints (O(F n log n) per node). With lossless binning the two
+/// agree bit for bit. An exact tree has no binner and no image; it
+/// predicts through the raw-double walk (TraverseToLeaf), and its
+/// PredictBinnedRows fails with FailedPrecondition.
+class DecisionTree : public SharedBinnerModel {
  public:
   struct Options {
     data::TaskType task = data::TaskType::kClassification;
@@ -51,57 +44,42 @@ class DecisionTree : public Model, public SharedBinnerModel {
     /// Features considered per split; 0 means all.
     size_t max_features = 0;
     uint64_t seed = 1;
-    /// Split-finding backend. A standalone tree defaults to the exact
-    /// reference; RandomForest and the evaluator set histogram.
-    SplitStrategy split_strategy = SplitStrategy::kExact;
-    /// Histogram strategy only: bins per feature (2..256).
-    size_t max_bins = 255;
   };
 
   DecisionTree() : DecisionTree(Options()) {}
   explicit DecisionTree(const Options& options);
 
-  Status Fit(const data::DataFrame& x, const std::vector<double>& y) override;
-  Result<std::vector<double>> Predict(
-      const data::DataFrame& x) const override;
-  data::TaskType task() const override { return options_.task; }
+  /// Trains the exact oracle on the raw values of `x`.
+  Status FitExact(const data::DataFrame& x, const std::vector<double>& y);
 
-  // SharedBinnerModel: train/predict through a shared pre-binned frame.
-  std::optional<FeatureBinner::Options> BinnerOptions() const override;
   Status FitBinned(std::shared_ptr<const FeatureBinner> binner,
                    const std::vector<double>& y,
                    const std::vector<size_t>& rows) override;
-  Result<std::vector<double>> PredictBinnedRows(
-      const std::vector<size_t>& rows) const override;
-
-  /// For binary classification: fraction of class-1 training samples in
-  /// the reached leaf.
-  Result<std::vector<double>> PredictProba(const data::DataFrame& x) const;
+  data::TaskType task() const override { return options_.task; }
 
   /// Total impurity decrease attributed to each feature during training
-  /// (unnormalized). Empty before Fit.
+  /// (unnormalized). Empty before a fit.
   const std::vector<double>& feature_importances() const {
     return importances_;
   }
 
-  /// The shared binner a histogram fit trained through (null for exact
-  /// fits).
-  const std::shared_ptr<const FeatureBinner>& binner() const {
-    return binner_;
-  }
-
   size_t node_count() const { return nodes_.size(); }
-  bool fitted() const { return !nodes_.empty(); }
+
+ protected:
+  /// The image's walk after a binned fit, the raw-double walk after
+  /// FitExact.
+  std::vector<double> PredictFrame(const data::DataFrame& x,
+                                   bool proba) const override;
 
  private:
-  // A forest fits its trees through FitBinnedWithLabels, which writes no
-  // image, and writes every tree into its own image (AppendTo).
+  // A forest grows its trees through GrowBinned, which writes no image,
+  // and writes every tree into its own image (AppendTo).
   friend class RandomForest;
 
   struct Node {
     int feature = -1;          ///< -1 marks a leaf.
-    double threshold = 0.0;    ///< Go left if x[feature] <= threshold.
-    int split_bin = -1;        ///< Go left if code <= split_bin (histogram).
+    double threshold = 0.0;    ///< Exact: go left if x[feature] <= it.
+    int split_bin = -1;        ///< Binned: go left if code <= split_bin.
     int left = -1;
     int right = -1;
     double value = 0.0;        ///< Leaf prediction (majority class / mean).
@@ -114,22 +92,15 @@ class DecisionTree : public Model, public SharedBinnerModel {
     double gain = 0.0;
   };
 
-  /// FitBinned with the frame's class codes already converted (one
-  /// BinnedLabels per forest, not per tree), writing no image. `rows`
-  /// becomes the tree's row array, which the build partitions in place,
-  /// so callers move it in.
-  Status FitBinnedWithLabels(std::shared_ptr<const FeatureBinner> binner,
-                             const std::vector<double>& y,
-                             std::vector<size_t> rows,
-                             const BinnedLabels& labels);
-  /// Writes a histogram fit's tree into image_, a forest of one.
-  void WriteImage();
-  /// Appends the histogram-fitted tree's nodes to `image` as one tree.
+  /// Grows the tree of a checked binned view with the frame's class
+  /// codes already converted (one BinnedLabels per forest, not per tree),
+  /// writing no image. `rows` becomes the tree's row array, which the
+  /// build partitions in place, so callers move it in.
+  void GrowBinned(std::shared_ptr<const FeatureBinner> binner,
+                  const std::vector<double>& y, std::vector<size_t> rows,
+                  const BinnedLabels& labels);
+  /// Appends the binned tree's nodes to `image` as one tree.
   void AppendTo(FlatEnsemble* image) const;
-  Status CheckPredict(size_t num_columns) const;
-  /// Leaf payload (value or proba) of every row of `x`.
-  Result<std::vector<double>> PredictFrame(const data::DataFrame& x,
-                                           bool proba) const;
 
   int BuildNode(const data::DataFrame& x, const std::vector<double>& y,
                 std::vector<size_t>& indices, size_t depth, Rng* rng);
@@ -163,15 +134,9 @@ class DecisionTree : public Model, public SharedBinnerModel {
   Options options_;
   std::vector<Node> nodes_;
   std::vector<double> importances_;
-  size_t num_features_ = 0;
   int num_classes_ = 0;
-  /// Shared binner a histogram fit trained through; null after exact fits.
-  std::shared_ptr<const FeatureBinner> binner_;
   /// Level of the deepest node of a histogram fit.
   uint32_t depth_ = 0;
-  /// The flat image of a standalone histogram fit; empty for exact fits
-  /// and for trees a forest fitted.
-  FlatEnsemble image_;
   /// Children's totals of a histogram fit, two entry_width groups (left,
   /// right) per depth: a node at depth d writes its children's into pair
   /// d, which nothing overwrites while its left subtree grows.

@@ -66,7 +66,6 @@ std::unique_ptr<Model> TaskEvaluator::CreateModel(data::TaskType task) const {
       rf.num_trees = options_.rf_trees;
       rf.max_depth = options_.rf_max_depth;
       rf.seed = options_.seed;
-      rf.max_bins = options_.max_bins;
       return std::make_unique<RandomForest>(rf);
     }
     case ModelKind::kDecisionTree: {
@@ -74,19 +73,11 @@ std::unique_ptr<Model> TaskEvaluator::CreateModel(data::TaskType task) const {
       tree.task = task;
       tree.max_depth = options_.rf_max_depth;
       tree.seed = options_.seed;
-      tree.split_strategy = SplitStrategy::kHistogram;
-      tree.max_bins = options_.max_bins;
       return std::make_unique<DecisionTree>(tree);
     }
     case ModelKind::kGradientBoostedTrees: {
       GradientBoostedTrees::Options gbdt;
       gbdt.task = task;
-      gbdt.rounds = options_.gbdt_rounds;
-      gbdt.learning_rate = options_.gbdt_learning_rate;
-      gbdt.max_depth = options_.gbdt_max_depth;
-      gbdt.subsample = options_.gbdt_subsample;
-      gbdt.lambda = options_.gbdt_lambda;
-      gbdt.max_bins = options_.max_bins;
       gbdt.seed = options_.seed;
       return std::make_unique<GradientBoostedTrees>(gbdt);
     }
@@ -149,9 +140,10 @@ Result<double> TaskEvaluator::Score(const data::Dataset& dataset,
 Result<std::shared_ptr<const FeatureBinner>> TaskEvaluator::BinFrame(
     const data::Dataset& frame) const {
   const std::unique_ptr<Model> model = CreateModel(frame.task);
-  const auto* shared = dynamic_cast<const SharedBinnerModel*>(model.get());
-  if (shared == nullptr) return std::shared_ptr<const FeatureBinner>();
-  return shared->BinFrame(frame.features);
+  if (dynamic_cast<const SharedBinnerModel*>(model.get()) == nullptr) {
+    return std::shared_ptr<const FeatureBinner>();
+  }
+  return SharedBinnerModel::BinFrame(frame.features);
 }
 
 }  // namespace eafe::ml

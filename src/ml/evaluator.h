@@ -38,33 +38,23 @@ struct EvaluatorOptions {
   ModelKind model = ModelKind::kRandomForest;
   size_t cv_folds = 5;
   uint64_t seed = 1;
-  // Random forest / tree capacity.
+  // Random forest / tree capacity. The tree-based downstream models (the
+  // forest, the tree and the booster, which keeps its own defaults: 40
+  // depth-3 rounds) all split on kMaxBins histograms, and each evaluation
+  // bins the frame once for all CV folds and forest trees.
   size_t rf_trees = 10;
   size_t rf_max_depth = 8;
-  /// Bins per feature (2..256) of the tree-based downstream models, which
-  /// all split on histograms. With the RF, each evaluation bins the frame
-  /// once and shares the codes across all CV folds and forest trees.
-  size_t max_bins = 255;
   // Neural / linear model budgets.
   size_t nn_epochs = 40;
   size_t linear_epochs = 80;
-  // Gradient-boosting capacity (ModelKind::kGradientBoostedTrees). The
-  // booster always runs the histogram backend and shares one binner per
-  // evaluated frame, like the histogram RF.
-  size_t gbdt_rounds = 40;
-  double gbdt_learning_rate = 0.1;
-  size_t gbdt_max_depth = 3;
-  double gbdt_subsample = 1.0;
-  double gbdt_lambda = 1.0;
 
   /// Every field above, in declaration order. EvaluationSignature
   /// (afe/eval_service.h) folds over this list, so the evaluation memo
   /// keys on every knob; the static_assert below fails the build when a
   /// field is added here but not listed.
   auto Fields() const {
-    return std::tie(model, cv_folds, seed, rf_trees, rf_max_depth, max_bins,
-                    nn_epochs, linear_epochs, gbdt_rounds, gbdt_learning_rate,
-                    gbdt_max_depth, gbdt_subsample, gbdt_lambda);
+    return std::tie(model, cv_folds, seed, rf_trees, rf_max_depth, nn_epochs,
+                    linear_epochs);
   }
 };
 
@@ -110,10 +100,9 @@ class TaskEvaluator {
   Result<double> Score(const data::Dataset& dataset,
                        const FeatureBinner* frame_bins = nullptr) const;
 
-  /// Bins `frame` with the downstream model's own binner options, once,
-  /// for Score calls over tables that append columns to it (a search's
-  /// epoch frame plus one candidate). Null when the model cannot share
-  /// bins (non-tree models).
+  /// Bins `frame` once for Score calls over tables that append columns
+  /// to it (a search's epoch frame plus one candidate). Null when the
+  /// downstream model is no tree learner and so bins nothing.
   Result<std::shared_ptr<const FeatureBinner>> BinFrame(
       const data::Dataset& frame) const;
 

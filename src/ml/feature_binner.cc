@@ -14,11 +14,10 @@ std::atomic<size_t> g_total_fits{0};
 /// Cut points are estimated from at most this many values per column: an
 /// evenly row-strided subsample, sorted. Columns at or under the cap are
 /// sorted whole, which keeps binning lossless where the column has at
-/// most max_bins distinct values.
+/// most kMaxBins distinct values.
 constexpr size_t kMaxCutSamples = 4096;
-// A sample must hold at least as many values as the widest binning has
-// bins (codes fit uint8).
-static_assert(kMaxCutSamples >= 256);
+// A sample must hold at least as many values as a column has bins.
+static_assert(kMaxCutSamples >= kMaxBins);
 
 }  // namespace
 
@@ -36,8 +35,7 @@ namespace {
 /// midpoints between adjacent distinct values when those fit the bin
 /// budget, otherwise midpoints at evenly spaced quantile boundaries.
 /// Strictly ascending by construction.
-std::vector<double> ComputeCuts(const std::vector<double>& sorted,
-                                size_t max_bins) {
+std::vector<double> ComputeCuts(const std::vector<double>& sorted) {
   std::vector<double> cuts;
   if (sorted.size() < 2) return cuts;
 
@@ -45,7 +43,7 @@ std::vector<double> ComputeCuts(const std::vector<double>& sorted,
   for (size_t i = 1; i < sorted.size(); ++i) {
     distinct += sorted[i] != sorted[i - 1];
   }
-  if (distinct <= max_bins) {
+  if (distinct <= kMaxBins) {
     cuts.reserve(distinct - 1);
     for (size_t i = 1; i < sorted.size(); ++i) {
       if (sorted[i] == sorted[i - 1]) continue;
@@ -60,12 +58,12 @@ std::vector<double> ComputeCuts(const std::vector<double>& sorted,
   }
 
   // Quantile boundaries: a candidate cut between the samples flanking each
-  // of max_bins evenly spaced positions. Boundaries inside a run of equal
+  // of kMaxBins evenly spaced positions. Boundaries inside a run of equal
   // values separate nothing and are dropped, so heavy-duplicate columns
   // produce fewer (still strictly ascending) cuts.
-  cuts.reserve(max_bins - 1);
-  for (size_t b = 1; b < max_bins; ++b) {
-    const size_t pos = b * sorted.size() / max_bins;
+  cuts.reserve(kMaxBins - 1);
+  for (size_t b = 1; b < kMaxBins; ++b) {
+    const size_t pos = b * sorted.size() / kMaxBins;
     if (pos == 0 || pos >= sorted.size()) continue;
     const double lo = sorted[pos - 1];
     const double hi = sorted[pos];
@@ -78,16 +76,9 @@ std::vector<double> ComputeCuts(const std::vector<double>& sorted,
 
 }  // namespace
 
-FeatureBinner::FeatureBinner(const Options& options) : options_(options) {}
-
 Status FeatureBinner::Fit(const data::DataFrame& x) {
   if (x.num_columns() == 0 || x.num_rows() == 0) {
     return Status::InvalidArgument("binner needs a nonempty frame");
-  }
-  if (options_.max_bins < 2 || options_.max_bins > 256) {
-    return Status::InvalidArgument(
-        StrFormat("max_bins must be in [2, 256], got %zu",
-                  options_.max_bins));
   }
   g_total_fits.fetch_add(1, std::memory_order_relaxed);
   const size_t num_features = x.num_columns();
@@ -142,7 +133,7 @@ void FeatureBinner::BinColumn(size_t f, const std::vector<double>& values,
     *sorted = values;
   }
   std::sort(sorted->begin(), sorted->end());
-  const std::vector<double> cuts = ComputeCuts(*sorted, options_.max_bins);
+  const std::vector<double> cuts = ComputeCuts(*sorted);
 
   // Pad once here so every later encode, down to a one-row predict, runs
   // the fixed-depth search without building a padded copy.

@@ -16,6 +16,9 @@ namespace eafe::ml {
 inline constexpr size_t kCutSlots = 256;
 using PaddedCuts = std::array<double, kCutSlots>;
 
+/// Bins per column of every fitted binner, and so of every tree learner.
+inline constexpr size_t kMaxBins = 255;
+
 namespace internal {
 
 /// Bin code of `v`: the number of cuts < v in an ascending +inf-padded
@@ -44,7 +47,7 @@ void PadCuts(const double* cuts, size_t count, PaddedCuts* padded);
 void EncodeRows(const std::vector<PaddedCuts>& cuts, const data::DataFrame& x,
                 std::vector<uint8_t>* codes);
 
-/// Quantizes every column of a DataFrame into at most `max_bins` ordinal
+/// Quantizes every column of a DataFrame into at most kMaxBins ordinal
 /// bins (uint8 codes) once per *frame*, so split finding can scan bin
 /// boundaries (O(bins) per feature) instead of re-sorting raw values
 /// (O(n log n)) at every node. A fitted binner is immutable and safe to
@@ -53,7 +56,7 @@ void EncodeRows(const std::vector<PaddedCuts>& cuts, const data::DataFrame& x,
 /// selection), instead of re-binning a materialized bootstrap copy.
 ///
 /// Cut points are midpoints between adjacent distinct values: when a
-/// column has <= max_bins distinct values the binning is lossless, and
+/// column has <= kMaxBins distinct values the binning is lossless, and
 /// histogram split finding considers exactly the thresholds the exact
 /// backend would (the basis of the exact-vs-histogram agreement tests).
 /// Wider columns fall back to evenly spaced quantiles of a deterministic
@@ -61,22 +64,12 @@ void EncodeRows(const std::vector<PaddedCuts>& cuts, const data::DataFrame& x,
 /// binning is bit-identical across runs and thread counts.
 class FeatureBinner {
  public:
-  struct Options {
-    /// Upper bound on bins per feature; codes must fit uint8, so <= 256.
-    size_t max_bins = 255;
-
-    bool operator==(const Options&) const = default;
-  };
-
-  FeatureBinner() : FeatureBinner(Options()) {}
-  explicit FeatureBinner(const Options& options);
-
   /// Computes per-column cut points and encodes every value.
   Status Fit(const data::DataFrame& x);
 
   /// A binner over `x` whose leading num_features() columns are the
   /// frame this binner was fitted on: it copies this binner's columns
-  /// and bins only the columns of `x` past them, with the same options.
+  /// and bins only the columns of `x` past them.
   /// Cuts are per-column and RNG-free, so the result equals a Fit(x)
   /// bit for bit (cuts and codes) at the cost of the new columns only.
   /// The leading columns are not re-read; passing a frame whose leading
@@ -97,7 +90,6 @@ class FeatureBinner {
   static size_t TotalFits();
   static void ResetTotalFits();
 
-  const Options& options() const { return options_; }
   size_t num_features() const { return codes_.size(); }
   size_t num_rows() const { return codes_.empty() ? 0 : codes_[0].size(); }
   bool fitted() const { return !codes_.empty(); }
@@ -127,7 +119,6 @@ class FeatureBinner {
   void BinColumn(size_t f, const std::vector<double>& values,
                  std::vector<double>* sorted);
 
-  Options options_;
   /// Ascending cuts, num_bins-1 real ones per column, +inf-padded.
   std::vector<PaddedCuts> cuts_;
   std::vector<uint16_t> num_cuts_;

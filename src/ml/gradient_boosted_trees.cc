@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "core/activation.h"
-#include "core/check.h"
 #include "core/string_util.h"
 
 namespace eafe::ml {
@@ -25,59 +23,18 @@ constexpr double kProbaClamp = 1e-6;
 GradientBoostedTrees::GradientBoostedTrees(const Options& options)
     : options_(options) {}
 
-Status GradientBoostedTrees::Fit(const data::DataFrame& x,
-                                 const std::vector<double>& y) {
-  if (x.num_columns() == 0) {
-    return Status::InvalidArgument("booster needs at least one feature");
-  }
-  if (x.num_rows() != y.size() || y.empty()) {
-    return Status::InvalidArgument(
-        StrFormat("rows (%zu) and labels (%zu) disagree or are empty",
-                  x.num_rows(), y.size()));
-  }
-  // The standalone fit is the degenerate shared case: bin the frame once
-  // and train on the all-rows view.
-  EAFE_ASSIGN_OR_RETURN(std::shared_ptr<const FeatureBinner> binner,
-                        BinFrame(x));
-  std::vector<size_t> rows(y.size());
-  std::iota(rows.begin(), rows.end(), size_t{0});
-  return FitBinned(std::move(binner), y, rows);
-}
-
-std::optional<FeatureBinner::Options> GradientBoostedTrees::BinnerOptions()
-    const {
-  FeatureBinner::Options binner_options;
-  binner_options.max_bins = options_.max_bins;
-  return binner_options;
-}
-
 Status GradientBoostedTrees::FitBinned(
     std::shared_ptr<const FeatureBinner> binner, const std::vector<double>& y,
     const std::vector<size_t>& rows) {
+  EAFE_RETURN_NOT_OK(CheckBinnedView(binner.get(), y, rows));
   if (options_.rounds == 0) {
     return Status::InvalidArgument("booster needs at least one round");
   }
   if (options_.subsample <= 0.0 || options_.subsample > 1.0) {
     return Status::InvalidArgument("subsample must be in (0, 1]");
   }
-  if (binner == nullptr || !binner->fitted()) {
-    return Status::InvalidArgument("binner is null or not fitted");
-  }
-  if (binner->num_rows() != y.size() || y.empty()) {
-    return Status::InvalidArgument(
-        StrFormat("binned frame rows (%zu) and labels (%zu) disagree or "
-                  "are empty",
-                  binner->num_rows(), y.size()));
-  }
-  if (rows.empty()) {
-    return Status::InvalidArgument("row view must be nonempty");
-  }
   std::vector<uint8_t> seen(y.size(), 0);
   for (size_t row : rows) {
-    if (row >= y.size()) {
-      return Status::InvalidArgument(StrFormat(
-          "row id %zu out of range (%zu frame rows)", row, y.size()));
-    }
     if (seen[row]) {
       return Status::InvalidArgument(StrFormat(
           "duplicate row id %zu: boosting keeps per-row score state and "
@@ -96,6 +53,9 @@ Status GradientBoostedTrees::FitBinned(
       }
     }
   }
+  // The view rows' codes, gathered once: every round's tree walks them.
+  std::vector<uint8_t> view_codes;
+  EAFE_RETURN_NOT_OK(binner->GatherRows(rows, &view_codes));
 
   binner_ = std::move(binner);
   num_features_ = binner_->num_features();
@@ -140,9 +100,6 @@ Status GradientBoostedTrees::FitBinned(
     }
   }
 
-  // The view rows' codes, gathered once: every round's tree walks them.
-  std::vector<uint8_t> view_codes;
-  EAFE_RETURN_NOT_OK(binner_->GatherRows(rows, &view_codes));
   std::vector<uint32_t> leaves(n);
   // Each round's row array, partitioned in place by its tree, and the
   // partition's staging rows.
@@ -265,36 +222,6 @@ uint32_t GradientBoostedTrees::BuildNode(const HistogramBuilder& builder,
                                    std::move(right_hist), depth + 1, deepest);
   image_.SetSplit(node_id, split.feature, split_bin, left, right);
   return node_id;
-}
-
-Status GradientBoostedTrees::CheckPredict(size_t num_columns) const {
-  if (image_.num_trees() == 0) {
-    return Status::FailedPrecondition("booster is not fitted");
-  }
-  if (num_columns != num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("booster fitted on %zu features, got %zu", num_features_,
-                  num_columns));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<double>> GradientBoostedTrees::Predict(
-    const data::DataFrame& x) const {
-  EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
-  return image_.PredictFrame(*binner_, x, /*proba=*/false);
-}
-
-Result<std::vector<double>> GradientBoostedTrees::PredictProba(
-    const data::DataFrame& x) const {
-  EAFE_RETURN_NOT_OK(CheckPredict(x.num_columns()));
-  return image_.PredictFrame(*binner_, x, /*proba=*/true);
-}
-
-Result<std::vector<double>> GradientBoostedTrees::PredictBinnedRows(
-    const std::vector<size_t>& rows) const {
-  EAFE_RETURN_NOT_OK(CheckPredict(num_features_));
-  return image_.PredictRows(*binner_, rows);
 }
 
 }  // namespace eafe::ml

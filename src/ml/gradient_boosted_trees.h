@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -39,7 +38,7 @@ namespace eafe::ml {
 /// histogram builds fan out feature-parallel on wide frames but each
 /// feature accumulates its rows in index order. Fits and predictions
 /// are bit-identical across runs and thread counts.
-class GradientBoostedTrees : public Model, public SharedBinnerModel {
+class GradientBoostedTrees : public SharedBinnerModel {
  public:
   struct Options {
     data::TaskType task = data::TaskType::kClassification;
@@ -51,43 +50,23 @@ class GradientBoostedTrees : public Model, public SharedBinnerModel {
     /// round; 1.0 trains every round on the full view.
     double subsample = 1.0;
     double lambda = 1.0;  ///< L2 on leaf weights (XGBoost lambda).
-    size_t max_bins = 255;
     uint64_t seed = 1;
   };
 
   GradientBoostedTrees() : GradientBoostedTrees(Options()) {}
   explicit GradientBoostedTrees(const Options& options);
 
-  Status Fit(const data::DataFrame& x, const std::vector<double>& y) override;
-  Result<std::vector<double>> Predict(const data::DataFrame& x) const override;
-  data::TaskType task() const override { return options_.task; }
-
-  /// P(class == 1) for classification; the raw additive score for
-  /// regression (mirrors RandomForest::PredictProba's convention).
-  Result<std::vector<double>> PredictProba(const data::DataFrame& x) const;
-
-  // SharedBinnerModel — the booster always shares (histogram-only).
-  std::optional<FeatureBinner::Options> BinnerOptions() const override;
   /// Unlike the forest's bootstrap views, `rows` must be distinct: the
   /// booster keeps per-row score state and a duplicated id would apply
   /// every tree's update twice to the same row.
   Status FitBinned(std::shared_ptr<const FeatureBinner> binner,
                    const std::vector<double>& y,
                    const std::vector<size_t>& rows) override;
-  Result<std::vector<double>> PredictBinnedRows(
-      const std::vector<size_t>& rows) const override;
+  data::TaskType task() const override { return options_.task; }
 
-  /// The frame binner the booster trained through.
-  const std::shared_ptr<const FeatureBinner>& binner() const {
-    return binner_;
-  }
-
-  /// Every round's tree, flattened. Leaves carry the unscaled leaf weight
-  /// in `value`; prediction applies base_score and learning_rate on top.
-  const FlatTreeModel& image() const { return image_.model(); }
-
-  size_t num_trees() const { return image_.num_trees(); }
-  size_t num_features() const { return num_features_; }
+  /// The score every row starts from. The image holds every round's
+  /// tree with its unscaled leaf weights in `value`; prediction adds
+  /// learning_rate times their sum to this.
   double base_score() const { return base_score_; }
   const Options& options() const { return options_; }
 
@@ -103,13 +82,8 @@ class GradientBoostedTrees : public Model, public SharedBinnerModel {
                      std::span<size_t> staging, Histogram&& hist,
                      uint32_t depth, uint32_t* deepest);
 
-  Status CheckPredict(size_t num_columns) const;
-
   Options options_;
-  std::shared_ptr<const FeatureBinner> binner_;
-  FlatEnsemble image_;
   double base_score_ = 0.0;
-  size_t num_features_ = 0;
   std::vector<Histogram> hist_pool_;
 };
 

@@ -2,7 +2,6 @@
 #define EAFE_ML_RANDOM_FOREST_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/rng.h"
@@ -23,7 +22,7 @@ namespace eafe::ml {
 /// fit: fresh frames encode once and held-out fold rows gather their
 /// codes once, then every tree routes on uint8 bin comparisons through
 /// the one walk.
-class RandomForest : public Model, public SharedBinnerModel {
+class RandomForest : public SharedBinnerModel {
  public:
   struct Options {
     data::TaskType task = data::TaskType::kClassification;
@@ -36,50 +35,26 @@ class RandomForest : public Model, public SharedBinnerModel {
     /// Bootstrap sample size as a fraction of the training set.
     double subsample = 1.0;
     uint64_t seed = 1;
-    /// Bins per feature (2..256).
-    size_t max_bins = 255;
   };
 
   RandomForest() : RandomForest(Options()) {}
   explicit RandomForest(const Options& options);
 
-  Status Fit(const data::DataFrame& x, const std::vector<double>& y) override;
-  Result<std::vector<double>> Predict(
-      const data::DataFrame& x) const override;
-  data::TaskType task() const override { return options_.task; }
-
-  // SharedBinnerModel: cross-validation bins the frame once and trains
-  // every fold's forest (and each forest's trees) on row-id views.
-  std::optional<FeatureBinner::Options> BinnerOptions() const override;
+  // Cross-validation bins the frame once and trains every fold's forest
+  // (and each forest's trees) on row-id views.
   Status FitBinned(std::shared_ptr<const FeatureBinner> binner,
                    const std::vector<double>& y,
                    const std::vector<size_t>& rows) override;
-  Result<std::vector<double>> PredictBinnedRows(
-      const std::vector<size_t>& rows) const override;
-
-  /// Vote fraction for class 1 (binary classification) or mean prediction
-  /// (regression).
-  Result<std::vector<double>> PredictProba(const data::DataFrame& x) const;
+  data::TaskType task() const override { return options_.task; }
 
   /// Mean impurity-decrease importance per feature, normalized to sum to 1
   /// (zeros if no split used any feature). The paper uses RF importances
   /// to pre-select features on very wide datasets.
   std::vector<double> FeatureImportances() const;
 
-  /// The frame binner shared by all trees (null before a fit).
-  const std::shared_ptr<const FeatureBinner>& binner() const {
-    return binner_;
-  }
-
-  /// The flat image every tree is written into (empty before a fit).
-  const FlatTreeModel& image() const { return image_.model(); }
-
-  size_t num_trees() const { return image_.num_trees(); }
-  size_t num_features() const { return num_features_; }
   /// Vote width of a classification fit; 0 for regression.
   int num_classes() const { return num_classes_; }
   const Options& options() const { return options_; }
-  bool fitted() const { return image_.num_trees() > 0; }
 
  private:
   /// Bootstrap plans pre-drawn serially (samples in tree order, then each
@@ -89,24 +64,11 @@ class RandomForest : public Model, public SharedBinnerModel {
     uint64_t seed = 0;
   };
 
-  DecisionTree::Options TreeOptions(uint64_t seed) const;
-  Result<std::vector<TreePlan>> DrawPlans(const std::vector<size_t>* rows,
-                                          size_t n);
-  /// The fit over a row view of the binned frame (`rows` null means all
-  /// frame rows).
-  Status FitShared(std::shared_ptr<const FeatureBinner> binner,
-                   const std::vector<double>& y,
-                   const std::vector<size_t>* rows);
-  Status CheckPredict(size_t num_columns) const;
+  DecisionTree::Options TreeOptions(uint64_t seed, size_t max_features) const;
+  std::vector<TreePlan> DrawPlans(const std::vector<size_t>& rows) const;
 
   Options options_;
-  size_t num_features_ = 0;
   int num_classes_ = 0;  ///< Classification vote width; 0 for regression.
-  size_t max_features_ = 0;
-  /// The frame binner shared by all trees.
-  std::shared_ptr<const FeatureBinner> binner_;
-  /// Every tree, written once at the end of the fit in tree order.
-  FlatEnsemble image_;
   /// Per-feature impurity decrease summed over the trees in tree order
   /// (unnormalized).
   std::vector<double> importances_;

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "core/string_util.h"
+#include "ml/model.h"
 
 namespace eafe::serve {
 
@@ -22,11 +22,8 @@ Result<FlatPredictor> FlatPredictor::Create(ml::FlatTreeModel model) {
 }
 
 Status FlatPredictor::Encode(const data::DataFrame& x) {
-  if (x.num_columns() != cuts_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("model fitted on %zu features, got %zu", cuts_.size(),
-                  x.num_columns()));
-  }
+  // A loaded container is a fitted model.
+  EAFE_RETURN_NOT_OK(ml::CheckPredictInput(/*fitted=*/true, cuts_.size(), x));
   ml::EncodeRows(cuts_, x, &scratch_.codes);
   return Status::OK();
 }

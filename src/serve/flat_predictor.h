@@ -32,8 +32,7 @@ class FlatPredictor {
   Result<std::vector<double>> Predict(const data::DataFrame& x);
 
   /// P(class == 1) for classification, mean/raw score for regression —
-  /// mirrors RandomForest::PredictProba / GradientBoostedTrees::
-  /// PredictProba.
+  /// mirrors ml::SharedBinnerModel::PredictProba.
   Result<std::vector<double>> PredictProba(const data::DataFrame& x);
 
   const ml::FlatTreeModel& model() const { return ensemble_.model(); }

@@ -473,12 +473,12 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 }  // namespace
 
 Result<std::string> SerializeForest(const ml::RandomForest& forest) {
-  EAFE_ASSIGN_OR_RETURN(ml::FlatTreeModel model, FlattenForest(forest));
+  EAFE_ASSIGN_OR_RETURN(ml::FlatTreeModel model, forest.Flatten());
   return SerializeFlatTree(model, ModelKind::kRandomForest);
 }
 
 Result<std::string> SerializeGbdt(const ml::GradientBoostedTrees& booster) {
-  EAFE_ASSIGN_OR_RETURN(ml::FlatTreeModel model, FlattenGbdt(booster));
+  EAFE_ASSIGN_OR_RETURN(ml::FlatTreeModel model, booster.Flatten());
   return SerializeFlatTree(model, ModelKind::kGradientBoostedTrees);
 }
 

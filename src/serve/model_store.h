@@ -9,8 +9,8 @@
 #include "core/status.h"
 #include "fpe/fpe_model.h"
 #include "ml/gradient_boosted_trees.h"
+#include "ml/flat_model.h"
 #include "ml/random_forest.h"
-#include "serve/flat_model.h"
 
 namespace eafe::serve {
 
@@ -34,8 +34,9 @@ namespace eafe::serve {
 /// structurally validated, so truncated or corrupted containers fail
 /// with a clean Status instead of undefined behaviour.
 ///
-/// Tree models (forest / gbdt) store the fit's flat image, structure-of-
-/// arrays node records (ml/flat_model.h), plus the fitted FeatureBinner
+/// Tree models (forest / gbdt) store their saved form (ml::
+/// SharedBinnerModel::Flatten): the fit's flat image, structure-of-arrays
+/// node records (ml/flat_model.h), plus the fitted FeatureBinner
 /// thresholds, so a loaded model encodes raw frames itself and predicts
 /// bit-identically to the in-memory model. FPE models store the compressor
 /// configuration plus the classifier (logistic weights or MLP layers).

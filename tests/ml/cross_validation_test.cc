@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "core/rng.h"
-#include "ml/decision_tree.h"
 #include "ml/feature_binner.h"
 #include "ml/gradient_boosted_trees.h"
+#include "ml/linear.h"
 #include "ml/random_forest.h"
 #include "tests/ml/test_util.h"
 
@@ -191,27 +191,28 @@ TEST(CrossValidationFrameBinsTest, BoosterIsBitIdentical) {
       dataset);
 }
 
-// An exact tree cannot share bins: CV ignores the frame bins it is
-// handed and takes the materialized path, fold sub-frames included.
-TEST(CrossValidationFrameBinsTest, ExactStrategyIgnoresFrameBins) {
+// A model that is no tree learner does not share bins: CV ignores the
+// frame bins it is handed and takes the materialized path, fold
+// sub-frames included.
+TEST(CrossValidationFrameBinsTest, NonTreeModelIgnoresFrameBins) {
   const data::Dataset dataset = WithCandidate(MakeSeparable(300, 17), 18);
-  const auto frame_bins = RandomForest()
-                              .BinFrame(Frame(dataset).features)
-                              .ValueOrDie();
+  const auto frame_bins =
+      SharedBinnerModel::BinFrame(Frame(dataset).features).ValueOrDie();
   ASSERT_NE(frame_bins, nullptr);
-  const ModelFactory exact = [] {
-    DecisionTree::Options options;
-    options.split_strategy = SplitStrategy::kExact;
-    return std::make_unique<DecisionTree>(options);
+  const ModelFactory logistic = [] {
+    LogisticRegression::Options options;
+    options.epochs = 10;
+    return std::make_unique<LogisticRegression>(options);
   };
   CvOptions cv;
   cv.folds = 3;
   const std::vector<double> plain =
-      CrossValidateScores(exact, dataset, cv).ValueOrDie();
+      CrossValidateScores(logistic, dataset, cv).ValueOrDie();
   FeatureBinner::ResetTotalFits();
   data::DataFrame::ResetTotalSelectRows();
   const std::vector<double> with_bins =
-      CrossValidateScores(exact, dataset, cv, frame_bins.get()).ValueOrDie();
+      CrossValidateScores(logistic, dataset, cv, frame_bins.get())
+          .ValueOrDie();
   EXPECT_EQ(FeatureBinner::TotalFits(), 0u);
   EXPECT_GT(data::DataFrame::TotalSelectRows(), 0u);
   EXPECT_EQ(Bits(with_bins), Bits(plain));

@@ -22,9 +22,9 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The four kinds of column binning treats differently, at `rows` rows:
-/// lossless (200 distinct values), continuous (quantile cuts once the
-/// distinct values outgrow the bin budget), constant, and tie-heavy (a
-/// few values carrying most rows, with a continuous tail).
+/// lossless (200 distinct values, at most kMaxBins), continuous (quantile
+/// cuts once the distinct values outgrow kMaxBins), constant, and
+/// tie-heavy (a few values carrying most rows, with a continuous tail).
 std::vector<data::Column> MixedColumns(size_t rows, uint64_t seed,
                                        const std::string& prefix) {
   Rng rng(seed);
@@ -59,37 +59,40 @@ void ExpectSameBins(const FeatureBinner& a, const FeatureBinner& b) {
   }
 }
 
-// n = 5000 exceeds max_cut_samples (4096), so every column takes the
-// strided-sample cut path; max_bins 2 makes even the lossless column
-// quantile-binned, and 256 is the uint8 ceiling.
+// The column shapes pick the cut path: 5000 rows exceed the 4096-value
+// cut sample, so every column takes the strided sample, while 1000 rows
+// sort whole; at either height the lossless column keeps all 200 values
+// and the continuous one is quantile-binned.
 TEST(FeatureBinnerExtendTest, EqualsFitBitForBit) {
-  const size_t rows = 5000;
-  data::DataFrame wide;
-  for (data::Column& column : MixedColumns(rows, 5, "a_")) {
-    ASSERT_TRUE(wide.AddColumn(std::move(column)).ok());
-  }
-  for (data::Column& column : MixedColumns(rows, 6, "b_")) {
-    ASSERT_TRUE(wide.AddColumn(std::move(column)).ok());
-  }
-  for (const size_t max_bins : {size_t{2}, size_t{255}, size_t{256}}) {
-    FeatureBinner::Options options;
-    options.max_bins = max_bins;
-    FeatureBinner full(options);
+  for (const size_t rows : {size_t{5000}, size_t{1000}}) {
+    data::DataFrame wide;
+    for (data::Column& column : MixedColumns(rows, 5, "a_")) {
+      ASSERT_TRUE(wide.AddColumn(std::move(column)).ok());
+    }
+    for (data::Column& column : MixedColumns(rows, 6, "b_")) {
+      ASSERT_TRUE(wide.AddColumn(std::move(column)).ok());
+    }
+    FeatureBinner full;
     ASSERT_TRUE(full.Fit(wide).ok());
+    std::vector<double> lossless = wide.column(0).values();
+    std::sort(lossless.begin(), lossless.end());
+    const auto distinct = static_cast<size_t>(
+        std::unique(lossless.begin(), lossless.end()) - lossless.begin());
+    ASSERT_EQ(full.num_bins(0), distinct);      // One bin per value.
+    ASSERT_GT(full.num_bins(1), kMaxBins - 5);  // Quantile cuts.
     // Every split point: fit the leading `prefix` columns, extend to all.
     for (size_t prefix = 1; prefix <= wide.num_columns(); ++prefix) {
-      SCOPED_TRACE("max_bins " + std::to_string(max_bins) + " prefix " +
+      SCOPED_TRACE("rows " + std::to_string(rows) + " prefix " +
                    std::to_string(prefix));
       data::DataFrame leading;
       for (size_t c = 0; c < prefix; ++c) {
         ASSERT_TRUE(leading.AddColumn(wide.column(c)).ok());
       }
-      FeatureBinner frame(options);
+      FeatureBinner frame;
       ASSERT_TRUE(frame.Fit(leading).ok());
       const size_t fits = FeatureBinner::TotalFits();
       const FeatureBinner extended = frame.Extend(wide).ValueOrDie();
       EXPECT_EQ(FeatureBinner::TotalFits(), fits);  // Extend is not a Fit.
-      EXPECT_EQ(extended.options(), options);
       ExpectSameBins(extended, full);
     }
   }

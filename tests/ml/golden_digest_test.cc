@@ -10,6 +10,7 @@
 #include "core/rng.h"
 #include "data/dataframe.h"
 #include "fpe/fpe_model.h"
+#include "ml/decision_tree.h"
 #include "ml/flat_model.h"
 #include "ml/gaussian_process.h"
 #include "ml/gradient_boosted_trees.h"
@@ -173,6 +174,131 @@ TEST(GoldenDigestTest, Booster) {
 TEST(GoldenDigestTest, RegressionForest) {
   EXPECT_EQ(ForestDigest(data::TaskType::kRegression, 4000, 8),
             0xa86c63baccd3bd8aULL);
+}
+
+// The tree paths no forest digest reaches: the standalone histogram tree
+// (the evaluator's `tree`), the exact oracle, a regression booster, and
+// each learner's FitBinned / PredictBinnedRows over one fold's rows of a
+// shared binner. Pinned before the forest, the booster and the tree
+// shared one fit preamble, binned-view check and predict surface.
+
+DecisionTree::Options TreeOptions(data::TaskType task) {
+  DecisionTree::Options options;
+  options.task = task;
+  options.max_depth = 8;
+  options.seed = 15;
+  return options;
+}
+
+/// Folds a fitted tree's predictions and probabilities on `x` and its
+/// importances.
+uint64_t TreePredictDigest(const DecisionTree& tree,
+                           const data::DataFrame& x) {
+  uint64_t digest = FoldValues(kDigestSeed, tree.Predict(x).ValueOrDie());
+  digest = FoldValues(digest, tree.PredictProba(x).ValueOrDie());
+  return FoldValues(digest, tree.feature_importances());
+}
+
+uint64_t HistogramTreeDigest(data::TaskType task) {
+  const data::Dataset dataset = MakeFrame(task, 1500, 32, 2026);
+  DecisionTree tree(TreeOptions(task));
+  EXPECT_TRUE(tree.Fit(dataset.features, dataset.labels).ok());
+  return FoldTrees(TreePredictDigest(tree, dataset.features), tree.image());
+}
+
+TEST(GoldenDigestTest, HistogramTreeClassification) {
+  EXPECT_EQ(HistogramTreeDigest(data::TaskType::kClassification),
+            0xe8b7df0f121fbb09ULL);
+}
+
+TEST(GoldenDigestTest, HistogramTreeRegression) {
+  EXPECT_EQ(HistogramTreeDigest(data::TaskType::kRegression),
+            0x54b06595627beddcULL);
+}
+
+/// The exact oracle predicts a frame it did not train on, so its raw
+/// thresholds are pinned along with its node count.
+uint64_t ExactTreeDigest(data::TaskType task) {
+  const data::Dataset train = MakeFrame(task, 600, 8, 2027);
+  const data::Dataset query = MakeFrame(task, 300, 8, 2028);
+  DecisionTree tree(TreeOptions(task));
+  EXPECT_TRUE(tree.FitExact(train.features, train.labels).ok());
+  return Fold(TreePredictDigest(tree, query.features), tree.node_count());
+}
+
+TEST(GoldenDigestTest, ExactTreeClassification) {
+  EXPECT_EQ(ExactTreeDigest(data::TaskType::kClassification),
+            0xfee23ba8c39d1240ULL);
+}
+
+TEST(GoldenDigestTest, ExactTreeRegression) {
+  EXPECT_EQ(ExactTreeDigest(data::TaskType::kRegression),
+            0xeb6c488244c3f666ULL);
+}
+
+GradientBoostedTrees::Options BoosterOptions(data::TaskType task) {
+  GradientBoostedTrees::Options options;
+  options.task = task;
+  options.rounds = 20;
+  options.max_depth = 4;
+  options.subsample = 0.8;
+  options.seed = 13;
+  return options;
+}
+
+// 4000 rows over 8 columns let the larger child of a split take the
+// parent-minus-sibling path, which needs about 2 x 255 x 3 = 1530 rows.
+TEST(GoldenDigestTest, RegressionBooster) {
+  const data::Dataset dataset =
+      MakeFrame(data::TaskType::kRegression, 4000, 8, 2029);
+  GradientBoostedTrees booster(BoosterOptions(data::TaskType::kRegression));
+  ASSERT_TRUE(booster.Fit(dataset.features, dataset.labels).ok());
+  uint64_t digest =
+      Fold(kDigestSeed, std::bit_cast<uint64_t>(booster.base_score()));
+  digest = FoldValues(digest, booster.Predict(dataset.features).ValueOrDie());
+  digest =
+      FoldValues(digest, booster.PredictProba(dataset.features).ValueOrDie());
+  digest = FoldTrees(digest, booster.image());
+  EXPECT_EQ(digest, 0x4e4846984a50f331ULL);
+}
+
+/// One cross-validation fold over a shared binner: `model` bins the
+/// frame, trains by FitBinned on the rows outside every fifth row, and
+/// predicts those held-out rows by id. Class ids differ only in their
+/// high bits, so the fitted image is folded too.
+template <typename Learner>
+uint64_t FoldDigest(Learner* model) {
+  const data::Dataset dataset =
+      MakeFrame(data::TaskType::kClassification, 1200, 10, 2030);
+  std::vector<size_t> train;
+  std::vector<size_t> test;
+  for (size_t row = 0; row < dataset.num_rows(); ++row) {
+    (row % 5 == 2 ? test : train).push_back(row);
+  }
+  const auto binner = model->BinFrame(dataset.features).ValueOrDie();
+  EXPECT_TRUE(model->FitBinned(binner, dataset.labels, train).ok());
+  const uint64_t digest =
+      FoldValues(kDigestSeed, model->PredictBinnedRows(test).ValueOrDie());
+  return FoldTrees(digest, model->image());
+}
+
+TEST(GoldenDigestTest, FoldForestBinnedRows) {
+  RandomForest::Options options;
+  options.num_trees = 8;
+  options.seed = 11;
+  RandomForest forest(options);
+  EXPECT_EQ(FoldDigest(&forest), 0x258dcb24f6458c95ULL);
+}
+
+TEST(GoldenDigestTest, FoldTreeBinnedRows) {
+  DecisionTree tree(TreeOptions(data::TaskType::kClassification));
+  EXPECT_EQ(FoldDigest(&tree), 0x3d82c3c9d7562bdeULL);
+}
+
+TEST(GoldenDigestTest, FoldBoosterBinnedRows) {
+  GradientBoostedTrees booster(
+      BoosterOptions(data::TaskType::kClassification));
+  EXPECT_EQ(FoldDigest(&booster), 0x2ff6d5ae612d2140ULL);
 }
 
 // The non-tree learners. Each digest folds the fitted state a learner
@@ -370,8 +496,17 @@ std::vector<fpe::LabeledFeature> MakeLabeledFeatures(size_t count,
   return features;
 }
 
-/// FNV-1a over the model container's bytes, which hold the compressor
-/// options and every fitted classifier parameter.
+/// FNV-1a over a model container's bytes.
+uint64_t BytesDigest(const std::string& bytes) {
+  uint64_t digest = kDigestSeed;
+  for (char byte : bytes) {
+    digest = Fold(digest, static_cast<uint8_t>(byte));
+  }
+  return digest;
+}
+
+/// The FPE container holds the compressor options and every fitted
+/// classifier parameter.
 uint64_t FpeDigest(fpe::FpeModel::ClassifierKind classifier) {
   fpe::FpeModel::Options options;
   options.classifier = classifier;
@@ -379,12 +514,29 @@ uint64_t FpeDigest(fpe::FpeModel::ClassifierKind classifier) {
   options.seed = 31;
   fpe::FpeModel model(options);
   EXPECT_TRUE(model.Train(MakeLabeledFeatures(60, 31)).ok());
-  const std::string bytes = serve::SerializeFpe(model).ValueOrDie();
-  uint64_t digest = kDigestSeed;
-  for (char byte : bytes) {
-    digest = Fold(digest, static_cast<uint8_t>(byte));
-  }
-  return digest;
+  return BytesDigest(serve::SerializeFpe(model).ValueOrDie());
+}
+
+// A tree container holds the flat image and the binner's cuts.
+TEST(GoldenDigestTest, ForestContainer) {
+  const data::Dataset dataset =
+      MakeFrame(data::TaskType::kClassification, 1500, 32, 2024);
+  RandomForest::Options options;
+  options.num_trees = 8;
+  options.seed = 11;
+  RandomForest forest(options);
+  ASSERT_TRUE(forest.Fit(dataset.features, dataset.labels).ok());
+  EXPECT_EQ(BytesDigest(serve::SerializeForest(forest).ValueOrDie()),
+            0xe5a7f22bdaaf65faULL);
+}
+
+TEST(GoldenDigestTest, BoosterContainer) {
+  const data::Dataset dataset =
+      MakeFrame(data::TaskType::kRegression, 4000, 8, 2029);
+  GradientBoostedTrees booster(BoosterOptions(data::TaskType::kRegression));
+  ASSERT_TRUE(booster.Fit(dataset.features, dataset.labels).ok());
+  EXPECT_EQ(BytesDigest(serve::SerializeGbdt(booster).ValueOrDie()),
+            0xf372e4d5d83dc583ULL);
 }
 
 TEST(GoldenDigestTest, FpeLogisticContainer) {

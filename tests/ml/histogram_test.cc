@@ -26,11 +26,6 @@ using testing::MakeSmoothRegression;
 using testing::MakeWide;
 using testing::MakeXor;
 
-TEST(SplitStrategyTest, StringRoundTrip) {
-  EXPECT_EQ(SplitStrategyToString(SplitStrategy::kExact), "exact");
-  EXPECT_EQ(SplitStrategyToString(SplitStrategy::kHistogram), "histogram");
-}
-
 TEST(FeatureBinnerTest, LosslessWhenDistinctValuesFit) {
   data::DataFrame x;
   ASSERT_TRUE(
@@ -56,6 +51,8 @@ TEST(FeatureBinnerTest, ConstantColumnGetsOneBin) {
   EXPECT_EQ(binner.num_bins(0), 1u);
 }
 
+// A continuous column has more distinct values than bins, so it takes
+// the quantile cuts.
 TEST(FeatureBinnerTest, CapsBinsOnWideColumns) {
   const size_t n = 5000;
   std::vector<double> values(n);
@@ -63,12 +60,10 @@ TEST(FeatureBinnerTest, CapsBinsOnWideColumns) {
   for (double& v : values) v = rng.Normal();
   data::DataFrame x;
   ASSERT_TRUE(x.AddColumn(data::Column("f", values)).ok());
-  FeatureBinner::Options options;
-  options.max_bins = 32;
-  FeatureBinner binner(options);
+  FeatureBinner binner;
   ASSERT_TRUE(binner.Fit(x).ok());
-  EXPECT_LE(binner.num_bins(0), 32u);
-  EXPECT_GE(binner.num_bins(0), 30u);  // Continuous data fills the budget.
+  EXPECT_LE(binner.num_bins(0), kMaxBins);
+  EXPECT_GE(binner.num_bins(0), kMaxBins - 2);  // Continuous data fills it.
   // Encoding is order-preserving: larger value -> bin at least as large.
   for (size_t i = 1; i < n; ++i) {
     if (values[i] > values[i - 1]) {
@@ -91,13 +86,6 @@ TEST(FeatureBinnerTest, RejectsBadInput) {
   FeatureBinner binner;
   data::DataFrame empty;
   EXPECT_FALSE(binner.Fit(empty).ok());
-  data::DataFrame x;
-  ASSERT_TRUE(x.AddColumn(data::Column("f", {1.0, 2.0})).ok());
-  FeatureBinner::Options options;
-  options.max_bins = 1;
-  EXPECT_FALSE(FeatureBinner(options).Fit(x).ok());
-  options.max_bins = 257;
-  EXPECT_FALSE(FeatureBinner(options).Fit(x).ok());
 }
 
 TEST(HistogramBuilderTest, SubtractionMatchesDirectBuild) {
@@ -225,7 +213,7 @@ TEST(HistogramBuilderTest, SingleTierKernelsCountAtScalarUnderAvx2) {
   LevelGuard guard;
   simd::SetActiveLevel(simd::Level::kAvx2);
   simd::ResetDispatchCounts();
-  const data::Dataset classification = MakeWide(600, 8, 31);
+  const data::Dataset classification = MakeWide(3200, 32, 31);
   const data::Dataset regression = MakeSmoothRegression(600, 32);
   for (const data::Dataset* dataset : {&classification, &regression}) {
     RandomForest::Options options;
@@ -237,9 +225,9 @@ TEST(HistogramBuilderTest, SingleTierKernelsCountAtScalarUnderAvx2) {
   }
   GradientBoostedTrees::Options booster_options;
   booster_options.rounds = 5;
-  // Few bins make the histogram small next to the node, so the booster
-  // derives its larger children by subtraction.
-  booster_options.max_bins = 16;
+  // The booster derives a larger child by subtraction once it holds at
+  // least 2 x 255 x 3 = 1530 rows over 32 columns, so the frame is tall
+  // enough for the root's larger child to hold 1600.
   GradientBoostedTrees booster(booster_options);
   ASSERT_TRUE(
       booster.Fit(classification.features, classification.labels).ok());
@@ -270,17 +258,14 @@ TEST(HistogramBuilderTest, SingleTierKernelsCountAtScalarUnderAvx2) {
       0u);
 }
 
-// With every sample value distinct and n <= max_bins, the binning is
+// With every sample value distinct and n <= kMaxBins, the binning is
 // lossless and histogram split finding scans exactly the thresholds the
 // exact backend scans — the trees must agree on the training partition.
 TEST(HistogramEquivalenceTest, AgreesWithExactWhenBinningIsLossless) {
   const data::Dataset dataset = MakeXor(200, 21);  // Continuous, n <= 255.
-  DecisionTree::Options options;
-  options.split_strategy = SplitStrategy::kExact;
-  DecisionTree exact(options);
-  options.split_strategy = SplitStrategy::kHistogram;
-  DecisionTree histogram(options);
-  ASSERT_TRUE(exact.Fit(dataset.features, dataset.labels).ok());
+  DecisionTree exact;
+  DecisionTree histogram;
+  ASSERT_TRUE(exact.FitExact(dataset.features, dataset.labels).ok());
   ASSERT_TRUE(histogram.Fit(dataset.features, dataset.labels).ok());
   EXPECT_EQ(exact.node_count(), histogram.node_count());
   EXPECT_EQ(exact.Predict(dataset.features).ValueOrDie(),
@@ -293,11 +278,9 @@ TEST(HistogramEquivalenceTest, AgreesWithExactOnRegressionWhenLossless) {
   const data::Dataset dataset = MakeSmoothRegression(180, 22);
   DecisionTree::Options options;
   options.task = data::TaskType::kRegression;
-  options.split_strategy = SplitStrategy::kExact;
   DecisionTree exact(options);
-  options.split_strategy = SplitStrategy::kHistogram;
   DecisionTree histogram(options);
-  ASSERT_TRUE(exact.Fit(dataset.features, dataset.labels).ok());
+  ASSERT_TRUE(exact.FitExact(dataset.features, dataset.labels).ok());
   ASSERT_TRUE(histogram.Fit(dataset.features, dataset.labels).ok());
   EXPECT_EQ(exact.node_count(), histogram.node_count());
   EXPECT_EQ(exact.Predict(dataset.features).ValueOrDie(),
@@ -309,12 +292,9 @@ TEST(HistogramEquivalenceTest, AgreesWithExactOnRegressionWhenLossless) {
 // stay close.
 TEST(HistogramEquivalenceTest, ClassificationAccuracyWithinTolerance) {
   const data::Dataset dataset = MakeXor(3000, 23);
-  DecisionTree::Options options;
-  options.split_strategy = SplitStrategy::kExact;
-  DecisionTree exact(options);
-  options.split_strategy = SplitStrategy::kHistogram;
-  DecisionTree histogram(options);
-  ASSERT_TRUE(exact.Fit(dataset.features, dataset.labels).ok());
+  DecisionTree exact;
+  DecisionTree histogram;
+  ASSERT_TRUE(exact.FitExact(dataset.features, dataset.labels).ok());
   ASSERT_TRUE(histogram.Fit(dataset.features, dataset.labels).ok());
   const double exact_acc = LabelAccuracy(
       dataset.labels, exact.Predict(dataset.features).ValueOrDie());
@@ -328,11 +308,9 @@ TEST(HistogramEquivalenceTest, RegressionScoreWithinTolerance) {
   const data::Dataset dataset = MakeSmoothRegression(3000, 24);
   DecisionTree::Options options;
   options.task = data::TaskType::kRegression;
-  options.split_strategy = SplitStrategy::kExact;
   DecisionTree exact(options);
-  options.split_strategy = SplitStrategy::kHistogram;
   DecisionTree histogram(options);
-  ASSERT_TRUE(exact.Fit(dataset.features, dataset.labels).ok());
+  ASSERT_TRUE(exact.FitExact(dataset.features, dataset.labels).ok());
   ASSERT_TRUE(histogram.Fit(dataset.features, dataset.labels).ok());
   const double exact_score = OneMinusRae(
       dataset.labels, exact.Predict(dataset.features).ValueOrDie());
@@ -351,6 +329,33 @@ TEST(HistogramEquivalenceTest, MultiClassForestLearnsBlobs) {
             0.95);
 }
 
+/// DecisionTree::FitExact wearing the Model interface, so
+/// cross-validation scores the exact oracle through its materialized
+/// folds.
+class ExactTree : public Model {
+ public:
+  explicit ExactTree(const DecisionTree::Options& options) : tree_(options) {}
+  Status Fit(const data::DataFrame& x, const std::vector<double>& y) override {
+    return tree_.FitExact(x, y);
+  }
+  Result<std::vector<double>> Predict(
+      const data::DataFrame& x) const override {
+    return tree_.Predict(x);
+  }
+  data::TaskType task() const override { return tree_.task(); }
+
+ private:
+  DecisionTree tree_;
+};
+
+double ExactCvScore(const DecisionTree::Options& options,
+                    const data::Dataset& dataset, const CvOptions& cv) {
+  return CrossValidateScore(
+             [&] { return std::make_unique<ExactTree>(options); }, dataset,
+             cv)
+      .ValueOrDie();
+}
+
 TEST(HistogramEquivalenceTest, EvaluatorScoresWithinOnePercent) {
   // The acceptance bar: cross-validated scores of the exact oracle and
   // the histogram tree agree within 1% on the equivalence datasets.
@@ -362,19 +367,14 @@ TEST(HistogramEquivalenceTest, EvaluatorScoresWithinOnePercent) {
        {MakeSeparable(1000, 26), MakeSmoothRegression(1000, 27)}) {
     CvOptions cv;
     cv.folds = 3;
-    const auto cv_score = [&](SplitStrategy strategy) {
-      return CrossValidateScore(
-                 [&] {
-                   DecisionTree::Options options;
-                   options.task = dataset.task;
-                   options.split_strategy = strategy;
-                   return std::make_unique<DecisionTree>(options);
-                 },
-                 dataset, cv)
-          .ValueOrDie();
-    };
-    EXPECT_NEAR(cv_score(SplitStrategy::kHistogram),
-                cv_score(SplitStrategy::kExact), 0.01)
+    DecisionTree::Options options;
+    options.task = dataset.task;
+    const double histogram =
+        CrossValidateScore(
+            [&] { return std::make_unique<DecisionTree>(options); }, dataset,
+            cv)
+            .ValueOrDie();
+    EXPECT_NEAR(histogram, ExactCvScore(options, dataset, cv), 0.01)
         << dataset.name;
   }
 }
@@ -415,6 +415,7 @@ TEST(HistogramTreeTest, RejectsNegativeClassLabels) {
   ASSERT_TRUE(x.AddColumn(data::Column("f", {1.0, 2.0, 3.0, 4.0})).ok());
   DecisionTree tree;
   EXPECT_FALSE(tree.Fit(x, {0.0, -1.0, 0.0, 1.0}).ok());
+  EXPECT_FALSE(tree.FitExact(x, {0.0, -1.0, 0.0, 1.0}).ok());
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include "ml/decision_tree.h"
 #include "ml/feature_binner.h"
 #include "ml/flat_model.h"
+#include "ml/gradient_boosted_trees.h"
+#include "ml/linear.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
 #include "runtime/thread_pool.h"
@@ -128,7 +130,6 @@ TEST(SharedBinnerTreeTest, SharedFitMatchesSubFrameFitOnQuantizedData) {
   const data::Dataset dataset = MakeQuantized(600, 4, 21);
   const data::Dataset query = MakeQuantized(200, 4, 22);
   DecisionTree::Options options;
-  options.split_strategy = SplitStrategy::kHistogram;
   options.max_features = 2;  // Feature sampling as in a forest's trees.
   Rng rng(23);
   for (uint64_t draw = 0; draw < 10; ++draw) {
@@ -276,10 +277,10 @@ TEST(SharedBinnerForestTest, ConcurrentPredictsMatchSerial) {
   }
 }
 
-// An exact tree declines sharing (BinFrame returns null) and CV must
-// fall back to the materialized path and still work.
-TEST(SharedBinnerForestTest, ExactStrategyFallsBackToMaterializedCv) {
-  const data::Dataset dataset = MakeXor(300, 44);
+// A model that is no tree learner shares no bins, and CV must take the
+// materialized path and still work.
+TEST(SharedBinnerForestTest, NonTreeModelFallsBackToMaterializedCv) {
+  const data::Dataset dataset = MakeBlobs(300, 44);
   CvOptions cv;
   cv.folds = 3;
   FeatureBinner::ResetTotalFits();
@@ -287,9 +288,9 @@ TEST(SharedBinnerForestTest, ExactStrategyFallsBackToMaterializedCv) {
   const double score =
       CrossValidateScore(
           [] {
-            DecisionTree::Options options;
-            options.split_strategy = SplitStrategy::kExact;
-            return std::make_unique<DecisionTree>(options);
+            LogisticRegression::Options options;
+            options.epochs = 20;
+            return std::make_unique<LogisticRegression>(options);
           },
           dataset, cv)
           .ValueOrDie();
@@ -298,19 +299,40 @@ TEST(SharedBinnerForestTest, ExactStrategyFallsBackToMaterializedCv) {
   EXPECT_GT(score, 0.85);
 }
 
-TEST(SharedBinnerForestTest, FitBinnedRejectsBadInputs) {
+/// Every binned-view rejection of the binned fits, then a predict by row
+/// id before any fit: each learner runs the one binned-view check first.
+void ExpectFitBinnedRejectsBadInputs(SharedBinnerModel* model) {
   const data::Dataset dataset = MakeXor(100, 45);
-  RandomForest forest;
-  auto binner = forest.BinFrame(dataset.features).ValueOrDie();
+  auto binner = SharedBinnerModel::BinFrame(dataset.features).ValueOrDie();
   ASSERT_NE(binner, nullptr);
-  // Row id out of range, empty rows, and label-count mismatch all fail.
-  EXPECT_FALSE(forest.FitBinned(binner, dataset.labels, {100}).ok());
-  EXPECT_FALSE(forest.FitBinned(binner, dataset.labels, {}).ok());
-  std::vector<double> short_labels(50, 0.0);
-  EXPECT_FALSE(forest.FitBinned(binner, short_labels, {0, 1}).ok());
-  EXPECT_FALSE(forest.FitBinned(nullptr, dataset.labels, {0, 1}).ok());
+  const auto rejects = [&](std::shared_ptr<const FeatureBinner> view_binner,
+                           const std::vector<double>& labels,
+                           const std::vector<size_t>& rows) {
+    return model->FitBinned(std::move(view_binner), labels, rows).code() ==
+           StatusCode::kInvalidArgument;
+  };
+  // Row id out of range, empty rows, label-count mismatch, no labels, a
+  // null binner and an unfitted one all fail.
+  EXPECT_TRUE(rejects(binner, dataset.labels, {100}));
+  EXPECT_TRUE(rejects(binner, dataset.labels, {}));
+  EXPECT_TRUE(rejects(binner, std::vector<double>(50, 0.0), {0, 1}));
+  EXPECT_TRUE(rejects(binner, {}, {0, 1}));
+  EXPECT_TRUE(rejects(nullptr, dataset.labels, {0, 1}));
+  EXPECT_TRUE(rejects(std::make_shared<const FeatureBinner>(),
+                      dataset.labels, {0, 1}));
+  EXPECT_FALSE(model->fitted());
   // PredictBinnedRows needs a fit first.
-  EXPECT_FALSE(forest.PredictBinnedRows({0}).ok());
+  EXPECT_EQ(model->PredictBinnedRows({0}).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(SharedBinnerForestTest, FitBinnedRejectsBadInputs) {
+  RandomForest forest;
+  ExpectFitBinnedRejectsBadInputs(&forest);
+  DecisionTree tree;
+  ExpectFitBinnedRejectsBadInputs(&tree);
+  GradientBoostedTrees booster;
+  ExpectFitBinnedRejectsBadInputs(&booster);
 }
 
 // Wide frames (p >= 200) cross the feature-parallel histogram threshold:
@@ -320,7 +342,6 @@ TEST(SharedBinnerForestTest, FitBinnedRejectsBadInputs) {
 TEST(SharedBinnerForestTest, WideFrameFitsIdenticalAcrossThreadCounts) {
   const data::Dataset dataset = MakeWide(2000, 200, 51);
   DecisionTree::Options tree_options;
-  tree_options.split_strategy = SplitStrategy::kHistogram;
   tree_options.seed = 7;
 
   runtime::SetGlobalThreads(1);

@@ -1,13 +1,16 @@
-#include "serve/flat_model.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "data/synthetic.h"
+#include "ml/decision_tree.h"
 #include "ml/feature_binner.h"
+#include "ml/flat_model.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
+
+// The saved form of a tree learner (SharedBinnerModel::Flatten), which
+// the model container serializes.
 
 namespace eafe::serve {
 namespace {
@@ -25,7 +28,7 @@ TEST(FlatModelTest, FlattenForestProducesValidatedArrays) {
   ml::RandomForest forest;
   const data::Dataset data = MakeData(data::TaskType::kClassification, 41);
   ASSERT_TRUE(forest.Fit(data.features, data.labels).ok());
-  const ml::FlatTreeModel model = FlattenForest(forest).ValueOrDie();
+  const ml::FlatTreeModel model = forest.Flatten().ValueOrDie();
 
   EXPECT_EQ(model.kind, ml::EnsembleKind::kForestVote);
   EXPECT_EQ(model.task, data::TaskType::kClassification);
@@ -67,7 +70,7 @@ TEST(FlatModelTest, FlattenGbdtCarriesBoosterMeta) {
   ml::GradientBoostedTrees booster(options);
   const data::Dataset data = MakeData(data::TaskType::kRegression, 42);
   ASSERT_TRUE(booster.Fit(data.features, data.labels).ok());
-  const ml::FlatTreeModel model = FlattenGbdt(booster).ValueOrDie();
+  const ml::FlatTreeModel model = booster.Flatten().ValueOrDie();
 
   EXPECT_EQ(model.kind, ml::EnsembleKind::kBoostedSum);
   EXPECT_EQ(model.num_trees(), 7u);
@@ -84,7 +87,7 @@ TEST(FlatModelTest, ChildOffsetsAreAbsoluteAndForward) {
   ml::RandomForest forest(options);
   const data::Dataset data = MakeData(data::TaskType::kRegression, 43);
   ASSERT_TRUE(forest.Fit(data.features, data.labels).ok());
-  const ml::FlatTreeModel model = FlattenForest(forest).ValueOrDie();
+  const ml::FlatTreeModel model = forest.Flatten().ValueOrDie();
   for (size_t t = 0; t < model.num_trees(); ++t) {
     const uint32_t begin = model.tree_offsets[t];
     const uint32_t end = model.tree_offsets[t + 1];
@@ -99,9 +102,17 @@ TEST(FlatModelTest, ChildOffsetsAreAbsoluteAndForward) {
   }
 }
 
+// An unfitted model and the exact oracle tree have no image to save.
 TEST(FlatModelTest, UnfittedModelsDoNotFlatten) {
-  EXPECT_FALSE(FlattenForest(ml::RandomForest()).ok());
-  EXPECT_FALSE(FlattenGbdt(ml::GradientBoostedTrees()).ok());
+  EXPECT_EQ(ml::RandomForest().Flatten().status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ml::GradientBoostedTrees().Flatten().status().code(),
+            StatusCode::kFailedPrecondition);
+  const data::Dataset data = MakeData(data::TaskType::kClassification, 44);
+  ml::DecisionTree exact;
+  ASSERT_TRUE(exact.FitExact(data.features, data.labels).ok());
+  EXPECT_EQ(exact.Flatten().status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -51,6 +51,13 @@
 # (-Wall -Wextra -Wshadow -Wconversion) is kept clean, so a new warning is
 # a failure here and in CI, not background noise.
 #
+# A gate run may not modify the work tree: inside a git work tree, the
+# script records every changed or untracked path (git status --porcelain
+# --untracked-files=all) with a hash of its content before the suites and
+# again after them, and fails naming each path whose entry differs. Build
+# trees and caches are git-ignored, so only a write to a tracked or
+# unignored file trips it.
+#
 # Usage:
 #   tools/check.sh                     # all suites
 #   tools/check.sh --suite tsan       # one suite
@@ -343,6 +350,29 @@ run_coverage() {
     tee "${root}/build-coverage/coverage.txt"
 }
 
+# One line per changed or untracked path: its status, its path and the
+# hash of its content ("-" once deleted), so a further edit to a file
+# that was already dirty shows as well.
+tree_state() {
+  local line path hash
+  git -C "${root}" status --porcelain --untracked-files=all |
+    while IFS= read -r line; do
+      path="${line:3}"
+      path="${path##* -> }"
+      hash="-"
+      if [[ -f "${root}/${path}" ]]; then
+        hash="$(git -C "${root}" hash-object -- "${path}")"
+      fi
+      printf '%s %s\n' "${line}" "${hash}"
+    done
+}
+
+tree_guard=0
+if git -C "${root}" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  tree_guard=1
+  tree_before="$(tree_state)"
+fi
+
 case "${suite}" in
   lint) run_lint ;;
   debug) run_debug ;;
@@ -360,5 +390,16 @@ case "${suite}" in
     run_lint; run_debug; run_release; run_asan; run_ubsan; run_tsan
     run_serve; run_bench ;;
 esac
+
+if [[ "${tree_guard}" == 1 ]]; then
+  tree_after="$(tree_state)"
+  if [[ "${tree_after}" != "${tree_before}" ]]; then
+    echo "check.sh: the gate run modified the work tree:" >&2
+    # Entries present on one side only; strip status and hash to the path.
+    diff <(printf '%s\n' "${tree_before}") <(printf '%s\n' "${tree_after}") |
+      sed -n 's/^[<>] ...\(.*\) [^ ]*$/  \1/p' | sort -u >&2
+    exit 1
+  fi
+fi
 
 echo "== check.sh: OK =="
