@@ -80,8 +80,7 @@ BenchConfig ConfigFromFlags(const FlagParser& parser) {
     std::exit(1);
   }
   config.downstream = downstream.ValueOrDie();
-  config.threads =
-      static_cast<size_t>(std::max<int64_t>(parser.GetInt("threads"), 1));
+  config.threads = static_cast<size_t>(parser.GetInt("threads"));
   runtime::SetGlobalThreads(config.threads);
   return config;
 }

@@ -144,6 +144,4 @@ void RnnAgent::Update(const std::vector<size_t>& actions,
   records_.clear();
 }
 
-void RnnAgent::DiscardRecordedSteps() { records_.clear(); }
-
 }  // namespace eafe::afe

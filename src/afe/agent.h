@@ -49,15 +49,11 @@ class RnnAgent {
   void Update(const std::vector<size_t>& actions,
               const std::vector<double>& returns);
 
-  /// Discards recorded steps without updating (e.g. stage transitions).
-  void DiscardRecordedSteps();
-
   size_t num_recorded_steps() const { return records_.size(); }
   const Options& options() const { return options_; }
 
-  /// Flat parameter vector (for tests and checkpointing).
+  /// Flat parameter vector (for tests).
   const std::vector<double>& parameters() const { return params_; }
-  std::vector<double>& mutable_parameters() { return params_; }
 
  private:
   struct StepRecord {

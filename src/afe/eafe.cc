@@ -1,5 +1,9 @@
 #include "afe/eafe.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "afe/search_pipeline.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
@@ -11,6 +15,21 @@ namespace {
 /// instead of the policy in the first stage-2 epoch (decays linearly to
 /// 0 over the epochs).
 constexpr double kReplayBias = 0.5;
+
+/// One RNN controller per feature group, each seeded by one draw from
+/// `rng`, in group order.
+std::vector<RnnAgent> MakeAgents(size_t groups, Rng* rng) {
+  std::vector<RnnAgent> agents;
+  agents.reserve(groups);
+  for (size_t g = 0; g < groups; ++g) {
+    RnnAgent::Options options;
+    options.input_dim = kAgentStateDim;
+    options.num_actions = kNumOperators;
+    options.seed = rng->Next();
+    agents.emplace_back(options);
+  }
+  return agents;
+}
 
 }  // namespace
 
@@ -76,7 +95,6 @@ Status EafeSearch::RunStage1(const data::Dataset& dataset,
             ReplayEntry entry;
             entry.group = group;
             entry.op = op;
-            entry.feature_name = candidate->column.name();
             entry.fpe_probability = p_effective;
             entry.order = candidate->order;
             entry.column = candidate->column;  // Replayed in stage 2.
@@ -117,7 +135,13 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
                                : StepFilter::kFpe;
   pipeline_config.fpe_model = options_.fpe_model;
   pipeline_config.fpe_accept_threshold = options_.fpe_accept_threshold;
-  SearchRun run(options_.search, name(), dataset, pipeline_config);
+  return RunAgents(dataset, pipeline_config, name());
+}
+
+Result<SearchResult> EafeSearch::RunAgents(const data::Dataset& dataset,
+                                           const StepPipelineConfig& filter,
+                                           std::string method) {
+  SearchRun run(options_.search, std::move(method), dataset, filter);
   SearchResult& result = run.result();
   Rng rng(options_.search.seed);
   replay_.Clear();
@@ -268,7 +292,8 @@ Result<SearchResult> EafeSearch::Run(const data::Dataset& dataset) {
                 : task.attempts.back().action_index);
       }
       // kFull / kRandomDrop use the Eq. 10 lambda-return; the
-      // kPolicyGradient ablation uses NFS-style discounted returns.
+      // kPolicyGradient ablation (and so NFS) trains by plain policy
+      // gradient on discounted gains.
       if (options_.variant == Variant::kPolicyGradient) {
         agents[group].Update(actions, DiscountedReturns(rewards, kGamma));
       } else {

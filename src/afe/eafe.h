@@ -12,6 +12,8 @@
 
 namespace eafe::afe {
 
+struct StepPipelineConfig;
+
 /// E-AFE: the paper's efficient AFE framework (Fig. 5, Algorithm 2).
 /// Stage 1 initializes the per-feature policies using only FPE inference
 /// as the reward (Eq. 7-9), recording promising actions in a replay
@@ -27,6 +29,8 @@ namespace eafe::afe {
 ///                     replaced by NFS-style plain policy gradient (no
 ///                     two-stage init, no replay buffer, no
 ///                     lambda-returns).
+///
+/// NfsSearch runs this class's agent loop as E-AFE_R with the filter off.
 class EafeSearch : public FeatureSearch {
  public:
   enum class Variant { kFull, kRandomDrop, kPolicyGradient };
@@ -69,6 +73,16 @@ class EafeSearch : public FeatureSearch {
   const ReplayBuffer& replay_buffer() const { return replay_; }
 
  private:
+  friend class NfsSearch;
+
+  /// The agent loop every variant and NFS share: optional stage 1, then
+  /// stage 2 against the downstream task, with `filter` as the
+  /// pre-evaluation step. The caller has validated `dataset` and the
+  /// options its variant needs; `method` names the result.
+  Result<SearchResult> RunAgents(const data::Dataset& dataset,
+                                 const StepPipelineConfig& filter,
+                                 std::string method);
+
   /// Stage 1 of Algorithm 2: FPE-only exploration that initializes
   /// `agents` and fills the replay buffer, in a space of its own built
   /// like stage 2's (`space_options`). No downstream evaluations.

@@ -1,9 +1,8 @@
 #ifndef EAFE_AFE_NFS_H_
 #define EAFE_AFE_NFS_H_
 
-#include <vector>
+#include <string>
 
-#include "afe/agent.h"
 #include "afe/search.h"
 
 namespace eafe::afe {
@@ -14,6 +13,8 @@ namespace eafe::afe {
 /// downstream task (no pre-filtering); controllers are trained by plain
 /// policy gradient on the evaluation gains. The absence of any
 /// pre-evaluation is exactly the inefficiency E-AFE attacks (Table I).
+/// It runs E-AFE_R's agent loop (EafeSearch, kPolicyGradient) with the
+/// filter off, so the two differ only in the FPE filter.
 class NfsSearch : public FeatureSearch {
  public:
   explicit NfsSearch(const SearchOptions& options);

@@ -39,12 +39,4 @@ std::vector<ReplayEntry> ReplayBuffer::SortedByProbability() const {
   return sorted;
 }
 
-std::vector<size_t> ReplayBuffer::OperatorHistogram() const {
-  std::vector<size_t> counts(kNumOperators, 0);
-  for (const ReplayEntry& entry : entries_) {
-    ++counts[static_cast<size_t>(entry.op)];
-  }
-  return counts;
-}
-
 }  // namespace eafe::afe

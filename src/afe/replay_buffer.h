@@ -2,7 +2,6 @@
 #define EAFE_AFE_REPLAY_BUFFER_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "afe/operators.h"
@@ -18,15 +17,14 @@ namespace eafe::afe {
 struct ReplayEntry {
   size_t group = 0;
   Operator op = Operator::kLog;
-  std::string feature_name;
   double fpe_probability = 0.0;  ///< P(effective) assigned by FPE.
   size_t order = 0;
   /// The stored feature values (Algorithm 2 replays the feature itself).
   data::Column column;
 };
 
-/// Bounded FIFO of promising actions. When full, the entry with the
-/// lowest FPE probability is evicted first — the buffer keeps the actions
+/// Bounded store of promising actions. When full, an insert evicts the
+/// entry with the lowest FPE probability — the buffer keeps the actions
 /// most worth replaying.
 class ReplayBuffer {
  public:
@@ -44,10 +42,6 @@ class ReplayBuffer {
   size_t capacity() const { return capacity_; }
   bool empty() const { return entries_.empty(); }
   const std::vector<ReplayEntry>& entries() const { return entries_; }
-
-  /// Per-operator counts of stored entries — used to warm-start stage-2
-  /// policies toward operators that produced FPE-positive features.
-  std::vector<size_t> OperatorHistogram() const;
 
   /// Entries ordered by descending FPE probability — the order in which
   /// stage 2 replays them.

@@ -131,19 +131,6 @@ Result<std::vector<StepTask>> SearchStepPipeline::Finish() {
   return tasks;
 }
 
-std::vector<RnnAgent> MakeAgents(size_t groups, Rng* rng) {
-  std::vector<RnnAgent> agents;
-  agents.reserve(groups);
-  for (size_t g = 0; g < groups; ++g) {
-    RnnAgent::Options options;
-    options.input_dim = kAgentStateDim;
-    options.num_actions = kNumOperators;
-    options.seed = rng->Next();
-    agents.emplace_back(options);
-  }
-  return agents;
-}
-
 SearchRun::SearchRun(const SearchOptions& options, std::string method,
                      const data::Dataset& dataset,
                      const StepPipelineConfig& pipeline)

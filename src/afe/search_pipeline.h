@@ -8,11 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "afe/agent.h"
 #include "afe/eval_service.h"
 #include "afe/feature_space.h"
 #include "afe/search.h"
-#include "core/rng.h"
 #include "core/status.h"
 #include "core/stopwatch.h"
 #include "data/dataframe.h"
@@ -156,11 +154,8 @@ class SearchStepPipeline {
   std::vector<std::future<void>> done_;
 };
 
-/// One RNN controller per feature group (NFS and E-AFE), each seeded by
-/// one draw from `rng`, in group order.
-std::vector<RnnAgent> MakeAgents(size_t groups, Rng* rng);
-
-/// The stage-2 epoch skeleton all three search drivers share: it owns the
+/// The stage-2 epoch skeleton both search loops share (EafeSearch's agent
+/// loop, which NfsSearch runs too, and RandomSearch's): it owns the
 /// downstream evaluator, its EvalService, the live feature space and the
 /// result. Per epoch a driver generates against space(), runs a
 /// StartEpoch() pipeline, Merge()s its tasks in submission order, updates

@@ -49,7 +49,8 @@ FlagParser& FlagParser::AddThreads() {
       static_cast<int64_t>(std::thread::hardware_concurrency()), 1);
   return AddInt("threads", hardware,
                 "worker threads for evaluation/CV/forest parallelism "
-                "(1 = serial)");
+                "(1 = serial)",
+                1);
 }
 
 Status FlagParser::SetValue(const std::string& name,

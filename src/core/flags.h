@@ -31,8 +31,9 @@ class FlagParser {
 
   /// Declares the standard `--threads` flag (worker-pool size for the
   /// concurrent evaluation runtime). Defaults to the hardware thread
-  /// count; 1 selects the fully serial path. Callers pass GetInt("threads")
-  /// to runtime::SetGlobalThreads after Parse.
+  /// count; 1 selects the fully serial path, and values below 1 fail
+  /// Parse. Callers pass GetInt("threads") to runtime::SetGlobalThreads
+  /// after Parse.
   FlagParser& AddThreads();
 
   /// Parses argv (skipping argv[0]). On `--help`, prints usage and returns

@@ -14,9 +14,9 @@
 namespace eafe::hashing {
 namespace {
 
-/// The kernel-layer scheme for a CWS flavor. Licws maps to kIcws: it is
-/// ICWS sampling with the quantization index discarded afterwards, which
-/// does not change which element attains the minimum.
+/// The kernel-layer scheme for a CWS flavor. Licws maps to kIcws: 0-bit
+/// CWS is ICWS sampling with the quantization index dropped from the
+/// signature, and a signature here holds only the selected rows.
 simd::CwsKernelScheme KernelScheme(MinHashScheme scheme) {
   switch (scheme) {
     case MinHashScheme::kPcws:
@@ -147,57 +147,7 @@ void ForEachSlot(size_t rows, size_t num_slots, const SlotFn& slot) {
   });
 }
 
-/// One consistent sample with the per-element constants precomputed.
-/// `log_weights` may be empty for schemes that do not use it (CCWS).
-/// The min-reduction runs in the dispatched kernel; the winning
-/// element's quantization index is recomputed once here. Callers have
-/// checked that every weight is nonnegative.
-CwsSample ConsistentSampleImpl(MinHashScheme scheme,
-                               const std::vector<double>& weights,
-                               const std::vector<double>& log_weights,
-                               size_t slot, uint64_t seed) {
-  const double* logs = log_weights.empty() ? nullptr : log_weights.data();
-  const size_t k = simd::CwsArgmin(KernelScheme(scheme), weights.data(),
-                                   logs, weights.size(), seed, slot);
-  EAFE_CHECK_MSG(k < weights.size(),
-                 "ConsistentSample needs a positive weight");
-  CwsSample best;
-  best.element = k;
-  switch (scheme) {
-    case MinHashScheme::kIcws:
-      best.quantization = static_cast<int64_t>(
-          simd::IcwsValueAt(log_weights[k], seed, slot, k).t);
-      break;
-    case MinHashScheme::kPcws:
-      best.quantization = static_cast<int64_t>(
-          simd::PcwsValueAt(log_weights[k], seed, slot, k).t);
-      break;
-    case MinHashScheme::kCcws:
-      best.quantization = static_cast<int64_t>(
-          simd::CcwsValueAt(weights[k], seed, slot, k).t);
-      break;
-    default:
-      // 0-bit CWS: ICWS sampling with the quantization index discarded
-      // from the signature.
-      best.quantization = 0;
-      break;
-  }
-  return best;
-}
-
 }  // namespace
-
-CwsSample ConsistentSample(MinHashScheme scheme,
-                           const std::vector<double>& weights, size_t slot,
-                           uint64_t seed) {
-  EAFE_CHECK(!weights.empty());
-  EAFE_CHECK(scheme != MinHashScheme::kPlain);
-  EAFE_CHECK(scheme != MinHashScheme::kExactQuantile);
-  for (double w : weights) EAFE_CHECK_GE(w, 0.0);
-  const std::vector<double> log_weights =
-      UsesLogWeights(scheme) ? LogWeights(weights) : std::vector<double>();
-  return ConsistentSampleImpl(scheme, weights, log_weights, slot, seed);
-}
 
 std::vector<size_t> WeightedMinHashSelect(MinHashScheme scheme,
                                           const std::vector<double>& weights,
@@ -229,9 +179,14 @@ std::vector<size_t> WeightedMinHashSelect(MinHashScheme scheme,
   // for all d hash functions.
   const std::vector<double> log_weights =
       UsesLogWeights(scheme) ? LogWeights(weights) : std::vector<double>();
+  const double* logs = log_weights.empty() ? nullptr : log_weights.data();
+  const simd::CwsKernelScheme kernel = KernelScheme(scheme);
   ForEachSlot(weights.size(), num_slots, [&](size_t j) {
-    selected[j] =
-        ConsistentSampleImpl(scheme, weights, log_weights, j, seed).element;
+    const size_t k = simd::CwsArgmin(kernel, weights.data(), logs,
+                                     weights.size(), seed, j);
+    EAFE_CHECK_MSG(k < weights.size(),
+                   "consistent weighted sampling needs a positive weight");
+    selected[j] = k;
   });
   return selected;
 }

@@ -16,8 +16,9 @@ namespace eafe::hashing {
 ///            uniform draw, cheaper with near-identical estimates.
 ///  - kCcws:  Canonical CWS (Wu et al., 2016) — quantizes the weight
 ///            itself instead of its logarithm; the paper's default.
-///  - kLicws: Li's 0-bit CWS — ICWS sampling, but the signature keeps only
-///            the element id (drops the quantization index).
+///  - kLicws: Li's 0-bit CWS — ICWS sampling with the quantization index
+///            dropped from the signature. A signature here holds only the
+///            selected rows, so it selects exactly ICWS's rows.
 ///  - kPlain: classic unweighted MinHash over the thresholded support
 ///            (baseline; not a CWS member).
 ///  - kExactQuantile: not a hash at all — deterministic rank-based row
@@ -41,22 +42,11 @@ Result<MinHashScheme> MinHashSchemeFromString(const std::string& name);
 /// All schemes (useful for the Eq. 6 search over hash families).
 const std::vector<MinHashScheme>& AllMinHashSchemes();
 
-/// One consistent sample: the selected element and its quantization index
-/// (t in Ioffe's construction; 0 for 0-bit and plain schemes).
-struct CwsSample {
-  size_t element = 0;
-  int64_t quantization = 0;
-};
-
-/// Draws the consistent weighted sample for one hash slot. `weights` must
-/// be nonnegative with at least one strictly positive entry. Deterministic
-/// in (scheme, seed, slot).
-CwsSample ConsistentSample(MinHashScheme scheme,
-                           const std::vector<double>& weights, size_t slot,
-                           uint64_t seed);
-
-/// Selected element per slot for `num_slots` hash functions. Falls back to
-/// plain hashing over all elements when every weight is zero.
+/// Selected element per slot for `num_slots` hash functions, deterministic
+/// in (scheme, weights, seed). `weights` must be nonempty. The CWS schemes
+/// need nonnegative weights and select, per slot, the element whose
+/// consistent weighted sample wins it, never one of weight 0; they fall
+/// back to plain hashing over all elements when every weight is zero.
 std::vector<size_t> WeightedMinHashSelect(MinHashScheme scheme,
                                           const std::vector<double>& weights,
                                           size_t num_slots, uint64_t seed);

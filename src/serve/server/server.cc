@@ -480,30 +480,42 @@ void EafeServer::ExecuteBatch(const std::vector<QueuedPredict>& batch) {
   metric_batch_rows_->Observe(static_cast<double>(total_rows));
 
   // The registry is immutable post-Start, so this lookup is lock-free;
-  // the reactor already rejected unknown ids at admission.
+  // the reactor already rejected unknown ids at admission. A tree batch
+  // is one predictor call, so `batch_status` answers all of it; the FPE
+  // route fills `request_status`, one per request.
   const auto it = models_.find(batch.front().model_id);
-  Result<std::vector<double>> outputs =
-      it == models_.end()
-          ? Result<std::vector<double>>(
-                Status::Internal("model vanished: " +
-                                 batch.front().model_id))
-      : it->second.predictor != nullptr
-          ? RunTreeBatch(&it->second, batch)
-          : RunFpeBatch(it->second, batch);
+  std::vector<double> outputs;
+  Status batch_status;
+  std::vector<Status> request_status;
+  if (it == models_.end()) {
+    batch_status =
+        Status::Internal("model vanished: " + batch.front().model_id);
+  } else if (it->second.predictor != nullptr) {
+    Result<std::vector<double>> tree = RunTreeBatch(&it->second, batch);
+    if (tree.ok()) {
+      outputs = std::move(tree).ValueOrDie();
+    } else {
+      batch_status = tree.status();
+    }
+  } else {
+    request_status = RunFpeBatch(it->second, batch, &outputs);
+  }
 
   std::vector<std::pair<uint64_t, std::string>> ready;
   ready.reserve(batch.size());
   size_t offset = 0;
-  for (const QueuedPredict& request : batch) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const QueuedPredict& request = batch[i];
+    const Status& status =
+        request_status.empty() ? batch_status : request_status[i];
     std::string frame;
-    if (outputs.ok()) {
+    if (status.ok()) {
       frame = EncodePredictResponse(request.request_id,
-                                    outputs->data() + offset,
+                                    outputs.data() + offset,
                                     request.num_rows);
     } else {
-      frame = EncodeErrorResponse(request.request_id,
-                                  outputs.status().code(),
-                                  outputs.status().message());
+      frame = EncodeErrorResponse(request.request_id, status.code(),
+                                  status.message());
     }
     offset += request.num_rows;
     metric_request_seconds_->Observe(request.queued.ElapsedSeconds());
@@ -541,27 +553,38 @@ Result<std::vector<double>> EafeServer::RunTreeBatch(
                              : entry->predictor->Predict(frame);
 }
 
-Result<std::vector<double>> EafeServer::RunFpeBatch(
-    const ModelEntry& entry, const std::vector<QueuedPredict>& batch) {
+std::vector<Status> EafeServer::RunFpeBatch(
+    const ModelEntry& entry, const std::vector<QueuedPredict>& batch,
+    std::vector<double>* outputs) {
   // Each request row is one candidate feature column; the reply is the
   // FPE usefulness probability per candidate (the paper's
-  // pre-evaluation filter served remotely). `proba` is implied.
-  std::vector<double> outputs;
+  // pre-evaluation filter served remotely). `proba` is implied. The
+  // queue coalesces requests from different connections, so a failing
+  // candidate stops only its own request.
+  std::vector<Status> statuses;
+  statuses.reserve(batch.size());
   std::vector<double> candidate;
   for (const QueuedPredict& request : batch) {
     const size_t width = request.num_cols;
+    const size_t offset = outputs->size();
+    outputs->resize(offset + request.num_rows);
+    Status status;
     for (size_t r = 0; r < request.num_rows; ++r) {
       candidate.assign(request.values.begin() +
                            static_cast<ptrdiff_t>(r * width),
                        request.values.begin() +
                            static_cast<ptrdiff_t>((r + 1) * width));
-      EAFE_ASSIGN_OR_RETURN(double probability,
-                            entry.fpe->PredictProbability(candidate));
-      outputs.push_back(request.proba ? probability
-                                      : (probability >= 0.5 ? 1.0 : 0.0));
+      Result<double> probability = entry.fpe->PredictProbability(candidate);
+      if (!probability.ok()) {
+        status = probability.status();
+        break;
+      }
+      (*outputs)[offset + r] =
+          request.proba ? *probability : (*probability >= 0.5 ? 1.0 : 0.0);
     }
+    statuses.push_back(std::move(status));
   }
-  return outputs;
+  return statuses;
 }
 
 }  // namespace eafe::serve::server

@@ -166,10 +166,16 @@ class EafeServer {
 
   // Executor-side helpers.
   void ExecuteBatch(const std::vector<QueuedPredict>& batch);
+  /// One FlatPredictor call over the whole batch: its outputs in request
+  /// order, or the one error that fails every request.
   Result<std::vector<double>> RunTreeBatch(
       ModelEntry* entry, const std::vector<QueuedPredict>& batch);
-  Result<std::vector<double>> RunFpeBatch(
-      const ModelEntry& entry, const std::vector<QueuedPredict>& batch);
+  /// Scores each request's candidates on their own, writing them at the
+  /// request's row offset in `outputs`, and returns one status per
+  /// request: a bad candidate fails only the request that sent it.
+  std::vector<Status> RunFpeBatch(const ModelEntry& entry,
+                                  const std::vector<QueuedPredict>& batch,
+                                  std::vector<double>* outputs);
 
   Options options_;
   int listen_fd_ = -1;

@@ -45,7 +45,6 @@ TEST(RnnAgentTest, RecurrentStateChangesOutput) {
   const auto second = agent.Step(State(0.3));  // Same input, new h.
   EXPECT_NE(first, second);
   // After reset, the first step reproduces exactly.
-  agent.DiscardRecordedSteps();
   agent.ResetEpisode();
   EXPECT_EQ(agent.Step(State(0.3)), first);
 }
@@ -116,11 +115,11 @@ TEST(RnnAgentTest, MultiStepEpisodeUpdate) {
   EXPECT_EQ(agent.num_recorded_steps(), 0u);
 }
 
-TEST(RnnAgentTest, DiscardRecordedSteps) {
+TEST(RnnAgentTest, ResetEpisodeDiscardsRecordedSteps) {
   RnnAgent agent(SmallOptions());
   agent.Step(State(0.1));
   EXPECT_EQ(agent.num_recorded_steps(), 1u);
-  agent.DiscardRecordedSteps();
+  agent.ResetEpisode();
   EXPECT_EQ(agent.num_recorded_steps(), 0u);
 }
 

@@ -9,7 +9,6 @@ ReplayEntry Entry(Operator op, double probability) {
   ReplayEntry entry;
   entry.op = op;
   entry.fpe_probability = probability;
-  entry.feature_name = OperatorToString(op);
   return entry;
 }
 
@@ -53,18 +52,6 @@ TEST(ReplayBufferTest, SampleReturnsStoredEntries) {
     const ReplayEntry& e = buffer.Sample(&rng);
     EXPECT_TRUE(e.op == Operator::kAdd || e.op == Operator::kDivide);
   }
-}
-
-TEST(ReplayBufferTest, OperatorHistogram) {
-  ReplayBuffer buffer(8);
-  buffer.Add(Entry(Operator::kMultiply, 0.9));
-  buffer.Add(Entry(Operator::kMultiply, 0.8));
-  buffer.Add(Entry(Operator::kLog, 0.7));
-  const auto histogram = buffer.OperatorHistogram();
-  ASSERT_EQ(histogram.size(), kNumOperators);
-  EXPECT_EQ(histogram[static_cast<size_t>(Operator::kMultiply)], 2u);
-  EXPECT_EQ(histogram[static_cast<size_t>(Operator::kLog)], 1u);
-  EXPECT_EQ(histogram[static_cast<size_t>(Operator::kModulo)], 0u);
 }
 
 TEST(ReplayBufferTest, ClearEmpties) {

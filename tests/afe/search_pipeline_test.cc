@@ -92,6 +92,14 @@ SearchResult RunMethod(const std::string& method, size_t threads) {
   } else if (method == "nfs") {
     NfsSearch search(QuickSearch());
     result = search.Run(SmallTarget()).ValueOrDie();
+  } else if (method == "eafe_r") {
+    EafeSearch::Options options;
+    options.search = QuickSearch();
+    options.variant = EafeSearch::Variant::kPolicyGradient;
+    options.fpe_model = &SharedFpe().model;
+    options.max_generation_attempts = 2;
+    EafeSearch search(options);
+    result = search.Run(SmallTarget()).ValueOrDie();
   } else if (method == "eafe_d") {
     EafeSearch::Options options;
     options.search = QuickSearch();
@@ -199,6 +207,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DigestPoint{"nfs", 0x1d2e1b7db7adbdd7ULL},
                       DigestPoint{"random", 0xd51620509d3651ebULL},
                       DigestPoint{"eafe_d", 0x7d9eecacef243fecULL},
+                      DigestPoint{"eafe_r", 0xd4ebd9e5e43dac11ULL},
                       DigestPoint{"eafe_full", 0x25b352d064f632dfULL}),
     [](const auto& point) { return std::string(point.param.first); });
 
@@ -216,7 +225,33 @@ TEST_P(SearchPipelineEquivalence, PooledMatchesSerialAtAnyThreads) {
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, SearchPipelineEquivalence,
                          ::testing::Values("random", "nfs", "eafe_d",
-                                           "eafe_full"));
+                                           "eafe_r", "eafe_full"));
+
+// The paper's E-AFE_R is NFS plus the FPE filter. With a threshold of 0
+// every candidate passes FPE, so E-AFE_R must decide exactly what NFS
+// decides: same draws, same candidates, same merges, same returns. Only
+// the method name differs.
+TEST(AgentLoopTest, NfsIsEafeRWithoutTheFilter) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    runtime::SetGlobalThreads(threads);
+    EafeSearch::Options options;
+    options.search = QuickSearch();
+    options.variant = EafeSearch::Variant::kPolicyGradient;
+    options.fpe_model = &SharedFpe().model;
+    options.fpe_accept_threshold = 0.0;
+    const SearchResult eafe_r =
+        EafeSearch(options).Run(SmallTarget()).ValueOrDie();
+    SearchResult nfs =
+        NfsSearch(QuickSearch()).Run(SmallTarget()).ValueOrDie();
+    runtime::SetGlobalThreads(1);  // Restore the serial default.
+    EXPECT_EQ(eafe_r.method, "E-AFE_R");
+    EXPECT_EQ(nfs.method, "NFS");
+    EXPECT_GT(nfs.features_evaluated, 0u);
+    nfs.method = eafe_r.method;
+    ExpectBitIdentical(eafe_r, nfs);
+  }
+}
 
 // The honest re-score runs its four CVs (two repeats of base and best)
 // as one parallel region; the scores must not depend on how many

@@ -133,6 +133,26 @@ TEST(FlagParserTest, IntBoundsAreInclusive) {
   EXPECT_EQ(high.GetInt("port"), 65535);
 }
 
+// A pool needs at least one worker: 0 and negative counts are errors,
+// not a silent serial run.
+TEST(FlagParserTest, ThreadsBelowOneRejected) {
+  for (const std::string arg : {"--threads=0", "--threads=-4"}) {
+    FlagParser parser;
+    parser.AddThreads();
+    ArgvBuilder args({arg});
+    const Status status = parser.Parse(args.argc(), args.argv());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(status.message().find("flag --threads must be >= 1"),
+              std::string::npos)
+        << status.message();
+  }
+  FlagParser parser;
+  parser.AddThreads();
+  ArgvBuilder args({"--threads", "1"});
+  ASSERT_TRUE(parser.Parse(args.argc(), args.argv()).ok());
+  EXPECT_EQ(parser.GetInt("threads"), 1);
+}
+
 TEST(FlagParserTest, UnboundedIntTakesEveryInt64) {
   FlagParser parser = MakeParser();
   ArgvBuilder args({"--count=-9223372036854775808"});

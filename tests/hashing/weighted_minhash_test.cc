@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "core/rng.h"
 #include "hashing/minhash.h"
@@ -52,17 +53,18 @@ class CwsSchemeTest : public ::testing::TestWithParam<MinHashScheme> {};
 
 TEST_P(CwsSchemeTest, DeterministicInSeedAndSlot) {
   const std::vector<double> weights = {0.2, 0.9, 0.1, 0.5, 0.7};
-  const CwsSample a = ConsistentSample(GetParam(), weights, 3, 77);
-  const CwsSample b = ConsistentSample(GetParam(), weights, 3, 77);
-  EXPECT_EQ(a.element, b.element);
-  EXPECT_EQ(a.quantization, b.quantization);
+  const auto a = WeightedMinHashSelect(GetParam(), weights, 16, 77);
+  EXPECT_EQ(a, WeightedMinHashSelect(GetParam(), weights, 16, 77));
+  // Slot j's element depends on (seed, j) only, not on how many slots
+  // are drawn.
+  const auto prefix = WeightedMinHashSelect(GetParam(), weights, 5, 77);
+  EXPECT_EQ(prefix, std::vector<size_t>(a.begin(), a.begin() + 5));
 }
 
 TEST_P(CwsSchemeTest, IgnoresZeroWeightElements) {
   const std::vector<double> weights = {0.0, 0.0, 1.0, 0.0};
-  for (size_t slot = 0; slot < 32; ++slot) {
-    const CwsSample s = ConsistentSample(GetParam(), weights, slot, 5);
-    EXPECT_EQ(s.element, 2u);
+  for (size_t selected : WeightedMinHashSelect(GetParam(), weights, 32, 5)) {
+    EXPECT_EQ(selected, 2u);
   }
 }
 
@@ -142,13 +144,15 @@ TEST(WeightedMinHashTest, AllZeroWeightsFallBack) {
   for (size_t s : selected) EXPECT_LT(s, 10u);
 }
 
-TEST(WeightedMinHashTest, LicwsDropsQuantization) {
-  const std::vector<double> weights = {0.3, 0.6, 0.9};
-  for (size_t slot = 0; slot < 16; ++slot) {
-    const CwsSample s =
-        ConsistentSample(MinHashScheme::kLicws, weights, slot, 3);
-    EXPECT_EQ(s.quantization, 0);
-  }
+// 0-bit CWS drops only ICWS's quantization index, and a signature holds
+// only rows, so the two schemes select the same rows.
+TEST(WeightedMinHashTest, LicwsSelectsIcwsRows) {
+  Rng rng(3);
+  std::vector<double> weights(50);
+  for (double& v : weights) v = rng.Uniform(0.0, 1.0);
+  weights[7] = 0.0;
+  EXPECT_EQ(WeightedMinHashSelect(MinHashScheme::kLicws, weights, 64, 3),
+            WeightedMinHashSelect(MinHashScheme::kIcws, weights, 64, 3));
 }
 
 TEST(WeightedMinHashTest, SchemesDiffer) {

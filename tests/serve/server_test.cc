@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rng.h"
@@ -152,32 +155,54 @@ TEST(EafeServerTest, PipelinedSingleRowsCoalesceWithoutChangingBits) {
             fixture.server->stats().responses);
 }
 
-TEST(EafeServerTest, FpeModelScoresCandidateRows) {
-  fpe::FpeModel reference;
-  {
-    Rng rng(5);
-    std::vector<fpe::LabeledFeature> train;
-    for (size_t i = 0; i < 60; ++i) {
-      fpe::LabeledFeature f;
-      f.label = i % 2 == 0 ? 1 : 0;
-      f.values.resize(64);
-      for (double& v : f.values) {
-        v = f.label == 1 ? rng.Uniform(0.5, 3.0) : rng.Uniform(0.0, 1.0);
-      }
-      train.push_back(std::move(f));
+/// A small trained FPE model: the reference the served copy must match.
+fpe::FpeModel TrainFpe() {
+  fpe::FpeModel model;
+  Rng rng(5);
+  std::vector<fpe::LabeledFeature> train;
+  for (size_t i = 0; i < 60; ++i) {
+    fpe::LabeledFeature f;
+    f.label = i % 2 == 0 ? 1 : 0;
+    f.values.resize(64);
+    for (double& v : f.values) {
+      v = f.label == 1 ? rng.Uniform(0.5, 3.0) : rng.Uniform(0.0, 1.0);
     }
-    ASSERT_TRUE(reference.Train(train).ok());
+    train.push_back(std::move(f));
   }
-  EafeServer::Options options;
+  EXPECT_TRUE(model.Train(train).ok());
+  return model;
+}
+
+/// A started server serving `model` as "fpe".
+std::unique_ptr<EafeServer> StartFpeServer(
+    const fpe::FpeModel& model, const EafeServer::Options& options = {}) {
   std::unique_ptr<EafeServer> server =
       EafeServer::Create(options).ValueOrDie();
-  ASSERT_TRUE(
+  EXPECT_TRUE(
       server
-          ->AddModel("fpe", DeserializeModel(SerializeFpe(reference)
-                                                 .ValueOrDie())
-                                .ValueOrDie())
+          ->AddModel("fpe",
+                     DeserializeModel(SerializeFpe(model).ValueOrDie())
+                         .ValueOrDie())
           .ok());
-  ASSERT_TRUE(server->Start().ok());
+  EXPECT_TRUE(server->Start().ok());
+  return server;
+}
+
+/// Spins until `done()` holds, for at most 10 s; returns whether it did.
+template <typename Predicate>
+bool WaitFor(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(EafeServerTest, FpeModelScoresCandidateRows) {
+  const fpe::FpeModel reference = TrainFpe();
+  std::unique_ptr<EafeServer> server = StartFpeServer(reference);
 
   // Two candidate feature columns of width 32 in one request.
   Rng rng(9);
@@ -195,6 +220,54 @@ TEST(EafeServerTest, FpeModelScoresCandidateRows) {
     EXPECT_EQ(reply.values[r],
               reference.PredictProbability(row).ValueOrDie());
   }
+}
+
+// The queue coalesces FPE requests from different connections, so one
+// client's bad candidate must fail its own request only: the requests
+// batched with it still get their probabilities.
+TEST(EafeServerTest, FpeCandidateErrorAnswersOnlyItsRequest) {
+  const fpe::FpeModel reference = TrainFpe();
+  EafeServer::Options options;
+  options.debug_batch_sleep_ms = 200;
+  std::unique_ptr<EafeServer> server = StartFpeServer(reference, options);
+  Rng rng(9);
+  std::vector<double> row(32);
+  for (double& v : row) v = rng.Uniform(0.0, 2.0);
+  std::vector<double> bad = row;
+  bad[5] = std::numeric_limits<double>::quiet_NaN();
+
+  auto connect = [&] {
+    return BlockingClient::Connect("127.0.0.1", server->port()).ValueOrDie();
+  };
+  BlockingClient first = connect();
+  BlockingClient a = connect();
+  BlockingClient b = connect();
+  // Request 1 is 16 wide, so it never coalesces with A and B. Once the
+  // executor has popped it, it sleeps on that batch while A and B queue
+  // up; both are queued before it wakes, so they form batch 2 together.
+  ASSERT_TRUE(first.SendPredict(1, "fpe", true, 1, 16,
+                                std::vector<double>(row.begin(),
+                                                    row.begin() + 16))
+                  .ok());
+  ASSERT_TRUE(WaitFor([&] {
+    return server->stats().requests >= 1 && server->queue_depth() == 0;
+  }));
+  ASSERT_TRUE(a.SendPredict(2, "fpe", true, 1, 32, row).ok());
+  ASSERT_TRUE(b.SendPredict(3, "fpe", true, 1, 32, bad).ok());
+  ASSERT_TRUE(WaitFor([&] { return server->queue_depth() == 2; }));
+
+  EXPECT_EQ(first.ReadReply().ValueOrDie().type,
+            MessageType::kPredictResponse);
+  const Message good = a.ReadReply().ValueOrDie();
+  ASSERT_EQ(good.type, MessageType::kPredictResponse) << good.text;
+  ASSERT_EQ(good.values.size(), 1u);
+  const double expected = reference.PredictProbability(row).ValueOrDie();
+  EXPECT_EQ(std::memcmp(&good.values[0], &expected, sizeof(double)), 0);
+  const Message failed = b.ReadReply().ValueOrDie();
+  ASSERT_EQ(failed.type, MessageType::kErrorResponse);
+  EXPECT_EQ(static_cast<StatusCode>(failed.code),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server->stats().batches, 2u);
 }
 
 TEST(EafeServerTest, UnknownModelAndBadWidthAreTypedErrors) {

@@ -62,6 +62,8 @@
 #   tools/check.sh                     # all suites
 #   tools/check.sh --suite tsan       # one suite
 #   tools/check.sh --label ml         # debug suite, ml-labeled tests only
+#   tools/check.sh --suite asan --label ml  # --label works with debug,
+#                                     # asan, ubsan and coverage only
 #   tools/check.sh --no-tsan          # all suites except tsan
 #   tools/check.sh --suite coverage   # line coverage report
 #
@@ -73,7 +75,9 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 2)"
 suites="lint debug release asan ubsan tsan serve bench coverage"
-suite="all"
+# The suites whose ctest run honours --label.
+label_suites="debug asan ubsan coverage"
+suite=""
 label=""
 
 while [[ $# -gt 0 ]]; do
@@ -93,6 +97,20 @@ while [[ $# -gt 0 ]]; do
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
+
+# --label alone selects the debug suite; a suite that runs no labelled
+# ctest would silently ignore it, so naming one is an error.
+if [[ -n "${label}" ]]; then
+  suite="${suite:-debug}"
+  case " ${label_suites} " in
+    *" ${suite} "*) ;;
+    *)
+      echo "--label applies only to suites: ${label_suites}" \
+           "(got suite '${suite}')" >&2
+      exit 2 ;;
+  esac
+fi
+suite="${suite:-all}"
 
 # ctest -L args for an exact label match (empty label selects everything).
 label_args() {

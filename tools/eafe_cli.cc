@@ -26,7 +26,6 @@
 //                [--label target] [--proba] [--out predictions.csv]
 //       Batch inference from a saved container via the flat engine.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -51,8 +50,7 @@ int Fail(const Status& status) {
 }
 
 void ApplyThreads(const FlagParser& flags) {
-  runtime::SetGlobalThreads(
-      static_cast<size_t>(std::max<int64_t>(flags.GetInt("threads"), 1)));
+  runtime::SetGlobalThreads(static_cast<size_t>(flags.GetInt("threads")));
 }
 
 /// --metrics: installs a recording gateway for the command's lifetime and
