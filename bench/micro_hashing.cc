@@ -10,13 +10,13 @@
 // clear their speed floors at rows >= 10k; tools/check.sh runs it in
 // the release suite, and BENCH_simd.json snapshots the grid rows.
 //
-// Both then time the FPE compression an off-pool caller (a search's
-// stage 1, FPE pretraining) pays: one SampleCompressor::Compress (48
-// CCWS slots plus 48 uniform slots, uniform-row memo warm) at 1 and 4
-// global threads, where the CWS slots fan out over the pool. Timing is
-// report-only; the smoke variant exits nonzero unless the 4-thread
-// signature equals the 1-thread one bit for bit. A host line (nproc,
-// SIMD tier, build type, wall clock) closes the run.
+// Both then time the FPE compression: one SampleCompressor::Compress (48
+// CCWS slots plus 48 uniform slots), cold (the first Compress of a
+// length, before its CCWS candidate list and uniform rows are memoized)
+// and warm (every later Compress of the length, which reads them).
+// Timing is report-only; the smoke variant exits nonzero unless the warm
+// signature equals the cold one bit for bit. A host line (nproc, SIMD
+// tier, build type, wall clock) closes the run.
 
 #include <benchmark/benchmark.h>
 
@@ -228,62 +228,73 @@ int RunSimdRows(bool smoke) {
   return ok ? 0 : 1;
 }
 
+/// Best of kCompressReps seconds of `compress(r)` over r = 0, 1, ...
+template <typename Fn>
+double BestSeconds(const Fn& compress) {
+  constexpr int kCompressReps = 41;
+  double best = 0.0;
+  for (int r = 0; r < kCompressReps; ++r) {
+    Stopwatch timer;
+    auto timed = compress(r);
+    const double seconds = timer.ElapsedSeconds();
+    if (r == 0 || seconds < best) best = seconds;
+    benchmark::DoNotOptimize(timed);
+  }
+  return best;
+}
+
 /// Compress lines: one signature of a normal column as the FPE computes
-/// it (CCWS, d = 48, 48 uniform slots), timed best of 41 from this
-/// (off-pool) thread at 1 and 4 global threads. Returns false when the
-/// 4-thread signature differs from the 1-thread one.
+/// it (CCWS, d = 48, 48 uniform slots), best of 41 from this thread. The
+/// cold line times first sights, each of a fresh length just above
+/// `rows`; the warm line times a length whose second Compress built its
+/// list. Returns false when the warm signature differs from the cold
+/// one.
 bool RunCompressRows() {
   CompressorOptions options;
   options.extra_uniform_slots = 48;
   const SampleCompressor compressor(options);
   bool identical = true;
   for (const size_t rows : {size_t{1500}, size_t{8000}}) {
+    const double cold = BestSeconds([&](int r) {
+      return compressor.Compress(
+          RandomFeature(rows + 1 + static_cast<size_t>(r)));
+    });
     const std::vector<double> feature = RandomFeature(rows);
-    std::vector<double> reference;
-    double serial_seconds = 0.0;
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      runtime::SetGlobalThreads(threads);
-      (void)runtime::GlobalPool();  // Build the pool outside the timing.
-      std::vector<double> signature =
-          compressor.Compress(feature).ValueOrDie();  // Warms the memo.
-      double best = 0.0;
-      for (int r = 0; r < 41; ++r) {
-        Stopwatch timer;
-        auto timed = compressor.Compress(feature);
-        const double seconds = timer.ElapsedSeconds();
-        if (r == 0 || seconds < best) best = seconds;
-        benchmark::DoNotOptimize(timed);
-      }
-      if (threads == 1) {
-        reference = signature;
-        serial_seconds = best;
-      } else if (signature.size() != reference.size() ||
-                 std::memcmp(signature.data(), reference.data(),
-                             signature.size() * sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "simd smoke FAILED: Compress at %zu threads differs "
-                     "from 1 thread at rows=%zu\n",
-                     threads, rows);
-        identical = false;
-      }
+    const std::vector<double> unlisted =
+        compressor.Compress(feature).ValueOrDie();
+    (void)compressor.Compress(feature);  // Builds the list.
+    const double warm =
+        BestSeconds([&](int) { return compressor.Compress(feature); });
+    const std::vector<double> listed =
+        compressor.Compress(feature).ValueOrDie();
+    if (listed.size() != unlisted.size() ||
+        std::memcmp(listed.data(), unlisted.data(),
+                    listed.size() * sizeof(double)) != 0) {
+      std::fprintf(stderr,
+                   "simd smoke FAILED: warm Compress differs from cold at "
+                   "rows=%zu\n",
+                   rows);
+      identical = false;
+    }
+    for (const auto& [memo, seconds] :
+         {std::pair<const char*, double>{"cold", cold}, {"warm", warm}}) {
       std::printf(
           "{\"bench\": \"compress\", \"scheme\": \"ccws\", \"rows\": %zu, "
-          "\"dimension\": %zu, \"uniform_slots\": %zu, \"threads\": %zu, "
-          "\"seconds\": %.6f, \"speedup_vs_1_thread\": %.2f}\n",
-          rows, options.dimension, options.extra_uniform_slots, threads, best,
-          best > 0.0 ? serial_seconds / best : 0.0);
+          "\"dimension\": %zu, \"uniform_slots\": %zu, \"memo\": \"%s\", "
+          "\"seconds\": %.6f}\n",
+          rows, options.dimension, options.extra_uniform_slots, memo,
+          seconds);
     }
   }
-  runtime::SetGlobalThreads(1);
   return identical;
 }
 
 /// Closing line: the host the run measured (hardware threads, the
-/// largest pool the compress lines used, the dispatched SIMD tier, the
+/// global pool size every line ran at, the dispatched SIMD tier, the
 /// build type) and the run's wall clock.
 void PrintHostLine(double seconds) {
   std::printf(
-      "{\"bench\": \"host\", \"nproc\": %u, \"threads\": 4, "
+      "{\"bench\": \"host\", \"nproc\": %u, \"threads\": 1, "
       "\"simd\": \"%s\", \"build_type\": \"%s\", \"seconds\": %.1f}\n",
       std::thread::hardware_concurrency(),
       simd::LevelName(simd::ActiveLevel()), EAFE_BENCH_BUILD_TYPE, seconds);

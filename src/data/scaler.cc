@@ -48,7 +48,7 @@ Result<DataFrame> StandardScaler::Transform(const DataFrame& frame) const {
     const Column& col = frame.column(c);
     std::vector<double> values(col.size());
     for (size_t r = 0; r < col.size(); ++r) {
-      values[r] = (col[r] - means_[c]) / scales_[c];
+      values[r] = Scale(c, col[r]);
     }
     EAFE_RETURN_NOT_OK(out.AddColumn(Column(col.name(), std::move(values))));
   }

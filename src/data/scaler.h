@@ -20,6 +20,12 @@ class StandardScaler {
   /// Applies the learned transform; column count must match Fit.
   Result<DataFrame> Transform(const DataFrame& frame) const;
 
+  /// The transform of one `value` of column `column`: the arithmetic
+  /// Transform applies to every cell.
+  double Scale(size_t column, double value) const {
+    return (value - means_[column]) / scales_[column];
+  }
+
   bool fitted() const { return !means_.empty(); }
   const std::vector<double>& means() const { return means_; }
   const std::vector<double>& scales() const { return scales_; }

@@ -194,26 +194,21 @@ Result<double> FpeModel::PredictProbability(
     const std::vector<double>& values) const {
   if (!trained_) return Status::FailedPrecondition("FPE model not trained");
   EAFE_ASSIGN_OR_RETURN(std::vector<double> input, BuildInput(values));
+  switch (options_.classifier) {
+    case ClassifierKind::kLogistic:
+      return logistic_.PredictRowProba(input);
+    case ClassifierKind::kMlp:
+      return mlp_.PredictRowProba(input);
+    case ClassifierKind::kRandomForest:
+      break;
+  }
   data::DataFrame frame;
   for (size_t j = 0; j < input.size(); ++j) {
     EAFE_RETURN_NOT_OK(frame.AddColumn(data::Column(
         StrFormat("s%zu", j), std::vector<double>{input[j]})));
   }
-  std::vector<double> proba;
-  switch (options_.classifier) {
-    case ClassifierKind::kLogistic: {
-      EAFE_ASSIGN_OR_RETURN(proba, logistic_.PredictProba(frame));
-      break;
-    }
-    case ClassifierKind::kMlp: {
-      EAFE_ASSIGN_OR_RETURN(proba, mlp_.PredictProba(frame));
-      break;
-    }
-    case ClassifierKind::kRandomForest: {
-      EAFE_ASSIGN_OR_RETURN(proba, forest_.PredictProba(frame));
-      break;
-    }
-  }
+  EAFE_ASSIGN_OR_RETURN(const std::vector<double> proba,
+                        forest_.PredictProba(frame));
   return proba[0];
 }
 

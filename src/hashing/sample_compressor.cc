@@ -1,13 +1,10 @@
 #include "hashing/sample_compressor.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <mutex>
 
 #include "core/check.h"
 #include "hashing/minhash.h"
-#include "simd/minhash_kernels.h"
 
 namespace eafe::hashing {
 
@@ -44,11 +41,22 @@ Result<std::vector<double>> ValidatedWeights(
   if (values.empty()) {
     return Status::InvalidArgument("cannot compress an empty feature");
   }
+  double lo = values[0];
+  double hi = values[0];
   for (double v : values) {
     if (!std::isfinite(v)) {
       return Status::InvalidArgument(
           "feature contains non-finite values; clean before compressing");
     }
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  if (!std::isfinite(hi - lo)) {
+    // Min-max normalization would divide by an infinite range and turn
+    // the largest values into NaN weights.
+    return Status::InvalidArgument(
+        "feature's value range overflows a double; rescale before "
+        "compressing");
   }
   return SampleCompressor::NormalizeWeights(values);
 }
@@ -91,51 +99,6 @@ Result<std::vector<double>> SampleCompressor::Compress(
     signature.insert(signature.end(), uniform.begin(), uniform.end());
   }
   return signature;
-}
-
-namespace {
-
-/// UniformSlotRows' memo. A search compresses columns of one or two
-/// lengths (the dataset's rows, a pretraining corpus), so a handful of
-/// entries, replaced round-robin, holds every length in play.
-struct UniformRowsMemo {
-  struct Entry {
-    size_t rows = 0;
-    uint64_t seed = 0;
-    std::vector<size_t> selected;  // Empty: unused entry.
-  };
-  std::mutex mutex;
-  std::array<Entry, 8> entries;
-  size_t next_victim = 0;
-};
-
-UniformRowsMemo& Memo() {
-  static auto* memo = new UniformRowsMemo();
-  return *memo;
-}
-
-}  // namespace
-
-std::vector<size_t> UniformSlotRows(size_t rows, uint64_t seed,
-                                    size_t num_slots) {
-  UniformRowsMemo& memo = Memo();
-  {
-    const std::lock_guard<std::mutex> lock(memo.mutex);
-    for (const UniformRowsMemo::Entry& entry : memo.entries) {
-      if (entry.rows == rows && entry.seed == seed &&
-          entry.selected.size() == num_slots) {
-        return entry.selected;
-      }
-    }
-  }
-  std::vector<size_t> selected(num_slots);
-  for (size_t j = 0; j < num_slots; ++j) {
-    selected[j] = simd::PlainHashArgmin(nullptr, rows, seed, j);
-  }
-  const std::lock_guard<std::mutex> lock(memo.mutex);
-  memo.entries[memo.next_victim] = {rows, seed, selected};
-  memo.next_victim = (memo.next_victim + 1) % memo.entries.size();
-  return selected;
 }
 
 Result<data::DataFrame> SampleCompressor::CompressFrame(

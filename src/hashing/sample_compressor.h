@@ -48,7 +48,8 @@ class SampleCompressor {
   explicit SampleCompressor(const CompressorOptions& options);
 
   /// Fixed-size signature for one feature (values of the selected rows).
-  /// Errors on empty input or non-finite values.
+  /// Errors on empty input, non-finite values, or values whose range
+  /// overflows a double (min-max normalization would divide by inf).
   Result<std::vector<double>> Compress(const std::vector<double>& values) const;
 
   /// Row indices selected per hash slot (for similarity estimation and
@@ -75,15 +76,6 @@ class SampleCompressor {
  private:
   CompressorOptions options_;
 };
-
-/// The rows the uniform companion slots sample in a column of `rows`
-/// elements: slot j's row is simd::PlainHashArgmin(nullptr, rows, seed, j),
-/// plain min-wise hashing over row indices. That depends on (rows, seed,
-/// num_slots) and never on the column's values, so every column of a
-/// search shares it: the result is memoized in a small bounded
-/// process-wide table (safe to call from any thread).
-std::vector<size_t> UniformSlotRows(size_t rows, uint64_t seed,
-                                    size_t num_slots);
 
 }  // namespace eafe::hashing
 

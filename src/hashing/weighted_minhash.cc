@@ -1,34 +1,21 @@
 #include "hashing/weighted_minhash.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <mutex>
 
 #include "core/check.h"
 #include "core/string_util.h"
+#include "hashing/ccws_candidates.h"
 #include "hashing/minhash.h"
 #include "runtime/thread_pool.h"
 #include "simd/minhash_kernels.h"
 #include "simd/portable_math.h"
 
 namespace eafe::hashing {
-namespace {
-
-/// The kernel-layer scheme for a CWS flavor. Licws maps to kIcws: 0-bit
-/// CWS is ICWS sampling with the quantization index dropped from the
-/// signature, and a signature here holds only the selected rows.
-simd::CwsKernelScheme KernelScheme(MinHashScheme scheme) {
-  switch (scheme) {
-    case MinHashScheme::kPcws:
-      return simd::CwsKernelScheme::kPcws;
-    case MinHashScheme::kCcws:
-      return simd::CwsKernelScheme::kCcws;
-    default:
-      return simd::CwsKernelScheme::kIcws;
-  }
-}
-
-}  // namespace
 
 std::string MinHashSchemeToString(MinHashScheme scheme) {
   switch (scheme) {
@@ -95,17 +82,6 @@ std::vector<size_t> ExactQuantileSelect(const std::vector<double>& weights,
   return selected;
 }
 
-}  // namespace
-
-namespace {
-
-/// True for the schemes whose sampling value quantizes log(weight); those
-/// share a per-element log that is hoisted out of the d-slot loop.
-bool UsesLogWeights(MinHashScheme scheme) {
-  return scheme == MinHashScheme::kIcws ||
-         scheme == MinHashScheme::kPcws || scheme == MinHashScheme::kLicws;
-}
-
 /// log(w) per element (0 placeholder for non-positive weights, which are
 /// skipped during sampling). Computed once per feature, not once per
 /// (element, hash function). Uses the kernel layer's PortableLog — the
@@ -120,20 +96,21 @@ std::vector<double> LogWeights(const std::vector<double>& weights) {
 }
 
 /// Runs slot(j) for every j in [0, num_slots) over a column of `rows`
-/// elements, spread over the global pool. Each slot is a pure function of
+/// elements, spread over the global pool: the full scans of ICWS, PCWS
+/// and LICWS, and the all-zero fallback. Each slot is a pure function of
 /// (weights, seed, j) that writes only its own index, so the result is
 /// the serial loop's at any thread count.
 ///
-/// Columns shorter than kSlotFanOutMinRows stay inline. 48 CCWS slots
-/// fanned over 4 threads broke even with the serial loop at 32-64 rows
-/// and ran 1.6-1.8x faster at 128 (median of 201, 4-vCPU AVX2 guest with
-/// idle cores); below that a pool round trip costs more than the slots it
-/// spreads, and with busy cores fan-out only adds the round trip. A
-/// caller already on a pool worker (a search pipeline worker, which
-/// filters and then evaluates its own task, or a server's FPE route) also
-/// stays inline: ParallelFor would run inline there anyway, and skipping
-/// GlobalPool() keeps a process that never asked for the global pool
-/// from building one.
+/// Columns shorter than kSlotFanOutMinRows stay inline. 48 pruned CCWS
+/// slots fanned over 4 threads broke even with the serial loop at 32-64
+/// rows and ran 1.6-1.8x faster at 128 (median of 201, 4-vCPU AVX2 guest
+/// with idle cores), and a full ICWS scan costs more per row; below that
+/// a pool round trip costs more than the slots it spreads, and with busy
+/// cores fan-out only adds the round trip. A caller already on a pool
+/// worker (a search pipeline worker, which filters and then evaluates its
+/// own task, or a server's FPE route) also stays inline: ParallelFor
+/// would run inline there anyway, and skipping GlobalPool() keeps a
+/// process that never asked for the global pool from building one.
 constexpr size_t kSlotFanOutMinRows = 128;
 
 template <typename SlotFn>
@@ -147,7 +124,150 @@ void ForEachSlot(size_t rows, size_t num_slots, const SlotFn& slot) {
   });
 }
 
+/// Key of a value-independent selection part: a column length, a hash
+/// seed and a slot count.
+struct MemoKey {
+  size_t rows = 0;
+  uint64_t seed = 0;
+  size_t slots = 0;
+
+  bool operator==(const MemoKey&) const = default;
+};
+
+/// A fixed number of (key, value) entries, replaced round-robin.
+template <typename Value, size_t kEntries>
+class RoundRobinTable {
+ public:
+  Value* Find(const MemoKey& key) {
+    for (Entry& entry : entries_) {
+      if (entry.used && entry.key == key) return &entry.value;
+    }
+    return nullptr;
+  }
+  Value& Put(const MemoKey& key, Value value) {
+    Entry& entry = entries_[next_victim_];
+    next_victim_ = (next_victim_ + 1) % kEntries;
+    entry = {true, key, std::move(value)};
+    return entry.value;
+  }
+  template <typename Fn>
+  void ForEach(const Fn& fn) {
+    for (Entry& entry : entries_) {
+      if (entry.used) fn(entry.value);
+    }
+  }
+
+ private:
+  struct Entry {
+    bool used = false;
+    MemoKey key;
+    Value value;
+  };
+  std::array<Entry, kEntries> entries_;
+  size_t next_victim_ = 0;
+};
+
+/// The value-independent parts of selections, one process-wide memo
+/// behind one mutex: the uniform companion rows of Compress and the CCWS
+/// candidate lists. Both are functions of their MemoKey alone, so a hit
+/// is exactly what a miss computes. A search compresses columns of one
+/// length and FPE pretraining of about eight, so eight entries per part
+/// hold every length in play. A list is 48 slots x 128 rows x 8 bytes
+/// (48 KiB): kMaxCcwsLists bounds their memory, and lists idle for
+/// kIdleSelections selections are dropped.
+class SelectionMemo {
+ public:
+  std::vector<size_t> UniformRows(size_t rows, uint64_t seed,
+                                  size_t slots) {
+    const MemoKey key = {rows, seed, slots};
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (const auto* selected = uniform_rows_.Find(key)) return *selected;
+    }
+    std::vector<size_t> selected(slots);
+    for (size_t j = 0; j < slots; ++j) {
+      selected[j] = simd::PlainHashArgmin(nullptr, rows, seed, j);
+    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return uniform_rows_.Put(key, std::move(selected));
+  }
+
+  /// The key's candidate list, built on its second sight: null on the
+  /// first, so a length compressed once (a server's FPE route, one CLI
+  /// call) never pays for a list. Readers share the list.
+  std::shared_ptr<const CcwsCandidates> CcwsList(size_t rows, uint64_t seed,
+                                                 size_t slots) {
+    if (rows > std::numeric_limits<uint32_t>::max()) return nullptr;
+    const MemoKey key = {rows, seed, slots};
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (++selections_ % kIdleSelections == 0) DropIdleLists();
+      CcwsEntry* held = ccws_.Find(key);
+      if (held == nullptr) {
+        ccws_.Put(key, {nullptr, selections_});  // First sight.
+        return nullptr;
+      }
+      held->last_use = selections_;
+      if (held->list != nullptr) return held->list;
+    }
+    auto list = std::make_shared<const CcwsCandidates>(rows, seed, slots);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    CcwsEntry* held = ccws_.Find(key);
+    if (held == nullptr) held = &ccws_.Put(key, {nullptr, selections_});
+    if (held->list == nullptr) held->list = std::move(list);  // Else another
+                                                             // caller won.
+    return held->list;
+  }
+
+  size_t CcwsListsHeld() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    size_t held = 0;
+    ccws_.ForEach([&](const CcwsEntry& entry) {
+      held += entry.list != nullptr ? 1 : 0;
+    });
+    return held;
+  }
+
+ private:
+  /// A key's list, null from its first sight until its second, and the
+  /// CCWS selection count at its last use.
+  struct CcwsEntry {
+    std::shared_ptr<const CcwsCandidates> list;
+    uint64_t last_use = 0;
+  };
+
+  /// Lists idle for this many CCWS selections are dropped: FPE
+  /// pretraining lists the corpus lengths, and a search that follows
+  /// compresses only its own, so the corpus lists would otherwise hold
+  /// their memory through the search's peak. A dropped key rebuilds its
+  /// list at its next sight.
+  static constexpr uint64_t kIdleSelections = 64;
+
+  void DropIdleLists() {
+    ccws_.ForEach([&](CcwsEntry& entry) {
+      if (selections_ - entry.last_use > kIdleSelections) entry.list.reset();
+    });
+  }
+
+  std::mutex mutex_;
+  RoundRobinTable<std::vector<size_t>, 8> uniform_rows_;
+  RoundRobinTable<CcwsEntry, kMaxCcwsLists> ccws_;
+  uint64_t selections_ = 0;
+};
+
+SelectionMemo& Memo() {
+  static auto* memo = new SelectionMemo();
+  return *memo;
+}
+
 }  // namespace
+
+std::vector<size_t> UniformSlotRows(size_t rows, uint64_t seed,
+                                    size_t num_slots) {
+  return Memo().UniformRows(rows, seed, num_slots);
+}
+
+size_t CcwsListsHeld() { return Memo().CcwsListsHeld(); }
 
 std::vector<size_t> WeightedMinHashSelect(MinHashScheme scheme,
                                           const std::vector<double>& weights,
@@ -161,30 +281,54 @@ std::vector<size_t> WeightedMinHashSelect(MinHashScheme scheme,
   }
   // Validated once per feature, not once per slot.
   bool any_positive = false;
+  double max_weight = 0.0;
   for (double w : weights) {
     EAFE_CHECK_GE(w, 0.0);
     any_positive = any_positive || w > 0.0;
+    max_weight = std::max(max_weight, w);
   }
+  const size_t n = weights.size();
   std::vector<size_t> selected(num_slots);
   if (!any_positive) {
     // Degenerate all-zero feature: fall back to uniform hashing so the
     // signature is still defined.
-    ForEachSlot(weights.size(), num_slots, [&](size_t j) {
-      selected[j] = simd::PlainHashArgmin(nullptr, weights.size(), seed, j);
+    ForEachSlot(n, num_slots, [&](size_t j) {
+      selected[j] = simd::PlainHashArgmin(nullptr, n, seed, j);
     });
     return selected;
   }
-  // Hoist the per-element derived constants (log(weight) for the
-  // log-quantizing schemes) out of the per-slot loop: they are identical
-  // for all d hash functions.
-  const std::vector<double> log_weights =
-      UsesLogWeights(scheme) ? LogWeights(weights) : std::vector<double>();
-  const double* logs = log_weights.empty() ? nullptr : log_weights.data();
-  const simd::CwsKernelScheme kernel = KernelScheme(scheme);
-  ForEachSlot(weights.size(), num_slots, [&](size_t j) {
-    const size_t k = simd::CwsArgmin(kernel, weights.data(), logs,
-                                     weights.size(), seed, j);
-    EAFE_CHECK_MSG(k < weights.size(),
+  if (scheme == MinHashScheme::kCcws) {
+    // A listed slot evaluates a few rows, which costs less than a pool
+    // round trip, so CCWS slots run inline. A slot falls back to the full
+    // kernel when its length has no list yet or its list runs out.
+    const std::shared_ptr<const CcwsCandidates> list =
+        Memo().CcwsList(n, seed, num_slots);
+    for (size_t j = 0; j < num_slots; ++j) {
+      size_t k = list != nullptr ? list->Select(weights.data(), max_weight, j)
+                                 : n;
+      if (k == n) {
+        k = simd::CwsArgmin(simd::CwsKernelScheme::kCcws, weights.data(),
+                            nullptr, n, seed, j);
+      }
+      EAFE_CHECK_MSG(k < n,
+                     "consistent weighted sampling needs a positive weight");
+      selected[j] = k;
+    }
+    return selected;
+  }
+  // ICWS, PCWS and LICWS quantize log(weight): hoist it out of the
+  // per-slot loop, it is identical for all d hash functions. LICWS runs
+  // the ICWS kernel: 0-bit CWS is ICWS sampling with the quantization
+  // index dropped from the signature, and a signature here holds only
+  // the selected rows.
+  const std::vector<double> logs = LogWeights(weights);
+  const simd::CwsKernelScheme kernel = scheme == MinHashScheme::kPcws
+                                           ? simd::CwsKernelScheme::kPcws
+                                           : simd::CwsKernelScheme::kIcws;
+  ForEachSlot(n, num_slots, [&](size_t j) {
+    const size_t k =
+        simd::CwsArgmin(kernel, weights.data(), logs.data(), n, seed, j);
+    EAFE_CHECK_MSG(k < n,
                    "consistent weighted sampling needs a positive weight");
     selected[j] = k;
   });

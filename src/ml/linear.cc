@@ -36,6 +36,17 @@ double Score(const std::vector<double>& w, const double* row) {
   return z;
 }
 
+/// P(label == 1) of one row from its `heads` one-vs-rest sigmoid scores,
+/// head h's being score(h): the one head's score for a binary problem,
+/// class 1's share of all heads' otherwise.
+template <typename HeadScore>
+double ClassOneProbability(size_t heads, const HeadScore& score) {
+  if (heads == 1) return score(0);
+  double total = 0.0;
+  for (size_t head = 0; head < heads; ++head) total += score(head);
+  return total > 0.0 ? score(1) / total : 0.0;
+}
+
 /// Trains one head `weights` (zeros on entry) on the design matrix `xm`
 /// by mini-batch Adam: one shuffle of the rows per epoch, then per batch
 /// the mean over its rows of coefficient x row, plus options.l2 x w.
@@ -185,15 +196,28 @@ Result<std::vector<double>> LogisticRegression::Predict(
 Result<std::vector<double>> LogisticRegression::PredictProba(
     const data::DataFrame& x) const {
   EAFE_ASSIGN_OR_RETURN(auto scores, ScoreAll(x));
-  if (scores.size() == 1) return scores[0];
-  // Multi-class: normalized OvR score for class 1 (rarely used).
   std::vector<double> out(x.num_rows());
   for (size_t r = 0; r < out.size(); ++r) {
-    double total = 0.0;
-    for (const auto& head : scores) total += head[r];
-    out[r] = total > 0.0 && scores.size() > 1 ? scores[1][r] / total : 0.0;
+    out[r] = ClassOneProbability(
+        scores.size(), [&](size_t head) { return scores[head][r]; });
   }
   return out;
+}
+
+Result<double> LogisticRegression::PredictRowProba(
+    std::span<const double> row) const {
+  EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, row.size()));
+  // DesignMatrix's row: standardized features, then the bias input.
+  std::vector<double> design(row.size() + 1, 1.0);
+  for (size_t c = 0; c < row.size(); ++c) {
+    design[c] = scaler_.Scale(c, row[c]);
+  }
+  std::vector<double> scores(weights_.size());
+  for (size_t head = 0; head < weights_.size(); ++head) {
+    scores[head] = Sigmoid(Score(weights_[head], design.data()));
+  }
+  return ClassOneProbability(scores.size(),
+                             [&](size_t head) { return scores[head]; });
 }
 
 LinearSvm::LinearSvm(const Options& options) : options_(options) {}

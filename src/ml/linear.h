@@ -1,6 +1,7 @@
 #ifndef EAFE_ML_LINEAR_H_
 #define EAFE_ML_LINEAR_H_
 
+#include <span>
 #include <vector>
 
 #include "data/scaler.h"
@@ -35,6 +36,10 @@ class LogisticRegression : public Model {
   /// P(label == 1) per row. Binary problems return the one head's
   /// sigmoid; multi-class ones normalize class 1's head over all heads.
   Result<std::vector<double>> PredictProba(const data::DataFrame& x) const;
+
+  /// PredictProba of one row given as its feature values, in column
+  /// order: the same bits as a one-row frame, without building one.
+  Result<double> PredictRowProba(std::span<const double> row) const;
 
   bool fitted() const { return !weights_.empty(); }
   /// Weight vector of the one-vs-rest classifier for class `cls`.

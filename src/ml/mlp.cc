@@ -8,6 +8,28 @@
 #include "ml/network.h"
 
 namespace eafe::ml {
+namespace {
+
+Status RequireClassification(data::TaskType task) {
+  if (task != data::TaskType::kClassification) {
+    return Status::FailedPrecondition(
+        "PredictProba requires a classification MLP");
+  }
+  return Status::OK();
+}
+
+/// P(class == 1) per row of raw classification outputs: the softmax of
+/// unit 1 (of unit 0 for a one-unit head).
+std::vector<double> ClassOneProbability(Matrix outputs) {
+  SoftmaxRows(&outputs);
+  std::vector<double> out(outputs.rows());
+  for (size_t r = 0; r < outputs.rows(); ++r) {
+    out[r] = outputs.cols() > 1 ? outputs(r, 1) : outputs(r, 0);
+  }
+  return out;
+}
+
+}  // namespace
 
 Mlp::Mlp(const Options& options) : options_(options) {}
 
@@ -133,17 +155,20 @@ Result<std::vector<double>> Mlp::Predict(const data::DataFrame& x) const {
 }
 
 Result<std::vector<double>> Mlp::PredictProba(const data::DataFrame& x) const {
-  if (options_.task != data::TaskType::kClassification) {
-    return Status::FailedPrecondition(
-        "PredictProba requires a classification MLP");
-  }
+  EAFE_RETURN_NOT_OK(RequireClassification(options_.task));
   EAFE_ASSIGN_OR_RETURN(Matrix outputs, Outputs(x));
-  SoftmaxRows(&outputs);
-  std::vector<double> out(outputs.rows());
-  for (size_t r = 0; r < outputs.rows(); ++r) {
-    out[r] = outputs.cols() > 1 ? outputs(r, 1) : outputs(r, 0);
+  return ClassOneProbability(std::move(outputs));
+}
+
+Result<double> Mlp::PredictRowProba(std::span<const double> row) const {
+  EAFE_RETURN_NOT_OK(RequireClassification(options_.task));
+  EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, row.size()));
+  // ScaledMatrix's one row, through the frame path's Forward.
+  Matrix input(1, row.size());
+  for (size_t c = 0; c < row.size(); ++c) {
+    input(0, c) = scaler_.Scale(c, row[c]);
   }
-  return out;
+  return ClassOneProbability(std::move(Forward(input).back()))[0];
 }
 
 }  // namespace eafe::ml

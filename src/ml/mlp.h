@@ -1,6 +1,7 @@
 #ifndef EAFE_ML_MLP_H_
 #define EAFE_ML_MLP_H_
 
+#include <span>
 #include <vector>
 
 #include "core/matrix.h"
@@ -35,6 +36,10 @@ class Mlp : public Model {
 
   /// P(class == 1) for binary classification (softmax output of unit 1).
   Result<std::vector<double>> PredictProba(const data::DataFrame& x) const;
+
+  /// PredictProba of one row given as its feature values, in column
+  /// order: the same bits as a one-row frame, without building one.
+  Result<double> PredictRowProba(std::span<const double> row) const;
 
   bool fitted() const { return !weights_.empty(); }
 

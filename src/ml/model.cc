@@ -16,11 +16,14 @@ Status CheckFitInput(const data::DataFrame& x, const std::vector<double>& y) {
 
 Status CheckPredictInput(bool fitted, size_t num_features,
                          const data::DataFrame& x) {
+  return CheckPredictInput(fitted, num_features, x.num_columns());
+}
+
+Status CheckPredictInput(bool fitted, size_t num_features, size_t width) {
   if (!fitted) return Status::FailedPrecondition("model is not fitted");
-  if (x.num_columns() != num_features) {
-    return Status::InvalidArgument(
-        StrFormat("model fitted on %zu features, got %zu", num_features,
-                  x.num_columns()));
+  if (width != num_features) {
+    return Status::InvalidArgument(StrFormat(
+        "model fitted on %zu features, got %zu", num_features, width));
   }
   return Status::OK();
 }

@@ -47,6 +47,8 @@ Status CheckFitInput(const data::DataFrame& x, const std::vector<double>& y);
 /// the model was fitted on.
 Status CheckPredictInput(bool fitted, size_t num_features,
                          const data::DataFrame& x);
+/// The same check for one input row of `width` values.
+Status CheckPredictInput(bool fitted, size_t num_features, size_t width);
 
 /// The base of the tree learners (DecisionTree, RandomForest,
 /// GradientBoostedTrees): each trains through a shared pre-binned frame

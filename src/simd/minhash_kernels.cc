@@ -45,7 +45,7 @@ CcwsScan::CcwsScan(double max_weight, size_t n)
       best(n) {}
 
 void CcwsScan::Offer(double value, size_t k) {
-  if (value < best_value) {
+  if (value < best_value || (value == best_value && k < best)) {
     best_value = value;
     best = k;
     threshold = CcwsPruneThreshold(best_value, span);

@@ -52,7 +52,7 @@ size_t CwsArgminAvx2(CwsKernelScheme scheme, const double* weights,
                      uint64_t slot);
 
 /// Running state of a pruned CCWS scan. A row whose Gamma(2,1) uniforms
-/// satisfy u1 * u2 < threshold has a sampling value >= best_value and is
+/// satisfy u1 * u2 < threshold has a sampling value > best_value and is
 /// skipped; `threshold` is CcwsPruneThreshold(best_value, span) and only
 /// grows as the best improves.
 struct CcwsScan {
@@ -63,7 +63,8 @@ struct CcwsScan {
 
   /// Fresh scan over n rows: nothing found, nothing prunable yet.
   CcwsScan(double max_weight, size_t n);
-  /// Adopts row k's fully evaluated value if it beats the best.
+  /// Adopts row k's fully evaluated value if it is below the best, or
+  /// equal to it at a lower index, so rows may be offered in any order.
   void Offer(double value, size_t k);
 };
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/rng.h"
+#include "tests/fpe/fpe_test_util.h"
 
 namespace eafe::fpe {
 namespace {
@@ -142,6 +144,38 @@ TEST(FpeModelTest, DeterministicGivenSeed) {
     EXPECT_DOUBLE_EQ(a.PredictProbability(f.values).ValueOrDie(),
                      b.PredictProbability(f.values).ValueOrDie());
   }
+}
+
+TEST(FpeModelTest, VectorPredictMatchesTheHeadsFramePathBitForBit) {
+  for (const FpeModel::ClassifierKind kind :
+       {FpeModel::ClassifierKind::kLogistic,
+        FpeModel::ClassifierKind::kMlp}) {
+    FpeModel::Options options;
+    options.classifier = kind;
+    FpeModel model(options);
+    ASSERT_TRUE(model.Train(MakeSeparableFeatures(80, 21)).ok());
+    for (const auto& f : MakeSeparableFeatures(30, 22)) {
+      const double vector_path = model.PredictProbability(f.values).ValueOrDie();
+      EXPECT_TRUE(testing::SameBits(
+          vector_path, testing::FramePathProbability(model, f.values)))
+          << "classifier " << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST(FpeModelTest, OverflowingValueRangeIsAnError) {
+  // Finite values whose range overflows a double: min-max normalization
+  // would make NaN weights out of them.
+  const std::vector<double> column = {-1e308, 1e308, 0.0, 5.0};
+  FpeModel model;
+  ASSERT_TRUE(model.Train(MakeSeparableFeatures(40, 23)).ok());
+  EXPECT_EQ(model.compressor().Compress(column).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.PredictProbability(column).status().code(),
+            StatusCode::kInvalidArgument);
+  // The widest range that fits still compresses.
+  const double big = std::numeric_limits<double>::max() / 2;
+  EXPECT_TRUE(model.PredictProbability({-big, big, 0.0, 5.0}).ok());
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
-// The MinHash slot fan-out and the uniform-row memo (DESIGN.md §9):
-// WeightedMinHashSelect spreads its slots over the global pool from an
-// off-pool caller and runs them inline on a pool worker, and Compress
-// takes its uniform companion rows from a per-length memo. Both must
-// return the serial result bit for bit, wherever they are called from.
+// The MinHash slot fan-out and the selection memo (DESIGN.md §9):
+// WeightedMinHashSelect spreads the full scans of ICWS, PCWS and LICWS
+// over the global pool from an off-pool caller and runs them inline on a
+// pool worker; CCWS slots always run inline, from a per-length candidate
+// list once the length has one. Compress takes its uniform companion
+// rows from the same per-length memo. All of it must return the serial
+// result bit for bit, wherever it is called from.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -113,18 +117,31 @@ TEST(SlotFanOutTest, FansOutOnlyOffPoolForLongColumns) {
       SampleCompressor::NormalizeWeights(NormalColumn(8000, 2));
   const std::vector<double> short_weights =
       SampleCompressor::NormalizeWeights(NormalColumn(47, 2));
-  const auto select = [](const std::vector<double>& weights) {
-    (void)WeightedMinHashSelect(MinHashScheme::kCcws, weights, 48, 9);
+  const auto select = [](MinHashScheme scheme,
+                         const std::vector<double>& weights) {
+    (void)WeightedMinHashSelect(scheme, weights, 48, 9);
   };
-  // Off the pool, a long column's 48 slots go out as 4 blocks: the
-  // caller runs one, pool workers the other three.
-  EXPECT_EQ(GlobalPoolTasksDuring([&] { select(long_weights); }), 3u);
+  // Off the pool, a long column's 48 ICWS full scans go out as 4 blocks:
+  // the caller runs one, pool workers the other three.
+  EXPECT_EQ(GlobalPoolTasksDuring(
+                [&] { select(MinHashScheme::kIcws, long_weights); }),
+            3u);
+  // CCWS slots stay inline: the first selection of a length (no list
+  // yet), the second (which builds the list) and a third (which reads
+  // it).
+  EXPECT_EQ(GlobalPoolTasksDuring([&] {
+              for (int pass = 0; pass < 3; ++pass) {
+                select(MinHashScheme::kCcws, long_weights);
+              }
+            }),
+            0u);
   // A short column, or any column on a pool worker, stays inline. The
   // other pool is built first, so its own task is not counted.
   runtime::ThreadPool other(1);
   EXPECT_EQ(GlobalPoolTasksDuring([&] {
-              select(short_weights);
-              other.Submit([&] { select(long_weights); }).get();
+              select(MinHashScheme::kIcws, short_weights);
+              other.Submit([&] { select(MinHashScheme::kIcws, long_weights); })
+                  .get();
             }),
             0u);
 }
@@ -196,6 +213,109 @@ TEST(UniformRowMemoTest, ConcurrentCompressOfDifferentLengths) {
   for (size_t k = 0; k < got.size(); ++k) {
     EXPECT_EQ(got[k], expected[k % columns.size()]) << "entry " << k;
   }
+}
+
+/// Compress's result computed without the memo: per CCWS slot the
+/// full-scan oracle's row, per uniform slot PlainHashArgmin's.
+std::vector<double> UnmemoizedSignature(const CompressorOptions& options,
+                                        const std::vector<double>& values) {
+  const std::vector<double> w = SampleCompressor::NormalizeWeights(values);
+  std::vector<double> ccws;
+  for (size_t j = 0; j < options.dimension; ++j) {
+    ccws.push_back(w[simd::internal::CwsArgminScalar(
+        simd::CwsKernelScheme::kCcws, w.data(), nullptr, w.size(),
+        options.seed, j)]);
+  }
+  std::vector<double> uniform;
+  for (size_t j = 0; j < options.extra_uniform_slots; ++j) {
+    uniform.push_back(w[simd::PlainHashArgmin(
+        nullptr, w.size(), options.seed ^ 0xA5A5A5A5ULL, j)]);
+  }
+  std::sort(ccws.begin(), ccws.end());
+  std::sort(uniform.begin(), uniform.end());
+  ccws.insert(ccws.end(), uniform.begin(), uniform.end());
+  return ccws;
+}
+
+TEST(SelectionMemoTest, ConcurrentCompressOfOneFreshLength) {
+  // Four pool tasks meet a length no call has seen: their first and
+  // second sightings, the list build and the listed reads race.
+  CompressorOptions options;
+  options.extra_uniform_slots = 48;
+  const SampleCompressor compressor(options);
+  constexpr size_t kRows = 1933;  // A length no other test compresses.
+  std::vector<std::vector<double>> columns;
+  std::vector<std::vector<double>> expected;
+  for (uint64_t i = 0; i < 6; ++i) {
+    columns.push_back(NormalColumn(kRows, 40 + i));
+    expected.push_back(UnmemoizedSignature(options, columns.back()));
+  }
+  runtime::ThreadPool pool(4);
+  std::vector<std::future<void>> done;
+  std::vector<std::vector<double>> got(4 * columns.size());
+  for (size_t t = 0; t < 4; ++t) {
+    done.push_back(pool.Submit([&, t] {
+      for (size_t r = 0; r < columns.size(); ++r) {
+        const size_t i = (r + t) % columns.size();
+        got[t * columns.size() + i] =
+            compressor.Compress(columns[i]).ValueOrDie();
+      }
+    }));
+  }
+  for (std::future<void>& future : done) future.get();
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k], expected[k % columns.size()]) << "entry " << k;
+  }
+}
+
+TEST(SelectionMemoTest, NeverHoldsMoreListsThanItsCap) {
+  // Twice as many lengths as the memo has lists, each compressed twice
+  // (the second builds its list), from four pool tasks at once.
+  CompressorOptions options;
+  options.dimension = 8;
+  const SampleCompressor compressor(options);
+  std::vector<std::vector<double>> columns;
+  for (size_t i = 0; i < 2 * kMaxCcwsLists; ++i) {
+    columns.push_back(NormalColumn(300 + 31 * i, i));
+  }
+  runtime::ThreadPool pool(4);
+  std::atomic<size_t> most_held{0};
+  std::vector<std::future<void>> done;
+  for (size_t t = 0; t < 4; ++t) {
+    done.push_back(pool.Submit([&, t] {
+      for (size_t r = 0; r < 2 * columns.size(); ++r) {
+        const size_t i = (r / 2 + 5 * t) % columns.size();
+        ASSERT_TRUE(compressor.Compress(columns[i]).ok());
+        const size_t held = CcwsListsHeld();
+        size_t seen = most_held.load();
+        while (held > seen && !most_held.compare_exchange_weak(seen, held)) {
+        }
+      }
+    }));
+  }
+  for (std::future<void>& future : done) future.get();
+  EXPECT_LE(most_held.load(), kMaxCcwsLists);
+  EXPECT_GE(CcwsListsHeld(), 1u);
+}
+
+TEST(SelectionMemoTest, DropsListsOfLengthsNoLongerCompressed) {
+  // A process that has moved on to one length (a search after FPE
+  // pretraining) keeps only that length's list.
+  CompressorOptions options;
+  options.dimension = 8;
+  const SampleCompressor compressor(options);
+  for (size_t rows : {size_t{611}, size_t{612}, size_t{613}}) {
+    for (int pass = 0; pass < 2; ++pass) {
+      ASSERT_TRUE(compressor.Compress(NormalColumn(rows, 1)).ok());
+    }
+  }
+  EXPECT_GE(CcwsListsHeld(), 3u);
+  const std::vector<double> column = NormalColumn(614, 2);
+  const std::vector<double> first = compressor.Compress(column).ValueOrDie();
+  for (int pass = 0; pass < 300; ++pass) {
+    ASSERT_EQ(compressor.Compress(column).ValueOrDie(), first);
+  }
+  EXPECT_EQ(CcwsListsHeld(), 1u);
 }
 
 }  // namespace

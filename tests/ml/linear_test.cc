@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "ml/metrics.h"
 #include "tests/ml/test_util.h"
 
@@ -53,6 +55,46 @@ TEST(LogisticRegressionTest, MultiClassOneVsRest) {
   ASSERT_TRUE(model.Fit(dataset.features, dataset.labels).ok());
   const auto pred = model.Predict(dataset.features).ValueOrDie();
   EXPECT_GT(LabelAccuracy(dataset.labels, pred), 0.9);
+}
+
+// The one-row predict over a feature vector returns the bits of the frame
+// path on that row, for a fitted model and a restored copy of it.
+TEST(LogisticRegressionTest, RowProbaMatchesOneRowFrameBitForBit) {
+  for (const data::Dataset& dataset : {MakeSeparable(120, 11),
+                                       MakeBlobs(120, 12)}) {
+    LogisticRegression model;
+    ASSERT_TRUE(model.Fit(dataset.features, dataset.labels).ok());
+    LogisticRegression restored;
+    ASSERT_TRUE(restored
+                    .RestoreFitted(model.scaler(), model.all_weights(),
+                                   model.num_classes())
+                    .ok());
+    const std::vector<double> all =
+        model.PredictProba(dataset.features).ValueOrDie();
+    std::vector<double> row;
+    for (size_t r = 0; r < dataset.features.num_rows(); ++r) {
+      dataset.features.CopyRow(r, &row);
+      const double one_row =
+          model.PredictProba(dataset.features.SelectRows({r}))
+              .ValueOrDie()[0];
+      for (const LogisticRegression* head : {&model, &restored}) {
+        const double got = head->PredictRowProba(row).ValueOrDie();
+        EXPECT_EQ(std::memcmp(&got, &one_row, sizeof(double)), 0)
+            << "row " << r;
+        EXPECT_EQ(std::memcmp(&got, &all[r], sizeof(double)), 0)
+            << "row " << r;
+      }
+    }
+    EXPECT_EQ(model.PredictRowProba(std::vector<double>(row.size() + 1))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(LogisticRegression()
+                .PredictRowProba(std::vector<double>{1.0})
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(LogisticRegressionTest, ErrorsOnBadInput) {

@@ -18,6 +18,7 @@
 #include "ml/random_forest.h"
 #include "serve/flat_predictor.h"
 #include "serve/wire.h"
+#include "tests/fpe/fpe_test_util.h"
 
 namespace eafe::serve {
 namespace {
@@ -271,6 +272,32 @@ TEST(ModelStoreTest, FpeLogisticRoundTrip) {
   for (const auto& f : MakeFeatures(20, 14)) {
     EXPECT_EQ(model.PredictProbability(f.values).ValueOrDie(),
               loaded.fpe->PredictProbability(f.values).ValueOrDie());
+  }
+}
+
+// FpeModel::PredictProbability predicts from the input vector; after a
+// trip through a model file it must still return the bits of the head's
+// frame path, and the bits the saved model returned.
+TEST(ModelStoreTest, FpeVectorPredictMatchesFramePathAfterSaveAndLoad) {
+  for (const fpe::FpeModel::ClassifierKind kind :
+       {fpe::FpeModel::ClassifierKind::kLogistic,
+        fpe::FpeModel::ClassifierKind::kMlp}) {
+    const fpe::FpeModel model = TrainFpe(kind, 31);
+    const std::string path = ::testing::TempDir() + "/fpe_vector.eafe";
+    ASSERT_TRUE(SaveModel(model, path).ok());
+    const LoadedModel loaded = LoadModel(path).ValueOrDie();
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.fpe.has_value());
+    for (const auto& f : MakeFeatures(20, 32)) {
+      const double restored =
+          loaded.fpe->PredictProbability(f.values).ValueOrDie();
+      EXPECT_TRUE(fpe::testing::SameBits(
+          restored, fpe::testing::FramePathProbability(*loaded.fpe, f.values)))
+          << "classifier " << static_cast<int>(kind);
+      EXPECT_TRUE(fpe::testing::SameBits(
+          restored, model.PredictProbability(f.values).ValueOrDie()))
+          << "classifier " << static_cast<int>(kind);
+    }
   }
 }
 

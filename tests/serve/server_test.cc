@@ -19,6 +19,7 @@
 #include "serve/model_store.h"
 #include "serve/server/client.h"
 #include "serve/wire.h"
+#include "tests/fpe/fpe_test_util.h"
 
 namespace eafe::serve::server {
 namespace {
@@ -219,7 +220,32 @@ TEST(EafeServerTest, FpeModelScoresCandidateRows) {
                                   values.begin() + (r + 1) * 32);
     EXPECT_EQ(reply.values[r],
               reference.PredictProbability(row).ValueOrDie());
+    // The reply carries the bits of the head's frame path too.
+    EXPECT_TRUE(fpe::testing::SameBits(
+        reply.values[r], fpe::testing::FramePathProbability(reference, row)));
   }
+}
+
+// A finite candidate whose value range overflows a double cannot be
+// min-max normalized: its request gets an error reply, and the server
+// goes on answering.
+TEST(EafeServerTest, FpeCandidateWithOverflowingRangeIsAnError) {
+  const fpe::FpeModel reference = TrainFpe();
+  std::unique_ptr<EafeServer> server = StartFpeServer(reference);
+  BlockingClient client =
+      BlockingClient::Connect("127.0.0.1", server->port()).ValueOrDie();
+  const Message failed =
+      client.Predict(1, "fpe", true, 1, 4, {-1e308, 1e308, 0.0, 5.0})
+          .ValueOrDie();
+  ASSERT_EQ(failed.type, MessageType::kErrorResponse);
+  EXPECT_EQ(static_cast<StatusCode>(failed.code),
+            StatusCode::kInvalidArgument);
+  const std::vector<double> row = {-1.0, 1.0, 0.0, 5.0};
+  const Message good = client.Predict(2, "fpe", true, 1, 4, row).ValueOrDie();
+  ASSERT_EQ(good.type, MessageType::kPredictResponse) << good.text;
+  ASSERT_EQ(good.values.size(), 1u);
+  EXPECT_TRUE(fpe::testing::SameBits(
+      good.values[0], reference.PredictProbability(row).ValueOrDie()));
 }
 
 // The queue coalesces FPE requests from different connections, so one

@@ -164,8 +164,9 @@ run_release() {
   cmake -B "${root}/build-release" -S "${root}" \
     -DCMAKE_BUILD_TYPE=Release -DEAFE_WERROR=ON >/dev/null
   cmake --build "${root}/build-release" -j "${jobs}" \
-    --target micro_tree micro_hashing eafe_simd_test fig9_scalability \
-             bench_schema_check eafe_search_pipeline_test eafe_ml_test
+    --target micro_tree micro_hashing eafe_simd_test eafe_hashing_test \
+             fig9_scalability bench_schema_check eafe_search_pipeline_test \
+             eafe_ml_test
   "${root}/build-release/bench/micro_tree" --smoke
   # MinHash SIMD dispatch smoke: the signatures from the full-scan and
   # pruned argmins must be the same bits at both tiers, and the AVX2
@@ -175,7 +176,9 @@ run_release() {
   # BENCH_simd.json snapshots micro_hashing's full --simd grid.
   "${root}/build-release/bench/micro_hashing" --simd-smoke
   # Forced-fallback rerun: the simd-labeled dispatch-equivalence tests
-  # must stay green with every specialized tier disabled.
+  # (the kernel tests, and the hashing tests, whose CCWS candidate lists
+  # fall back to the tiered kernel) must stay green with every
+  # specialized tier disabled.
   EAFE_SIMD=scalar ctest --test-dir "${root}/build-release" \
     --output-on-failure --timeout 600 -L '^simd$'
   # The golden digests claim to hold at every SIMD tier; the simd-labeled
