@@ -228,10 +228,11 @@ int RunSimdRows(bool smoke) {
   return ok ? 0 : 1;
 }
 
+constexpr int kCompressReps = 41;
+
 /// Best of kCompressReps seconds of `compress(r)` over r = 0, 1, ...
 template <typename Fn>
 double BestSeconds(const Fn& compress) {
-  constexpr int kCompressReps = 41;
   double best = 0.0;
   for (int r = 0; r < kCompressReps; ++r) {
     Stopwatch timer;
@@ -244,20 +245,23 @@ double BestSeconds(const Fn& compress) {
 }
 
 /// Compress lines: one signature of a normal column as the FPE computes
-/// it (CCWS, d = 48, 48 uniform slots), best of 41 from this thread. The
+/// it (CCWS, d = 48, 48 uniform slots), best of 41 on one thread. The
 /// cold line times first sights, each of a fresh length just above
-/// `rows`; the warm line times a length whose second Compress built its
-/// list. Returns false when the warm signature differs from the cold
-/// one.
+/// `rows` whose column is drawn before the clock starts; the warm line
+/// times a length whose second Compress built its list. Returns false
+/// when the warm signature differs from the cold one.
 bool RunCompressRows() {
   CompressorOptions options;
   options.extra_uniform_slots = 48;
   const SampleCompressor compressor(options);
   bool identical = true;
   for (const size_t rows : {size_t{1500}, size_t{8000}}) {
+    std::vector<std::vector<double>> fresh;
+    for (int r = 0; r < kCompressReps; ++r) {
+      fresh.push_back(RandomFeature(rows + 1 + static_cast<size_t>(r)));
+    }
     const double cold = BestSeconds([&](int r) {
-      return compressor.Compress(
-          RandomFeature(rows + 1 + static_cast<size_t>(r)));
+      return compressor.Compress(fresh[static_cast<size_t>(r)]);
     });
     const std::vector<double> feature = RandomFeature(rows);
     const std::vector<double> unlisted =
@@ -301,6 +305,9 @@ void PrintHostLine(double seconds) {
 }
 
 int RunSimd(bool smoke) {
+  // An unlisted selection and a list build spread over the global pool;
+  // every line here times one thread.
+  runtime::SetGlobalThreads(1);
   Stopwatch wall;
   const int grid = RunSimdRows(smoke);
   const bool identical = RunCompressRows();

@@ -15,6 +15,19 @@ constexpr double kRebalancePositiveFraction = 0.5;
 /// Epochs of the logistic and MLP classifiers.
 constexpr size_t kClassifierEpochs = 120;
 
+/// Positions of `features`, stably ordered by column length. Compressing
+/// in this order meets each length in one run, so the compressor's
+/// per-length memo (DESIGN.md §9, "Selection memo") serves a corpus of
+/// any number of lengths; the inputs do not depend on the order.
+std::vector<size_t> LengthOrder(const std::vector<LabeledFeature>& features) {
+  std::vector<size_t> order(features.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return features[a].values.size() < features[b].values.size();
+  });
+  return order;
+}
+
 }  // namespace
 
 FpeModel::FpeModel(const Options& options) : options_(options) {
@@ -57,19 +70,19 @@ Result<std::vector<double>> FpeModel::BuildInput(
 }
 
 Result<data::DataFrame> FpeModel::SignatureFrame(
-    const std::vector<LabeledFeature>& features) const {
-  const size_t d = InputDimension();
-  std::vector<std::vector<double>> columns(d);
-  for (auto& col : columns) col.reserve(features.size());
-  for (const LabeledFeature& feature : features) {
-    EAFE_ASSIGN_OR_RETURN(std::vector<double> input,
-                          BuildInput(feature.values));
-    for (size_t j = 0; j < d; ++j) columns[j].push_back(input[j]);
+    const std::vector<LabeledFeature>& features,
+    const std::vector<size_t>& rows) const {
+  std::vector<std::vector<double>> inputs(features.size());
+  for (size_t i : LengthOrder(features)) {
+    EAFE_ASSIGN_OR_RETURN(inputs[i], BuildInput(features[i].values));
   }
   data::DataFrame frame;
-  for (size_t j = 0; j < d; ++j) {
+  for (size_t j = 0; j < InputDimension(); ++j) {
+    std::vector<double> column;
+    column.reserve(rows.size());
+    for (size_t i : rows) column.push_back(inputs[i][j]);
     EAFE_RETURN_NOT_OK(frame.AddColumn(
-        data::Column(StrFormat("s%zu", j), std::move(columns[j]))));
+        data::Column(StrFormat("s%zu", j), std::move(column))));
   }
   return frame;
 }
@@ -106,16 +119,10 @@ Status FpeModel::Train(const std::vector<LabeledFeature>& features) {
         static_cast<uint64_t>(minority_indices.size()))]);
   }
 
-  std::vector<LabeledFeature> training;
-  training.reserve(order.size());
-  for (size_t i : order) training.push_back(features[i]);
-
-  EAFE_ASSIGN_OR_RETURN(data::DataFrame x, SignatureFrame(training));
+  EAFE_ASSIGN_OR_RETURN(data::DataFrame x, SignatureFrame(features, order));
   std::vector<double> y;
-  y.reserve(training.size());
-  for (const LabeledFeature& f : training) {
-    y.push_back(static_cast<double>(f.label));
-  }
+  y.reserve(order.size());
+  for (size_t i : order) y.push_back(static_cast<double>(features[i].label));
 
   switch (options_.classifier) {
     case ClassifierKind::kLogistic: {
@@ -220,14 +227,11 @@ Result<int> FpeModel::PredictLabel(const std::vector<double>& values) const {
 Result<stats::BinaryCounts> FpeModel::Evaluate(
     const std::vector<LabeledFeature>& features) const {
   if (!trained_) return Status::FailedPrecondition("FPE model not trained");
-  std::vector<int> truth;
-  std::vector<int> predicted;
-  truth.reserve(features.size());
-  predicted.reserve(features.size());
-  for (const LabeledFeature& f : features) {
-    EAFE_ASSIGN_OR_RETURN(int label, PredictLabel(f.values));
-    truth.push_back(f.label);
-    predicted.push_back(label);
+  std::vector<int> truth(features.size());
+  std::vector<int> predicted(features.size());
+  for (size_t i : LengthOrder(features)) {
+    EAFE_ASSIGN_OR_RETURN(predicted[i], PredictLabel(features[i].values));
+    truth[i] = features[i].label;
   }
   return stats::CountBinary(truth, predicted);
 }

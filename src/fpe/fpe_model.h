@@ -87,9 +87,11 @@ class FpeModel {
   Result<std::vector<double>> BuildInput(
       const std::vector<double>& values) const;
 
-  /// Builds the input frame (one row per feature).
+  /// Builds the input frame: row r holds the input of
+  /// features[rows[r]], each distinct feature compressed once.
   Result<data::DataFrame> SignatureFrame(
-      const std::vector<LabeledFeature>& features) const;
+      const std::vector<LabeledFeature>& features,
+      const std::vector<size_t>& rows) const;
 
   Options options_;
   hashing::SampleCompressor compressor_;

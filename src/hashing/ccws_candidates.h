@@ -5,6 +5,10 @@
 #include <cstdint>
 #include <vector>
 
+namespace eafe::runtime {
+class ThreadPool;
+}  // namespace eafe::runtime
+
 namespace eafe::hashing {
 
 /// The value-independent half of a CCWS selection over columns of
@@ -25,8 +29,10 @@ class CcwsCandidates {
   static constexpr size_t kDepth = 128;
 
   /// Lists every one of `num_slots` slots: one hashing pass over all
-  /// rows per slot. Requires 1 <= rows <= UINT32_MAX.
-  CcwsCandidates(size_t rows, uint64_t seed, size_t num_slots);
+  /// rows per slot, spread over `pool` (null: inline). Requires
+  /// 1 <= rows <= UINT32_MAX.
+  CcwsCandidates(size_t rows, uint64_t seed, size_t num_slots,
+                 runtime::ThreadPool* pool = nullptr);
 
   /// Slot `slot`'s CCWS argmin over `weights`: `rows()` nonnegative
   /// weights with at least one positive, the largest of them
@@ -44,8 +50,9 @@ class CcwsCandidates {
     uint32_t row;
   };
 
-  /// Lists slot `slot` into entries_ and rest_.
-  void BuildSlot(uint64_t slot);
+  /// Lists slot `slot` into entries_ and rest_, ranking the rows whose
+  /// u1·u2 exceeds `cut` (every row when too few do).
+  void BuildSlot(uint64_t slot, double cut);
 
   size_t rows_;
   uint64_t seed_;

@@ -95,33 +95,41 @@ std::vector<double> LogWeights(const std::vector<double>& weights) {
   return logs;
 }
 
-/// Runs slot(j) for every j in [0, num_slots) over a column of `rows`
-/// elements, spread over the global pool: the full scans of ICWS, PCWS
-/// and LICWS, and the all-zero fallback. Each slot is a pure function of
-/// (weights, seed, j) that writes only its own index, so the result is
-/// the serial loop's at any thread count.
+/// The pool a selection spreads its per-slot work over, for a column of
+/// `rows` elements: the global pool, or null to run inline. The full
+/// scans of ICWS, PCWS and LICWS, an unlisted CCWS selection, a list
+/// build and the all-zero fallback use it; a listed CCWS slot costs less
+/// than a pool round trip and always runs inline. Each slot is a pure
+/// function of (weights, seed, j) that writes only its own index, so the
+/// result is the serial loop's at any thread count.
 ///
-/// Columns shorter than kSlotFanOutMinRows stay inline. 48 pruned CCWS
-/// slots fanned over 4 threads broke even with the serial loop at 32-64
-/// rows and ran 1.6-1.8x faster at 128 (median of 201, 4-vCPU AVX2 guest
-/// with idle cores), and a full ICWS scan costs more per row; below that
-/// a pool round trip costs more than the slots it spreads, and with busy
-/// cores fan-out only adds the round trip. A caller already on a pool
-/// worker (a search pipeline worker, which filters and then evaluates its
-/// own task, or a server's FPE route) also stays inline: ParallelFor
-/// would run inline there anyway, and skipping GlobalPool() keeps a
-/// process that never asked for the global pool from building one.
+/// Columns shorter than kSlotFanOutMinRows stay inline. The constant was
+/// measured on the pruned CCWS kernel, which an unlisted CCWS selection
+/// still runs: 48 slots fanned over 4 threads broke even with the serial
+/// loop at 32-64 rows and ran 1.6-1.8x faster at 128 (median of 201,
+/// 4-vCPU AVX2 guest with idle cores). The ICWS and PCWS crossover was
+/// not measured; for them the constant is carried over. Below it a pool
+/// round trip costs more than the slots it spreads, and with busy cores
+/// fan-out only adds the round trip. A caller already on
+/// a pool worker (a search pipeline worker, which filters and then
+/// evaluates its own task, or a server's FPE route) also stays inline:
+/// ParallelFor would run inline there anyway, and skipping GlobalPool()
+/// keeps a process that never asked for the global pool from building
+/// one.
 constexpr size_t kSlotFanOutMinRows = 128;
+
+runtime::ThreadPool* SlotPool(size_t rows) {
+  return rows >= kSlotFanOutMinRows && !runtime::ThreadPool::OnWorkerThread()
+             ? runtime::GlobalPool()
+             : nullptr;
+}
 
 template <typename SlotFn>
 void ForEachSlot(size_t rows, size_t num_slots, const SlotFn& slot) {
-  runtime::ThreadPool* pool =
-      rows >= kSlotFanOutMinRows && !runtime::ThreadPool::OnWorkerThread()
-          ? runtime::GlobalPool()
-          : nullptr;
-  runtime::ParallelFor(pool, num_slots, [&](size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) slot(j);
-  });
+  runtime::ParallelFor(SlotPool(rows), num_slots,
+                       [&](size_t begin, size_t end) {
+                         for (size_t j = begin; j < end; ++j) slot(j);
+                       });
 }
 
 /// Key of a value-independent selection part: a column length, a hash
@@ -150,12 +158,6 @@ class RoundRobinTable {
     entry = {true, key, std::move(value)};
     return entry.value;
   }
-  template <typename Fn>
-  void ForEach(const Fn& fn) {
-    for (Entry& entry : entries_) {
-      if (entry.used) fn(entry.value);
-    }
-  }
 
  private:
   struct Entry {
@@ -170,11 +172,28 @@ class RoundRobinTable {
 /// The value-independent parts of selections, one process-wide memo
 /// behind one mutex: the uniform companion rows of Compress and the CCWS
 /// candidate lists. Both are functions of their MemoKey alone, so a hit
-/// is exactly what a miss computes. A search compresses columns of one
-/// length and FPE pretraining of about eight, so eight entries per part
-/// hold every length in play. A list is 48 slots x 128 rows x 8 bytes
-/// (48 KiB): kMaxCcwsLists bounds their memory, and lists idle for
-/// kIdleSelections selections are dropped.
+/// is exactly what a miss computes.
+///
+/// A list is 48 slots x 128 rows x 8 bytes (48 KiB) and costs 1.6-3.8x
+/// an unlisted selection to build (DESIGN.md §9), so the memo builds one
+/// only for a length that recurs and never replaces a list in use:
+/// - A key's first CCWS selection is recorded in a sightings table of
+///   kSightings keys, apart from the lists, so a stream of one-off lengths
+///   (a server's FPE route, one CLI call) builds nothing and displaces no
+///   list.
+/// - A sighted key's next selection builds its list into a free one of
+///   kMaxCcwsLists slots. With none free it runs unlisted, as it would
+///   without the memo: more recurring lengths than slots cost the extra
+///   lengths the kernel, never a list rebuilt in turn.
+/// - A list idle for more than kCcwsIdleSelections CCWS selections frees
+///   its slot (checked when a key wants one, and every kCcwsIdleSelections
+///   selections), so lengths a process has moved on from (the FPE
+///   pretraining corpus, once a search runs) neither hold memory nor
+///   block a new length.
+/// The traffic measured (EXPERIMENTS.md, "Selection memo under many
+/// lengths"): FPE pretraining on 8, 10 and 24 corpus lengths (e2ebench's
+/// setup, `eafe pretrain`, a `--full` bench), which FpeModel compresses
+/// grouped by length, and searches, which compress one length each.
 class SelectionMemo {
  public:
   std::vector<size_t> UniformRows(size_t rows, uint64_t seed,
@@ -192,66 +211,79 @@ class SelectionMemo {
     return uniform_rows_.Put(key, std::move(selected));
   }
 
-  /// The key's candidate list, built on its second sight: null on the
-  /// first, so a length compressed once (a server's FPE route, one CLI
-  /// call) never pays for a list. Readers share the list.
+  /// The key's candidate list, or null when the selection runs unlisted:
+  /// at the key's first sight, with every list slot in use, or while
+  /// another caller builds the key's list. Readers share the list.
   std::shared_ptr<const CcwsCandidates> CcwsList(size_t rows, uint64_t seed,
                                                  size_t slots) {
     if (rows > std::numeric_limits<uint32_t>::max()) return nullptr;
     const MemoKey key = {rows, seed, slots};
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      if (++selections_ % kIdleSelections == 0) DropIdleLists();
-      CcwsEntry* held = ccws_.Find(key);
-      if (held == nullptr) {
-        ccws_.Put(key, {nullptr, selections_});  // First sight.
+      if (++selections_ % kCcwsIdleSelections == 0) FreeIdleSlots();
+      if (ListSlot* held = FindList(key)) {
+        held->last_use = selections_;
+        return held->list;  // Null while another caller builds it.
+      }
+      if (sightings_.Find(key) == nullptr) {
+        sightings_.Put(key, true);
         return nullptr;
       }
-      held->last_use = selections_;
-      if (held->list != nullptr) return held->list;
+      FreeIdleSlots();
+      ListSlot* free_slot = FreeList();
+      if (free_slot == nullptr) return nullptr;
+      *free_slot = {true, key, nullptr, selections_};  // Reserved.
     }
-    auto list = std::make_shared<const CcwsCandidates>(rows, seed, slots);
+    auto list = std::make_shared<const CcwsCandidates>(rows, seed, slots,
+                                                       SlotPool(rows));
     const std::lock_guard<std::mutex> lock(mutex_);
-    CcwsEntry* held = ccws_.Find(key);
-    if (held == nullptr) held = &ccws_.Put(key, {nullptr, selections_});
-    if (held->list == nullptr) held->list = std::move(list);  // Else another
-                                                             // caller won.
-    return held->list;
+    // The reservation is gone if it idled out during the build.
+    if (ListSlot* held = FindList(key); held != nullptr) held->list = list;
+    return list;
   }
 
   size_t CcwsListsHeld() {
     const std::lock_guard<std::mutex> lock(mutex_);
     size_t held = 0;
-    ccws_.ForEach([&](const CcwsEntry& entry) {
-      held += entry.list != nullptr ? 1 : 0;
-    });
+    for (const ListSlot& slot : lists_) held += slot.list != nullptr ? 1 : 0;
     return held;
   }
 
  private:
-  /// A key's list, null from its first sight until its second, and the
-  /// CCWS selection count at its last use.
-  struct CcwsEntry {
+  /// One list slot: its key's list (null while reserved for a build) and
+  /// the CCWS selection count at the key's last use.
+  struct ListSlot {
+    bool used = false;
+    MemoKey key;
     std::shared_ptr<const CcwsCandidates> list;
     uint64_t last_use = 0;
   };
 
-  /// Lists idle for this many CCWS selections are dropped: FPE
-  /// pretraining lists the corpus lengths, and a search that follows
-  /// compresses only its own, so the corpus lists would otherwise hold
-  /// their memory through the search's peak. A dropped key rebuilds its
-  /// list at its next sight.
-  static constexpr uint64_t kIdleSelections = 64;
+  /// Keys whose first CCWS selection the memo remembers.
+  static constexpr size_t kSightings = 64;
 
-  void DropIdleLists() {
-    ccws_.ForEach([&](CcwsEntry& entry) {
-      if (selections_ - entry.last_use > kIdleSelections) entry.list.reset();
-    });
+  ListSlot* FindList(const MemoKey& key) {
+    for (ListSlot& slot : lists_) {
+      if (slot.used && slot.key == key) return &slot;
+    }
+    return nullptr;
+  }
+  ListSlot* FreeList() {
+    for (ListSlot& slot : lists_) {
+      if (!slot.used) return &slot;
+    }
+    return nullptr;
+  }
+  void FreeIdleSlots() {
+    for (ListSlot& slot : lists_) {
+      if (selections_ - slot.last_use > kCcwsIdleSelections) slot = {};
+    }
   }
 
   std::mutex mutex_;
   RoundRobinTable<std::vector<size_t>, 8> uniform_rows_;
-  RoundRobinTable<CcwsEntry, kMaxCcwsLists> ccws_;
+  RoundRobinTable<bool, kSightings> sightings_;
+  std::array<ListSlot, kMaxCcwsLists> lists_;
   uint64_t selections_ = 0;
 };
 
@@ -298,21 +330,25 @@ std::vector<size_t> WeightedMinHashSelect(MinHashScheme scheme,
     return selected;
   }
   if (scheme == MinHashScheme::kCcws) {
-    // A listed slot evaluates a few rows, which costs less than a pool
-    // round trip, so CCWS slots run inline. A slot falls back to the full
-    // kernel when its length has no list yet or its list runs out.
     const std::shared_ptr<const CcwsCandidates> list =
         Memo().CcwsList(n, seed, num_slots);
-    for (size_t j = 0; j < num_slots; ++j) {
-      size_t k = list != nullptr ? list->Select(weights.data(), max_weight, j)
-                                 : n;
-      if (k == n) {
-        k = simd::CwsArgmin(simd::CwsKernelScheme::kCcws, weights.data(),
-                            nullptr, n, seed, j);
-      }
+    const auto kernel = [&](size_t j) {
+      const size_t k = simd::CwsArgmin(simd::CwsKernelScheme::kCcws,
+                                       weights.data(), nullptr, n, seed, j);
       EAFE_CHECK_MSG(k < n,
                      "consistent weighted sampling needs a positive weight");
       selected[j] = k;
+    };
+    if (list == nullptr) {
+      ForEachSlot(n, num_slots, kernel);
+      return selected;
+    }
+    // A listed slot evaluates a few rows, which costs less than a pool
+    // round trip, so listed slots run inline; one whose list runs out
+    // falls back to the kernel.
+    for (size_t j = 0; j < num_slots; ++j) {
+      selected[j] = list->Select(weights.data(), max_weight, j);
+      if (selected[j] == n) kernel(j);
     }
     return selected;
   }

@@ -47,9 +47,9 @@ const std::vector<MinHashScheme>& AllMinHashSchemes();
 /// need nonnegative weights and select, per slot, the element whose
 /// consistent weighted sample wins it, never one of weight 0; they fall
 /// back to plain hashing over all elements when every weight is zero.
-/// From the second kCcws selection over a (length, seed, num_slots) on,
-/// the slots read that key's memoized candidate list (ccws_candidates.h)
-/// instead of hashing every element; the result is the same.
+/// A kCcws selection over a (length, seed, num_slots) that recurs reads
+/// that key's memoized candidate list (ccws_candidates.h) instead of
+/// hashing every element; the result is the same.
 std::vector<size_t> WeightedMinHashSelect(MinHashScheme scheme,
                                           const std::vector<double>& weights,
                                           size_t num_slots, uint64_t seed);
@@ -65,8 +65,10 @@ std::vector<size_t> UniformSlotRows(size_t rows, uint64_t seed,
                                     size_t num_slots);
 
 /// Candidate lists the selection memo holds at most (a list is 48 KiB at
-/// 48 slots), and how many it holds now (for tests).
+/// 48 slots), the CCWS selections after which an unused list is dropped,
+/// and how many lists the memo holds now (for tests).
 inline constexpr size_t kMaxCcwsLists = 8;
+inline constexpr uint64_t kCcwsIdleSelections = 64;
 size_t CcwsListsHeld();
 
 }  // namespace eafe::hashing

@@ -29,6 +29,17 @@ Result<Matrix> DesignMatrix(const data::StandardScaler& scaler,
   return design;
 }
 
+/// DesignMatrix of a one-row frame holding `row`, without the frame.
+Matrix DesignRow(const data::StandardScaler& scaler,
+                 std::span<const double> row) {
+  Matrix design(1, row.size() + 1);
+  for (size_t c = 0; c < row.size(); ++c) {
+    design(0, c) = scaler.Scale(c, row[c]);
+  }
+  design(0, row.size()) = 1.0;
+  return design;
+}
+
 /// The linear score w . row, summed from 0 in feature order.
 double Score(const std::vector<double>& w, const double* row) {
   double z = 0.0;
@@ -163,6 +174,11 @@ Result<std::vector<std::vector<double>>> LogisticRegression::ScoreAll(
     const data::DataFrame& x) const {
   EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, x));
   EAFE_ASSIGN_OR_RETURN(Matrix xm, DesignMatrix(scaler_, x));
+  return ScoreDesign(xm);
+}
+
+std::vector<std::vector<double>> LogisticRegression::ScoreDesign(
+    const Matrix& xm) const {
   std::vector<std::vector<double>> scores(weights_.size());
   for (size_t head = 0; head < weights_.size(); ++head) {
     scores[head].resize(xm.rows());
@@ -207,17 +223,9 @@ Result<std::vector<double>> LogisticRegression::PredictProba(
 Result<double> LogisticRegression::PredictRowProba(
     std::span<const double> row) const {
   EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, row.size()));
-  // DesignMatrix's row: standardized features, then the bias input.
-  std::vector<double> design(row.size() + 1, 1.0);
-  for (size_t c = 0; c < row.size(); ++c) {
-    design[c] = scaler_.Scale(c, row[c]);
-  }
-  std::vector<double> scores(weights_.size());
-  for (size_t head = 0; head < weights_.size(); ++head) {
-    scores[head] = Sigmoid(Score(weights_[head], design.data()));
-  }
+  const auto scores = ScoreDesign(DesignRow(scaler_, row));
   return ClassOneProbability(scores.size(),
-                             [&](size_t head) { return scores[head]; });
+                             [&](size_t head) { return scores[head][0]; });
 }
 
 LinearSvm::LinearSvm(const Options& options) : options_(options) {}

@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "core/matrix.h"
 #include "data/scaler.h"
 #include "ml/model.h"
 
@@ -63,9 +64,11 @@ class LogisticRegression : public Model {
                        size_t num_classes);
 
  private:
-  /// Per-class decision scores (sigmoid of the linear score).
+  /// Per-class decision scores (sigmoid of the linear score), [class][row].
   Result<std::vector<std::vector<double>>> ScoreAll(
       const data::DataFrame& x) const;
+  /// ScoreAll over a design matrix: standardized rows, then the bias 1.
+  std::vector<std::vector<double>> ScoreDesign(const Matrix& xm) const;
 
   Options options_;
   data::StandardScaler scaler_;

@@ -6,7 +6,10 @@
 #include <limits>
 
 #include "core/rng.h"
+#include "hashing/weighted_minhash.h"
+#include "simd/simd.h"
 #include "tests/fpe/fpe_test_util.h"
+#include "tests/hashing/selection_memo_test_util.h"
 
 namespace eafe::fpe {
 namespace {
@@ -176,6 +179,40 @@ TEST(FpeModelTest, OverflowingValueRangeIsAnError) {
   // The widest range that fits still compresses.
   const double big = std::numeric_limits<double>::max() / 2;
   EXPECT_TRUE(model.PredictProbability({-big, big, 0.0, 5.0}).ok());
+}
+
+uint64_t CwsArgmins() {
+  return simd::DispatchCount(simd::Kernel::kCwsArgmin, simd::Level::kScalar) +
+         simd::DispatchCount(simd::Kernel::kCwsArgmin, simd::Level::kAvx2);
+}
+
+TEST(FpeModelTest, TrainingCompressesEachLengthInOneRun) {
+  // Twice as many lengths as the selection memo holds lists, ten features
+  // each, in interleaved order. Compressed grouped by length, each length
+  // runs the CCWS kernel on its first sight and reads its list after; in
+  // the given order, eight lengths would hold every list and the other
+  // eight would run the kernel on every feature.
+  hashing::EmptySelectionMemo();
+  constexpr size_t kLengths = 2 * hashing::kMaxCcwsLists;
+  Rng rng(9);
+  std::vector<LabeledFeature> features;
+  for (size_t copy = 0; copy < 10; ++copy) {
+    for (size_t i = 0; i < kLengths; ++i) {
+      LabeledFeature f;
+      f.label = static_cast<int>((copy + i) % 2);
+      f.values.resize(400 + 11 * i);
+      for (double& v : f.values) v = rng.Normal();
+      features.push_back(std::move(f));
+    }
+  }
+  FpeModel::Options options;
+  options.compressor.dimension = 8;
+  FpeModel model(options);
+  simd::ResetDispatchCounts();
+  ASSERT_TRUE(model.Train(features).ok());
+  // One unlisted selection per length, and room for the rare slot whose
+  // list runs out.
+  EXPECT_LT(CwsArgmins(), 2 * kLengths * options.compressor.dimension);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "simd/minhash_kernels.h"
 #include "simd/portable_math.h"
 #include "simd/simd.h"
+#include "tests/hashing/selection_memo_test_util.h"
 
 namespace eafe::hashing {
 namespace {
@@ -99,6 +100,7 @@ TEST(CcwsCandidatesTest, ListedSelectionMatchesOracleAcrossWeightFamilies) {
                    size_t{8000}}) {
     lengths.push_back(n);
   }
+  EmptySelectionMemo();
   for (const size_t n : lengths) {
     const size_t slots = n < 2000 ? 24 : 8;
     for (const uint64_t seed : kSeeds) {
@@ -106,7 +108,8 @@ TEST(CcwsCandidatesTest, ListedSelectionMatchesOracleAcrossWeightFamilies) {
       for (const char* family : kFamilies) {
         const std::vector<double> w = FamilyWeights(family, n, seed);
         // The first selection of (n, seed, slots) runs the kernel, the
-        // second builds the memo's list and the third reads it.
+        // second builds the memo's list and the third reads it (the
+        // lists of earlier keys idle out, so a slot is free).
         std::vector<std::vector<size_t>> selections;
         for (int pass = 0; pass < 3; ++pass) {
           selections.push_back(
@@ -199,6 +202,7 @@ TEST(CcwsCandidatesTest, SecondCompressOfALengthRunsNoKernel) {
   options.extra_uniform_slots = 48;
   const SampleCompressor compressor(options);
   constexpr size_t kRows = 2741;  // A length no other test compresses.
+  EmptySelectionMemo();
   simd::ResetDispatchCounts();
   ASSERT_TRUE(compressor.Compress(NormalColumn(kRows, 1)).ok());
   // The first Compress of a length has no list: every slot runs the

@@ -1,10 +1,10 @@
 // The MinHash slot fan-out and the selection memo (DESIGN.md §9):
-// WeightedMinHashSelect spreads the full scans of ICWS, PCWS and LICWS
-// over the global pool from an off-pool caller and runs them inline on a
-// pool worker; CCWS slots always run inline, from a per-length candidate
-// list once the length has one. Compress takes its uniform companion
-// rows from the same per-length memo. All of it must return the serial
-// result bit for bit, wherever it is called from.
+// WeightedMinHashSelect spreads the full scans of ICWS, PCWS and LICWS,
+// an unlisted CCWS selection and a candidate list's build over the
+// global pool from an off-pool caller and runs them inline on a pool
+// worker; a listed CCWS selection always runs inline. Compress takes its
+// uniform companion rows from the same per-length memo. All of it must
+// return the serial result bit for bit, wherever it is called from.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "runtime/thread_pool.h"
 #include "simd/minhash_kernels.h"
 #include "simd/simd.h"
+#include "tests/hashing/selection_memo_test_util.h"
 
 namespace eafe::hashing {
 namespace {
@@ -126,15 +127,15 @@ TEST(SlotFanOutTest, FansOutOnlyOffPoolForLongColumns) {
   EXPECT_EQ(GlobalPoolTasksDuring(
                 [&] { select(MinHashScheme::kIcws, long_weights); }),
             3u);
-  // CCWS slots stay inline: the first selection of a length (no list
-  // yet), the second (which builds the list) and a third (which reads
-  // it).
-  EXPECT_EQ(GlobalPoolTasksDuring([&] {
-              for (int pass = 0; pass < 3; ++pass) {
-                select(MinHashScheme::kCcws, long_weights);
-              }
-            }),
-            0u);
+  // CCWS: the first selection of a length has no list and spreads its
+  // kernel scans the same way, the second spreads the build of the
+  // length's list, and a listed selection runs inline.
+  EmptySelectionMemo();
+  for (const uint64_t tasks : {3u, 3u, 0u}) {
+    EXPECT_EQ(GlobalPoolTasksDuring(
+                  [&] { select(MinHashScheme::kCcws, long_weights); }),
+              tasks);
+  }
   // A short column, or any column on a pool worker, stays inline. The
   // other pool is built first, so its own task is not counted.
   runtime::ThreadPool other(1);
@@ -240,6 +241,7 @@ std::vector<double> UnmemoizedSignature(const CompressorOptions& options,
 TEST(SelectionMemoTest, ConcurrentCompressOfOneFreshLength) {
   // Four pool tasks meet a length no call has seen: their first and
   // second sightings, the list build and the listed reads race.
+  EmptySelectionMemo();
   CompressorOptions options;
   options.extra_uniform_slots = 48;
   const SampleCompressor compressor(options);
@@ -270,7 +272,9 @@ TEST(SelectionMemoTest, ConcurrentCompressOfOneFreshLength) {
 
 TEST(SelectionMemoTest, NeverHoldsMoreListsThanItsCap) {
   // Twice as many lengths as the memo has lists, each compressed twice
-  // (the second builds its list), from four pool tasks at once.
+  // (the second builds its list while a slot is free), from four pool
+  // tasks at once.
+  EmptySelectionMemo();
   CompressorOptions options;
   options.dimension = 8;
   const SampleCompressor compressor(options);
@@ -298,9 +302,46 @@ TEST(SelectionMemoTest, NeverHoldsMoreListsThanItsCap) {
   EXPECT_GE(CcwsListsHeld(), 1u);
 }
 
+uint64_t CwsArgmins() {
+  return simd::DispatchCount(simd::Kernel::kCwsArgmin, simd::Level::kScalar) +
+         simd::DispatchCount(simd::Kernel::kCwsArgmin, simd::Level::kAvx2);
+}
+
+TEST(SelectionMemoTest, KeepsListsInUseWhenLengthsOutnumberSlots) {
+  // Twice as many recurring lengths as list slots, interleaved: the
+  // first kMaxCcwsLists to recur take the slots and keep them, and the
+  // rest run the kernel instead of rebuilding lists in turn.
+  EmptySelectionMemo();
+  CompressorOptions options;
+  options.dimension = 8;
+  const SampleCompressor compressor(options);
+  std::vector<std::vector<double>> columns;
+  for (size_t i = 0; i < 2 * kMaxCcwsLists; ++i) {
+    columns.push_back(SampleCompressor::NormalizeWeights(
+        NormalColumn(700 + 13 * i, i)));
+  }
+  for (int pass = 0; pass < 2; ++pass) {  // Sighted, then recurring.
+    for (const std::vector<double>& column : columns) {
+      ASSERT_TRUE(compressor.Compress(column).ok());
+    }
+  }
+  EXPECT_EQ(CcwsListsHeld(), kMaxCcwsLists);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    simd::ResetDispatchCounts();
+    ASSERT_TRUE(compressor.Compress(columns[i]).ok());
+    if (i < kMaxCcwsLists) {
+      EXPECT_LT(CwsArgmins(), options.dimension) << "listed length " << i;
+    } else {
+      EXPECT_EQ(CwsArgmins(), options.dimension) << "unlisted length " << i;
+    }
+  }
+  EXPECT_EQ(CcwsListsHeld(), kMaxCcwsLists);
+}
+
 TEST(SelectionMemoTest, DropsListsOfLengthsNoLongerCompressed) {
   // A process that has moved on to one length (a search after FPE
   // pretraining) keeps only that length's list.
+  EmptySelectionMemo();
   CompressorOptions options;
   options.dimension = 8;
   const SampleCompressor compressor(options);
