@@ -186,8 +186,7 @@ FpeBundle PretrainFpeBundle(
     auto model = std::make_unique<fpe::FpeModel>();
     const auto metrics = fpe::EvaluateCandidate(
         bundle.base.training_features, bundle.base.validation_features,
-        schemes[i], 48, fpe::FpeModel::ClassifierKind::kLogistic,
-        config.seed + 31, model.get());
+        schemes[i], 48, config.seed + 31, model.get());
     EAFE_CHECK_MSG(metrics.ok(), metrics.status().ToString().c_str());
     bundle.models.push_back(std::move(model));
   }

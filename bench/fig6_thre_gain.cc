@@ -70,8 +70,8 @@ void Run(const BenchConfig& config) {
     std::string precision = "n/a";
     fpe::FpeModel model;
     const auto metrics = fpe::EvaluateCandidate(
-        train, valid, hashing::MinHashScheme::kCcws, 48,
-        fpe::FpeModel::ClassifierKind::kLogistic, config.seed, &model);
+        train, valid, hashing::MinHashScheme::kCcws, 48, config.seed,
+        &model);
     if (metrics.ok()) {
       recall = TablePrinter::Num(metrics->recall);
       precision = TablePrinter::Num(metrics->precision);

@@ -26,7 +26,7 @@ void SweepThreshold(const BenchConfig& config, const FpeBundle& bundle,
     fpe::FpeModel model;
     const auto metrics = fpe::EvaluateCandidate(
         labeled_train, labeled_valid, hashing::MinHashScheme::kCcws, 48,
-        fpe::FpeModel::ClassifierKind::kLogistic, config.seed, &model);
+        config.seed, &model);
     std::string recall = "n/a", precision = "n/a", score = "n/a";
     if (metrics.ok()) {
       recall = TablePrinter::Num(metrics->recall);
@@ -54,8 +54,7 @@ void SweepDimension(const BenchConfig& config, const FpeBundle& bundle,
     fpe::FpeModel model;
     const auto metrics = fpe::EvaluateCandidate(
         bundle.base.training_features, bundle.base.validation_features,
-        hashing::MinHashScheme::kCcws, d,
-        fpe::FpeModel::ClassifierKind::kLogistic, config.seed, &model);
+        hashing::MinHashScheme::kCcws, d, config.seed, &model);
     std::string recall = "n/a", precision = "n/a", score = "n/a";
     if (metrics.ok()) {
       recall = TablePrinter::Num(metrics->recall);

@@ -32,8 +32,6 @@ const char* ClassifierName(fpe::FpeModel::ClassifierKind kind) {
   switch (kind) {
     case fpe::FpeModel::ClassifierKind::kLogistic:
       return "logistic";
-    case fpe::FpeModel::ClassifierKind::kMlp:
-      return "mlp";
     case fpe::FpeModel::ClassifierKind::kRandomForest:
       return "rf";
   }

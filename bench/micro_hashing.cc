@@ -251,8 +251,7 @@ double BestSeconds(const Fn& compress) {
 /// times a length whose second Compress built its list. Returns false
 /// when the warm signature differs from the cold one.
 bool RunCompressRows() {
-  CompressorOptions options;
-  options.extra_uniform_slots = 48;
+  const CompressorOptions options;
   const SampleCompressor compressor(options);
   bool identical = true;
   for (const size_t rows : {size_t{1500}, size_t{8000}}) {
@@ -286,7 +285,7 @@ bool RunCompressRows() {
           "{\"bench\": \"compress\", \"scheme\": \"ccws\", \"rows\": %zu, "
           "\"dimension\": %zu, \"uniform_slots\": %zu, \"memo\": \"%s\", "
           "\"seconds\": %.6f}\n",
-          rows, options.dimension, options.extra_uniform_slots, memo,
+          rows, options.dimension, options.dimension, memo,
           seconds);
     }
   }

@@ -3,9 +3,12 @@
 //   (a) FPE classifier quality (validation recall/precision) when trained
 //       on that backend's signatures, over a shared label pool;
 //   (b) compression throughput (the per-candidate filtering cost).
-// Backends: the four weighted CWS schemes of Table III, plain MinHash,
-// and the exact-quantile sketch (LFE's representation, cited in related
-// work) as the non-hashing baseline.
+// Backends (hashing::AllMinHashSchemes): the weighted CWS schemes of
+// Table III (ICWS, CCWS, PCWS; LICWS selects ICWS's rows, so it has no
+// row of its own), plain MinHash, and the exact-quantile sketch (LFE's
+// representation, cited in related work) as the non-hashing baseline.
+// The compress time is the FPE's compressor: d = 48 consistent-sample
+// slots plus 48 uniform slots.
 
 #include <cstdio>
 
@@ -34,8 +37,7 @@ void Run(const BenchConfig& config) {
     fpe::FpeModel model;
     const auto metrics = fpe::EvaluateCandidate(
         bundle.base.training_features, bundle.base.validation_features,
-        scheme, 48, fpe::FpeModel::ClassifierKind::kLogistic, config.seed,
-        &model);
+        scheme, 48, config.seed, &model);
     std::string recall = "n/a", precision = "n/a", f1 = "n/a";
     if (metrics.ok()) {
       recall = TablePrinter::Num(metrics->recall);

@@ -301,7 +301,7 @@ Result<SearchResult> EafeSearch::RunAgents(const data::Dataset& dataset,
       }
     }
 
-    if (run.EndEpoch(epoch)) break;
+    run.EndEpoch(epoch);
   }
   return run.Finish();
 }

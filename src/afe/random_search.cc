@@ -45,7 +45,7 @@ Result<SearchResult> RandomSearch::Run(const data::Dataset& dataset) {
     }
     EAFE_ASSIGN_OR_RETURN(auto tasks, pipeline.Finish());
     for (StepTask& task : tasks) run.Merge(task);
-    if (run.EndEpoch(epoch)) break;
+    run.EndEpoch(epoch);
   }
   return run.Finish();
 }

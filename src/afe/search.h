@@ -35,10 +35,6 @@ struct SearchOptions {
   /// margin. Cross-validated gains carry fold noise; a margin keeps
   /// noise-only "improvements" out of the state for every method.
   double accept_margin = 0.005;
-  /// Stop after this many consecutive epochs without an accepted feature
-  /// (0 disables). The paper's complexity analysis compares methods
-  /// "without early stopping"; enabling it shortens saturated runs.
-  size_t early_stop_patience = 0;
   /// Unread; see PipelineMode.
   PipelineMode pipeline = PipelineMode::kAsync;
 };

@@ -173,7 +173,7 @@ double SearchRun::Merge(StepTask& task) {
   return gain;
 }
 
-bool SearchRun::EndEpoch(size_t epoch) {
+void SearchRun::EndEpoch(size_t epoch) {
   EpochStats stats;
   stats.epoch = epoch;
   stats.best_score = result_.best_score;
@@ -181,11 +181,6 @@ bool SearchRun::EndEpoch(size_t epoch) {
   stats.cumulative_evaluations = eval_service_.requests();
   stats.features_generated = result_.features_generated;
   result_.curve.push_back(stats);
-  stale_epochs_ =
-      result_.features_kept > kept_at_epoch_start_ ? 0 : stale_epochs_ + 1;
-  kept_at_epoch_start_ = result_.features_kept;
-  return options_.early_stop_patience > 0 &&
-         stale_epochs_ >= options_.early_stop_patience;
 }
 
 Result<SearchResult> SearchRun::Finish() {

@@ -159,7 +159,9 @@ class SearchStepPipeline {
 /// downstream evaluator, its EvalService, the live feature space and the
 /// result. Per epoch a driver generates against space(), runs a
 /// StartEpoch() pipeline, Merge()s its tasks in submission order, updates
-/// its policy from the rewards, and stops when EndEpoch() says so.
+/// its policy from the rewards, and closes the epoch with EndEpoch(). A
+/// run spends its whole epoch budget: the paper compares methods
+/// "without early stopping".
 class SearchRun {
  public:
   /// Starts the run's clock. `dataset` must be valid and outlive the run;
@@ -192,10 +194,8 @@ class SearchRun {
   /// gain, accepted or not, or 0 for an unevaluated task.
   double Merge(StepTask& task);
 
-  /// Closes `epoch`: appends its learning-curve point, and returns true
-  /// when early stopping fires — early_stop_patience (> 0) consecutive
-  /// epochs have accepted nothing.
-  bool EndEpoch(size_t epoch);
+  /// Closes `epoch`: appends its learning-curve point.
+  void EndEpoch(size_t epoch);
 
   /// Fills in the selected table and counts, re-scores base and best
   /// (FinalizeSearchResult) and stops the clock. Call once, last.
@@ -210,10 +210,6 @@ class SearchRun {
   EvalService eval_service_;
   FeatureSpace space_;
   SearchResult result_;
-  /// features_kept when the current epoch started.
-  size_t kept_at_epoch_start_ = 0;
-  /// Consecutive closed epochs that accepted nothing.
-  size_t stale_epochs_ = 0;
 };
 
 }  // namespace eafe::afe

@@ -12,7 +12,7 @@ namespace {
 
 /// Training oversamples the minority class toward this positive fraction.
 constexpr double kRebalancePositiveFraction = 0.5;
-/// Epochs of the logistic and MLP classifiers.
+/// Epochs of the logistic classifier.
 constexpr size_t kClassifierEpochs = 120;
 
 /// Positions of `features`, stably ordered by column length. Compressing
@@ -30,19 +30,11 @@ std::vector<size_t> LengthOrder(const std::vector<LabeledFeature>& features) {
 
 }  // namespace
 
-FpeModel::FpeModel(const Options& options) : options_(options) {
-  // The classifier needs an unbiased view of the value distribution in
-  // addition to the weight-biased consistent sample; pair every CWS slot
-  // with a uniform slot unless the caller chose otherwise.
-  if (options_.compressor.extra_uniform_slots == 0) {
-    options_.compressor.extra_uniform_slots = options_.compressor.dimension;
-  }
-  compressor_ = hashing::SampleCompressor(options_.compressor);
-}
+FpeModel::FpeModel(const Options& options)
+    : options_(options), compressor_(options.compressor) {}
 
 size_t FpeModel::InputDimension() const {
-  const size_t signature = options_.compressor.dimension +
-                           options_.compressor.extra_uniform_slots;
+  const size_t signature = compressor_.signature_size();
   switch (options_.input) {
     case InputRepresentation::kSignature:
       return signature;
@@ -133,16 +125,6 @@ Status FpeModel::Train(const std::vector<LabeledFeature>& features) {
       EAFE_RETURN_NOT_OK(logistic_.Fit(x, y));
       break;
     }
-    case ClassifierKind::kMlp: {
-      ml::Mlp::Options mlp;
-      mlp.task = data::TaskType::kClassification;
-      mlp.hidden_sizes = {32};
-      mlp.epochs = kClassifierEpochs;
-      mlp.seed = options_.seed;
-      mlp_ = ml::Mlp(mlp);
-      EAFE_RETURN_NOT_OK(mlp_.Fit(x, y));
-      break;
-    }
     case ClassifierKind::kRandomForest: {
       ml::RandomForest::Options rf;
       rf.task = data::TaskType::kClassification;
@@ -176,38 +158,12 @@ Status FpeModel::RestoreLogistic(ml::LogisticRegression classifier) {
   return Status::OK();
 }
 
-Status FpeModel::RestoreMlp(ml::Mlp classifier) {
-  if (options_.classifier != ClassifierKind::kMlp) {
-    return Status::FailedPrecondition(
-        "RestoreMlp requires the MLP classifier kind");
-  }
-  if (!classifier.fitted()) {
-    return Status::InvalidArgument("restored classifier is not fitted");
-  }
-  if (classifier.task() != data::TaskType::kClassification) {
-    return Status::InvalidArgument(
-        "the FPE classifier must be a classification MLP");
-  }
-  if (classifier.num_features() != InputDimension()) {
-    return Status::InvalidArgument(
-        "classifier input width disagrees with compressor signature size");
-  }
-  mlp_ = std::move(classifier);
-  trained_ = true;
-  return Status::OK();
-}
-
 Result<double> FpeModel::PredictProbability(
     const std::vector<double>& values) const {
   if (!trained_) return Status::FailedPrecondition("FPE model not trained");
   EAFE_ASSIGN_OR_RETURN(std::vector<double> input, BuildInput(values));
-  switch (options_.classifier) {
-    case ClassifierKind::kLogistic:
-      return logistic_.PredictRowProba(input);
-    case ClassifierKind::kMlp:
-      return mlp_.PredictRowProba(input);
-    case ClassifierKind::kRandomForest:
-      break;
+  if (options_.classifier == ClassifierKind::kLogistic) {
+    return logistic_.PredictRowProba(input);
   }
   data::DataFrame frame;
   for (size_t j = 0; j < input.size(); ++j) {

@@ -9,7 +9,6 @@
 #include "fpe/labeling.h"
 #include "hashing/sample_compressor.h"
 #include "ml/linear.h"
-#include "ml/mlp.h"
 #include "ml/random_forest.h"
 
 namespace eafe::fpe {
@@ -28,7 +27,9 @@ namespace eafe::fpe {
 /// fpe_input_ablation` compares the three.
 class FpeModel {
  public:
-  enum class ClassifierKind { kLogistic, kMlp, kRandomForest };
+  /// The paper's head is logistic, the one kind a container stores; the
+  /// forest serves `bench/fpe_input_ablation`.
+  enum class ClassifierKind { kLogistic, kRandomForest };
 
   enum class InputRepresentation {
     kSignature,     ///< MinHash signature only (the paper's design).
@@ -71,16 +72,13 @@ class FpeModel {
   size_t InputDimension() const;
 
   // Persistence support for the model container (src/serve/model_store.h),
-  // which serializes logistic and MLP classifiers.
+  // which serializes the logistic classifier.
   const ml::LogisticRegression& logistic_classifier() const {
     return logistic_;
   }
-  const ml::Mlp& mlp_classifier() const { return mlp_; }
   /// Marks the model trained with a restored classifier. The options
   /// (including the compressor) must already describe the saved model.
   Status RestoreLogistic(ml::LogisticRegression classifier);
-  /// Counterpart of RestoreLogistic for the MLP classifier kind.
-  Status RestoreMlp(ml::Mlp classifier);
 
  private:
   /// The classifier input vector for one feature column.
@@ -96,7 +94,6 @@ class FpeModel {
   Options options_;
   hashing::SampleCompressor compressor_;
   ml::LogisticRegression logistic_;
-  ml::Mlp mlp_;
   ml::RandomForest forest_;
   bool trained_ = false;
 };

@@ -1,6 +1,7 @@
 #include "fpe/trainer.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/logging.h"
 #include "core/rng.h"
@@ -12,19 +13,22 @@ namespace {
 /// threshold are dropped: their labels are cross-validation coin flips.
 constexpr double kNegativeMargin = 0.015;
 
+/// The sweep's hash families when the caller names none.
+constexpr hashing::MinHashScheme kDefaultSchemes[] = {
+    hashing::MinHashScheme::kPlain, hashing::MinHashScheme::kIcws,
+    hashing::MinHashScheme::kCcws, hashing::MinHashScheme::kPcws};
+
 }  // namespace
 
 Result<FpeCandidateMetrics> EvaluateCandidate(
     const std::vector<LabeledFeature>& train,
     const std::vector<LabeledFeature>& validation,
-    hashing::MinHashScheme scheme, size_t dimension,
-    FpeModel::ClassifierKind classifier, uint64_t seed,
+    hashing::MinHashScheme scheme, size_t dimension, uint64_t seed,
     FpeModel* model_out) {
   FpeModel::Options options;
   options.compressor.scheme = scheme;
   options.compressor.dimension = dimension;
   options.compressor.seed = seed;
-  options.classifier = classifier;
   options.seed = seed;
   FpeModel model(options);
   EAFE_RETURN_NOT_OK(model.Train(train));
@@ -128,7 +132,9 @@ Result<FpeTrainingResult> TrainFpeModel(
   // Step 3: sweep (scheme, d) and keep the recall-maximizing candidate
   // subject to Eq. 6's constraints.
   std::vector<hashing::MinHashScheme> schemes = options.schemes;
-  if (schemes.empty()) schemes = hashing::AllMinHashSchemes();
+  if (schemes.empty()) {
+    schemes.assign(std::begin(kDefaultSchemes), std::end(kDefaultSchemes));
+  }
   bool have_selected = false;
   FpeModel best_model;
   for (hashing::MinHashScheme scheme : schemes) {
@@ -138,8 +144,7 @@ Result<FpeTrainingResult> TrainFpeModel(
           FpeCandidateMetrics metrics,
           EvaluateCandidate(result.training_features,
                             result.validation_features, scheme, dimension,
-                            options.classifier, options.seed,
-                            &candidate_model));
+                            options.seed, &candidate_model));
       result.sweep.push_back(metrics);
       const bool feasible = metrics.precision > 0.0 && metrics.recall < 1.0;
       const bool better =

@@ -15,7 +15,9 @@ namespace eafe::fpe {
 struct FpeTrainingOptions {
   /// Candidate signature dimensions d (the vector d of Algorithm 1).
   std::vector<size_t> dimensions = {16, 32, 48, 64};
-  /// Candidate hash families; empty means all weighted schemes + plain.
+  /// Candidate hash families; empty means the four families: plain,
+  /// ICWS, CCWS and PCWS (kLicws selects ICWS's rows, and the exact
+  /// quantile is not a hash).
   std::vector<hashing::MinHashScheme> schemes;
   /// Score-gain threshold thre for labels (paper default 0.01). Training
   /// negatives within 0.015 below it are dropped from the training split
@@ -24,7 +26,6 @@ struct FpeTrainingOptions {
   double threshold = 0.01;
   /// Fraction of labeled features held out for recall validation.
   double validation_fraction = 0.3;
-  FpeModel::ClassifierKind classifier = FpeModel::ClassifierKind::kLogistic;
   /// Downstream task configuration used for leave-one-out labeling.
   ml::EvaluatorOptions evaluator;
   uint64_t seed = 17;
@@ -66,13 +67,14 @@ Result<FpeTrainingResult> TrainFpeModel(
     const std::vector<data::Dataset>& public_datasets,
     const FpeTrainingOptions& options = {});
 
-/// Re-trains a model on pre-labeled features for one fixed candidate —
-/// the inner loop of the sweep, exposed for the hyperparameter benches.
+/// Re-trains a logistic model on pre-labeled features for one fixed
+/// candidate — the inner loop of the sweep, exposed for the
+/// hyperparameter benches.
 Result<FpeCandidateMetrics> EvaluateCandidate(
     const std::vector<LabeledFeature>& train,
     const std::vector<LabeledFeature>& validation,
-    hashing::MinHashScheme scheme, size_t dimension,
-    FpeModel::ClassifierKind classifier, uint64_t seed, FpeModel* model_out);
+    hashing::MinHashScheme scheme, size_t dimension, uint64_t seed,
+    FpeModel* model_out);
 
 }  // namespace eafe::fpe
 

@@ -15,11 +15,6 @@ uint64_t MixHash(uint64_t seed, uint64_t slot, uint64_t element) {
   return simd::Mix64(seed, slot, element);
 }
 
-double MixUniform(uint64_t seed, uint64_t slot, uint64_t element,
-                  uint64_t stream) {
-  return simd::Uniform01(seed, slot, element, stream);
-}
-
 std::vector<size_t> PlainMinHashSelect(const std::vector<double>& weights,
                                        size_t num_slots, uint64_t seed) {
   EAFE_CHECK(!weights.empty());

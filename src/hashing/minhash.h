@@ -13,10 +13,6 @@ namespace eafe::hashing {
 /// evaluation order.
 uint64_t MixHash(uint64_t seed, uint64_t slot, uint64_t element);
 
-/// MixHash mapped to (0, 1] (never exactly 0, so logs are safe).
-double MixUniform(uint64_t seed, uint64_t slot, uint64_t element,
-                  uint64_t stream);
-
 /// Classic (unweighted) MinHash over the support of a weight vector: the
 /// element set is {i : weights[i] > threshold} with threshold = mean
 /// weight, and slot j selects argmin_i MixHash(seed, j, i). If the

@@ -52,9 +52,9 @@ Result<MinHashScheme> MinHashSchemeFromString(const std::string& name) {
 
 const std::vector<MinHashScheme>& AllMinHashSchemes() {
   static const auto* kSchemes = new std::vector<MinHashScheme>{
-      MinHashScheme::kPlain,  MinHashScheme::kIcws,
-      MinHashScheme::kCcws,   MinHashScheme::kPcws,
-      MinHashScheme::kLicws,  MinHashScheme::kExactQuantile,
+      MinHashScheme::kPlain, MinHashScheme::kIcws,
+      MinHashScheme::kCcws,  MinHashScheme::kPcws,
+      MinHashScheme::kExactQuantile,
   };
   return *kSchemes;
 }

@@ -39,7 +39,9 @@ enum class MinHashScheme {
 std::string MinHashSchemeToString(MinHashScheme scheme);
 Result<MinHashScheme> MinHashSchemeFromString(const std::string& name);
 
-/// All schemes (useful for the Eq. 6 search over hash families).
+/// The distinct compressor backends, for comparisons across them (the Q6
+/// bench, micro_hashing): the four hash families and the exact-quantile
+/// baseline. kLicws is left out because it selects ICWS's rows.
 const std::vector<MinHashScheme>& AllMinHashSchemes();
 
 /// Selected element per slot for `num_slots` hash functions, deterministic

@@ -8,28 +8,6 @@
 #include "ml/network.h"
 
 namespace eafe::ml {
-namespace {
-
-Status RequireClassification(data::TaskType task) {
-  if (task != data::TaskType::kClassification) {
-    return Status::FailedPrecondition(
-        "PredictProba requires a classification MLP");
-  }
-  return Status::OK();
-}
-
-/// P(class == 1) per row of raw classification outputs: the softmax of
-/// unit 1 (of unit 0 for a one-unit head).
-std::vector<double> ClassOneProbability(Matrix outputs) {
-  SoftmaxRows(&outputs);
-  std::vector<double> out(outputs.rows());
-  for (size_t r = 0; r < outputs.rows(); ++r) {
-    out[r] = outputs.cols() > 1 ? outputs(r, 1) : outputs(r, 0);
-  }
-  return out;
-}
-
-}  // namespace
 
 Mlp::Mlp(const Options& options) : options_(options) {}
 
@@ -52,7 +30,6 @@ Status Mlp::Fit(const data::DataFrame& x, const std::vector<double>& y) {
   num_features_ = x.num_columns();
   EAFE_ASSIGN_OR_RETURN(const NetworkTargets targets,
                         PrepareTargets(options_.task, y));
-  output_dim_ = targets.output_dim;
   label_mean_ = targets.label_mean;
   label_scale_ = targets.label_scale;
 
@@ -61,7 +38,7 @@ Status Mlp::Fit(const data::DataFrame& x, const std::vector<double>& y) {
   std::vector<size_t> dims;
   dims.push_back(num_features_);
   for (size_t h : options_.hidden_sizes) dims.push_back(h);
-  dims.push_back(output_dim_);
+  dims.push_back(targets.output_dim);
   weights_.clear();
   biases_.clear();
   for (size_t layer = 0; layer + 1 < dims.size(); ++layer) {
@@ -98,51 +75,6 @@ Status Mlp::Fit(const data::DataFrame& x, const std::vector<double>& y) {
   return Status::OK();
 }
 
-Status Mlp::RestoreFitted(data::StandardScaler scaler,
-                          std::vector<Matrix> weights,
-                          std::vector<std::vector<double>> biases,
-                          double label_mean, double label_scale) {
-  if (weights.empty() || weights.size() != biases.size()) {
-    return Status::InvalidArgument(
-        "restored MLP needs matching, nonempty weight and bias layers");
-  }
-  for (size_t layer = 0; layer < weights.size(); ++layer) {
-    if (weights[layer].rows() == 0 || weights[layer].cols() == 0) {
-      return Status::InvalidArgument("restored MLP layer is empty");
-    }
-    if (biases[layer].size() != weights[layer].cols()) {
-      return Status::InvalidArgument(
-          "restored MLP bias width disagrees with its layer");
-    }
-    if (layer + 1 < weights.size() &&
-        weights[layer].cols() != weights[layer + 1].rows()) {
-      return Status::InvalidArgument(
-          "restored MLP layer shapes do not chain");
-    }
-  }
-  if (!scaler.fitted() ||
-      scaler.means().size() != weights.front().rows()) {
-    return Status::InvalidArgument(
-        "restored MLP scaler disagrees with the input layer width");
-  }
-  if (!(label_scale > 0.0)) {
-    return Status::InvalidArgument("label_scale must be positive");
-  }
-  if (options_.task == data::TaskType::kClassification &&
-      weights.back().cols() < 2) {
-    return Status::InvalidArgument(
-        "restored classification MLP needs at least 2 output units");
-  }
-  num_features_ = weights.front().rows();
-  output_dim_ = weights.back().cols();
-  scaler_ = std::move(scaler);
-  weights_ = std::move(weights);
-  biases_ = std::move(biases);
-  label_mean_ = label_mean;
-  label_scale_ = label_scale;
-  return Status::OK();
-}
-
 Result<Matrix> Mlp::Outputs(const data::DataFrame& x) const {
   EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, x));
   EAFE_ASSIGN_OR_RETURN(const Matrix xm, ScaledMatrix(scaler_, x));
@@ -155,20 +87,18 @@ Result<std::vector<double>> Mlp::Predict(const data::DataFrame& x) const {
 }
 
 Result<std::vector<double>> Mlp::PredictProba(const data::DataFrame& x) const {
-  EAFE_RETURN_NOT_OK(RequireClassification(options_.task));
-  EAFE_ASSIGN_OR_RETURN(Matrix outputs, Outputs(x));
-  return ClassOneProbability(std::move(outputs));
-}
-
-Result<double> Mlp::PredictRowProba(std::span<const double> row) const {
-  EAFE_RETURN_NOT_OK(RequireClassification(options_.task));
-  EAFE_RETURN_NOT_OK(CheckPredictInput(fitted(), num_features_, row.size()));
-  // ScaledMatrix's one row, through the frame path's Forward.
-  Matrix input(1, row.size());
-  for (size_t c = 0; c < row.size(); ++c) {
-    input(0, c) = scaler_.Scale(c, row[c]);
+  if (options_.task != data::TaskType::kClassification) {
+    return Status::FailedPrecondition(
+        "PredictProba requires a classification MLP");
   }
-  return ClassOneProbability(std::move(Forward(input).back()))[0];
+  EAFE_ASSIGN_OR_RETURN(Matrix outputs, Outputs(x));
+  // The softmax of unit 1 (of unit 0 for a one-unit head).
+  SoftmaxRows(&outputs);
+  std::vector<double> out(outputs.rows());
+  for (size_t r = 0; r < outputs.rows(); ++r) {
+    out[r] = outputs.cols() > 1 ? outputs(r, 1) : outputs(r, 0);
+  }
+  return out;
 }
 
 }  // namespace eafe::ml

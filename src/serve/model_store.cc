@@ -6,12 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/matrix.h"
 #include "core/string_util.h"
 #include "data/scaler.h"
 #include "hashing/weighted_minhash.h"
 #include "ml/linear.h"
-#include "ml/mlp.h"
 #include "serve/wire.h"
 
 namespace eafe::serve {
@@ -22,7 +20,6 @@ namespace {
 constexpr uint32_t kWireTaskClassification = 0;
 constexpr uint32_t kWireTaskRegression = 1;
 constexpr uint32_t kWireClassifierLogistic = 1;
-constexpr uint32_t kWireClassifierMlp = 2;
 
 uint32_t TaskToWire(data::TaskType task) {
   return task == data::TaskType::kClassification ? kWireTaskClassification
@@ -211,29 +208,17 @@ Result<ml::FlatTreeModel> ParseTreeModel(ByteReader* reader,
 
 // --- FPE sections ----------------------------------------------------------
 
-Result<uint32_t> ClassifierToWire(fpe::FpeModel::ClassifierKind kind) {
-  switch (kind) {
-    case fpe::FpeModel::ClassifierKind::kLogistic:
-      return kWireClassifierLogistic;
-    case fpe::FpeModel::ClassifierKind::kMlp:
-      return kWireClassifierMlp;
-    case fpe::FpeModel::ClassifierKind::kRandomForest:
-      return Status::NotImplemented(
-          "forest-backed FPE classifiers are not serializable");
-  }
-  return Status::InvalidArgument("unknown FPE classifier kind");
-}
-
-std::string FpeMetaPayload(const fpe::FpeModel::Options& options,
-                           uint32_t classifier_wire) {
+std::string FpeMetaPayload(const fpe::FpeModel::Options& options) {
   ByteWriter w;
   w.PutString(hashing::MinHashSchemeToString(options.compressor.scheme));
   w.PutU64(options.compressor.dimension);
-  w.PutU64(options.compressor.extra_uniform_slots);
-  w.PutU8(options.compressor.sort_signature ? 1 : 0);
+  // The signature layout: uniform slots, then the sort flag. Both are
+  // fixed (SampleCompressor); the fields keep the container's layout.
+  w.PutU64(options.compressor.dimension);
+  w.PutU8(1);
   w.PutU64(options.compressor.seed);
   w.PutU32(static_cast<uint32_t>(options.input));
-  w.PutU32(classifier_wire);
+  w.PutU32(kWireClassifierLogistic);
   return w.Take();
 }
 
@@ -254,26 +239,9 @@ std::string LogisticPayload(const ml::LogisticRegression& classifier) {
   return w.Take();
 }
 
-std::string MlpPayload(const ml::Mlp& classifier) {
-  ByteWriter w;
-  w.PutDouble(classifier.label_mean());
-  w.PutDouble(classifier.label_scale());
-  w.PutU64(classifier.layer_weights().size());
-  for (size_t layer = 0; layer < classifier.layer_weights().size();
-       ++layer) {
-    const Matrix& weights = classifier.layer_weights()[layer];
-    w.PutU64(weights.rows());
-    w.PutU64(weights.cols());
-    for (double v : weights.data()) w.PutDouble(v);
-    w.PutDoubleVec(classifier.layer_biases()[layer]);
-  }
-  return w.Take();
-}
-
 struct FpeSections {
   bool have_meta = false;
   fpe::FpeModel::Options options;
-  uint32_t classifier_wire = 0;
 
   bool have_scaler = false;
   std::vector<double> scaler_means;
@@ -282,12 +250,6 @@ struct FpeSections {
   bool have_logistic = false;
   uint64_t logistic_classes = 0;
   std::vector<std::vector<double>> logistic_heads;
-
-  bool have_mlp = false;
-  double label_mean = 0.0;
-  double label_scale = 1.0;
-  std::vector<Matrix> mlp_weights;
-  std::vector<std::vector<double>> mlp_biases;
 };
 
 Status ParseFpeMeta(ByteReader* section, FpeSections* out) {
@@ -295,20 +257,22 @@ Status ParseFpeMeta(ByteReader* section, FpeSections* out) {
   EAFE_ASSIGN_OR_RETURN(out->options.compressor.scheme,
                         hashing::MinHashSchemeFromString(scheme));
   EAFE_ASSIGN_OR_RETURN(uint64_t dimension, section->TakeU64());
-  EAFE_ASSIGN_OR_RETURN(uint64_t extra, section->TakeU64());
-  // The compressor needs a positive dimension. Capping both counts at
-  // 2^32 - 1 keeps dimension + extra, and FpeModel's default of
-  // 2 x dimension, from wrapping, so the classifier width check in
-  // RestoreLogistic / RestoreMlp compares the real signature size.
-  if (dimension == 0 || dimension > UINT32_MAX || extra > UINT32_MAX) {
+  // The compressor needs a positive dimension. Capping it at 2^32 - 1
+  // keeps the signature width, 2 x dimension, from wrapping, so the
+  // classifier width check in RestoreLogistic compares the real size.
+  if (dimension == 0 || dimension > UINT32_MAX) {
     return Status::InvalidArgument(
         "corrupt container: FPE compressor dimension must be in "
-        "[1, 2^32 - 1] and uniform slots at most 2^32 - 1");
+        "[1, 2^32 - 1]");
   }
   out->options.compressor.dimension = static_cast<size_t>(dimension);
-  out->options.compressor.extra_uniform_slots = static_cast<size_t>(extra);
-  EAFE_ASSIGN_OR_RETURN(uint8_t sort_flag, section->TakeU8());
-  out->options.compressor.sort_signature = sort_flag != 0;
+  EAFE_ASSIGN_OR_RETURN(uint64_t uniform_slots, section->TakeU64());
+  EAFE_ASSIGN_OR_RETURN(uint8_t sorted, section->TakeU8());
+  if (uniform_slots != dimension || sorted != 1) {
+    return Status::InvalidArgument(
+        "corrupt container: an FPE signature has `dimension` uniform slots "
+        "and sorted halves");
+  }
   EAFE_ASSIGN_OR_RETURN(out->options.compressor.seed, section->TakeU64());
   EAFE_ASSIGN_OR_RETURN(uint32_t input, section->TakeU32());
   if (input > 2) {
@@ -317,79 +281,29 @@ Status ParseFpeMeta(ByteReader* section, FpeSections* out) {
   }
   out->options.input =
       static_cast<fpe::FpeModel::InputRepresentation>(input);
-  EAFE_ASSIGN_OR_RETURN(out->classifier_wire, section->TakeU32());
-  switch (out->classifier_wire) {
-    case kWireClassifierLogistic:
-      out->options.classifier = fpe::FpeModel::ClassifierKind::kLogistic;
-      break;
-    case kWireClassifierMlp:
-      out->options.classifier = fpe::FpeModel::ClassifierKind::kMlp;
-      break;
-    default:
-      return Status::InvalidArgument(
-          "corrupt container: unknown FPE classifier id");
-  }
-  return Status::OK();
-}
-
-Status ParseMlpSection(ByteReader* section, FpeSections* out) {
-  EAFE_ASSIGN_OR_RETURN(out->label_mean, section->TakeDouble());
-  EAFE_ASSIGN_OR_RETURN(out->label_scale, section->TakeDouble());
-  EAFE_ASSIGN_OR_RETURN(uint64_t num_layers,
-                        section->TakeCount(2 * sizeof(uint64_t)));
-  for (uint64_t layer = 0; layer < num_layers; ++layer) {
-    EAFE_ASSIGN_OR_RETURN(uint64_t rows, section->TakeU64());
-    EAFE_ASSIGN_OR_RETURN(uint64_t cols, section->TakeU64());
-    if (rows == 0 || cols == 0 ||
-        rows > section->remaining() / sizeof(double) / cols) {
-      return Status::InvalidArgument(
-          "corrupt container: MLP layer shape exceeds its section");
-    }
-    Matrix weights(static_cast<size_t>(rows), static_cast<size_t>(cols));
-    for (double& v : weights.data()) {
-      EAFE_ASSIGN_OR_RETURN(v, section->TakeDouble());
-    }
-    out->mlp_weights.push_back(std::move(weights));
-    EAFE_ASSIGN_OR_RETURN(std::vector<double> bias,
-                          section->TakeDoubleVec());
-    out->mlp_biases.push_back(std::move(bias));
+  EAFE_ASSIGN_OR_RETURN(uint32_t classifier, section->TakeU32());
+  if (classifier != kWireClassifierLogistic) {
+    return Status::InvalidArgument(
+        "corrupt container: unknown FPE classifier id");
   }
   return Status::OK();
 }
 
 Result<fpe::FpeModel> RestoreFpe(FpeSections sections) {
-  if (!sections.have_meta || !sections.have_scaler) {
+  if (!sections.have_meta || !sections.have_scaler ||
+      !sections.have_logistic) {
     return Status::InvalidArgument(
         "corrupt container: a required FPE section is missing");
   }
   data::StandardScaler scaler;
   EAFE_RETURN_NOT_OK(scaler.Restore(std::move(sections.scaler_means),
                                     std::move(sections.scaler_scales)));
-  fpe::FpeModel model(sections.options);
-  if (sections.classifier_wire == kWireClassifierLogistic) {
-    if (!sections.have_logistic) {
-      return Status::InvalidArgument(
-          "corrupt container: logistic FPE model lacks a weights section");
-    }
-    ml::LogisticRegression classifier;
-    EAFE_RETURN_NOT_OK(classifier.RestoreFitted(
-        std::move(scaler), std::move(sections.logistic_heads),
-        static_cast<size_t>(sections.logistic_classes)));
-    EAFE_RETURN_NOT_OK(model.RestoreLogistic(std::move(classifier)));
-    return model;
-  }
-  if (!sections.have_mlp) {
-    return Status::InvalidArgument(
-        "corrupt container: MLP FPE model lacks a layers section");
-  }
-  ml::Mlp::Options mlp_options;
-  mlp_options.task = data::TaskType::kClassification;
-  ml::Mlp classifier(mlp_options);
+  ml::LogisticRegression classifier;
   EAFE_RETURN_NOT_OK(classifier.RestoreFitted(
-      std::move(scaler), std::move(sections.mlp_weights),
-      std::move(sections.mlp_biases), sections.label_mean,
-      sections.label_scale));
-  EAFE_RETURN_NOT_OK(model.RestoreMlp(std::move(classifier)));
+      std::move(scaler), std::move(sections.logistic_heads),
+      static_cast<size_t>(sections.logistic_classes)));
+  fpe::FpeModel model(sections.options);
+  EAFE_RETURN_NOT_OK(model.RestoreLogistic(std::move(classifier)));
   return model;
 }
 
@@ -432,10 +346,6 @@ Result<fpe::FpeModel> ParseFpeModel(ByteReader* reader) {
         sections.have_logistic = true;
         break;
       }
-      case kSectionMlp:
-        EAFE_RETURN_NOT_OK(ParseMlpSection(&section, &sections));
-        sections.have_mlp = true;
-        break;
       default:
         break;  // Unknown section: skipped.
     }
@@ -486,23 +396,17 @@ Result<std::string> SerializeFpe(const fpe::FpeModel& model) {
   if (!model.trained()) {
     return Status::FailedPrecondition("cannot serialize an untrained model");
   }
-  EAFE_ASSIGN_OR_RETURN(uint32_t classifier_wire,
-                        ClassifierToWire(model.options().classifier));
+  if (model.options().classifier != fpe::FpeModel::ClassifierKind::kLogistic) {
+    return Status::NotImplemented(
+        "forest-backed FPE classifiers are not serializable");
+  }
+  const ml::LogisticRegression& classifier = model.logistic_classifier();
   ByteWriter container;
   container.PutBytes(ContainerHeader(ModelKind::kFpe));
-  AppendSection(&container, kSectionFpeMeta,
-                FpeMetaPayload(model.options(), classifier_wire));
-  if (classifier_wire == kWireClassifierLogistic) {
-    const ml::LogisticRegression& classifier = model.logistic_classifier();
-    AppendSection(&container, kSectionScaler,
-                  ScalerPayload(classifier.scaler()));
-    AppendSection(&container, kSectionLogistic, LogisticPayload(classifier));
-  } else {
-    const ml::Mlp& classifier = model.mlp_classifier();
-    AppendSection(&container, kSectionScaler,
-                  ScalerPayload(classifier.scaler()));
-    AppendSection(&container, kSectionMlp, MlpPayload(classifier));
-  }
+  AppendSection(&container, kSectionFpeMeta, FpeMetaPayload(model.options()));
+  AppendSection(&container, kSectionScaler,
+                ScalerPayload(classifier.scaler()));
+  AppendSection(&container, kSectionLogistic, LogisticPayload(classifier));
   return container.Take();
 }
 

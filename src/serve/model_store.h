@@ -39,7 +39,7 @@ namespace eafe::serve {
 /// node records (ml/flat_model.h), plus the fitted FeatureBinner
 /// thresholds, so a loaded model encodes raw frames itself and predicts
 /// bit-identically to the in-memory model. FPE models store the compressor
-/// configuration plus the classifier (logistic weights or MLP layers).
+/// configuration plus the logistic classifier's scaler and weights.
 
 enum class ModelKind : uint32_t {
   kRandomForest = 1,
@@ -51,18 +51,19 @@ inline constexpr uint32_t kFormatVersion = 1;
 inline constexpr size_t kMagicSize = 8;
 inline constexpr char kMagic[kMagicSize + 1] = "EAFEMODL";
 
-// Section ids. Tree kinds use 1-3; the FPE kind uses 16-19.
+// Section ids. Tree kinds use 1-3; the FPE kind uses 16-18. Id 19 held an
+// MLP head that no build writes any more; a loader skips it like any
+// unknown section.
 inline constexpr uint32_t kSectionTreeMeta = 1;
 inline constexpr uint32_t kSectionTreeNodes = 2;
 inline constexpr uint32_t kSectionBinnerCuts = 3;
 inline constexpr uint32_t kSectionFpeMeta = 16;
 inline constexpr uint32_t kSectionScaler = 17;
 inline constexpr uint32_t kSectionLogistic = 18;
-inline constexpr uint32_t kSectionMlp = 19;
 
 /// Serializes a fitted model to container bytes. Every fitted forest
-/// serializes; FPE models must be trained with the logistic or MLP
-/// classifier (forest-backed FPE is NotImplemented).
+/// serializes; FPE models must be trained with the logistic classifier
+/// (forest-backed FPE is NotImplemented).
 Result<std::string> SerializeForest(const ml::RandomForest& forest);
 Result<std::string> SerializeGbdt(const ml::GradientBoostedTrees& booster);
 Result<std::string> SerializeFpe(const fpe::FpeModel& model);

@@ -431,17 +431,12 @@ TEST(SearchRunMergeTest, FullGroupLeavesTheBestUnchanged) {
   EXPECT_FALSE(fixture.run.space().Contains(0, "full"));
 }
 
-// After an epoch that accepts, a run stops once `patience` epochs in a
-// row accept nothing; each EndEpoch appends the epoch's curve point.
-TEST(SearchRunTest, EndEpochStopsAfterPatienceEpochsWithoutAnAccept) {
-  SearchOptions options = QuickSearch();
-  options.early_stop_patience = 2;
-  MergeFixture fixture(options);
+// Each EndEpoch appends the epoch's curve point.
+TEST(SearchRunTest, EndEpochAppendsTheEpochsCurvePoint) {
+  MergeFixture fixture;
   StepTask task = fixture.Task("a", fixture.result().best_score + 0.1);
   fixture.run.Merge(task);
-  EXPECT_FALSE(fixture.run.EndEpoch(0));
-  EXPECT_FALSE(fixture.run.EndEpoch(1));
-  EXPECT_TRUE(fixture.run.EndEpoch(2));
+  for (size_t epoch = 0; epoch < 3; ++epoch) fixture.run.EndEpoch(epoch);
   const std::vector<EpochStats>& curve = fixture.result().curve;
   ASSERT_EQ(curve.size(), 3u);
   for (size_t epoch = 0; epoch < curve.size(); ++epoch) {

@@ -85,16 +85,6 @@ TEST(FpeModelTest, HandlesVariableLengthInputs) {
   EXPECT_TRUE(model.PredictProbability(huge).ok());
 }
 
-TEST(FpeModelTest, MlpClassifierVariant) {
-  FpeModel::Options options;
-  options.classifier = FpeModel::ClassifierKind::kMlp;
-  FpeModel model(options);
-  ASSERT_TRUE(model.Train(MakeSeparableFeatures(120, 9)).ok());
-  const auto counts =
-      model.Evaluate(MakeSeparableFeatures(60, 10)).ValueOrDie();
-  EXPECT_GT(counts.Recall(), 0.7);
-}
-
 TEST(FpeModelTest, RebalancingHandlesSkewedLabels) {
   // 10% positives.
   Rng rng(11);
@@ -150,19 +140,12 @@ TEST(FpeModelTest, DeterministicGivenSeed) {
 }
 
 TEST(FpeModelTest, VectorPredictMatchesTheHeadsFramePathBitForBit) {
-  for (const FpeModel::ClassifierKind kind :
-       {FpeModel::ClassifierKind::kLogistic,
-        FpeModel::ClassifierKind::kMlp}) {
-    FpeModel::Options options;
-    options.classifier = kind;
-    FpeModel model(options);
-    ASSERT_TRUE(model.Train(MakeSeparableFeatures(80, 21)).ok());
-    for (const auto& f : MakeSeparableFeatures(30, 22)) {
-      const double vector_path = model.PredictProbability(f.values).ValueOrDie();
-      EXPECT_TRUE(testing::SameBits(
-          vector_path, testing::FramePathProbability(model, f.values)))
-          << "classifier " << static_cast<int>(kind);
-    }
+  FpeModel model;
+  ASSERT_TRUE(model.Train(MakeSeparableFeatures(80, 21)).ok());
+  for (const auto& f : MakeSeparableFeatures(30, 22)) {
+    const double vector_path = model.PredictProbability(f.values).ValueOrDie();
+    EXPECT_TRUE(testing::SameBits(
+        vector_path, testing::FramePathProbability(model, f.values)));
   }
 }
 

@@ -12,10 +12,10 @@
 
 namespace eafe::fpe::testing {
 
-/// P(effective) through the classifier head's frame path: a one-row frame
+/// P(effective) through the logistic head's frame path: a one-row frame
 /// of the compressed signature, one named column per input value, fed to
 /// the head's PredictProba. FpeModel::PredictProbability must return
-/// these bits for the logistic and MLP heads.
+/// these bits.
 inline double FramePathProbability(const FpeModel& model,
                                    const std::vector<double>& values) {
   const std::vector<double> input =
@@ -27,11 +27,7 @@ inline double FramePathProbability(const FpeModel& model,
                                             std::vector<double>{input[j]}))
                     .ok());
   }
-  const std::vector<double> proba =
-      model.options().classifier == FpeModel::ClassifierKind::kMlp
-          ? model.mlp_classifier().PredictProba(frame).ValueOrDie()
-          : model.logistic_classifier().PredictProba(frame).ValueOrDie();
-  return proba[0];
+  return model.logistic_classifier().PredictProba(frame).ValueOrDie()[0];
 }
 
 inline bool SameBits(double a, double b) {

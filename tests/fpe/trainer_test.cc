@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "data/synthetic.h"
 
 namespace eafe::fpe {
@@ -43,6 +45,26 @@ TEST(FpeTrainerTest, SweepCoversAllCandidates) {
       EXPECT_LE(candidate.recall, result.selected.recall);
     }
   }
+}
+
+// With no scheme given, Eq. 6 sweeps the four hash families at each
+// dimension, in this order: neither the exact-quantile baseline, which is
+// not a hash, nor LICWS, which selects ICWS's rows.
+TEST(FpeTrainerTest, DefaultSweepCoversTheFourHashFamilies) {
+  const auto datasets = data::MakePublicCollection(6, 0.6, 49);
+  FpeTrainingOptions options = QuickOptions();
+  options.schemes.clear();
+  const auto result = TrainFpeModel(datasets, options).ValueOrDie();
+  std::vector<hashing::MinHashScheme> swept;
+  for (const FpeCandidateMetrics& candidate : result.sweep) {
+    swept.push_back(candidate.scheme);
+    EXPECT_EQ(candidate.dimension, 16u);
+  }
+  EXPECT_EQ(swept, (std::vector<hashing::MinHashScheme>{
+                       hashing::MinHashScheme::kPlain,
+                       hashing::MinHashScheme::kIcws,
+                       hashing::MinHashScheme::kCcws,
+                       hashing::MinHashScheme::kPcws}));
 }
 
 TEST(FpeTrainerTest, SplitsTrainAndValidation) {
@@ -124,8 +146,7 @@ TEST(FpeTrainerTest, EvaluateCandidateReportsMetrics) {
   const auto metrics =
       EvaluateCandidate(result.training_features,
                         result.validation_features,
-                        hashing::MinHashScheme::kPcws, 32,
-                        FpeModel::ClassifierKind::kLogistic, 7, &model)
+                        hashing::MinHashScheme::kPcws, 32, 7, &model)
           .ValueOrDie();
   EXPECT_EQ(metrics.scheme, hashing::MinHashScheme::kPcws);
   EXPECT_EQ(metrics.dimension, 32u);

@@ -63,7 +63,9 @@ std::vector<double> FamilyWeights(const std::string& family, size_t n,
       v = (0.5 + u) * 1e-300;
     }
   }
-  if (family == "minmax") w = SampleCompressor::NormalizeWeights(w);
+  if (family == "minmax") {
+    w = SampleCompressor::NormalizeWeights(w).ValueOrDie();
+  }
   if (family == "zeros60") w[n / 2] = 0.5;  // >= 1 positive.
   return w;
 }
@@ -198,8 +200,7 @@ std::vector<double> NormalColumn(size_t n, uint64_t seed) {
 }
 
 TEST(CcwsCandidatesTest, SecondCompressOfALengthRunsNoKernel) {
-  CompressorOptions options;
-  options.extra_uniform_slots = 48;
+  const CompressorOptions options;
   const SampleCompressor compressor(options);
   constexpr size_t kRows = 2741;  // A length no other test compresses.
   EmptySelectionMemo();
@@ -221,7 +222,7 @@ TEST(CcwsCandidatesTest, SecondCompressOfALengthRunsNoKernel) {
       compressor.SelectIndices(values).ValueOrDie();
   EXPECT_GE(CwsArgmins(), 1u);
   const std::vector<double> weights =
-      SampleCompressor::NormalizeWeights(values);
+      SampleCompressor::NormalizeWeights(values).ValueOrDie();
   for (uint64_t slot = 0; slot < selected.size(); ++slot) {
     EXPECT_EQ(selected[slot], Oracle(weights, options.seed, slot));
   }

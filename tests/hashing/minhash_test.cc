@@ -14,31 +14,6 @@ TEST(MixHashTest, DeterministicAndSensitive) {
   EXPECT_NE(MixHash(1, 2, 3), MixHash(2, 2, 3));
 }
 
-TEST(MixUniformTest, InHalfOpenUnitInterval) {
-  for (uint64_t i = 0; i < 1000; ++i) {
-    const double u = MixUniform(42, i, i * 7 + 1, 3);
-    EXPECT_GT(u, 0.0);  // Strictly positive (log-safe).
-    EXPECT_LE(u, 1.0);
-  }
-}
-
-TEST(MixUniformTest, StreamsAreIndependent) {
-  size_t equal = 0;
-  for (uint64_t i = 0; i < 200; ++i) {
-    if (MixUniform(1, i, 5, 1) == MixUniform(1, i, 5, 2)) ++equal;
-  }
-  EXPECT_EQ(equal, 0u);
-}
-
-TEST(MixUniformTest, RoughlyUniform) {
-  double sum = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) {
-    sum += MixUniform(7, static_cast<uint64_t>(i), 0, 0);
-  }
-  EXPECT_NEAR(sum / kN, 0.5, 0.02);
-}
-
 TEST(PlainMinHashTest, SelectsFromSupport) {
   // Support = indices with above-mean weight: {2, 3}.
   const std::vector<double> weights = {0.0, 0.0, 1.0, 1.0};

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/rng.h"
 #include "hashing/minhash.h"
@@ -23,10 +24,11 @@ TEST(SampleCompressorTest, FixedOutputDimensionForAnyInputSize) {
   CompressorOptions options;
   options.dimension = 48;
   SampleCompressor compressor(options);
+  EXPECT_EQ(compressor.signature_size(), 96u);
   for (size_t n : {10u, 100u, 1000u, 7777u}) {
     const auto signature =
         compressor.Compress(RandomFeature(n, n)).ValueOrDie();
-    EXPECT_EQ(signature.size(), 48u) << n;
+    EXPECT_EQ(signature.size(), 96u) << n;
   }
 }
 
@@ -40,40 +42,47 @@ TEST(SampleCompressorTest, SignatureValuesAreNormalizedWeights) {
   }
 }
 
-TEST(SampleCompressorTest, SortedSignatureByDefault) {
+TEST(SampleCompressorTest, EachHalfIsSorted) {
   SampleCompressor compressor;
   const auto signature =
       compressor.Compress(RandomFeature(300, 5)).ValueOrDie();
-  EXPECT_TRUE(std::is_sorted(signature.begin(), signature.end()));
+  const auto half = signature.begin() + 48;
+  EXPECT_TRUE(std::is_sorted(signature.begin(), half));
+  EXPECT_TRUE(std::is_sorted(half, signature.end()));
 }
 
-TEST(SampleCompressorTest, UnsortedWhenDisabled) {
+// The first half holds the weights at the rows the scheme selects, as a
+// sorted multiset.
+TEST(SampleCompressorTest, FirstHalfHoldsTheWeightsAtTheSelectedRows) {
   CompressorOptions options;
-  options.sort_signature = false;
   options.dimension = 64;
   SampleCompressor compressor(options);
   const auto values = RandomFeature(300, 7);
   const auto signature = compressor.Compress(values).ValueOrDie();
   const auto indices = compressor.SelectIndices(values).ValueOrDie();
-  const auto weights = SampleCompressor::NormalizeWeights(values);
-  for (size_t j = 0; j < signature.size(); ++j) {
-    EXPECT_DOUBLE_EQ(signature[j], weights[indices[j]]);
-  }
+  const auto weights = SampleCompressor::NormalizeWeights(values).ValueOrDie();
+  std::vector<double> expected;
+  for (size_t row : indices) expected.push_back(weights[row]);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(std::vector<double>(signature.begin(), signature.begin() + 64),
+            expected);
 }
 
 // The uniform companion slots are plain min-wise hashing over row
 // indices: slot j keeps the first row with the smallest
-// MixHash(seed ^ 0xA5A5A5A5, j, row).
+// MixHash(seed ^ 0xA5A5A5A5, j, row). The second half holds the weights
+// at those rows, as a sorted multiset.
 TEST(SampleCompressorTest, UniformSlotsPickFirstMinHashRow) {
   CompressorOptions options;
-  options.sort_signature = false;
-  options.extra_uniform_slots = 16;
+  options.dimension = 16;
   SampleCompressor compressor(options);
   for (size_t n : {1u, 5u, 300u, 8000u}) {
     const auto values = RandomFeature(n, 11);
     const auto signature = compressor.Compress(values).ValueOrDie();
-    const auto weights = SampleCompressor::NormalizeWeights(values);
-    ASSERT_EQ(signature.size(), options.dimension + 16);
+    const auto weights =
+        SampleCompressor::NormalizeWeights(values).ValueOrDie();
+    ASSERT_EQ(signature.size(), 32u);
+    std::vector<double> expected;
     for (size_t j = 0; j < 16; ++j) {
       size_t best = 0;
       for (size_t i = 1; i < n; ++i) {
@@ -82,9 +91,12 @@ TEST(SampleCompressorTest, UniformSlotsPickFirstMinHashRow) {
           best = i;
         }
       }
-      EXPECT_EQ(signature[options.dimension + j], weights[best])
-          << "n=" << n << " slot=" << j;
+      expected.push_back(weights[best]);
     }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(std::vector<double>(signature.begin() + 16, signature.end()),
+              expected)
+        << "n=" << n;
   }
 }
 
@@ -103,14 +115,27 @@ TEST(SampleCompressorTest, DeterministicInSeed) {
 
 TEST(SampleCompressorTest, NormalizeWeightsMapsToUnitInterval) {
   const auto weights =
-      SampleCompressor::NormalizeWeights({-4.0, 0.0, 4.0});
+      SampleCompressor::NormalizeWeights({-4.0, 0.0, 4.0}).ValueOrDie();
   EXPECT_DOUBLE_EQ(weights[0], 0.0);
   EXPECT_DOUBLE_EQ(weights[1], 0.5);
   EXPECT_DOUBLE_EQ(weights[2], 1.0);
 }
 
+// Empty input, a non-finite value and a range that overflows a double
+// (min-max normalization would make NaN weights of it) are errors.
+TEST(SampleCompressorTest, NormalizeWeightsRejectsWhatItCannotNormalize) {
+  for (const std::vector<double>& values :
+       {std::vector<double>{}, std::vector<double>{-1e308, 1e308},
+        std::vector<double>{1.0, std::numeric_limits<double>::infinity()}}) {
+    EXPECT_EQ(SampleCompressor::NormalizeWeights(values).status().code(),
+              StatusCode::kInvalidArgument)
+        << values.size();
+  }
+}
+
 TEST(SampleCompressorTest, ConstantFeatureGetsUniformWeights) {
-  const auto weights = SampleCompressor::NormalizeWeights({5.0, 5.0, 5.0});
+  const auto weights =
+      SampleCompressor::NormalizeWeights({5.0, 5.0, 5.0}).ValueOrDie();
   for (double w : weights) EXPECT_DOUBLE_EQ(w, 1.0);
   // And compresses without error.
   SampleCompressor compressor;
@@ -129,27 +154,13 @@ TEST(SampleCompressorTest, SimilarityPreservation) {
       compressor.EstimateSimilarity(base, scaled).ValueOrDie(), 1.0);
 
   const auto other = RandomFeature(400, 12);
-  const auto weights_a = SampleCompressor::NormalizeWeights(base);
-  const auto weights_b = SampleCompressor::NormalizeWeights(other);
+  const auto weights_a = SampleCompressor::NormalizeWeights(base).ValueOrDie();
+  const auto weights_b =
+      SampleCompressor::NormalizeWeights(other).ValueOrDie();
   const double truth = GeneralizedJaccard(weights_a, weights_b);
   const double estimate =
       compressor.EstimateSimilarity(base, other).ValueOrDie();
   EXPECT_NEAR(estimate, truth, 0.2);
-}
-
-TEST(SampleCompressorTest, CompressFramePerColumn) {
-  data::DataFrame frame;
-  ASSERT_TRUE(frame.AddColumn(
-      data::Column("a", RandomFeature(100, 13))).ok());
-  ASSERT_TRUE(frame.AddColumn(
-      data::Column("b", RandomFeature(100, 14))).ok());
-  CompressorOptions options;
-  options.dimension = 16;
-  SampleCompressor compressor(options);
-  const data::DataFrame compressed =
-      compressor.CompressFrame(frame).ValueOrDie();
-  EXPECT_EQ(compressed.num_rows(), 16u);
-  EXPECT_EQ(compressed.ColumnNames(), frame.ColumnNames());
 }
 
 TEST(SampleCompressorTest, ErrorsOnBadInput) {
@@ -163,14 +174,16 @@ TEST(SampleCompressorTest, ErrorsOnBadInput) {
 
 TEST(SampleCompressorTest, AllSchemesCompress) {
   const auto values = RandomFeature(150, 17);
-  for (MinHashScheme scheme : AllMinHashSchemes()) {
+  std::vector<MinHashScheme> schemes = AllMinHashSchemes();
+  schemes.push_back(MinHashScheme::kLicws);
+  for (MinHashScheme scheme : schemes) {
     CompressorOptions options;
     options.scheme = scheme;
     options.dimension = 24;
     SampleCompressor compressor(options);
     const auto signature = compressor.Compress(values);
     ASSERT_TRUE(signature.ok()) << MinHashSchemeToString(scheme);
-    EXPECT_EQ(signature->size(), 24u);
+    EXPECT_EQ(signature->size(), 48u);
   }
 }
 

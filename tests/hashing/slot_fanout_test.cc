@@ -50,7 +50,7 @@ struct Outputs {
 
 Outputs Compute(const std::vector<double>& values) {
   const std::vector<double> weights =
-      SampleCompressor::NormalizeWeights(values);
+      SampleCompressor::NormalizeWeights(values).ValueOrDie();
   Outputs out;
   for (MinHashScheme scheme :
        {MinHashScheme::kIcws, MinHashScheme::kCcws, MinHashScheme::kPcws,
@@ -59,9 +59,7 @@ Outputs Compute(const std::vector<double>& values) {
   }
   out.selections.push_back(WeightedMinHashSelect(
       MinHashScheme::kCcws, std::vector<double>(values.size(), 0.0), 48, 5));
-  CompressorOptions options;
-  options.extra_uniform_slots = 48;
-  out.signature = SampleCompressor(options).Compress(values).ValueOrDie();
+  out.signature = SampleCompressor().Compress(values).ValueOrDie();
   return out;
 }
 
@@ -115,9 +113,9 @@ uint64_t GlobalPoolTasksDuring(const std::function<void()>& work) {
 
 TEST(SlotFanOutTest, FansOutOnlyOffPoolForLongColumns) {
   const std::vector<double> long_weights =
-      SampleCompressor::NormalizeWeights(NormalColumn(8000, 2));
+      SampleCompressor::NormalizeWeights(NormalColumn(8000, 2)).ValueOrDie();
   const std::vector<double> short_weights =
-      SampleCompressor::NormalizeWeights(NormalColumn(47, 2));
+      SampleCompressor::NormalizeWeights(NormalColumn(47, 2)).ValueOrDie();
   const auto select = [](MinHashScheme scheme,
                          const std::vector<double>& weights) {
     (void)WeightedMinHashSelect(scheme, weights, 48, 9);
@@ -154,9 +152,7 @@ uint64_t PlainArgmins() {
 }
 
 TEST(UniformRowMemoTest, SecondCompressOfALengthHashesNoRows) {
-  CompressorOptions options;
-  options.extra_uniform_slots = 48;
-  const SampleCompressor compressor(options);
+  const SampleCompressor compressor;
   constexpr size_t kRows = 3217;  // A length no other test compresses.
   ASSERT_TRUE(compressor.Compress(NormalColumn(kRows, 1)).ok());
   simd::ResetDispatchCounts();
@@ -189,9 +185,7 @@ TEST(UniformRowMemoTest, RowsEqualDirectPlainHashArgmin) {
 TEST(UniformRowMemoTest, ConcurrentCompressOfDifferentLengths) {
   // More lengths than the memo holds, compressed from four pool tasks at
   // once, each checked against the same call made serially up front.
-  CompressorOptions options;
-  options.extra_uniform_slots = 48;
-  const SampleCompressor compressor(options);
+  const SampleCompressor compressor;
   std::vector<std::vector<double>> columns;
   std::vector<std::vector<double>> expected;
   for (size_t i = 0; i < 12; ++i) {
@@ -220,7 +214,8 @@ TEST(UniformRowMemoTest, ConcurrentCompressOfDifferentLengths) {
 /// full-scan oracle's row, per uniform slot PlainHashArgmin's.
 std::vector<double> UnmemoizedSignature(const CompressorOptions& options,
                                         const std::vector<double>& values) {
-  const std::vector<double> w = SampleCompressor::NormalizeWeights(values);
+  const std::vector<double> w =
+      SampleCompressor::NormalizeWeights(values).ValueOrDie();
   std::vector<double> ccws;
   for (size_t j = 0; j < options.dimension; ++j) {
     ccws.push_back(w[simd::internal::CwsArgminScalar(
@@ -228,7 +223,7 @@ std::vector<double> UnmemoizedSignature(const CompressorOptions& options,
         options.seed, j)]);
   }
   std::vector<double> uniform;
-  for (size_t j = 0; j < options.extra_uniform_slots; ++j) {
+  for (size_t j = 0; j < options.dimension; ++j) {
     uniform.push_back(w[simd::PlainHashArgmin(
         nullptr, w.size(), options.seed ^ 0xA5A5A5A5ULL, j)]);
   }
@@ -242,8 +237,7 @@ TEST(SelectionMemoTest, ConcurrentCompressOfOneFreshLength) {
   // Four pool tasks meet a length no call has seen: their first and
   // second sightings, the list build and the listed reads race.
   EmptySelectionMemo();
-  CompressorOptions options;
-  options.extra_uniform_slots = 48;
+  const CompressorOptions options;
   const SampleCompressor compressor(options);
   constexpr size_t kRows = 1933;  // A length no other test compresses.
   std::vector<std::vector<double>> columns;
@@ -317,8 +311,9 @@ TEST(SelectionMemoTest, KeepsListsInUseWhenLengthsOutnumberSlots) {
   const SampleCompressor compressor(options);
   std::vector<std::vector<double>> columns;
   for (size_t i = 0; i < 2 * kMaxCcwsLists; ++i) {
-    columns.push_back(SampleCompressor::NormalizeWeights(
-        NormalColumn(700 + 13 * i, i)));
+    columns.push_back(
+        SampleCompressor::NormalizeWeights(NormalColumn(700 + 13 * i, i))
+            .ValueOrDie());
   }
   for (int pass = 0; pass < 2; ++pass) {  // Sighted, then recurring.
     for (const std::vector<double>& column : columns) {

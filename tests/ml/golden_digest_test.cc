@@ -507,9 +507,8 @@ uint64_t BytesDigest(const std::string& bytes) {
 
 /// The FPE container holds the compressor options and every fitted
 /// classifier parameter.
-uint64_t FpeDigest(fpe::FpeModel::ClassifierKind classifier) {
+uint64_t FpeDigest() {
   fpe::FpeModel::Options options;
-  options.classifier = classifier;
   options.compressor.dimension = 16;
   options.seed = 31;
   fpe::FpeModel model(options);
@@ -540,13 +539,7 @@ TEST(GoldenDigestTest, BoosterContainer) {
 }
 
 TEST(GoldenDigestTest, FpeLogisticContainer) {
-  EXPECT_EQ(FpeDigest(fpe::FpeModel::ClassifierKind::kLogistic),
-            0xab2a5e1957e84ab4ULL);
-}
-
-TEST(GoldenDigestTest, FpeMlpContainer) {
-  EXPECT_EQ(FpeDigest(fpe::FpeModel::ClassifierKind::kMlp),
-            0x5a50118c50784adbULL);
+  EXPECT_EQ(FpeDigest(), 0xab2a5e1957e84ab4ULL);
 }
 
 }  // namespace

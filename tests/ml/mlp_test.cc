@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "ml/metrics.h"
 #include "tests/ml/test_util.h"
 
@@ -85,42 +83,6 @@ TEST(MlpTest, PredictProbaRequiresClassification) {
   const data::Dataset dataset = MakeSmoothRegression(50, 7);
   ASSERT_TRUE(model.Fit(dataset.features, dataset.labels).ok());
   EXPECT_FALSE(model.PredictProba(dataset.features).ok());
-}
-
-// The one-row predict over a feature vector feeds the frame path's
-// Forward and returns its bits, for a fitted model and a restored copy.
-TEST(MlpTest, RowProbaMatchesOneRowFrameBitForBit) {
-  const data::Dataset dataset = MakeSeparable(120, 13);
-  Mlp model;
-  ASSERT_TRUE(model.Fit(dataset.features, dataset.labels).ok());
-  Mlp restored;
-  ASSERT_TRUE(restored
-                  .RestoreFitted(model.scaler(), model.layer_weights(),
-                                 model.layer_biases(), 0.0, 1.0)
-                  .ok());
-  const std::vector<double> all =
-      model.PredictProba(dataset.features).ValueOrDie();
-  std::vector<double> row;
-  for (size_t r = 0; r < dataset.features.num_rows(); ++r) {
-    dataset.features.CopyRow(r, &row);
-    const double one_row =
-        model.PredictProba(dataset.features.SelectRows({r})).ValueOrDie()[0];
-    for (const Mlp* head : {&model, &restored}) {
-      const double got = head->PredictRowProba(row).ValueOrDie();
-      EXPECT_EQ(std::memcmp(&got, &one_row, sizeof(double)), 0)
-          << "row " << r;
-      EXPECT_EQ(std::memcmp(&got, &all[r], sizeof(double)), 0)
-          << "row " << r;
-    }
-  }
-  EXPECT_EQ(model.PredictRowProba(std::vector<double>(row.size() + 1))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  Mlp::Options regression;
-  regression.task = data::TaskType::kRegression;
-  EXPECT_EQ(Mlp(regression).PredictRowProba(row).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(MlpTest, DeterministicGivenSeed) {

@@ -71,10 +71,8 @@ std::vector<fpe::LabeledFeature> MakeFeatures(size_t count, uint64_t seed) {
   return features;
 }
 
-fpe::FpeModel TrainFpe(fpe::FpeModel::ClassifierKind classifier,
-                       uint64_t seed) {
+fpe::FpeModel TrainFpe(uint64_t seed) {
   fpe::FpeModel::Options options;
-  options.classifier = classifier;
   options.compressor.dimension = 16;
   options.seed = seed;
   fpe::FpeModel model(options);
@@ -82,9 +80,14 @@ fpe::FpeModel TrainFpe(fpe::FpeModel::ClassifierKind classifier,
   return model;
 }
 
-// Patches the little-endian u32 at `offset` in place.
+// Patches the little-endian u32 / u64 at `offset` in place.
 void PatchU32(std::string* bytes, size_t offset, uint32_t v) {
   for (size_t i = 0; i < 4; ++i) {
+    (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+void PatchU64(std::string* bytes, size_t offset, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i) {
     (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
 }
@@ -279,40 +282,29 @@ TEST(ModelStoreTest, FpeLogisticRoundTrip) {
 // trip through a model file it must still return the bits of the head's
 // frame path, and the bits the saved model returned.
 TEST(ModelStoreTest, FpeVectorPredictMatchesFramePathAfterSaveAndLoad) {
-  for (const fpe::FpeModel::ClassifierKind kind :
-       {fpe::FpeModel::ClassifierKind::kLogistic,
-        fpe::FpeModel::ClassifierKind::kMlp}) {
-    const fpe::FpeModel model = TrainFpe(kind, 31);
-    const std::string path = ::testing::TempDir() + "/fpe_vector.eafe";
-    ASSERT_TRUE(SaveModel(model, path).ok());
-    const LoadedModel loaded = LoadModel(path).ValueOrDie();
-    std::remove(path.c_str());
-    ASSERT_TRUE(loaded.fpe.has_value());
-    for (const auto& f : MakeFeatures(20, 32)) {
-      const double restored =
-          loaded.fpe->PredictProbability(f.values).ValueOrDie();
-      EXPECT_TRUE(fpe::testing::SameBits(
-          restored, fpe::testing::FramePathProbability(*loaded.fpe, f.values)))
-          << "classifier " << static_cast<int>(kind);
-      EXPECT_TRUE(fpe::testing::SameBits(
-          restored, model.PredictProbability(f.values).ValueOrDie()))
-          << "classifier " << static_cast<int>(kind);
-    }
+  const fpe::FpeModel model = TrainFpe(31);
+  const std::string path = ::testing::TempDir() + "/fpe_vector.eafe";
+  ASSERT_TRUE(SaveModel(model, path).ok());
+  const LoadedModel loaded = LoadModel(path).ValueOrDie();
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.fpe.has_value());
+  for (const auto& f : MakeFeatures(20, 32)) {
+    const double restored =
+        loaded.fpe->PredictProbability(f.values).ValueOrDie();
+    EXPECT_TRUE(fpe::testing::SameBits(
+        restored, fpe::testing::FramePathProbability(*loaded.fpe, f.values)));
+    EXPECT_TRUE(fpe::testing::SameBits(
+        restored, model.PredictProbability(f.values).ValueOrDie()));
   }
 }
 
-TEST(ModelStoreTest, FpeMlpRoundTrip) {
-  const fpe::FpeModel model =
-      TrainFpe(fpe::FpeModel::ClassifierKind::kMlp, 15);
-  const std::string bytes = SerializeFpe(model).ValueOrDie();
-  const LoadedModel loaded = DeserializeModel(bytes).ValueOrDie();
-  ASSERT_TRUE(loaded.fpe.has_value());
-  EXPECT_EQ(loaded.fpe->options().classifier,
-            fpe::FpeModel::ClassifierKind::kMlp);
-  for (const auto& f : MakeFeatures(20, 16)) {
-    EXPECT_EQ(model.PredictProbability(f.values).ValueOrDie(),
-              loaded.fpe->PredictProbability(f.values).ValueOrDie());
-  }
+TEST(ModelStoreTest, ForestBackedFpeIsNotSerializable) {
+  fpe::FpeModel::Options options;
+  options.classifier = fpe::FpeModel::ClassifierKind::kRandomForest;
+  options.compressor.dimension = 8;
+  fpe::FpeModel model(options);
+  ASSERT_TRUE(model.Train(MakeFeatures(40, 15)).ok());
+  EXPECT_EQ(SerializeFpe(model).status().code(), StatusCode::kNotImplemented);
 }
 
 // A complete v1 text model, the format that preceded the container, fails
@@ -414,10 +406,7 @@ TEST(ModelStoreTest, EveryTruncationFailsCleanly) {
   const std::string containers[] = {
       SerializeGbdt(TrainBooster(data::TaskType::kClassification, 25))
           .ValueOrDie(),
-      SerializeFpe(TrainFpe(fpe::FpeModel::ClassifierKind::kLogistic, 25))
-          .ValueOrDie(),
-      SerializeFpe(TrainFpe(fpe::FpeModel::ClassifierKind::kMlp, 25))
-          .ValueOrDie(),
+      SerializeFpe(TrainFpe(25)).ValueOrDie(),
   };
   // Every strict prefix must fail with a clean Status: either a
   // truncated read, a short section, or a missing required section.
@@ -439,7 +428,7 @@ std::string LogisticFpeContainer(uint64_t dimension, uint64_t extra,
   meta.PutString("ccws");
   meta.PutU64(dimension);
   meta.PutU64(extra);
-  meta.PutU8(0);   // Unsorted signature.
+  meta.PutU8(1);   // Sorted signature.
   meta.PutU64(7);  // Compressor seed.
   meta.PutU32(0);  // Signature input.
   meta.PutU32(1);  // Logistic classifier.
@@ -493,8 +482,8 @@ TEST(ModelStoreTest, FpeSignatureWidthThatWrapsRejected) {
   }
 }
 
-// Overwrites every byte of a forest, a booster, a logistic-FPE and an
-// MLP-FPE container with 0x00 and then 0xFF. Every mutation must decode
+// Overwrites every byte of a forest, a booster and an FPE container with
+// 0x00 and then 0xFF. Every mutation must decode
 // to a Status, and a model that loads must predict without crashing;
 // an error Status from the predict is fine.
 TEST(ModelStoreTest, EverySingleByteOverwriteFailsCleanlyOrPredicts) {
@@ -512,10 +501,7 @@ TEST(ModelStoreTest, EverySingleByteOverwriteFailsCleanlyOrPredicts) {
   const std::string containers[] = {
       SerializeForest(forest).ValueOrDie(),
       SerializeGbdt(booster).ValueOrDie(),
-      SerializeFpe(TrainFpe(fpe::FpeModel::ClassifierKind::kLogistic, 29))
-          .ValueOrDie(),
-      SerializeFpe(TrainFpe(fpe::FpeModel::ClassifierKind::kMlp, 29))
-          .ValueOrDie(),
+      SerializeFpe(TrainFpe(29)).ValueOrDie(),
   };
   const data::Dataset query =
       MakeData(data::TaskType::kClassification, 96, /*rows=*/16);
@@ -545,6 +531,61 @@ TEST(ModelStoreTest, EverySingleByteOverwriteFailsCleanlyOrPredicts) {
     // Overwrites of payload values (weights, thresholds, leaf values)
     // still load, so each container's predict path runs.
     EXPECT_GT(predicted, 0u) << "container " << c;
+  }
+}
+
+// The FPE meta section's signature-layout fields and classifier id hold
+// constants: `dimension` uniform slots, sorted halves, the logistic head.
+// A container holding anything else (the values of the retired layout
+// options and MLP head among them) is refused; a section with the MLP
+// head's old id 19 is skipped like any unknown section.
+TEST(ModelStoreTest, FpeMetaRefusesWhatTheWriterCannotProduce) {
+  const fpe::FpeModel model = TrainFpe(33);
+  const std::string bytes = SerializeFpe(model).ValueOrDie();
+  // The meta section comes first: its payload follows the container
+  // header and the section's id and length.
+  const size_t payload = kMagicSize + 4 + 4 + 4 + 8;
+  const size_t dimension_at =
+      payload + 4 + hashing::MinHashSchemeToString(
+                        model.options().compressor.scheme)
+                        .size();
+  const size_t uniform_at = dimension_at + 8;
+  const size_t sorted_at = uniform_at + 8;
+  const size_t classifier_at = sorted_at + 1 + 8 + 4;
+  ASSERT_EQ(ByteReader(std::string_view(bytes).substr(dimension_at, 8))
+                .TakeU64()
+                .ValueOrDie(),
+            16u);
+
+  std::vector<std::pair<const char*, std::string>> refused;
+  std::string patched = bytes;
+  PatchU32(&patched, classifier_at, 2);
+  refused.emplace_back("classifier 2", patched);
+  patched = bytes;
+  patched[sorted_at] = '\0';
+  refused.emplace_back("unsorted", patched);
+  for (const uint64_t uniform : {uint64_t{0}, uint64_t{15}, uint64_t{17}}) {
+    patched = bytes;
+    PatchU64(&patched, uniform_at, uniform);
+    refused.emplace_back("uniform slots", patched);
+  }
+  for (const auto& [what, container] : refused) {
+    EXPECT_EQ(DeserializeModel(container).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  }
+
+  ByteWriter mlp;
+  mlp.PutU32(19);
+  mlp.PutU64(8);
+  mlp.PutDouble(0.5);
+  const LoadedModel loaded =
+      DeserializeModel(bytes + mlp.Take()).ValueOrDie();
+  ASSERT_TRUE(loaded.fpe.has_value());
+  for (const auto& f : MakeFeatures(10, 34)) {
+    EXPECT_TRUE(fpe::testing::SameBits(
+        loaded.fpe->PredictProbability(f.values).ValueOrDie(),
+        model.PredictProbability(f.values).ValueOrDie()));
   }
 }
 

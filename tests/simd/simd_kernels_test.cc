@@ -140,6 +140,33 @@ TEST(PortableLogTest, MatchesLibmAcrossMagnitudes) {
   EXPECT_TRUE(std::isinf(PortableLog(-1.0)));
 }
 
+// Uniform01 maps hash bits to (0, 1]: never exactly 0, so the MinHash
+// kernels may take its log.
+TEST(Uniform01Test, InHalfOpenUnitInterval) {
+  for (uint64_t i = 0; i < 1000; ++i) {
+    const double u = Uniform01(42, i, i * 7 + 1, 3);
+    EXPECT_GT(u, 0.0);
+    EXPECT_LE(u, 1.0);
+  }
+}
+
+TEST(Uniform01Test, StreamsAreIndependent) {
+  size_t equal = 0;
+  for (uint64_t i = 0; i < 200; ++i) {
+    if (Uniform01(1, i, 5, 1) == Uniform01(1, i, 5, 2)) ++equal;
+  }
+  EXPECT_EQ(equal, 0u);
+}
+
+TEST(Uniform01Test, RoughlyUniform) {
+  double sum = 0.0;
+  constexpr int kN = 20000;
+  for (int i = 0; i < kN; ++i) {
+    sum += Uniform01(7, static_cast<uint64_t>(i), 0, 0);
+  }
+  EXPECT_NEAR(sum / kN, 0.5, 0.02);
+}
+
 // Every CCWS tier against the full-scan oracle: the pruned scalar
 // kernel, the pruned AVX2 kernel (when the CPU has it) and the AVX2
 // dispatch entry. Returns the oracle's index.

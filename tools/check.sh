@@ -17,7 +17,9 @@
 #            EAFE_SIMD=scalar rerun of the simd-labeled ctest suite to
 #            prove the fallback tier stays green, the golden search, forest,
 #            booster and learner digests under EAFE_SIMD=scalar (their
-#            pinned values hold at every tier), and the pipelined-search
+#            pinned values hold at every tier), the FPE container writer
+#            (`eafe pretrain --scheme ccws` at --threads 1 and --threads 4
+#            writes byte-identical containers), and the pipelined-search
 #            smoke (fig9_scalability --pipeline-smoke: --threads 1 and
 #            --threads 4 searches bit-identical on an n>=10k point, the
 #            pooled one >= 1.8x faster on multi-core machines, one
@@ -166,7 +168,7 @@ run_release() {
   cmake --build "${root}/build-release" -j "${jobs}" \
     --target micro_tree micro_hashing eafe_simd_test eafe_hashing_test \
              fig9_scalability bench_schema_check eafe_search_pipeline_test \
-             eafe_ml_test
+             eafe_ml_test eafe_cli
   "${root}/build-release/bench/micro_tree" --smoke
   # MinHash SIMD dispatch smoke: the signatures from the full-scan and
   # pruned argmins must be the same bits at both tiers, and the AVX2
@@ -189,6 +191,15 @@ run_release() {
     --gtest_filter='*GoldenSearchDigest*'
   EAFE_SIMD=scalar "${root}/build-release/tests/eafe_ml_test" \
     --gtest_filter='GoldenDigestTest.*'
+  # FPE pretraining, labels through the saved container, must not depend
+  # on the thread count: `eafe pretrain` at --threads 1 and --threads 4
+  # must write the same bytes.
+  local pretrained="${root}/build-release/pretrain_threads"
+  for threads in 1 4; do
+    "${root}/build-release/tools/eafe" pretrain --scheme ccws \
+      --threads "${threads}" --out "${pretrained}${threads}.eafe" >/dev/null
+  done
+  cmp "${pretrained}1.eafe" "${pretrained}4.eafe"
   # Pipelined-search smoke: a 10k-sample search at --threads 1 and at
   # --threads 4 must be bit-identical; on >=4-core machines the pooled
   # run must also be >= 1.8x faster (best of 3 after >= 1.5 s of warm-up
